@@ -55,11 +55,11 @@ fn replica_window(seed: u64, n: usize, n_heads: usize) -> WindowedScores {
     w
 }
 
+/// The production fleet fit: rank-selected from the merged runs.
 fn fit_union(merged: &MergeableWindow, xis: &[f32]) -> PooledConformal {
-    let scored = merged.to_scored();
     let empty_preds: Vec<Vec<f32>> = vec![Vec::new(); merged.n_heads()];
     PooledConformal::fit_scored(
-        &scored,
+        merged,
         &PredictionSet {
             predictions: &empty_preds,
             targets_log: &[],

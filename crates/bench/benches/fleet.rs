@@ -2,13 +2,13 @@
 //! the full sharded serving loop.
 //!
 //! The multi-replica story only holds if the coordinator is cheap: a merge
-//! round is `O(union)` linear merges of pre-sorted runs plus a rank-lookup
-//! fit — no re-sorting, no raw observations on the wire. This bench
-//! records:
+//! round is a checksummed copy of each changed window plus a fit that
+//! rank-selects across the shared replica runs — no re-sorting, no union
+//! copy, no raw observations on the wire. This bench records:
 //!
 //! - `fleet/merge_round_4x256`: snapshot 4 replica windows of 256 scores
-//!   each, merge the summaries, lower to a `ScoredCalibration`, and fit the
-//!   fleet `PooledConformal` — one full coordinator round;
+//!   each, merge the summaries, and fit the fleet `PooledConformal` from
+//!   the merged runs — one full coordinator round;
 //! - `fleet/snapshot_256`: one replica's window summary alone (the per-site
 //!   cost of speaking the merge protocol);
 //! - `fleet/admission_10k`: 10k decide + resolve cycles through the
@@ -69,9 +69,8 @@ fn merge_round(c: &mut Criterion) {
             for (r, w) in replicas.iter().enumerate() {
                 merged.absorb(&MergeableWindow::snapshot(r as u64, w));
             }
-            let scored = merged.to_scored();
             let fit = PooledConformal::fit_scored(
-                &scored,
+                &merged,
                 &PredictionSet {
                     predictions: &empty_preds,
                     targets_log: &[],

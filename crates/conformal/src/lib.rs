@@ -83,6 +83,8 @@ pub use mondrian::MondrianConformal;
 pub use pooled::{HeadSelection, PoolCalibration, PooledConformal, PredictionSet};
 pub use rearrange::{crossing_rate, rearrange_heads};
 pub use scaled::{head_spread, ScaledConformal, MIN_SCALE};
-pub use scores::{upper_scores, ScoredCalibration, SweepCalibration, WindowedScores};
+pub use scores::{
+    upper_scores, CalibrationView, ScoredCalibration, SweepCalibration, WindowedScores,
+};
 pub use split_conformal::{calibrate_gamma, SplitConformal};
 pub use two_sided::{interval_coverage, mean_interval_factor, Interval, TwoSidedCqr};

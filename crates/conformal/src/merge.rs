@@ -20,27 +20,44 @@
 //! coordinator can combine summaries in any order, at any cadence, over any
 //! gossip topology, and always converge to the same fleet state.
 //!
-//! [`MergeableWindow::to_scored`] lowers the merged summary to a
-//! [`ScoredCalibration`] via linear merges of the pre-sorted segments —
-//! **bitwise identical** to a from-scratch `ScoredCalibration::new` on the
-//! union of the live replica windows (property-tested below), so a
-//! fleet-level fit sees exactly the calibration set a centralized server
-//! would have built.
+//! # Fitting from the runs
+//!
+//! A pooled fit needs one order statistic per `(pool, head)`: the
+//! `⌈(n+1)(1−ε)⌉`-th score of the union. A merged summary answers that
+//! directly — it implements [`CalibrationView`] by rank-selecting across
+//! its replica runs (binary searches, no copy) — so
+//! [`crate::PooledConformal::fit_scored`] takes the merged view itself and
+//! the fleet fit never materialises the union.
+//!
+//! [`MergeableWindow::to_scored`] is the oracle for that shortcut: it
+//! lowers the summary to a [`ScoredCalibration`] via linear merges of the
+//! pre-sorted segments, **bitwise identical** to a from-scratch
+//! `ScoredCalibration::new` on the union of the live replica windows, and
+//! the fit from the runs equals the fit on `to_scored()` bit for bit (both
+//! property-tested below).
+//!
+//! Runs are immutable once snapshotted and shared behind [`Arc`]:
+//! [`MergeableWindow::absorb`], [`MergeableWindow::merge`], and cloning a
+//! summary copy pointers, not scores. The tampering hooks copy a shared
+//! run before editing it, so corrupting one summary never touches another.
 //!
 //! # Summary integrity
 //!
 //! A summary crossing a trust boundary (replica → coordinator, gossip peer
 //! → gossip peer) is *telemetry*, and telemetry can lie: a Byzantine or
 //! corrupted replica can ship NaN scores, unsorted runs, or a cardinality
-//! that disagrees with its segments. Every run therefore carries an FNV-1a
-//! checksum over its full structural content, fixed at snapshot time, and
-//! [`MergeableWindow::verify`] re-derives structure and digest, naming the
-//! offending replica and fault class on the first violation. A receiver
-//! that verifies before [`MergeableWindow::absorb`] confines a bogus
-//! summary to its sender — the CRDT never sees it.
+//! that disagrees with its segments. Every run therefore carries an
+//! FNV-1a-64 checksum over its full structural content in 32-bit words,
+//! fixed at snapshot time, and [`MergeableWindow::verify`] re-derives
+//! structure and digest, naming the offending replica and fault class on
+//! the first violation. A receiver that verifies before
+//! [`MergeableWindow::absorb`] confines a bogus summary to its sender — the
+//! CRDT never sees it.
 
-use crate::scores::{ScoredCalibration, WindowedScores};
+use crate::scores::{CalibrationView, ScoredCalibration, WindowedScores};
+use pitot_linalg::quantile_higher_rank;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One replica's live window contents at snapshot time: pre-sorted global
 /// and per-pool score runs plus the eviction clock that orders snapshots.
@@ -54,8 +71,8 @@ struct ReplicaRun {
     global: Vec<Vec<f32>>,
     /// Pool key → per-head ascending scores (only pools with live entries).
     pools: BTreeMap<usize, Vec<Vec<f32>>>,
-    /// FNV-1a over clock, cardinality, pool layout, and every score bit,
-    /// fixed at snapshot time (see [`run_checksum`]).
+    /// FNV-1a-64 over clock, cardinality, pool layout, and every score
+    /// bit, fixed at snapshot time (see [`ReplicaRun::digest`]).
     checksum: u64,
 }
 
@@ -120,44 +137,69 @@ pub enum TamperMode {
     Checksum,
 }
 
-/// FNV-1a over a run's full structural content: clock, stated cardinality,
-/// per-head global runs (length-prefixed), and per-pool runs (key- and
-/// length-prefixed). Order-sensitive, so any bit flip, reorder, truncation,
-/// or cardinality edit changes the digest.
-fn run_checksum(
-    clock: u64,
-    n: usize,
-    global: &[Vec<f32>],
-    pools: &BTreeMap<usize, Vec<Vec<f32>>>,
-) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let push = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    push(&mut h, &clock.to_le_bytes());
-    push(&mut h, &(n as u64).to_le_bytes());
-    for head in global {
-        push(&mut h, &(head.len() as u64).to_le_bytes());
-        for &s in head {
-            push(&mut h, &s.to_bits().to_le_bytes());
-        }
+impl ReplicaRun {
+    /// Fixes the checksum to the run's current content.
+    fn reseal(&mut self) {
+        self.checksum = self.digest().0;
     }
-    for (&pool, per_head) in pools {
-        push(&mut h, &(pool as u64).to_le_bytes());
-        for head in per_head {
-            push(&mut h, &(head.len() as u64).to_le_bytes());
-            for &s in head {
-                push(&mut h, &s.to_bits().to_le_bytes());
+
+    /// FNV-1a-64 over the run's full structural content in 32-bit words:
+    /// clock, stated cardinality, per-head global runs (length-prefixed),
+    /// and per-pool runs (key- and length-prefixed). Each score's bits are
+    /// one word; each `u64` field is two, low word first.
+    ///
+    /// Every step (xor a word, multiply by the odd FNV prime) is a
+    /// bijection of the 64-bit state, so changing any single word changes
+    /// the digest; the fold is order-sensitive, so reorders, truncations,
+    /// and cardinality edits change it too.
+    ///
+    /// Alongside the digest comes the fault of the first score run, in
+    /// digest order, holding a non-finite score or a descent under
+    /// `total_cmp` (non-finite takes precedence). Those scans share the
+    /// digest's pass, so verifying a run reads it once.
+    fn digest(&self) -> (u64, Option<SummaryFault>) {
+        fn word(h: u64, w: u32) -> u64 {
+            (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
+        }
+        fn wide(h: u64, v: u64) -> u64 {
+            word(word(h, v as u32), (v >> 32) as u32)
+        }
+        let mut fault = None;
+        let mut scores = |h: u64, run: &[f32]| {
+            let mut h = wide(h, run.len() as u64);
+            let (mut finite, mut sorted) = (true, true);
+            let mut prev = i32::MIN;
+            for &s in run {
+                let bits = s.to_bits();
+                h = word(h, bits);
+                finite &= s.is_finite();
+                // The integer key `f32::total_cmp` compares.
+                let key = bits as i32 ^ ((bits as i32 >> 31) as u32 >> 1) as i32;
+                sorted &= prev <= key;
+                prev = key;
+            }
+            if fault.is_none() {
+                fault = match (finite, sorted) {
+                    (false, _) => Some(SummaryFault::NonFiniteScore),
+                    (true, false) => Some(SummaryFault::UnsortedRun),
+                    (true, true) => None,
+                };
+            }
+            h
+        };
+        let mut h = wide(wide(0xcbf2_9ce4_8422_2325, self.clock), self.n as u64);
+        for head in &self.global {
+            h = scores(h, head);
+        }
+        for (&pool, per_head) in &self.pools {
+            h = wide(h, pool as u64);
+            for head in per_head {
+                h = scores(h, head);
             }
         }
+        (h, fault)
     }
-    h
-}
 
-impl ReplicaRun {
     /// Structural + digest verification against the expected head count;
     /// returns the first fault found, most specific first.
     fn validate(&self, n_heads: usize) -> Result<(), SummaryFault> {
@@ -177,19 +219,11 @@ impl ReplicaRun {
         if pooled != self.n {
             return Err(SummaryFault::CardinalityMismatch);
         }
-        let runs = self.global.iter().chain(self.pools.values().flatten());
-        for run in runs {
-            if run.iter().any(|s| !s.is_finite()) {
-                return Err(SummaryFault::NonFiniteScore);
-            }
-            if run.windows(2).any(|w| w[0].total_cmp(&w[1]).is_gt()) {
-                return Err(SummaryFault::UnsortedRun);
-            }
+        match self.digest() {
+            (_, Some(fault)) => Err(fault),
+            (digest, None) if digest != self.checksum => Err(SummaryFault::ChecksumMismatch),
+            _ => Ok(()),
         }
-        if run_checksum(self.clock, self.n, &self.global, &self.pools) != self.checksum {
-            return Err(SummaryFault::ChecksumMismatch);
-        }
-        Ok(())
     }
 }
 
@@ -207,8 +241,9 @@ pub type ReplayEntry = (Vec<f32>, usize);
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeableWindow {
     n_heads: usize,
-    /// Replica id → that replica's latest known run.
-    runs: BTreeMap<u64, ReplicaRun>,
+    /// Replica id → that replica's latest known run, shared with every
+    /// summary that absorbed it.
+    runs: BTreeMap<u64, Arc<ReplicaRun>>,
 }
 
 impl MergeableWindow {
@@ -228,27 +263,21 @@ impl MergeableWindow {
     /// Snapshots one replica window under the given replica id.
     ///
     /// The snapshot is a copy of the window's already-sorted score slices —
-    /// `O(window)` with no comparisons — plus its eviction clock. An empty
-    /// window yields a valid (empty) run that a later snapshot from the
-    /// same replica supersedes.
+    /// `O(window)` with no comparisons — plus its eviction clock and the
+    /// run's checksum. An empty window yields a valid (empty) run that a
+    /// later snapshot from the same replica supersedes.
     pub fn snapshot(replica: u64, window: &WindowedScores) -> Self {
-        let global = window.scored.global_sorted.clone();
-        let pools = window.scored.pool_sorted.clone();
-        let checksum = run_checksum(window.clock(), window.len(), &global, &pools);
-        let mut runs = BTreeMap::new();
-        runs.insert(
-            replica,
-            ReplicaRun {
-                clock: window.clock(),
-                n: window.len(),
-                global,
-                pools,
-                checksum,
-            },
-        );
+        let mut run = ReplicaRun {
+            clock: window.clock(),
+            n: window.len(),
+            global: window.scored.global_sorted.clone(),
+            pools: window.scored.pool_sorted.clone(),
+            checksum: 0,
+        };
+        run.reseal();
         Self {
             n_heads: window.n_heads(),
-            runs,
+            runs: BTreeMap::from([(replica, Arc::new(run))]),
         }
     }
 
@@ -281,24 +310,28 @@ impl MergeableWindow {
     /// for [`TamperMode::Unsorted`]) fall back to a checksum flip, so a
     /// tampered summary is *always* rejected by [`MergeableWindow::verify`].
     ///
+    /// Only this summary's copy of the run changes: a run shared with
+    /// other summaries is copied first.
+    ///
     /// Returns `false` (and changes nothing) if no run is held for
     /// `replica`.
     pub fn corrupt_run(&mut self, replica: u64, mode: TamperMode, salt: u64) -> bool {
         let Some(run) = self.runs.get_mut(&replica) else {
             return false;
         };
+        let run = Arc::make_mut(run);
         let flip = |run: &mut ReplicaRun| run.checksum ^= salt | 1;
         match mode {
             TamperMode::Checksum => flip(run),
             TamperMode::Cardinality => {
                 run.n += 1 + (salt as usize % 3);
-                run.checksum = run_checksum(run.clock, run.n, &run.global, &run.pools);
+                run.reseal();
             }
             TamperMode::NonFinite if run.n > 0 => {
                 let h = (salt as usize) % run.global.len();
                 let i = (salt as usize >> 3) % run.global[h].len();
                 run.global[h][i] = f32::NAN;
-                run.checksum = run_checksum(run.clock, run.n, &run.global, &run.pools);
+                run.reseal();
             }
             TamperMode::Unsorted
                 if run.n > 1 && {
@@ -310,7 +343,7 @@ impl MergeableWindow {
                 let head = &mut run.global[h];
                 let last = head.len() - 1;
                 head.swap(0, last);
-                run.checksum = run_checksum(run.clock, run.n, &run.global, &run.pools);
+                run.reseal();
             }
             // Degenerate content for the requested mode: fall back to the
             // always-detectable checksum flip.
@@ -324,14 +357,17 @@ impl MergeableWindow {
     /// [`MergeableWindow::verify`] — the clock-skew injection hook. Skew is
     /// *not* an integrity fault (the run's data is genuine); it is caught
     /// by the receiver's clock-plausibility screen instead, which is why
-    /// this hook keeps the checksum honest. Returns `false` (and changes
-    /// nothing) if no run is held for `replica`.
+    /// this hook keeps the checksum honest. Like
+    /// [`MergeableWindow::corrupt_run`], it edits only this summary's copy.
+    /// Returns `false` (and changes nothing) if no run is held for
+    /// `replica`.
     pub fn skew_run_clock(&mut self, replica: u64, jump: u64) -> bool {
         let Some(run) = self.runs.get_mut(&replica) else {
             return false;
         };
+        let run = Arc::make_mut(run);
         run.clock += jump;
-        run.checksum = run_checksum(run.clock, run.n, &run.global, &run.pools);
+        run.reseal();
         true
     }
 
@@ -377,9 +413,9 @@ impl MergeableWindow {
     }
 
     /// In-place [`MergeableWindow::merge`]: upserts only `other`'s
-    /// newer-clocked runs, never copying the runs already held — the form
-    /// a coordinator accumulating one snapshot per replica per round wants
-    /// (`O(other)` per call, not `O(self + other)`).
+    /// newer-clocked runs — the form a coordinator accumulating one
+    /// snapshot per replica per round wants. Runs are shared, not copied,
+    /// so a call costs `O(replicas in other)` pointer copies.
     ///
     /// # Panics
     ///
@@ -393,7 +429,7 @@ impl MergeableWindow {
             match self.runs.get(&id) {
                 Some(existing) if existing.clock >= run.clock => {}
                 _ => {
-                    self.runs.insert(id, run.clone());
+                    self.runs.insert(id, Arc::clone(run));
                 }
             }
         }
@@ -435,9 +471,10 @@ impl MergeableWindow {
     /// segments, bitwise identical to `ScoredCalibration::new` on the same
     /// union (property-tested).
     ///
-    /// The result is ready for [`crate::PooledConformal::fit_scored`];
-    /// fitting at any ε is then a rank lookup, exactly as on a
-    /// single-replica window.
+    /// A fit does not need this copy: [`crate::PooledConformal::fit_scored`]
+    /// takes the summary itself (see the module docs) and equals the fit on
+    /// this lowering bit for bit. The lowering stays as that fit's oracle
+    /// and for callers that want the whole sorted union.
     ///
     /// # Panics
     ///
@@ -471,6 +508,63 @@ impl MergeableWindow {
     }
 }
 
+/// The held runs answer a pooled fit directly: each order statistic is a
+/// rank-select across the replica runs, with no union materialised.
+///
+/// The answers are those of the runs as held, so fit only a summary that
+/// passed [`MergeableWindow::verify`].
+impl CalibrationView for MergeableWindow {
+    fn n_heads(&self) -> usize {
+        self.n_heads
+    }
+
+    /// Pool sizes summed over every held run.
+    fn pool_sizes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut sizes = BTreeMap::new();
+        for run in self.runs.values() {
+            for (&pool, per_head) in &run.pools {
+                *sizes.entry(pool).or_insert(0) += per_head[0].len();
+            }
+        }
+        sizes.into_iter()
+    }
+
+    fn gamma(&self, pool: Option<usize>, head: usize, eps: f32) -> f32 {
+        assert!(eps > 0.0 && eps < 1.0, "miscoverage {eps} outside (0,1)");
+        let runs = self.runs.values().filter_map(move |run| {
+            let per_head = match pool {
+                None => &run.global,
+                Some(key) => run.pools.get(&key)?,
+            };
+            Some(per_head[head].as_slice())
+        });
+        let n = runs.clone().map(<[f32]>::len).sum();
+        select_kth(runs, quantile_higher_rank(n, 1.0 - eps))
+    }
+}
+
+/// The `k`-th smallest (1-indexed) score across ascending runs under
+/// `total_cmp`: the entry at index `k − 1` of their sorted union, without
+/// building it.
+///
+/// In each run, a binary search finds the first score with at least `k`
+/// union scores at or below it. No run yields a candidate below the
+/// union's `k`-th score, and a run holding that score yields it exactly, so
+/// the smallest candidate is the answer. Scores equal under `total_cmp`
+/// have equal bits, so the answer is bitwise determined. Costs
+/// `O(m² log² n)` comparisons for `m` runs of up to `n` scores.
+fn select_kth<'a>(runs: impl Iterator<Item = &'a [f32]> + Clone, k: usize) -> f32 {
+    let rank_le = |s: f32| -> usize {
+        runs.clone()
+            .map(|run| run.partition_point(|x| x.total_cmp(&s).is_le()))
+            .sum()
+    };
+    runs.clone()
+        .filter_map(|run| run.get(run.partition_point(|&x| rank_le(x) < k)).copied())
+        .min_by(f32::total_cmp)
+        .expect("rank lies within the union")
+}
+
 /// Merges two ascending (under `total_cmp`) runs into one, taking from the
 /// left run on ties so equal float bits stay contiguous. The result is the
 /// sorted multiset union — identical to sorting the concatenation.
@@ -494,7 +588,7 @@ fn merge_sorted(a: &[f32], b: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pooled::PredictionSet;
+    use crate::pooled::{HeadSelection, PooledConformal, PredictionSet};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -728,9 +822,20 @@ mod tests {
             let n_heads = 1 + (seed as usize % 3);
             let wa = window_of(&stream(seed, (seed as usize * 5) % (2 * cap), n_heads), cap, n_heads);
             let wb = window_of(&stream(seed + 50, cap + 1, n_heads), cap, n_heads);
-            let mut merged = MergeableWindow::snapshot(0, &wa);
-            merged.absorb(&MergeableWindow::snapshot(7, &wb));
+            let honest = || {
+                let mut s = MergeableWindow::snapshot(0, &wa);
+                s.absorb(&MergeableWindow::snapshot(7, &wb));
+                s
+            };
+            let merged = honest();
             proptest::prop_assert_eq!(merged.verify(), Ok(()));
+            // Copy-on-write: tampering a clone leaves the original's shared
+            // runs alone, and the untouched run stays shared.
+            let untouched = |t: &MergeableWindow| {
+                merged.verify() == Ok(())
+                    && merged == honest()
+                    && Arc::ptr_eq(&t.runs[&0], &merged.runs[&0])
+            };
 
             for (mode, want) in [
                 (TamperMode::Checksum, SummaryFault::ChecksumMismatch),
@@ -749,7 +854,13 @@ mod tests {
                 );
                 // Tampering never silently equals the honest summary.
                 proptest::prop_assert!(t != merged.clone());
+                proptest::prop_assert!(untouched(&t), "{:?} leaked into the original", mode);
             }
+            let mut t = merged.clone();
+            proptest::prop_assert!(t.skew_run_clock(7, 1 + salt));
+            proptest::prop_assert_eq!(t.verify(), Ok(()));
+            proptest::prop_assert_eq!(t.replica_clock(7), Some(wb.clock() + 1 + salt));
+            proptest::prop_assert!(untouched(&t), "clock skew leaked into the original");
             // No run held → no-op.
             let mut t = merged.clone();
             proptest::prop_assert!(!t.corrupt_run(99, TamperMode::Checksum, salt));
@@ -791,6 +902,197 @@ mod tests {
         ));
         // Error display names the replica for audit logs.
         assert!(err.to_string().contains("replica 3"));
+    }
+
+    #[test]
+    fn word_digest_catches_every_single_bit_flip() {
+        // Two heads, three pools: every field class the digest covers.
+        let n_heads = 2;
+        let w = window_of(&stream(31, 12, n_heads), 16, n_heads);
+        let honest = MergeableWindow::snapshot(5, &w);
+        let run = honest.runs[&5].clone();
+        assert_eq!(run.pools.len(), 3);
+        // Edits a copy of the run under its stored checksum: the summary
+        // must be refused with its replica named, and the digest alone
+        // must see the edit too (structure checks may name it first).
+        let check = |what: &str, edit: &dyn Fn(&mut ReplicaRun)| {
+            let mut t = honest.clone();
+            edit(Arc::make_mut(t.runs.get_mut(&5).expect("run held")));
+            assert_eq!(t.verify().map_err(|e| e.replica), Err(5), "{what}");
+            assert_ne!(
+                t.runs[&5].digest().0,
+                run.checksum,
+                "{what}: digest blind to the edit"
+            );
+        };
+        let flip = |s: &mut f32, bit: u32| *s = f32::from_bits(s.to_bits() ^ (1 << bit));
+        // A length's bit flips that fit in memory: truncate, or extend with
+        // copies of the last score (sortedness holds).
+        let relength = |v: &mut Vec<f32>, bit: u32| {
+            let last = *v.last().expect("non-empty run");
+            v.resize(v.len() ^ (1 << bit), last);
+        };
+        for bit in 0..64 {
+            check(&format!("clock bit {bit}"), &|r| r.clock ^= 1 << bit);
+            check(&format!("n bit {bit}"), &|r| r.n ^= 1 << bit);
+        }
+        for h in 0..n_heads {
+            for i in 0..run.n {
+                for bit in 0..32 {
+                    check(&format!("global[{h}][{i}] bit {bit}"), &|r| {
+                        flip(&mut r.global[h][i], bit)
+                    });
+                }
+            }
+            for bit in 0..8 {
+                check(&format!("global[{h}] length bit {bit}"), &|r| {
+                    relength(&mut r.global[h], bit)
+                });
+            }
+        }
+        for (&key, per_head) in &run.pools {
+            for bit in 0..64 {
+                check(&format!("pool {key} key bit {bit}"), &|r| {
+                    let moved = r.pools.remove(&key).expect("pool held");
+                    r.pools.insert(key ^ (1 << bit), moved);
+                });
+            }
+            for h in 0..n_heads {
+                for i in 0..per_head[h].len() {
+                    for bit in 0..32 {
+                        check(&format!("pool {key}[{h}][{i}] bit {bit}"), &|r| {
+                            flip(&mut r.pools.get_mut(&key).expect("pool held")[h][i], bit)
+                        });
+                    }
+                }
+                for bit in 0..8 {
+                    check(&format!("pool {key}[{h}] length bit {bit}"), &|r| {
+                        relength(&mut r.pools.get_mut(&key).expect("pool held")[h], bit)
+                    });
+                }
+            }
+        }
+        // Every edit went to a copy.
+        assert_eq!(honest.verify(), Ok(()));
+    }
+
+    /// Scores on a coarse grid with `-0.0` beside `+0.0`: duplicates across
+    /// shards are the common fleet case, and the two zeros differ only under
+    /// `total_cmp`.
+    const GRID: [f32; 8] = [-0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0];
+
+    /// A replica window fed `len` grid-score entries, pools drawn 6:3:1 so
+    /// merged pools land on both sides of [`PooledConformal::MIN_POOL`].
+    fn grid_window(seed: u64, len: usize, cap: usize, n_heads: usize) -> WindowedScores {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut w = WindowedScores::new(cap, n_heads);
+        for _ in 0..len {
+            let scores = (0..n_heads)
+                .map(|_| GRID[rng.gen_range(0..GRID.len())])
+                .collect();
+            let pool = match rng.gen_range(0..10) {
+                0..=5 => 0,
+                6..=8 => 1,
+                _ => 2,
+            };
+            w.push_scores(scores, pool);
+        }
+        w
+    }
+
+    /// A fit's fallback and per-pool calibrations as `(pool, head, γ bits)`.
+    fn fit_bits(c: &PooledConformal) -> Vec<(Option<usize>, usize, u32)> {
+        std::iter::once((None, c.calibration_for(usize::MAX)))
+            .chain(c.pool_calibrations().iter().map(|(&k, &p)| (Some(k), p)))
+            .map(|(k, p)| (k, p.head, p.gamma.to_bits()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..Default::default() })]
+        /// The bitwise pin of the fleet fit: rank-selecting from the runs
+        /// gives the same head and the same γ bits as fitting on the
+        /// materialised union (`to_scored`), for the fallback and every
+        /// pool, under every head selection and ε, on coordinator views and
+        /// on part-way gossip views.
+        #[test]
+        fn fit_from_runs_is_bitwise_the_fit_on_the_union(
+            seed in 0u64..1000,
+            n_replicas in 1usize..7,
+            cap in 1usize..80,
+        ) {
+            let n_heads = 1 + (seed as usize % 3);
+            let xis = &[0.5f32, 0.9, 0.99][..n_heads];
+            let windows: Vec<WindowedScores> = (0..n_replicas)
+                .map(|r| {
+                    // Lengths straddle the capacity: empty, partial, and
+                    // evicted windows.
+                    let len = (seed as usize * 7 + r * 23) % (2 * cap + 1);
+                    grid_window(seed * 53 + r as u64, len, cap, n_heads)
+                })
+                .collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF17);
+            let val_preds: Vec<Vec<f32>> = (0..n_heads)
+                .map(|_| (0..30).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+                .collect();
+            let val_targets: Vec<f32> = (0..30).map(|_| rng.gen_range(-1.0f32..1.5)).collect();
+            let val_pools: Vec<usize> = (0..30).map(|i| i % 3).collect();
+            let validation = PredictionSet {
+                predictions: &val_preds,
+                targets_log: &val_targets,
+                pools: &val_pools,
+            };
+
+            let mut views: Vec<MergeableWindow> = windows
+                .iter()
+                .enumerate()
+                .map(|(r, w)| MergeableWindow::snapshot(r as u64, w))
+                .collect();
+            let mut coordinator = MergeableWindow::empty(n_heads);
+            for v in &views {
+                coordinator.absorb(v);
+            }
+            // One-sided gossip joins along a seeded tree leave each view
+            // holding a different subset of the replicas.
+            for i in 1..n_replicas {
+                let joined = views[i].merge(&views[rng.gen_range(0..i)]);
+                views[i] = joined;
+            }
+            views.push(coordinator);
+            for view in views.iter().filter(|v| !v.is_empty()) {
+                // Honest runs with `-0.0` before `+0.0` pass the order scan.
+                proptest::prop_assert_eq!(view.verify(), Ok(()));
+                let union = view.to_scored();
+                let pools: Vec<(usize, usize)> = union.pool_sizes().collect();
+                proptest::prop_assert_eq!(view.pool_sizes().collect::<Vec<_>>(), pools.clone());
+                for eps in [0.01f32, 0.05, 0.1, 0.3, 0.5, 0.9, 0.99] {
+                    for h in 0..n_heads {
+                        for pool in std::iter::once(None).chain(pools.iter().map(|&(k, _)| Some(k))) {
+                            proptest::prop_assert_eq!(
+                                view.gamma(pool, h, eps).to_bits(),
+                                union.gamma(pool, h, eps).to_bits(),
+                                "pool {:?} head {} eps {}", pool, h, eps
+                            );
+                        }
+                    }
+                    for selection in [
+                        HeadSelection::SingleHead,
+                        HeadSelection::NaiveXi,
+                        HeadSelection::TightestOnValidation,
+                    ] {
+                        let from_runs =
+                            PooledConformal::fit_scored(view, &validation, xis, selection, eps);
+                        let from_union =
+                            PooledConformal::fit_scored(&union, &validation, xis, selection, eps);
+                        proptest::prop_assert_eq!(
+                            fit_bits(&from_runs),
+                            fit_bits(&from_union),
+                            "{:?} eps {}", selection, eps
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    selected (naive CQR would instead fix ξ = 1 − ε).
 
 use crate::metrics::overprovision_margin;
-use crate::scores::ScoredCalibration;
+use crate::scores::CalibrationView;
 use crate::split_conformal::calibrate_gamma;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -181,17 +181,18 @@ impl PooledConformal {
         }
     }
 
-    /// [`PooledConformal::fit`] consuming a [`ScoredCalibration`]: the
-    /// calibration side reduces to rank lookups in pre-sorted score slices,
-    /// so an ε-sweep (or a variant comparison) pays for prediction and
-    /// sorting once. The head-selection semantics are identical to
-    /// [`PooledConformal::fit`].
+    /// [`PooledConformal::fit`] consuming pre-scored calibration — a
+    /// [`crate::ScoredCalibration`], or a merged [`crate::MergeableWindow`]
+    /// read straight from its replica runs. The calibration side reduces to
+    /// rank lookups, so an ε-sweep (or a variant comparison) pays for
+    /// prediction and sorting once. The head-selection semantics are
+    /// identical to [`PooledConformal::fit`].
     ///
     /// # Panics
     ///
     /// Panics as [`PooledConformal::fit`].
-    pub fn fit_scored(
-        calibration: &ScoredCalibration,
+    pub fn fit_scored<C: CalibrationView>(
+        calibration: &C,
         validation: &PredictionSet<'_>,
         xis: &[f32],
         selection: HeadSelection,
@@ -353,7 +354,7 @@ fn validation_indices_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage;
+    use crate::{coverage, ScoredCalibration};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;

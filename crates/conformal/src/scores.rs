@@ -106,38 +106,57 @@ impl ScoredCalibration {
         self.n == 0
     }
 
-    /// Number of heads.
-    pub fn n_heads(&self) -> usize {
-        self.global_sorted.len()
+    /// The full sorted score slice for one head (global pool), e.g. for a
+    /// split-conformal sweep via
+    /// [`crate::SplitConformal::from_sorted_scores`].
+    pub fn sorted_scores(&self, head: usize) -> &[f32] {
+        &self.global_sorted[head]
     }
+}
 
-    /// Pool keys present, with their observation counts.
-    pub fn pool_sizes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.pool_sorted.iter().map(|(&k, v)| (k, v[0].len()))
-    }
+/// What [`PooledConformal::fit_scored`] reads from a calibration set: its
+/// head count, its pools, and one order statistic per `(pool, head)`.
+///
+/// [`ScoredCalibration`] answers from its pre-sorted slices; a merged
+/// [`crate::MergeableWindow`] answers straight from its replica runs, so a
+/// fleet fit never materialises the union. Both take the rank from
+/// [`pitot_linalg::quantile_higher_rank`], so they answer bitwise alike
+/// over the same scores.
+pub trait CalibrationView {
+    /// Number of heads.
+    fn n_heads(&self) -> usize;
+
+    /// Pool keys present, ascending, with their observation counts.
+    fn pool_sizes(&self) -> impl Iterator<Item = (usize, usize)> + '_;
 
     /// Conformal offset γ for one head at miscoverage `eps`, over the whole
-    /// set (`pool = None`) or one pool — a rank lookup in the pre-sorted
-    /// scores.
+    /// set (`pool = None`) or one pool: the `⌈(n+1)(1−ε)⌉`-th smallest
+    /// score under `total_cmp`.
     ///
     /// # Panics
     ///
     /// Panics if the pool is absent, the head is out of range, or
     /// `eps ∉ (0, 1)`.
-    pub fn gamma(&self, pool: Option<usize>, head: usize, eps: f32) -> f32 {
+    fn gamma(&self, pool: Option<usize>, head: usize, eps: f32) -> f32;
+}
+
+impl CalibrationView for ScoredCalibration {
+    fn n_heads(&self) -> usize {
+        self.global_sorted.len()
+    }
+
+    fn pool_sizes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.pool_sorted.iter().map(|(&k, v)| (k, v[0].len()))
+    }
+
+    /// A rank lookup in the pre-sorted scores.
+    fn gamma(&self, pool: Option<usize>, head: usize, eps: f32) -> f32 {
         assert!(eps > 0.0 && eps < 1.0, "miscoverage {eps} outside (0,1)");
         let sorted = match pool {
             None => &self.global_sorted[head],
             Some(key) => &self.pool_sorted.get(&key).expect("unknown pool")[head],
         };
         quantile_higher_sorted(sorted, 1.0 - eps)
-    }
-
-    /// The full sorted score slice for one head (global pool), e.g. for a
-    /// split-conformal sweep via
-    /// [`crate::SplitConformal::from_sorted_scores`].
-    pub fn sorted_scores(&self, head: usize) -> &[f32] {
-        &self.global_sorted[head]
     }
 }
 

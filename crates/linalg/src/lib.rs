@@ -60,5 +60,6 @@ pub use quant::{matmul_q_into, matmul_transpose_q_into, QuantizedMatrix, MAX_QUA
 pub use scratch::Scratch;
 pub use solve::{cholesky, solve_spd, solve_spd_multi};
 pub use stats::{
-    mean, percentile, quantile_higher, quantile_higher_sorted, stderr_of_mean, variance,
+    mean, percentile, quantile_higher, quantile_higher_rank, quantile_higher_sorted,
+    stderr_of_mean, variance,
 };

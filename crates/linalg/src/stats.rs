@@ -71,16 +71,26 @@ pub fn quantile_higher(xs: &[f32], p: f32) -> f32 {
 ///
 /// Panics if `sorted` is empty or `p ∉ [0, 1]`; debug-asserts sortedness.
 pub fn quantile_higher_sorted(sorted: &[f32], p: f32) -> f32 {
-    assert!(!sorted.is_empty(), "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&p), "quantile level {p} outside [0,1]");
     debug_assert!(
         sorted.windows(2).all(|w| w[0] <= w[1] || w[1].is_nan()),
         "quantile_higher_sorted requires ascending input"
     );
-    let n = sorted.len();
-    let k = (((n + 1) as f32) * p).ceil() as usize; // 1-indexed rank
-    let k = k.clamp(1, n);
-    sorted[k - 1]
+    sorted[quantile_higher_rank(sorted.len(), p) - 1]
+}
+
+/// The 1-indexed rank [`quantile_higher`] reads among `n` values:
+/// `⌈(n+1)·p⌉`, clamped to `[1, n]`. Callers that select the order
+/// statistic without a sorted copy (e.g. across several sorted runs) take
+/// the rank from here, so they cannot drift from the sorted lookup.
+///
+/// # Panics
+///
+/// Panics if `n` is zero or `p ∉ [0, 1]`.
+pub fn quantile_higher_rank(n: usize, p: f32) -> usize {
+    assert!(n > 0, "quantile of empty slice");
+    assert!((0.0..=1.0).contains(&p), "quantile level {p} outside [0,1]");
+    let k = (((n + 1) as f32) * p).ceil() as usize;
+    k.clamp(1, n)
 }
 
 #[cfg(test)]

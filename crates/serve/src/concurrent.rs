@@ -972,13 +972,13 @@ impl ConcurrentFleet {
         });
     }
 
-    /// Fits the fleet calibration on the merged union — identical
-    /// arithmetic to the twin's coordinator fit.
+    /// Fits the fleet calibration on the merged union, rank-selected from
+    /// the merged runs — identical arithmetic to the twin's coordinator
+    /// fit.
     fn fit_union(&self) -> PooledConformal {
-        let scored = self.merged.to_scored();
         let empty_preds: Vec<Vec<f32>> = vec![Vec::new(); self.merged.n_heads()];
         PooledConformal::fit_scored(
-            &scored,
+            &self.merged,
             &PredictionSet {
                 predictions: &empty_preds,
                 targets_log: &[],

@@ -886,14 +886,15 @@ impl FleetServer {
         self.merged.replica_clock(r) != held
     }
 
-    /// Fits the fleet calibration on a merged view's union. Fleet head
-    /// selection never uses a validation set (FleetConfig rejects
-    /// TightestOnValidation), so an empty selection set is fine.
+    /// Fits the fleet calibration on a merged view's union, rank-selected
+    /// from the view's verified runs (bitwise the fit on `to_scored()`,
+    /// without materialising the union). Fleet head selection never uses a
+    /// validation set (FleetConfig rejects TightestOnValidation), so an
+    /// empty selection set is fine.
     fn fit_union(&self, merged: &MergeableWindow) -> PooledConformal {
-        let scored = merged.to_scored();
         let empty_preds: Vec<Vec<f32>> = vec![Vec::new(); merged.n_heads()];
         PooledConformal::fit_scored(
-            &scored,
+            merged,
             &PredictionSet {
                 predictions: &empty_preds,
                 targets_log: &[],
