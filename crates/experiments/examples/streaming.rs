@@ -36,9 +36,10 @@ fn main() {
 
     // 2. One trace, two runtimes. Every third event is a deadline query,
     //    resolved three events later; the rest stream observations. A
-    //    crash with warm rejoin plus a 3% corrupt-runtime rate (the
-    //    observation-path fault subset the concurrent runtime supports)
-    //    keeps the audit machinery honest under load.
+    //    crash with warm rejoin, a coordinator outage bridged by gossip,
+    //    lossy and delayed links, replayed and skewed summaries, a
+    //    Byzantine replica, and a 3% corrupt-runtime rate keep the audit
+    //    machinery honest under load.
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let mut stream = split.test.clone();
     stream.shuffle(&mut rng);
@@ -80,6 +81,12 @@ fn main() {
     };
     let plan = FaultPlan::none(0x057A_EA41)
         .crash(2, 40, 120)
+        .coordinator_outage(60, 100)
+        .drop_summaries(0.15)
+        .delay_summaries(0.1, 2)
+        .replay_summaries(0.05)
+        .skew_clocks(0.05)
+        .byzantine_replica(3, 100)
         .corrupt_observations(0.03);
 
     // 3. The concurrent runtime: sharded replicas behind MPSC lanes,
@@ -128,6 +135,7 @@ fn main() {
     assert_eq!(concurrent, simulated, "the runtimes diverged");
     assert_eq!(conc.stats(), sim.stats(), "fleet stats diverged");
     assert_eq!(conc.degraded_audit(), sim.degraded_audit());
+    assert_eq!(conc.rejected_audit(), sim.rejected_audit());
     let stats = conc.stats();
     println!(
         "\ntwin check passed: {} observations ({} lost, {} quarantined), {} queries, coverage {:.3}, {} merges, {} warm rejoin(s)",
@@ -138,6 +146,17 @@ fn main() {
         stats.coverage(),
         stats.merges,
         stats.recoveries
+    );
+    println!(
+        "merge-path faults: {} gossip rounds, {} dropped ({} retried), {} delayed, {} replays, {} skews, {} Byzantine emissions, {} summaries rejected",
+        stats.gossip_rounds,
+        stats.dropped_summaries,
+        stats.retried_summaries,
+        stats.delayed_summaries,
+        stats.injected_replays,
+        stats.injected_skews,
+        stats.byzantine_emissions,
+        stats.rejected_summaries
     );
 
     // 6. The CI-diffed replayability witness over the concurrent outcomes.

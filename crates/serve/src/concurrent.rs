@@ -19,14 +19,16 @@
 //! - **A lock-free read path.** Deadline queries never touch shard state:
 //!   the model and per-replica tower caches are immutable in fleet mode
 //!   (fine-tuning is rejected by [`crate::FleetConfig::validate`]; a
-//!   compressed replica answers from its compressed cache), and the served
-//!   calibration is read through a [`crate::SnapshotCell`] — admission and
-//!   prediction never block on window writes or calibration installs.
-//! - **Barriered merges.** The coordinator round runs on the ingress
-//!   thread after parking on each lane's [`pitot_linalg::par::Gauge`]
-//!   until its backlog is drained, then absorbs summaries / fits / installs
-//!   exactly as the simulated coordinator does, finishing with a snapshot
-//!   install for the read path.
+//!   compressed replica answers from its compressed cache), and each
+//!   replica's served calibration is read through its own
+//!   [`crate::SnapshotCell`], published at every install into that replica
+//!   — admission and prediction never block on window writes or
+//!   calibration installs.
+//! - **Barriered control.** Every control decision (merge, gossip, retry,
+//!   rejoin, install) runs on the ingress thread in the fleet control core
+//!   the simulated fleet also runs. The core reaches a replica only after
+//!   parking on its lane's [`pitot_linalg::par::Gauge`] until the lane's
+//!   backlog is drained.
 //!
 //! # The deterministic twin
 //!
@@ -34,42 +36,44 @@
 //! [`run_trace_simulated`] feeds a [`TraceEvent`] sequence through it, and
 //! the twin-equivalence property suite (`crates/serve/tests/twin.rs`)
 //! asserts the concurrent runtime produces **bitwise-identical**
-//! [`TraceOutcome`]s, [`crate::FleetStats`], and degraded-window audits for
-//! the same trace — across worker counts and `PITOT_THREADS` settings.
-//! Equivalence holds by construction:
+//! [`TraceOutcome`]s, [`crate::FleetStats`], and degraded-window and
+//! rejected-summary audits for the same trace — across worker counts,
+//! `PITOT_THREADS` settings, and every [`FaultPlan`] knob. Equivalence holds
+//! by construction:
 //!
+//! - both executors drive **one control core**: the fault clock, data-fault
+//!   injection, coordinator, gossip, retry and delay rounds, summary
+//!   screens, audits, failover routing, admission, the fleet fit, and the
+//!   stats fold are one code path, so every seeded RNG draw and every
+//!   install happens in the same order on both;
+//! - the core reads or changes a replica only once every observation
+//!   already routed to it has been judged, so every observation is judged
+//!   under the same installed calibration as on the twin;
 //! - shard substreams are disjoint and per-replica FIFO, so every replica
 //!   server sees the same command sequence as its simulated twin;
-//! - calibration installs happen only at ingress-barriered merge points,
-//!   so every observation is judged under the same installed calibration;
-//! - queries, admission, fault transitions, and data-fault injection are
-//!   serialized at ingress in trace order, so every seeded RNG draw happens
-//!   in the twin's order;
+//! - the degraded window an observation's feedback is credited to is fixed
+//!   when the observation is routed, so feedback that returns after a merge
+//!   closed that window still lands where the twin puts it;
 //! - batched prediction is bitwise-identical to a batch of one (a pinned
 //!   workspace property), so coalescing cannot perturb a single bit.
 //!
-//! The concurrent runtime supports the fault-plan subset whose draws happen
-//! on the observation path (replica crashes with warm rejoin, corrupt
-//! runtimes, outlier bursts). Coordinator-link faults (outages, drops,
-//! delays, replays, skews, Byzantine replicas) draw RNG inside merge rounds
-//! whose interleaving is only meaningful on the simulated clock — those
-//! plans are rejected at construction with an explanatory panic, and the
-//! simulated twin remains their harness.
+//! Two replica-local recovery paths stay on the simulated twin: the
+//! staleness fallback and the miscoverage watchdog change a replica's
+//! served calibration on its lane between barriers, where the read path
+//! could not see it without blocking, so [`ConcurrentConfig::validate`]
+//! rejects both.
 
-use crate::admission::AdmissionQueue;
 use crate::config::FleetConfig;
-use crate::fault::{DegradedCause, DegradedWindow, FaultPlan, RejectCause, RejectedSummary};
+use crate::control::{FleetControl, Replicas};
+use crate::fault::{DegradedWindow, FaultPlan, RejectedSummary};
 use crate::fleet::{AdmissionOutcome, DeadlineQuery, FleetServer, FleetStats};
-use crate::guard::GuardStats;
 use crate::server::{ObservedFeedback, PitotServer, Prediction};
 use crate::snapshot::{SeqLock, SnapshotCell};
 use pitot::{TowerCache, TrainedPitot};
-use pitot_conformal::{MergeableWindow, PooledConformal, PredictionSet};
+use pitot_conformal::PooledConformal;
 use pitot_linalg::par::{EventQueue, Gauge};
 use pitot_testbed::{Dataset, Observation, MAX_INTERFERERS};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One event of a serving trace — the common input language of the
 /// concurrent runtime and its simulated twin.
@@ -171,12 +175,12 @@ impl ConcurrentConfig {
     /// # Panics
     ///
     /// Panics on an invalid fleet config ([`FleetConfig::validate`]), a
-    /// zero worker override, a nonzero staleness threshold (the read path
-    /// answers from the fleet snapshot, so a replica-local stale fallback
-    /// would diverge from the twin — staleness remains a simulated-twin
-    /// scenario), or an armed miscoverage watchdog (its rollback refits a
-    /// replica-local calibration between merges, which the snapshot read
-    /// path would never see).
+    /// zero worker override, a nonzero staleness threshold (the stale-local
+    /// fallback swaps a replica's served calibration on its lane between
+    /// barriers, which the snapshot read path would never see — staleness
+    /// remains a simulated-twin scenario), or an armed miscoverage watchdog
+    /// (its rollback refits a replica-local calibration between merges,
+    /// which the snapshot read path would never see either).
     pub fn validate(&self) {
         self.fleet.validate();
         assert!(
@@ -208,47 +212,6 @@ impl ConcurrentConfig {
     }
 }
 
-/// Rejects fault-plan knobs whose RNG draws happen inside merge rounds —
-/// only observation-path faults replay identically on the concurrent
-/// runtime (see the module docs).
-fn validate_plan_for_concurrent(plan: &FaultPlan) {
-    assert!(
-        plan.outages.is_empty(),
-        "FaultPlan.outages = {:?} is not supported by the concurrent \
-         runtime: outage windows gate merge rounds and gossip draws on the \
-         simulated clock; use an outage-free plan here and study outages \
-         on the simulated FleetServer twin",
-        plan.outages
-    );
-    assert!(
-        plan.drop_prob == 0.0 && plan.delay_prob == 0.0,
-        "FaultPlan.drop_prob = {} / delay_prob = {} is not supported by \
-         the concurrent runtime: drop/delay/retry draws happen inside \
-         merge rounds whose control-RNG order is only defined on the \
-         simulated clock; use 0.0 here and study lossy links on the \
-         simulated FleetServer twin",
-        plan.drop_prob,
-        plan.delay_prob
-    );
-    assert!(
-        plan.replay_prob == 0.0 && plan.skew_prob == 0.0,
-        "FaultPlan.replay_prob = {} / skew_prob = {} is not supported by \
-         the concurrent runtime: summary replay/skew draws happen at \
-         emission inside merge rounds; use 0.0 here and study summary \
-         integrity faults on the simulated FleetServer twin",
-        plan.replay_prob,
-        plan.skew_prob
-    );
-    assert!(
-        plan.byzantine.is_none(),
-        "FaultPlan.byzantine = {:?} is not supported by the concurrent \
-         runtime: Byzantine emissions draw tamper salts inside merge \
-         rounds; use byzantine = None here and study Byzantine replicas on \
-         the simulated FleetServer twin",
-        plan.byzantine
-    );
-}
-
 /// A command shipped to a lane worker: one observation bound for one
 /// replica, with everything needed to apply it and report back.
 struct ShardCmd {
@@ -256,8 +219,8 @@ struct ShardCmd {
     /// Index into the current [`ConcurrentFleet::run_trace`] outcome
     /// vector.
     trace_idx: u32,
-    /// Fleet-wide observation number at ingress (audit attribution key).
-    obs_no: usize,
+    /// The degraded window its feedback is credited to, fixed at ingress.
+    audit: Option<usize>,
     at_s: f64,
     obs: Observation,
 }
@@ -265,7 +228,7 @@ struct ShardCmd {
 /// A lane worker's report for one processed observation.
 struct ObsOutcome {
     trace_idx: u32,
-    obs_no: usize,
+    audit: Option<usize>,
     feedback: Option<ObservedFeedback>,
 }
 
@@ -291,6 +254,7 @@ pub struct LaneProgress {
 struct ReadState {
     trained: TrainedPitot,
     towers: Vec<TowerCache>,
+    pool_by_arity: bool,
 }
 
 /// Shared per-lane plumbing between ingress, worker, and coordinator.
@@ -308,56 +272,20 @@ struct Lane {
     routed: u64,
 }
 
-/// Concurrent fault runtime — the observation-path subset of the
-/// simulated [`FleetServer`]'s fault machinery (see module docs).
-struct CFaults {
-    plan: FaultPlan,
-    data_rng: ChaCha8Rng,
-    outlier_left: usize,
-    down: Vec<bool>,
-    crash_done: Vec<bool>,
-    rejoin_done: Vec<bool>,
-    crash_audit: Vec<Option<usize>>,
-    audits: Vec<DegradedWindow>,
-    injected_corrupt: usize,
-    injected_outliers: usize,
-    lost_observations: usize,
-    failover_queries: usize,
-    recoveries: usize,
-}
-
-impl CFaults {
-    fn new(plan: FaultPlan, replicas: usize) -> Self {
-        let n_crashes = plan.crashes.len();
-        Self {
-            // Identical seeding to the simulated twin's data-path stream,
-            // so corrupt/outlier draws replay bit-for-bit.
-            data_rng: ChaCha8Rng::seed_from_u64(plan.seed ^ 0xDA_7A_BA_D5),
-            outlier_left: 0,
-            down: vec![false; replicas],
-            crash_done: vec![false; n_crashes],
-            rejoin_done: vec![false; n_crashes],
-            crash_audit: vec![None; n_crashes],
-            audits: Vec::new(),
-            injected_corrupt: 0,
-            injected_outliers: 0,
-            lost_observations: 0,
-            failover_queries: 0,
-            recoveries: 0,
-            plan,
-        }
-    }
-
-    fn open_audit(&mut self) -> Option<&mut DegradedWindow> {
-        self.audits.iter_mut().rev().find(|a| a.until_obs.is_none())
-    }
-}
-
-/// Everything needed to rebuild a crashed replica warm.
-struct Template {
-    trained: TrainedPitot,
-    dataset: Dataset,
-    serve_cfg: crate::config::ServeConfig,
+/// The lane data plane the control core drives: replica shards behind
+/// MPSC lanes, their workers, and the read path's towers and per-replica
+/// calibration cells.
+struct LanePlane {
+    /// Effective worker count; 1 = inline mode (no threads).
+    workers: usize,
+    lanes: Vec<Lane>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+    shards: Arc<Vec<Mutex<PitotServer>>>,
+    read: Arc<ReadState>,
+    /// Per replica: the calibration it serves, as the read path sees it.
+    snapshots: Vec<SnapshotCell<PooledConformal>>,
+    /// Scratch batch for the inline (single-worker) mode.
+    inline_batch: Vec<ShardCmd>,
 }
 
 /// The concurrent serving runtime: [`FleetServer`] semantics on OS threads
@@ -367,44 +295,22 @@ struct Template {
 /// consistent at every API boundary (each `run_trace` call barriers its
 /// lanes and folds worker feedback back in before returning).
 pub struct ConcurrentFleet {
-    cfg: FleetConfig,
-    /// Effective worker count; 1 = inline mode (no threads).
-    workers: usize,
-    lanes: Vec<Lane>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    shards: Arc<Vec<Mutex<PitotServer>>>,
-    read: Arc<ReadState>,
-    snapshot: Arc<SnapshotCell<PooledConformal>>,
-    template: Template,
-    merged: MergeableWindow,
-    fleet_conformal: Option<PooledConformal>,
-    admission: AdmissionQueue,
-    xis: Vec<f32>,
-    since_merge: usize,
-    merges: usize,
-    skipped_installs: usize,
-    obs_seen: usize,
+    core: FleetControl,
+    plane: LanePlane,
     events_seen: usize,
     /// Queries answered at ingress (replica servers never see queries;
     /// folded into [`FleetStats::queries`]).
     ingress_queries: usize,
-    faults: Option<CFaults>,
-    retired: FleetStats,
-    retired_guard: GuardStats,
-    rejected: Vec<RejectedSummary>,
-    rejected_total: usize,
-    /// Scratch batch for the inline (single-worker) mode.
-    inline_batch: Vec<ShardCmd>,
 }
 
 impl std::fmt::Debug for ConcurrentFleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentFleet")
-            .field("replicas", &self.shards.len())
-            .field("workers", &self.workers)
-            .field("lanes", &self.lanes.len())
-            .field("merges", &self.merges)
-            .finish_non_exhaustive()
+            .field("replicas", &self.plane.shards.len())
+            .field("workers", &self.plane.workers)
+            .field("lanes", &self.plane.lanes.len())
+            .field("control", &self.core)
+            .finish()
     }
 }
 
@@ -449,7 +355,7 @@ fn process_batch(
             .on_observation_prescored(cmd.at_s, cmd.obs, std::mem::take(&mut head_preds[i]));
         out.push(ObsOutcome {
             trace_idx: cmd.trace_idx,
-            obs_no: cmd.obs_no,
+            audit: cmd.audit,
             feedback: resp.observed,
         });
     }
@@ -478,10 +384,143 @@ fn lane_worker(read: Arc<ReadState>, shards: Arc<Vec<Mutex<PitotServer>>>, lane:
     }
 }
 
+impl LanePlane {
+    /// Routes one command to its replica's lane (processed on the spot in
+    /// inline mode).
+    fn push(&mut self, cmd: ShardCmd) {
+        let lane_idx = cmd.replica % self.lanes.len();
+        self.lanes[lane_idx].routed += 1;
+        assert!(
+            self.lanes[lane_idx].shared.queue.push(cmd),
+            "lane queue closed while the fleet is live"
+        );
+        if self.workers == 1 {
+            self.pump_inline(lane_idx);
+        }
+    }
+
+    /// Inline mode: play the lane worker's role on the ingress thread —
+    /// drain whatever is pending and process it as one batch, keeping the
+    /// gauge/outbox/progress bookkeeping identical to the threaded path.
+    fn pump_inline(&mut self, lane_idx: usize) {
+        let lane = &self.lanes[lane_idx].shared;
+        let n = lane.queue.try_drain_into(&mut self.inline_batch) as u64;
+        if n == 0 {
+            return;
+        }
+        let mut out = Vec::with_capacity(self.inline_batch.len());
+        process_batch(&self.read, &self.shards, &mut self.inline_batch, &mut out);
+        lane.outbox
+            .lock()
+            .expect("lane outbox poisoned")
+            .append(&mut out);
+        let mut prog = lane.progress.read();
+        prog.processed += n;
+        prog.batches += 1;
+        prog.max_batch = prog.max_batch.max(n);
+        lane.progress.write(prog);
+        lane.processed.add(n);
+    }
+
+    /// Parks until every lane's backlog is drained.
+    fn barrier_all(&self) {
+        for lane in &self.lanes {
+            lane.shared.processed.wait_at_least(lane.routed);
+        }
+    }
+
+    /// Replica `r`'s server, locked once its lane has processed everything
+    /// routed to it.
+    fn shard(&self, r: usize) -> MutexGuard<'_, PitotServer> {
+        let lane = &self.lanes[r % self.lanes.len()];
+        lane.shared.processed.wait_at_least(lane.routed);
+        self.shards[r].lock().expect("shard mutex poisoned")
+    }
+
+    /// Empties every lane outbox (call after [`LanePlane::barrier_all`]).
+    fn drain_outboxes(&self) -> Vec<ObsOutcome> {
+        let mut all = Vec::new();
+        for lane in &self.lanes {
+            all.append(&mut lane.shared.outbox.lock().expect("lane outbox poisoned"));
+        }
+        all
+    }
+
+    /// The lock-free read path: score the query against the answering
+    /// replica's immutable tower cache (compressed replicas answer with
+    /// their compressed towers, exactly as the twin's `query_now` does)
+    /// and bound it with that replica's calibration snapshot — no shard
+    /// lock, no queue, no waiting on writers.
+    fn predict(&self, replica: usize, q: &DeadlineQuery) -> Prediction {
+        let obs = Observation {
+            workload: q.workload,
+            platform: q.platform,
+            interferers: q.interferers.clone(),
+            runtime_s: 1.0, // unused by prediction
+        };
+        let preds = self
+            .read
+            .trained
+            .predict_log_runtime_cached(&self.read.towers[replica], &[&obs]);
+        let head_preds: Vec<f32> = preds.iter().map(|h| h[0]).collect();
+        let pool = if self.read.pool_by_arity {
+            q.interferers.len().min(MAX_INTERFERERS)
+        } else {
+            0
+        };
+        let point = head_preds[0];
+        let bound = match self.snapshots[replica].load() {
+            Some(c) => c.bound_log(&head_preds, pool),
+            None => *head_preds.last().expect("at least one head"),
+        };
+        Prediction {
+            id: 0,
+            point_s: point.exp(),
+            bound_s: bound.exp(),
+            pool,
+            // Staleness tracking is validated off, so the twin's replicas
+            // never serve degraded either.
+            degraded: false,
+        }
+    }
+}
+
+impl Replicas for LanePlane {
+    fn quiesced<T>(&self, r: usize, f: impl FnOnce(&PitotServer) -> T) -> T {
+        f(&self.shard(r))
+    }
+
+    fn replace(&mut self, r: usize, server: PitotServer) -> PitotServer {
+        let old = std::mem::replace(&mut *self.shard(r), server);
+        // The replacement serves no calibration until one is installed.
+        self.snapshots[r] = SnapshotCell::new();
+        old
+    }
+
+    fn install(&mut self, r: usize, conformal: Arc<PooledConformal>) {
+        self.shard(r).install_calibration((*conformal).clone());
+        self.snapshots[r].store(conformal);
+    }
+}
+
+impl Drop for LanePlane {
+    fn drop(&mut self) {
+        for lane in &self.lanes {
+            lane.shared.queue.close();
+        }
+        for h in self.handles.drain(..) {
+            // A worker that panicked already reported via the test/process
+            // harness; don't double-panic in drop.
+            let _ = h.join();
+        }
+    }
+}
+
 impl ConcurrentFleet {
     /// Builds the concurrent fleet and spawns its lane workers (none in
-    /// inline mode). Mirrors [`FleetServer::new`]: per-replica refresh is
-    /// overridden to "never" — the coordinator owns every install.
+    /// inline mode). Replicas are built as [`FleetServer::new`] builds
+    /// them: per-replica refresh is overridden to "never" — the
+    /// coordinator owns every install.
     ///
     /// # Panics
     ///
@@ -494,24 +533,20 @@ impl ConcurrentFleet {
             .unwrap_or_else(|| pitot_linalg::par::threads().min(replicas))
             .min(replicas)
             .max(1);
-        let mut serve_cfg = cfg.fleet.serve.clone();
-        serve_cfg.refresh_every = usize::MAX;
-        let xis = trained.model.config().objective.xis();
-        let n_heads = trained.model.n_heads();
+        let core = FleetControl::new(cfg.fleet, &trained);
         let shards: Arc<Vec<Mutex<PitotServer>>> = Arc::new(
             (0..replicas)
-                .map(|r| {
-                    let mut rc = serve_cfg.clone();
-                    rc.compression = cfg.fleet.replica_compression(r);
-                    Mutex::new(PitotServer::new(trained.clone(), dataset.clone(), rc))
-                })
+                .map(|r| Mutex::new(core.replica_server(r, trained.clone(), dataset.clone())))
                 .collect(),
         );
         let read = Arc::new(ReadState {
             towers: (0..replicas)
-                .map(|r| trained.compressed_tower_cache(dataset, &cfg.fleet.replica_compression(r)))
+                .map(|r| {
+                    trained.compressed_tower_cache(dataset, &core.config().replica_compression(r))
+                })
                 .collect(),
-            trained: trained.clone(),
+            pool_by_arity: core.config().serve.pool_by_arity,
+            trained,
         });
         let n_lanes = if workers > 1 { workers } else { 1 };
         let lanes: Vec<Lane> = (0..n_lanes)
@@ -541,48 +576,29 @@ impl ConcurrentFleet {
         } else {
             Vec::new()
         };
-        let admission = AdmissionQueue::new(cfg.fleet.admission.clone());
         Self {
-            cfg: cfg.fleet,
-            workers,
-            lanes,
-            handles,
-            shards,
-            read,
-            snapshot: Arc::new(SnapshotCell::new()),
-            template: Template {
-                trained,
-                dataset: dataset.clone(),
-                serve_cfg,
+            core,
+            plane: LanePlane {
+                workers,
+                lanes,
+                handles,
+                shards,
+                read,
+                snapshots: (0..replicas).map(|_| SnapshotCell::new()).collect(),
+                inline_batch: Vec::new(),
             },
-            merged: MergeableWindow::empty(n_heads),
-            fleet_conformal: None,
-            admission,
-            xis,
-            since_merge: 0,
-            merges: 0,
-            skipped_installs: 0,
-            obs_seen: 0,
             events_seen: 0,
             ingress_queries: 0,
-            faults: None,
-            retired: FleetStats::default(),
-            retired_guard: GuardStats::default(),
-            rejected: Vec::new(),
-            rejected_total: 0,
-            inline_batch: Vec::new(),
         }
     }
 
     /// [`ConcurrentFleet::new`] with a deterministic fault schedule
-    /// installed. Only the observation-path subset is supported (crashes
-    /// with warm rejoin, corrupt runtimes, outlier bursts); plans with
-    /// coordinator-link faults are rejected — see the module docs.
+    /// installed. Every plan [`FaultPlan::validate`] accepts runs here,
+    /// bitwise-identically to [`FleetServer::with_faults`].
     ///
     /// # Panics
     ///
-    /// As [`ConcurrentConfig::validate`] and [`FaultPlan::validate`], plus
-    /// a panic naming the offending knob for unsupported plan features.
+    /// As [`ConcurrentConfig::validate`] and [`FaultPlan::validate`].
     pub fn with_faults(
         trained: TrainedPitot,
         dataset: &Dataset,
@@ -590,54 +606,48 @@ impl ConcurrentFleet {
         plan: FaultPlan,
     ) -> Self {
         plan.validate(cfg.fleet.replicas);
-        validate_plan_for_concurrent(&plan);
-        let mut fleet = Self::new(trained, dataset, cfg);
-        let replicas = fleet.shards.len();
-        fleet.faults = Some(CFaults::new(plan, replicas));
+        let mut fleet = Self::new(trained.clone(), dataset, cfg);
+        fleet.core.install_faults(plan, trained, dataset);
         fleet
     }
 
     /// Number of replicas.
     pub fn n_replicas(&self) -> usize {
-        self.shards.len()
+        self.plane.shards.len()
     }
 
     /// Effective lane worker count (1 = inline mode).
     pub fn workers(&self) -> usize {
-        self.workers
+        self.plane.workers
     }
 
     /// The replica a `(workload, platform)` pair is sharded to — the same
     /// pure hash as [`FleetServer::shard_for`].
     pub fn shard_for(&self, workload: u32, platform: u32) -> usize {
-        let key = (u64::from(workload) << 32) | u64::from(platform);
-        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((mixed >> 33) % self.shards.len() as u64) as usize
+        self.core.shard_for(workload, platform)
     }
 
     /// Seeds every replica's calibration window from disjoint round-robin
-    /// shards of `idx` and runs an immediate merge — mirrors
-    /// [`FleetServer::seed_calibration`].
+    /// shards of `idx` and runs an immediate merge, as
+    /// [`FleetServer::seed_calibration`] does.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is empty or contains an out-of-range index.
     pub fn seed_calibration(&mut self, idx: &[usize]) {
-        assert!(!idx.is_empty(), "cannot seed from an empty index set");
-        let n = self.shards.len();
-        let mut sets: Vec<Vec<usize>> = vec![Vec::with_capacity(idx.len().div_ceil(n)); n];
-        for (i, &v) in idx.iter().enumerate() {
-            sets[i % n].push(v);
-        }
-        for (shard, set) in self.shards.iter().zip(&sets) {
-            if !set.is_empty() {
-                shard
-                    .lock()
-                    .expect("shard mutex poisoned")
-                    .seed_calibration(set);
+        for (r, set) in self.core.seed_sets(idx).iter().enumerate() {
+            if set.is_empty() {
+                continue;
+            }
+            let mut shard = self.plane.shard(r);
+            shard.seed_calibration(set);
+            // The seeded local fit is what the replica serves until the
+            // merge below (or a later one) installs over it.
+            if let Some(c) = shard.conformal() {
+                self.plane.snapshots[r].store(Arc::new(c.clone()));
             }
         }
-        self.merge_now();
+        self.core.merge_now(&mut self.plane);
     }
 
     /// Feeds a trace through the runtime and returns one outcome per
@@ -650,476 +660,64 @@ impl ConcurrentFleet {
         for (i, ev) in events.iter().enumerate() {
             let at_s = self.events_seen as f64;
             self.events_seen += 1;
-            match ev {
+            outcomes.push(match ev {
                 TraceEvent::Observe(obs) => {
                     let replica = self.shard_for(obs.workload, obs.platform);
+                    let routed = self
+                        .core
+                        .route_observation(&mut self.plane, replica, obs.clone());
+                    if let Some((obs, audit)) = routed {
+                        self.plane.push(ShardCmd {
+                            replica,
+                            trace_idx: i as u32,
+                            audit,
+                            at_s,
+                            obs,
+                        });
+                    }
+                    self.core.after_observation(&mut self.plane);
                     // Placeholder; patched from the lane outboxes below.
-                    outcomes.push(TraceOutcome::Observed {
+                    TraceOutcome::Observed {
                         replica,
                         feedback: None,
-                    });
-                    self.ingest_observe(replica, i as u32, at_s, obs.clone());
+                    }
                 }
                 TraceEvent::Deadline(q) => {
-                    outcomes.push(TraceOutcome::Decided(self.ingest_deadline(q.clone())));
+                    let plane = &self.plane;
+                    self.ingress_queries += 1;
+                    TraceOutcome::Decided(self.core.deadline_query(q, |r| plane.predict(r, q)))
                 }
                 TraceEvent::Resolve { id, realized_s } => {
-                    outcomes.push(TraceOutcome::Resolved(
-                        self.ingest_resolve(*id, *realized_s),
-                    ));
+                    TraceOutcome::Resolved(self.core.resolve(*id, *realized_s))
                 }
+            });
+        }
+        self.plane.barrier_all();
+        for o in self.plane.drain_outboxes() {
+            if let Some(fb) = &o.feedback {
+                self.core.credit(o.audit, fb);
+            }
+            if let TraceOutcome::Observed { feedback, .. } = &mut outcomes[o.trace_idx as usize] {
+                *feedback = o.feedback;
             }
         }
-        self.barrier_all();
-        self.fold_outboxes(&mut outcomes);
         outcomes
     }
 
-    /// Drains every lane outbox: patches the placeholder outcomes with the
-    /// workers' feedback and attributes judged observations to the
-    /// degraded-window audit that was open when they arrived — equivalent
-    /// to the twin's live attribution, because an audit covers exactly the
-    /// observation numbers in `[from_obs, until_obs)`.
-    fn fold_outboxes(&mut self, outcomes: &mut [TraceOutcome]) {
-        for lane in &self.lanes {
-            let drained: Vec<ObsOutcome> =
-                std::mem::take(&mut *lane.shared.outbox.lock().expect("lane outbox poisoned"));
-            for o in drained {
-                if let Some(f) = &mut self.faults {
-                    if let Some(fb) = o.feedback {
-                        let open = f.audits.iter_mut().rev().find(|a| {
-                            a.from_obs <= o.obs_no && a.until_obs.is_none_or(|u| u > o.obs_no)
-                        });
-                        if let Some(a) = open {
-                            a.bounded += 1;
-                            if fb.covered {
-                                a.covered += 1;
-                            }
-                        }
-                    }
-                }
-                if let TraceOutcome::Observed { feedback, .. } = &mut outcomes[o.trace_idx as usize]
-                {
-                    *feedback = o.feedback;
-                }
-            }
-        }
-    }
-
-    /// Ingress for one observation: advance the fault clock, inject data
-    /// faults, drop it if the shard is down, otherwise route it to the
-    /// shard's lane — then run the merge cadence. RNG draws and fault
-    /// transitions all happen here, in trace order, exactly as on the twin.
-    fn ingest_observe(&mut self, replica: usize, trace_idx: u32, at_s: f64, obs: Observation) {
-        self.tick();
-        let obs = self.inject_data_faults(obs);
-        if self.faults.as_ref().is_some_and(|f| f.down[replica]) {
-            let f = self.faults.as_mut().expect("just checked");
-            f.lost_observations += 1;
-            if let Some(a) = f.open_audit() {
-                a.lost_observations += 1;
-            }
-            self.after_observation();
-            return;
-        }
-        let obs_no = self.obs_seen;
-        let lane_idx = replica % self.lanes.len();
-        let cmd = ShardCmd {
-            replica,
-            trace_idx,
-            obs_no,
-            at_s,
-            obs,
-        };
-        self.lanes[lane_idx].routed += 1;
-        assert!(
-            self.lanes[lane_idx].shared.queue.push(cmd),
-            "lane queue closed while the fleet is live"
-        );
-        if self.workers == 1 {
-            self.pump_inline(lane_idx);
-        }
-        self.after_observation();
-    }
-
-    /// Inline mode: play the lane worker's role on the ingress thread —
-    /// drain whatever is pending and process it as one batch, keeping the
-    /// gauge/outbox/progress bookkeeping identical to the threaded path.
-    fn pump_inline(&mut self, lane_idx: usize) {
-        let lane = &self.lanes[lane_idx].shared;
-        let n = lane.queue.try_drain_into(&mut self.inline_batch) as u64;
-        if n == 0 {
-            return;
-        }
-        let mut out = Vec::with_capacity(self.inline_batch.len());
-        process_batch(&self.read, &self.shards, &mut self.inline_batch, &mut out);
-        lane.outbox
-            .lock()
-            .expect("lane outbox poisoned")
-            .append(&mut out);
-        let mut prog = lane.progress.read();
-        prog.processed += n;
-        prog.batches += 1;
-        prog.max_batch = prog.max_batch.max(n);
-        lane.progress.write(prog);
-        lane.processed.add(n);
-    }
-
-    /// Parks until lane `lane_idx` has processed everything routed to it.
-    fn barrier_lane(&self, lane_idx: usize) {
-        let lane = &self.lanes[lane_idx];
-        lane.shared.processed.wait_at_least(lane.routed);
-    }
-
-    /// Parks until every lane's backlog is drained — the quiescent point
-    /// merges, rejoins, and stats reads run at.
-    fn barrier_all(&self) {
-        for i in 0..self.lanes.len() {
-            self.barrier_lane(i);
-        }
-    }
-
-    /// Mirror of the twin's fault-clock tick: advance the fleet-wide
-    /// observation counter and apply every crash/rejoin due at it.
-    fn tick(&mut self) {
-        self.obs_seen += 1;
-        let obs = self.obs_seen;
-        let mut faults = match self.faults.take() {
-            Some(f) => f,
-            None => return,
-        };
-        for k in 0..faults.plan.crashes.len() {
-            let c = faults.plan.crashes[k];
-            if !faults.crash_done[k] && obs >= c.at && obs < c.rejoin_at {
-                faults.crash_done[k] = true;
-                faults.down[c.replica] = true;
-                faults.crash_audit[k] = Some(faults.audits.len());
-                faults.audits.push(DegradedWindow {
-                    cause: DegradedCause::ReplicaCrash { replica: c.replica },
-                    from_obs: obs,
-                    until_obs: None,
-                    bounded: 0,
-                    covered: 0,
-                    lost_observations: 0,
-                    degraded_decisions: 0,
-                    shed: 0,
-                    slo_missed: 0,
-                });
-            }
-            if !faults.rejoin_done[k] && obs >= c.rejoin_at && faults.crash_done[k] {
-                faults.rejoin_done[k] = true;
-                faults.down[c.replica] = false;
-                self.rejoin_replica(c.replica);
-                if let Some(a) = faults.crash_audit[k].take() {
-                    faults.audits[a].until_obs = Some(obs);
-                }
-                faults.recoveries += 1;
-            }
-        }
-        self.faults = Some(faults);
-    }
-
-    /// Mirror of the twin's data-fault injection — one draw sequence from
-    /// the identically seeded data RNG, consumed in trace order.
-    fn inject_data_faults(&mut self, mut obs: Observation) -> Observation {
-        let Some(f) = &mut self.faults else {
-            return obs;
-        };
-        if f.plan.corrupt_prob <= 0.0 && f.plan.outlier_prob <= 0.0 {
-            return obs;
-        }
-        if f.outlier_left > 0 {
-            f.outlier_left -= 1;
-            obs.runtime_s *= f.plan.outlier_log_scale.exp();
-            f.injected_outliers += 1;
-            return obs;
-        }
-        let u: f32 = f.data_rng.gen_range(0.0f32..1.0);
-        if u < f.plan.corrupt_prob {
-            obs.runtime_s = match f.data_rng.gen_range(0u32..3) {
-                0 => f32::NAN,
-                1 => f32::INFINITY,
-                _ => -obs.runtime_s,
-            };
-            f.injected_corrupt += 1;
-        } else if u < f.plan.corrupt_prob + f.plan.outlier_prob {
-            f.outlier_left = f.data_rng.gen_range(1..=f.plan.outlier_burst_max) - 1;
-            obs.runtime_s *= f.plan.outlier_log_scale.exp();
-            f.injected_outliers += 1;
-        }
-        obs
-    }
-
-    /// Rebuilds a crashed replica warm, exactly as the twin does: barrier
-    /// its lane, retire the dead instance's counters, rebuild from the
-    /// template, replay the coordinator's held window summary, and install
-    /// the current fleet calibration.
-    fn rejoin_replica(&mut self, r: usize) {
-        self.barrier_lane(r % self.lanes.len());
-        let mut shard = self.shards[r].lock().expect("shard mutex poisoned");
-        let rs = shard.stats();
-        self.retired.observations += rs.observations;
-        self.retired.queries += rs.queries;
-        self.retired.covered += rs.covered;
-        self.retired.bounded += rs.bounded;
-        self.retired.degraded_bounded += rs.degraded_bounded;
-        self.retired.degraded_covered += rs.degraded_covered;
-        self.retired.fallback_refits += rs.fallback_refits;
-        self.retired_guard = self.retired_guard.merged(&shard.guard_stats());
-        // A compressed replica rejoins compressed: rebuild under its
-        // original per-replica compression spec, as the twin does.
-        let mut serve_cfg = self.template.serve_cfg.clone();
-        serve_cfg.compression = self.cfg.replica_compression(r);
-        let mut server = PitotServer::new(
-            self.template.trained.clone(),
-            self.template.dataset.clone(),
-            serve_cfg,
-        );
-        if let Some((clock, entries)) = self.merged.replica_entries(r as u64) {
-            server.restore_window(entries, clock);
-        }
-        if let Some(c) = &self.fleet_conformal {
-            server.install_calibration(c.clone());
-        }
-        *shard = server;
-    }
-
-    /// Per-observation control-path work after routing: the merge cadence
-    /// (the twin's retry machinery is vacuous under supported plans).
-    fn after_observation(&mut self) {
-        self.since_merge += 1;
-        if self.since_merge >= self.cfg.merge_every {
-            self.merge_now();
-        }
-    }
-
-    /// Runs a coordinator merge round now: barrier every lane, absorb live
-    /// replicas' summaries, fit the union, install everywhere — and
-    /// publish the calibration snapshot for the lock-free read path.
+    /// Runs a merge round now, exactly as [`FleetServer::merge_now`] does:
+    /// each replica is read or installed into once its lane has drained,
+    /// and every install is published to that replica's read-path
+    /// snapshot.
     pub fn merge_now(&mut self) {
-        self.since_merge = 0;
-        self.barrier_all();
-        let mut changed = false;
-        for r in 0..self.shards.len() {
-            if self.faults.as_ref().is_some_and(|f| f.down[r]) {
-                continue;
-            }
-            let summary = {
-                let server = self.shards[r].lock().expect("shard mutex poisoned");
-                // Same skip as the twin: an unadvanced window's held run is
-                // already current.
-                if self.merged.replica_clock(r as u64) == Some(server.window_clock()) {
-                    continue;
-                }
-                server.window_summary(r as u64)
-            };
-            changed |= self.try_absorb(r as u64, &summary);
-        }
-        if self.merged.is_empty() {
-            return;
-        }
-        if !changed && self.fleet_conformal.is_some() {
-            self.skipped_installs += 1;
-            return;
-        }
-        let conformal = self.fit_union();
-        for (r, shard) in self.shards.iter().enumerate() {
-            if self.faults.as_ref().is_some_and(|f| f.down[r]) {
-                continue;
-            }
-            shard
-                .lock()
-                .expect("shard mutex poisoned")
-                .install_calibration(conformal.clone());
-        }
-        self.snapshot.store(Arc::new(conformal.clone()));
-        self.fleet_conformal = Some(conformal);
-        self.merges += 1;
-    }
-
-    /// The twin's summary screens, verbatim: structural verification plus
-    /// clock-plausibility (skew and replay), every refusal audited.
-    fn try_absorb(&mut self, r: u64, summary: &MergeableWindow) -> bool {
-        if let Err(e) = summary.verify() {
-            self.reject(e.replica as usize, RejectCause::from_fault(e.fault));
-            return false;
-        }
-        let held = self.merged.replica_clock(r);
-        if let Some(c) = summary.replica_clock(r) {
-            let threshold = (2 * self.obs_seen + self.cfg.serve.window + 1024) as u64;
-            if c > threshold {
-                self.reject(r as usize, RejectCause::SkewedClock);
-                return false;
-            }
-            if held.is_some_and(|h| c <= h) {
-                self.reject(r as usize, RejectCause::Replayed);
-                return false;
-            }
-        }
-        self.merged.absorb(summary);
-        self.merged.replica_clock(r) != held
-    }
-
-    fn reject(&mut self, replica: usize, cause: RejectCause) {
-        self.rejected_total += 1;
-        if self.rejected.len() >= FleetServer::REJECT_RETAIN {
-            self.rejected.remove(0);
-        }
-        self.rejected.push(RejectedSummary {
-            replica,
-            at_obs: self.obs_seen,
-            cause,
-        });
-    }
-
-    /// Fits the fleet calibration on the merged union, rank-selected from
-    /// the merged runs — identical arithmetic to the twin's coordinator
-    /// fit.
-    fn fit_union(&self) -> PooledConformal {
-        let empty_preds: Vec<Vec<f32>> = vec![Vec::new(); self.merged.n_heads()];
-        PooledConformal::fit_scored(
-            &self.merged,
-            &PredictionSet {
-                predictions: &empty_preds,
-                targets_log: &[],
-                pools: &[],
-            },
-            &self.xis,
-            self.cfg.serve.selection,
-            self.cfg.serve.epsilon,
-        )
-    }
-
-    /// The lock-free read path: score the query against the answering
-    /// replica's immutable tower cache (compressed replicas answer with
-    /// their compressed towers, exactly as the twin's `query_now` does)
-    /// and bound it with the current calibration snapshot — no shard
-    /// lock, no queue, no waiting on writers.
-    fn predict_read_path(&self, replica: usize, q: &DeadlineQuery) -> Prediction {
-        let obs = Observation {
-            workload: q.workload,
-            platform: q.platform,
-            interferers: q.interferers.clone(),
-            runtime_s: 1.0, // unused by prediction
-        };
-        let preds = self
-            .read
-            .trained
-            .predict_log_runtime_cached(&self.read.towers[replica], &[&obs]);
-        let head_preds: Vec<f32> = preds.iter().map(|h| h[0]).collect();
-        let pool = if self.cfg.serve.pool_by_arity {
-            q.interferers.len().min(MAX_INTERFERERS)
-        } else {
-            0
-        };
-        let point = head_preds[0];
-        let bound = match self.snapshot.load() {
-            Some(c) => c.bound_log(&head_preds, pool),
-            None => *head_preds.last().expect("at least one head"),
-        };
-        Prediction {
-            id: 0,
-            point_s: point.exp(),
-            bound_s: bound.exp(),
-            pool,
-            // Staleness tracking is validated off, so the twin's replicas
-            // never serve degraded either.
-            degraded: false,
-        }
-    }
-
-    /// Ingress for one deadline query: failover routing, snapshot-read
-    /// prediction, admission — mirroring [`FleetServer::deadline_query`].
-    fn ingest_deadline(&mut self, q: DeadlineQuery) -> AdmissionOutcome {
-        let home = self.shard_for(q.workload, q.platform);
-        let mut replica = home;
-        let mut failover = false;
-        if let Some(f) = &self.faults {
-            if f.down[home] {
-                let n = self.shards.len();
-                replica = (1..n)
-                    .map(|d| (home + d) % n)
-                    .find(|&r| !f.down[r])
-                    .expect("deadline_query: every replica in the fleet is down");
-                failover = true;
-            }
-        }
-        let prediction = self.predict_read_path(replica, &q);
-        self.ingress_queries += 1;
-        let decision = self.admission.decide_tagged(
-            q.id,
-            f64::from(prediction.bound_s),
-            q.deadline_s,
-            prediction.degraded,
-        );
-        if let Some(f) = &mut self.faults {
-            if failover {
-                f.failover_queries += 1;
-            }
-            if let Some(a) = f.open_audit() {
-                if prediction.degraded {
-                    a.degraded_decisions += 1;
-                }
-                if !decision.admitted() {
-                    a.shed += 1;
-                }
-            }
-        }
-        AdmissionOutcome {
-            id: q.id,
-            replica,
-            decision,
-            prediction,
-            failover,
-        }
-    }
-
-    /// Mirror of [`FleetServer::resolve`], including audit attribution of
-    /// fresh SLO misses.
-    fn ingest_resolve(&mut self, id: u64, realized_s: f64) -> Option<bool> {
-        let missed_before = self.admission.stats().slo_missed;
-        let res = self.admission.resolve(id, realized_s);
-        if self.admission.stats().slo_missed > missed_before {
-            if let Some(f) = &mut self.faults {
-                if let Some(a) = f.open_audit() {
-                    a.slo_missed += 1;
-                }
-            }
-        }
-        res
+        self.core.merge_now(&mut self.plane);
     }
 
     /// Aggregated counters, assembled exactly as the twin's
-    /// [`FleetServer::stats`] (barriers the lanes first so replica
-    /// counters are settled). Ingress-answered queries are folded into
+    /// [`FleetServer::stats`] (each replica's counters are read once its
+    /// lane has drained). Ingress-answered queries are folded into
     /// [`FleetStats::queries`].
     pub fn stats(&self) -> FleetStats {
-        self.barrier_all();
-        let mut s = self.retired;
-        s.merges = self.merges;
-        s.skipped_installs = self.skipped_installs;
-        s.rejected_summaries = self.rejected_total;
-        s.admission = *self.admission.stats();
-        if let Some(f) = &self.faults {
-            s.lost_observations = f.lost_observations;
-            s.failover_queries = f.failover_queries;
-            s.recoveries = f.recoveries;
-            s.injected_corrupt = f.injected_corrupt;
-            s.injected_outliers = f.injected_outliers;
-        }
-        s.guard = self.retired_guard;
-        for shard in self.shards.iter() {
-            let server = shard.lock().expect("shard mutex poisoned");
-            let rs = server.stats();
-            s.observations += rs.observations;
-            s.queries += rs.queries;
-            s.covered += rs.covered;
-            s.bounded += rs.bounded;
-            s.degraded_bounded += rs.degraded_bounded;
-            s.degraded_covered += rs.degraded_covered;
-            s.fallback_refits += rs.fallback_refits;
-            s.guard = s.guard.merged(&server.guard_stats());
-        }
+        let mut s = self.core.stats(&self.plane);
         s.queries += self.ingress_queries;
         s
     }
@@ -1128,41 +726,29 @@ impl ConcurrentFleet {
     /// [`ConcurrentFleet::run_trace`] boundary) — comparable to
     /// [`FleetServer::degraded_audit`].
     pub fn degraded_audit(&self) -> &[DegradedWindow] {
-        self.faults.as_ref().map_or(&[], |f| &f.audits)
+        self.core.degraded_audit()
     }
 
     /// The bounded rejected-summary audit ring, oldest first — comparable
     /// to [`FleetServer::rejected_audit`].
     pub fn rejected_audit(&self) -> &[RejectedSummary] {
-        &self.rejected
+        self.core.rejected_audit()
     }
 
-    /// The currently installed fleet-level calibration, via the same
-    /// snapshot cell the read path uses.
+    /// The currently installed fleet-level calibration — comparable to
+    /// [`FleetServer::fleet_conformal`].
     pub fn fleet_conformal(&self) -> Option<Arc<PooledConformal>> {
-        self.snapshot.load()
+        self.core.fleet_conformal().cloned()
     }
 
     /// Live per-lane progress counters, read lock-free off each lane's
     /// [`SeqLock`] — safe to poll from any thread while a trace runs.
     pub fn progress(&self) -> Vec<LaneProgress> {
-        self.lanes
+        self.plane
+            .lanes
             .iter()
             .map(|l| l.shared.progress.read())
             .collect()
-    }
-}
-
-impl Drop for ConcurrentFleet {
-    fn drop(&mut self) {
-        for lane in &self.lanes {
-            lane.shared.queue.close();
-        }
-        for h in self.handles.drain(..) {
-            // A worker that panicked already reported via the test/process
-            // harness; don't double-panic in drop.
-            let _ = h.join();
-        }
     }
 }
 
@@ -1236,47 +822,5 @@ mod tests {
             "field + value: {m}"
         );
         assert!(m.contains("watchdog_z = 0.0"), "fix: {m}");
-    }
-
-    #[test]
-    fn unsupported_fault_plans_are_rejected_with_alternatives() {
-        let m = message(|| {
-            validate_plan_for_concurrent(&FaultPlan::none(1).coordinator_outage(10, 20));
-        });
-        assert!(m.contains("FaultPlan.outages"), "field: {m}");
-        assert!(m.contains("simulated FleetServer twin"), "alternative: {m}");
-
-        let m = message(|| {
-            validate_plan_for_concurrent(&FaultPlan::none(1).drop_summaries(0.25));
-        });
-        assert!(m.contains("FaultPlan.drop_prob = 0.25"), "{m}");
-
-        let m = message(|| {
-            validate_plan_for_concurrent(&FaultPlan::none(1).delay_summaries(0.25, 3));
-        });
-        assert!(m.contains("delay_prob = 0.25"), "{m}");
-
-        let m = message(|| {
-            validate_plan_for_concurrent(&FaultPlan::none(1).replay_summaries(0.25));
-        });
-        assert!(m.contains("FaultPlan.replay_prob = 0.25"), "{m}");
-
-        let m = message(|| {
-            validate_plan_for_concurrent(&FaultPlan::none(1).skew_clocks(0.25));
-        });
-        assert!(m.contains("skew_prob = 0.25"), "{m}");
-
-        let m = message(|| {
-            validate_plan_for_concurrent(&FaultPlan::none(1).byzantine_replica(0, 5));
-        });
-        assert!(m.contains("FaultPlan.byzantine"), "field: {m}");
-
-        // The supported observation-path subset passes.
-        validate_plan_for_concurrent(
-            &FaultPlan::none(1)
-                .crash(0, 10, 20)
-                .corrupt_observations(0.05)
-                .outlier_bursts(0.02, 2.5, 4),
-        );
     }
 }

@@ -72,21 +72,15 @@
 //!   fleet calibration stays bitwise-pinned to what a clean-replica-only
 //!   fleet would fit.
 
-use crate::admission::{AdmissionDecision, AdmissionQueue};
-use crate::config::{FleetConfig, ServeConfig};
-use crate::fault::{DegradedCause, DegradedWindow, FaultPlan, RejectCause, RejectedSummary};
+use crate::admission::AdmissionDecision;
+use crate::config::FleetConfig;
+use crate::control::FleetControl;
+use crate::fault::{DegradedWindow, FaultPlan, RejectedSummary};
 use crate::guard::GuardStats;
-use crate::server::{ObservedFeedback, PitotServer, Prediction};
+use crate::server::{Event, ObservedFeedback, PitotServer, Prediction};
 use pitot::TrainedPitot;
-use pitot_conformal::{MergeableWindow, PooledConformal, PredictionSet, TamperMode};
+use pitot_conformal::PooledConformal;
 use pitot_testbed::{Dataset, Observation};
-use rand::{seq::SliceRandom, Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-/// The clock jump a skew-injected summary carries — far beyond any honest
-/// clock at the scales the harnesses run, so the receiver's plausibility
-/// screen (see [`FleetServer::skew_threshold`]) separates it cleanly.
-const SKEW_JUMP: u64 = 1 << 20;
 
 /// A placement question with an SLO attached: "will `workload` on
 /// `platform` next to `interferers` finish within `deadline_s` seconds?"
@@ -206,168 +200,22 @@ impl FleetStats {
     }
 }
 
-/// A dropped summary's retry bookkeeping: how many retries have failed and
-/// when the next one becomes eligible (fleet-wide observation count, with
-/// exponential backoff plus seeded jitter).
-#[derive(Debug, Clone, Copy)]
-struct RetryState {
-    attempts: u32,
-    next_at: usize,
-}
-
-/// A delayed summary in flight: absorbed once the coordinator's round
-/// counter reaches `due_round`.
-#[derive(Debug)]
-struct DelayedSummary {
-    due_round: usize,
-    replica: u64,
-    summary: MergeableWindow,
-}
-
-/// Everything needed to rebuild a crashed replica from scratch.
-struct FleetTemplate {
-    trained: TrainedPitot,
-    dataset: Dataset,
-    serve_cfg: ServeConfig,
-}
-
-/// Live state of an installed [`FaultPlan`]: which replicas are down, what
-/// is mid-retry or mid-delay, per-replica gossip views, and the degraded
-/// window audit log. All mutation happens in the fleet's single-threaded
-/// control path, so every RNG draw has a fixed order — determinism across
-/// `PITOT_THREADS` is preserved by construction.
-struct FaultRuntime {
-    plan: FaultPlan,
-    rng: ChaCha8Rng,
-    /// A second, independently seeded stream for the *data* faults
-    /// (corrupt runtimes, outlier bursts, replay/skew draws, tamper
-    /// salts), so enabling telemetry noise never perturbs the control
-    /// faults' drop/delay/gossip draws — and so a Byzantine replica's
-    /// muted oracle twin can consume bitwise-identical draws.
-    data_rng: ChaCha8Rng,
-    /// Remaining length of the outlier burst in flight (0 = none).
-    outlier_left: usize,
-    /// Byzantine summary emissions so far (cycles the tamper mode).
-    byz_emissions: usize,
-    /// Per replica: the last cleanly emitted summary, held so a replay
-    /// injection has a genuine stale duplicate to re-send.
-    prev_summary: Vec<Option<MergeableWindow>>,
-    injected_corrupt: usize,
-    injected_outliers: usize,
-    injected_replays: usize,
-    injected_skews: usize,
-    down: Vec<bool>,
-    /// Per `plan.crashes` entry: whether the crash / rejoin has fired.
-    crash_done: Vec<bool>,
-    rejoin_done: Vec<bool>,
-    /// Per `plan.crashes` entry: index of its open audit window.
-    crash_audit: Vec<Option<usize>>,
-    /// Per replica: pending retry of a dropped summary.
-    retry: Vec<Option<RetryState>>,
-    delayed: Vec<DelayedSummary>,
-    /// Per replica: its gossip-converged view of the fleet (used only
-    /// during coordinator outages).
-    gossip: Vec<MergeableWindow>,
-    audits: Vec<DegradedWindow>,
-    /// Index of the currently open coordinator-outage audit, if any.
-    outage_open: Option<usize>,
-    /// Coordinator merge rounds seen (successful or skipped) — the clock
-    /// delayed summaries are due against.
-    round: usize,
-    gossip_rounds: usize,
-    lost_observations: usize,
-    failover_queries: usize,
-    dropped_summaries: usize,
-    delayed_summaries: usize,
-    retried_summaries: usize,
-    merge_giveups: usize,
-    recoveries: usize,
-}
-
-impl FaultRuntime {
-    fn new(plan: FaultPlan, replicas: usize, n_heads: usize) -> Self {
-        let n_crashes = plan.crashes.len();
-        Self {
-            rng: ChaCha8Rng::seed_from_u64(plan.seed ^ 0xFA_07_1C_A5),
-            data_rng: ChaCha8Rng::seed_from_u64(plan.seed ^ 0xDA_7A_BA_D5),
-            outlier_left: 0,
-            byz_emissions: 0,
-            prev_summary: vec![None; replicas],
-            injected_corrupt: 0,
-            injected_outliers: 0,
-            injected_replays: 0,
-            injected_skews: 0,
-            down: vec![false; replicas],
-            crash_done: vec![false; n_crashes],
-            rejoin_done: vec![false; n_crashes],
-            crash_audit: vec![None; n_crashes],
-            retry: vec![None; replicas],
-            delayed: Vec::new(),
-            gossip: (0..replicas)
-                .map(|_| MergeableWindow::empty(n_heads))
-                .collect(),
-            audits: Vec::new(),
-            outage_open: None,
-            round: 0,
-            gossip_rounds: 0,
-            lost_observations: 0,
-            failover_queries: 0,
-            dropped_summaries: 0,
-            delayed_summaries: 0,
-            retried_summaries: 0,
-            merge_giveups: 0,
-            recoveries: 0,
-            plan,
-        }
-    }
-
-    /// The most recently opened still-open degraded window (attribution
-    /// target when several overlap).
-    fn open_audit(&mut self) -> Option<&mut DegradedWindow> {
-        self.audits.iter_mut().rev().find(|a| a.until_obs.is_none())
-    }
-}
-
 /// The sharded serving layer: N replica [`PitotServer`]s on disjoint event
 /// streams, one merged fleet calibration, and SLO-aware admission (see the
-/// module docs).
+/// module docs). Every control decision runs in the fleet control core this
+/// executor shares with [`crate::ConcurrentFleet`]; the replicas live in one
+/// vector and apply each event in place.
 pub struct FleetServer {
-    cfg: FleetConfig,
     replicas: Vec<PitotServer>,
-    /// The coordinator's converged view of every replica window.
-    merged: MergeableWindow,
-    fleet_conformal: Option<PooledConformal>,
-    admission: AdmissionQueue,
-    xis: Vec<f32>,
-    since_merge: usize,
-    merges: usize,
-    skipped_installs: usize,
-    /// Fleet-wide observations consumed (the fault schedule's clock).
-    obs_seen: usize,
-    /// Present iff a fault plan is installed (crash recovery needs to
-    /// rebuild replicas from scratch).
-    template: Option<Box<FleetTemplate>>,
-    faults: Option<FaultRuntime>,
-    /// Counters inherited from replaced (crashed) replica instances, so
-    /// fleet totals survive a rejoin. Only the per-replica-summed fields
-    /// are ever nonzero here.
-    retired: FleetStats,
-    /// Guard counters inherited from replaced (crashed) replica instances.
-    retired_guard: GuardStats,
-    /// Bounded audit ring of refused summaries, oldest first.
-    rejected: Vec<RejectedSummary>,
-    /// Total refusals ever (never truncated, unlike the ring).
-    rejected_total: usize,
+    core: FleetControl,
 }
 
 impl std::fmt::Debug for FleetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetServer")
             .field("replicas", &self.replicas.len())
-            .field("merges", &self.merges)
-            .field("has_fleet_conformal", &self.fleet_conformal.is_some())
-            .field("admission", self.admission.stats())
-            .finish_non_exhaustive()
+            .field("control", &self.core)
+            .finish()
     }
 }
 
@@ -384,41 +232,11 @@ impl FleetServer {
     /// [`FleetConfig::validate`]).
     pub fn new(trained: TrainedPitot, dataset: &Dataset, cfg: FleetConfig) -> Self {
         cfg.validate();
-        let mut serve_cfg = cfg.serve.clone();
-        // The coordinator owns refresh: local refits must never overwrite
-        // an installed fleet calibration between merges.
-        serve_cfg.refresh_every = usize::MAX;
-        let xis = trained.model.config().objective.xis();
-        // Per-replica compression: each replica serves (and calibrates)
-        // through its own compressed tower cache; `cfg.compression` is the
-        // single source of truth (the serve-level field is overridden).
-        let replicas: Vec<PitotServer> = (0..cfg.replicas)
-            .map(|r| {
-                let mut rc = serve_cfg.clone();
-                rc.compression = cfg.replica_compression(r);
-                PitotServer::new(trained.clone(), dataset.clone(), rc)
-            })
+        let core = FleetControl::new(cfg, &trained);
+        let replicas = (0..core.config().replicas)
+            .map(|r| core.replica_server(r, trained.clone(), dataset.clone()))
             .collect();
-        let n_heads = trained.model.n_heads();
-        let admission = AdmissionQueue::new(cfg.admission.clone());
-        Self {
-            cfg,
-            replicas,
-            merged: MergeableWindow::empty(n_heads),
-            fleet_conformal: None,
-            admission,
-            xis,
-            since_merge: 0,
-            merges: 0,
-            skipped_installs: 0,
-            obs_seen: 0,
-            template: None,
-            faults: None,
-            retired: FleetStats::default(),
-            retired_guard: GuardStats::default(),
-            rejected: Vec::new(),
-            rejected_total: 0,
-        }
+        Self { replicas, core }
     }
 
     /// Maximum rejected-summary audit records retained (the
@@ -443,15 +261,7 @@ impl FleetServer {
     ) -> Self {
         plan.validate(cfg.replicas);
         let mut fleet = Self::new(trained.clone(), dataset, cfg);
-        let mut serve_cfg = fleet.cfg.serve.clone();
-        serve_cfg.refresh_every = usize::MAX;
-        let n_heads = trained.model.n_heads();
-        fleet.template = Some(Box::new(FleetTemplate {
-            trained,
-            dataset: dataset.clone(),
-            serve_cfg,
-        }));
-        fleet.faults = Some(FaultRuntime::new(plan, fleet.replicas.len(), n_heads));
+        fleet.core.install_faults(plan, trained, dataset);
         fleet
     }
 
@@ -464,11 +274,7 @@ impl FleetServer {
     /// deterministic hash, so one entity's events always land on the same
     /// replica (disjoint streams by construction).
     pub fn shard_for(&self, workload: u32, platform: u32) -> usize {
-        // Fibonacci hashing over the packed pair; any fixed mixing works,
-        // it only has to be deterministic and reasonably balanced.
-        let key = (u64::from(workload) << 32) | u64::from(platform);
-        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((mixed >> 33) % self.replicas.len() as u64) as usize
+        self.core.shard_for(workload, platform)
     }
 
     /// Seeds every replica's calibration window from disjoint round-robin
@@ -480,18 +286,12 @@ impl FleetServer {
     ///
     /// Panics if `idx` is empty or contains an out-of-range index.
     pub fn seed_calibration(&mut self, idx: &[usize]) {
-        assert!(!idx.is_empty(), "cannot seed from an empty index set");
-        let n = self.replicas.len();
-        let mut shards: Vec<Vec<usize>> = vec![Vec::with_capacity(idx.len().div_ceil(n)); n];
-        for (i, &v) in idx.iter().enumerate() {
-            shards[i % n].push(v);
-        }
-        for (replica, shard) in self.replicas.iter_mut().zip(&shards) {
-            if !shard.is_empty() {
-                replica.seed_calibration(shard);
+        for (replica, set) in self.replicas.iter_mut().zip(self.core.seed_sets(idx)) {
+            if !set.is_empty() {
+                replica.seed_calibration(&set);
             }
         }
-        self.merge_now();
+        self.core.merge_now(&mut self.replicas);
     }
 
     /// Routes one observation to its shard at simulated time `at_s` (must
@@ -520,174 +320,24 @@ impl FleetServer {
         at_s: f64,
         obs: Observation,
     ) -> Option<ObservedFeedback> {
-        self.tick();
-        let obs = self.inject_data_faults(obs);
-        if self.faults.as_ref().is_some_and(|f| f.down[replica]) {
-            let f = self.faults.as_mut().expect("just checked");
-            f.lost_observations += 1;
-            if let Some(a) = f.open_audit() {
-                a.lost_observations += 1;
-            }
-            self.after_observation();
-            return None;
-        }
-        let resp = self.replicas[replica].on_event(at_s, crate::server::Event::Observe(obs));
-        if resp.quarantined.is_some() {
-            // Audited in the replica's guard counters — never judged, so
-            // no prequential feedback.
-            self.after_observation();
-            return None;
-        }
-        let fb = resp
-            .observed
-            .expect("accepted observation events produce feedback");
-        if let Some(f) = &mut self.faults {
-            if let Some(a) = f.open_audit() {
-                a.bounded += 1;
-                if fb.covered {
-                    a.covered += 1;
+        let feedback = self
+            .core
+            .route_observation(&mut self.replicas, replica, obs)
+            .and_then(|(obs, audit)| {
+                let resp = self.replicas[replica].on_event(at_s, Event::Observe(obs));
+                if resp.quarantined.is_some() {
+                    // Audited in the replica's guard counters — never
+                    // judged, so no prequential feedback.
+                    return None;
                 }
-            }
-        }
-        self.after_observation();
-        Some(fb)
-    }
-
-    /// The fault plan's telemetry-corruption layer: with the data-fault
-    /// knobs live, an observation's runtime may arrive as NaN/Inf/negative
-    /// or scaled into an outlier burst. Draws come from the dedicated data
-    /// RNG and are consumed even when the target replica is down, so the
-    /// corruption stream is a fixed function of the schedule position.
-    fn inject_data_faults(&mut self, mut obs: Observation) -> Observation {
-        let Some(f) = &mut self.faults else {
-            return obs;
-        };
-        if f.plan.corrupt_prob <= 0.0 && f.plan.outlier_prob <= 0.0 {
-            return obs;
-        }
-        if f.outlier_left > 0 {
-            f.outlier_left -= 1;
-            obs.runtime_s *= f.plan.outlier_log_scale.exp();
-            f.injected_outliers += 1;
-            return obs;
-        }
-        let u: f32 = f.data_rng.gen_range(0.0f32..1.0);
-        if u < f.plan.corrupt_prob {
-            obs.runtime_s = match f.data_rng.gen_range(0u32..3) {
-                0 => f32::NAN,
-                1 => f32::INFINITY,
-                _ => -obs.runtime_s,
-            };
-            f.injected_corrupt += 1;
-        } else if u < f.plan.corrupt_prob + f.plan.outlier_prob {
-            f.outlier_left = f.data_rng.gen_range(1..=f.plan.outlier_burst_max) - 1;
-            obs.runtime_s *= f.plan.outlier_log_scale.exp();
-            f.injected_outliers += 1;
-        }
-        obs
-    }
-
-    /// Per-observation control-path work after the event itself: process
-    /// due merge retries, then run the cadence merge.
-    fn after_observation(&mut self) {
-        self.process_due_retries();
-        self.since_merge += 1;
-        if self.since_merge >= self.cfg.merge_every {
-            self.merge_now();
-        }
-    }
-
-    /// Advances the fleet-wide observation clock and applies every fault
-    /// transition due at it: outage audit opening, crashes (replica
-    /// replaced by a tombstone of `down = true`; its gossip view and retry
-    /// state cleared), and rejoins (replica rebuilt from the template,
-    /// window replayed warm from the coordinator's held summary, current
-    /// fleet calibration installed).
-    fn tick(&mut self) {
-        self.obs_seen += 1;
-        let obs = self.obs_seen;
-        let mut faults = match self.faults.take() {
-            Some(f) => f,
-            None => return,
-        };
-        if faults.plan.coordinator_down_at(obs) && faults.outage_open.is_none() {
-            faults.outage_open = Some(faults.audits.len());
-            faults.audits.push(DegradedWindow {
-                cause: DegradedCause::CoordinatorOutage,
-                from_obs: obs,
-                until_obs: None,
-                bounded: 0,
-                covered: 0,
-                lost_observations: 0,
-                degraded_decisions: 0,
-                shed: 0,
-                slo_missed: 0,
+                let fb = resp
+                    .observed
+                    .expect("accepted observation events produce feedback");
+                self.core.credit(audit, &fb);
+                Some(fb)
             });
-        }
-        for k in 0..faults.plan.crashes.len() {
-            let c = faults.plan.crashes[k];
-            if !faults.crash_done[k] && obs >= c.at && obs < c.rejoin_at {
-                faults.crash_done[k] = true;
-                faults.down[c.replica] = true;
-                faults.retry[c.replica] = None;
-                faults.gossip[c.replica] = MergeableWindow::empty(self.merged.n_heads());
-                faults.crash_audit[k] = Some(faults.audits.len());
-                faults.audits.push(DegradedWindow {
-                    cause: DegradedCause::ReplicaCrash { replica: c.replica },
-                    from_obs: obs,
-                    until_obs: None,
-                    bounded: 0,
-                    covered: 0,
-                    lost_observations: 0,
-                    degraded_decisions: 0,
-                    shed: 0,
-                    slo_missed: 0,
-                });
-            }
-            if !faults.rejoin_done[k] && obs >= c.rejoin_at && faults.crash_done[k] {
-                faults.rejoin_done[k] = true;
-                faults.down[c.replica] = false;
-                self.rejoin_replica(c.replica);
-                if let Some(a) = faults.crash_audit[k].take() {
-                    faults.audits[a].until_obs = Some(obs);
-                }
-                faults.recoveries += 1;
-            }
-        }
-        self.faults = Some(faults);
-    }
-
-    /// Rebuilds a crashed replica from the template and rejoins it warm:
-    /// replay the coordinator's held window summary (score-identical to
-    /// the pre-crash window), then install the current fleet calibration.
-    fn rejoin_replica(&mut self, r: usize) {
-        // The crashed instance's counters survive into the fleet totals.
-        let rs = self.replicas[r].stats();
-        self.retired.observations += rs.observations;
-        self.retired.queries += rs.queries;
-        self.retired.covered += rs.covered;
-        self.retired.bounded += rs.bounded;
-        self.retired.degraded_bounded += rs.degraded_bounded;
-        self.retired.degraded_covered += rs.degraded_covered;
-        self.retired.fallback_refits += rs.fallback_refits;
-        self.retired_guard = self.retired_guard.merged(&self.replicas[r].guard_stats());
-        let t = self
-            .template
-            .as_ref()
-            .expect("fault plans are installed with a template");
-        // The rebuilt replica keeps its per-replica compression level: a
-        // compressed replica rejoins compressed (its restored window scores
-        // came from the compressed model).
-        let mut serve_cfg = t.serve_cfg.clone();
-        serve_cfg.compression = self.cfg.replica_compression(r);
-        let mut server = PitotServer::new(t.trained.clone(), t.dataset.clone(), serve_cfg);
-        if let Some((clock, entries)) = self.merged.replica_entries(r as u64) {
-            server.restore_window(entries, clock);
-        }
-        if let Some(c) = &self.fleet_conformal {
-            server.install_calibration(c.clone());
-        }
-        self.replicas[r] = server;
+        self.core.after_observation(&mut self.replicas);
+        feedback
     }
 
     /// Answers one deadline query and decides admission by the conformal
@@ -700,46 +350,10 @@ impl FleetServer {
     /// Panics if `q.id` is already pending, or on an out-of-catalog
     /// workload/platform/interferer.
     pub fn deadline_query(&mut self, q: DeadlineQuery) -> AdmissionOutcome {
-        let home = self.shard_for(q.workload, q.platform);
-        let mut replica = home;
-        let mut failover = false;
-        if let Some(f) = &self.faults {
-            if f.down[home] {
-                let n = self.replicas.len();
-                replica = (1..n)
-                    .map(|d| (home + d) % n)
-                    .find(|&r| !f.down[r])
-                    .expect("deadline_query: every replica in the fleet is down");
-                failover = true;
-            }
-        }
-        let prediction = self.replicas[replica].query_now(q.workload, q.platform, &q.interferers);
-        let decision = self.admission.decide_tagged(
-            q.id,
-            f64::from(prediction.bound_s),
-            q.deadline_s,
-            prediction.degraded,
-        );
-        if let Some(f) = &mut self.faults {
-            if failover {
-                f.failover_queries += 1;
-            }
-            if let Some(a) = f.open_audit() {
-                if prediction.degraded {
-                    a.degraded_decisions += 1;
-                }
-                if !decision.admitted() {
-                    a.shed += 1;
-                }
-            }
-        }
-        AdmissionOutcome {
-            id: q.id,
-            replica,
-            decision,
-            prediction,
-            failover,
-        }
+        let replicas = &mut self.replicas;
+        self.core.deadline_query(&q, |r| {
+            replicas[r].query_now(q.workload, q.platform, &q.interferers)
+        })
     }
 
     /// Reports the realized runtime of a decided query, scoring its
@@ -747,16 +361,7 @@ impl FleetServer {
     /// would-have-met/missed audit for shed ones). Returns whether the
     /// query had been admitted, or `None` for an unknown id.
     pub fn resolve(&mut self, id: u64, realized_s: f64) -> Option<bool> {
-        let missed_before = self.admission.stats().slo_missed;
-        let res = self.admission.resolve(id, realized_s);
-        if self.admission.stats().slo_missed > missed_before {
-            if let Some(f) = &mut self.faults {
-                if let Some(a) = f.open_audit() {
-                    a.slo_missed += 1;
-                }
-            }
-        }
-        res
+        self.core.resolve(id, realized_s)
     }
 
     /// Runs a merge round now. With the coordinator reachable this is a
@@ -770,393 +375,13 @@ impl FleetServer {
     /// round degrades to pairwise gossip (see the module docs) when the
     /// plan enables it, or does nothing beyond resetting the cadence.
     pub fn merge_now(&mut self) {
-        self.since_merge = 0;
-        if self.coordinator_down() {
-            if self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.plan.gossip_during_outage)
-            {
-                self.gossip_round();
-            }
-            return;
-        }
-        self.coordinator_round();
-    }
-
-    fn coordinator_down(&self) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|f| f.plan.coordinator_down_at(self.obs_seen))
-    }
-
-    /// Materializes replica `r`'s window summary through the fault plan's
-    /// tampering layer. `None` means the replica stays silent this round
-    /// (a Byzantine replica in mute-oracle mode). Every RNG draw the
-    /// tampering path makes is also made on the mute path, so a tampering
-    /// fleet and its muted twin stay draw-aligned.
-    fn emit_summary(
-        server: &PitotServer,
-        f: &mut FaultRuntime,
-        r: usize,
-        obs_seen: usize,
-    ) -> Option<MergeableWindow> {
-        let mut summary = server.window_summary(r as u64);
-        if let Some(b) = f.plan.byzantine {
-            if b.replica == r && obs_seen >= b.from {
-                let salt = f.data_rng.gen_range(0u64..=u64::MAX);
-                let mode = match f.byz_emissions % 4 {
-                    0 => TamperMode::Checksum,
-                    1 => TamperMode::Cardinality,
-                    2 => TamperMode::NonFinite,
-                    _ => TamperMode::Unsorted,
-                };
-                f.byz_emissions += 1;
-                if b.mute {
-                    return None;
-                }
-                summary.corrupt_run(r as u64, mode, salt);
-                return Some(summary);
-            }
-        }
-        if f.plan.replay_prob > 0.0 || f.plan.skew_prob > 0.0 {
-            let u: f32 = f.data_rng.gen_range(0.0f32..1.0);
-            if u < f.plan.replay_prob {
-                if let Some(prev) = &f.prev_summary[r] {
-                    f.injected_replays += 1;
-                    return Some(prev.clone());
-                }
-            } else if u < f.plan.replay_prob + f.plan.skew_prob {
-                f.injected_skews += 1;
-                summary.skew_run_clock(r as u64, SKEW_JUMP);
-                return Some(summary);
-            }
-        }
-        f.prev_summary[r] = Some(summary.clone());
-        Some(summary)
-    }
-
-    /// The largest clock an honest replica could plausibly have reached:
-    /// the window clock advances once per push (at most one per fleet
-    /// observation) plus once per wholesale rebuild (rescore or watchdog
-    /// rollback, each gated on observations), on top of up to
-    /// window-capacity seeded entries. Anything beyond is a skewed clock.
-    fn skew_threshold(&self) -> u64 {
-        (2 * self.obs_seen + self.cfg.serve.window + 1024) as u64
-    }
-
-    /// Records one refused summary in the counter and the bounded ring.
-    fn reject(&mut self, replica: usize, cause: RejectCause) {
-        self.rejected_total += 1;
-        if self.rejected.len() >= Self::REJECT_RETAIN {
-            self.rejected.remove(0);
-        }
-        self.rejected.push(RejectedSummary {
-            replica,
-            at_obs: self.obs_seen,
-            cause,
-        });
-    }
-
-    /// Screens an incoming summary from replica `r` and absorbs it into
-    /// the coordinator's merged view only if it passes: structural
-    /// verification (checksums, cardinality, sortedness, finiteness) on
-    /// every path, plus clock-plausibility screens — a skew screen always,
-    /// and a freshness screen on direct sends (`delayed = false`; delayed
-    /// deliveries are legitimately stale, the CRDT clock makes them
-    /// harmless). Returns whether the merged view changed; refusals are
-    /// counted and audited, never silent.
-    fn try_absorb(&mut self, r: u64, summary: &MergeableWindow, delayed: bool) -> bool {
-        if let Err(e) = summary.verify() {
-            self.reject(e.replica as usize, RejectCause::from_fault(e.fault));
-            return false;
-        }
-        let held = self.merged.replica_clock(r);
-        if let Some(c) = summary.replica_clock(r) {
-            if c > self.skew_threshold() {
-                self.reject(r as usize, RejectCause::SkewedClock);
-                return false;
-            }
-            if !delayed && held.is_some_and(|h| c <= h) {
-                self.reject(r as usize, RejectCause::Replayed);
-                return false;
-            }
-        }
-        self.merged.absorb(summary);
-        self.merged.replica_clock(r) != held
-    }
-
-    /// Fits the fleet calibration on a merged view's union, rank-selected
-    /// from the view's verified runs (bitwise the fit on `to_scored()`,
-    /// without materialising the union). Fleet head selection never uses a
-    /// validation set (FleetConfig rejects TightestOnValidation), so an
-    /// empty selection set is fine.
-    fn fit_union(&self, merged: &MergeableWindow) -> PooledConformal {
-        let empty_preds: Vec<Vec<f32>> = vec![Vec::new(); merged.n_heads()];
-        PooledConformal::fit_scored(
-            merged,
-            &PredictionSet {
-                predictions: &empty_preds,
-                targets_log: &[],
-                pools: &[],
-            },
-            &self.xis,
-            self.cfg.serve.selection,
-            self.cfg.serve.epsilon,
-        )
-    }
-
-    fn coordinator_round(&mut self) {
-        let mut changed = false;
-        let mut faults = self.faults.take();
-        if let Some(f) = &mut faults {
-            f.round += 1;
-            // Deliver delayed summaries that have come due. The CRDT clock
-            // makes a stale delivery harmless: absorb only changes the
-            // held run when the delayed snapshot is still the newest.
-            let round = f.round;
-            let mut still_delayed = Vec::new();
-            for d in std::mem::take(&mut f.delayed) {
-                if d.due_round > round {
-                    still_delayed.push(d);
-                    continue;
-                }
-                changed |= self.try_absorb(d.replica, &d.summary, true);
-            }
-            f.delayed = still_delayed;
-        }
-        for r in 0..self.replicas.len() {
-            if let Some(f) = &faults {
-                if f.down[r] {
-                    continue;
-                }
-            }
-            // Skip replicas whose windows have not advanced since the
-            // last merge: their held run is already current, and a
-            // snapshot would deep-copy the sorted slices for nothing.
-            if self.merged.replica_clock(r as u64) == Some(self.replicas[r].window_clock()) {
-                continue;
-            }
-            let summary = if let Some(f) = &mut faults {
-                if f.plan.drop_prob > 0.0 || f.plan.delay_prob > 0.0 {
-                    let u: f32 = f.rng.gen_range(0.0f32..1.0);
-                    if u < f.plan.drop_prob {
-                        // Dropped in flight: schedule a bounded retry.
-                        f.dropped_summaries += 1;
-                        if f.plan.max_retries > 0 && f.retry[r].is_none() {
-                            let jitter = f.rng.gen_range(0..f.plan.retry_backoff);
-                            f.retry[r] = Some(RetryState {
-                                attempts: 0,
-                                next_at: self.obs_seen + f.plan.retry_delay(0, jitter),
-                            });
-                        }
-                        continue;
-                    }
-                    if u < f.plan.drop_prob + f.plan.delay_prob {
-                        // Delayed in flight: snapshot now (through the
-                        // tampering layer), absorb later.
-                        let due = f.round + f.rng.gen_range(1..=f.plan.delay_rounds_max);
-                        if let Some(s) = Self::emit_summary(&self.replicas[r], f, r, self.obs_seen)
-                        {
-                            f.delayed.push(DelayedSummary {
-                                due_round: due,
-                                replica: r as u64,
-                                summary: s,
-                            });
-                            f.delayed_summaries += 1;
-                        }
-                        continue;
-                    }
-                }
-                // Summary arrived; any pending retry is obsolete. A `None`
-                // emission is a Byzantine mute staying silent this round.
-                f.retry[r] = None;
-                match Self::emit_summary(&self.replicas[r], f, r, self.obs_seen) {
-                    Some(s) => s,
-                    None => continue,
-                }
-            } else {
-                self.replicas[r].window_summary(r as u64)
-            };
-            changed |= self.try_absorb(r as u64, &summary, false);
-        }
-        self.faults = faults;
-        if self.merged.is_empty() {
-            return;
-        }
-        if !changed && self.fleet_conformal.is_some() {
-            // Nothing advanced: the refit would reproduce the installed
-            // calibration bitwise, and N clone-installs would be waste.
-            self.skipped_installs += 1;
-            self.close_outage_audit();
-            return;
-        }
-        let conformal = self.fit_union(&self.merged);
-        self.install_everywhere(conformal);
-        self.merges += 1;
-        self.close_outage_audit();
-    }
-
-    /// Installs a fleet calibration into every *live* replica (down
-    /// replicas receive it at rejoin) and records it as the fleet's.
-    fn install_everywhere(&mut self, conformal: PooledConformal) {
-        for (r, replica) in self.replicas.iter_mut().enumerate() {
-            if self.faults.as_ref().is_some_and(|f| f.down[r]) {
-                continue;
-            }
-            replica.install_calibration(conformal.clone());
-        }
-        self.fleet_conformal = Some(conformal);
-    }
-
-    /// Closes the open coordinator-outage audit window, if its outage has
-    /// cleared — called from successful coordinator rounds only, so
-    /// "recovery complete" means a post-outage round actually ran.
-    fn close_outage_audit(&mut self) {
-        let obs = self.obs_seen;
-        if let Some(f) = &mut self.faults {
-            if !f.plan.coordinator_down_at(obs) {
-                if let Some(k) = f.outage_open.take() {
-                    f.audits[k].until_obs = Some(obs);
-                }
-            }
-        }
-    }
-
-    /// One pairwise gossip round among live replicas: each refreshes its
-    /// own run in its gossip view, a seeded shuffle pairs them up, each
-    /// pair exchanges states (state-based CRDT join), and every live
-    /// replica refits + installs a calibration from its own gossip view at
-    /// the nominal ε. Repeated rounds converge every view to the
-    /// coordinator's union fit (property-tested in `pitot-conformal`).
-    fn gossip_round(&mut self) {
-        let mut faults = self.faults.take().expect("gossip runs under faults");
-        let live: Vec<usize> = (0..self.replicas.len())
-            .filter(|&r| !faults.down[r])
-            .collect();
-        for &r in &live {
-            if faults.gossip[r].replica_clock(r as u64) != Some(self.replicas[r].window_clock()) {
-                // Self-refresh goes through the tampering layer too: a
-                // Byzantine replica corrupts (only) its own gossip view.
-                if let Some(s) =
-                    Self::emit_summary(&self.replicas[r], &mut faults, r, self.obs_seen)
-                {
-                    faults.gossip[r].absorb(&s);
-                }
-            }
-        }
-        let mut order = live.clone();
-        order.shuffle(&mut faults.rng);
-        for pair in order.chunks(2) {
-            if let [a, b] = *pair {
-                // Verify both sides before the state-based join: a corrupt
-                // view (a Byzantine replica's own) is refused by every
-                // partner, so the corruption never propagates.
-                let mut refused = false;
-                for side in [a, b] {
-                    if let Err(e) = faults.gossip[side].verify() {
-                        self.reject(e.replica as usize, RejectCause::from_fault(e.fault));
-                        refused = true;
-                    }
-                }
-                if refused {
-                    continue;
-                }
-                let joined = faults.gossip[a].merge(&faults.gossip[b]);
-                faults.gossip[a] = joined.clone();
-                faults.gossip[b] = joined;
-            }
-        }
-        faults.gossip_rounds += 1;
-        self.faults = Some(faults);
-        for &r in &live {
-            let f = self.faults.as_ref().expect("just restored");
-            if f.gossip[r].is_empty() || f.gossip[r].verify().is_err() {
-                // A corrupt own view (already audited at the pairwise
-                // join) must not be fitted: the Byzantine replica serves
-                // its stale install until staleness triggers the widened
-                // local fallback — it degrades only itself.
-                continue;
-            }
-            let conformal = self.fit_union(&f.gossip[r]);
-            // An install resets the replica's staleness clock: gossip is
-            // the degradation ladder's middle rung, above stale-local
-            // fallback.
-            self.replicas[r].install_calibration(conformal);
-        }
-    }
-
-    /// Attempts every due summary retry (dropped sends waiting out their
-    /// backoff). A successful retry absorbs the replica's summary and
-    /// refreshes the fleet calibration immediately — a partial merge
-    /// between scheduled rounds; a failed one backs off exponentially
-    /// until [`FaultPlan::max_retries`] is exhausted.
-    fn process_due_retries(&mut self) {
-        if self.faults.is_none() || self.coordinator_down() {
-            return;
-        }
-        let obs = self.obs_seen;
-        let due: Vec<usize> = {
-            let f = self.faults.as_ref().expect("checked above");
-            (0..self.replicas.len())
-                .filter(|&r| f.retry[r].is_some_and(|s| obs >= s.next_at))
-                .collect()
-        };
-        for r in due {
-            self.attempt_retry(r);
-        }
-    }
-
-    fn attempt_retry(&mut self, r: usize) {
-        let mut faults = self.faults.take().expect("retry runs under faults");
-        if faults.down[r] {
-            faults.retry[r] = None;
-            self.faults = Some(faults);
-            return;
-        }
-        let u: f32 = faults.rng.gen_range(0.0f32..1.0);
-        if u < faults.plan.drop_prob {
-            // Retry failed too: back off exponentially (seeded jitter,
-            // overflow-saturating — see [`FaultPlan::retry_delay`]) or
-            // give up until the next scheduled round.
-            faults.dropped_summaries += 1;
-            let state = faults.retry[r].as_mut().expect("due retry has state");
-            state.attempts += 1;
-            if state.attempts >= faults.plan.max_retries {
-                faults.retry[r] = None;
-                faults.merge_giveups += 1;
-            } else {
-                let jitter = faults.rng.gen_range(0..faults.plan.retry_backoff);
-                state.next_at = self
-                    .obs_seen
-                    .saturating_add(faults.plan.retry_delay(state.attempts, jitter));
-            }
-            self.faults = Some(faults);
-            return;
-        }
-        faults.retry[r] = None;
-        faults.retried_summaries += 1;
-        let mut absorbed = false;
-        if self.merged.replica_clock(r as u64) != Some(self.replicas[r].window_clock()) {
-            if let Some(summary) =
-                Self::emit_summary(&self.replicas[r], &mut faults, r, self.obs_seen)
-            {
-                absorbed = self.try_absorb(r as u64, &summary, false);
-            }
-        }
-        self.faults = Some(faults);
-        if absorbed && !self.merged.is_empty() {
-            // A successful retry is a partial merge between rounds:
-            // refresh the fleet calibration immediately.
-            let conformal = self.fit_union(&self.merged);
-            self.install_everywhere(conformal);
-        }
+        self.core.merge_now(&mut self.replicas);
     }
 
     /// The currently installed fleet-level calibration (absent until the
     /// first merge finds a non-empty window).
     pub fn fleet_conformal(&self) -> Option<&PooledConformal> {
-        self.fleet_conformal.as_ref()
+        self.core.fleet_conformal().map(|c| &**c)
     }
 
     /// One replica's server (e.g. for its local stats or window).
@@ -1174,44 +399,12 @@ impl FleetServer {
     /// to it. Empty without an installed fault plan. An entry with
     /// `until_obs = None` is still open.
     pub fn degraded_audit(&self) -> &[DegradedWindow] {
-        self.faults.as_ref().map_or(&[], |f| &f.audits)
+        self.core.degraded_audit()
     }
 
     /// Aggregated counters across replicas plus coordinator-side records.
     pub fn stats(&self) -> FleetStats {
-        let mut s = self.retired;
-        s.merges = self.merges;
-        s.skipped_installs = self.skipped_installs;
-        s.rejected_summaries = self.rejected_total;
-        s.admission = *self.admission.stats();
-        if let Some(f) = &self.faults {
-            s.gossip_rounds = f.gossip_rounds;
-            s.lost_observations = f.lost_observations;
-            s.failover_queries = f.failover_queries;
-            s.dropped_summaries = f.dropped_summaries;
-            s.delayed_summaries = f.delayed_summaries;
-            s.retried_summaries = f.retried_summaries;
-            s.merge_giveups = f.merge_giveups;
-            s.recoveries = f.recoveries;
-            s.injected_corrupt = f.injected_corrupt;
-            s.injected_outliers = f.injected_outliers;
-            s.injected_replays = f.injected_replays;
-            s.injected_skews = f.injected_skews;
-            s.byzantine_emissions = f.byz_emissions;
-        }
-        s.guard = self.retired_guard;
-        for r in &self.replicas {
-            let rs = r.stats();
-            s.observations += rs.observations;
-            s.queries += rs.queries;
-            s.covered += rs.covered;
-            s.bounded += rs.bounded;
-            s.degraded_bounded += rs.degraded_bounded;
-            s.degraded_covered += rs.degraded_covered;
-            s.fallback_refits += rs.fallback_refits;
-            s.guard = s.guard.merged(&r.guard_stats());
-        }
-        s
+        self.core.stats(&self.replicas)
     }
 
     /// The bounded rejected-summary audit ring, oldest first: one record
@@ -1219,7 +412,7 @@ impl FleetServer {
     /// replica (see [`FleetStats::rejected_summaries`] for the untruncated
     /// count). Empty while every sender is honest.
     pub fn rejected_audit(&self) -> &[RejectedSummary] {
-        &self.rejected
+        self.core.rejected_audit()
     }
 }
 

@@ -74,8 +74,11 @@
 //!   block on window writes or calibration installs. The simulated-clock
 //!   [`FleetServer`] stays on as the deterministic twin: the same
 //!   [`TraceEvent`] sequence through both runtimes yields bitwise-identical
-//!   outcomes and audit counters ([`run_trace_simulated`]), property-tested
-//!   across `PITOT_THREADS`. See `docs/SERVING.md`.
+//!   outcomes and audit counters ([`run_trace_simulated`]) under every
+//!   [`FaultPlan`], property-tested across `PITOT_THREADS`. The twin holds
+//!   by construction: both runtimes drive one fleet control core, which
+//!   makes every control decision on the ingress thread. See
+//!   `docs/SERVING.md`.
 //! - **Compressed inference towers.** Any replica can serve from a
 //!   compressed model ([`ServeConfig::compression`],
 //!   [`FleetConfig::compression`]): magnitude-pruned weights, int8
@@ -120,6 +123,7 @@ mod admission;
 mod closed_loop;
 mod concurrent;
 mod config;
+mod control;
 mod drift;
 mod fault;
 mod fleet;

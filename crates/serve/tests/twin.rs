@@ -3,9 +3,11 @@
 //! simulated-clock `FleetServer` on any trace — same observations, same
 //! predictions, same admission decisions, same stats, same audits — for
 //! every worker count. Seeded arbitrary traces interleave observations,
-//! deadline queries, and resolves; fault cases add replica crashes, corrupt
-//! runtimes, and outlier bursts (the observation-path subset the concurrent
-//! runtime supports).
+//! deadline queries, and resolves; fault cases run every `FaultPlan` knob
+//! (crashes, coordinator outages with and without gossip, dropped and
+//! delayed summaries with their retries, corrupt runtimes, outlier bursts,
+//! replayed and skewed summaries, Byzantine and muted replicas) at one lane
+//! and at several.
 //!
 //! CI runs this suite under `PITOT_THREADS=1` and `PITOT_THREADS=4`, so the
 //! linalg pool size is covered cross-process; the in-process `workers`
@@ -103,13 +105,15 @@ fn build_trace(rng: &mut TestRng, n: usize) -> Vec<TraceEvent> {
 
 /// The core assertion: the same trace through the simulated twin and a
 /// `workers`-lane concurrent fleet yields identical outcome vectors, fleet
-/// stats, degraded-window audits, and rejected-summary audits.
+/// stats, degraded-window audits, and rejected-summary audits. Returns the
+/// simulated fleet and its outcomes, so callers can check the faults they
+/// scheduled actually fired.
 fn assert_twin_equivalent(
     cfg: FleetConfig,
     plan: Option<FaultPlan>,
     events: &[TraceEvent],
     workers: usize,
-) {
+) -> (FleetServer, Vec<TraceOutcome>) {
     let (dataset, split, trained) = fixture();
     let mut sim = match &plan {
         Some(p) => FleetServer::with_faults(trained.clone(), dataset, cfg.clone(), p.clone()),
@@ -164,6 +168,7 @@ fn assert_twin_equivalent(
         .count() as u64
         + conc.stats().guard.quarantined as u64;
     assert_eq!(processed, observed, "lane progress lost observations");
+    (sim, expected)
 }
 
 proptest! {
@@ -285,6 +290,159 @@ fn crash_with_every_worker_count_matches_the_twin() {
     let plan = FaultPlan::none(77).crash(2, 30, 110);
     for workers in [1usize, 2, 3] {
         assert_twin_equivalent(clean_cfg(3), Some(plan.clone()), &events, workers);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
+    /// Every merge-path fault at once: an outage with gossip, lossy and
+    /// delayed links, replayed and skewed summaries, and a Byzantine
+    /// replica, over arbitrary traces.
+    #[test]
+    fn merge_path_faults_match_the_twin(seed in 0u64..u64::MAX, n in 200usize..280) {
+        let mut rng = TestRng::from_state(seed);
+        let events = build_trace(&mut rng, n);
+        let from = 30 + rng.below(0, 20);
+        let plan = FaultPlan::none(seed ^ 0x3E_12)
+            .coordinator_outage(from, from + 25 + rng.below(0, 25))
+            .drop_summaries(0.3)
+            .delay_summaries(0.2, 3)
+            .replay_summaries(0.1)
+            .skew_clocks(0.1)
+            .byzantine_replica(3, 40 + rng.below(0, 40));
+        for workers in [1usize, 4] {
+            assert_twin_equivalent(guarded_cfg(4), Some(plan.clone()), &events, workers);
+        }
+    }
+}
+
+#[test]
+fn coordinator_outage_with_and_without_gossip_matches_the_twin() {
+    let mut rng = TestRng::deterministic("twin::outage");
+    let events = build_trace(&mut rng, 260);
+    // An outage from observation 0 already covers the seeding merge, so
+    // replicas start out serving their own seeded fits.
+    for (from, until) in [(30, 90), (0, 60)] {
+        for gossip in [true, false] {
+            let mut plan = FaultPlan::none(5).coordinator_outage(from, until);
+            plan.gossip_during_outage = gossip;
+            for workers in [1usize, 2, 4] {
+                let (sim, _) =
+                    assert_twin_equivalent(clean_cfg(4), Some(plan.clone()), &events, workers);
+                assert_eq!(sim.stats().gossip_rounds > 0, gossip, "gossip = {gossip}");
+            }
+        }
+    }
+}
+
+#[test]
+fn lossy_links_with_mid_batch_retries_match_the_twin() {
+    // Retries fall due between cadence merges, in the middle of a
+    // `run_trace` batch: the concurrent side must snapshot the retried
+    // replica only after its lane has judged everything routed to it.
+    let mut rng = TestRng::deterministic("twin::lossy_links");
+    let events = build_trace(&mut rng, 280);
+    let plan = FaultPlan::none(17)
+        .drop_summaries(0.35)
+        .delay_summaries(0.2, 3);
+    for workers in [1usize, 2, 4] {
+        let (sim, _) = assert_twin_equivalent(clean_cfg(4), Some(plan.clone()), &events, workers);
+        let s = sim.stats();
+        assert!(s.dropped_summaries > 0 && s.retried_summaries > 0, "{s:?}");
+        assert!(s.delayed_summaries > 0, "{s:?}");
+    }
+}
+
+#[test]
+fn replayed_and_skewed_summaries_match_the_twin() {
+    let mut rng = TestRng::deterministic("twin::replay_skew");
+    let events = build_trace(&mut rng, 260);
+    let plan = FaultPlan::none(23).replay_summaries(0.2).skew_clocks(0.2);
+    for workers in [1usize, 3] {
+        let (sim, _) = assert_twin_equivalent(clean_cfg(3), Some(plan.clone()), &events, workers);
+        let s = sim.stats();
+        assert!(s.injected_replays > 0 && s.injected_skews > 0, "{s:?}");
+        assert!(!sim.rejected_audit().is_empty());
+    }
+}
+
+#[test]
+fn byzantine_and_muted_replicas_match_the_twin() {
+    // The outage puts the Byzantine replica's own gossip view through the
+    // pairwise verify-and-reject path as well as the coordinator screen.
+    let mut rng = TestRng::deterministic("twin::byzantine");
+    let events = build_trace(&mut rng, 260);
+    for plan in [
+        FaultPlan::none(29).byzantine_replica(2, 20),
+        FaultPlan::none(29).mute_replica(2, 20),
+    ] {
+        let plan = plan.coordinator_outage(60, 100);
+        for workers in [1usize, 2, 4] {
+            let (sim, _) =
+                assert_twin_equivalent(clean_cfg(4), Some(plan.clone()), &events, workers);
+            let s = sim.stats();
+            assert!(s.byzantine_emissions > 0, "{s:?}");
+            let muted = plan.byzantine.is_some_and(|b| b.mute);
+            assert_eq!(s.rejected_summaries == 0, muted, "{s:?}");
+        }
+    }
+}
+
+#[test]
+fn compressed_replica_crash_during_an_outage_matches_the_twin() {
+    // The compressed replica crashes and rejoins while the coordinator is
+    // out: it rejoins with the last coordinator fit while its peers serve
+    // their own gossip fits, so the read path must answer from each
+    // replica's own install.
+    let mut rng = TestRng::deterministic("twin::compressed_outage_crash");
+    let events = build_trace(&mut rng, 260);
+    let plan = FaultPlan::none(13)
+        .coordinator_outage(30, 110)
+        .crash(1, 45, 85);
+    for workers in [1usize, 2, 3] {
+        let (sim, _) = assert_twin_equivalent(
+            compressed_cfg(3, pitot::CompressionSpec::pruned_int8(0.4)),
+            Some(plan.clone()),
+            &events,
+            workers,
+        );
+        let s = sim.stats();
+        assert!(s.recoveries == 1 && s.gossip_rounds > 0, "{s:?}");
+    }
+}
+
+#[test]
+fn outage_boundary_feedback_is_credited_like_the_twin() {
+    // The outage clears at observation 40; the cadence merge that closes
+    // its audit is triggered by observation 48 (merges every 16), which is
+    // still credited to the outage window. The concurrent side judges that
+    // observation on a lane and credits it only after the merge has set
+    // `until_obs = 48`, so it must credit the window chosen at ingress
+    // rather than the window whose `[from_obs, until_obs)` holds 48.
+    let mut rng = TestRng::deterministic("twin::outage_boundary");
+    let events = build_trace(&mut rng, 200);
+    let plan = FaultPlan::none(31).coordinator_outage(20, 40);
+    for workers in [1usize, 2, 3] {
+        let (sim, outcomes) =
+            assert_twin_equivalent(clean_cfg(3), Some(plan.clone()), &events, workers);
+        let audit = sim.degraded_audit();
+        assert_eq!(audit.len(), 1);
+        assert_eq!(audit[0].until_obs, Some(48));
+        let closing = outcomes
+            .iter()
+            .filter(|o| matches!(o, TraceOutcome::Observed { .. }))
+            .nth(47)
+            .expect("the trace has 48 observations");
+        assert!(
+            matches!(
+                closing,
+                TraceOutcome::Observed {
+                    feedback: Some(_),
+                    ..
+                }
+            ),
+            "observation 48 must be judged: {closing:?}"
+        );
     }
 }
 
