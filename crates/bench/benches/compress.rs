@@ -1,7 +1,7 @@
-//! Compression-layer benches: the int8 per-row quantized products against
-//! the f32 blocked kernels at training-step tower shapes, quantization
-//! cost, and the end-to-end serving question — observations/second through
-//! a compressed tower cache at each ladder level.
+//! Compression-layer benches: the end-to-end serving question —
+//! observations/second through a compressed tower cache at each ladder
+//! level — and the cost of building that cache (the deploy and
+//! crash-rejoin path).
 //!
 //! Together with the per-level `weight_bytes` notes in `ext-compress`,
 //! this is the throughput/memory side of the width-vs-compression
@@ -12,14 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pitot::{CompressedTower, CompressionSpec, Objective, PitotConfig, TrainedPitot};
 use pitot_bench::Fixture;
-use pitot_linalg::{matmul_q_into, matmul_transpose_q_into, Matrix, QuantizedMatrix};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-
-/// Tower shapes: the platform tower at the small testbed, a wider hidden
-/// layer, and a batch-512 inference slab.
-const SHAPES: [(usize, usize, usize); 3] = [(220, 52, 128), (220, 128, 128), (512, 128, 160)];
 
 fn trained(f: &Fixture) -> TrainedPitot {
     let cfg = PitotConfig {
@@ -29,50 +22,6 @@ fn trained(f: &Fixture) -> TrainedPitot {
         ..PitotConfig::paper()
     };
     pitot::train(&f.dataset, &f.split, &cfg)
-}
-
-/// int8 products vs the f32 blocked kernels at each tower shape. The
-/// quantized path accumulates in exact i32, so this is the *honest* cost
-/// of serving compressed — no fast-math shortcuts.
-fn quant_products(c: &mut Criterion) {
-    let mut rng = ChaCha8Rng::seed_from_u64(42);
-    for (m, k, n) in SHAPES {
-        let a = Matrix::randn(m, k, &mut rng);
-        let b = Matrix::randn(k, n, &mut rng);
-        let bt = b.transpose();
-        let qa = QuantizedMatrix::from_rows(a.view());
-        let qb = QuantizedMatrix::from_cols(b.view());
-        let qbt = QuantizedMatrix::from_rows(bt.view());
-        let mut out = Matrix::zeros(m, n);
-        let flops = (2 * m * k * n) as u64;
-
-        let mut group = c.benchmark_group(&format!("quant_matmul/{m}x{k}x{n}"));
-        group
-            .sample_size(20)
-            .throughput(Throughput::Elements(flops));
-        group.bench_function("int8", |bch| bch.iter(|| matmul_q_into(&qa, &qb, &mut out)));
-        group.bench_function("int8_transpose", |bch| {
-            bch.iter(|| matmul_transpose_q_into(&qa, &qbt, &mut out))
-        });
-        group.bench_function("f32_blocked", |bch| {
-            bch.iter(|| a.matmul_into(&b, &mut out))
-        });
-        group.finish();
-    }
-}
-
-/// One-time cost of quantizing a weight plane (paid at compression time,
-/// never on the serving path).
-fn quantize_cost(c: &mut Criterion) {
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let w = Matrix::randn(512, 160, &mut rng);
-    let elems = (512 * 160) as u64;
-    let mut group = c.benchmark_group("quantize/512x160");
-    group.throughput(Throughput::Elements(elems));
-    group.bench_function("from_rows", |bch| {
-        bch.iter(|| black_box(QuantizedMatrix::from_rows(w.view())))
-    });
-    group.finish();
 }
 
 /// End-to-end serving throughput: 256 observations scored through a
@@ -119,5 +68,5 @@ fn predict_compressed(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(compress, quant_products, quantize_cost, predict_compressed);
+criterion_group!(compress, predict_compressed);
 criterion_main!(compress);

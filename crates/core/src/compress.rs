@@ -1,11 +1,20 @@
-//! Compressed inference towers: int8 quantization and magnitude pruning.
+//! Compressed inference towers: int8 weight quantization and magnitude
+//! pruning.
 //!
 //! Tower evaluation is the expensive, memory-heavy part of Pitot inference
 //! (two MLP passes over every entity). This module compresses the towers
-//! *after* training — pruning small-magnitude weights and/or freezing the
-//! weight matrices as int8 — and produces a [`TowerCache`] that drops into
+//! *after* training — pruning small-magnitude weights and/or rounding each
+//! weight to its int8 grid — and produces a [`TowerCache`] that drops into
 //! the exact same prediction path as the dense towers
 //! ([`TrainedPitot::predict_log_runtime_cached`]).
+//!
+//! Both transforms edit a clone of the frozen f32 parameter plane in place,
+//! so the compressed towers run through the ordinary f32 kernels.
+//! Quantization is weights-only and simulated: each tower weight becomes
+//! `s·q` with an integer code `|q| ≤ 127` and one scale `s` per output
+//! channel, which is exactly the set of values an int8 deployment format
+//! stores ([`CompressedTower::weight_bytes`] counts that format's size).
+//! Activations stay f32.
 //!
 //! The central invariant: **compression never touches calibration
 //! validity**. Compression perturbs predictions, but conformal calibration
@@ -16,15 +25,14 @@
 //! `ext-compress` experiment measures exactly this tradeoff.
 //!
 //! Determinism: the pruning order is a deterministic total order
-//! (magnitude, then plane index), and int8 tower inference accumulates in
-//! exact i32 (see [`pitot_linalg::quant`]), so a compressed tower cache is
-//! bitwise identical across `PITOT_THREADS` and across the scalar/AVX2
-//! dispatch paths — the serving twin tests extend to compressed replicas
-//! unchanged.
+//! (magnitude, then plane index) and the rounding is elementwise, so a
+//! compressed tower cache has exactly the dense path's determinism —
+//! bitwise identical across `PITOT_THREADS`, which is all the serving twin
+//! tests need to extend to compressed replicas unchanged.
 
 use crate::train::{TowerCache, TrainedPitot};
 use crate::PitotModel;
-use pitot_nn::QuantizedMlp;
+use pitot_nn::Linear;
 use pitot_testbed::Dataset;
 use serde::{Deserialize, Serialize};
 
@@ -33,14 +41,14 @@ use serde::{Deserialize, Serialize};
 pub enum CompressionLevel {
     /// No compression: the dense f32 towers.
     None,
-    /// Weights frozen as int8 (symmetric per-output-channel scales);
-    /// activations quantized per row on the fly.
+    /// Weights rounded to int8 grids (symmetric per-output-channel
+    /// scales); activations stay f32.
     Int8,
     /// Magnitude pruning: the smallest-|w| fraction of each tower weight
     /// matrix is zeroed via a structured mask on the parameter plane.
     Pruned,
     /// Pruning followed by int8 quantization of the masked weights
-    /// (a pruned weight quantizes to exactly zero).
+    /// (a pruned weight stays exactly zero).
     PrunedInt8,
 }
 
@@ -53,7 +61,7 @@ impl CompressionLevel {
         )
     }
 
-    /// Whether this level runs int8 tower inference.
+    /// Whether this level rounds the tower weights to int8 grids.
     pub fn quantizes(self) -> bool {
         matches!(self, CompressionLevel::Int8 | CompressionLevel::PrunedInt8)
     }
@@ -160,7 +168,8 @@ impl Default for CompressionSpec {
 /// A trained model's towers, compressed per a [`CompressionSpec`].
 ///
 /// Construction clones the model, installs the pruning mask (if any) on the
-/// clone's parameter plane, and freezes int8 weights (if any). The
+/// clone's parameter plane, and rounds the tower weights to their int8
+/// grids in place (if the level quantizes). The
 /// [`CompressedTower::tower_cache`] output substitutes for the dense
 /// [`TrainedPitot::tower_cache`] in every downstream prediction path — the
 /// per-observation predict kernel never sees the compression, only the
@@ -168,18 +177,17 @@ impl Default for CompressionSpec {
 #[derive(Debug, Clone)]
 pub struct CompressedTower {
     spec: CompressionSpec,
-    /// The model clone carrying the (possibly masked) parameter plane.
+    /// The model clone carrying the compressed parameter plane.
     model: PitotModel,
-    /// Int8-frozen towers for the quantizing levels.
-    quantized: Option<(QuantizedMlp, QuantizedMlp)>,
 }
 
 impl CompressedTower {
     /// Compresses `trained`'s towers per `spec`.
     ///
-    /// Pruning masks only the tower *weight matrices* — biases, layer norms,
-    /// and the learned features φ stay dense (they are a sliver of the
-    /// parameter count and anchor the embedding scales).
+    /// Only the tower *weight matrices* are compressed — biases, layer
+    /// norms, and the learned features φ stay dense f32 (they are a sliver
+    /// of the parameter count and anchor the embedding scales). Pruning
+    /// runs first, so a pruned weight stays exactly zero on its int8 grid.
     ///
     /// # Panics
     ///
@@ -187,30 +195,17 @@ impl CompressedTower {
     pub fn new(trained: &TrainedPitot, spec: &CompressionSpec) -> Self {
         spec.validate();
         let mut model = trained.model.clone();
-        if spec.level.prunes() {
-            let ranges: Vec<pitot_nn::ParamRange> = model
-                .fw()
-                .layers()
-                .iter()
-                .chain(model.fp().layers())
-                .map(pitot_nn::Linear::weight_range)
-                .collect();
-            let store = model.store_mut();
-            for range in ranges {
-                store.prune_window_by_magnitude(range, spec.sparsity);
+        let layers: Vec<Linear> = tower_layers(&model).copied().collect();
+        let store = model.store_mut();
+        for layer in &layers {
+            if spec.level.prunes() {
+                store.prune_window_by_magnitude(layer.weight_range(), spec.sparsity);
+            }
+            if spec.level.quantizes() {
+                quantize_columns(store.slice_mut(layer.weight_range()), layer.out_dim());
             }
         }
-        let quantized = spec.level.quantizes().then(|| {
-            (
-                QuantizedMlp::quantize(model.fw(), model.store()),
-                QuantizedMlp::quantize(model.fp(), model.store()),
-            )
-        });
-        Self {
-            spec: *spec,
-            model,
-            quantized,
-        }
+        Self { spec: *spec, model }
     }
 
     /// The spec this tower was compressed with.
@@ -218,72 +213,80 @@ impl CompressedTower {
         &self.spec
     }
 
-    /// The model clone carrying the compressed plane (masked for pruning
-    /// levels; identical to the trained model otherwise).
+    /// The model clone carrying the compressed plane (masked and/or rounded
+    /// to int8 grids; identical to the trained model for
+    /// [`CompressionLevel::None`]).
     pub fn model(&self) -> &PitotModel {
         &self.model
     }
 
     /// Evaluates the compressed towers over every entity, producing a
-    /// [`TowerCache`] interchangeable with the dense one.
+    /// [`TowerCache`] interchangeable with the dense one. The compression
+    /// lives entirely on the plane, so this is the dense inference path.
     pub fn tower_cache(&self, dataset: &Dataset) -> TowerCache {
-        match &self.quantized {
-            Some((qfw, qfp)) => {
-                let (input_w, input_p) = self.model.tower_inputs(dataset);
-                TowerCache {
-                    w: qfw.infer(self.model.store(), &input_w),
-                    p_full: qfp.infer(self.model.store(), &input_p),
-                }
-            }
-            // Pruned-only: the masked plane already zeroes the weights, so
-            // the dense inference path *is* the pruned forward pass.
-            None => {
-                let (w, p_full) = self.model.infer_towers(dataset);
-                TowerCache { w, p_full }
-            }
-        }
+        let (w, p_full) = self.model.infer_towers(dataset);
+        TowerCache { w, p_full }
     }
 
-    /// Bytes the compressed tower weights occupy (int8 payloads + scales
-    /// for quantizing levels; surviving f32 weights for pruned-only; the
-    /// full dense weights for [`CompressionLevel::None`]).
+    /// Bytes the compressed tower weights occupy in a deployment format:
+    /// one byte per weight plus one f32 scale per output channel for
+    /// quantizing levels, the surviving f32 weights for pruned-only (a
+    /// sparse format), and the full dense weights for
+    /// [`CompressionLevel::None`].
     pub fn weight_bytes(&self) -> usize {
-        if let Some((qfw, qfp)) = &self.quantized {
-            return qfw.weight_bytes() + qfp.weight_bytes();
-        }
-        let dense = self.dense_weight_bytes();
-        match self.model.store().mask() {
-            // Pruned-only: count surviving weights (a sparse deployment
-            // format would store roughly this many f32s).
-            Some(_) => {
-                let store = self.model.store();
-                let mask = store.mask().expect("mask checked above");
-                let mut kept = 0usize;
-                for layer in self
-                    .model
-                    .fw()
-                    .layers()
-                    .iter()
-                    .chain(self.model.fp().layers())
-                {
-                    let r = layer.weight_range();
-                    kept += mask[r.as_range()].iter().filter(|&&m| m != 0).count();
+        const F32: usize = std::mem::size_of::<f32>();
+        let mask = self.model.store().mask();
+        tower_layers(&self.model)
+            .map(|l| {
+                let r = l.weight_range();
+                if self.spec.level.quantizes() {
+                    r.len + l.out_dim() * F32
+                } else if let Some(mask) = mask {
+                    F32 * mask[r.as_range()].iter().filter(|&&m| m != 0).count()
+                } else {
+                    F32 * r.len
                 }
-                kept * std::mem::size_of::<f32>()
-            }
-            None => dense,
-        }
+            })
+            .sum()
     }
 
     /// Bytes the same tower weights occupy densely in f32.
     pub fn dense_weight_bytes(&self) -> usize {
-        self.model
-            .fw()
-            .layers()
-            .iter()
-            .chain(self.model.fp().layers())
+        tower_layers(&self.model)
             .map(|l| l.weight_range().len * std::mem::size_of::<f32>())
             .sum()
+    }
+}
+
+/// Every linear layer of both towers, workload tower first.
+fn tower_layers(model: &PitotModel) -> impl Iterator<Item = &Linear> {
+    model.fw().layers().iter().chain(model.fp().layers())
+}
+
+/// Rounds a row-major `in × out` weight window to its symmetric int8 grid,
+/// one output-channel column at a time: scale `s = max|w|/127`, then
+/// `w ← s·round(w/s)` with the code clamped to ±127. An all-zero column is
+/// left as is, and a zero weight stays zero.
+fn quantize_columns(weights: &mut [f32], out_dim: usize) {
+    if out_dim == 0 {
+        return; // A zero-width layer has no weights.
+    }
+    // Row-major passes: the column maxima first, then the rounding.
+    let mut scales = vec![0.0f32; out_dim];
+    for row in weights.chunks_exact(out_dim) {
+        for (m, &w) in scales.iter_mut().zip(row) {
+            *m = m.max(w.abs());
+        }
+    }
+    for s in &mut scales {
+        *s /= 127.0;
+    }
+    for row in weights.chunks_exact_mut(out_dim) {
+        for (w, &s) in row.iter_mut().zip(&scales) {
+            if s != 0.0 {
+                *w = s * (*w / s).round().clamp(-127.0, 127.0);
+            }
+        }
     }
 }
 
@@ -407,6 +410,54 @@ mod tests {
             .sum();
         let total_pruned = mask.iter().filter(|&&m| m == 0).count();
         assert_eq!(total_pruned, weight_len / 2);
+    }
+
+    #[test]
+    fn quantized_plane_lies_on_int8_grids() {
+        let (_, t) = trained();
+        let trained_plane = t.model.store().params();
+        for (spec, source_spec) in [
+            (CompressionSpec::int8(), CompressionSpec::none()),
+            (
+                CompressionSpec::pruned_int8(0.5),
+                CompressionSpec::pruned(0.5),
+            ),
+        ] {
+            let name = spec.name();
+            // The quantizer's input is the plane after any pruning.
+            let source = CompressedTower::new(&t, &source_spec);
+            let ct = CompressedTower::new(&t, &spec);
+            let (src, got) = (source.model().store(), ct.model().store());
+            assert_eq!(got.mask(), src.mask(), "{name}: mask changed");
+            let mut is_weight = vec![false; got.len()];
+            for layer in tower_layers(ct.model()) {
+                let (r, out) = (layer.weight_range(), layer.out_dim());
+                is_weight[r.as_range()].fill(true);
+                let mut scales = vec![0.0f32; out];
+                for (i, &x) in src.slice(r).iter().enumerate() {
+                    scales[i % out] = scales[i % out].max(x.abs());
+                }
+                for (i, (&x, &y)) in src.slice(r).iter().zip(got.slice(r)).enumerate() {
+                    let s = scales[i % out] / 127.0;
+                    let q = if s == 0.0 { 0.0 } else { (y / s).round() };
+                    let on_grid =
+                        q.abs() <= 127.0 && (s == 0.0 || y.to_bits() == (s * q).to_bits());
+                    assert!(on_grid, "{name}: {y} is not s·q with |q| ≤ 127 (s = {s})");
+                    // Half a step, plus f32 headroom for `w/s` and `s·q`.
+                    let moved = (y - x).abs();
+                    assert!(moved <= 0.5 * s * (1.0 + 1e-4), "{name}: {x} moved to {y}");
+                }
+            }
+            for (i, (&y, &x)) in got.params().iter().zip(trained_plane).enumerate() {
+                if got.mask().is_some_and(|m| m[i] == 0) {
+                    assert_eq!(y, 0.0, "{name}: pruned [{i}] is nonzero");
+                }
+                // Biases, layer norms, and φ are the trained plane, bitwise.
+                if !is_weight[i] {
+                    assert_eq!(y.to_bits(), x.to_bits(), "{name}: non-weight [{i}] moved");
+                }
+            }
+        }
     }
 
     #[test]

@@ -293,28 +293,6 @@ impl PitotModel {
         &self.fp
     }
 
-    /// The concatenated tower inputs (`[features | φ]`) both towers read —
-    /// the matrices [`PitotModel::infer_towers`] feeds through the MLPs.
-    /// Exposed so compressed inference paths can run alternative tower
-    /// implementations (e.g. int8) over the exact same inputs.
-    pub fn tower_inputs(&self, dataset: &Dataset) -> (Matrix, Matrix) {
-        let mut input_w = Matrix::zeros(0, 0);
-        let mut input_p = Matrix::zeros(0, 0);
-        Self::tower_input_into(
-            &dataset.workload_features,
-            self.phi_w(),
-            self.config.use_workload_features,
-            &mut input_w,
-        );
-        Self::tower_input_into(
-            &dataset.platform_features,
-            self.phi_p(),
-            self.config.use_platform_features,
-            &mut input_p,
-        );
-        (input_w, input_p)
-    }
-
     /// The flat parameter plane, mutably (the optimizer's single block).
     pub fn params_mut(&mut self) -> &mut [f32] {
         self.store.params_mut()

@@ -1,5 +1,5 @@
 //! Compressed-towers quickstart: walk the compression ladder — dense,
-//! int8-quantized, magnitude-pruned, pruned+int8 — recalibrate the
+//! int8-quantized weights, magnitude-pruned, pruned+int8 — recalibrate the
 //! conformal layer on each compressed model's own residuals, and watch
 //! coverage hold at every level while the interval width absorbs the
 //! compression error. A stale arm (compressed predictions under the
@@ -10,8 +10,9 @@
 //! ```
 //!
 //! The final line prints `digest=<16 hex digits>` — an FNV-1a hash of
-//! every served bound across every level. The int8 kernels accumulate in
-//! exact i32 arithmetic, so the digest is bitwise identical regardless of
+//! every served bound across every level. Compression rounds and masks the
+//! f32 weight plane before inference, so every level runs the dense
+//! tower path and the digest is bitwise identical regardless of
 //! `PITOT_THREADS`; CI runs this example twice at different thread counts
 //! and diffs the two lines.
 

@@ -34,6 +34,56 @@ use pitot_experiments::{Figure, Harness, Scale};
 use std::path::PathBuf;
 use std::time::Instant;
 
+/// One runnable command: its name, whether `all` includes it, and the
+/// figures it produces.
+type Command = (&'static str, bool, fn(&Harness) -> Vec<Figure>);
+
+/// Every command, in the order `all` runs them. `stats` and `wcet` are
+/// runnable by name but left out of `all` and `--help`.
+const COMMANDS: &[Command] = &[
+    ("fig1", true, |h| vec![dataset_report::fig1(h)]),
+    ("table2", true, |h| vec![dataset_report::table2(h)]),
+    ("stats", false, |h| vec![dataset_report::stats(h)]),
+    ("table3", true, |h| vec![dataset_report::table3(h)]),
+    ("fig4a", true, |h| vec![ablations::fig4a(h)]),
+    ("fig4b", true, |h| vec![ablations::fig4b(h)]),
+    ("fig4c", true, |h| vec![ablations::fig4c(h)]),
+    ("fig4d", true, |h| vec![ablations::fig4d(h)]),
+    ("fig5", true, |h| vec![uncertainty::fig5(h)]),
+    ("fig6a", true, |h| vec![baseline_cmp::fig6a(h)]),
+    ("fig6b", true, |h| vec![uncertainty::fig6b(h)]),
+    ("fig8", true, |h| vec![uncertainty::fig8(h)]),
+    ("wcet", false, |h| vec![uncertainty::wcet_extension(h)]),
+    ("fig10", true, |h| {
+        hyperparams::Sweep::ALL
+            .iter()
+            .map(|s| hyperparams::fig10_row(h, *s))
+            .collect()
+    }),
+    ("fig11", true, |h| vec![uncertainty::fig11(h)]),
+    ("fig7", true, |h| vec![embeddings::fig7(h)]),
+    ("fig12", true, |h| {
+        vec![embeddings::fig12bc(h), embeddings::fig12d(h)]
+    }),
+    ("summary", true, |h| vec![baseline_cmp::summary(h)]),
+    ("orchestration", true, |h| {
+        vec![orchestration::ext_orchestration(h)]
+    }),
+    ("shift", true, |h| vec![shift::ext_shift(h)]),
+    ("online", true, |h| vec![online::ext_online(h)]),
+    ("serving", true, |h| vec![serving::ext_serving(h)]),
+    ("fleet", true, |h| vec![fleet::ext_fleet(h)]),
+    ("chaos", true, |h| vec![chaos::ext_chaos(h)]),
+    ("poison", true, |h| vec![poison::ext_poison(h)]),
+    ("compress", true, |h| vec![compress::ext_compress(h)]),
+    ("sched", true, |h| vec![sched::ext_sched(h)]),
+    ("conformal", true, |h| {
+        vec![conformal_variants::ext_conformal_variants(h)]
+    }),
+    ("optimizer", true, |h| vec![optimizer_cmp::ext_optimizer(h)]),
+    ("baselines", true, |h| vec![baselines_ext::ext_baselines(h)]),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Fast;
@@ -59,6 +109,19 @@ fn main() {
         eprintln!("no command given; try `pitot-repro all` or `--help`");
         std::process::exit(2);
     }
+    // Resolve every command before the (slow) harness build, so a typo
+    // fails fast and non-zero.
+    let mut selected: Vec<&Command> = Vec::new();
+    for cmd in &commands {
+        if cmd == "all" {
+            selected.extend(COMMANDS.iter().filter(|(_, in_all, _)| *in_all));
+        } else if let Some(c) = COMMANDS.iter().find(|(name, ..)| name == cmd) {
+            selected.push(c);
+        } else {
+            eprintln!("unknown command `{cmd}`; see --help");
+            std::process::exit(2);
+        }
+    }
 
     let t0 = Instant::now();
     eprintln!("building harness ({scale:?})…");
@@ -72,89 +135,9 @@ fn main() {
     );
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
-    let all = [
-        "fig1",
-        "table2",
-        "table3",
-        "fig4a",
-        "fig4b",
-        "fig4c",
-        "fig4d",
-        "fig5",
-        "fig6a",
-        "fig6b",
-        "fig8",
-        "fig10",
-        "fig11",
-        "fig7",
-        "fig12",
-        "summary",
-        "orchestration",
-        "shift",
-        "online",
-        "serving",
-        "fleet",
-        "chaos",
-        "poison",
-        "compress",
-        "sched",
-        "conformal",
-        "optimizer",
-        "baselines",
-    ];
-    let expanded: Vec<String> = commands
-        .iter()
-        .flat_map(|c| {
-            if c == "all" {
-                all.iter().map(|s| s.to_string()).collect()
-            } else {
-                vec![c.clone()]
-            }
-        })
-        .collect();
-
-    for cmd in expanded {
+    for (_, _, run) in selected {
         let t = Instant::now();
-        let figures: Vec<Figure> = match cmd.as_str() {
-            "fig1" => vec![dataset_report::fig1(&harness)],
-            "table2" => vec![dataset_report::table2(&harness)],
-            "stats" => vec![dataset_report::stats(&harness)],
-            "table3" => vec![dataset_report::table3(&harness)],
-            "fig4a" => vec![ablations::fig4a(&harness)],
-            "fig4b" => vec![ablations::fig4b(&harness)],
-            "fig4c" => vec![ablations::fig4c(&harness)],
-            "fig4d" => vec![ablations::fig4d(&harness)],
-            "fig5" => vec![uncertainty::fig5(&harness)],
-            "fig6a" => vec![baseline_cmp::fig6a(&harness)],
-            "fig6b" => vec![uncertainty::fig6b(&harness)],
-            "fig8" => vec![uncertainty::fig8(&harness)],
-            "wcet" => vec![uncertainty::wcet_extension(&harness)],
-            "fig10" => hyperparams::Sweep::ALL
-                .iter()
-                .map(|s| hyperparams::fig10_row(&harness, *s))
-                .collect(),
-            "fig11" => vec![uncertainty::fig11(&harness)],
-            "fig7" => vec![embeddings::fig7(&harness)],
-            "fig12" => vec![embeddings::fig12bc(&harness), embeddings::fig12d(&harness)],
-            "summary" => vec![baseline_cmp::summary(&harness)],
-            "orchestration" => vec![orchestration::ext_orchestration(&harness)],
-            "baselines" => vec![baselines_ext::ext_baselines(&harness)],
-            "shift" => vec![shift::ext_shift(&harness)],
-            "online" => vec![online::ext_online(&harness)],
-            "serving" => vec![serving::ext_serving(&harness)],
-            "fleet" => vec![fleet::ext_fleet(&harness)],
-            "chaos" => vec![chaos::ext_chaos(&harness)],
-            "poison" => vec![poison::ext_poison(&harness)],
-            "compress" => vec![compress::ext_compress(&harness)],
-            "sched" => vec![sched::ext_sched(&harness)],
-            "conformal" => vec![conformal_variants::ext_conformal_variants(&harness)],
-            "optimizer" => vec![optimizer_cmp::ext_optimizer(&harness)],
-            other => {
-                eprintln!("unknown command `{other}`; see --help");
-                continue;
-            }
-        };
-        for fig in figures {
+        for fig in run(&harness) {
             fig.print();
             let path = out_dir.join(format!("{}.json", fig.id));
             let json = serde_json::to_string_pretty(&fig).expect("serialize figure");

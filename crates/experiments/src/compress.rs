@@ -1,11 +1,11 @@
 //! Compressed inference towers with conformal compensation (extension).
 //!
 //! The serving stack can run its frozen tower caches compressed —
-//! magnitude-pruned weights, int8 per-row quantized tower matmuls, or both
-//! ([`pitot::CompressionSpec`]). Compression perturbs every prediction, so
-//! the question this experiment answers is the one that matters for the
-//! paper's calibration promise: **does the conformal machinery keep its
-//! coverage guarantee over a compressed model?**
+//! magnitude-pruned weights, weights rounded to per-output-channel int8
+//! grids, or both ([`pitot::CompressionSpec`]). Compression perturbs
+//! every prediction, so the question this experiment answers is the one
+//! that matters for the paper's calibration promise: **does the conformal
+//! machinery keep its coverage guarantee over a compressed model?**
 //!
 //! The answer is yes, *provided calibration is refit on the compressed
 //! model's own residuals*: conformal validity needs only exchangeability
@@ -28,8 +28,9 @@
 //!   warns against.
 //!
 //! The per-level notes record the memory side of the tradeoff
-//! ([`pitot::CompressedTower::weight_bytes`]); wall-clock throughput for
-//! the same kernels is measured by `crates/bench/benches/compress.rs`
+//! ([`pitot::CompressedTower::weight_bytes`], the size in an int8 or sparse
+//! deployment format); wall-clock serving throughput and cache-build cost
+//! per level are measured by `crates/bench/benches/compress.rs`
 //! (`BENCH_compress.json`). Runs are replayable: a per-level FNV-1a
 //! digest over every served bound is bitwise-stable across
 //! `PITOT_THREADS` (diffed in CI via the `compress` example).

@@ -35,19 +35,15 @@
 #![deny(missing_docs)]
 
 pub mod alloc_count;
-// The kernel layer and its thread pool are the workspace's only sanctioned
+// The kernel layer and its thread pool are this crate's only sanctioned
 // `unsafe`: lending disjoint output-row windows to pool workers. Everything
-// else in the tree stays under the workspace-wide `unsafe_code = "deny"`.
+// else in the crate stays under the workspace-wide `unsafe_code = "deny"`.
 #[allow(unsafe_code)]
 pub mod kernels;
 mod matrix;
 mod ops;
 #[allow(unsafe_code)]
 pub mod par;
-// The int8 kernels share the kernel layer's sanctioned-unsafe budget: the
-// same disjoint-row-window lending plus runtime-dispatched AVX2 clones.
-#[allow(unsafe_code)]
-pub mod quant;
 pub mod reference;
 mod scratch;
 mod solve;
@@ -56,7 +52,6 @@ mod stats;
 pub use kernels::{adamax_update, axpy_fanout, scale_add};
 pub use matrix::{fill_randn, MatRef, Matrix};
 pub use ops::{axpy_slice, dot};
-pub use quant::{matmul_q_into, matmul_transpose_q_into, QuantizedMatrix, MAX_QUANT_K};
 pub use scratch::Scratch;
 pub use solve::{cholesky, solve_spd, solve_spd_multi};
 pub use stats::{

@@ -6,7 +6,6 @@
 //! glance. They allocate their outputs and are O(m·k·n) with poor cache
 //! behaviour; never call them from production paths.
 
-use crate::quant::QuantizedMatrix;
 use crate::Matrix;
 
 /// `a · b` by the textbook i-j-k triple loop.
@@ -76,47 +75,6 @@ pub fn adamax_update(
         u[i] = (beta2 * u[i]).max(g[i].abs());
         p[i] -= lr_t * m[i] / (u[i] + eps);
     }
-}
-
-/// Scalar symmetric per-row quantization of one row — the oracle for
-/// [`crate::quant::QuantizedMatrix`]'s packing: scale `max|x|/127` (zero
-/// for an all-zero row), values `round(x/s)` clamped to `[-127, 127]`.
-pub fn quantize_row(row: &[f32]) -> (Vec<i8>, f32) {
-    let max = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    if max == 0.0 {
-        return (vec![0; row.len()], 0.0);
-    }
-    let scale = max / 127.0;
-    let q = row
-        .iter()
-        .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-        .collect();
-    (q, scale)
-}
-
-/// Quantized row-against-row product by the textbook triple loop with an
-/// i32 accumulator — the bitwise oracle for [`crate::quant::matmul_q_into`]
-/// and [`crate::quant::matmul_transpose_q_into`] (integer accumulation is
-/// exact, so the production kernels must match this *exactly*, not within
-/// a tolerance).
-///
-/// # Panics
-///
-/// Panics if the stored column (dot) dimensions disagree.
-pub fn matmul_q(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Matrix {
-    assert_eq!(a.cols(), b.cols(), "reference matmul_q shape mismatch");
-    let (m, n) = (a.rows(), b.rows());
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0i32;
-            for (&x, &y) in a.qrow(i).iter().zip(b.qrow(j)) {
-                acc += i32::from(x) * i32::from(y);
-            }
-            out[(i, j)] = (acc as f32) * (a.scales()[i] * b.scales()[j]);
-        }
-    }
-    out
 }
 
 /// Scalar fused fan-out oracle: `sum += src` and `dst += alpha·x`,

@@ -7,7 +7,7 @@
 //! enough for f32 re-association headroom even though today's kernels are
 //! bitwise order-preserving.
 
-use pitot_linalg::{reference, MatRef, Matrix, QuantizedMatrix};
+use pitot_linalg::{reference, MatRef, Matrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -207,120 +207,6 @@ proptest! {
             // (a wrong coefficient shifts results by ≥1e-2).
             prop_assert!((g - want).abs() <= 2e-4 * (1.0 + want.abs()), "gelu'({x})");
         }
-    }
-
-    /// Int8 round trip: rounding loses at most half a quantization step
-    /// per element (`|x − s·q| ≤ s/2`, the bound documented in
-    /// `pitot_linalg::quant`), and the stored codes match the scalar
-    /// reference quantizer exactly.
-    #[test]
-    fn quantize_round_trip_stays_within_half_a_step(
-        rows in 0usize..10, cols in 0usize..48, seed in 0u64..10_000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let m = Matrix::randn(rows, cols, &mut rng);
-        let q = QuantizedMatrix::from_rows(m.view());
-        let back = q.dequantize();
-        for i in 0..rows {
-            let s = q.scales()[i];
-            let (want_q, want_s) = reference::quantize_row(m.row(i));
-            prop_assert_eq!(s.to_bits(), want_s.to_bits(), "row {} scale", i);
-            prop_assert_eq!(q.qrow(i), &want_q[..], "row {} codes", i);
-            for (x, y) in m.row(i).iter().zip(back.row(i)) {
-                prop_assert!(
-                    (x - y).abs() <= 0.5 * s + 1e-7,
-                    "round trip {} vs {} exceeds s/2 = {}", x, y, 0.5 * s
-                );
-            }
-        }
-    }
-
-    /// The quantized product tracks the f32 scalar oracle within the
-    /// accumulated per-term bound `Σ_p (|a_p|·εb + |b_p|·εa + εa·εb)` with
-    /// `εa = sa/2`, `εb = sb/2` — the dot-product bound documented in
-    /// `pitot_linalg::quant`. Shape ranges include empty, 1×1, tall, and
-    /// wide classes.
-    #[test]
-    fn quantized_matmul_tracks_f32_oracle_within_accumulated_bound(
-        m in 0usize..10, k in 0usize..64, n in 0usize..12, seed in 0u64..10_000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = Matrix::randn(m, k, &mut rng);
-        let b = Matrix::randn(k, n, &mut rng);
-        let qa = QuantizedMatrix::from_rows(a.view());
-        let qb = QuantizedMatrix::from_cols(b.view());
-        let mut got = Matrix::full(3, 3, f32::NAN);
-        pitot_linalg::matmul_q_into(&qa, &qb, &mut got);
-        let want = reference::matmul(&a, &b);
-        prop_assert_eq!(got.shape(), want.shape());
-        for i in 0..m {
-            let ea = 0.5 * qa.scales()[i];
-            for j in 0..n {
-                let eb = 0.5 * qb.scales()[j];
-                let bound: f32 = (0..k)
-                    .map(|p| a.row(i)[p].abs() * eb + b.row(p)[j].abs() * ea + ea * eb)
-                    .sum();
-                let err = (got[(i, j)] - want[(i, j)]).abs();
-                // Small f32 headroom: the bound itself is accumulated in
-                // f32 and the oracle rounds once per term.
-                prop_assert!(
-                    err <= bound * (1.0 + 1e-4) + 1e-6,
-                    "({},{}): err {} exceeds accumulated bound {}", i, j, err, bound
-                );
-            }
-        }
-    }
-
-    /// Both quantized entry points are bitwise identical to the naive
-    /// integer oracle — exact i32 accumulation leaves no room for dispatch
-    /// (scalar vs AVX2) or partitioning differences.
-    #[test]
-    fn quantized_products_are_bitwise_identical_to_integer_oracle(
-        m in 0usize..10, k in 0usize..80, n in 0usize..12, seed in 0u64..10_000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = Matrix::randn(m, k, &mut rng);
-        let qa = QuantizedMatrix::from_rows(a.view());
-
-        let b = Matrix::randn(k, n, &mut rng);
-        let qb = QuantizedMatrix::from_cols(b.view());
-        let mut out = Matrix::full(2, 2, f32::NAN);
-        pitot_linalg::matmul_q_into(&qa, &qb, &mut out);
-        prop_assert_eq!(out.as_slice(), reference::matmul_q(&qa, &qb).as_slice());
-
-        let bt = Matrix::randn(n, k, &mut rng);
-        let qbt = QuantizedMatrix::from_rows(bt.view());
-        pitot_linalg::matmul_transpose_q_into(&qa, &qbt, &mut out);
-        prop_assert_eq!(out.as_slice(), reference::matmul_q(&qa, &qbt).as_slice());
-    }
-
-    /// Tall/wide quantized products cross the parallel grain and the AVX2
-    /// 16-lane blocking; still bitwise against the integer oracle.
-    #[test]
-    fn tall_and_wide_quantized_shapes_stay_bitwise(
-        tall in 200usize..500, thin in 1usize..4, seed in 0u64..100,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = Matrix::randn(tall, thin, &mut rng);
-        let b = Matrix::randn(thin, 24, &mut rng);
-        let (qa, qb) = (
-            QuantizedMatrix::from_rows(a.view()),
-            QuantizedMatrix::from_cols(b.view()),
-        );
-        let mut out = Matrix::zeros(0, 0);
-        pitot_linalg::matmul_q_into(&qa, &qb, &mut out);
-        prop_assert_eq!(out.as_slice(), reference::matmul_q(&qa, &qb).as_slice());
-
-        // Shared dimension `tall` crosses the 16-lane AVX2 body + scalar
-        // tail boundary many times over.
-        let c = Matrix::randn(thin, tall, &mut rng);
-        let d = Matrix::randn(tall, thin + 2, &mut rng);
-        let (qc, qd) = (
-            QuantizedMatrix::from_rows(c.view()),
-            QuantizedMatrix::from_cols(d.view()),
-        );
-        pitot_linalg::matmul_q_into(&qc, &qd, &mut out);
-        prop_assert_eq!(out.as_slice(), reference::matmul_q(&qc, &qd).as_slice());
     }
 
     /// The fused gradient fan-out kernel is bitwise identical to the two

@@ -51,7 +51,6 @@ mod linear;
 mod loss;
 mod mlp;
 mod optim;
-mod quant;
 mod schedule;
 mod store;
 
@@ -66,6 +65,5 @@ pub use loss::{
 };
 pub use mlp::{Mlp, MlpCache};
 pub use optim::{AdaMax, Adam, Optimizer, SgdMomentum};
-pub use quant::QuantizedMlp;
 pub use schedule::LrSchedule;
 pub use store::{GradPlane, ParamRange, ParamStore, ParamStoreBuilder};

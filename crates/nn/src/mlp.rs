@@ -139,17 +139,6 @@ impl Mlp {
         &self.layers
     }
 
-    /// The optional per-hidden-layer norms (for [`crate::QuantizedMlp`],
-    /// which replays them on the f32 side of its inference path).
-    pub(crate) fn norms(&self) -> Option<&[crate::LayerNorm]> {
-        self.norms.as_deref()
-    }
-
-    /// Hidden activation function.
-    pub fn hidden_activation(&self) -> Activation {
-        self.hidden_act
-    }
-
     /// The contiguous plane window covering every parameter of this network.
     pub fn range(&self) -> ParamRange {
         self.span

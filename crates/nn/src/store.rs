@@ -276,28 +276,49 @@ impl ParamStore {
 
     /// Magnitude-prunes one window of the plane: the `⌊len·sparsity⌋`
     /// smallest-|w| parameters of `range` are marked pruned (ties broken
-    /// deterministically by index) and zeroed. Installs an all-keep mask on
-    /// first use; repeated calls on different windows compose.
+    /// deterministically by index) and every pruned parameter of the window
+    /// is zeroed. Installs an all-keep mask on first use; repeated calls on
+    /// different windows compose.
+    ///
+    /// The order is `|w|.total_cmp`, then index, selected (not sorted) over
+    /// packed `(|w| bits << 32) | index` keys: for a cleared sign bit the
+    /// f32 bit pattern orders exactly as `total_cmp`.
     ///
     /// # Panics
     ///
-    /// Panics if `sparsity` is outside `[0, 1]` or the window exceeds the
-    /// plane.
+    /// Panics if `sparsity` is outside `[0, 1]`, the window exceeds the
+    /// plane, or the window holds more than `u32::MAX` parameters.
     pub fn prune_window_by_magnitude(&mut self, range: ParamRange, sparsity: f32) {
         assert!(
             (0.0..=1.0).contains(&sparsity),
             "sparsity {sparsity} outside [0, 1]"
         );
+        assert!(
+            u32::try_from(range.len).is_ok(),
+            "window of {} parameters exceeds the u32 index of the pruning keys",
+            range.len
+        );
         let drop = ((range.len as f64) * f64::from(sparsity)).floor() as usize;
         let plane_len = self.data.len();
-        let window = &self.data[range.as_range()];
-        let mut order: Vec<usize> = (0..range.len).collect();
-        order.sort_by(|&a, &b| window[a].abs().total_cmp(&window[b].abs()).then(a.cmp(&b)));
-        let mask = self.mask.get_or_insert_with(|| vec![1; plane_len]);
-        for &i in &order[..drop] {
-            mask[range.offset + i] = 0;
+        let window = &mut self.data[range.as_range()];
+        let mut keys: Vec<u64> = window
+            .iter()
+            .enumerate()
+            .map(|(i, w)| (u64::from(w.abs().to_bits()) << 32) | i as u64)
+            .collect();
+        if 0 < drop && drop < keys.len() {
+            keys.select_nth_unstable(drop);
         }
-        self.apply_mask();
+        let mask = self.mask.get_or_insert_with(|| vec![1; plane_len]);
+        let window_mask = &mut mask[range.as_range()];
+        for &key in &keys[..drop] {
+            window_mask[key as u32 as usize] = 0;
+        }
+        // Branch-free, since the mask is data-dependent: a pruned
+        // parameter's bits are masked to +0.0.
+        for (v, &m) in window.iter_mut().zip(window_mask.iter()) {
+            *v = f32::from_bits(v.to_bits() & u32::from(m != 0).wrapping_neg());
+        }
     }
 }
 
@@ -384,6 +405,7 @@ impl GradPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -427,6 +449,61 @@ mod tests {
         assert_eq!(acc.as_slice(), &[1.0, 2.0, 1.5, 2.0]);
         acc.scale(2.0);
         assert_eq!(acc.as_slice(), &[2.0, 4.0, 3.0, 4.0]);
+    }
+
+    /// The sort-based pruning order (`|w|.total_cmp`, then index) that
+    /// selection must reproduce. Returns the window's keep mask.
+    fn sorted_keep_mask(window: &[f32], sparsity: f32) -> Vec<u8> {
+        let drop = ((window.len() as f64) * f64::from(sparsity)).floor() as usize;
+        let mut order: Vec<usize> = (0..window.len()).collect();
+        order.sort_by(|&a, &b| window[a].abs().total_cmp(&window[b].abs()).then(a.cmp(&b)));
+        let mut keep = vec![1u8; window.len()];
+        for &i in &order[..drop] {
+            keep[i] = 0;
+        }
+        keep
+    }
+
+    proptest! {
+        /// Selection-based pruning marks exactly the sort oracle's set and
+        /// zeroes exactly those entries, leaving the rest of the plane and
+        /// mask untouched. Even codes are positive and odd codes negative
+        /// with the magnitude of the code below, so duplicates, ±0.0, and
+        /// equal magnitudes of opposite sign are common; sparsity 0 and 1
+        /// run in every case.
+        #[test]
+        fn selection_pruning_matches_the_sort_oracle(
+            codes in proptest::collection::vec(0u32..48, 0..120),
+            sparsity in 0.0f32..1.0,
+            prefix in 0usize..5,
+            suffix in 0usize..5,
+        ) {
+            let window: Vec<f32> = codes
+                .iter()
+                .map(|&c| if c % 2 == 0 { 0.25 } else { -0.25 } * (c / 2) as f32)
+                .collect();
+            for s in [0.0, 1.0, sparsity] {
+                let mut b = ParamStoreBuilder::new();
+                b.alloc_full(prefix, 3.0);
+                let range = b.alloc(window.len());
+                b.alloc_full(suffix, -3.0);
+                let mut store = b.finish();
+                store.slice_mut(range).copy_from_slice(&window);
+                let before = store.params().to_vec();
+
+                store.prune_window_by_magnitude(range, s);
+                let keep = sorted_keep_mask(&window, s);
+                let mask = store.mask().unwrap();
+                prop_assert_eq!(&mask[range.as_range()], &keep[..], "sparsity {}", s);
+                for (i, (&got, &was)) in store.params().iter().zip(&before).enumerate() {
+                    let in_window = range.as_range().contains(&i);
+                    let pruned = in_window && keep[i - range.offset] == 0;
+                    let want = if pruned { 0.0f32 } else { was };
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "plane[{}]", i);
+                    prop_assert!(in_window || mask[i] == 1, "mask[{}] outside the window", i);
+                }
+            }
+        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub struct ServeConfig {
     /// the *compressed* model's residuals, so coverage holds at every
     /// level — intervals widen to absorb the compression error.
     /// Incompatible with fine-tuning: a warm-start retrain would re-grow
-    /// pruned weights and stale the frozen int8 towers.
+    /// pruned weights and move int8-rounded weights off their grids.
     pub compression: pitot::CompressionSpec,
 }
 
@@ -293,7 +293,7 @@ impl ServeConfig {
             self.compression.is_none() || self.fine_tune_steps == 0,
             "ServeConfig.fine_tune_steps = {} is invalid while compression \
              = {:?}: a warm-start fine-tune re-grows pruned weights and \
-             stales the frozen int8 towers, invalidating the compressed \
+             moves int8-rounded weights off their grids, invalidating the compressed \
              model the calibration was fit on; keep fine_tune_steps = 0 on \
              compressed servers, or serve dense \
              (compression = CompressionSpec::none()) to fine-tune",

@@ -81,13 +81,13 @@
 //!   `docs/SERVING.md`.
 //! - **Compressed inference towers.** Any replica can serve from a
 //!   compressed model ([`ServeConfig::compression`],
-//!   [`FleetConfig::compression`]): magnitude-pruned weights, int8
-//!   per-row quantized tower matmuls ([`pitot::CompressionSpec`]), or
-//!   both. Compression only swaps the frozen tower cache a replica scores
-//!   with — the conformal machinery recalibrates on the compressed
-//!   model's own residuals, so coverage is restored at every compression
-//!   level and the interval *width* absorbs the compression error
-//!   (`ext-compress` measures the trade). Compressed replicas rejoin
+//!   [`FleetConfig::compression`]): magnitude-pruned weights, weights
+//!   rounded to int8 grids ([`pitot::CompressionSpec`]), or both.
+//!   Compression only swaps the frozen tower cache a replica scores with
+//!   — the conformal machinery recalibrates on the compressed model's own
+//!   residuals, so coverage is restored at every compression level and
+//!   the interval *width* absorbs the compression error (`ext-compress`
+//!   measures the trade). Compressed replicas rejoin
 //!   crashes compressed and replay bitwise in the concurrent runtime.
 //!
 //! # Examples
