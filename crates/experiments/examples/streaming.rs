@@ -36,10 +36,12 @@ fn main() {
 
     // 2. One trace, two runtimes. Every third event is a deadline query,
     //    resolved three events later; the rest stream observations. A
-    //    crash with warm rejoin, a coordinator outage bridged by gossip,
-    //    lossy and delayed links, replayed and skewed summaries, a
-    //    Byzantine replica, and a 3% corrupt-runtime rate keep the audit
-    //    machinery honest under load.
+    //    crash with warm rejoin, a coordinator outage without gossip (long
+    //    enough for replicas to go stale and serve widened local
+    //    fallbacks), lossy and delayed links, replayed and skewed
+    //    summaries, a Byzantine replica, a 3% corrupt-runtime rate, and
+    //    outlier bursts for the miscoverage watchdog to roll back keep the
+    //    audit machinery honest under load.
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let mut stream = split.test.clone();
     stream.shuffle(&mut rng);
@@ -70,7 +72,15 @@ fn main() {
     let cfg = || {
         let mut serve = ServeConfig::guarded(0.1);
         serve.window = 128;
-        serve.watchdog_z = 0.0; // replica-local rollbacks would diverge from the snapshot
+        // The MAD screen stays warming up (`guard_min_n` above the window),
+        // so outlier bursts reach the windows and the watchdog must roll
+        // them back; staleness trips after 16 pushes without an install.
+        serve.guard_min_n = 1 << 20;
+        serve.guard_mad_k = 3.0;
+        serve.watchdog_z = 1.0;
+        serve.watchdog_min = 16;
+        serve.drift_min = 16;
+        serve.staleness_threshold = serve.drift_min;
         FleetConfig {
             serve,
             replicas: 4,
@@ -79,15 +89,17 @@ fn main() {
             compression: Vec::new(),
         }
     };
-    let plan = FaultPlan::none(0x057A_EA41)
+    let mut plan = FaultPlan::none(0x057A_EA41)
         .crash(2, 40, 120)
-        .coordinator_outage(60, 100)
+        .coordinator_outage(60, 160)
         .drop_summaries(0.15)
         .delay_summaries(0.1, 2)
         .replay_summaries(0.05)
         .skew_clocks(0.05)
         .byzantine_replica(3, 100)
-        .corrupt_observations(0.03);
+        .corrupt_observations(0.03)
+        .outlier_bursts(0.03, 3.0, 5);
+    plan.gossip_during_outage = false;
 
     // 3. The concurrent runtime: sharded replicas behind MPSC lanes,
     //    micro-batch coalescing, snapshot read path.
@@ -148,6 +160,13 @@ fn main() {
         stats.recoveries
     );
     println!(
+        "recovery paths: {} stale fallbacks ({} observations judged degraded), {} watchdog firings ({} entries purged)",
+        stats.fallback_refits,
+        stats.degraded_bounded,
+        stats.guard.watchdog_fires,
+        stats.guard.watchdog_purged
+    );
+    println!(
         "merge-path faults: {} gossip rounds, {} dropped ({} retried), {} delayed, {} replays, {} skews, {} Byzantine emissions, {} summaries rejected",
         stats.gossip_rounds,
         stats.dropped_summaries,
@@ -187,6 +206,8 @@ fn main() {
         }
     }
     assert_eq!(stats.recoveries, 1, "replica 2 must rejoin warm");
+    assert!(stats.fallback_refits > 0, "no stale fallback was installed");
+    assert!(stats.guard.watchdog_fires > 0, "the watchdog never fired");
     assert!(stats.coverage() > 0.8, "faults collapsed coverage");
     // Keep this the last line.
     println!("digest={digest:016x}");

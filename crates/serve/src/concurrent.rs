@@ -49,6 +49,12 @@
 //! - the core reads or changes a replica only once every observation
 //!   already routed to it has been judged, so every observation is judged
 //!   under the same installed calibration as on the twin;
+//! - a replica's served calibration changes only through the core's
+//!   installs at those barriers — coordinator, gossip, retry, rejoin, and
+//!   the stale-local fallback alike; a replica never refits on its own lane
+//!   (its watchdog rollback purges and leaves the refit to the next
+//!   install), so the read path, which shares each install's `Arc`, always
+//!   answers from the calibration the twin's replica serves;
 //! - shard substreams are disjoint and per-replica FIFO, so every replica
 //!   server sees the same command sequence as its simulated twin;
 //! - the degraded window an observation's feedback is credited to is fixed
@@ -56,23 +62,17 @@
 //!   closed that window still lands where the twin puts it;
 //! - batched prediction is bitwise-identical to a batch of one (a pinned
 //!   workspace property), so coalescing cannot perturb a single bit.
-//!
-//! Two replica-local recovery paths stay on the simulated twin: the
-//! staleness fallback and the miscoverage watchdog change a replica's
-//! served calibration on its lane between barriers, where the read path
-//! could not see it without blocking, so [`ConcurrentConfig::validate`]
-//! rejects both.
 
 use crate::config::FleetConfig;
 use crate::control::{FleetControl, Replicas};
 use crate::fault::{DegradedWindow, FaultPlan, RejectedSummary};
 use crate::fleet::{AdmissionOutcome, DeadlineQuery, FleetServer, FleetStats};
-use crate::server::{ObservedFeedback, PitotServer, Prediction};
+use crate::server::{self, ObservedFeedback, PitotServer, Prediction, Served};
 use crate::snapshot::{SeqLock, SnapshotCell};
 use pitot::{TowerCache, TrainedPitot};
 use pitot_conformal::PooledConformal;
 use pitot_linalg::par::{EventQueue, Gauge};
-use pitot_testbed::{Dataset, Observation, MAX_INTERFERERS};
+use pitot_testbed::{Dataset, Observation};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One event of a serving trace — the common input language of the
@@ -143,8 +143,8 @@ pub fn run_trace_simulated(
 #[derive(Debug, Clone)]
 pub struct ConcurrentConfig {
     /// Fleet semantics (replicas, per-replica serving config, merge
-    /// cadence, admission policy). Constraints beyond
-    /// [`FleetConfig::validate`] apply — see [`ConcurrentConfig::validate`].
+    /// cadence, admission policy) — every config the simulated
+    /// [`FleetServer`] accepts.
     pub fleet: FleetConfig,
     /// Lane worker threads. `None` (the default) uses
     /// `min(replicas, pitot_linalg::par::threads())`; `Some(1)` forces the
@@ -174,13 +174,8 @@ impl ConcurrentConfig {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid fleet config ([`FleetConfig::validate`]), a
-    /// zero worker override, a nonzero staleness threshold (the stale-local
-    /// fallback swaps a replica's served calibration on its lane between
-    /// barriers, which the snapshot read path would never see — staleness
-    /// remains a simulated-twin scenario), or an armed miscoverage watchdog
-    /// (its rollback refits a replica-local calibration between merges,
-    /// which the snapshot read path would never see either).
+    /// Panics on an invalid fleet config ([`FleetConfig::validate`]) or a
+    /// zero worker override.
     pub fn validate(&self) {
         self.fleet.validate();
         assert!(
@@ -188,26 +183,6 @@ impl ConcurrentConfig {
             "ConcurrentConfig.workers = Some(0) is invalid: the runtime \
              needs at least one lane worker; use Some(1) for the inline \
              single-threaded mode or None for automatic sizing"
-        );
-        assert!(
-            self.fleet.serve.staleness_threshold == 0,
-            "ConcurrentConfig.fleet.serve.staleness_threshold = {} is not \
-             supported by the concurrent runtime: deadline queries are \
-             answered from the fleet calibration snapshot, so a \
-             replica-local stale fallback could never be served and the \
-             deterministic twin would diverge; use staleness_threshold = 0 \
-             here and study staleness on the simulated FleetServer",
-            self.fleet.serve.staleness_threshold
-        );
-        assert!(
-            self.fleet.serve.watchdog_z == 0.0,
-            "ConcurrentConfig.fleet.serve.watchdog_z = {} is not supported \
-             by the concurrent runtime: a watchdog rollback refits a \
-             replica-local calibration between merges, which the lock-free \
-             snapshot read path would never observe; use watchdog_z = 0.0 \
-             here (the ingest guard and MAD screen stay available) and \
-             study the watchdog on the simulated FleetServer",
-            self.fleet.serve.watchdog_z
         );
     }
 }
@@ -254,7 +229,6 @@ pub struct LaneProgress {
 struct ReadState {
     trained: TrainedPitot,
     towers: Vec<TowerCache>,
-    pool_by_arity: bool,
 }
 
 /// Shared per-lane plumbing between ingress, worker, and coordinator.
@@ -283,7 +257,7 @@ struct LanePlane {
     shards: Arc<Vec<Mutex<PitotServer>>>,
     read: Arc<ReadState>,
     /// Per replica: the calibration it serves, as the read path sees it.
-    snapshots: Vec<SnapshotCell<PooledConformal>>,
+    snapshots: Vec<SnapshotCell<Served>>,
     /// Scratch batch for the inline (single-worker) mode.
     inline_batch: Vec<ShardCmd>,
 }
@@ -446,12 +420,12 @@ impl LanePlane {
         all
     }
 
-    /// The lock-free read path: score the query against the answering
-    /// replica's immutable tower cache (compressed replicas answer with
-    /// their compressed towers, exactly as the twin's `query_now` does)
-    /// and bound it with that replica's calibration snapshot — no shard
-    /// lock, no queue, no waiting on writers.
-    fn predict(&self, replica: usize, q: &DeadlineQuery) -> Prediction {
+    /// The lock-free read path: score the query in `pool` against the
+    /// answering replica's immutable tower cache (compressed replicas
+    /// answer with their compressed towers, exactly as the twin's
+    /// `query_now` does) and bound it with that replica's calibration
+    /// snapshot — no shard lock, no queue, no waiting on writers.
+    fn predict(&self, replica: usize, q: &DeadlineQuery, pool: usize) -> Prediction {
         let obs = Observation {
             workload: q.workload,
             platform: q.platform,
@@ -463,25 +437,8 @@ impl LanePlane {
             .trained
             .predict_log_runtime_cached(&self.read.towers[replica], &[&obs]);
         let head_preds: Vec<f32> = preds.iter().map(|h| h[0]).collect();
-        let pool = if self.read.pool_by_arity {
-            q.interferers.len().min(MAX_INTERFERERS)
-        } else {
-            0
-        };
-        let point = head_preds[0];
-        let bound = match self.snapshots[replica].load() {
-            Some(c) => c.bound_log(&head_preds, pool),
-            None => *head_preds.last().expect("at least one head"),
-        };
-        Prediction {
-            id: 0,
-            point_s: point.exp(),
-            bound_s: bound.exp(),
-            pool,
-            // Staleness tracking is validated off, so the twin's replicas
-            // never serve degraded either.
-            degraded: false,
-        }
+        let served = self.snapshots[replica].load();
+        server::prediction(served.as_deref(), 0, &head_preds, pool)
     }
 }
 
@@ -497,9 +454,9 @@ impl Replicas for LanePlane {
         old
     }
 
-    fn install(&mut self, r: usize, conformal: Arc<PooledConformal>) {
-        self.shard(r).install_calibration((*conformal).clone());
-        self.snapshots[r].store(conformal);
+    fn install(&mut self, r: usize, served: Arc<Served>) {
+        self.shard(r).install(Arc::clone(&served));
+        self.snapshots[r].store(served);
     }
 }
 
@@ -545,7 +502,6 @@ impl ConcurrentFleet {
                     trained.compressed_tower_cache(dataset, &core.config().replica_compression(r))
                 })
                 .collect(),
-            pool_by_arity: core.config().serve.pool_by_arity,
             trained,
         });
         let n_lanes = if workers > 1 { workers } else { 1 };
@@ -643,8 +599,8 @@ impl ConcurrentFleet {
             shard.seed_calibration(set);
             // The seeded local fit is what the replica serves until the
             // merge below (or a later one) installs over it.
-            if let Some(c) = shard.conformal() {
-                self.plane.snapshots[r].store(Arc::new(c.clone()));
+            if let Some(served) = shard.served() {
+                self.plane.snapshots[r].store(Arc::clone(served));
             }
         }
         self.core.merge_now(&mut self.plane);
@@ -683,9 +639,10 @@ impl ConcurrentFleet {
                     }
                 }
                 TraceEvent::Deadline(q) => {
-                    let plane = &self.plane;
+                    let (plane, core) = (&self.plane, &mut self.core);
+                    let pool = core.config().serve.pool_key(q.interferers.len());
                     self.ingress_queries += 1;
-                    TraceOutcome::Decided(self.core.deadline_query(q, |r| plane.predict(r, q)))
+                    TraceOutcome::Decided(core.deadline_query(q, |r| plane.predict(r, q, pool)))
                 }
                 TraceEvent::Resolve { id, realized_s } => {
                     TraceOutcome::Resolved(self.core.resolve(*id, *realized_s))
@@ -738,7 +695,9 @@ impl ConcurrentFleet {
     /// The currently installed fleet-level calibration — comparable to
     /// [`FleetServer::fleet_conformal`].
     pub fn fleet_conformal(&self) -> Option<Arc<PooledConformal>> {
-        self.core.fleet_conformal().cloned()
+        self.core
+            .fleet_conformal()
+            .map(|c| Arc::new(c.conformal.clone()))
     }
 
     /// Live per-lane progress counters, read lock-free off each lane's
@@ -792,35 +751,5 @@ mod tests {
         });
         assert!(m.contains("ConcurrentConfig.workers = Some(0)"), "{m}");
         assert!(m.contains("Some(1)"), "alternative: {m}");
-    }
-
-    #[test]
-    fn validation_rejects_staleness_tracking() {
-        let m = message(|| {
-            let mut c = cfg(2);
-            c.fleet.serve.staleness_threshold = 64;
-            c.validate();
-        });
-        assert!(
-            m.contains("ConcurrentConfig.fleet.serve.staleness_threshold = 64"),
-            "field + value: {m}"
-        );
-        assert!(m.contains("staleness_threshold = 0"), "fix: {m}");
-        assert!(m.contains("simulated FleetServer"), "alternative: {m}");
-    }
-
-    #[test]
-    fn validation_rejects_watchdog() {
-        let m = message(|| {
-            let mut c = cfg(2);
-            c.fleet.serve.ingest_guard = true;
-            c.fleet.serve.watchdog_z = 4.0;
-            c.validate();
-        });
-        assert!(
-            m.contains("ConcurrentConfig.fleet.serve.watchdog_z = 4"),
-            "field + value: {m}"
-        );
-        assert!(m.contains("watchdog_z = 0.0"), "fix: {m}");
     }
 }

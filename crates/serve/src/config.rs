@@ -17,6 +17,9 @@ pub struct ServeConfig {
     /// Conformal refresh cadence: refit the served calibration after this
     /// many observations (1 = every arrival; refreshes are rank lookups
     /// over the incrementally maintained window, so 1 is affordable).
+    /// `usize::MAX` leaves every refresh to an outside installer, as fleet
+    /// replicas do: the server then also skips the refit after a watchdog
+    /// rollback.
     pub refresh_every: usize,
     /// Queries buffered before a batched prediction pass answers them all.
     pub microbatch: usize,
@@ -54,15 +57,15 @@ pub struct ServeConfig {
     /// since the last build; between rebuilds, fine-tunes are pure
     /// [`pitot::TrainContext::resume`] calls.
     pub rebuild_growth: f32,
-    /// Staleness tolerance of an installed calibration, in local window
-    /// pushes (the eviction clock): once more than this many observations
-    /// arrive after an [`crate::PitotServer::install_calibration`] /
-    /// refresh without a newer install, the server degrades to a local
-    /// fallback calibration fit on its own window at the widened
-    /// miscoverage `epsilon × stale_epsilon_factor`. `0` (the default)
-    /// disables staleness tracking — the installed calibration is trusted
-    /// forever. Only meaningful when installs come from outside (fleet
-    /// mode); a self-refreshing server never goes stale.
+    /// Fleet replicas' staleness tolerance of a served calibration, in
+    /// local window pushes (the eviction clock): at the first merge tick
+    /// after more than this many observations arrive without a newer
+    /// install, the fleet degrades the replica to a fallback calibration
+    /// fit on its own window at the widened miscoverage
+    /// `epsilon × stale_epsilon_factor`, and refits the fallback whenever
+    /// it grows as old. `0` (the default) disables staleness tracking —
+    /// the installed calibration is trusted forever. A standalone
+    /// [`crate::PitotServer`] ignores it.
     pub staleness_threshold: usize,
     /// Miscoverage multiplier of the stale-fallback calibration, in
     /// `(0, 1]`: the fallback fits at `epsilon × stale_epsilon_factor`,
@@ -94,8 +97,10 @@ pub struct ServeConfig {
     /// Miscoverage watchdog: fires when prequential coverage over the
     /// drift window falls below `1 − ε − watchdog_z·√(ε(1−ε)/n)`,
     /// triggering a quarantine-rollback rescore of the calibration window
-    /// (poisoned entries are purged by the MAD screen and the rebuilt
-    /// window's clock advances past every poisoned snapshot). `0.0` (the
+    /// (poisoned entries are purged by the MAD screen, the rebuilt
+    /// window's clock advances past every poisoned snapshot, and the
+    /// served calibration is refit on it — by the fleet's next install, on
+    /// a fleet replica). `0.0` (the
     /// default) disables the watchdog. Requires the ingest guard and MAD
     /// screen to be enabled. Typical: 4.0 — strictly wider slack than
     /// `drift_z` so model drift retrains before poisoning rolls back.
@@ -300,6 +305,15 @@ impl ServeConfig {
             self.fine_tune_steps,
             self.compression.level,
         );
+    }
+
+    /// The calibration pool of an observation with `arity` interferers.
+    pub(crate) fn pool_key(&self, arity: usize) -> usize {
+        if self.pool_by_arity {
+            arity.min(pitot_testbed::MAX_INTERFERERS)
+        } else {
+            0
+        }
     }
 }
 

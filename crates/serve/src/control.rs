@@ -2,11 +2,11 @@
 //!
 //! [`FleetControl`] makes every control decision of a replicated fleet: the
 //! fault clock with crashes and warm rejoins, data-fault injection,
-//! coordinator, gossip, retry and delay rounds, the summary screens with
-//! their reject and degraded-window audits, failover routing, admission and
-//! resolve bookkeeping, the fleet fit, and the stats fold. It runs on the
-//! caller's thread, so every seeded RNG draw and every calibration install
-//! happens in one fixed order.
+//! coordinator, gossip, retry and delay rounds, the stale-local fallback,
+//! the summary screens with their reject and degraded-window audits,
+//! failover routing, admission and resolve bookkeeping, the fleet fit, and
+//! the stats fold. It runs on the caller's thread, so every seeded RNG draw
+//! and every calibration install happens in one fixed order.
 //!
 //! An executor owns only its data plane, and the core reaches replicas
 //! through the three operations of [`Replicas`]: borrow replica `r`
@@ -14,7 +14,10 @@
 //! [`crate::FleetServer`] implements them over a plain vector of servers;
 //! [`crate::ConcurrentFleet`] implements them over its lane shards, waiting
 //! at `r`'s lane barrier first so every observation already routed to `r`
-//! is judged before the core reads or changes it. Both executors run this
+//! is judged before the core reads or changes it. Every change to a
+//! replica's served calibration is such an install: a replica never refits
+//! on its own (its refresh cadence is `usize::MAX`, and its watchdog
+//! rollback leaves the refit to the next install). Both executors run this
 //! one code path, which is why the concurrent runtime is the simulated
 //! fleet's bitwise twin for every [`FaultPlan`].
 
@@ -22,7 +25,7 @@ use crate::admission::AdmissionQueue;
 use crate::config::FleetConfig;
 use crate::fault::{DegradedCause, DegradedWindow, FaultPlan, RejectCause, RejectedSummary};
 use crate::fleet::{AdmissionOutcome, DeadlineQuery, FleetServer, FleetStats};
-use crate::server::{ObservedFeedback, PitotServer, Prediction};
+use crate::server::{ObservedFeedback, PitotServer, Prediction, Served};
 use pitot::TrainedPitot;
 use pitot_conformal::{MergeableWindow, PooledConformal, PredictionSet, TamperMode};
 use pitot_testbed::{Dataset, Observation};
@@ -45,9 +48,9 @@ pub(crate) trait Replicas {
     /// is quiesced, returning the instance it replaced.
     fn replace(&mut self, r: usize, server: PitotServer) -> PitotServer;
 
-    /// Installs `conformal` as replica `r`'s served calibration once it is
+    /// Installs `served` as replica `r`'s served calibration once it is
     /// quiesced.
-    fn install(&mut self, r: usize, conformal: Arc<PooledConformal>);
+    fn install(&mut self, r: usize, served: Arc<Served>);
 }
 
 impl Replicas for Vec<PitotServer> {
@@ -59,8 +62,8 @@ impl Replicas for Vec<PitotServer> {
         std::mem::replace(&mut self[r], server)
     }
 
-    fn install(&mut self, r: usize, conformal: Arc<PooledConformal>) {
-        self[r].install_calibration(Arc::unwrap_or_clone(conformal));
+    fn install(&mut self, r: usize, served: Arc<Served>) {
+        self[r].install(served);
     }
 }
 
@@ -171,7 +174,6 @@ fn fold_replica(s: &mut FleetStats, server: &PitotServer) {
     s.bounded += rs.bounded;
     s.degraded_bounded += rs.degraded_bounded;
     s.degraded_covered += rs.degraded_covered;
-    s.fallback_refits += rs.fallback_refits;
     s.guard = s.guard.merged(&server.guard_stats());
 }
 
@@ -180,7 +182,7 @@ pub(crate) struct FleetControl {
     cfg: FleetConfig,
     /// The coordinator's converged view of every replica window.
     merged: MergeableWindow,
-    fleet_conformal: Option<Arc<PooledConformal>>,
+    fleet_conformal: Option<Arc<Served>>,
     admission: AdmissionQueue,
     xis: Vec<f32>,
     since_merge: usize,
@@ -249,9 +251,9 @@ impl FleetControl {
     }
 
     /// A fresh server for replica `r`. Its local refresh cadence is
-    /// overridden to "never": the coordinator owns every calibration
-    /// refresh, so replicas serve exactly the fleet-level bounds between
-    /// merges.
+    /// overridden to "never": the core owns every calibration refresh, so
+    /// a replica serves exactly what the core last installed — its watchdog
+    /// rollback does not refit either.
     pub(crate) fn replica_server(
         &self,
         r: usize,
@@ -543,20 +545,56 @@ impl FleetControl {
     /// entirely (the fleet calibration clock stood still; counted in
     /// [`FleetStats::skipped_installs`]). During a coordinator outage the
     /// round degrades to pairwise gossip when the plan enables it, or does
-    /// nothing beyond resetting the cadence.
+    /// nothing beyond resetting the cadence. Either way the tick ends with
+    /// the stale-local fallback (see [`FleetControl::refit_stale`]).
     pub(crate) fn merge_now(&mut self, reps: &mut impl Replicas) {
         self.since_merge = 0;
-        if self.coordinator_down() {
-            if self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.plan.gossip_during_outage)
-            {
-                self.gossip_round(reps);
-            }
+        if !self.coordinator_down() {
+            self.coordinator_round(reps);
+        } else if self
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.plan.gossip_during_outage)
+        {
+            self.gossip_round(reps);
+        }
+        self.refit_stale(reps);
+    }
+
+    /// Rung 3 of the degradation ladder: every live replica whose served
+    /// calibration is more than [`crate::ServeConfig::staleness_threshold`]
+    /// window pushes old gets a fallback fit on its own window at the
+    /// widened miscoverage `ε × stale_epsilon_factor`, installed tagged
+    /// degraded. The window is read quiesced and directly — never through
+    /// the tampering layer — and no fault RNG is drawn. A fallback ages
+    /// like any install, so a replica still cut off refits it every
+    /// `staleness_threshold` pushes; a coordinator, gossip, retry or rejoin
+    /// install replaces it.
+    fn refit_stale(&mut self, reps: &mut impl Replicas) {
+        let serve = &self.cfg.serve;
+        if serve.staleness_threshold == 0 {
             return;
         }
-        self.coordinator_round(reps);
+        let (threshold, widened) = (
+            serve.staleness_threshold as u64,
+            serve.epsilon * serve.stale_epsilon_factor,
+        );
+        for r in 0..self.cfg.replicas {
+            if self.faults.as_ref().is_some_and(|f| f.down[r]) {
+                continue;
+            }
+            let fallback = reps.quiesced(r, |s| {
+                (s.staleness() > threshold).then(|| s.fit_window(widened))
+            });
+            if let Some(conformal) = fallback {
+                let served = Served {
+                    conformal,
+                    degraded: true,
+                };
+                reps.install(r, Arc::new(served));
+                self.counts.fallback_refits += 1;
+            }
+        }
     }
 
     fn coordinator_down(&self) -> bool {
@@ -781,14 +819,14 @@ impl FleetControl {
     /// replicas receive it at rejoin) and records it as the fleet's. Every
     /// replica shares the one `Arc`.
     fn install_everywhere(&mut self, reps: &mut impl Replicas, conformal: PooledConformal) {
-        let conformal = Arc::new(conformal);
+        let served = Served::fresh(conformal);
         for r in 0..self.cfg.replicas {
             if self.faults.as_ref().is_some_and(|f| f.down[r]) {
                 continue;
             }
-            reps.install(r, Arc::clone(&conformal));
+            reps.install(r, Arc::clone(&served));
         }
-        self.fleet_conformal = Some(conformal);
+        self.fleet_conformal = Some(served);
     }
 
     /// Closes the open coordinator-outage audit window, if its outage has
@@ -862,7 +900,7 @@ impl FleetControl {
             // An install resets the replica's staleness clock: gossip is
             // the degradation ladder's middle rung, above stale-local
             // fallback.
-            reps.install(r, Arc::new(conformal));
+            reps.install(r, Served::fresh(conformal));
         }
     }
 
@@ -933,7 +971,7 @@ impl FleetControl {
 
     /// The currently installed fleet-level calibration (absent until the
     /// first merge finds a non-empty window).
-    pub(crate) fn fleet_conformal(&self) -> Option<&Arc<PooledConformal>> {
+    pub(crate) fn fleet_conformal(&self) -> Option<&Arc<Served>> {
         self.fleet_conformal.as_ref()
     }
 

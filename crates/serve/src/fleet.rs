@@ -35,11 +35,17 @@
 //!    from its own gossip view — converging toward the coordinator's union
 //!    fit (see the `gossip` property suite in `pitot-conformal`).
 //! 3. **Stale-local fallback** (outage with gossip disabled, or a replica
-//!    cut off long enough): once the installed calibration's staleness
-//!    exceeds [`crate::ServeConfig::staleness_threshold`], a replica serves
-//!    from its own window at the widened miscoverage
-//!    `ε × stale_epsilon_factor` — honestly wider bounds, tagged
-//!    [`Prediction::degraded`] all the way into the admission audit.
+//!    cut off long enough): at the first merge tick after a replica's
+//!    served calibration grows more than
+//!    [`crate::ServeConfig::staleness_threshold`] pushes old, the control
+//!    core installs a fallback fit on that replica's own window at the
+//!    widened miscoverage `ε × stale_epsilon_factor` — honestly wider
+//!    bounds, tagged [`Prediction::degraded`] all the way into the
+//!    admission audit.
+//!
+//! Every rung is an install the control core makes at a merge barrier;
+//! a replica's miscoverage-watchdog rollback scrubs its window and leaves
+//! the refit to the next one.
 //!
 //! Crashed replicas lose their shard's observations (counted, audited) and
 //! their queries fail over to the next live replica; on rejoin they replay
@@ -381,7 +387,7 @@ impl FleetServer {
     /// The currently installed fleet-level calibration (absent until the
     /// first merge finds a non-empty window).
     pub fn fleet_conformal(&self) -> Option<&PooledConformal> {
-        self.core.fleet_conformal().map(|c| &**c)
+        self.core.fleet_conformal().map(|c| &c.conformal)
     }
 
     /// One replica's server (e.g. for its local stats or window).

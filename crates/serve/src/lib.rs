@@ -47,10 +47,11 @@
 //!   coordinator outages, and dropped/delayed merge summaries; the fleet
 //!   degrades along a ladder — fleet calibration → pairwise gossip CRDT
 //!   merges → staleness-triggered local fallback with honestly widened
-//!   intervals ([`ServeConfig::staleness_threshold`]) — and crashed
-//!   replicas rejoin *warm* by replaying the coordinator's held window
-//!   summary. Every fault window is audited ([`DegradedWindow`]) so
-//!   coverage/SLO loss is attributable. See `docs/RESILIENCE.md`.
+//!   intervals ([`ServeConfig::staleness_threshold`]), installed at merge
+//!   ticks — and crashed replicas rejoin *warm* by replaying the
+//!   coordinator's held window summary. Every fault window is audited
+//!   ([`DegradedWindow`]) so coverage/SLO loss is attributable. See
+//!   `docs/RESILIENCE.md`.
 //! - **Trustworthy telemetry (fail-noisy, not fail-stop).** The same
 //!   [`FaultPlan`] can corrupt the *data* instead of the links: NaN/Inf
 //!   and negative runtimes, scale-outlier bursts, replayed and
@@ -75,10 +76,11 @@
 //!   [`FleetServer`] stays on as the deterministic twin: the same
 //!   [`TraceEvent`] sequence through both runtimes yields bitwise-identical
 //!   outcomes and audit counters ([`run_trace_simulated`]) under every
-//!   [`FaultPlan`], property-tested across `PITOT_THREADS`. The twin holds
-//!   by construction: both runtimes drive one fleet control core, which
-//!   makes every control decision on the ingress thread. See
-//!   `docs/SERVING.md`.
+//!   [`FaultPlan`] and every [`ServeConfig`], property-tested across
+//!   `PITOT_THREADS`. The twin holds by construction: both runtimes drive
+//!   one fleet control core, which makes every control decision on the
+//!   ingress thread, and every change to a replica's served calibration is
+//!   an install that core makes at a barrier. See `docs/SERVING.md`.
 //! - **Compressed inference towers.** Any replica can serve from a
 //!   compressed model ([`ServeConfig::compression`],
 //!   [`FleetConfig::compression`]): magnitude-pruned weights, weights

@@ -8,8 +8,9 @@ use pitot::{TowerCache, TrainContext, TrainedPitot};
 use pitot_conformal::{
     HeadSelection, MergeableWindow, PooledConformal, PredictionSet, WindowedScores,
 };
-use pitot_testbed::{split::Split, Dataset, Observation, MAX_INTERFERERS};
+use pitot_testbed::{split::Split, Dataset, Observation};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One input to the serving loop, delivered at a simulated timestamp.
@@ -46,11 +47,11 @@ pub struct Prediction {
     pub bound_s: f32,
     /// Calibration pool the bound came from.
     pub pool: usize,
-    /// Whether the answer was served in degraded mode: the installed
-    /// calibration was stale beyond [`ServeConfig::staleness_threshold`],
-    /// so the bound came from the honestly widened local-window fallback
-    /// (see [`PitotServer::staleness`]). Always `false` when staleness
-    /// tracking is disabled.
+    /// Whether the answer was served in degraded mode: the served
+    /// calibration is the honestly widened local-window fallback a fleet
+    /// installs into a replica whose calibration went stale beyond
+    /// [`ServeConfig::staleness_threshold`]. Always `false` outside a fleet
+    /// and while staleness tracking is disabled.
     pub degraded: bool,
 }
 
@@ -64,7 +65,10 @@ pub struct ObservedFeedback {
     pub bound_log: f32,
     /// The realized log runtime.
     pub target_log: f32,
-    /// Whether this arrival triggered a conformal refresh.
+    /// Whether this arrival refit the served calibration (on the refresh
+    /// cadence, or after a watchdog rollback that purged something). Never
+    /// set on a fleet replica, whose calibration only changes through the
+    /// fleet's installs.
     pub refreshed: bool,
     /// Whether this arrival triggered a warm-start fine-tune.
     pub fine_tuned: bool,
@@ -107,15 +111,10 @@ pub struct ServeStats {
     pub covered: usize,
     /// Observations judged prequentially (denominator for coverage).
     pub bounded: usize,
-    /// Observations judged while the server was in degraded
-    /// (stale-fallback) mode.
+    /// Observations judged under a degraded (stale-fallback) calibration.
     pub degraded_bounded: usize,
     /// Degraded-mode judged observations the fallback bound covered.
     pub degraded_covered: usize,
-    /// Local fallback calibrations fitted while degraded (one per window
-    /// advance while stale — the degraded-mode analogue of
-    /// [`ServeStats::refreshes`]).
-    pub fallback_refits: usize,
     /// Wall-clock nanoseconds of recent conformal refreshes, in order
     /// (drain with `std::mem::take` for percentile reporting). Retention is
     /// bounded at [`ServeStats::REFRESH_LATENCY_RETAIN`] — once full, the
@@ -136,6 +135,55 @@ impl ServeStats {
         } else {
             self.covered as f32 / self.bounded as f32
         }
+    }
+}
+
+/// A calibration as a server serves it: the fit, and whether it is the
+/// widened stale-mode fallback a fleet installs into a replica cut off from
+/// fresh calibrations. A fleet replica's server and the concurrent read
+/// path's snapshot of it share one `Arc`.
+#[derive(Debug)]
+pub(crate) struct Served {
+    pub(crate) conformal: PooledConformal,
+    pub(crate) degraded: bool,
+}
+
+impl Served {
+    /// A calibration served at its nominal miscoverage.
+    pub(crate) fn fresh(conformal: PooledConformal) -> Arc<Self> {
+        Arc::new(Self {
+            conformal,
+            degraded: false,
+        })
+    }
+}
+
+/// Log-space `(bound, degraded)` for one observation's head predictions
+/// under the served calibration. Before the first calibration exists the
+/// bound falls back to the highest head — conservative but uncalibrated.
+fn served_bound(served: Option<&Served>, head_preds: &[f32], pool: usize) -> (f32, bool) {
+    match served {
+        Some(s) => (s.conformal.bound_log(head_preds, pool), s.degraded),
+        None => (*head_preds.last().expect("at least one head"), false),
+    }
+}
+
+/// The [`Prediction`] for one query's head predictions under the served
+/// calibration: the one constructor of every answer, on a standalone server
+/// and on the concurrent runtime's read path alike.
+pub(crate) fn prediction(
+    served: Option<&Served>,
+    id: u64,
+    head_preds: &[f32],
+    pool: usize,
+) -> Prediction {
+    let (bound, degraded) = served_bound(served, head_preds, pool);
+    Prediction {
+        id,
+        point_s: head_preds[0].exp(),
+        bound_s: bound.exp(),
+        pool,
+        degraded,
     }
 }
 
@@ -170,13 +218,10 @@ pub struct PitotServer {
     xis: Vec<f32>,
     window: WindowedScores,
     raw: VecDeque<WindowEntry>,
-    conformal: Option<PooledConformal>,
+    conformal: Option<Arc<Served>>,
     /// Window clock at the last install/refresh of `conformal` (staleness
     /// is measured against it; `None` until the first calibration exists).
     installed_clock: Option<u64>,
-    /// Cached stale-mode local fallback, keyed by the window clock it was
-    /// fitted at (refit lazily when the window has moved).
-    fallback: Option<(u64, PooledConformal)>,
     monitor: CoverageMonitor,
     ctx: Option<TrainContext>,
     ctx_seen: usize,
@@ -246,7 +291,6 @@ impl PitotServer {
             raw: VecDeque::new(),
             conformal: None,
             installed_clock: None,
-            fallback: None,
             monitor,
             ctx: None,
             ctx_seen: 0,
@@ -292,7 +336,7 @@ impl PitotServer {
                     i,
                     head_preds,
                     o.log_runtime(),
-                    self.pool_key(o.interferers.len()),
+                    self.cfg.pool_key(o.interferers.len()),
                 )
             })
             .collect();
@@ -342,41 +386,12 @@ impl PitotServer {
     /// quarantined into the audited side buffer instead (see
     /// [`PitotServer::guard_stats`]).
     pub fn on_event(&mut self, at_s: f64, event: Event) -> ServeResponse {
-        assert!(
-            at_s >= self.now_s,
-            "simulated clock ran backwards: {at_s} after {}",
-            self.now_s
-        );
-        self.now_s = at_s;
-        self.stats.events += 1;
         match event {
             Event::Observe(obs) => {
+                // Scoring indexes the catalog, so screen it first.
                 self.check_catalog(obs.workload, obs.platform, &obs.interferers);
-                if self.cfg.ingest_guard {
-                    if let Some(cause) = IngestGuard::runtime_cause(obs.runtime_s) {
-                        self.stats.observations += 1;
-                        let at = self.stats.observations as u64;
-                        let record = self.guard.quarantine(at, obs.runtime_s, None, cause);
-                        return ServeResponse {
-                            predictions: Vec::new(),
-                            observed: None,
-                            quarantined: Some(record),
-                        };
-                    }
-                } else {
-                    assert!(
-                        obs.runtime_s > 0.0 && obs.runtime_s.is_finite(),
-                        "observed runtime {} is not a positive finite duration",
-                        obs.runtime_s
-                    );
-                }
-                self.stats.observations += 1;
-                let (observed, quarantined) = self.observe(obs);
-                ServeResponse {
-                    predictions: Vec::new(),
-                    observed,
-                    quarantined,
-                }
+                let head_preds = self.head_preds(&obs);
+                self.on_observation_prescored(at_s, obs, head_preds)
             }
             Event::Query {
                 id,
@@ -384,6 +399,7 @@ impl PitotServer {
                 platform,
                 interferers,
             } => {
+                self.tick(at_s);
                 self.check_catalog(workload, platform, &interferers);
                 self.batch.push((
                     id,
@@ -404,57 +420,132 @@ impl PitotServer {
                     ..ServeResponse::default()
                 }
             }
-            Event::Flush => ServeResponse {
-                predictions: self.flush_batch(),
-                ..ServeResponse::default()
-            },
+            Event::Flush => {
+                self.tick(at_s);
+                ServeResponse {
+                    predictions: self.flush_batch(),
+                    ..ServeResponse::default()
+                }
+            }
         }
     }
 
-    /// The [`Event::Observe`] arm of [`on_event`](Self::on_event) with the
-    /// head predictions supplied by the caller — the concurrent runtime's
+    /// Applies one observation whose head predictions the caller already
+    /// computed — the one observation entry point. [`on_event`](Self::on_event)
+    /// scores a batch of one and delegates here; the concurrent runtime's
     /// lane workers score a whole drained batch in one row-parallel pass
-    /// and then apply each observation through here. Mirrors the `Observe`
-    /// arm exactly (clock, counters, guard screen, feedback), so the
-    /// deterministic twin sees identical state transitions.
+    /// first. Batched prediction is bitwise-identical to a batch of one (a
+    /// pinned property), so both callers see identical state transitions.
     pub(crate) fn on_observation_prescored(
         &mut self,
         at_s: f64,
         obs: Observation,
         head_preds: Vec<f32>,
     ) -> ServeResponse {
-        assert!(
-            at_s >= self.now_s,
-            "simulated clock ran backwards: {at_s} after {}",
-            self.now_s
-        );
-        self.now_s = at_s;
-        self.stats.events += 1;
+        self.tick(at_s);
         self.check_catalog(obs.workload, obs.platform, &obs.interferers);
+        assert!(
+            self.cfg.ingest_guard || (obs.runtime_s > 0.0 && obs.runtime_s.is_finite()),
+            "observed runtime {} is not a positive finite duration",
+            obs.runtime_s
+        );
+        self.stats.observations += 1;
+        let pool = self.cfg.pool_key(obs.interferers.len());
+        let target_log = obs.log_runtime();
+
+        // 0. Ingest guard: a corrupt runtime, or a score far outside the
+        // window's robust MAD band, is quarantined *before* being judged —
+        // corrupt telemetry must poison neither the calibration window nor
+        // the coverage statistics the watchdog trusts.
         if self.cfg.ingest_guard {
-            if let Some(cause) = IngestGuard::runtime_cause(obs.runtime_s) {
-                self.stats.observations += 1;
+            let score = target_log - head_preds[0];
+            let screened = IngestGuard::runtime_cause(obs.runtime_s)
+                .map(|cause| (cause, None))
+                .or_else(|| {
+                    (self.cfg.guard_mad_k > 0.0
+                        && self.window.len() >= self.cfg.guard_min_n
+                        && guard::is_mad_outlier(
+                            self.window.scored().sorted_scores(0),
+                            score,
+                            self.cfg.guard_mad_k,
+                        ))
+                    .then_some((QuarantineCause::MadOutlier, Some(score)))
+                });
+            if let Some((cause, score)) = screened {
                 let at = self.stats.observations as u64;
-                let record = self.guard.quarantine(at, obs.runtime_s, None, cause);
+                let record = self.guard.quarantine(at, obs.runtime_s, score, cause);
                 return ServeResponse {
-                    predictions: Vec::new(),
-                    observed: None,
                     quarantined: Some(record),
+                    ..ServeResponse::default()
                 };
             }
-        } else {
-            assert!(
-                obs.runtime_s > 0.0 && obs.runtime_s.is_finite(),
-                "observed runtime {} is not a positive finite duration",
-                obs.runtime_s
-            );
         }
-        self.stats.observations += 1;
-        let (observed, quarantined) = self.observe_prescored(obs, head_preds);
+
+        // 1. Prequential judgement against the *currently served* bound.
+        let point_log = head_preds[0];
+        let (bound_log, degraded) = served_bound(self.conformal.as_deref(), &head_preds, pool);
+        let covered = target_log <= bound_log;
+        self.monitor.push(covered, bound_log - point_log);
+        self.stats.bounded += 1;
+        if covered {
+            self.stats.covered += 1;
+        }
+        if degraded {
+            self.stats.degraded_bounded += 1;
+            if covered {
+                self.stats.degraded_covered += 1;
+            }
+        }
+
+        // 2. Record the arrival for fine-tuning (when enabled).
+        let obs_idx = if self.cfg.fine_tune_steps > 0 {
+            if obs.interferers.is_empty() {
+                self.seen_isolation += 1;
+            }
+            self.dataset.observations.push(obs);
+            let i = self.dataset.observations.len() - 1;
+            self.seen.push(i);
+            Some(i)
+        } else {
+            None
+        };
+
+        // 3. Slide the calibration window, then bound the fine-tune pool.
+        self.window_push(head_preds, target_log, pool, obs_idx);
+        self.maybe_compact_streamed();
+
+        // 4. Refresh the served calibration on cadence.
+        self.since_refresh += 1;
+        let mut refreshed = self.since_refresh >= self.cfg.refresh_every;
+        if refreshed {
+            self.refresh();
+        }
+
+        // 4b. Miscoverage watchdog: poisoning the ingest screen missed
+        // shows up as sustained undercoverage on *accepted* telemetry —
+        // quarantine-rollback the window.
+        if self.cfg.watchdog_z > 0.0
+            && self
+                .monitor
+                .undercovering_by(self.cfg.watchdog_z, self.cfg.watchdog_min)
+        {
+            refreshed |= self.watchdog_rollback();
+        }
+
+        // 5. Fine-tune when the monitor says the model itself drifted.
+        self.since_tune += 1;
+        let fine_tuned = self.should_fine_tune() && self.fine_tune();
+
         ServeResponse {
-            predictions: Vec::new(),
-            observed,
-            quarantined,
+            observed: Some(ObservedFeedback {
+                covered,
+                bound_log,
+                target_log,
+                refreshed,
+                fine_tuned,
+                degraded,
+            }),
+            ..ServeResponse::default()
         }
     }
 
@@ -463,19 +554,15 @@ impl PitotServer {
     /// arithmetic to the batched path (a batch of one); counted in
     /// [`ServeStats::queries`] like any batched answer.
     pub fn query_now(&mut self, workload: u32, platform: u32, interferers: &[u32]) -> Prediction {
-        self.ensure_fallback();
-        let obs = Observation {
+        let head_preds = self.head_preds(&Observation {
             workload,
             platform,
             interferers: interferers.to_vec(),
             runtime_s: 1.0, // unused by prediction
-        };
-        let preds = self
-            .trained
-            .predict_log_runtime_cached(&self.towers, &[&obs]);
-        let head_preds: Vec<f32> = preds.iter().map(|h| h[0]).collect();
+        });
         self.stats.queries += 1;
-        self.prediction_from_heads(0, &head_preds, interferers.len())
+        let pool = self.cfg.pool_key(interferers.len());
+        prediction(self.conformal.as_deref(), 0, &head_preds, pool)
     }
 
     /// Forces the pending micro-batch out (also triggered by
@@ -503,6 +590,12 @@ impl PitotServer {
     /// The currently served calibration (absent until the window first
     /// refreshes).
     pub fn conformal(&self) -> Option<&PooledConformal> {
+        self.conformal.as_deref().map(|s| &s.conformal)
+    }
+
+    /// The served calibration with its degraded tag, as shared with a
+    /// fleet's read path.
+    pub(crate) fn served(&self) -> Option<&Arc<Served>> {
         self.conformal.as_ref()
     }
 
@@ -511,34 +604,30 @@ impl PitotServer {
     /// (see [`crate::FleetServer`]). The local window keeps accumulating;
     /// a later local refresh (if the refresh cadence ever fires) would
     /// overwrite this, so fleet deployments set
-    /// [`ServeConfig::refresh_every`] beyond the stream length and let the
+    /// [`ServeConfig::refresh_every`] to `usize::MAX` and let the
     /// coordinator own every refresh.
     pub fn install_calibration(&mut self, conformal: PooledConformal) {
-        self.conformal = Some(conformal);
-        // A fresh install resets staleness: the calibration is current as
-        // of everything this window has seen.
+        self.install(Served::fresh(conformal));
+    }
+
+    /// [`install_calibration`](Self::install_calibration) of a shared,
+    /// possibly degraded calibration — every change a fleet makes to a
+    /// replica's served calibration goes through here.
+    pub(crate) fn install(&mut self, served: Arc<Served>) {
+        self.conformal = Some(served);
+        // An install resets staleness: the calibration is current as of
+        // everything this window has seen.
         self.installed_clock = Some(self.window.clock());
     }
 
     /// Pushes since the served calibration was installed or refreshed (the
-    /// eviction clock's distance): the staleness the degraded-mode
+    /// eviction clock's distance): the staleness a fleet's stale-local
     /// fallback triggers on. `0` while no calibration is installed.
     pub fn staleness(&self) -> u64 {
         match self.installed_clock {
             Some(c) => self.window.clock().saturating_sub(c),
             None => 0,
         }
-    }
-
-    /// Whether the server is currently serving in degraded mode: staleness
-    /// tracking is enabled, a calibration is installed, and its staleness
-    /// exceeds [`ServeConfig::staleness_threshold`] with a non-empty local
-    /// window to fall back on.
-    pub fn is_degraded(&self) -> bool {
-        self.cfg.staleness_threshold > 0
-            && self.conformal.is_some()
-            && !self.window.is_empty()
-            && self.staleness() > self.cfg.staleness_threshold as u64
     }
 
     /// Rebuilds the calibration window of a **fresh** server from a merged
@@ -649,71 +738,30 @@ impl PitotServer {
         }
     }
 
-    fn pool_key(&self, arity: usize) -> usize {
-        if self.cfg.pool_by_arity {
-            arity.min(MAX_INTERFERERS)
-        } else {
-            0
-        }
+    /// Advances the simulated clock to `at_s` and counts the event.
+    fn tick(&mut self, at_s: f64) {
+        assert!(
+            at_s >= self.now_s,
+            "simulated clock ran backwards: {at_s} after {}",
+            self.now_s
+        );
+        self.now_s = at_s;
+        self.stats.events += 1;
     }
 
-    /// Log-space `(point, bound, degraded)` for one observation's head
-    /// predictions. Before the first refresh the bound falls back to the
-    /// highest head — conservative but uncalibrated. In degraded mode the
-    /// bound comes from the widened local fallback when its cache is
-    /// current (callers on the `&mut` paths run
-    /// [`PitotServer::ensure_fallback`] first, so it always is).
-    fn bound_from_heads(&self, head_preds: &[f32], pool: usize) -> (f32, f32, bool) {
-        let point = head_preds[0];
-        let degraded = self.is_degraded();
-        if degraded {
-            if let Some((clock, fb)) = &self.fallback {
-                if *clock == self.window.clock() {
-                    return (point, fb.bound_log(head_preds, pool), true);
-                }
-            }
-        }
-        let bound = match &self.conformal {
-            Some(c) => c.bound_log(head_preds, pool),
-            None => *head_preds.last().expect("at least one head"),
-        };
-        (point, bound, degraded)
-    }
-
-    /// Refits the cached stale-mode fallback if the server is degraded and
-    /// the window has moved since the cache was fitted. Called at the top
-    /// of every serving path that can answer or judge a bound.
-    fn ensure_fallback(&mut self) {
-        if !self.is_degraded() {
-            return;
-        }
-        let clock = self.window.clock();
-        if self.fallback.as_ref().is_some_and(|(c, _)| *c == clock) {
-            return;
-        }
-        let widened = self.cfg.epsilon * self.cfg.stale_epsilon_factor;
-        let fitted = self.fit_window(widened);
-        self.fallback = Some((clock, fitted));
-        self.stats.fallback_refits += 1;
-    }
-
-    fn prediction_from_heads(&self, id: u64, head_preds: &[f32], arity: usize) -> Prediction {
-        let pool = self.pool_key(arity);
-        let (point, bound, degraded) = self.bound_from_heads(head_preds, pool);
-        Prediction {
-            id,
-            point_s: point.exp(),
-            bound_s: bound.exp(),
-            pool,
-            degraded,
-        }
+    /// Every head's log-runtime prediction for one observation (a batch of
+    /// one).
+    fn head_preds(&self, obs: &Observation) -> Vec<f32> {
+        let preds = self
+            .trained
+            .predict_log_runtime_cached(&self.towers, &[obs]);
+        preds.iter().map(|h| h[0]).collect()
     }
 
     fn flush_batch(&mut self) -> Vec<Prediction> {
         if self.batch.is_empty() {
             return Vec::new();
         }
-        self.ensure_fallback();
         let batch = std::mem::take(&mut self.batch);
         let obs: Vec<&Observation> = batch.iter().map(|(_, o)| o).collect();
         // One row-parallel pass answers the whole micro-batch.
@@ -723,128 +771,12 @@ impl PitotServer {
             .enumerate()
             .map(|(j, (id, o))| {
                 let head_preds: Vec<f32> = preds.iter().map(|h| h[j]).collect();
-                self.prediction_from_heads(*id, &head_preds, o.interferers.len())
+                let pool = self.cfg.pool_key(o.interferers.len());
+                prediction(self.conformal.as_deref(), *id, &head_preds, pool)
             })
             .collect();
         self.stats.queries += out.len();
         out
-    }
-
-    fn observe(
-        &mut self,
-        obs: Observation,
-    ) -> (Option<ObservedFeedback>, Option<QuarantineRecord>) {
-        self.ensure_fallback();
-        let preds = self
-            .trained
-            .predict_log_runtime_cached(&self.towers, &[&obs]);
-        let head_preds: Vec<f32> = preds.iter().map(|h| h[0]).collect();
-        self.observe_prescored(obs, head_preds)
-    }
-
-    /// [`observe`](Self::observe) with the head predictions already
-    /// computed — the entry point the concurrent runtime's lane workers use
-    /// after scoring a whole drained batch in one row-parallel pass.
-    /// Batched prediction is bitwise-identical to a batch of one (a pinned
-    /// property), so this path and `observe` produce identical feedback.
-    fn observe_prescored(
-        &mut self,
-        obs: Observation,
-        head_preds: Vec<f32>,
-    ) -> (Option<ObservedFeedback>, Option<QuarantineRecord>) {
-        // 0. Robust outlier screen (guard mode): a score far outside the
-        // window's MAD band is quarantined *before* being judged — corrupt
-        // telemetry must poison neither the calibration window nor the
-        // coverage statistics the watchdog trusts.
-        self.ensure_fallback();
-        let pool = self.pool_key(obs.interferers.len());
-        let target_log = obs.log_runtime();
-        if self.cfg.ingest_guard
-            && self.cfg.guard_mad_k > 0.0
-            && self.window.len() >= self.cfg.guard_min_n
-        {
-            let score = target_log - head_preds[0];
-            let sorted = self.window.scored().sorted_scores(0);
-            if guard::is_mad_outlier(sorted, score, self.cfg.guard_mad_k) {
-                let at = self.stats.observations as u64;
-                let record = self.guard.quarantine(
-                    at,
-                    obs.runtime_s,
-                    Some(score),
-                    QuarantineCause::MadOutlier,
-                );
-                return (None, Some(record));
-            }
-        }
-
-        // 1. Prequential judgement against the *currently served* bound.
-        let (point_log, bound_log, degraded) = self.bound_from_heads(&head_preds, pool);
-        let covered = target_log <= bound_log;
-        self.monitor.push(covered, bound_log - point_log);
-        self.stats.bounded += 1;
-        if covered {
-            self.stats.covered += 1;
-        }
-        if degraded {
-            self.stats.degraded_bounded += 1;
-            if covered {
-                self.stats.degraded_covered += 1;
-            }
-        }
-
-        // 2. Record the arrival for fine-tuning (when enabled).
-        let obs_idx = if self.cfg.fine_tune_steps > 0 {
-            if obs.interferers.is_empty() {
-                self.seen_isolation += 1;
-            }
-            self.dataset.observations.push(obs);
-            let i = self.dataset.observations.len() - 1;
-            self.seen.push(i);
-            Some(i)
-        } else {
-            None
-        };
-
-        // 3. Slide the calibration window, then bound the fine-tune pool.
-        self.window_push(head_preds, target_log, pool, obs_idx);
-        self.maybe_compact_streamed();
-
-        // 4. Refresh the served calibration on cadence.
-        self.since_refresh += 1;
-        let mut refreshed = if self.since_refresh >= self.cfg.refresh_every {
-            self.refresh();
-            true
-        } else {
-            false
-        };
-
-        // 4b. Miscoverage watchdog: poisoning the ingest screen missed
-        // shows up as sustained undercoverage on *accepted* telemetry —
-        // quarantine-rollback the window and refit.
-        if self.cfg.watchdog_z > 0.0
-            && self
-                .monitor
-                .undercovering_by(self.cfg.watchdog_z, self.cfg.watchdog_min)
-        {
-            self.watchdog_rollback();
-            refreshed = true;
-        }
-
-        // 5. Fine-tune when the monitor says the model itself drifted.
-        self.since_tune += 1;
-        let fine_tuned = self.should_fine_tune() && self.fine_tune();
-
-        (
-            Some(ObservedFeedback {
-                covered,
-                bound_log,
-                target_log,
-                refreshed,
-                fine_tuned,
-                degraded,
-            }),
-            None,
-        )
     }
 
     /// The miscoverage watchdog's quarantine-rollback rescore: re-screen
@@ -853,12 +785,16 @@ impl PitotServer {
     /// failures into the quarantine audit, rebuild the window from the
     /// survivors with its clock advanced past every snapshot of the
     /// poisoned state (so fleet coordinators supersede it on the next
-    /// merge), refit the served calibration on the scrubbed window, and
-    /// restart the coverage monitor so the post-rollback bounds are judged
-    /// on fresh outcomes only. Every firing — even one that purges
-    /// nothing, which means the undercoverage was drift, not poison — is
-    /// recorded as a [`WatchdogIncident`].
-    fn watchdog_rollback(&mut self) {
+    /// merge), and restart the coverage monitor so the post-rollback bounds
+    /// are judged on fresh outcomes only. Every firing — even one that
+    /// purges nothing, which means the undercoverage was drift, not poison
+    /// — is recorded as a [`WatchdogIncident`].
+    ///
+    /// Returns whether it refit the served calibration on the scrubbed
+    /// window: a server that owns its refreshes does so whenever something
+    /// was purged. A fleet replica (`refresh_every = usize::MAX`) never
+    /// does — its fleet's next install picks up the scrubbed window.
+    fn watchdog_rollback(&mut self) -> bool {
         let at = self.stats.observations as u64;
         let coverage = self.monitor.coverage();
         self.guard.record_watchdog_fire();
@@ -895,6 +831,9 @@ impl PitotServer {
             window.advance_clock(old_clock + 1);
             self.window = window;
             self.raw = raw;
+        }
+        let refit = purged > 0 && self.cfg.refresh_every != usize::MAX;
+        if refit {
             self.refresh();
         }
         self.monitor.reset();
@@ -907,6 +846,7 @@ impl PitotServer {
         if self.incidents.len() > self.cfg.quarantine_retain.max(1) {
             self.incidents.remove(0);
         }
+        refit
     }
 
     /// Cumulative quarantine counters (the zero-silent-drops ledger; all
@@ -936,9 +876,7 @@ impl PitotServer {
             return;
         }
         let t0 = Instant::now();
-        let conformal = self.fit_window(self.cfg.epsilon);
-        self.conformal = Some(conformal);
-        self.installed_clock = Some(self.window.clock());
+        self.install(Served::fresh(self.fit_window(self.cfg.epsilon)));
         self.stats.refreshes += 1;
         if self.stats.refresh_ns.len() >= ServeStats::REFRESH_LATENCY_RETAIN {
             // Amortized O(1): drop the older half once the buffer fills.
@@ -953,8 +891,8 @@ impl PitotServer {
 
     /// Fits a calibration on the current (non-empty) window at the given
     /// miscoverage — the shared engine of [`PitotServer::refresh`] (at the
-    /// configured ε) and the stale-mode fallback (at the widened ε).
-    fn fit_window(&self, epsilon: f32) -> PooledConformal {
+    /// configured ε) and a fleet's stale-local fallback (at the widened ε).
+    pub(crate) fn fit_window(&self, epsilon: f32) -> PooledConformal {
         // Head-major selection-set view of the window (only consulted by
         // TightestOnValidation, for which the window doubles as the
         // selection set — a streaming approximation of the paper's
@@ -1149,5 +1087,45 @@ impl PitotServer {
         // taken of the pre-rescore state.
         window.advance_clock(self.window.clock() + 1);
         self.window = window;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pitot::{train, Objective, PitotConfig};
+    use pitot_testbed::{Testbed, TestbedConfig};
+
+    #[test]
+    fn a_watchdog_firing_that_purges_nothing_reports_no_refresh() {
+        let dataset = Testbed::generate(&TestbedConfig::small()).collect_dataset();
+        let split = Split::stratified(&dataset, 0.6, 0);
+        let mut model = PitotConfig::tiny();
+        model.objective = Objective::Quantiles(vec![0.5, 0.8, 0.9, 0.95]);
+        model.steps = 300;
+        let trained = train(&dataset, &split, &model);
+        let mut cfg = ServeConfig::guarded(0.1);
+        cfg.window = 128;
+        cfg.refresh_every = 1 << 20; // the server owns its refreshes; none falls due
+        cfg.watchdog_z = 1.0;
+        cfg.watchdog_min = 32;
+        cfg.guard_mad_k = 20.0;
+        let mut server = PitotServer::new(trained, dataset.clone(), cfg);
+        server.seed_calibration(&split.val);
+
+        // Drift, not poison: every runtime grows by e^0.5, well inside a
+        // 20-MAD rollback band, so the watchdog fires and purges nothing.
+        for (t, &i) in split.test.iter().take(300).enumerate() {
+            let mut obs = dataset.observations[i].clone();
+            obs.runtime_s *= 0.5f32.exp();
+            let fb = server.on_event(t as f64, Event::Observe(obs)).observed;
+            if let Some(incident) = server.watchdog_incidents().first() {
+                assert_eq!(incident.purged, 0, "{incident:?}");
+                assert!(!fb.expect("the firing arrival was judged").refreshed);
+                assert_eq!(server.stats().refreshes, 1, "only the seed refit");
+                return;
+            }
+        }
+        panic!("the watchdog never fired");
     }
 }

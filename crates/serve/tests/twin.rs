@@ -6,15 +6,16 @@
 //! deadline queries, and resolves; fault cases run every `FaultPlan` knob
 //! (crashes, coordinator outages with and without gossip, dropped and
 //! delayed summaries with their retries, corrupt runtimes, outlier bursts,
-//! replayed and skewed summaries, Byzantine and muted replicas) at one lane
-//! and at several.
+//! replayed and skewed summaries, Byzantine and muted replicas) and both
+//! replica recovery paths (the miscoverage watchdog's rollback and the
+//! stale-local fallback) at one lane and at several.
 //!
 //! CI runs this suite under `PITOT_THREADS=1` and `PITOT_THREADS=4`, so the
 //! linalg pool size is covered cross-process; the in-process `workers`
 //! override covers lane counts 1 (inline) and 4 (threaded) in one run.
 
 use pitot::{train, Objective, PitotConfig, TrainedPitot};
-use pitot_conformal::HeadSelection;
+use pitot_conformal::{HeadSelection, PooledConformal, PredictionSet};
 use pitot_serve::{
     run_trace_simulated, AdmissionConfig, ConcurrentConfig, ConcurrentFleet, DeadlineQuery,
     FaultPlan, FleetConfig, FleetServer, ServeConfig, TraceEvent, TraceOutcome,
@@ -50,15 +51,13 @@ fn clean_cfg(replicas: usize) -> FleetConfig {
     }
 }
 
-/// Ingest-guarded config (required before injecting corrupt runtimes —
-/// unguarded servers assert on non-finite observations). The watchdog must
-/// stay off: its rollback refits replica-local calibrations the concurrent
-/// snapshot read path would never see, so `ConcurrentConfig` rejects it.
+/// Ingest-guarded config with the miscoverage watchdog armed (the guard is
+/// required before injecting corrupt runtimes — unguarded servers assert on
+/// non-finite observations).
 fn guarded_cfg(replicas: usize) -> FleetConfig {
     let mut serve = ServeConfig::guarded(0.1);
     serve.window = 128;
     serve.selection = HeadSelection::NaiveXi;
-    serve.watchdog_z = 0.0;
     FleetConfig {
         serve,
         replicas,
@@ -152,8 +151,11 @@ fn assert_twin_equivalent(
         sim.rejected_audit(),
         "rejected audit diverged under {workers} worker(s)"
     );
-    // The lanes must have actually processed every routed observation.
+    // The lanes must have actually processed every routed observation:
+    // each is judged or quarantined at ingest (watchdog purges re-audit
+    // entries that were already judged).
     let processed: u64 = conc.progress().iter().map(|p| p.processed).sum();
+    let guard = conc.stats().guard;
     let observed = got
         .iter()
         .filter(|o| {
@@ -166,7 +168,7 @@ fn assert_twin_equivalent(
             )
         })
         .count() as u64
-        + conc.stats().guard.quarantined as u64;
+        + (guard.quarantined - guard.watchdog_purged) as u64;
     assert_eq!(processed, observed, "lane progress lost observations");
     (sim, expected)
 }
@@ -444,6 +446,87 @@ fn outage_boundary_feedback_is_credited_like_the_twin() {
             "observation 48 must be judged: {closing:?}"
         );
     }
+}
+
+#[test]
+fn watchdog_rollbacks_match_the_twin() {
+    // Outlier bursts slip past a MAD screen that is still warming up
+    // (guard_min_n above the window) and drag coverage down until the
+    // watchdog fires; its rollback purges them at k = 3. A fleet replica
+    // leaves the refit to the next install, so the read path keeps serving
+    // what the twin's replicas serve.
+    let mut rng = TestRng::deterministic("twin::watchdog");
+    let events = build_trace(&mut rng, 320);
+    let mut cfg = guarded_cfg(3);
+    cfg.serve.guard_min_n = 10_000;
+    cfg.serve.guard_mad_k = 3.0;
+    cfg.serve.watchdog_z = 1.0;
+    cfg.serve.watchdog_min = 32;
+    let plan = FaultPlan::none(37).outlier_bursts(0.1, 5.0, 8);
+    for workers in [1usize, 3] {
+        let (sim, _) = assert_twin_equivalent(cfg.clone(), Some(plan.clone()), &events, workers);
+        let g = sim.stats().guard;
+        assert!(g.watchdog_purged > 0, "{g:?}");
+    }
+}
+
+#[test]
+fn stale_fallback_matches_the_twin() {
+    // No gossip: replicas cut off by the outage go stale, and the core
+    // installs widened local fallbacks at merge ticks. The read path must
+    // serve them, degraded tag included, exactly as the twin's replicas do.
+    let mut rng = TestRng::deterministic("twin::stale_fallback");
+    let events = build_trace(&mut rng, 400);
+    let mut cfg = clean_cfg(3);
+    cfg.serve.drift_min = 32;
+    cfg.serve.staleness_threshold = cfg.serve.drift_min;
+    let mut plan = FaultPlan::none(41).coordinator_outage(30, 190);
+    plan.gossip_during_outage = false;
+    for workers in [1usize, 2, 3] {
+        let (sim, _) = assert_twin_equivalent(cfg.clone(), Some(plan.clone()), &events, workers);
+        let s = sim.stats();
+        assert!(s.fallback_refits > 0 && s.degraded_bounded > 0, "{s:?}");
+        let a = s.admission;
+        assert!(a.degraded_admitted + a.degraded_shed > 0, "{a:?}");
+    }
+
+    // Every fallback a replica serves on the window it was fit on is
+    // bitwise the fit of that window at ε × stale_epsilon_factor.
+    let (dataset, split, trained) = fixture();
+    let mut sim = FleetServer::with_faults(trained.clone(), dataset, cfg.clone(), plan);
+    sim.seed_calibration(&split.val);
+    let widened = cfg.serve.epsilon * cfg.serve.stale_epsilon_factor;
+    let xis = trained.model.config().objective.xis();
+    let no_selection = vec![Vec::new(); trained.model.n_heads()];
+    let mut pinned = 0;
+    for (i, ev) in events.iter().enumerate() {
+        run_trace_simulated(&mut sim, i as f64, std::slice::from_ref(ev));
+        for r in 0..sim.n_replicas() {
+            let replica = sim.replica(r);
+            let served = replica.conformal().expect("seeded replicas serve a fit");
+            if replica.staleness() > 0 || served.miscoverage() != widened {
+                continue;
+            }
+            let oracle = PooledConformal::fit_scored(
+                &replica.window_summary(r as u64).to_scored(),
+                &PredictionSet {
+                    predictions: &no_selection,
+                    targets_log: &[],
+                    pools: &[],
+                },
+                &xis,
+                cfg.serve.selection,
+                widened,
+            );
+            assert_eq!(
+                format!("{served:?}"),
+                format!("{oracle:?}"),
+                "replica {r} after event {i}"
+            );
+            pinned += 1;
+        }
+    }
+    assert!(pinned > 0, "no fallback was served on its own window");
 }
 
 #[test]
