@@ -10,7 +10,7 @@
 //! The final line prints `digest=<16 hex digits>` — an FNV-1a hash over
 //! every outcome of the concurrent run (admission decisions, served
 //! bounds, coverage flags). The digest is bitwise identical regardless of
-//! `PITOT_THREADS` and of the lane worker count; CI runs this example
+//! `PITOT_THREADS` and of the lane count; CI runs this example
 //! twice at different thread counts and diffs the two lines.
 
 use pitot::{train, Objective, PitotConfig};
@@ -101,8 +101,10 @@ fn main() {
         .outlier_bursts(0.03, 3.0, 5);
     plan.gossip_during_outage = false;
 
-    // 3. The concurrent runtime: sharded replicas behind MPSC lanes,
-    //    micro-batch coalescing, snapshot read path.
+    // 3. The concurrent runtime: sharded replicas behind MPSC lanes, lane 0
+    //    drained by this (the ingress) thread at barriers and each further
+    //    lane by a worker thread, micro-batch coalescing, and queries
+    //    answered from each replica's installed calibration.
     let mut conc = ConcurrentFleet::with_faults(
         trained.clone(),
         &dataset,

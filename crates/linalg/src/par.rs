@@ -367,14 +367,22 @@ impl<T> EventQueue<T> {
 ///
 /// Unlike the pool's internal one-shot latch this is reusable and counts
 /// *up*: workers [`add`] as they retire commands, the coordinator
-/// [`wait_at_least`]s a target.
+/// [`wait_at_least`]s a target. A worker that dies [`close`]s its gauge,
+/// which releases every waiter short of its target.
 ///
 /// [`add`]: Gauge::add
 /// [`wait_at_least`]: Gauge::wait_at_least
+/// [`close`]: Gauge::close
 #[derive(Default)]
 pub struct Gauge {
-    count: Mutex<u64>,
+    state: Mutex<GaugeState>,
     moved: Condvar,
+}
+
+#[derive(Default)]
+struct GaugeState {
+    count: u64,
+    closed: bool,
 }
 
 impl Gauge {
@@ -385,23 +393,34 @@ impl Gauge {
 
     /// Advances the gauge by `n` and wakes any waiters.
     pub fn add(&self, n: u64) {
-        let mut count = self.count.lock().unwrap();
-        *count += n;
-        drop(count);
+        let mut state = self.state.lock().unwrap();
+        state.count += n;
+        drop(state);
         self.moved.notify_all();
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        *self.count.lock().unwrap()
+        self.state.lock().unwrap().count
     }
 
-    /// Parks until the gauge reaches at least `target`.
-    pub fn wait_at_least(&self, target: u64) {
-        let mut count = self.count.lock().unwrap();
-        while *count < target {
-            count = self.moved.wait(count).unwrap();
+    /// Marks the gauge as never moving again (its counting thread died) and
+    /// wakes any waiters.
+    pub fn close(&self) {
+        self.state.lock().unwrap().closed = true;
+        self.moved.notify_all();
+    }
+
+    /// Parks until the gauge reaches at least `target` or is closed.
+    /// Returns whether it reached `target`; `false` means it was closed
+    /// short of it.
+    #[must_use]
+    pub fn wait_at_least(&self, target: u64) -> bool {
+        let mut state = self.state.lock().unwrap();
+        while state.count < target && !state.closed {
+            state = self.moved.wait(state).unwrap();
         }
+        state.count >= target
     }
 }
 
@@ -572,7 +591,7 @@ mod tests {
         let waiter = {
             let g = std::sync::Arc::clone(&g);
             std::thread::spawn(move || {
-                g.wait_at_least(10);
+                assert!(g.wait_at_least(10));
                 g.get()
             })
         };
@@ -580,6 +599,20 @@ mod tests {
             g.add(1);
         }
         assert!(waiter.join().unwrap() >= 10);
-        g.wait_at_least(5); // already past: returns immediately
+        assert!(g.wait_at_least(5)); // already past: returns immediately
+    }
+
+    #[test]
+    fn closing_a_gauge_releases_waiters_short_of_target() {
+        let g = std::sync::Arc::new(Gauge::new());
+        let waiter = {
+            let g = std::sync::Arc::clone(&g);
+            std::thread::spawn(move || g.wait_at_least(10))
+        };
+        g.add(3);
+        g.close();
+        assert!(!waiter.join().unwrap(), "closed at 3 of 10");
+        assert!(g.wait_at_least(3), "a reached target still reports true");
+        assert!(!g.wait_at_least(4));
     }
 }

@@ -7,28 +7,37 @@
 //!
 //! - **Sharded state behind MPSC lanes.** Replicas are grouped into lanes
 //!   (`replica % lanes`); each lane owns an
-//!   [`pitot_linalg::par::EventQueue`] and a worker thread. The ingress
-//!   thread routes observations to their shard's lane and returns
-//!   immediately; per-replica FIFO order is preserved by construction
-//!   (one mutex-ordered queue per lane, one consumer).
-//! - **Micro-batch coalescing.** A lane worker drains *everything* pending
-//!   in one swap and scores the whole batch with a single row-parallel
-//!   [`pitot::TrainedPitot::predict_log_runtime_cached`] pass — the deeper
-//!   the backlog, the bigger the batch, exactly the load-adaptive batching
-//!   the simulated server's `microbatch` knob only imitates.
+//!   [`pitot_linalg::par::EventQueue`]. The ingress thread routes
+//!   observations to their shard's lane and moves on; per-replica FIFO
+//!   order is preserved by construction (one mutex-ordered queue per lane,
+//!   one consumer).
+//! - **The ingress owns lane 0.** Lanes 1.. each get a worker thread; lane
+//!   0 gets none. The ingress drains its backlog itself whenever it settles
+//!   that lane: at every barrier, and before it touches a lane-0 replica.
+//!   So `n` lanes run `n − 1` threads beside the caller, and one lane (the
+//!   inline mode) runs none — the ingress owns every replica.
+//! - **Micro-batch coalescing.** Whoever drains a lane takes *everything*
+//!   pending in one swap and retires it in one step, the same for every
+//!   lane: a single row-parallel
+//!   [`pitot::TrainedPitot::predict_log_runtime_cached`] pass over the
+//!   batch, FIFO application to the shards, then the outbox, and the lane's
+//!   gauge last. The deeper the backlog, the bigger the batch.
 //! - **A lock-free read path.** Deadline queries never touch shard state:
 //!   the model and per-replica tower caches are immutable in fleet mode
 //!   (fine-tuning is rejected by [`crate::FleetConfig::validate`]; a
 //!   compressed replica answers from its compressed cache), and each
-//!   replica's served calibration is read through its own
-//!   [`crate::SnapshotCell`], published at every install into that replica
-//!   — admission and prediction never block on window writes or
-//!   calibration installs.
+//!   replica's served calibration is the `Arc` its last install shared
+//!   with the shard. The ingress answers every query and makes every
+//!   install, so that `Arc` lives on the ingress alone; lane workers hold
+//!   only the read state, the shards and their own lane, so ownership
+//!   keeps them from ever reaching it.
 //! - **Barriered control.** Every control decision (merge, gossip, retry,
 //!   rejoin, install) runs on the ingress thread in the fleet control core
-//!   the simulated fleet also runs. The core reaches a replica only after
-//!   parking on its lane's [`pitot_linalg::par::Gauge`] until the lane's
-//!   backlog is drained.
+//!   the simulated fleet also runs. The core reaches a replica only once
+//!   its lane is settled: lane 0 drained by the ingress, any other lane
+//!   waited on through its [`pitot_linalg::par::Gauge`] until its worker
+//!   has retired the backlog. A drain that panics closes its lane's gauge,
+//!   so the barrier fails naming the lane instead of parking forever.
 //!
 //! # The deterministic twin
 //!
@@ -37,7 +46,7 @@
 //! the twin-equivalence property suite (`crates/serve/tests/twin.rs`)
 //! asserts the concurrent runtime produces **bitwise-identical**
 //! [`TraceOutcome`]s, [`crate::FleetStats`], and degraded-window and
-//! rejected-summary audits for the same trace — across worker counts,
+//! rejected-summary audits for the same trace — across lane counts,
 //! `PITOT_THREADS` settings, and every [`FaultPlan`] knob. Equivalence holds
 //! by construction:
 //!
@@ -68,12 +77,12 @@ use crate::control::{FleetControl, Replicas};
 use crate::fault::{DegradedWindow, FaultPlan, RejectedSummary};
 use crate::fleet::{AdmissionOutcome, DeadlineQuery, FleetServer, FleetStats};
 use crate::server::{self, ObservedFeedback, PitotServer, Prediction, Served};
-use crate::snapshot::{SeqLock, SnapshotCell};
 use pitot::{TowerCache, TrainedPitot};
 use pitot_conformal::PooledConformal;
 use pitot_linalg::par::{EventQueue, Gauge};
 use pitot_testbed::{Dataset, Observation};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 
 /// One event of a serving trace — the common input language of the
 /// concurrent runtime and its simulated twin.
@@ -139,24 +148,27 @@ pub fn run_trace_simulated(
 }
 
 /// Knobs for a [`ConcurrentFleet`]: the fleet semantics plus the lane
-/// worker count.
+/// count.
 #[derive(Debug, Clone)]
 pub struct ConcurrentConfig {
     /// Fleet semantics (replicas, per-replica serving config, merge
     /// cadence, admission policy) — every config the simulated
     /// [`FleetServer`] accepts.
     pub fleet: FleetConfig,
-    /// Lane worker threads. `None` (the default) uses
-    /// `min(replicas, pitot_linalg::par::threads())`; `Some(1)` forces the
-    /// inline single-threaded mode (no worker threads — useful to compare
-    /// worker counts inside one process, since the linalg pool size is
-    /// latched process-wide). Capped at the replica count.
+    /// Lane count `n`: replica `r` lives on lane `r % n`. The ingress
+    /// thread drains lane 0 itself and every other lane gets one worker
+    /// thread, so `n` lanes run `n − 1` threads beside the caller. `None`
+    /// (the default) uses `pitot_linalg::par::threads()` lanes; `Some(1)`
+    /// is the inline mode, where the ingress owns every lane and no thread
+    /// is spawned (useful to compare lane counts inside one process, since
+    /// the linalg pool size is latched process-wide). Capped at the replica
+    /// count.
     pub workers: Option<usize>,
 }
 
 impl ConcurrentConfig {
     /// Defaults at miscoverage `epsilon` with the given replica count and
-    /// automatic worker sizing.
+    /// automatic lane sizing.
     ///
     /// # Panics
     ///
@@ -181,14 +193,14 @@ impl ConcurrentConfig {
         assert!(
             self.workers != Some(0),
             "ConcurrentConfig.workers = Some(0) is invalid: the runtime \
-             needs at least one lane worker; use Some(1) for the inline \
+             needs at least one lane; use Some(1) for the inline \
              single-threaded mode or None for automatic sizing"
         );
     }
 }
 
-/// A command shipped to a lane worker: one observation bound for one
-/// replica, with everything needed to apply it and report back.
+/// A command routed to a lane: one observation bound for one replica, with
+/// everything needed to apply it and report back.
 struct ShardCmd {
     replica: usize,
     /// Index into the current [`ConcurrentFleet::run_trace`] outcome
@@ -200,20 +212,22 @@ struct ShardCmd {
     obs: Observation,
 }
 
-/// A lane worker's report for one processed observation.
+/// A lane's report for one retired observation.
 struct ObsOutcome {
     trace_idx: u32,
     audit: Option<usize>,
     feedback: Option<ObservedFeedback>,
 }
 
-/// Live, lock-free progress counters of one lane, published through a
-/// [`SeqLock`] after every processed batch.
+/// Progress counters of one lane, updated with every retired batch
+/// (see [`ConcurrentFleet::progress`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneProgress {
-    /// Observations processed by this lane.
+    /// Observations retired by this lane.
     pub processed: u64,
-    /// Batches drained (each batch is one row-parallel predict pass).
+    /// Batches retired (each batch is one row-parallel predict pass).
+    /// Lane 0's batches are whatever the ingress finds pending when it
+    /// settles the lane.
     pub batches: u64,
     /// Largest single coalesced batch so far.
     pub max_batch: u64,
@@ -231,12 +245,27 @@ struct ReadState {
     towers: Vec<TowerCache>,
 }
 
-/// Shared per-lane plumbing between ingress, worker, and coordinator.
+/// What a lane has retired since the last barrier collected it, and its
+/// counters — one mutex, taken once per retired batch.
+#[derive(Default)]
+struct Outbox {
+    feedback: Vec<ObsOutcome>,
+    progress: LaneProgress,
+}
+
+/// Per-lane plumbing shared by the ingress and the lane's drainer.
+#[derive(Default)]
 struct LaneShared {
     queue: EventQueue<ShardCmd>,
+    /// Observations retired; closed if a drain panics.
     processed: Gauge,
-    outbox: Mutex<Vec<ObsOutcome>>,
-    progress: SeqLock<LaneProgress>,
+    outbox: Mutex<Outbox>,
+}
+
+impl LaneShared {
+    fn outbox(&self) -> MutexGuard<'_, Outbox> {
+        self.outbox.lock().expect("lane outbox poisoned")
+    }
 }
 
 struct Lane {
@@ -247,19 +276,17 @@ struct Lane {
 }
 
 /// The lane data plane the control core drives: replica shards behind
-/// MPSC lanes, their workers, and the read path's towers and per-replica
-/// calibration cells.
+/// MPSC lanes, the workers of lanes 1.., and the read path's towers and
+/// per-replica served calibrations.
 struct LanePlane {
-    /// Effective worker count; 1 = inline mode (no threads).
-    workers: usize,
     lanes: Vec<Lane>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    /// Worker threads of lanes 1.. (the ingress drains lane 0).
+    handles: Vec<JoinHandle<()>>,
     shards: Arc<Vec<Mutex<PitotServer>>>,
     read: Arc<ReadState>,
-    /// Per replica: the calibration it serves, as the read path sees it.
-    snapshots: Vec<SnapshotCell<Served>>,
-    /// Scratch batch for the inline (single-worker) mode.
-    inline_batch: Vec<ShardCmd>,
+    /// Per replica: the calibration it serves — the `Arc` its last install
+    /// shared with the shard. Only the ingress reaches it.
+    served: Vec<Option<Arc<Served>>>,
 }
 
 /// The concurrent serving runtime: [`FleetServer`] semantics on OS threads
@@ -281,22 +308,37 @@ impl std::fmt::Debug for ConcurrentFleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentFleet")
             .field("replicas", &self.plane.shards.len())
-            .field("workers", &self.plane.workers)
             .field("lanes", &self.plane.lanes.len())
             .field("control", &self.core)
             .finish()
     }
 }
 
-/// Scores one drained batch in a single row-parallel pass, then applies
-/// each observation to its shard in FIFO order — the coalescing heart of
-/// the runtime. Shared by the lane workers and the inline mode.
-fn process_batch(
+/// Closes a lane's gauge when a panic unwinds through a retire, so a
+/// barrier on that lane fails instead of parking forever.
+struct CloseOnUnwind<'a>(&'a Gauge);
+
+impl Drop for CloseOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+        }
+    }
+}
+
+/// Retires one drained batch of `lane` — the one drain step of every lane,
+/// whether the ingress or a worker runs it. Scores the batch in a single
+/// row-parallel pass, applies each observation to its shard in FIFO order,
+/// posts feedback and counters to the outbox, and moves the gauge last:
+/// once a barrier releases, the outbox already holds the batch.
+fn retire(
     read: &ReadState,
     shards: &[Mutex<PitotServer>],
+    lane: &LaneShared,
     batch: &mut Vec<ShardCmd>,
-    out: &mut Vec<ObsOutcome>,
 ) {
+    let _close = CloseOnUnwind(&lane.processed);
+    let n = batch.len() as u64;
     // Score against each destination replica's own tower cache (replicas
     // may serve compressed towers): one row-parallel pass per distinct
     // replica in the batch. Batched prediction is bitwise-identical to a
@@ -322,6 +364,7 @@ fn process_batch(
             head_preds[i] = preds.iter().map(|h| h[j]).collect();
         }
     }
+    let mut out = Vec::with_capacity(batch.len());
     for (i, cmd) in batch.drain(..).enumerate() {
         let resp = shards[cmd.replica]
             .lock()
@@ -333,81 +376,71 @@ fn process_batch(
             feedback: resp.observed,
         });
     }
+    let mut outbox = lane.outbox();
+    outbox.feedback.append(&mut out);
+    let p = &mut outbox.progress;
+    p.processed += n;
+    p.batches += 1;
+    p.max_batch = p.max_batch.max(n);
+    drop(outbox);
+    lane.processed.add(n);
 }
 
-/// A lane worker's main loop: park until commands (or shutdown), drain
-/// everything pending, score + apply the batch, report, repeat.
+/// The worker loop of lanes 1..: park until commands (or shutdown), drain
+/// everything pending, retire it, repeat.
 fn lane_worker(read: Arc<ReadState>, shards: Arc<Vec<Mutex<PitotServer>>>, lane: Arc<LaneShared>) {
     let mut batch: Vec<ShardCmd> = Vec::new();
-    let mut out: Vec<ObsOutcome> = Vec::new();
-    let mut prog = LaneProgress::default();
     while lane.queue.drain_into(&mut batch) {
-        let n = batch.len() as u64;
-        process_batch(&read, &shards, &mut batch, &mut out);
-        lane.outbox
-            .lock()
-            .expect("lane outbox poisoned")
-            .append(&mut out);
-        prog.processed += n;
-        prog.batches += 1;
-        prog.max_batch = prog.max_batch.max(n);
-        lane.progress.write(prog);
-        // The gauge moves last: once the barrier releases, the outbox
-        // already holds this batch's feedback.
-        lane.processed.add(n);
+        retire(&read, &shards, &lane, &mut batch);
     }
 }
 
 impl LanePlane {
-    /// Routes one command to its replica's lane (processed on the spot in
-    /// inline mode).
+    /// Routes one command to its replica's lane.
     fn push(&mut self, cmd: ShardCmd) {
-        let lane_idx = cmd.replica % self.lanes.len();
-        self.lanes[lane_idx].routed += 1;
+        let n_lanes = self.lanes.len();
+        let lane = &mut self.lanes[cmd.replica % n_lanes];
+        lane.routed += 1;
         assert!(
-            self.lanes[lane_idx].shared.queue.push(cmd),
+            lane.shared.queue.push(cmd),
             "lane queue closed while the fleet is live"
         );
-        if self.workers == 1 {
-            self.pump_inline(lane_idx);
-        }
     }
 
-    /// Inline mode: play the lane worker's role on the ingress thread —
-    /// drain whatever is pending and process it as one batch, keeping the
-    /// gauge/outbox/progress bookkeeping identical to the threaded path.
-    fn pump_inline(&mut self, lane_idx: usize) {
-        let lane = &self.lanes[lane_idx].shared;
-        let n = lane.queue.try_drain_into(&mut self.inline_batch) as u64;
-        if n == 0 {
-            return;
+    /// Settles lane `k`: on return, every observation routed to it has been
+    /// retired. The ingress drains lane 0 itself; any other lane is waited
+    /// on until its worker has drained it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the lane, if a panic killed the lane's drain before
+    /// it retired its backlog.
+    fn settle(&self, k: usize) {
+        let lane = &self.lanes[k];
+        if k == 0 {
+            let mut batch = Vec::new();
+            if lane.shared.queue.try_drain_into(&mut batch) > 0 {
+                retire(&self.read, &self.shards, &lane.shared, &mut batch);
+            }
         }
-        let mut out = Vec::with_capacity(self.inline_batch.len());
-        process_batch(&self.read, &self.shards, &mut self.inline_batch, &mut out);
-        lane.outbox
-            .lock()
-            .expect("lane outbox poisoned")
-            .append(&mut out);
-        let mut prog = lane.progress.read();
-        prog.processed += n;
-        prog.batches += 1;
-        prog.max_batch = prog.max_batch.max(n);
-        lane.progress.write(prog);
-        lane.processed.add(n);
+        assert!(
+            lane.shared.processed.wait_at_least(lane.routed),
+            "lane {k} died retiring a batch: {} of its {} routed observations \
+             were retired before a panic stopped its drain",
+            lane.shared.processed.get(),
+            lane.routed
+        );
     }
 
-    /// Parks until every lane's backlog is drained.
+    /// Settles every lane, lane 0 first, so the ingress drains its own
+    /// lane while the workers drain theirs.
     fn barrier_all(&self) {
-        for lane in &self.lanes {
-            lane.shared.processed.wait_at_least(lane.routed);
-        }
+        (0..self.lanes.len()).for_each(|k| self.settle(k));
     }
 
-    /// Replica `r`'s server, locked once its lane has processed everything
-    /// routed to it.
+    /// Replica `r`'s server, locked once its lane is settled.
     fn shard(&self, r: usize) -> MutexGuard<'_, PitotServer> {
-        let lane = &self.lanes[r % self.lanes.len()];
-        lane.shared.processed.wait_at_least(lane.routed);
+        self.settle(r % self.lanes.len());
         self.shards[r].lock().expect("shard mutex poisoned")
     }
 
@@ -415,7 +448,7 @@ impl LanePlane {
     fn drain_outboxes(&self) -> Vec<ObsOutcome> {
         let mut all = Vec::new();
         for lane in &self.lanes {
-            all.append(&mut lane.shared.outbox.lock().expect("lane outbox poisoned"));
+            all.append(&mut lane.shared.outbox().feedback);
         }
         all
     }
@@ -423,8 +456,8 @@ impl LanePlane {
     /// The lock-free read path: score the query in `pool` against the
     /// answering replica's immutable tower cache (compressed replicas
     /// answer with their compressed towers, exactly as the twin's
-    /// `query_now` does) and bound it with that replica's calibration
-    /// snapshot — no shard lock, no queue, no waiting on writers.
+    /// `query_now` does) and bound it with that replica's served
+    /// calibration — no shard lock, no queue, no waiting on a lane.
     fn predict(&self, replica: usize, q: &DeadlineQuery, pool: usize) -> Prediction {
         let obs = Observation {
             workload: q.workload,
@@ -437,8 +470,7 @@ impl LanePlane {
             .trained
             .predict_log_runtime_cached(&self.read.towers[replica], &[&obs]);
         let head_preds: Vec<f32> = preds.iter().map(|h| h[0]).collect();
-        let served = self.snapshots[replica].load();
-        server::prediction(served.as_deref(), 0, &head_preds, pool)
+        server::prediction(self.served[replica].as_deref(), 0, &head_preds, pool)
     }
 }
 
@@ -450,13 +482,13 @@ impl Replicas for LanePlane {
     fn replace(&mut self, r: usize, server: PitotServer) -> PitotServer {
         let old = std::mem::replace(&mut *self.shard(r), server);
         // The replacement serves no calibration until one is installed.
-        self.snapshots[r] = SnapshotCell::new();
+        self.served[r] = None;
         old
     }
 
     fn install(&mut self, r: usize, served: Arc<Served>) {
         self.shard(r).install(Arc::clone(&served));
-        self.snapshots[r].store(served);
+        self.served[r] = Some(served);
     }
 }
 
@@ -466,16 +498,16 @@ impl Drop for LanePlane {
             lane.shared.queue.close();
         }
         for h in self.handles.drain(..) {
-            // A worker that panicked already reported via the test/process
-            // harness; don't double-panic in drop.
+            // A worker that panicked already failed its lane's barrier;
+            // don't double-panic in drop.
             let _ = h.join();
         }
     }
 }
 
 impl ConcurrentFleet {
-    /// Builds the concurrent fleet and spawns its lane workers (none in
-    /// inline mode). Replicas are built as [`FleetServer::new`] builds
+    /// Builds the concurrent fleet and spawns the workers of lanes 1..
+    /// (none in inline mode). Replicas are built as [`FleetServer::new`] builds
     /// them: per-replica refresh is overridden to "never" — the
     /// coordinator owns every install.
     ///
@@ -485,9 +517,9 @@ impl ConcurrentFleet {
     pub fn new(trained: TrainedPitot, dataset: &Dataset, cfg: ConcurrentConfig) -> Self {
         cfg.validate();
         let replicas = cfg.fleet.replicas;
-        let workers = cfg
+        let n_lanes = cfg
             .workers
-            .unwrap_or_else(|| pitot_linalg::par::threads().min(replicas))
+            .unwrap_or_else(pitot_linalg::par::threads)
             .min(replicas)
             .max(1);
         let core = FleetControl::new(cfg.fleet, &trained);
@@ -504,44 +536,32 @@ impl ConcurrentFleet {
                 .collect(),
             trained,
         });
-        let n_lanes = if workers > 1 { workers } else { 1 };
         let lanes: Vec<Lane> = (0..n_lanes)
             .map(|_| Lane {
-                shared: Arc::new(LaneShared {
-                    queue: EventQueue::new(),
-                    processed: Gauge::new(),
-                    outbox: Mutex::new(Vec::new()),
-                    progress: SeqLock::new(LaneProgress::default()),
-                }),
+                shared: Arc::default(),
                 routed: 0,
             })
             .collect();
-        let handles = if workers > 1 {
-            lanes
-                .iter()
-                .map(|lane| {
-                    let read = Arc::clone(&read);
-                    let shards = Arc::clone(&shards);
-                    let shared = Arc::clone(&lane.shared);
-                    std::thread::Builder::new()
-                        .name("pitot-serve-lane".to_string())
-                        .spawn(move || lane_worker(read, shards, shared))
-                        .expect("spawning lane worker")
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let handles = lanes[1..]
+            .iter()
+            .map(|lane| {
+                let read = Arc::clone(&read);
+                let shards = Arc::clone(&shards);
+                let shared = Arc::clone(&lane.shared);
+                std::thread::Builder::new()
+                    .name("pitot-serve-lane".to_string())
+                    .spawn(move || lane_worker(read, shards, shared))
+                    .expect("spawning lane worker")
+            })
+            .collect();
         Self {
             core,
             plane: LanePlane {
-                workers,
                 lanes,
                 handles,
                 shards,
                 read,
-                snapshots: (0..replicas).map(|_| SnapshotCell::new()).collect(),
-                inline_batch: Vec::new(),
+                served: vec![None; replicas],
             },
             events_seen: 0,
             ingress_queries: 0,
@@ -572,9 +592,11 @@ impl ConcurrentFleet {
         self.plane.shards.len()
     }
 
-    /// Effective lane worker count (1 = inline mode).
+    /// Effective lane count: the resolved [`ConcurrentConfig::workers`].
+    /// The ingress drains lane 0, so `workers() - 1` worker threads run
+    /// (none in the inline mode, `workers() == 1`).
     pub fn workers(&self) -> usize {
-        self.plane.workers
+        self.plane.lanes.len()
     }
 
     /// The replica a `(workload, platform)` pair is sharded to — the same
@@ -595,12 +617,15 @@ impl ConcurrentFleet {
             if set.is_empty() {
                 continue;
             }
-            let mut shard = self.plane.shard(r);
-            shard.seed_calibration(set);
+            let seeded = {
+                let mut shard = self.plane.shard(r);
+                shard.seed_calibration(set);
+                shard.served().cloned()
+            };
             // The seeded local fit is what the replica serves until the
             // merge below (or a later one) installs over it.
-            if let Some(served) = shard.served() {
-                self.plane.snapshots[r].store(Arc::clone(served));
+            if seeded.is_some() {
+                self.plane.served[r] = seeded;
             }
         }
         self.core.merge_now(&mut self.plane);
@@ -662,16 +687,15 @@ impl ConcurrentFleet {
     }
 
     /// Runs a merge round now, exactly as [`FleetServer::merge_now`] does:
-    /// each replica is read or installed into once its lane has drained,
-    /// and every install is published to that replica's read-path
-    /// snapshot.
+    /// each replica is read or installed into once its lane is settled,
+    /// and the read path answers from each install from then on.
     pub fn merge_now(&mut self) {
         self.core.merge_now(&mut self.plane);
     }
 
     /// Aggregated counters, assembled exactly as the twin's
     /// [`FleetServer::stats`] (each replica's counters are read once its
-    /// lane has drained). Ingress-answered queries are folded into
+    /// lane is settled). Ingress-answered queries are folded into
     /// [`FleetStats::queries`].
     pub fn stats(&self) -> FleetStats {
         let mut s = self.core.stats(&self.plane);
@@ -700,13 +724,14 @@ impl ConcurrentFleet {
             .map(|c| Arc::new(c.conformal.clone()))
     }
 
-    /// Live per-lane progress counters, read lock-free off each lane's
-    /// [`SeqLock`] — safe to poll from any thread while a trace runs.
+    /// Per-lane progress counters, lane 0 (the ingress's) first. Final at
+    /// every [`ConcurrentFleet::run_trace`] boundary, where every lane is
+    /// settled.
     pub fn progress(&self) -> Vec<LaneProgress> {
         self.plane
             .lanes
             .iter()
-            .map(|l| l.shared.progress.read())
+            .map(|l| l.shared.outbox().progress)
             .collect()
     }
 }

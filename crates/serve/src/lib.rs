@@ -69,10 +69,12 @@
 //! - **A real concurrent runtime with a deterministic twin.** A
 //!   [`ConcurrentFleet`] runs the same fleet semantics on OS threads:
 //!   sharded replica state behind per-lane MPSC event queues
-//!   ([`pitot_linalg::par::EventQueue`]), micro-batch coalescing into the
-//!   row-parallel predict path, and a lock-free snapshot read path
-//!   ([`SnapshotCell`], [`SeqLock`]) so admission and prediction never
-//!   block on window writes or calibration installs. The simulated-clock
+//!   ([`pitot_linalg::par::EventQueue`]), lane 0 drained by the ingress
+//!   thread itself and every other lane by one worker thread, micro-batch
+//!   coalescing into the row-parallel predict path, and a lock-free read
+//!   path: admission and prediction answer from immutable towers and each
+//!   replica's last installed calibration, so they never block on window
+//!   writes or a lane's backlog. The simulated-clock
 //!   [`FleetServer`] stays on as the deterministic twin: the same
 //!   [`TraceEvent`] sequence through both runtimes yields bitwise-identical
 //!   outcomes and audit counters ([`run_trace_simulated`]) under every
@@ -131,13 +133,6 @@ mod fault;
 mod fleet;
 mod guard;
 mod server;
-// The snapshot read-path cells are the serving layer's only sanctioned
-// `unsafe` (alongside `pitot_linalg`'s kernels/pool): two small left-right /
-// seqlock protocols with the safety arguments spelled out inline and
-// stress-tested for torn reads. Everything else in this crate stays under
-// the workspace-wide `unsafe_code = "deny"`.
-#[allow(unsafe_code)]
-mod snapshot;
 
 pub use admission::{
     AdmissionConfig, AdmissionDecision, AdmissionQueue, AdmissionStats, ShedReason,
@@ -155,4 +150,3 @@ pub use fault::{
 pub use fleet::{AdmissionOutcome, DeadlineQuery, FleetServer, FleetStats};
 pub use guard::{GuardStats, QuarantineCause, QuarantineRecord, WatchdogIncident};
 pub use server::{Event, ObservedFeedback, PitotServer, Prediction, ServeResponse, ServeStats};
-pub use snapshot::{SeqLock, SnapshotCell};

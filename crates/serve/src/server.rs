@@ -432,9 +432,8 @@ impl PitotServer {
 
     /// Applies one observation whose head predictions the caller already
     /// computed — the one observation entry point. [`on_event`](Self::on_event)
-    /// scores a batch of one and delegates here; the concurrent runtime's
-    /// lane workers score a whole drained batch in one row-parallel pass
-    /// first. Batched prediction is bitwise-identical to a batch of one (a
+    /// scores a batch of one and delegates here; the concurrent runtime
+    /// scores a whole drained lane batch in one row-parallel pass first. Batched prediction is bitwise-identical to a batch of one (a
     /// pinned property), so both callers see identical state transitions.
     pub(crate) fn on_observation_prescored(
         &mut self,

@@ -2,7 +2,7 @@
 //! (`ConcurrentFleet`) must be **bitwise indistinguishable** from the
 //! simulated-clock `FleetServer` on any trace — same observations, same
 //! predictions, same admission decisions, same stats, same audits — for
-//! every worker count. Seeded arbitrary traces interleave observations,
+//! every lane count. Seeded arbitrary traces interleave observations,
 //! deadline queries, and resolves; fault cases run every `FaultPlan` knob
 //! (crashes, coordinator outages with and without gossip, dropped and
 //! delayed summaries with their retries, corrupt runtimes, outlier bursts,
@@ -12,7 +12,8 @@
 //!
 //! CI runs this suite under `PITOT_THREADS=1` and `PITOT_THREADS=4`, so the
 //! linalg pool size is covered cross-process; the in-process `workers`
-//! override covers lane counts 1 (inline) and 4 (threaded) in one run.
+//! override covers lane counts 1 (inline: the ingress owns every lane), 2
+//! (the ingress plus one worker) and up to 4 in one run.
 
 use pitot::{train, Objective, PitotConfig, TrainedPitot};
 use pitot_conformal::{HeadSelection, PooledConformal, PredictionSet};
@@ -22,7 +23,9 @@ use pitot_serve::{
 };
 use pitot_testbed::{split::Split, Dataset, Testbed, TestbedConfig};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, OnceLock};
+use std::time::Duration;
 
 fn fixture() -> &'static (Dataset, Split, TrainedPitot) {
     static FIXTURE: OnceLock<(Dataset, Split, TrainedPitot)> = OnceLock::new();
@@ -121,6 +124,7 @@ fn assert_twin_equivalent(
     sim.seed_calibration(&split.val);
     let expected = run_trace_simulated(&mut sim, 0.0, events);
 
+    let replicas = cfg.replicas;
     let ccfg = ConcurrentConfig {
         fleet: cfg,
         workers: Some(workers),
@@ -154,7 +158,13 @@ fn assert_twin_equivalent(
     // The lanes must have actually processed every routed observation:
     // each is judged or quarantined at ingest (watchdog purges re-audit
     // entries that were already judged).
-    let processed: u64 = conc.progress().iter().map(|p| p.processed).sum();
+    let progress = conc.progress();
+    assert_eq!(
+        progress.len(),
+        workers.min(replicas),
+        "one progress entry per lane"
+    );
+    let processed: u64 = progress.iter().map(|p| p.processed).sum();
     let guard = conc.stats().guard;
     let observed = got
         .iter()
@@ -175,13 +185,13 @@ fn assert_twin_equivalent(
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
-    /// Clean fleets: arbitrary interleaved traces, three replicas, inline
-    /// and threaded lane modes.
+    /// Clean fleets: arbitrary interleaved traces, three replicas, inline,
+    /// ingress-plus-one-worker and threaded lane modes.
     #[test]
     fn arbitrary_traces_match_the_twin(seed in 0u64..u64::MAX, n in 120usize..220) {
         let mut rng = TestRng::from_state(seed);
         let events = build_trace(&mut rng, n);
-        for workers in [1usize, 4] {
+        for workers in [1usize, 2, 4] {
             assert_twin_equivalent(clean_cfg(3), None, &events, workers);
         }
     }
@@ -203,7 +213,7 @@ proptest! {
             .crash(1, crash_at, rejoin_at)
             .corrupt_observations(0.05)
             .outlier_bursts(0.03, 2.0, 3);
-        for workers in [1usize, 4] {
+        for workers in [1usize, 2, 4] {
             assert_twin_equivalent(guarded_cfg(4), Some(plan.clone()), &events, workers);
         }
     }
@@ -312,7 +322,7 @@ proptest! {
             .replay_summaries(0.1)
             .skew_clocks(0.1)
             .byzantine_replica(3, 40 + rng.below(0, 40));
-        for workers in [1usize, 4] {
+        for workers in [1usize, 2, 4] {
             assert_twin_equivalent(guarded_cfg(4), Some(plan.clone()), &events, workers);
         }
     }
@@ -547,5 +557,66 @@ fn shard_routing_matches_the_twin() {
             conc.shard_for(o.workload, o.platform),
             fleet.shard_for(o.workload, o.platform)
         );
+    }
+}
+
+/// The panic payload's message.
+fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_default()
+}
+
+#[test]
+fn a_panicking_lane_fails_run_trace_instead_of_hanging() {
+    // An observation outside the model's catalog panics whoever retires it:
+    // the ingress on lane 0, the worker on lane 1. Either way `run_trace`
+    // must panic — a dead worker closes its lane's barrier, and the caller
+    // names the lane — rather than park forever, and the twin rejects the
+    // same input.
+    let (dataset, split, trained) = fixture();
+    let lanes = 2;
+    for lane in 0..lanes {
+        let mut conc = ConcurrentFleet::new(
+            trained.clone(),
+            dataset,
+            ConcurrentConfig {
+                fleet: clean_cfg(2),
+                workers: Some(lanes),
+            },
+        );
+        conc.seed_calibration(&split.val);
+        let mut obs = dataset.observations[split.test[0]].clone();
+        obs.workload = (dataset.n_workloads as u32..)
+            .find(|&w| conc.shard_for(w, obs.platform) % lanes == lane)
+            .expect("some out-of-catalog workload shards to every lane");
+        let events = vec![TraceEvent::Observe(obs)];
+
+        let mut sim = FleetServer::new(trained.clone(), dataset, clean_cfg(2));
+        sim.seed_calibration(&split.val);
+        let twin = catch_unwind(AssertUnwindSafe(|| {
+            run_trace_simulated(&mut sim, 0.0, &events)
+        }));
+        assert!(
+            twin.is_err(),
+            "the twin accepted an out-of-catalog observation"
+        );
+
+        let (tx, rx) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let result = catch_unwind(AssertUnwindSafe(|| conc.run_trace(&events)));
+            let _ = tx.send(result.err().map(panic_message));
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(Some(msg)) => {
+                if lane > 0 {
+                    assert!(msg.contains(&format!("lane {lane} died")), "{msg}");
+                }
+            }
+            Ok(None) => panic!("lane {lane} accepted an out-of-catalog observation"),
+            Err(e) => panic!("run_trace did not return within 60 s on lane {lane}: {e}"),
+        }
+        runner.join().expect("the runner caught the panic");
     }
 }
