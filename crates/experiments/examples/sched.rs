@@ -13,8 +13,8 @@
 //! lines.
 
 use pitot::{train, Objective, PitotConfig};
-use pitot_orchestrator::{ClusterSim, JobStream, PlacementPolicy};
-use pitot_sched::{ConformalGreedy, LeastLoaded, PointGreedy, Random, Traced};
+use pitot_orchestrator::{BaselinePolicy, ClusterSim, JobStream, PlacementPolicy};
+use pitot_sched::{ConformalGreedy, PointGreedy, Traced};
 use pitot_serve::{Event, PitotServer, ServeConfig, ServingPredictor};
 use pitot_testbed::{split::Split, Testbed, TestbedConfig};
 use std::cell::RefCell;
@@ -40,8 +40,8 @@ fn main() {
     let policies: Vec<Box<dyn PlacementPolicy>> = vec![
         Box::new(ConformalGreedy::new()),
         Box::new(PointGreedy::new()),
-        Box::new(LeastLoaded::new()),
-        Box::new(Random::new(7)),
+        Box::new(BaselinePolicy::least_loaded()),
+        Box::new(BaselinePolicy::random(7)),
     ];
 
     println!("closed loop: 200 jobs on a 6-platform site, live recalibration");

@@ -92,13 +92,4 @@ fn main() {
         server.rolling_coverage(),
         stats.refreshes
     );
-    let mut lat: Vec<u64> = stats.refresh_ns.clone();
-    lat.sort_unstable();
-    if !lat.is_empty() {
-        println!(
-            "  refresh latency p50 {:.1} µs / p99 {:.1} µs",
-            lat[(lat.len() - 1) / 2] as f64 / 1e3,
-            lat[((lat.len() - 1) as f64 * 0.99).round() as usize] as f64 / 1e3
-        );
-    }
 }

@@ -37,8 +37,8 @@ use crate::harness::Harness;
 use crate::report::{Figure, Point, Series};
 use crate::serving::{segment_coverage, DRIFT_LOG, SEGMENTS};
 use pitot::{Objective, PitotConfig};
-use pitot_orchestrator::{ClusterSim, JobStream, PlacementPolicy};
-use pitot_sched::{ConformalGreedy, LeastLoaded, PointGreedy, Random};
+use pitot_orchestrator::{BaselinePolicy, ClusterSim, JobStream, PlacementPolicy};
+use pitot_sched::{ConformalGreedy, PointGreedy};
 use pitot_serve::{Event, PitotServer, ServeConfig, ServingPredictor};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -60,8 +60,8 @@ fn policy_for(arm: usize, rep: usize) -> Box<dyn PlacementPolicy> {
     match arm {
         0 => Box::new(ConformalGreedy::new()),
         1 => Box::new(PointGreedy::new()),
-        2 => Box::new(LeastLoaded::new()),
-        _ => Box::new(Random::new(0xC0FF_EE00 ^ rep as u64)),
+        2 => Box::new(BaselinePolicy::least_loaded()),
+        _ => Box::new(BaselinePolicy::random(0xC0FF_EE00 ^ rep as u64)),
     }
 }
 

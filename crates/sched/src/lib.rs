@@ -11,8 +11,9 @@
 //!
 //! The policy lineup, ordered by how much of the prediction they use:
 //!
-//! - [`Random`] — ignores everything (the lower bar);
-//! - [`LeastLoaded`] — balances co-location counts, prediction-free;
+//! - [`BaselinePolicy::random`] — ignores everything (the lower bar);
+//! - [`BaselinePolicy::least_loaded`] — balances co-location counts,
+//!   prediction-free;
 //! - [`PointGreedy`] — minimizes own predicted runtime plus the predicted
 //!   interference delta induced on residents, read at the **point**
 //!   estimate;
@@ -33,6 +34,9 @@
 //! the decision sequence, and folds it into a [`Traced::digest`] that CI
 //! compares across processes with different thread counts; property tests
 //! pin [`ConformalGreedy`] to a brute-force oracle.
+//!
+//! [`BaselinePolicy::random`]: pitot_orchestrator::BaselinePolicy::random
+//! [`BaselinePolicy::least_loaded`]: pitot_orchestrator::BaselinePolicy::least_loaded
 
 // Every public item in this crate is part of the documented scheduling
 // API; keep it that way (CI builds rustdoc with `-D warnings`).
@@ -42,7 +46,7 @@ mod policies;
 pub mod risk;
 mod trace;
 
-pub use policies::{ConformalGreedy, LeastLoaded, PointGreedy, Random};
+pub use policies::{ConformalGreedy, PointGreedy};
 pub use risk::Signal;
 pub use trace::Traced;
 

@@ -1,7 +1,7 @@
 //! The placement policies compared in the `ext-sched` experiment.
 
 use crate::risk::{risk_argmin, Signal};
-use pitot_orchestrator::{BaselinePolicy, ClusterView, Job, PlacementPolicy, RuntimePredictor};
+use pitot_orchestrator::{ClusterView, Job, PlacementPolicy, RuntimePredictor};
 
 /// Conformal risk-minimizing placement: scores every candidate by the
 /// **upper edge** of the job's predicted runtime given the site's current
@@ -115,74 +115,5 @@ impl PlacementPolicy for PointGreedy {
 
     fn name(&self) -> &str {
         "point-greedy"
-    }
-}
-
-/// Prediction-free load balancing (what naive orchestrators do), re-exported
-/// here so the `ext-sched` policy lineup lives in one crate. Delegates to
-/// [`BaselinePolicy::least_loaded`].
-#[derive(Debug, Clone)]
-pub struct LeastLoaded {
-    inner: BaselinePolicy,
-}
-
-impl LeastLoaded {
-    /// Fewest-co-residents placement.
-    pub fn new() -> Self {
-        Self {
-            inner: BaselinePolicy::least_loaded(),
-        }
-    }
-}
-
-impl Default for LeastLoaded {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PlacementPolicy for LeastLoaded {
-    fn place(
-        &mut self,
-        job: &Job,
-        view: &ClusterView,
-        predictor: &dyn RuntimePredictor,
-    ) -> Option<usize> {
-        self.inner.place(job, view, predictor)
-    }
-
-    fn name(&self) -> &str {
-        "least-loaded"
-    }
-}
-
-/// Uniformly random placement (the lower bar). Delegates to
-/// [`BaselinePolicy::random`]; deterministic in its seed.
-#[derive(Debug, Clone)]
-pub struct Random {
-    inner: BaselinePolicy,
-}
-
-impl Random {
-    /// Seeded random placement.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            inner: BaselinePolicy::random(seed),
-        }
-    }
-}
-
-impl PlacementPolicy for Random {
-    fn place(
-        &mut self,
-        job: &Job,
-        view: &ClusterView,
-        predictor: &dyn RuntimePredictor,
-    ) -> Option<usize> {
-        self.inner.place(job, view, predictor)
-    }
-
-    fn name(&self) -> &str {
-        "random"
     }
 }

@@ -82,8 +82,7 @@ impl<P: PlacementPolicy> PlacementPolicy for Traced<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::LeastLoaded;
-    use pitot_orchestrator::PlatformLoad;
+    use pitot_orchestrator::{BaselinePolicy, PlatformLoad};
 
     struct Flat;
     impl RuntimePredictor for Flat {
@@ -121,7 +120,7 @@ mod tests {
     #[test]
     fn trace_records_every_decision_and_digest_is_stable() {
         let run = || {
-            let mut traced = Traced::new(LeastLoaded::new());
+            let mut traced = Traced::new(BaselinePolicy::least_loaded());
             for id in 0..5 {
                 let _ = traced.place(&job(id), &view(3), &Flat);
             }
@@ -136,8 +135,8 @@ mod tests {
 
     #[test]
     fn different_decisions_change_the_digest() {
-        let mut a = Traced::new(LeastLoaded::new());
-        let mut b = Traced::new(LeastLoaded::new());
+        let mut a = Traced::new(BaselinePolicy::least_loaded());
+        let mut b = Traced::new(BaselinePolicy::least_loaded());
         let _ = a.place(&job(0), &view(2), &Flat);
         let _ = b.place(&job(1), &view(2), &Flat);
         assert_ne!(a.digest(), b.digest());

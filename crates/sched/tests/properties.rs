@@ -257,8 +257,8 @@ fn sched_policies_complete_job_streams() {
     let mut policies: Vec<Box<dyn PlacementPolicy>> = vec![
         Box::new(ConformalGreedy::new()),
         Box::new(PointGreedy::new()),
-        Box::new(pitot_sched::LeastLoaded::new()),
-        Box::new(pitot_sched::Random::new(7)),
+        Box::new(BaselinePolicy::least_loaded()),
+        Box::new(BaselinePolicy::random(7)),
         Box::new(BaselinePolicy::deadline_aware()),
     ];
     for policy in &mut policies {

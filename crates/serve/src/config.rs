@@ -27,10 +27,13 @@ pub struct ServeConfig {
     /// `false` uses one global pool — e.g. to isolate the effect of
     /// windowing in comparisons.
     pub pool_by_arity: bool,
-    /// Quantile-head selection policy for the served calibration. With
-    /// [`HeadSelection::TightestOnValidation`] the window doubles as the
-    /// selection set (a streaming approximation of the paper's dedicated
-    /// selection half).
+    /// Quantile-head selection policy for the served calibration:
+    /// [`HeadSelection::SingleHead`] or [`HeadSelection::NaiveXi`] (the
+    /// default). [`HeadSelection::TightestOnValidation`] is rejected. The
+    /// paper selects heads on a validation split kept apart from the
+    /// calibration split, and a server has only its window: selecting on
+    /// the scores it calibrates on breaks their exchangeability with the
+    /// next observation, and with it the coverage guarantee.
     pub selection: HeadSelection,
     /// Rolling prequential-coverage window the drift detector watches.
     pub drift_window: usize,
@@ -170,8 +173,10 @@ impl ServeConfig {
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range ε, a zero window/cadence/micro-batch, or a
-    /// rebuild growth factor below 1.
+    /// Panics on an out-of-range ε, a zero window/cadence/micro-batch, a
+    /// rebuild growth factor below 1, or the
+    /// [`HeadSelection::TightestOnValidation`] policy (see
+    /// [`ServeConfig::selection`]).
     pub fn validate(&self) {
         assert!(
             self.epsilon > 0.0 && self.epsilon < 1.0,
@@ -195,6 +200,14 @@ impl ServeConfig {
             self.microbatch > 0,
             "ServeConfig.microbatch = 0 is invalid: the micro-batch must \
              hold at least 1 query (1 = no batching; default: 16)"
+        );
+        assert!(
+            self.selection != HeadSelection::TightestOnValidation,
+            "ServeConfig.selection = TightestOnValidation is invalid: a \
+             server calibrates on its sliding window and has no separate \
+             selection set, and selecting heads on the calibration scores \
+             voids the coverage guarantee; use HeadSelection::SingleHead or \
+             HeadSelection::NaiveXi (the default)"
         );
         assert!(
             self.drift_window > 0,
@@ -376,11 +389,7 @@ impl FleetConfig {
     /// # Panics
     ///
     /// Panics on an invalid serve or admission config, a zero replica
-    /// count or merge cadence, the
-    /// [`HeadSelection::TightestOnValidation`] policy — the coordinator
-    /// fits on merged score summaries and has no fleet-wide selection set,
-    /// so fleets must use [`HeadSelection::SingleHead`] or
-    /// [`HeadSelection::NaiveXi`] — or enabled fine-tuning: a replica
+    /// count or merge cadence, or enabled fine-tuning: a replica
     /// fine-tune refits its served calibration from the local window alone
     /// (and diverges its model from its peers'), which would silently
     /// replace the installed fleet calibration between merges. Per-site
@@ -398,13 +407,6 @@ impl FleetConfig {
             self.merge_every > 0,
             "FleetConfig.merge_every = 0 is invalid: the coordinator merge \
              cadence must be at least 1 fleet-wide observation (default: 32)"
-        );
-        assert!(
-            self.serve.selection != HeadSelection::TightestOnValidation,
-            "FleetConfig.serve.selection = TightestOnValidation is not \
-             supported in fleet mode: the coordinator fits on merged score \
-             summaries and has no selection set; use HeadSelection::SingleHead \
-             or HeadSelection::NaiveXi instead"
         );
         assert!(
             self.serve.fine_tune_steps == 0,
@@ -471,14 +473,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no selection set")]
-    fn fleet_rejects_tightest_selection() {
-        let mut c = FleetConfig::at(0.1, 2);
-        c.serve.selection = HeadSelection::TightestOnValidation;
-        c.validate();
-    }
-
-    #[test]
     #[should_panic(expected = "fine_tune_steps = 0 in fleet mode")]
     fn fleet_rejects_fine_tuning() {
         let mut c = FleetConfig::at(0.1, 2);
@@ -500,12 +494,13 @@ mod tests {
                 .expect("panic carries a message")
         }
 
+        // A fleet rejects it through its serve config.
         let m = message(|| {
             let mut c = FleetConfig::at(0.1, 2);
             c.serve.selection = HeadSelection::TightestOnValidation;
             c.validate();
         });
-        assert!(m.contains("FleetConfig.serve.selection"), "field: {m}");
+        assert!(m.contains("ServeConfig.selection"), "field: {m}");
         assert!(m.contains("TightestOnValidation"), "offending value: {m}");
         assert!(
             m.contains("HeadSelection::SingleHead") && m.contains("HeadSelection::NaiveXi"),

@@ -25,9 +25,9 @@ use crate::admission::AdmissionQueue;
 use crate::config::FleetConfig;
 use crate::fault::{DegradedCause, DegradedWindow, FaultPlan, RejectCause, RejectedSummary};
 use crate::fleet::{AdmissionOutcome, DeadlineQuery, FleetServer, FleetStats};
-use crate::server::{ObservedFeedback, PitotServer, Prediction, Served};
+use crate::server::{fit_served, ObservedFeedback, PitotServer, Prediction, Served};
 use pitot::TrainedPitot;
-use pitot_conformal::{MergeableWindow, PooledConformal, PredictionSet, TamperMode};
+use pitot_conformal::{MergeableWindow, PooledConformal, TamperMode};
 use pitot_testbed::{Dataset, Observation};
 use rand::{seq::SliceRandom, Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -707,18 +707,10 @@ impl FleetControl {
 
     /// Fits the fleet calibration on a merged view's union, rank-selected
     /// from the view's verified runs (bitwise the fit on `to_scored()`,
-    /// without materialising the union). Fleet head selection never uses a
-    /// validation set (FleetConfig rejects TightestOnValidation), so an
-    /// empty selection set is fine.
+    /// without materialising the union).
     fn fit_union(&self, merged: &MergeableWindow) -> PooledConformal {
-        let empty_preds: Vec<Vec<f32>> = vec![Vec::new(); merged.n_heads()];
-        PooledConformal::fit_scored(
+        fit_served(
             merged,
-            &PredictionSet {
-                predictions: &empty_preds,
-                targets_log: &[],
-                pools: &[],
-            },
             &self.xis,
             self.cfg.serve.selection,
             self.cfg.serve.epsilon,

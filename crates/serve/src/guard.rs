@@ -63,7 +63,10 @@ pub struct QuarantineRecord {
     pub cause: QuarantineCause,
     /// Raw IEEE-754 bits of the reported runtime — bits, not the float,
     /// because the interesting offenders (NaN, ±∞) have no faithful JSON
-    /// representation. Recover with [`QuarantineRecord::runtime_s`].
+    /// representation. Recover with [`QuarantineRecord::runtime_s`]. A
+    /// watchdog rollback that purges an entry restored from a fleet summary
+    /// (see [`crate::PitotServer::restore_window`]) records `NaN`: no
+    /// runtime of that entry ever reached the purging instance.
     pub runtime_bits: u32,
     /// The head-0 nonconformity score that was screened, when one was
     /// computable (`None` for runtime-level causes — a NaN runtime has no

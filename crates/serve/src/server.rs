@@ -6,12 +6,11 @@ use crate::guard::{self, GuardStats, IngestGuard, QuarantineCause, QuarantineRec
 use crate::WatchdogIncident;
 use pitot::{TowerCache, TrainContext, TrainedPitot};
 use pitot_conformal::{
-    HeadSelection, MergeableWindow, PooledConformal, PredictionSet, WindowedScores,
+    CalibrationView, HeadSelection, MergeableWindow, PooledConformal, PredictionSet, WindowedScores,
 };
 use pitot_testbed::{split::Split, Dataset, Observation};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One input to the serving loop, delivered at a simulated timestamp.
 #[derive(Debug, Clone)]
@@ -94,7 +93,7 @@ pub struct ServeResponse {
     pub quarantined: Option<QuarantineRecord>,
 }
 
-/// Counters and latency records for a serving session.
+/// Counters for a serving session.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
     /// Events consumed.
@@ -115,18 +114,9 @@ pub struct ServeStats {
     pub degraded_bounded: usize,
     /// Degraded-mode judged observations the fallback bound covered.
     pub degraded_covered: usize,
-    /// Wall-clock nanoseconds of recent conformal refreshes, in order
-    /// (drain with `std::mem::take` for percentile reporting). Retention is
-    /// bounded at [`ServeStats::REFRESH_LATENCY_RETAIN`] — once full, the
-    /// older half is dropped — so a long-lived server with a per-arrival
-    /// refresh cadence does not grow without bound.
-    pub refresh_ns: Vec<u64>,
 }
 
 impl ServeStats {
-    /// Maximum refresh latencies retained in [`ServeStats::refresh_ns`].
-    pub const REFRESH_LATENCY_RETAIN: usize = 65_536;
-
     /// Prequential empirical coverage over the whole session (`NaN` before
     /// any observation).
     pub fn coverage(&self) -> f32 {
@@ -158,6 +148,26 @@ impl Served {
     }
 }
 
+/// Fits a served calibration on a view of window scores: one rank-select
+/// per `(pool, head)`. Every calibration this crate fits comes from here: a
+/// standalone refresh, a fleet's stale-local fallback, and its coordinator,
+/// gossip and retry fits. The fit reads no selection set, because
+/// [`ServeConfig::validate`] admits only the policies that need none (see
+/// [`ServeConfig::selection`]).
+pub(crate) fn fit_served<C: CalibrationView>(
+    view: &C,
+    xis: &[f32],
+    selection: HeadSelection,
+    epsilon: f32,
+) -> PooledConformal {
+    let no_selection_set = PredictionSet {
+        predictions: &[],
+        targets_log: &[],
+        pools: &[],
+    };
+    PooledConformal::fit_scored(view, &no_selection_set, xis, selection, epsilon)
+}
+
 /// Log-space `(bound, degraded)` for one observation's head predictions
 /// under the served calibration. Before the first calibration exists the
 /// bound falls back to the highest head — conservative but uncalibrated.
@@ -187,15 +197,15 @@ pub(crate) fn prediction(
     }
 }
 
-/// One window entry's raw material, kept so the window can serve as a
-/// selection set and be re-scored after a fine-tune.
+/// What the window's score ring cannot give back about one entry.
 #[derive(Debug, Clone)]
 struct WindowEntry {
-    preds: Vec<f32>,
+    /// The log runtime, for a watchdog rollback's audit. `NaN` for an entry
+    /// restored from a summary: its runtime never reached this instance.
     target_log: f32,
-    pool: usize,
-    /// Index into the server's (growing) dataset; `None` when fine-tuning
-    /// is disabled and arrivals are not recorded.
+    /// Index into the server's (growing) dataset, for a fine-tune's
+    /// rescore; `None` when fine-tuning is disabled and arrivals are not
+    /// recorded.
     obs_idx: Option<usize>,
 }
 
@@ -324,52 +334,41 @@ impl PitotServer {
             .map(|&i| &self.dataset.observations[i])
             .collect();
         let preds = self.trained.predict_log_runtime_cached(&self.towers, &obs);
-        // Materialize per-entry data first: `obs` borrows the dataset, and
-        // the push below needs `&mut self`.
-        let entries: Vec<(usize, Vec<f32>, f32, usize)> = tail
+        // Read targets and pools first: `obs` borrows the dataset, and the
+        // push below needs `&mut self`.
+        let labels: Vec<(f32, usize)> = obs
             .iter()
-            .zip(&obs)
-            .enumerate()
-            .map(|(j, (&i, o))| {
-                let head_preds: Vec<f32> = preds.iter().map(|h| h[j]).collect();
-                (
-                    i,
-                    head_preds,
-                    o.log_runtime(),
-                    self.cfg.pool_key(o.interferers.len()),
-                )
-            })
+            .map(|o| (o.log_runtime(), self.cfg.pool_key(o.interferers.len())))
             .collect();
         drop(obs);
-        for (i, head_preds, target_log, pool) in entries {
-            self.window_push(head_preds, target_log, pool, Some(i));
+        for (j, (&i, (target_log, pool))) in tail.iter().zip(labels).enumerate() {
+            let head_preds: Vec<f32> = preds.iter().map(|h| h[j]).collect();
+            self.window_push(&head_preds, target_log, pool, Some(i));
         }
         self.refresh();
     }
 
-    /// Pushes one entry into the sliding window and its raw mirror. The raw
-    /// ring's eviction is driven by [`WindowedScores::push`]'s return value,
-    /// so the two rings cannot drift apart.
+    /// Pushes one entry into the sliding window and its record ring. The
+    /// record ring's eviction is driven by [`WindowedScores::push`]'s return
+    /// value, so the two rings cannot drift apart.
     fn window_push(
         &mut self,
-        preds: Vec<f32>,
+        head_preds: &[f32],
         target_log: f32,
         pool: usize,
         obs_idx: Option<usize>,
     ) {
-        let evicted = self.window.push(&preds, target_log, pool);
+        let evicted = self.window.push(head_preds, target_log, pool);
         self.raw.push_back(WindowEntry {
-            preds,
             target_log,
-            pool,
             obs_idx,
         });
         if evicted.is_some() {
             self.raw.pop_front();
         }
-        // The raw mirror and the score window must never drift apart (the
-        // selection set and the rescore path both read `raw`); two length
-        // reads per push are cheap enough to check unconditionally.
+        // The record ring and the score window must never drift apart (the
+        // rollback and rescore paths zip them); two length reads per push
+        // are cheap enough to check unconditionally.
         assert_eq!(self.raw.len(), self.window.len());
     }
 
@@ -510,7 +509,7 @@ impl PitotServer {
         };
 
         // 3. Slide the calibration window, then bound the fine-tune pool.
-        self.window_push(head_preds, target_log, pool, obs_idx);
+        self.window_push(&head_preds, target_log, pool, obs_idx);
         self.maybe_compact_streamed();
 
         // 4. Refresh the served calibration on cadence.
@@ -570,15 +569,9 @@ impl PitotServer {
         self.flush_batch()
     }
 
-    /// Session counters and latency records.
+    /// Session counters.
     pub fn stats(&self) -> &ServeStats {
         &self.stats
-    }
-
-    /// Mutable session counters (e.g. to drain
-    /// [`ServeStats::refresh_ns`] for percentile reporting).
-    pub fn stats_mut(&mut self) -> &mut ServeStats {
-        &mut self.stats
     }
 
     /// The currently served model.
@@ -635,20 +628,18 @@ impl PitotServer {
     /// crash-recovery path: a rejoining replica replays the coordinator's
     /// held snapshot of its pre-crash window instead of starting cold.
     ///
-    /// Restored entries carry synthetic head predictions reconstructed
-    /// from their scores (`pred = −score`, `target = 0`): score-identical
-    /// to the originals, so every calibration fit is bitwise unaffected,
-    /// but useless as training material — hence the restrictions below.
-    /// The window clock is advanced to `clock` so coordinator
-    /// unchanged-window skips and snapshot supersession stay consistent
-    /// across the crash.
+    /// Restored entries are scores only: every calibration fit on them is
+    /// bitwise the fit on the originals, but no observation or runtime
+    /// behind them reached this instance. A watchdog rollback audits a
+    /// purged restored entry with a `NaN` runtime, and a fine-tune could
+    /// not re-predict them — hence the restriction below. The window clock
+    /// is advanced to `clock` so coordinator unchanged-window skips and
+    /// snapshot supersession stay consistent across the crash.
     ///
     /// # Panics
     ///
     /// Panics if the server has already seen window entries, if `entries`
-    /// exceeds the window capacity, or if the config fine-tunes or uses
-    /// [`HeadSelection::TightestOnValidation`] (both would consume the
-    /// synthetic predictions as real ones).
+    /// exceeds the window capacity, or if the config fine-tunes.
     pub fn restore_window(&mut self, entries: Vec<pitot_conformal::ReplayEntry>, clock: u64) {
         assert!(
             self.window.is_empty() && self.raw.is_empty(),
@@ -663,18 +654,14 @@ impl PitotServer {
             self.cfg.window
         );
         assert!(
-            self.cfg.fine_tune_steps == 0
-                && self.cfg.selection != HeadSelection::TightestOnValidation,
-            "restore_window rebuilds entries with synthetic predictions: \
-             fine-tuning and TightestOnValidation selection would consume \
-             them as real ones (fleet mode forbids both already)"
+            self.cfg.fine_tune_steps == 0,
+            "restore_window restores scores only: a fine-tune would have \
+             to re-predict entries with no observation behind them (fleet \
+             mode forbids fine-tuning already)"
         );
         for (scores, pool) in entries {
-            let preds: Vec<f32> = scores.iter().map(|s| -s).collect();
             self.raw.push_back(WindowEntry {
-                preds,
-                target_log: 0.0,
-                pool,
+                target_log: f32::NAN,
                 obs_idx: None,
             });
             self.window.push_scores(scores, pool);
@@ -798,33 +785,26 @@ impl PitotServer {
         let coverage = self.monitor.coverage();
         self.guard.record_watchdog_fire();
         let (med, sigma) = guard::robust_scale(self.window.scored().sorted_scores(0));
-        let keep: Vec<bool> = self
-            .raw
-            .iter()
-            .map(|e| {
-                let s = e.target_log - e.preds[0];
-                // A degenerate scale estimate keeps everything (see
-                // `guard::robust_scale`).
-                !(sigma > 0.0 && (s - med).abs() > self.cfg.guard_mad_k * sigma)
-            })
-            .collect();
-        let purged = keep.iter().filter(|k| !**k).count();
+        let k = self.cfg.guard_mad_k;
+        // A degenerate scale estimate keeps everything (see
+        // `guard::robust_scale`).
+        let purge = |scores: &[f32]| sigma > 0.0 && (scores[0] - med).abs() > k * sigma;
+        let purged = self.window.entries().filter(|(s, _)| purge(s)).count();
         if purged > 0 {
             let old_clock = self.window.clock();
             let mut window = WindowedScores::new(self.cfg.window, self.window.n_heads());
             let mut raw = VecDeque::with_capacity(self.raw.len() - purged);
-            for (e, keep) in std::mem::take(&mut self.raw).into_iter().zip(keep) {
-                if keep {
-                    window.push(&e.preds, e.target_log, e.pool);
-                    raw.push_back(e);
-                } else {
-                    let s = e.target_log - e.preds[0];
+            for ((scores, pool), e) in self.window.entries().zip(std::mem::take(&mut self.raw)) {
+                if purge(scores) {
                     self.guard.quarantine(
                         at,
                         e.target_log.exp(),
-                        Some(s),
+                        Some(scores[0]),
                         QuarantineCause::WatchdogRollback,
                     );
+                } else {
+                    window.push_scores(scores.to_vec(), pool);
+                    raw.push_back(e);
                 }
             }
             window.advance_clock(old_clock + 1);
@@ -874,56 +854,15 @@ impl PitotServer {
         if self.window.is_empty() {
             return;
         }
-        let t0 = Instant::now();
         self.install(Served::fresh(self.fit_window(self.cfg.epsilon)));
         self.stats.refreshes += 1;
-        if self.stats.refresh_ns.len() >= ServeStats::REFRESH_LATENCY_RETAIN {
-            // Amortized O(1): drop the older half once the buffer fills.
-            self.stats
-                .refresh_ns
-                .drain(..ServeStats::REFRESH_LATENCY_RETAIN / 2);
-        }
-        self.stats
-            .refresh_ns
-            .push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Fits a calibration on the current (non-empty) window at the given
     /// miscoverage — the shared engine of [`PitotServer::refresh`] (at the
     /// configured ε) and a fleet's stale-local fallback (at the widened ε).
     pub(crate) fn fit_window(&self, epsilon: f32) -> PooledConformal {
-        // Head-major selection-set view of the window (only consulted by
-        // TightestOnValidation, for which the window doubles as the
-        // selection set — a streaming approximation of the paper's
-        // dedicated selection half).
-        let n_heads = self.window.n_heads();
-        let (sel_preds, sel_targets, sel_pools) =
-            if self.cfg.selection == HeadSelection::TightestOnValidation {
-                let mut p: Vec<Vec<f32>> = vec![Vec::with_capacity(self.raw.len()); n_heads];
-                let mut t = Vec::with_capacity(self.raw.len());
-                let mut k = Vec::with_capacity(self.raw.len());
-                for e in &self.raw {
-                    for (h, v) in e.preds.iter().enumerate() {
-                        p[h].push(*v);
-                    }
-                    t.push(e.target_log);
-                    k.push(e.pool);
-                }
-                (p, t, k)
-            } else {
-                (vec![Vec::new(); n_heads], Vec::new(), Vec::new())
-            };
-        PooledConformal::fit_scored(
-            self.window.scored(),
-            &PredictionSet {
-                predictions: &sel_preds,
-                targets_log: &sel_targets,
-                pools: &sel_pools,
-            },
-            &self.xis,
-            self.cfg.selection,
-            epsilon,
-        )
+        fit_served(self.window.scored(), &self.xis, self.cfg.selection, epsilon)
     }
 
     fn should_fine_tune(&self) -> bool {
@@ -1062,7 +1001,8 @@ impl PitotServer {
     }
 
     /// Re-predicts every window member under the (updated) model so the
-    /// window's scores match the model that will serve them.
+    /// window's scores match the model that will serve them. Each entry
+    /// keeps its pool, read from the score ring.
     fn rescore_window(&mut self) {
         if self.raw.is_empty() {
             return;
@@ -1077,9 +1017,9 @@ impl PitotServer {
             .collect();
         let preds = self.trained.predict_log_runtime_cached(&self.towers, &obs);
         let mut window = WindowedScores::new(self.cfg.window, self.window.n_heads());
-        for (j, e) in self.raw.iter_mut().enumerate() {
-            e.preds = preds.iter().map(|h| h[j]).collect();
-            window.push(&e.preds, e.target_log, e.pool);
+        for (j, (e, (_, pool))) in self.raw.iter().zip(self.window.entries()).enumerate() {
+            let head_preds: Vec<f32> = preds.iter().map(|h| h[j]).collect();
+            window.push(&head_preds, e.target_log, pool);
         }
         // The rebuilt window must supersede the old one in any fleet
         // coordinator's merged view: advance its clock past every snapshot
@@ -1095,14 +1035,21 @@ mod tests {
     use pitot::{train, Objective, PitotConfig};
     use pitot_testbed::{Testbed, TestbedConfig};
 
-    #[test]
-    fn a_watchdog_firing_that_purges_nothing_reports_no_refresh() {
+    /// A small dataset, its split, and a tiny quantile model trained from
+    /// `seed`.
+    fn fixture(seed: u64) -> (Dataset, Split, TrainedPitot) {
         let dataset = Testbed::generate(&TestbedConfig::small()).collect_dataset();
         let split = Split::stratified(&dataset, 0.6, 0);
-        let mut model = PitotConfig::tiny();
+        let mut model = PitotConfig::tiny().with_seed(seed);
         model.objective = Objective::Quantiles(vec![0.5, 0.8, 0.9, 0.95]);
         model.steps = 300;
         let trained = train(&dataset, &split, &model);
+        (dataset, split, trained)
+    }
+
+    #[test]
+    fn a_watchdog_firing_that_purges_nothing_reports_no_refresh() {
+        let (dataset, split, trained) = fixture(0);
         let mut cfg = ServeConfig::guarded(0.1);
         cfg.window = 128;
         cfg.refresh_every = 1 << 20; // the server owns its refreshes; none falls due
@@ -1126,5 +1073,96 @@ mod tests {
             }
         }
         panic!("the watchdog never fired");
+    }
+
+    #[test]
+    fn a_rollback_audits_a_restored_entry_without_a_runtime() {
+        let (dataset, split, trained) = fixture(0);
+        let mut cfg = ServeConfig::guarded(0.1);
+        cfg.window = 128;
+        cfg.guard_min_n = 10_000; // no ingest screen: only the rollback purges
+        cfg.guard_mad_k = 3.0;
+        cfg.watchdog_z = 0.5;
+        cfg.watchdog_min = 32;
+        // Honest window scores in arrival order, the newest 40% shifted 10
+        // low: far enough past the 3-MAD band that a 40% cluster inflates.
+        let mut donor = PitotServer::new(trained.clone(), dataset.clone(), cfg.clone());
+        donor.seed_calibration(&split.val);
+        let mut entries: Vec<_> = donor
+            .window
+            .entries()
+            .map(|(scores, pool)| (scores.to_vec(), pool))
+            .collect();
+        assert_eq!(entries.len(), 128);
+        let poisoned = entries.len() * 2 / 5;
+        let cut = entries.len() - poisoned;
+        for (scores, _) in &mut entries[cut..] {
+            scores.iter_mut().for_each(|s| *s -= 10.0);
+        }
+        let mut server = PitotServer::new(trained, dataset.clone(), cfg);
+        server.restore_window(entries, donor.window_clock());
+
+        // The honest stream the restored scores came from: the poisoned
+        // bounds undercover it, so the watchdog fires before any poisoned
+        // entry is evicted.
+        for (t, &i) in split.val.iter().enumerate() {
+            server.on_event(t as f64, Event::Observe(dataset.observations[i].clone()));
+            if !server.watchdog_incidents().is_empty() {
+                break;
+            }
+        }
+        let incident = server
+            .watchdog_incidents()
+            .first()
+            .expect("the watchdog fired");
+        assert_eq!(incident.purged, poisoned, "{incident:?}");
+        let runtimes: Vec<f32> = server
+            .quarantine_records()
+            .filter(|r| r.cause == QuarantineCause::WatchdogRollback)
+            .map(QuarantineRecord::runtime_s)
+            .collect();
+        assert_eq!(runtimes.len(), poisoned);
+        assert!(runtimes.iter().all(|r| r.is_nan()), "{runtimes:?}");
+    }
+
+    #[test]
+    fn a_rescore_equals_a_window_built_from_scratch_under_the_new_model() {
+        let (dataset, split, trained) = fixture(0);
+        let mut cfg = ServeConfig::at(0.1);
+        cfg.window = 128;
+        cfg.fine_tune_steps = 10;
+        let mut server = PitotServer::new(trained, dataset.clone(), cfg);
+        // Seeded entries index the base dataset; streamed ones were appended.
+        server.seed_calibration(&split.val);
+        for (t, &i) in split.test.iter().take(64).enumerate() {
+            server.on_event(t as f64, Event::Observe(dataset.observations[i].clone()));
+        }
+        assert!(server.window.is_full());
+        assert_eq!(server.stats().fine_tunes, 0);
+
+        let (_, _, other) = fixture(7);
+        server.towers = other.compressed_tower_cache(&server.dataset, &server.cfg.compression);
+        server.trained = other;
+        let clock = server.window_clock();
+        server.rescore_window();
+
+        let mut oracle = WindowedScores::new(128, server.window.n_heads());
+        for e in &server.raw {
+            let obs = &server.dataset.observations[e.obs_idx.expect("recorded")];
+            let pool = server.cfg.pool_key(obs.interferers.len());
+            oracle.push(&server.head_preds(obs), obs.log_runtime(), pool);
+        }
+        // Entries in order, then every head's sorted scores, as bits.
+        let bits = |w: &WindowedScores| {
+            let to_bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            let entries: Vec<_> = w.entries().map(|(s, pool)| (to_bits(s), pool)).collect();
+            let sorted: Vec<_> = (0..w.n_heads())
+                .map(|h| to_bits(w.scored().sorted_scores(h)))
+                .collect();
+            (entries, sorted)
+        };
+        assert_eq!(bits(&server.window), bits(&oracle));
+        assert_eq!(server.window.scored(), oracle.scored(), "per-pool slices");
+        assert_eq!(server.window_clock(), clock + 1);
     }
 }

@@ -3,7 +3,6 @@
 //! closed loop with the placement simulator.
 
 use pitot::{train, Objective, PitotConfig, TrainedPitot};
-use pitot_conformal::HeadSelection;
 use pitot_orchestrator::{BaselinePolicy, JobStream};
 use pitot_serve::{run_closed_loop, Event, PitotServer, ServeConfig};
 use pitot_testbed::{split::Split, Dataset, Testbed, TestbedConfig};
@@ -301,23 +300,6 @@ fn fine_tune_pool_compaction_bounds_memory_and_keeps_tuning() {
     );
     let cov = server.stats().coverage();
     assert!((0.0..=1.0).contains(&cov));
-}
-
-#[test]
-fn tightest_selection_serves_and_stays_calibrated() {
-    let (_tb, dataset, split, trained) = fixture();
-    let eps = 0.1f32;
-    let mut cfg = ServeConfig::at(eps);
-    cfg.selection = HeadSelection::TightestOnValidation;
-    cfg.window = 300;
-    let mut server = PitotServer::new(trained, dataset.clone(), cfg);
-    server.seed_calibration(&split.val);
-    for (t, &i) in stationary_stream(&split, 1200, 9).iter().enumerate() {
-        server.on_event(t as f64, Event::Observe(dataset.observations[i].clone()));
-    }
-    let cov = server.stats().coverage();
-    let slack = 3.5 * (eps * (1.0 - eps) / server.stats().bounded as f32).sqrt() + 0.02;
-    assert!(cov >= 1.0 - eps - slack, "coverage {cov}");
 }
 
 #[test]
