@@ -1,16 +1,22 @@
 //! Placement-layer cost: what one risk-scored decision costs, and what the
 //! whole conformal closed loop sustains.
 //!
-//! `ConformalGreedy` reads the model twice per resident per candidate (the
-//! with/without interference delta) plus once for the arriving job, so a
-//! decision on a loaded site is a few dozen prediction passes — this bench
-//! pins that cost so the policy stays viable at per-arrival rates:
+//! `ConformalGreedy` asks for one row per candidate for the arriving job
+//! plus two per resident (the with/without interference delta), so a
+//! decision on a loaded site is a few dozen rows, all asked for in one
+//! batched predictor read — this bench pins that cost so the policy stays
+//! viable at per-arrival rates:
 //!
 //! - `sched/place_conformal_12x3`: one `ConformalGreedy` decision over a
-//!   12-platform view with 3 residents each, against the trained model's
-//!   conformal bounds (the per-arrival control-plane cost);
+//!   12-platform view with 3 residents each (84 rows), against the trained
+//!   model's conformal bounds through `PitotPredictor`, which answers a
+//!   batch row by row (the trait's default loop);
 //! - `sched/place_point_12x3`: the same scan reading the point estimate
 //!   (isolates the bound head's overhead);
+//! - `sched/place_serving_6x2`: one `ConformalGreedy` decision over a
+//!   6-platform view with 2 residents each (30 rows) through a seeded
+//!   `ServingPredictor`, which answers the whole batch in one prediction
+//!   pass into buffers the server reuses (the `closed-loop` decision);
 //! - `sched/closed_loop_200`: 200 jobs through `ClusterSim` with a live
 //!   `PitotServer` behind `ServingPredictor` — every completion streams
 //!   back and recalibrates, so the elem/s is the jobs/sec headline for the
@@ -39,15 +45,18 @@ fn trained(f: &Fixture) -> TrainedPitot {
     pitot::train(&f.dataset, &f.split, &cfg)
 }
 
-/// A loaded 12-platform view: 3 residents per platform, one free slot.
-fn loaded_view(n_workloads: usize) -> ClusterView {
+/// A loaded view of `platforms` platforms with `residents` residents each
+/// and one free slot.
+fn loaded_view(n_workloads: usize, platforms: usize, residents: usize) -> ClusterView {
     ClusterView {
         now_s: 0.0,
-        platforms: (0..12)
+        platforms: (0..platforms)
             .map(|p| PlatformLoad {
-                running: (0..3).map(|r| ((p * 3 + r) % n_workloads) as u32).collect(),
-                remaining_frac: vec![0.8, 0.5, 0.2],
-                due_s: vec![1e9; 3],
+                running: (0..residents)
+                    .map(|r| ((p * residents + r) % n_workloads) as u32)
+                    .collect(),
+                remaining_frac: [0.8, 0.5, 0.2][..residents].to_vec(),
+                due_s: vec![1e9; residents],
                 free_slots: 1,
             })
             .collect(),
@@ -60,7 +69,7 @@ fn place_decision(c: &mut Criterion) {
     let t = trained(&f);
     let bounds = t.fit_bounds(&f.dataset, 0.1, HeadSelection::TightestOnValidation);
     let pred = PitotPredictor::with_bounds(&t, &f.dataset, bounds);
-    let view = loaded_view(f.dataset.n_workloads);
+    let view = loaded_view(f.dataset.n_workloads, 12, 3);
     let job = Job {
         id: 0,
         workload: 0,
@@ -76,6 +85,15 @@ fn place_decision(c: &mut Criterion) {
     group.bench_function("place_point_12x3", |b| {
         let mut policy = PointGreedy::new();
         b.iter(|| black_box(policy.place(&job, &view, &pred)))
+    });
+
+    let mut server = PitotServer::new(t.clone(), f.dataset.clone(), ServeConfig::at(0.1));
+    server.seed_calibration(&f.split.val);
+    let serving = ServingPredictor::new(Rc::new(RefCell::new(server)));
+    let view = loaded_view(f.dataset.n_workloads, 6, 2);
+    group.bench_function("place_serving_6x2", |b| {
+        let mut policy = ConformalGreedy::new();
+        b.iter(|| black_box(policy.place(&job, &view, &serving)))
     });
     group.finish();
 }

@@ -19,6 +19,7 @@ use pitot_testbed::{Dataset, Observation};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 
 /// Everything the initial parameter plane is a pure function of. Two
@@ -499,12 +500,13 @@ impl PitotModel {
     /// [`pitot_linalg::par`] pool and results are bitwise identical across
     /// `PITOT_THREADS`. This is the entry point for the post-training
     /// predict/evaluate/calibrate pipeline; reuse `out` across calls to keep
-    /// the path allocation-free.
-    pub fn predict_batch_into(
+    /// the path allocation-free. `obs` may hold observations or anything
+    /// that borrows one (`&Observation`, or a caller's own query record).
+    pub fn predict_batch_into<O: Borrow<Observation> + Sync>(
         &self,
         w: &Matrix,
         p_full: &Matrix,
-        obs: &[&Observation],
+        obs: &[O],
         out: &mut Matrix,
     ) {
         let n_heads = self.n_heads();
@@ -516,7 +518,8 @@ impl PitotModel {
         // this keeps dispatch overhead well under the chunk cost.
         pitot_linalg::par::parallel_for_rows(out.as_mut_slice(), n_heads, 64, |start, chunk| {
             for (b, row) in chunk.chunks_exact_mut(n_heads).enumerate() {
-                self.predict_obs(w, p_full, obs[start + b], |h, pred| row[h] = pred);
+                let o = obs[start + b].borrow();
+                self.predict_obs(w, p_full, o, |h, pred| row[h] = pred);
             }
         });
     }

@@ -18,10 +18,11 @@ use crate::model::{PitotModel, TowerOutputs};
 use crate::scaling::ScalingBaseline;
 use pitot_linalg::{Matrix, Scratch};
 use pitot_nn::{pinball_loss_into, squared_loss_into, GradPlane, Optimizer};
-use pitot_testbed::{split::Split, Dataset, MAX_INTERFERERS};
+use pitot_testbed::{split::Split, Dataset, Observation, MAX_INTERFERERS};
 use rand::{seq::SliceRandom, Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// One validation checkpoint record.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -616,8 +617,7 @@ impl TrainedPitot {
     /// processed row-parallel over the `pitot_linalg::par` pool.
     pub fn predict_log_runtime(&self, dataset: &Dataset, idx: &[usize]) -> Vec<Vec<f32>> {
         let towers = self.tower_cache(dataset);
-        let obs: Vec<&pitot_testbed::Observation> =
-            idx.iter().map(|&oi| &dataset.observations[oi]).collect();
+        let obs: Vec<&Observation> = idx.iter().map(|&oi| &dataset.observations[oi]).collect();
         self.predict_log_runtime_cached(&towers, &obs)
     }
 
@@ -633,7 +633,9 @@ impl TrainedPitot {
     }
 
     /// Per-head log-runtime predictions for arbitrary (possibly synthetic)
-    /// observations, using a pre-computed [`TowerCache`].
+    /// observations, using a pre-computed [`TowerCache`]: the transpose of
+    /// [`TrainedPitot::predict_log_runtime_into`], for callers that want one
+    /// vector per head.
     ///
     /// Only the index fields of each observation are read, so callers may
     /// construct "what if" queries that were never measured. The batch is
@@ -642,54 +644,63 @@ impl TrainedPitot {
     pub fn predict_log_runtime_cached(
         &self,
         towers: &TowerCache,
-        obs: &[&pitot_testbed::Observation],
+        obs: &[&Observation],
     ) -> Vec<Vec<f32>> {
+        let mut rows = Matrix::zeros(0, 0);
+        self.predict_log_runtime_into(towers, obs, &mut rows);
+        (0..self.model.n_heads())
+            .map(|h| rows.iter_rows().map(|row| row[h]).collect())
+            .collect()
+    }
+
+    /// Log-runtime predictions for arbitrary (possibly synthetic)
+    /// observations, written into `out` as a row-major `obs.len() × heads`
+    /// matrix: row `b` holds every head's prediction for `obs[b]`.
+    ///
+    /// One row-parallel pass predicts the residuals, maps each row to log
+    /// runtime, and, under [`PitotConfig::rearrange_quantiles`], sorts the
+    /// row (the per-observation form of
+    /// [`pitot_conformal::rearrange_heads`]). Reuse `out` across calls and
+    /// the pass allocates nothing once `out` has held a batch this large.
+    /// Results are bitwise identical across `PITOT_THREADS`.
+    pub fn predict_log_runtime_into<O: Borrow<Observation> + Sync>(
+        &self,
+        towers: &TowerCache,
+        obs: &[O],
+        out: &mut Matrix,
+    ) {
         let cfg = self.model.config();
         let n_heads = self.model.n_heads();
-        let mut batch = Matrix::zeros(0, 0);
         self.model
-            .predict_batch_into(&towers.w, &towers.p_full, obs, &mut batch);
+            .predict_batch_into(&towers.w, &towers.p_full, obs, out);
+        if obs.is_empty() {
+            return;
+        }
         // Map residuals to log runtime in the same parallel shape: each row
         // depends only on its own observation's baseline.
-        {
-            let scaling = &self.scaling;
-            pitot_linalg::par::parallel_for_rows(
-                batch.as_mut_slice(),
-                n_heads.max(1),
-                64,
-                |start, chunk| {
-                    for (b, row) in chunk.chunks_exact_mut(n_heads.max(1)).enumerate() {
-                        let o = obs[start + b];
-                        let base = scaling.log_baseline(o.workload as usize, o.platform as usize);
-                        for y in row.iter_mut() {
-                            *y = match cfg.loss_space {
-                                LossSpace::LogResidual => base + *y,
-                                LossSpace::Log => *y,
-                                LossSpace::NaiveProportional => {
-                                    // ŷ is a linear-space ratio; clamp to stay
-                                    // in the log domain.
-                                    base + y.max(1e-6).ln()
-                                }
-                            };
+        let scaling = &self.scaling;
+        pitot_linalg::par::parallel_for_rows(out.as_mut_slice(), n_heads, 64, |start, chunk| {
+            for (b, row) in chunk.chunks_exact_mut(n_heads).enumerate() {
+                let o = obs[start + b].borrow();
+                let base = scaling.log_baseline(o.workload as usize, o.platform as usize);
+                for y in row.iter_mut() {
+                    *y = match cfg.loss_space {
+                        LossSpace::LogResidual => base + *y,
+                        LossSpace::Log => *y,
+                        LossSpace::NaiveProportional => {
+                            // ŷ is a linear-space ratio; clamp to stay in
+                            // the log domain.
+                            base + y.max(1e-6).ln()
                         }
-                    }
-                },
-            );
-        }
-        // Transpose into the per-head layout downstream consumers use.
-        let mut out: Vec<Vec<f32>> = (0..n_heads)
-            .map(|_| Vec::with_capacity(obs.len()))
-            .collect();
-        for b in 0..obs.len() {
-            let row = batch.row(b);
-            for (h, head) in out.iter_mut().enumerate() {
-                head.push(row[h]);
+                    };
+                }
+                if cfg.rearrange_quantiles {
+                    // `total_cmp` is a total order, so the sorted row is
+                    // unique: bitwise what the stable per-head sort gives.
+                    row.sort_unstable_by(f32::total_cmp);
+                }
             }
-        }
-        if cfg.rearrange_quantiles {
-            pitot_conformal::rearrange_heads(&mut out);
-        }
-        out
+        });
     }
 
     /// Point predictions in seconds (head 0; the only head under
@@ -1004,6 +1015,57 @@ mod tests {
         a.sort_by(f32::total_cmp);
         b.sort_by(f32::total_cmp);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn row_major_predictions_are_the_transposed_per_head_predictions() {
+        let (ds, split) = setup();
+        let mut cfg = PitotConfig::tiny();
+        cfg.objective = Objective::Quantiles(vec![0.5, 0.8, 0.9, 0.95]);
+        cfg.steps = 40;
+        let raw = train(&ds, &split, &cfg);
+        let towers = raw.tower_cache(&ds);
+        let mut sorted = raw.clone();
+        sorted.model.set_config(PitotConfig {
+            rearrange_quantiles: true,
+            ..cfg
+        });
+        let obs: Vec<&Observation> = split.test[..65]
+            .iter()
+            .map(|&i| &ds.observations[i])
+            .collect();
+        // Row-major bits of per-head predictions.
+        let rows_of = |heads: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            (0..heads[0].len())
+                .map(|b| heads.iter().map(|h| h[b].to_bits()).collect())
+                .collect()
+        };
+        let mut out = Matrix::zeros(0, 0);
+        for n in [0, 1, 65] {
+            // The unsorted heads rearranged by the conformal crate: the
+            // reference for the per-row sort.
+            let mut rearranged = raw.predict_log_runtime_cached(&towers, &obs[..n]);
+            assert!(n < 65 || pitot_conformal::crossing_rate(&rearranged) > 0.0);
+            pitot_conformal::rearrange_heads(&mut rearranged);
+            for (t, reference) in [(&raw, None), (&sorted, Some(rearranged))] {
+                t.predict_log_runtime_into(&towers, &obs[..n], &mut out);
+                assert_eq!(out.shape(), (n, 4));
+                let rows: Vec<Vec<u32>> = out
+                    .iter_rows()
+                    .map(|r| r.iter().map(|y| y.to_bits()).collect())
+                    .collect();
+                let heads = t.predict_log_runtime_cached(&towers, &obs[..n]);
+                assert_eq!(rows, rows_of(&heads), "n = {n}");
+                if let Some(r) = reference {
+                    assert_eq!(rows, rows_of(&r), "n = {n}");
+                }
+                // Each row is its observation's row when scored alone.
+                for (b, row) in rows.iter().enumerate() {
+                    let alone = t.predict_log_runtime_cached(&towers, &obs[b..=b]);
+                    assert_eq!(row, &rows_of(&alone)[0], "row {b} of {n}");
+                }
+            }
+        }
     }
 
     #[test]

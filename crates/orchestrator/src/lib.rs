@@ -17,7 +17,8 @@
 //!   platform `j` next to the set `K`?" — either cheating
 //!   ([`OraclePredictor`]), via the scaling baseline alone
 //!   ([`ScalingPredictor`]), or via a trained Pitot model with optional
-//!   conformal bounds ([`PitotPredictor`]);
+//!   conformal bounds ([`PitotPredictor`]) — one row at a time, or a whole
+//!   [`QueryBatch`] of rows in one read;
 //! - a [`PlacementPolicy`] (the pluggable trait) turns predictions into
 //!   placement decisions; [`BaselinePolicy`] ships the built-in family
 //!   (random / least-loaded / greedy-fastest / deadline-aware), and the
@@ -69,6 +70,8 @@ mod sim;
 
 pub use job::{Job, JobStream};
 pub use policy::{BaselinePolicy, PlacementPolicy, PolicyKind};
-pub use predictor::{OraclePredictor, PitotPredictor, RuntimePredictor, ScalingPredictor};
+pub use predictor::{
+    OraclePredictor, PitotPredictor, QueryBatch, RuntimePredictor, ScalingPredictor,
+};
 pub use report::{PolicyComparison, SimReport};
 pub use sim::{ClusterSim, ClusterView, PlatformLoad, RunningJob, SiteFault, DEFAULT_CAPACITY};

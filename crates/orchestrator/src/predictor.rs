@@ -19,6 +19,69 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
 
+/// Reusable rows of runtime queries, each "`workload` on `platform` next to
+/// `interferers`", for one batched [`RuntimePredictor`] read.
+///
+/// Every row's interferers live in one flat buffer, so a caller that clears
+/// and refills the same batch stops allocating once the buffers have grown
+/// to its largest batch.
+#[derive(Debug, Clone, Default)]
+pub struct QueryBatch {
+    rows: Vec<QueryRow>,
+    ids: Vec<u32>,
+}
+
+/// One row of a [`QueryBatch`]: its interferers are `ids[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct QueryRow {
+    workload: u32,
+    platform: usize,
+    start: usize,
+    end: usize,
+}
+
+impl QueryBatch {
+    /// Removes every row, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.ids.clear();
+    }
+
+    /// Appends the row "`workload` on `platform` next to `interferers`".
+    pub fn push(
+        &mut self,
+        workload: u32,
+        platform: usize,
+        interferers: impl IntoIterator<Item = u32>,
+    ) {
+        let start = self.ids.len();
+        self.ids.extend(interferers);
+        self.rows.push(QueryRow {
+            workload,
+            platform,
+            start,
+            end: self.ids.len(),
+        });
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the batch has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows in push order, as `(workload, platform, interferers)`.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u32, usize, &[u32])> + '_ {
+        self.rows
+            .iter()
+            .map(|r| (r.workload, r.platform, &self.ids[r.start..r.end]))
+    }
+}
+
 /// Answers runtime queries for placement decisions.
 ///
 /// Implementations must be deterministic *per query* in the orchestration
@@ -33,6 +96,26 @@ pub trait RuntimePredictor {
     /// confidence. Defaults to the point estimate (no uncertainty model).
     fn bound_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
         self.predict_s(workload, platform, interferers)
+    }
+
+    /// [`RuntimePredictor::predict_s`] for every row of `batch`, written to
+    /// `out` (cleared first) in row order. The default asks
+    /// [`RuntimePredictor::predict_s`] once per row, in row order; a
+    /// predictor that can answer a batch in one pass overrides it with the
+    /// same values.
+    fn predict_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(batch.iter().map(|(w, p, k)| self.predict_s(w, p, k)));
+    }
+
+    /// [`RuntimePredictor::bound_s`] for every row of `batch`, written to
+    /// `out` (cleared first) in row order. The default asks
+    /// [`RuntimePredictor::bound_s`] once per row, in row order, so a
+    /// predictor whose bound draws from a seeded stream (the oracle's
+    /// Monte-Carlo rollouts) sees the same call sequence batched or not.
+    fn bound_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(batch.iter().map(|(w, p, k)| self.bound_s(w, p, k)));
     }
 
     /// Short display name for reports.
@@ -254,6 +337,50 @@ mod tests {
 
     fn testbed() -> Testbed {
         Testbed::generate(&TestbedConfig::small())
+    }
+
+    #[test]
+    fn query_batch_rows_round_trip_and_clear_keeps_capacity() {
+        let mut batch = QueryBatch::default();
+        assert!(batch.is_empty());
+        batch.push(3, 1, [4, 5]);
+        batch.push(0, 2, []);
+        batch.push(7, 0, [7]);
+        let rows: Vec<_> = batch.iter().collect();
+        assert_eq!(
+            rows,
+            vec![(3, 1, &[4, 5][..]), (0, 2, &[][..]), (7, 0, &[7][..])]
+        );
+        assert_eq!(batch.len(), 3);
+        let capacity = (batch.rows.capacity(), batch.ids.capacity());
+        batch.clear();
+        assert!(batch.is_empty() && batch.iter().next().is_none());
+        assert_eq!((batch.rows.capacity(), batch.ids.capacity()), capacity);
+    }
+
+    #[test]
+    fn default_batch_reads_follow_row_order() {
+        // The oracle's bound consumes a seeded stream: a batched read must
+        // draw exactly what the same single-row reads in row order draw.
+        let tb = testbed();
+        let mut batch = QueryBatch::default();
+        for w in 0..6u32 {
+            batch.push(w, (w % 3) as usize, (0..w % 4).map(|k| (k + w) % 10));
+        }
+        let single = OraclePredictor::with_epsilon(&tb, 0.1);
+        let want: Vec<f64> = batch
+            .iter()
+            .map(|(w, p, k)| single.bound_s(w, p, k))
+            .collect();
+        let mut got = vec![f64::NAN; 2];
+        OraclePredictor::with_epsilon(&tb, 0.1).bound_batch_s(&batch, &mut got);
+        assert_eq!(got, want);
+        let want: Vec<f64> = batch
+            .iter()
+            .map(|(w, p, k)| single.predict_s(w, p, k))
+            .collect();
+        single.predict_batch_s(&batch, &mut got);
+        assert_eq!(got, want);
     }
 
     #[test]

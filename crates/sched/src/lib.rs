@@ -22,11 +22,13 @@
 //!   edge with probability ≲ ε, so the argmin placement bounds risk
 //!   rather than hoping the point estimate was right.
 //!
-//! Scoring lives in [`risk`] ([`risk::placement_risk`] /
-//! [`risk::risk_argmin`]) and is shared by both greedy policies; the
-//! induced-delta term reuses the model's interference dot-product path by
-//! querying the resident's runtime with and without the new arrival in its
-//! interferer set.
+//! Scoring lives in [`risk`] ([`risk::risk_argmin`]) and is shared by both
+//! greedy policies; the induced-delta term reuses the model's interference
+//! dot-product path by querying the resident's runtime with and without the
+//! new arrival in its interferer set. A decision asks for all of its rows
+//! in one batched read ([`RuntimePredictor::bound_batch_s`] or
+//! [`RuntimePredictor::predict_batch_s`]), which a serving predictor
+//! answers in one prediction pass.
 //!
 //! Determinism: placement decisions are bitwise-identical across
 //! `PITOT_THREADS` settings (the scorer is a pure argmin over a snapshot;
@@ -37,6 +39,8 @@
 //!
 //! [`BaselinePolicy::random`]: pitot_orchestrator::BaselinePolicy::random
 //! [`BaselinePolicy::least_loaded`]: pitot_orchestrator::BaselinePolicy::least_loaded
+//! [`RuntimePredictor::bound_batch_s`]: pitot_orchestrator::RuntimePredictor::bound_batch_s
+//! [`RuntimePredictor::predict_batch_s`]: pitot_orchestrator::RuntimePredictor::predict_batch_s
 
 // Every public item in this crate is part of the documented scheduling
 // API; keep it that way (CI builds rustdoc with `-D warnings`).

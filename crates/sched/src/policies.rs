@@ -1,12 +1,13 @@
 //! The placement policies compared in the `ext-sched` experiment.
 
 use crate::risk::{risk_argmin, Signal};
-use pitot_orchestrator::{ClusterView, Job, PlacementPolicy, RuntimePredictor};
+use pitot_orchestrator::{ClusterView, Job, PlacementPolicy, QueryBatch, RuntimePredictor};
 
 /// Conformal risk-minimizing placement: scores every candidate by the
 /// **upper edge** of the job's predicted runtime given the site's current
 /// co-location set, plus the induced interference delta on residents (see
-/// [`crate::risk::placement_risk`]), and places on the argmin.
+/// [`risk_argmin`]), and places on the argmin. Each decision is one batched
+/// read, into row and read buffers the policy keeps across decisions.
 ///
 /// With a calibrated predictor at miscoverage ε this minimizes a
 /// quantity the realized runtime exceeds with probability ≲ ε — the
@@ -14,12 +15,18 @@ use pitot_orchestrator::{ClusterView, Job, PlacementPolicy, RuntimePredictor};
 #[derive(Debug, Clone)]
 pub struct ConformalGreedy {
     delta_weight: f64,
+    rows: QueryBatch,
+    reads: Vec<f64>,
 }
 
 impl ConformalGreedy {
     /// Risk scorer with the induced-interference term at full weight.
     pub fn new() -> Self {
-        Self { delta_weight: 1.0 }
+        Self {
+            delta_weight: 1.0,
+            rows: QueryBatch::default(),
+            reads: Vec::new(),
+        }
     }
 
     /// Adjusts how much the induced interference delta on residents counts
@@ -58,7 +65,15 @@ impl PlacementPolicy for ConformalGreedy {
         view: &ClusterView,
         predictor: &dyn RuntimePredictor,
     ) -> Option<usize> {
-        risk_argmin(job, view, predictor, Signal::UpperEdge, self.delta_weight)
+        risk_argmin(
+            job,
+            view,
+            predictor,
+            Signal::UpperEdge,
+            self.delta_weight,
+            &mut self.rows,
+            &mut self.reads,
+        )
     }
 
     fn name(&self) -> &str {
@@ -73,13 +88,19 @@ impl PlacementPolicy for ConformalGreedy {
 #[derive(Debug, Clone)]
 pub struct PointGreedy {
     delta_weight: f64,
+    rows: QueryBatch,
+    reads: Vec<f64>,
 }
 
 impl PointGreedy {
     /// Point-prediction scorer with the induced-interference term at full
     /// weight.
     pub fn new() -> Self {
-        Self { delta_weight: 1.0 }
+        Self {
+            delta_weight: 1.0,
+            rows: QueryBatch::default(),
+            reads: Vec::new(),
+        }
     }
 
     /// See [`ConformalGreedy::with_delta_weight`].
@@ -110,7 +131,15 @@ impl PlacementPolicy for PointGreedy {
         view: &ClusterView,
         predictor: &dyn RuntimePredictor,
     ) -> Option<usize> {
-        risk_argmin(job, view, predictor, Signal::Point, self.delta_weight)
+        risk_argmin(
+            job,
+            view,
+            predictor,
+            Signal::Point,
+            self.delta_weight,
+            &mut self.rows,
+            &mut self.reads,
+        )
     }
 
     fn name(&self) -> &str {

@@ -11,13 +11,14 @@
 //!    remaining-work fraction (a job about to finish barely suffers; a job
 //!    that just started absorbs the full slowdown).
 //!
-//! Both parts are evaluated through the same [`RuntimePredictor`] — which
-//! edge of its predictive distribution they read is the [`Signal`]: the
-//! conformal **upper edge** is the calibrated worst case the paper argues
-//! is the actionable quantity, while the **point** prediction is the
-//! ablation that shows what the interval edge buys.
+//! Both parts are read from the same [`RuntimePredictor`] in one batched
+//! call per decision — which edge of its predictive distribution they read
+//! is the [`Signal`]: the conformal **upper edge** is the calibrated worst
+//! case the paper argues is the actionable quantity, while the **point**
+//! prediction is the ablation that shows what the interval edge buys.
 
-use pitot_orchestrator::{ClusterView, Job, RuntimePredictor};
+use pitot_orchestrator::{ClusterView, Job, QueryBatch, RuntimePredictor};
+use std::iter::once;
 
 /// Which edge of the predictive distribution drives the risk score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,81 +32,99 @@ pub enum Signal {
     Point,
 }
 
-impl Signal {
-    /// Evaluates the signal for `workload` on `platform` next to `set`.
-    pub fn eval(
-        self,
-        predictor: &dyn RuntimePredictor,
-        workload: u32,
-        platform: usize,
-        set: &[u32],
-    ) -> f64 {
-        match self {
-            Signal::UpperEdge => predictor.bound_s(workload, platform, set),
-            Signal::Point => predictor.predict_s(workload, platform, set),
-        }
-    }
-}
-
-/// Risk of placing `job` on candidate platform `p` under `signal`:
-/// own predicted runtime plus `delta_weight` times the induced
-/// interference delta on residents (each delta clamped at zero — a
-/// placement is never credited for *speeding up* a resident, which only a
-/// miscalibrated predictor would claim).
-///
-/// # Panics
-///
-/// Panics if `p` is out of range for the view.
-pub fn placement_risk(
-    job: &Job,
-    view: &ClusterView,
-    p: usize,
-    predictor: &dyn RuntimePredictor,
-    signal: Signal,
-    delta_weight: f64,
-) -> f64 {
-    let load = &view.platforms[p];
-    let own = signal.eval(predictor, job.workload, p, &load.running);
-    if delta_weight == 0.0 || load.running.is_empty() {
-        return own;
-    }
-    // The resident's interferer set after the placement is everyone on the
-    // platform except itself, plus the new job; before, just everyone
-    // except itself. The difference isolates the new job's contribution
-    // through the model's interference dot-product path.
-    let mut induced = 0.0f64;
-    for (slot, &resident) in load.running.iter().enumerate() {
-        let mut others: Vec<u32> = load
-            .running
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(s, _)| s != slot)
-            .map(|(_, w)| w)
-            .collect();
-        let before = signal.eval(predictor, resident, p, &others);
-        others.push(job.workload);
-        let after = signal.eval(predictor, resident, p, &others);
-        induced += ((after - before) * load.remaining_frac[slot]).max(0.0);
-    }
-    own + delta_weight * induced
-}
-
 /// The risk-minimizing candidate among platforms with a free slot, or
 /// `None` when every platform is full. Ties break to the lowest platform
 /// index (candidates are scanned in ascending order and only a strictly
 /// smaller risk displaces the incumbent), so the decision is a pure
 /// function of the view — no RNG, no iteration-order sensitivity.
+///
+/// A candidate's risk under `signal` is the job's own predicted runtime
+/// next to the platform's residents, plus `delta_weight` times the
+/// interference delta the placement induces on them: for each resident,
+/// its runtime with the new job minus without it, scaled by its
+/// remaining-work fraction and clamped at zero (a placement is never
+/// credited for *speeding up* a resident, which only a miscalibrated
+/// predictor would claim).
+///
+/// Every row the decision needs goes into `rows` first, in scan order:
+/// per candidate, the job's own row, then (unless `delta_weight` is zero)
+/// each resident's row without and with the newcomer. One batched read
+/// fills `reads`, and the risks are folded from it. Both buffers are the
+/// caller's, so a policy that keeps them allocates nothing per decision
+/// once they have grown. No read is made when every platform is full.
+///
+/// # Panics
+///
+/// Panics if the predictor answers a different number of rows than asked.
 pub fn risk_argmin(
     job: &Job,
     view: &ClusterView,
     predictor: &dyn RuntimePredictor,
     signal: Signal,
     delta_weight: f64,
+    rows: &mut QueryBatch,
+    reads: &mut Vec<f64>,
 ) -> Option<usize> {
+    let induces = delta_weight != 0.0;
+    let candidates = || {
+        view.platforms
+            .iter()
+            .enumerate()
+            .filter(|(_, load)| load.free_slots > 0)
+    };
+    rows.clear();
+    for (p, load) in candidates() {
+        rows.push(job.workload, p, load.running.iter().copied());
+        if !induces {
+            continue;
+        }
+        // The resident's interferer set after the placement is everyone on
+        // the platform except itself, plus the new job; before, just
+        // everyone except itself. The difference isolates the new job's
+        // contribution through the model's interference dot-product path.
+        for (slot, &resident) in load.running.iter().enumerate() {
+            let others = load
+                .running
+                .iter()
+                .enumerate()
+                .filter(move |&(s, _)| s != slot)
+                .map(|(_, &w)| w);
+            rows.push(resident, p, others.clone());
+            rows.push(resident, p, others.chain(once(job.workload)));
+        }
+    }
+    if rows.is_empty() {
+        return None;
+    }
+    match signal {
+        Signal::UpperEdge => predictor.bound_batch_s(rows, reads),
+        Signal::Point => predictor.predict_batch_s(rows, reads),
+    }
+    assert_eq!(
+        reads.len(),
+        rows.len(),
+        "{} answered {} of {} rows",
+        predictor.name(),
+        reads.len(),
+        rows.len()
+    );
+
+    let mut next = reads.iter().copied();
+    let mut read = || next.next().expect("one read per row");
     let mut best: Option<(f64, usize)> = None;
-    for p in view.with_capacity() {
-        let risk = placement_risk(job, view, p, predictor, signal, delta_weight);
+    for (p, load) in candidates() {
+        let own = read();
+        let risk = if !induces || load.running.is_empty() {
+            own
+        } else {
+            let mut induced = 0.0f64;
+            for frac in &load.remaining_frac[..load.running.len()] {
+                let before = read();
+                let after = read();
+                induced += ((after - before) * frac).max(0.0);
+            }
+            own + delta_weight * induced
+        };
         if best.is_none_or(|(b, _)| risk.total_cmp(&b).is_lt()) {
             best = Some((risk, p));
         }

@@ -4,11 +4,12 @@
 
 use pitot_orchestrator::{
     BaselinePolicy, ClusterSim, ClusterView, Job, JobStream, OraclePredictor, PlacementPolicy,
-    PlatformLoad, RuntimePredictor,
+    PlatformLoad, QueryBatch, RuntimePredictor,
 };
 use pitot_sched::{risk, ConformalGreedy, PointGreedy, Signal, Traced};
 use pitot_testbed::{Testbed, TestbedConfig};
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// A deterministic pseudo-random predictor: runtimes are a hash of
@@ -163,11 +164,124 @@ proptest! {
     fn risk_argmin_returns_none_only_when_full(view_seed in 0u64..1_000_000, workload in 0u32..12) {
         let view = build_view(view_seed);
         let job = job_of(workload);
-        let got = risk::risk_argmin(&job, &view, &HashPredictor, Signal::UpperEdge, 1.0);
+        let got = risk::risk_argmin(
+            &job,
+            &view,
+            &HashPredictor,
+            Signal::UpperEdge,
+            1.0,
+            &mut QueryBatch::default(),
+            &mut Vec::new(),
+        );
         let any_free = view.platforms.iter().any(|p| p.free_slots > 0);
         prop_assert_eq!(got.is_some(), any_free);
         if let Some(p) = got {
             prop_assert!(view.platforms[p].free_slots > 0);
+        }
+    }
+}
+
+/// One predictor read: `(workload, platform, interferers)`.
+type Row = (u32, usize, Vec<u32>);
+
+/// Answers as [`HashPredictor`] and records every read: each single-row
+/// call, and the rows of each batch call.
+#[derive(Default)]
+struct Recording {
+    singles: RefCell<Vec<Row>>,
+    batches: RefCell<Vec<Vec<Row>>>,
+}
+
+impl Recording {
+    fn single(&self, workload: u32, platform: usize, interferers: &[u32]) {
+        self.singles
+            .borrow_mut()
+            .push((workload, platform, interferers.to_vec()));
+    }
+
+    fn batch(&self, batch: &QueryBatch) {
+        let rows = batch.iter().map(|(w, p, k)| (w, p, k.to_vec())).collect();
+        self.batches.borrow_mut().push(rows);
+    }
+}
+
+impl RuntimePredictor for Recording {
+    fn predict_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
+        self.single(workload, platform, interferers);
+        HashPredictor.predict_s(workload, platform, interferers)
+    }
+    fn bound_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
+        self.single(workload, platform, interferers);
+        HashPredictor.bound_s(workload, platform, interferers)
+    }
+    fn predict_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
+        self.batch(batch);
+        HashPredictor.predict_batch_s(batch, out);
+    }
+    fn bound_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
+        self.batch(batch);
+        HashPredictor.bound_batch_s(batch, out);
+    }
+    fn name(&self) -> &str {
+        "recording"
+    }
+}
+
+/// The rows `oracle_place` reads, in the order the batched scan pushes
+/// them. Per candidate the oracle reads the job's own row, then each
+/// resident's delta as `with − without` (left operand first), at every
+/// weight. The scan pushes each resident's row without the newcomer before
+/// the row with it, and pushes resident rows only at a nonzero weight.
+fn scan_order(oracle_rows: &[Row], view: &ClusterView, weight: f64) -> Vec<Row> {
+    let mut rows = oracle_rows.iter().cloned();
+    let mut want = Vec::new();
+    for load in view.platforms.iter().filter(|l| l.free_slots > 0) {
+        want.extend(rows.next());
+        for _ in &load.running {
+            let (with, without) = (rows.next(), rows.next());
+            if weight != 0.0 {
+                want.extend(without.into_iter().chain(with));
+            }
+        }
+    }
+    assert!(rows.next().is_none(), "unconsumed oracle rows");
+    want
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// `ConformalGreedy` and `PointGreedy` read the predictor once per
+    /// decision: one batch holding exactly the oracle's rows, no single-row
+    /// call, and no read at all when every platform is full.
+    #[test]
+    fn greedy_policies_make_one_batched_read_per_decision(
+        view_seed in 0u64..1_000_000,
+        workload in 0u32..12,
+    ) {
+        let view = build_view(view_seed);
+        let job = job_of(workload);
+        let any_free = view.platforms.iter().any(|p| p.free_slots > 0);
+        for weight in [0.0, 0.5, 1.0, 2.5] {
+            for signal in [Signal::UpperEdge, Signal::Point] {
+                let oracle = Recording::default();
+                let want = oracle_place(&job, &view, &oracle, signal, weight);
+                let reads = Recording::default();
+                let got = match signal {
+                    Signal::UpperEdge => ConformalGreedy::new()
+                        .with_delta_weight(weight)
+                        .place(&job, &view, &reads),
+                    Signal::Point => PointGreedy::new()
+                        .with_delta_weight(weight)
+                        .place(&job, &view, &reads),
+                };
+                prop_assert_eq!(got, want);
+                prop_assert!(reads.singles.borrow().is_empty());
+                let batches = reads.batches.into_inner();
+                prop_assert_eq!(batches.len(), usize::from(any_free));
+                let rows = batches.into_iter().next().unwrap_or_default();
+                prop_assert_eq!(rows, scan_order(&oracle.singles.borrow(), &view, weight));
+            }
         }
     }
 }

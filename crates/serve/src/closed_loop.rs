@@ -1,39 +1,29 @@
 //! Closing the loop with the placement simulator.
 
-use crate::server::{Event, PitotServer};
-use pitot_orchestrator::{ClusterSim, JobStream, PlacementPolicy, RuntimePredictor, SimReport};
+use crate::server::{Event, PitotServer, Prediction};
+use pitot_orchestrator::{
+    ClusterSim, JobStream, PlacementPolicy, QueryBatch, RuntimePredictor, SimReport,
+};
 use pitot_testbed::Testbed;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// One memoized query: the key it was asked under and its answer.
-struct MemoizedAnswer {
-    /// Server event count when the answer was computed (any consumed event
-    /// may change the served model or calibration).
-    events: usize,
-    workload: u32,
-    platform: usize,
-    interferers: Vec<u32>,
-    prediction: crate::Prediction,
-}
 
 /// [`RuntimePredictor`] view of a shared [`PitotServer`]: placement
 /// policies query the server's live model and live calibration, so every
 /// refresh or fine-tune the serving loop performs changes the very next
 /// placement decision.
 ///
-/// Queries go through [`PitotServer::query_now`] (the synchronous
-/// single-query path — a policy needs its answer mid-decision, so the
-/// micro-batch is bypassed). One [`crate::Prediction`] carries both the
-/// point estimate and the bound, and policies typically ask for both per
-/// candidate platform, so the last answer is memoized: the
-/// `predict_s`/`bound_s` pair for one candidate costs one prediction pass.
-/// The memo is invalidated whenever the server consumes an event (an
-/// observation may have refreshed the calibration or fine-tuned the
-/// model).
+/// Every read is answered by the server as it stands, with nothing cached
+/// in between, so a seed, an install or a refresh shows in the very next
+/// answer. A single-row read is one [`PitotServer::query_now`] (the
+/// synchronous path — a policy needs its answer mid-decision, so the
+/// micro-batch is bypassed). A batched read, such as the rows of one
+/// `pitot-sched` placement decision, is one prediction pass over the whole
+/// batch into buffers the server reuses, bitwise equal row by row to
+/// `query_now`. Either way [`crate::ServeStats::queries`] counts one query
+/// per row.
 pub struct ServingPredictor {
     server: Rc<RefCell<PitotServer>>,
-    last: RefCell<Option<MemoizedAnswer>>,
     name: String,
 }
 
@@ -42,33 +32,15 @@ impl ServingPredictor {
     pub fn new(server: Rc<RefCell<PitotServer>>) -> Self {
         Self {
             server,
-            last: RefCell::new(None),
             name: "pitot-serve".to_string(),
         }
     }
 
-    fn answer(&self, workload: u32, platform: usize, interferers: &[u32]) -> crate::Prediction {
-        let mut server = self.server.borrow_mut();
-        let events = server.stats().events;
-        let mut last = self.last.borrow_mut();
-        if let Some(memo) = last.as_ref() {
-            if memo.events == events
-                && memo.workload == workload
-                && memo.platform == platform
-                && memo.interferers == interferers
-            {
-                return memo.prediction.clone();
-            }
-        }
-        let prediction = server.query_now(workload, platform as u32, interferers);
-        *last = Some(MemoizedAnswer {
-            events,
-            workload,
-            platform,
-            interferers: interferers.to_vec(),
-            prediction: prediction.clone(),
-        });
-        prediction
+    fn answer(&self, workload: u32, platform: usize, interferers: &[u32]) -> Prediction {
+        let platform = u32::try_from(platform).expect("platform index outside the catalog");
+        self.server
+            .borrow_mut()
+            .query_now(workload, platform, interferers)
     }
 }
 
@@ -79,6 +51,20 @@ impl RuntimePredictor for ServingPredictor {
 
     fn bound_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
         f64::from(self.answer(workload, platform, interferers).bound_s)
+    }
+
+    fn predict_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
+        out.clear();
+        self.server
+            .borrow_mut()
+            .query_batch(batch, |p| out.push(f64::from(p.point_s)));
+    }
+
+    fn bound_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
+        out.clear();
+        self.server
+            .borrow_mut()
+            .query_batch(batch, |p| out.push(f64::from(p.bound_s)));
     }
 
     fn name(&self) -> &str {

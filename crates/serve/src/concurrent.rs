@@ -76,10 +76,11 @@ use crate::config::FleetConfig;
 use crate::control::{FleetControl, Replicas};
 use crate::fault::{DegradedWindow, FaultPlan, RejectedSummary};
 use crate::fleet::{AdmissionOutcome, DeadlineQuery, FleetServer, FleetStats};
-use crate::server::{self, ObservedFeedback, PitotServer, Prediction, Served};
+use crate::server::{self, ObservedFeedback, PitotServer, Prediction, Query, Served};
 use pitot::{TowerCache, TrainedPitot};
 use pitot_conformal::PooledConformal;
 use pitot_linalg::par::{EventQueue, Gauge};
+use pitot_linalg::Matrix;
 use pitot_testbed::{Dataset, Observation};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -287,6 +288,10 @@ struct LanePlane {
     /// Per replica: the calibration it serves — the `Arc` its last install
     /// shared with the shard. Only the ingress reaches it.
     served: Vec<Option<Arc<Served>>>,
+    /// The read path's query row and prediction matrix, reused by every
+    /// query.
+    query: Query,
+    preds: Matrix,
 }
 
 /// The concurrent serving runtime: [`FleetServer`] semantics on OS threads
@@ -457,20 +462,16 @@ impl LanePlane {
     /// answering replica's immutable tower cache (compressed replicas
     /// answer with their compressed towers, exactly as the twin's
     /// `query_now` does) and bound it with that replica's served
-    /// calibration — no shard lock, no queue, no waiting on a lane.
-    fn predict(&self, replica: usize, q: &DeadlineQuery, pool: usize) -> Prediction {
-        let obs = Observation {
-            workload: q.workload,
-            platform: q.platform,
-            interferers: q.interferers.clone(),
-            runtime_s: 1.0, // unused by prediction
-        };
-        let preds = self
-            .read
-            .trained
-            .predict_log_runtime_cached(&self.read.towers[replica], &[&obs]);
-        let head_preds: Vec<f32> = preds.iter().map(|h| h[0]).collect();
-        server::prediction(self.served[replica].as_deref(), 0, &head_preds, pool)
+    /// calibration — no shard lock, no queue, no waiting on a lane. Like
+    /// `query_now`, it is one pass into a reused row and matrix.
+    fn predict(&mut self, replica: usize, q: &DeadlineQuery, pool: usize) -> Prediction {
+        self.query.set(q.workload, q.platform, &q.interferers);
+        self.read.trained.predict_log_runtime_into(
+            &self.read.towers[replica],
+            std::slice::from_ref(&self.query),
+            &mut self.preds,
+        );
+        server::prediction(self.served[replica].as_deref(), 0, self.preds.row(0), pool)
     }
 }
 
@@ -562,6 +563,8 @@ impl ConcurrentFleet {
                 shards,
                 read,
                 served: vec![None; replicas],
+                query: Query::new(0, 0, 0, Vec::new()),
+                preds: Matrix::zeros(0, 0),
             },
             events_seen: 0,
             ingress_queries: 0,
@@ -664,7 +667,7 @@ impl ConcurrentFleet {
                     }
                 }
                 TraceEvent::Deadline(q) => {
-                    let (plane, core) = (&self.plane, &mut self.core);
+                    let (plane, core) = (&mut self.plane, &mut self.core);
                     let pool = core.config().serve.pool_key(q.interferers.len());
                     self.ingress_queries += 1;
                     TraceOutcome::Decided(core.deadline_query(q, |r| plane.predict(r, q, pool)))

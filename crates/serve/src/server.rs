@@ -8,7 +8,10 @@ use pitot::{TowerCache, TrainContext, TrainedPitot};
 use pitot_conformal::{
     CalibrationView, HeadSelection, MergeableWindow, PooledConformal, PredictionSet, WindowedScores,
 };
+use pitot_linalg::Matrix;
+use pitot_orchestrator::QueryBatch;
 use pitot_testbed::{split::Split, Dataset, Observation};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -197,6 +200,44 @@ pub(crate) fn prediction(
     }
 }
 
+/// One query row as the read path scores it: the correlation id its answer
+/// echoes, and the observation whose index fields the model reads (the
+/// runtime is a placeholder). Refilling a row with [`Query::set`] keeps its
+/// interferer buffer, so reused rows stop allocating once warm.
+#[derive(Debug)]
+pub(crate) struct Query {
+    id: u64,
+    obs: Observation,
+}
+
+impl Query {
+    pub(crate) fn new(id: u64, workload: u32, platform: u32, interferers: Vec<u32>) -> Self {
+        Self {
+            id,
+            obs: Observation {
+                workload,
+                platform,
+                interferers,
+                runtime_s: 1.0, // unused by prediction
+            },
+        }
+    }
+
+    /// Overwrites the row's index fields in place.
+    pub(crate) fn set(&mut self, workload: u32, platform: u32, interferers: &[u32]) {
+        self.obs.workload = workload;
+        self.obs.platform = platform;
+        self.obs.interferers.clear();
+        self.obs.interferers.extend_from_slice(interferers);
+    }
+}
+
+impl Borrow<Observation> for Query {
+    fn borrow(&self) -> &Observation {
+        &self.obs
+    }
+}
+
 /// What the window's score ring cannot give back about one entry.
 #[derive(Debug, Clone)]
 struct WindowEntry {
@@ -240,7 +281,13 @@ pub struct PitotServer {
     seen_isolation: usize,
     since_refresh: usize,
     since_tune: usize,
-    batch: Vec<(u64, Observation)>,
+    /// Queries buffered for the next micro-batch flush.
+    batch: Vec<Query>,
+    /// The synchronous reads' rows, reused across calls.
+    reads: Vec<Query>,
+    /// Row-major `rows × heads` log-runtime predictions of the latest read
+    /// pass, reused across passes.
+    preds: Matrix,
     now_s: f64,
     stats: ServeStats,
     guard: IngestGuard,
@@ -309,6 +356,8 @@ impl PitotServer {
             since_refresh: 0,
             since_tune,
             batch: Vec::new(),
+            reads: Vec::new(),
+            preds: Matrix::zeros(0, 0),
             now_s: f64::NEG_INFINITY,
             stats: ServeStats::default(),
             guard,
@@ -400,15 +449,8 @@ impl PitotServer {
             } => {
                 self.tick(at_s);
                 self.check_catalog(workload, platform, &interferers);
-                self.batch.push((
-                    id,
-                    Observation {
-                        workload,
-                        platform,
-                        interferers,
-                        runtime_s: 1.0, // unused by prediction
-                    },
-                ));
+                self.batch
+                    .push(Query::new(id, workload, platform, interferers));
                 let predictions = if self.batch.len() >= self.cfg.microbatch {
                     self.flush_batch()
                 } else {
@@ -550,17 +592,64 @@ impl PitotServer {
     /// Answers one query immediately, bypassing the micro-batch — the
     /// synchronous path a placement policy uses mid-decision. Identical
     /// arithmetic to the batched path (a batch of one); counted in
-    /// [`ServeStats::queries`] like any batched answer.
+    /// [`ServeStats::queries`] like any batched answer. Once warm, the read
+    /// reuses the server's query rows and prediction matrix and allocates
+    /// nothing.
     pub fn query_now(&mut self, workload: u32, platform: u32, interferers: &[u32]) -> Prediction {
-        let head_preds = self.head_preds(&Observation {
-            workload,
-            platform,
-            interferers: interferers.to_vec(),
-            runtime_s: 1.0, // unused by prediction
+        let mut answer = None;
+        self.read([(workload, platform, interferers)], |p| answer = Some(p));
+        answer.expect("a batch of one has one answer")
+    }
+
+    /// Answers every row of `rows` in one prediction pass, passing each
+    /// answer to `answer` in row order: bitwise each row's
+    /// [`PitotServer::query_now`] answer, and counted per row in
+    /// [`ServeStats::queries`]. This is the read a placement decision makes
+    /// through [`crate::ServingPredictor`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's platform index does not fit a catalog id.
+    pub(crate) fn query_batch(&mut self, rows: &QueryBatch, answer: impl FnMut(Prediction)) {
+        let rows = rows.iter().map(|(workload, platform, interferers)| {
+            let platform = u32::try_from(platform).expect("platform index outside the catalog");
+            (workload, platform, interferers)
         });
-        self.stats.queries += 1;
-        let pool = self.cfg.pool_key(interferers.len());
-        prediction(self.conformal.as_deref(), 0, &head_preds, pool)
+        self.read(rows, answer);
+    }
+
+    /// A synchronous read: refills the reused query rows and answers them.
+    fn read<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
+        answer: impl FnMut(Prediction),
+    ) {
+        let mut reads = std::mem::take(&mut self.reads);
+        let mut n = 0;
+        for (workload, platform, interferers) in rows {
+            if n == reads.len() {
+                reads.push(Query::new(0, 0, 0, Vec::new()));
+            }
+            reads[n].set(workload, platform, interferers);
+            n += 1;
+        }
+        self.answer(&reads[..n], answer);
+        self.reads = reads;
+    }
+
+    /// The one read pass every query path takes: a single
+    /// [`TrainedPitot::predict_log_runtime_into`] over `queries` into the
+    /// reused matrix, then each answer from its row under the served
+    /// calibration, in order.
+    fn answer(&mut self, queries: &[Query], mut answer: impl FnMut(Prediction)) {
+        self.trained
+            .predict_log_runtime_into(&self.towers, queries, &mut self.preds);
+        self.stats.queries += queries.len();
+        let served = self.conformal.as_deref();
+        for (q, row) in queries.iter().zip(self.preds.iter_rows()) {
+            let pool = self.cfg.pool_key(q.obs.interferers.len());
+            answer(prediction(served, q.id, row, pool));
+        }
     }
 
     /// Forces the pending micro-batch out (also triggered by
@@ -744,24 +833,13 @@ impl PitotServer {
         preds.iter().map(|h| h[0]).collect()
     }
 
+    /// Answers the pending micro-batch in one row-parallel pass.
     fn flush_batch(&mut self) -> Vec<Prediction> {
-        if self.batch.is_empty() {
-            return Vec::new();
-        }
-        let batch = std::mem::take(&mut self.batch);
-        let obs: Vec<&Observation> = batch.iter().map(|(_, o)| o).collect();
-        // One row-parallel pass answers the whole micro-batch.
-        let preds = self.trained.predict_log_runtime_cached(&self.towers, &obs);
-        let out: Vec<Prediction> = batch
-            .iter()
-            .enumerate()
-            .map(|(j, (id, o))| {
-                let head_preds: Vec<f32> = preds.iter().map(|h| h[j]).collect();
-                let pool = self.cfg.pool_key(o.interferers.len());
-                prediction(self.conformal.as_deref(), *id, &head_preds, pool)
-            })
-            .collect();
-        self.stats.queries += out.len();
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut out = Vec::with_capacity(batch.len());
+        self.answer(&batch, |p| out.push(p));
+        batch.clear();
+        self.batch = batch;
         out
     }
 

@@ -1,0 +1,228 @@
+//! The serving read path: a batched read answers every row exactly as the
+//! single-row read does, and once warm, no read allocates a matrix.
+//!
+//! Every serving read is one `predict_log_runtime_into` pass into buffers
+//! its reader keeps: `PitotServer::query_now` (a batch of one), the batched
+//! read behind `ServingPredictor`, `FleetServer::deadline_query` (each
+//! replica's `query_now`) and `ConcurrentFleet`'s ingress read path.
+
+use pitot::{train, Objective, PitotConfig, TrainedPitot};
+use pitot_orchestrator::{
+    ClusterView, Job, PlacementPolicy, PlatformLoad, QueryBatch, RuntimePredictor,
+};
+use pitot_sched::ConformalGreedy;
+use pitot_serve::{
+    ConcurrentConfig, ConcurrentFleet, DeadlineQuery, FleetConfig, FleetServer, PitotServer,
+    ServeConfig, ServingPredictor, TraceEvent,
+};
+use pitot_testbed::{split::Split, Dataset, Testbed, TestbedConfig, MAX_INTERFERERS};
+use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::OnceLock;
+
+fn fixture() -> &'static (Dataset, Split, TrainedPitot) {
+    static FIXTURE: OnceLock<(Dataset, Split, TrainedPitot)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dataset = Testbed::generate(&TestbedConfig::small()).collect_dataset();
+        let split = Split::stratified(&dataset, 0.6, 0);
+        let mut cfg = PitotConfig::tiny();
+        cfg.objective = Objective::Quantiles(vec![0.5, 0.8, 0.9, 0.95]);
+        cfg.steps = 200;
+        let trained = train(&dataset, &split, &cfg);
+        (dataset, split, trained)
+    })
+}
+
+/// A server seeded from the validation split, behind a shared handle.
+fn seeded_server() -> Rc<RefCell<PitotServer>> {
+    let (dataset, split, trained) = fixture();
+    let mut server = PitotServer::new(trained.clone(), dataset.clone(), ServeConfig::at(0.1));
+    server.seed_calibration(&split.val);
+    Rc::new(RefCell::new(server))
+}
+
+/// Expands `seed` into `n` in-catalog rows with 0..=`MAX_INTERFERERS`
+/// interferers each. Interferers come from a small id pool, so rows repeat
+/// ids, and about a quarter of the rows duplicate an earlier row.
+fn build_rows(seed: u64, n: usize) -> QueryBatch {
+    let (dataset, ..) = fixture();
+    let mut rng = TestRng::from_state(seed);
+    let mut rows: Vec<(u32, usize, Vec<u32>)> = Vec::with_capacity(n);
+    for _ in 0..n {
+        if !rows.is_empty() && rng.below(0, 4) == 0 {
+            let again = rows[rng.below(0, rows.len())].clone();
+            rows.push(again);
+            continue;
+        }
+        let workload = rng.below(0, dataset.n_workloads) as u32;
+        let platform = rng.below(0, dataset.n_platforms);
+        let interferers = (0..rng.below(0, MAX_INTERFERERS + 1))
+            .map(|_| rng.below(0, 6) as u32)
+            .collect();
+        rows.push((workload, platform, interferers));
+    }
+    let mut batch = QueryBatch::default();
+    for (w, p, k) in rows {
+        batch.push(w, p, k);
+    }
+    batch
+}
+
+thread_local! {
+    static SERVER: Rc<RefCell<PitotServer>> = seeded_server();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A batched read is bitwise the single-row reads of its rows, and it
+    /// counts one query per row.
+    #[test]
+    fn batched_reads_equal_single_row_reads(seed in 0u64..u64::MAX, n in 0usize..41) {
+        let server = SERVER.with(Rc::clone);
+        let predictor = ServingPredictor::new(Rc::clone(&server));
+        let batch = build_rows(seed, n);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let queries = || server.borrow().stats().queries;
+
+        let mut got = vec![f64::NAN; 3];
+        let before = queries();
+        predictor.bound_batch_s(&batch, &mut got);
+        prop_assert_eq!(queries() - before, n);
+        let want: Vec<f64> = batch.iter().map(|(w, p, k)| predictor.bound_s(w, p, k)).collect();
+        prop_assert_eq!(bits(&got), bits(&want));
+
+        let before = queries();
+        predictor.predict_batch_s(&batch, &mut got);
+        prop_assert_eq!(queries() - before, n);
+        let want: Vec<f64> = batch.iter().map(|(w, p, k)| predictor.predict_s(w, p, k)).collect();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
+
+/// Deadline queries over the first test observations, ids from `first`.
+fn deadline_queries(first: u64, n: usize) -> Vec<DeadlineQuery> {
+    let (dataset, split, _) = fixture();
+    split.test[..n]
+        .iter()
+        .zip(first..)
+        .map(|(&i, id)| {
+            let o = &dataset.observations[i];
+            DeadlineQuery {
+                id,
+                workload: o.workload,
+                platform: o.platform,
+                interferers: o.interferers.clone(),
+                deadline_s: f64::from(o.runtime_s) * 2.0,
+            }
+        })
+        .collect()
+}
+
+/// Matrix allocations `f` makes on this thread.
+fn matrix_allocs(f: impl FnOnce()) -> u64 {
+    pitot_linalg::alloc_count::reset();
+    f();
+    pitot_linalg::alloc_count::matrix_allocs()
+}
+
+/// After one warm-up read sizes each reader's buffers, no read path
+/// allocates a matrix: not a placement decision through a serving
+/// predictor, not `query_now`, not a fleet deadline query, and not the
+/// concurrent fleet's ingress answering deadline queries and resolves.
+#[test]
+fn warm_reads_allocate_no_matrix() {
+    let (dataset, split, trained) = fixture();
+    let rows: Vec<(u32, u32, Vec<u32>)> = split.test[..10]
+        .iter()
+        .map(|&i| {
+            let o = &dataset.observations[i];
+            (o.workload, o.platform, o.interferers.clone())
+        })
+        .collect();
+
+    let server = seeded_server();
+    let predictor = ServingPredictor::new(Rc::clone(&server));
+    let view = ClusterView {
+        now_s: 0.0,
+        platforms: (0..6)
+            .map(|p| PlatformLoad {
+                running: vec![p, p + 1],
+                remaining_frac: vec![0.7, 0.3],
+                due_s: vec![1e9; 2],
+                free_slots: 1,
+            })
+            .collect(),
+    };
+    let job = Job {
+        id: 0,
+        workload: 3,
+        arrival_s: 0.0,
+        deadline_s: 1e9,
+    };
+    let mut policy = ConformalGreedy::new();
+    let decide = |policy: &mut ConformalGreedy| policy.place(&job, &view, &predictor);
+    let warm = decide(&mut policy);
+    let mut again = None;
+    assert_eq!(matrix_allocs(|| again = decide(&mut policy)), 0, "place");
+    assert_eq!(again, warm);
+
+    let query = |server: &mut PitotServer| {
+        for (w, p, k) in &rows {
+            server.query_now(*w, *p, k);
+        }
+    };
+    query(&mut server.borrow_mut());
+    assert_eq!(
+        matrix_allocs(|| query(&mut server.borrow_mut())),
+        0,
+        "query_now"
+    );
+
+    let mut cfg = FleetConfig::at(0.1, 3);
+    cfg.serve.window = 64;
+    let mut fleet = FleetServer::new(trained.clone(), dataset, cfg.clone());
+    fleet.seed_calibration(&split.val);
+    let decide_all = |fleet: &mut FleetServer, first: u64| {
+        for q in deadline_queries(first, 10) {
+            let (id, realized_s) = (q.id, q.deadline_s / 2.0);
+            fleet.deadline_query(q);
+            fleet.resolve(id, realized_s);
+        }
+    };
+    decide_all(&mut fleet, 0);
+    assert_eq!(
+        matrix_allocs(|| decide_all(&mut fleet, 10)),
+        0,
+        "deadline_query"
+    );
+
+    let ccfg = ConcurrentConfig {
+        fleet: cfg,
+        workers: None,
+    };
+    let mut conc = ConcurrentFleet::new(trained.clone(), dataset, ccfg);
+    conc.seed_calibration(&split.val);
+    let trace = |first: u64| -> Vec<TraceEvent> {
+        deadline_queries(first, 10)
+            .into_iter()
+            .flat_map(|q| {
+                let resolve = TraceEvent::Resolve {
+                    id: q.id,
+                    realized_s: q.deadline_s / 2.0,
+                };
+                [TraceEvent::Deadline(q), resolve]
+            })
+            .collect()
+    };
+    conc.run_trace(&trace(0));
+    let warm_trace = trace(10);
+    assert_eq!(
+        matrix_allocs(|| {
+            conc.run_trace(&warm_trace);
+        }),
+        0,
+        "ConcurrentFleet::run_trace"
+    );
+}

@@ -3,8 +3,8 @@
 //! closed loop with the placement simulator.
 
 use pitot::{train, Objective, PitotConfig, TrainedPitot};
-use pitot_orchestrator::{BaselinePolicy, JobStream};
-use pitot_serve::{run_closed_loop, Event, PitotServer, ServeConfig};
+use pitot_orchestrator::{BaselinePolicy, JobStream, RuntimePredictor};
+use pitot_serve::{run_closed_loop, Event, PitotServer, ServeConfig, ServingPredictor};
 use pitot_testbed::{split::Split, Dataset, Testbed, TestbedConfig};
 use rand::{seq::SliceRandom, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -327,14 +327,43 @@ fn closed_loop_feeds_every_completion_back() {
     // Every completion streamed back in and was judged prequentially.
     assert_eq!(stats.observations, 120);
     assert_eq!(stats.bounded, 120);
-    // Placement decisions queried the live server, and those synchronous
-    // queries are counted (memoized: one per candidate question, even when
-    // the policy reads both the point estimate and the bound).
+    // Placement decisions queried the live server, and every row a policy
+    // reads is counted as one query, whichever read path answered it.
     assert!(stats.queries >= 120, "queries {}", stats.queries);
     assert!(stats.refreshes > 100, "refreshes {}", stats.refreshes);
     // The loop's bounds stay sane: rolling coverage is a valid fraction.
     let cov = stats.coverage();
     assert!((0.0..=1.0).contains(&cov));
+}
+
+/// A calibration change that is not an event — seeding a server, or an
+/// install into it — shows in the very next `ServingPredictor` read.
+#[test]
+fn serving_predictor_reads_the_calibration_a_seed_or_install_set() {
+    let (_tb, dataset, split, trained) = fixture();
+    let o = &dataset.observations[split.test[0]];
+    let (w, p, k) = (o.workload, o.platform, o.interferers.as_slice());
+    let server = Rc::new(RefCell::new(PitotServer::new(
+        trained.clone(),
+        dataset.clone(),
+        ServeConfig::at(0.1),
+    )));
+    let predictor = ServingPredictor::new(Rc::clone(&server));
+    let served = || f64::from(server.borrow_mut().query_now(w, p, k).bound_s);
+
+    let uncalibrated = predictor.bound_s(w, p as usize, k);
+    server.borrow_mut().seed_calibration(&split.val);
+    let seeded = predictor.bound_s(w, p as usize, k);
+    assert_eq!(seeded.to_bits(), served().to_bits(), "after a seed");
+    assert_ne!(seeded, uncalibrated, "seeding must change this bound");
+
+    let mut wider = PitotServer::new(trained, dataset.clone(), ServeConfig::at(0.3));
+    wider.seed_calibration(&split.val);
+    let wider = wider.conformal().expect("seeded").clone();
+    server.borrow_mut().install_calibration(wider);
+    let installed = predictor.bound_s(w, p as usize, k);
+    assert_eq!(installed.to_bits(), served().to_bits(), "after an install");
+    assert_ne!(installed, seeded, "the install must change this bound");
 }
 
 #[test]
