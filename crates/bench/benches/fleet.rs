@@ -120,7 +120,6 @@ fn fleet_stream(c: &mut Criterion) {
     let t = trained(&f);
     let mut serve = ServeConfig::at(0.1);
     serve.window = 256;
-    serve.microbatch = 16;
     let cfg = FleetConfig {
         serve,
         replicas: 3,

@@ -6,9 +6,11 @@
 //! is rank lookups over incrementally maintained sorted slices instead of a
 //! re-score + re-sort. This bench records:
 //!
-//! - `serving/stream_2k_events`: a mixed observation/query stream through a
-//!   full server (window 512, refresh every observation, micro-batch 16) —
-//!   the headline events/sec figure;
+//! - `serving/stream_2k_events`: a mixed stream of 3 observations per query
+//!   through a full server (window 512, refresh every observation); the
+//!   bench gathers the queries 16 at a time and answers each 16 with one
+//!   `PitotServer::query_batch` (a trailing partial batch is answered at
+//!   the end of the stream) — the headline events/sec figure;
 //! - `serving/refresh_1k`: one observation + refresh on a full 1024-window
 //!   server under the default `NaiveXi` head selection;
 //! - `serving/refresh_p50` / `serving/refresh_p99`: tail percentiles over
@@ -19,7 +21,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pitot::{Objective, PitotConfig, TrainedPitot};
 use pitot_bench::Fixture;
+use pitot_orchestrator::QueryBatch;
 use pitot_serve::{Event, PitotServer, ServeConfig};
+use pitot_testbed::Observation;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -33,24 +37,40 @@ fn trained(f: &Fixture) -> TrainedPitot {
     pitot::train(&f.dataset, &f.split, &cfg)
 }
 
-/// A mixed event stream over the test split: 3 observations per query,
-/// queries micro-batched by the server.
-fn build_events(f: &Fixture, n: usize) -> Vec<Event> {
+/// Queries the stream bench answers with one batched read.
+const QUERY_BATCH: usize = 16;
+
+/// One event of the mixed stream.
+enum Step {
+    /// A measured runtime arrives.
+    Observe(Observation),
+    /// A placement query for this observation's index fields.
+    Query(Observation),
+}
+
+/// A mixed stream over the test split: 3 observations per query.
+fn build_steps(f: &Fixture, n: usize) -> Vec<Step> {
     (0..n)
         .map(|t| {
-            let o = &f.dataset.observations[f.split.test[t % f.split.test.len()]];
+            let o = f.dataset.observations[f.split.test[t % f.split.test.len()]].clone();
             if t % 4 == 3 {
-                Event::Query {
-                    id: t as u64,
-                    workload: o.workload,
-                    platform: o.platform,
-                    interferers: o.interferers.clone(),
-                }
+                Step::Query(o)
             } else {
-                Event::Observe(o.clone())
+                Step::Observe(o)
             }
         })
         .collect()
+}
+
+/// Answers the gathered queries with one batched read and empties the
+/// batch; returns how many were answered.
+fn answer(server: &mut PitotServer, batch: &mut QueryBatch) -> usize {
+    server.query_batch(batch, |p| {
+        black_box(p);
+    });
+    let n = batch.len();
+    batch.clear();
+    n
 }
 
 /// Events/sec through a serving instance refreshing on every observation.
@@ -60,27 +80,38 @@ fn stream_throughput(c: &mut Criterion) {
     let mut cfg = ServeConfig::at(0.1);
     cfg.window = 512;
     cfg.refresh_every = 1;
-    cfg.microbatch = 16;
     let mut server = PitotServer::new(t, f.dataset.clone(), cfg);
     server.seed_calibration(&f.split.val);
 
-    let events = build_events(&f, 2000);
+    let steps = build_steps(&f, 2000);
+    let mut batch = QueryBatch::default();
     // The server lives across iterations (its clock must stay monotone).
     let mut t0 = 0.0f64;
     let mut group = c.benchmark_group("serving");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(events.len() as u64));
+    group.throughput(Throughput::Elements(steps.len() as u64));
     group.bench_function("stream_2k_events", |b| {
         b.iter(|| {
             let mut answered = 0usize;
-            for (dt, ev) in events.iter().enumerate() {
-                answered += server
-                    .on_event(t0 + dt as f64, ev.clone())
-                    .predictions
-                    .len();
+            for (dt, step) in steps.iter().enumerate() {
+                match step {
+                    Step::Observe(o) => {
+                        black_box(server.on_event(t0 + dt as f64, Event::Observe(o.clone())));
+                    }
+                    Step::Query(o) => {
+                        batch.push(
+                            o.workload,
+                            o.platform as usize,
+                            o.interferers.iter().copied(),
+                        );
+                        if batch.len() == QUERY_BATCH {
+                            answered += answer(&mut server, &mut batch);
+                        }
+                    }
+                }
             }
-            t0 += events.len() as f64;
-            black_box(server.flush());
+            t0 += steps.len() as f64;
+            answered += answer(&mut server, &mut batch);
             black_box(answered)
         })
     });

@@ -8,8 +8,8 @@
 //! ```
 
 use pitot::{train, Objective, PitotConfig};
-use pitot_orchestrator::{BaselinePolicy, JobStream};
-use pitot_serve::{run_closed_loop, Event, PitotServer, ServeConfig};
+use pitot_orchestrator::{BaselinePolicy, JobStream, QueryBatch};
+use pitot_serve::{run_closed_loop, PitotServer, ServeConfig};
 use pitot_testbed::{split::Split, Testbed, TestbedConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -39,26 +39,24 @@ fn main() {
     let mut server = PitotServer::new(trained, dataset.clone(), serve_cfg);
     server.seed_calibration(&split.val);
 
-    // 3. Micro-batched queries: buffered until the batch fills (or a
-    //    flush), then answered in one row-parallel prediction pass.
-    for (q, &oi) in split.test.iter().take(8).enumerate() {
+    // 3. A batched read: 8 placement queries answered in one row-parallel
+    //    prediction pass, each bitwise its single-row `query_now` answer.
+    let mut batch = QueryBatch::default();
+    for &oi in split.test.iter().take(8) {
         let o = &dataset.observations[oi];
-        server.on_event(
-            q as f64,
-            Event::Query {
-                id: q as u64,
-                workload: o.workload,
-                platform: o.platform,
-                interferers: o.interferers.clone(),
-            },
+        batch.push(
+            o.workload,
+            o.platform as usize,
+            o.interferers.iter().copied(),
         );
     }
-    let answers = server.on_event(8.0, Event::Flush).predictions;
-    println!("\nmicro-batched answers (point → budget at ε={epsilon}):");
-    for p in &answers {
+    let mut answers = Vec::with_capacity(batch.len());
+    server.query_batch(&batch, |p| answers.push(p));
+    println!("\nbatched answers (point → budget at ε={epsilon}):");
+    for (q, p) in answers.iter().enumerate() {
         println!(
-            "  query {}: {:>8.3}s → {:>8.3}s (pool {})",
-            p.id, p.point_s, p.bound_s, p.pool
+            "  query {q}: {:>8.3}s → {:>8.3}s (pool {})",
+            p.point_s, p.bound_s, p.pool
         );
     }
 

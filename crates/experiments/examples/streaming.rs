@@ -103,7 +103,7 @@ fn main() {
 
     // 3. The concurrent runtime: sharded replicas behind MPSC lanes, lane 0
     //    drained by this (the ingress) thread at barriers and each further
-    //    lane by a worker thread, micro-batch coalescing, and queries
+    //    lane by a worker thread, lane coalescing, and queries
     //    answered from each replica's installed calibration.
     let mut conc = ConcurrentFleet::with_faults(
         trained.clone(),

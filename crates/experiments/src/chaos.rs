@@ -87,7 +87,6 @@ fn fleet_config(eps: f32, stale_fallback: bool) -> FleetConfig {
         // Cross into widened local fallback after one drift_min worth of
         // un-refreshed observations (the validation floor).
         serve.staleness_threshold = serve.drift_min;
-        serve.stale_epsilon_factor = 0.5;
     }
     FleetConfig {
         serve,

@@ -263,7 +263,7 @@ impl SendPtr {
 /// pool above (no registry access, no crossbeam). Producers [`push`] from
 /// any thread; the consumer parks in [`drain_into`] until at least one item
 /// (or [`close`]) arrives, then takes *everything* pending in one swap —
-/// that batch drain is the micro-batch coalescing hook the concurrent
+/// that batch drain is the lane coalescing hook the concurrent
 /// serving runtime builds on: the deeper the backlog, the bigger the batch
 /// handed to the row-parallel predict path.
 ///

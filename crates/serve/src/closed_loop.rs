@@ -15,11 +15,10 @@ use std::rc::Rc;
 ///
 /// Every read is answered by the server as it stands, with nothing cached
 /// in between, so a seed, an install or a refresh shows in the very next
-/// answer. A single-row read is one [`PitotServer::query_now`] (the
-/// synchronous path — a policy needs its answer mid-decision, so the
-/// micro-batch is bypassed). A batched read, such as the rows of one
-/// `pitot-sched` placement decision, is one prediction pass over the whole
-/// batch into buffers the server reuses, bitwise equal row by row to
+/// answer. A single-row read is one [`PitotServer::query_now`]. A batched
+/// read, such as the rows of one `pitot-sched` placement decision, is one
+/// [`PitotServer::query_batch`]: one prediction pass over the whole batch
+/// into buffers the server reuses, bitwise equal row by row to
 /// `query_now`. Either way [`crate::ServeStats::queries`] counts one query
 /// per row.
 pub struct ServingPredictor {

@@ -16,12 +16,12 @@
 //!   that lane: at every barrier, and before it touches a lane-0 replica.
 //!   So `n` lanes run `n − 1` threads beside the caller, and one lane (the
 //!   inline mode) runs none — the ingress owns every replica.
-//! - **Micro-batch coalescing.** Whoever drains a lane takes *everything*
-//!   pending in one swap and retires it in one step, the same for every
-//!   lane: a single row-parallel
-//!   [`pitot::TrainedPitot::predict_log_runtime_cached`] pass over the
-//!   batch, FIFO application to the shards, then the outbox, and the lane's
-//!   gauge last. The deeper the backlog, the bigger the batch.
+//! - **Lane coalescing.** Whoever drains a lane takes *everything* pending
+//!   in one swap and retires it in one step, the same for every lane: one
+//!   row-parallel [`pitot::TrainedPitot::predict_log_runtime_into`] pass
+//!   per destination replica in the batch, FIFO application of each
+//!   observation's row to its shard, then the outbox, and the lane's gauge
+//!   last. The deeper the backlog, the bigger the batch.
 //! - **A lock-free read path.** Deadline queries never touch shard state:
 //!   the model and per-replica tower caches are immutable in fleet mode
 //!   (fine-tuning is rejected by [`crate::FleetConfig::validate`]; a
@@ -76,7 +76,7 @@ use crate::config::FleetConfig;
 use crate::control::{FleetControl, Replicas};
 use crate::fault::{DegradedWindow, FaultPlan, RejectedSummary};
 use crate::fleet::{AdmissionOutcome, DeadlineQuery, FleetServer, FleetStats};
-use crate::server::{self, ObservedFeedback, PitotServer, Prediction, Query, Served};
+use crate::server::{self, ObservedFeedback, PitotServer, Prediction, Served};
 use pitot::{TowerCache, TrainedPitot};
 use pitot_conformal::PooledConformal;
 use pitot_linalg::par::{EventQueue, Gauge};
@@ -226,7 +226,8 @@ struct ObsOutcome {
 pub struct LaneProgress {
     /// Observations retired by this lane.
     pub processed: u64,
-    /// Batches retired (each batch is one row-parallel predict pass).
+    /// Batches retired (each batch is one row-parallel predict pass per
+    /// destination replica).
     /// Lane 0's batches are whatever the ingress finds pending when it
     /// settles the lane.
     pub batches: u64,
@@ -290,7 +291,7 @@ struct LanePlane {
     served: Vec<Option<Arc<Served>>>,
     /// The read path's query row and prediction matrix, reused by every
     /// query.
-    query: Query,
+    query: Observation,
     preds: Matrix,
 }
 
@@ -332,10 +333,11 @@ impl Drop for CloseOnUnwind<'_> {
 }
 
 /// Retires one drained batch of `lane` — the one drain step of every lane,
-/// whether the ingress or a worker runs it. Scores the batch in a single
-/// row-parallel pass, applies each observation to its shard in FIFO order,
-/// posts feedback and counters to the outbox, and moves the gauge last:
-/// once a barrier releases, the outbox already holds the batch.
+/// whether the ingress or a worker runs it. Scores the batch with one
+/// row-parallel pass per destination replica, applies each observation's
+/// row to its shard in FIFO order, posts feedback and counters to the
+/// outbox, and moves the gauge last: once a barrier releases, the outbox
+/// already holds the batch.
 fn retire(
     read: &ReadState,
     shards: &[Mutex<PitotServer>],
@@ -345,36 +347,33 @@ fn retire(
     let _close = CloseOnUnwind(&lane.processed);
     let n = batch.len() as u64;
     // Score against each destination replica's own tower cache (replicas
-    // may serve compressed towers): one row-parallel pass per distinct
-    // replica in the batch. Batched prediction is bitwise-identical to a
-    // batch of one (pinned workspace property), so the grouping cannot
-    // perturb a bit — and shard application below stays in FIFO order.
-    let mut head_preds: Vec<Vec<f32>> = vec![Vec::new(); batch.len()];
-    let mut idxs: Vec<usize> = Vec::new();
-    for (rep, towers) in read.towers.iter().enumerate() {
-        idxs.clear();
-        idxs.extend(
-            batch
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.replica == rep)
-                .map(|(i, _)| i),
-        );
-        if idxs.is_empty() {
-            continue;
-        }
-        let refs: Vec<&Observation> = idxs.iter().map(|&i| &batch[i].obs).collect();
-        let preds = read.trained.predict_log_runtime_cached(towers, &refs);
-        for (j, &i) in idxs.iter().enumerate() {
-            head_preds[i] = preds.iter().map(|h| h[j]).collect();
-        }
-    }
+    // may serve compressed towers): row `k` of `preds[r]` scores replica
+    // `r`'s `k`-th observation in the batch, and a replica with no rows
+    // costs nothing. Batched prediction is bitwise-identical to a batch of
+    // one (pinned workspace property), so the grouping cannot perturb a
+    // bit — and shard application below stays in FIFO order.
+    let mut rows: Vec<&Observation> = Vec::new();
+    let preds: Vec<Matrix> = read
+        .towers
+        .iter()
+        .enumerate()
+        .map(|(r, towers)| {
+            rows.clear();
+            rows.extend(batch.iter().filter(|c| c.replica == r).map(|c| &c.obs));
+            let mut m = Matrix::default();
+            read.trained.predict_log_runtime_into(towers, &rows, &mut m);
+            m
+        })
+        .collect();
+    let mut next = vec![0; preds.len()];
     let mut out = Vec::with_capacity(batch.len());
-    for (i, cmd) in batch.drain(..).enumerate() {
+    for cmd in batch.drain(..) {
+        let row = preds[cmd.replica].row(next[cmd.replica]);
+        next[cmd.replica] += 1;
         let resp = shards[cmd.replica]
             .lock()
             .expect("shard mutex poisoned")
-            .on_observation_prescored(cmd.at_s, cmd.obs, std::mem::take(&mut head_preds[i]));
+            .on_observation_prescored(cmd.at_s, cmd.obs, row);
         out.push(ObsOutcome {
             trace_idx: cmd.trace_idx,
             audit: cmd.audit,
@@ -465,13 +464,13 @@ impl LanePlane {
     /// calibration — no shard lock, no queue, no waiting on a lane. Like
     /// `query_now`, it is one pass into a reused row and matrix.
     fn predict(&mut self, replica: usize, q: &DeadlineQuery, pool: usize) -> Prediction {
-        self.query.set(q.workload, q.platform, &q.interferers);
+        server::refill(&mut self.query, q.workload, q.platform, &q.interferers);
         self.read.trained.predict_log_runtime_into(
             &self.read.towers[replica],
             std::slice::from_ref(&self.query),
             &mut self.preds,
         );
-        server::prediction(self.served[replica].as_deref(), 0, self.preds.row(0), pool)
+        server::prediction(self.served[replica].as_deref(), self.preds.row(0), pool)
     }
 }
 
@@ -563,8 +562,8 @@ impl ConcurrentFleet {
                 shards,
                 read,
                 served: vec![None; replicas],
-                query: Query::new(0, 0, 0, Vec::new()),
-                preds: Matrix::zeros(0, 0),
+                query: server::query_row(),
+                preds: Matrix::default(),
             },
             events_seen: 0,
             ingress_queries: 0,

@@ -5,9 +5,12 @@ use pitot_conformal::HeadSelection;
 /// Knobs for a [`crate::PitotServer`].
 ///
 /// The defaults serve bounds at the given miscoverage with a 512-observation
-/// sliding window refreshed on every arrival, micro-batches of 16 queries,
-/// arity-keyed calibration pools, and fine-tuning disabled (set
-/// [`ServeConfig::fine_tune_steps`] to opt in).
+/// sliding window refreshed on every arrival, arity-keyed calibration pools,
+/// and fine-tuning disabled (set [`ServeConfig::fine_tune_steps`] to opt
+/// in). Settings no deployment varies are associated constants instead of
+/// fields: [`ServeConfig::DRIFT_Z`], [`ServeConfig::REBUILD_GROWTH`],
+/// [`ServeConfig::STALE_EPSILON_FACTOR`] and
+/// [`ServeConfig::QUARANTINE_RETAIN`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Target miscoverage ε of the served upper bounds.
@@ -21,8 +24,6 @@ pub struct ServeConfig {
     /// replicas do: the server then also skips the refit after a watchdog
     /// rollback.
     pub refresh_every: usize,
-    /// Queries buffered before a batched prediction pass answers them all.
-    pub microbatch: usize,
     /// Key calibration pools by interference arity (the paper's pooling);
     /// `false` uses one global pool — e.g. to isolate the effect of
     /// windowing in comparisons.
@@ -37,9 +38,6 @@ pub struct ServeConfig {
     pub selection: HeadSelection,
     /// Rolling prequential-coverage window the drift detector watches.
     pub drift_window: usize,
-    /// Binomial-slack multiplier: drift fires when rolling coverage falls
-    /// below `1 − ε − z·√(ε(1−ε)/n)`.
-    pub drift_z: f32,
     /// Minimum monitored observations before drift can fire.
     pub drift_min: usize,
     /// Optimizer steps per drift-triggered warm-start fine-tune
@@ -55,26 +53,16 @@ pub struct ServeConfig {
     /// Minimum observations between fine-tunes (lets the refreshed
     /// calibration and monitor re-fill before judging the updated model).
     pub fine_tune_cooldown: usize,
-    /// Rebuild the training context (folding newly arrived observations
-    /// into the batch pools) once the arrived set has grown by this factor
-    /// since the last build; between rebuilds, fine-tunes are pure
-    /// [`pitot::TrainContext::resume`] calls.
-    pub rebuild_growth: f32,
     /// Fleet replicas' staleness tolerance of a served calibration, in
     /// local window pushes (the eviction clock): at the first merge tick
     /// after more than this many observations arrive without a newer
     /// install, the fleet degrades the replica to a fallback calibration
     /// fit on its own window at the widened miscoverage
-    /// `epsilon × stale_epsilon_factor`, and refits the fallback whenever
-    /// it grows as old. `0` (the default) disables staleness tracking —
-    /// the installed calibration is trusted forever. A standalone
-    /// [`crate::PitotServer`] ignores it.
+    /// `epsilon ×` [`ServeConfig::STALE_EPSILON_FACTOR`], and refits the
+    /// fallback whenever it grows as old. `0` (the default) disables
+    /// staleness tracking — the installed calibration is trusted forever.
+    /// A standalone [`crate::PitotServer`] ignores it.
     pub staleness_threshold: usize,
-    /// Miscoverage multiplier of the stale-fallback calibration, in
-    /// `(0, 1]`: the fallback fits at `epsilon × stale_epsilon_factor`,
-    /// honestly *widening* intervals to reflect that the local window is a
-    /// shard, not the fleet (1.0 = no widening; default 0.5 halves ε).
-    pub stale_epsilon_factor: f32,
     /// Master switch of the trustworthy-telemetry ingest guard. When on,
     /// non-finite/non-positive runtimes are **quarantined** into the
     /// audited side buffer (see [`crate::GuardStats`]) instead of
@@ -94,9 +82,6 @@ pub struct ServeConfig {
     /// Minimum window occupancy before the MAD screen judges arrivals (a
     /// near-empty window has no robust scale estimate). Default 64.
     pub guard_min_n: usize,
-    /// Quarantine audit records retained (a bounded ring; the per-cause
-    /// *counters* are cumulative and never truncated). Default 256.
-    pub quarantine_retain: usize,
     /// Miscoverage watchdog: fires when prequential coverage over the
     /// drift window falls below `1 − ε − watchdog_z·√(ε(1−ε)/n)`,
     /// triggering a quarantine-rollback rescore of the calibration window
@@ -106,7 +91,8 @@ pub struct ServeConfig {
     /// a fleet replica). `0.0` (the
     /// default) disables the watchdog. Requires the ingest guard and MAD
     /// screen to be enabled. Typical: 4.0 — strictly wider slack than
-    /// `drift_z` so model drift retrains before poisoning rolls back.
+    /// [`ServeConfig::DRIFT_Z`] so model drift retrains before poisoning
+    /// rolls back.
     pub watchdog_z: f32,
     /// Minimum judged observations before the watchdog can fire (and,
     /// because firing resets the coverage monitor, the minimum spacing
@@ -122,6 +108,29 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
+    /// Binomial-slack multiplier of the drift monitor: drift fires when
+    /// rolling coverage falls below `1 − ε − z·√(ε(1−ε)/n)`.
+    pub const DRIFT_Z: f32 = 3.0;
+
+    /// Growth factor of the streamed set that rebuilds a fine-tune's
+    /// training context: the first fine-tune builds one with
+    /// [`pitot::TrainContext::warm_start`], a compaction drops it, and once
+    /// the streamed set has grown by this factor since the last build the
+    /// next fine-tune builds afresh (folding the new arrivals into the
+    /// batch pools). Between rebuilds, fine-tunes are
+    /// [`pitot::TrainContext::resume`] calls.
+    pub const REBUILD_GROWTH: f32 = 1.5;
+
+    /// Miscoverage multiplier of a fleet replica's stale-fallback
+    /// calibration: the fallback fits at `epsilon × 0.5`, honestly
+    /// *widening* intervals to reflect that the local window is a shard,
+    /// not the fleet (see [`ServeConfig::staleness_threshold`]).
+    pub const STALE_EPSILON_FACTOR: f32 = 0.5;
+
+    /// Quarantine audit records and watchdog incidents retained (bounded
+    /// rings; the per-cause *counters* are cumulative and never truncated).
+    pub const QUARANTINE_RETAIN: usize = 256;
+
     /// Defaults at miscoverage `epsilon`.
     ///
     /// # Panics
@@ -132,22 +141,17 @@ impl ServeConfig {
             epsilon,
             window: 512,
             refresh_every: 1,
-            microbatch: 16,
             pool_by_arity: true,
             selection: HeadSelection::NaiveXi,
             drift_window: 256,
-            drift_z: 3.0,
             drift_min: 64,
             fine_tune_steps: 0,
             fine_tune_retain: 8192,
             fine_tune_cooldown: 256,
-            rebuild_growth: 1.5,
             staleness_threshold: 0,
-            stale_epsilon_factor: 0.5,
             ingest_guard: false,
             guard_mad_k: 8.0,
             guard_min_n: 64,
-            quarantine_retain: 256,
             watchdog_z: 0.0,
             watchdog_min: 128,
             compression: pitot::CompressionSpec::none(),
@@ -173,10 +177,10 @@ impl ServeConfig {
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range ε, a zero window/cadence/micro-batch, a
-    /// rebuild growth factor below 1, or the
+    /// Panics on an out-of-range ε, a zero window or cadence, the
     /// [`HeadSelection::TightestOnValidation`] policy (see
-    /// [`ServeConfig::selection`]).
+    /// [`ServeConfig::selection`]), or an inconsistent drift, staleness,
+    /// guard, watchdog or compression setting.
     pub fn validate(&self) {
         assert!(
             self.epsilon > 0.0 && self.epsilon < 1.0,
@@ -197,11 +201,6 @@ impl ServeConfig {
              on every arrival, the default)"
         );
         assert!(
-            self.microbatch > 0,
-            "ServeConfig.microbatch = 0 is invalid: the micro-batch must \
-             hold at least 1 query (1 = no batching; default: 16)"
-        );
-        assert!(
             self.selection != HeadSelection::TightestOnValidation,
             "ServeConfig.selection = TightestOnValidation is invalid: a \
              server calibrates on its sliding window and has no separate \
@@ -216,33 +215,10 @@ impl ServeConfig {
              (default: 256)"
         );
         assert!(
-            self.drift_z >= 0.0,
-            "ServeConfig.drift_z = {} is invalid: the binomial-slack \
-             multiplier must be non-negative (0.0 = fire on any dip below \
-             1 − ε; default: 3.0)",
-            self.drift_z
-        );
-        assert!(
             self.fine_tune_retain > 0,
             "ServeConfig.fine_tune_retain = 0 is invalid: the fine-tune \
              training pool must retain at least 1 observation (default: \
              8192; to disable fine-tuning set fine_tune_steps = 0 instead)"
-        );
-        assert!(
-            self.rebuild_growth >= 1.0,
-            "ServeConfig.rebuild_growth = {} is invalid: the context \
-             rebuild factor must be ≥ 1 (1.0 = rebuild on every fine-tune; \
-             default: 1.5)",
-            self.rebuild_growth
-        );
-        assert!(
-            self.stale_epsilon_factor > 0.0 && self.stale_epsilon_factor <= 1.0,
-            "ServeConfig.stale_epsilon_factor = {} is invalid: the \
-             degraded-mode miscoverage multiplier must be in (0, 1] (the \
-             fallback fits at ε × factor, so values > 1 would *narrow* \
-             stale bounds; 1.0 = no widening, default: 0.5; set \
-             staleness_threshold = 0 to disable the fallback entirely)",
-            self.stale_epsilon_factor
         );
         assert!(
             self.staleness_threshold == 0 || self.staleness_threshold >= self.drift_min,
@@ -266,13 +242,6 @@ impl ServeConfig {
             "ServeConfig.guard_min_n = 0 is invalid while ingest_guard is \
              on: the MAD screen needs at least 1 windowed observation for \
              a scale estimate (default: 64; or set ingest_guard = false)"
-        );
-        assert!(
-            !self.ingest_guard || self.quarantine_retain >= 1,
-            "ServeConfig.quarantine_retain = 0 is invalid while \
-             ingest_guard is on: quarantining must never be silent, so the \
-             audit ring must retain at least 1 record (default: 256; or \
-             set ingest_guard = false)"
         );
         assert!(
             self.watchdog_z.is_finite() && self.watchdog_z >= 0.0,
@@ -544,26 +513,6 @@ mod tests {
 
         let m = message(|| {
             let c = ServeConfig {
-                rebuild_growth: 0.5,
-                ..ServeConfig::default()
-            };
-            c.validate();
-        });
-        assert!(m.contains("ServeConfig.rebuild_growth = 0.5"), "{m}");
-
-        let m = message(|| {
-            let c = ServeConfig {
-                stale_epsilon_factor: 1.5,
-                ..ServeConfig::default()
-            };
-            c.validate();
-        });
-        assert!(m.contains("ServeConfig.stale_epsilon_factor = 1.5"), "{m}");
-        assert!(m.contains("(0, 1]"), "valid range: {m}");
-        assert!(m.contains("staleness_threshold = 0"), "alternative: {m}");
-
-        let m = message(|| {
-            let c = ServeConfig {
                 staleness_threshold: 8,
                 drift_min: 64,
                 ..ServeConfig::default()
@@ -595,17 +544,6 @@ mod tests {
         });
         assert!(m.contains("ServeConfig.guard_min_n = 0"), "{m}");
         assert!(m.contains("ingest_guard = false"), "alternative: {m}");
-
-        let m = message(|| {
-            let c = ServeConfig {
-                ingest_guard: true,
-                quarantine_retain: 0,
-                ..ServeConfig::default()
-            };
-            c.validate();
-        });
-        assert!(m.contains("ServeConfig.quarantine_retain = 0"), "{m}");
-        assert!(m.contains("never be silent"), "rationale: {m}");
 
         let m = message(|| {
             let c = ServeConfig {
@@ -713,7 +651,6 @@ mod tests {
         let c = ServeConfig {
             ingest_guard: true,
             guard_min_n: 1,
-            quarantine_retain: 1,
             watchdog_z: 4.0,
             watchdog_min: 1,
             ..ServeConfig::default()
@@ -723,22 +660,15 @@ mod tests {
         let c = ServeConfig {
             ingest_guard: false,
             guard_min_n: 0,
-            quarantine_retain: 0,
             ..ServeConfig::default()
         };
         c.validate();
     }
 
-    /// The staleness knobs' accepted edges: disabled, exactly drift_min,
-    /// and a factor of exactly 1 all validate.
+    /// The staleness knob's accepted edge: exactly drift_min validates
+    /// (disabled, `0`, is the default).
     #[test]
     fn staleness_knob_edges_validate() {
-        let c = ServeConfig {
-            staleness_threshold: 0,
-            stale_epsilon_factor: 1.0,
-            ..ServeConfig::default()
-        };
-        c.validate();
         let c = ServeConfig {
             staleness_threshold: 64,
             drift_min: 64,

@@ -22,7 +22,7 @@
 //! fleet's bitwise twin for every [`FaultPlan`].
 
 use crate::admission::AdmissionQueue;
-use crate::config::FleetConfig;
+use crate::config::{FleetConfig, ServeConfig};
 use crate::fault::{DegradedCause, DegradedWindow, FaultPlan, RejectCause, RejectedSummary};
 use crate::fleet::{AdmissionOutcome, DeadlineQuery, FleetServer, FleetStats};
 use crate::server::{fit_served, ObservedFeedback, PitotServer, Prediction, Served};
@@ -562,10 +562,10 @@ impl FleetControl {
     }
 
     /// Rung 3 of the degradation ladder: every live replica whose served
-    /// calibration is more than [`crate::ServeConfig::staleness_threshold`]
-    /// window pushes old gets a fallback fit on its own window at the
-    /// widened miscoverage `ε × stale_epsilon_factor`, installed tagged
-    /// degraded. The window is read quiesced and directly — never through
+    /// calibration is more than [`ServeConfig::staleness_threshold`] window
+    /// pushes old gets a fallback fit on its own window at the widened
+    /// miscoverage `ε ×` [`ServeConfig::STALE_EPSILON_FACTOR`], installed
+    /// tagged degraded. The window is read quiesced and directly — never through
     /// the tampering layer — and no fault RNG is drawn. A fallback ages
     /// like any install, so a replica still cut off refits it every
     /// `staleness_threshold` pushes; a coordinator, gossip, retry or rejoin
@@ -577,7 +577,7 @@ impl FleetControl {
         }
         let (threshold, widened) = (
             serve.staleness_threshold as u64,
-            serve.epsilon * serve.stale_epsilon_factor,
+            serve.epsilon * ServeConfig::STALE_EPSILON_FACTOR,
         );
         for r in 0..self.cfg.replicas {
             if self.faults.as_ref().is_some_and(|f| f.down[r]) {

@@ -39,7 +39,8 @@
 //!    served calibration grows more than
 //!    [`crate::ServeConfig::staleness_threshold`] pushes old, the control
 //!    core installs a fallback fit on that replica's own window at the
-//!    widened miscoverage `ε × stale_epsilon_factor` — honestly wider
+//!    widened miscoverage `ε ×`
+//!    [`crate::ServeConfig::STALE_EPSILON_FACTOR`] — honestly wider
 //!    bounds, tagged [`Prediction::degraded`] all the way into the
 //!    admission audit.
 //!

@@ -7,13 +7,16 @@
 //! that loop on top of the enablers the rest of the workspace provides:
 //!
 //! - **Streaming events on a simulated clock.** A [`PitotServer`] consumes
-//!   [`Event`]s — arriving [`pitot_testbed::Observation`]s and placement
-//!   queries — at monotone simulated timestamps, fully deterministically:
-//!   the same event sequence always produces bitwise-identical predictions.
-//! - **Micro-batched queries.** Queries buffer until
-//!   [`ServeConfig::microbatch`] of them are pending (or a flush), then are
-//!   answered in one row-parallel `predict_batch_into` pass over the cached
-//!   tower outputs.
+//!   [`Event`]s — arriving [`pitot_testbed::Observation`]s — at monotone
+//!   simulated timestamps, and answers placement reads synchronously
+//!   ([`PitotServer::query_now`] for one row, [`PitotServer::query_batch`]
+//!   for many), fully deterministically: the same event and read sequence
+//!   always produces bitwise-identical predictions.
+//! - **One scoring pass.** Every row a server scores — a read, an arriving
+//!   observation, a seed or a fine-tune rescore — goes through one
+//!   row-parallel [`pitot::TrainedPitot::predict_log_runtime_into`] pass
+//!   over the cached tower outputs into a row-major matrix the server
+//!   reuses, so warm reads and warm observations allocate no matrix.
 //! - **A sliding calibration window.** Every observation's nonconformity
 //!   scores enter a [`pitot_conformal::WindowedScores`] ring (the moving
 //!   calibration set of Gui et al.'s *conformalized matrix completion*);
@@ -23,9 +26,13 @@
 //! - **Drift-triggered warm-start fine-tunes.** A rolling coverage monitor
 //!   ([`CoverageMonitor`], binomial-slack test) watches prequential coverage
 //!   of the served bounds; when it degrades beyond sampling noise the server
-//!   fine-tunes its model in place via [`pitot::TrainContext::resume`] — no
-//!   setup cost, no scaling refit — then re-scores the window under the
-//!   updated model.
+//!   fine-tunes its model in place, then re-scores the window under the
+//!   updated model. The first fine-tune, the first after a compaction, and
+//!   any after the streamed set has grown by
+//!   [`ServeConfig::REBUILD_GROWTH`] build a fresh
+//!   [`pitot::TrainContext::warm_start`], with offsets for new entities from
+//!   [`pitot::ScalingBaseline::extend`]; the others resume the existing
+//!   context ([`pitot::TrainContext::resume`]) with no setup cost.
 //! - **A closed loop with the placement simulator.**
 //!   [`run_closed_loop`] drives
 //!   [`pitot_orchestrator::ClusterSim::run_with_observer`]: the server's
@@ -70,11 +77,11 @@
 //!   [`ConcurrentFleet`] runs the same fleet semantics on OS threads:
 //!   sharded replica state behind per-lane MPSC event queues
 //!   ([`pitot_linalg::par::EventQueue`]), lane 0 drained by the ingress
-//!   thread itself and every other lane by one worker thread, micro-batch
-//!   coalescing into the row-parallel predict path, and a lock-free read
-//!   path: admission and prediction answer from immutable towers and each
-//!   replica's last installed calibration, so they never block on window
-//!   writes or a lane's backlog. The simulated-clock
+//!   thread itself and every other lane by one worker thread, lane
+//!   coalescing into one row-parallel predict pass per replica, and a
+//!   lock-free read path: admission and prediction answer from immutable
+//!   towers and each replica's last installed calibration, so they never
+//!   block on window writes or a lane's backlog. The simulated-clock
 //!   [`FleetServer`] stays on as the deterministic twin: the same
 //!   [`TraceEvent`] sequence through both runtimes yields bitwise-identical
 //!   outcomes and audit counters ([`run_trace_simulated`]) under every
@@ -113,10 +120,12 @@
 //! server.seed_calibration(&split.val);
 //! // Stream: an observation arrives, then a query is answered.
 //! let obs = dataset.observations[split.test[0]].clone();
+//! let (workload, platform) = (obs.workload, obs.platform);
 //! let fb = server.on_event(1.0, Event::Observe(obs)).observed.unwrap();
 //! assert!(fb.bound_log.is_finite());
-//! let out = server.on_event(2.0, Event::Flush);
-//! assert!(out.predictions.is_empty()); // nothing was queued yet
+//! let p = server.query_now(workload, platform, &[]);
+//! assert!(p.bound_s.is_finite());
+//! assert_eq!(server.stats().queries, 1);
 //! ```
 
 // Every public item in this crate is part of the documented serving API;

@@ -11,37 +11,23 @@ use pitot_conformal::{
 use pitot_linalg::Matrix;
 use pitot_orchestrator::QueryBatch;
 use pitot_testbed::{split::Split, Dataset, Observation};
-use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One input to the serving loop, delivered at a simulated timestamp.
+/// Reads are not events: they are answered synchronously by
+/// [`PitotServer::query_now`] and [`PitotServer::query_batch`].
 #[derive(Debug, Clone)]
 pub enum Event {
     /// A measured runtime arrives from the cluster (a completed job, a
     /// benchmark rerun, a telemetry sample).
     Observe(Observation),
-    /// A placement question: "how long will `workload` take on `platform`
-    /// next to `interferers`?" Queries micro-batch; the answer is returned
-    /// from the event that fills the batch (or a [`Event::Flush`]).
-    Query {
-        /// Caller-chosen correlation id, echoed on the answer.
-        id: u64,
-        /// Workload catalog index.
-        workload: u32,
-        /// Platform catalog index.
-        platform: u32,
-        /// Workloads co-resident on the platform.
-        interferers: Vec<u32>,
-    },
-    /// Answers all buffered queries now, regardless of batch fill.
-    Flush,
 }
 
 /// A served prediction: point estimate plus calibrated upper bound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
-    /// The query's correlation id.
+    /// Correlation id; every answer carries `0`.
     pub id: u64,
     /// Point estimate in seconds (head 0: the median / squared head).
     pub point_s: f32,
@@ -82,9 +68,6 @@ pub struct ObservedFeedback {
 /// What one [`PitotServer::on_event`] call produced.
 #[derive(Debug, Clone, Default)]
 pub struct ServeResponse {
-    /// Answers released by this event (non-empty when a micro-batch filled
-    /// or a flush ran).
-    pub predictions: Vec<Prediction>,
     /// Present iff the event was an observation **accepted** by ingest
     /// (quarantined observations are never judged, windowed, or
     /// monitored, so they produce no prequential feedback).
@@ -99,8 +82,6 @@ pub struct ServeResponse {
 /// Counters for a serving session.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
-    /// Events consumed.
-    pub events: usize,
     /// Observations consumed.
     pub observations: usize,
     /// Queries answered.
@@ -184,15 +165,10 @@ fn served_bound(served: Option<&Served>, head_preds: &[f32], pool: usize) -> (f3
 /// The [`Prediction`] for one query's head predictions under the served
 /// calibration: the one constructor of every answer, on a standalone server
 /// and on the concurrent runtime's read path alike.
-pub(crate) fn prediction(
-    served: Option<&Served>,
-    id: u64,
-    head_preds: &[f32],
-    pool: usize,
-) -> Prediction {
+pub(crate) fn prediction(served: Option<&Served>, head_preds: &[f32], pool: usize) -> Prediction {
     let (bound, degraded) = served_bound(served, head_preds, pool);
     Prediction {
-        id,
+        id: 0,
         point_s: head_preds[0].exp(),
         bound_s: bound.exp(),
         pool,
@@ -200,42 +176,25 @@ pub(crate) fn prediction(
     }
 }
 
-/// One query row as the read path scores it: the correlation id its answer
-/// echoes, and the observation whose index fields the model reads (the
-/// runtime is a placeholder). Refilling a row with [`Query::set`] keeps its
-/// interferer buffer, so reused rows stop allocating once warm.
-#[derive(Debug)]
-pub(crate) struct Query {
-    id: u64,
-    obs: Observation,
-}
-
-impl Query {
-    pub(crate) fn new(id: u64, workload: u32, platform: u32, interferers: Vec<u32>) -> Self {
-        Self {
-            id,
-            obs: Observation {
-                workload,
-                platform,
-                interferers,
-                runtime_s: 1.0, // unused by prediction
-            },
-        }
-    }
-
-    /// Overwrites the row's index fields in place.
-    pub(crate) fn set(&mut self, workload: u32, platform: u32, interferers: &[u32]) {
-        self.obs.workload = workload;
-        self.obs.platform = platform;
-        self.obs.interferers.clear();
-        self.obs.interferers.extend_from_slice(interferers);
+/// A query row as the read path scores it: an observation whose index
+/// fields the model reads (the runtime is a placeholder). Refill it with
+/// [`refill`], which keeps its interferer buffer, so reused rows stop
+/// allocating once warm.
+pub(crate) fn query_row() -> Observation {
+    Observation {
+        workload: 0,
+        platform: 0,
+        interferers: Vec::new(),
+        runtime_s: 1.0, // unused by prediction
     }
 }
 
-impl Borrow<Observation> for Query {
-    fn borrow(&self) -> &Observation {
-        &self.obs
-    }
+/// Overwrites a query row's index fields in place.
+pub(crate) fn refill(row: &mut Observation, workload: u32, platform: u32, interferers: &[u32]) {
+    row.workload = workload;
+    row.platform = platform;
+    row.interferers.clear();
+    row.interferers.extend_from_slice(interferers);
 }
 
 /// What the window's score ring cannot give back about one entry.
@@ -281,12 +240,11 @@ pub struct PitotServer {
     seen_isolation: usize,
     since_refresh: usize,
     since_tune: usize,
-    /// Queries buffered for the next micro-batch flush.
-    batch: Vec<Query>,
-    /// The synchronous reads' rows, reused across calls.
-    reads: Vec<Query>,
-    /// Row-major `rows × heads` log-runtime predictions of the latest read
-    /// pass, reused across passes.
+    /// The reads' query rows, reused across calls.
+    reads: Vec<Observation>,
+    /// Row-major `rows × heads` log-runtime predictions of the latest
+    /// scoring pass (a read, an arrival, a seed or a rescore), reused
+    /// across passes.
     preds: Matrix,
     now_s: f64,
     stats: ServeStats,
@@ -332,11 +290,15 @@ impl PitotServer {
         let xis = trained.model.config().objective.xis();
         let n_heads = trained.model.n_heads();
         let window = WindowedScores::new(cfg.window, n_heads);
-        let monitor =
-            CoverageMonitor::new(cfg.epsilon, cfg.drift_window, cfg.drift_z, cfg.drift_min);
+        let monitor = CoverageMonitor::new(
+            cfg.epsilon,
+            cfg.drift_window,
+            ServeConfig::DRIFT_Z,
+            cfg.drift_min,
+        );
         let since_tune = cfg.fine_tune_cooldown;
         let base_len = dataset.observations.len();
-        let guard = IngestGuard::new(cfg.quarantine_retain);
+        let guard = IngestGuard::new(ServeConfig::QUARANTINE_RETAIN);
         Self {
             cfg,
             dataset,
@@ -355,9 +317,8 @@ impl PitotServer {
             seen_isolation: 0,
             since_refresh: 0,
             since_tune,
-            batch: Vec::new(),
             reads: Vec::new(),
-            preds: Matrix::zeros(0, 0),
+            preds: Matrix::default(),
             now_s: f64::NEG_INFINITY,
             stats: ServeStats::default(),
             guard,
@@ -382,18 +343,15 @@ impl PitotServer {
             .iter()
             .map(|&i| &self.dataset.observations[i])
             .collect();
-        let preds = self.trained.predict_log_runtime_cached(&self.towers, &obs);
-        // Read targets and pools first: `obs` borrows the dataset, and the
-        // push below needs `&mut self`.
-        let labels: Vec<(f32, usize)> = obs
-            .iter()
-            .map(|o| (o.log_runtime(), self.cfg.pool_key(o.interferers.len())))
-            .collect();
-        drop(obs);
-        for (j, (&i, (target_log, pool))) in tail.iter().zip(labels).enumerate() {
-            let head_preds: Vec<f32> = preds.iter().map(|h| h[j]).collect();
-            self.window_push(&head_preds, target_log, pool, Some(i));
+        let mut preds = std::mem::take(&mut self.preds);
+        self.trained
+            .predict_log_runtime_into(&self.towers, &obs, &mut preds);
+        for (&i, row) in tail.iter().zip(preds.iter_rows()) {
+            let o = &self.dataset.observations[i];
+            let pool = self.cfg.pool_key(o.interferers.len());
+            self.window_push(row, o.log_runtime(), pool, Some(i));
         }
+        self.preds = preds;
         self.refresh();
     }
 
@@ -426,61 +384,37 @@ impl PitotServer {
     ///
     /// # Panics
     ///
-    /// Panics if the clock runs backwards, an observation/query references
-    /// an out-of-catalog workload, platform, or interferer, or — while
+    /// Panics if the clock runs backwards, an observation references an
+    /// out-of-catalog workload, platform, or interferer, or — while
     /// [`ServeConfig::ingest_guard`] is off — an observed runtime is not
     /// positive and finite (its log-space score would silently poison the
     /// calibration window as NaN). With the guard on, corrupt runtimes are
     /// quarantined into the audited side buffer instead (see
     /// [`PitotServer::guard_stats`]).
     pub fn on_event(&mut self, at_s: f64, event: Event) -> ServeResponse {
-        match event {
-            Event::Observe(obs) => {
-                // Scoring indexes the catalog, so screen it first.
-                self.check_catalog(obs.workload, obs.platform, &obs.interferers);
-                let head_preds = self.head_preds(&obs);
-                self.on_observation_prescored(at_s, obs, head_preds)
-            }
-            Event::Query {
-                id,
-                workload,
-                platform,
-                interferers,
-            } => {
-                self.tick(at_s);
-                self.check_catalog(workload, platform, &interferers);
-                self.batch
-                    .push(Query::new(id, workload, platform, interferers));
-                let predictions = if self.batch.len() >= self.cfg.microbatch {
-                    self.flush_batch()
-                } else {
-                    Vec::new()
-                };
-                ServeResponse {
-                    predictions,
-                    ..ServeResponse::default()
-                }
-            }
-            Event::Flush => {
-                self.tick(at_s);
-                ServeResponse {
-                    predictions: self.flush_batch(),
-                    ..ServeResponse::default()
-                }
-            }
-        }
+        let Event::Observe(obs) = event;
+        // Scoring indexes the catalog, so screen it first.
+        self.check_catalog(obs.workload, obs.platform, &obs.interferers);
+        let mut preds = std::mem::take(&mut self.preds);
+        self.trained
+            .predict_log_runtime_into(&self.towers, std::slice::from_ref(&obs), &mut preds);
+        let resp = self.on_observation_prescored(at_s, obs, preds.row(0));
+        self.preds = preds;
+        resp
     }
 
     /// Applies one observation whose head predictions the caller already
     /// computed — the one observation entry point. [`on_event`](Self::on_event)
-    /// scores a batch of one and delegates here; the concurrent runtime
-    /// scores a whole drained lane batch in one row-parallel pass first. Batched prediction is bitwise-identical to a batch of one (a
-    /// pinned property), so both callers see identical state transitions.
+    /// scores a batch of one into the server's reused matrix and delegates
+    /// here; the concurrent runtime scores a whole drained lane batch in one
+    /// row-parallel pass per replica first. Batched prediction is
+    /// bitwise-identical to a batch of one (a pinned property), so both
+    /// callers see identical state transitions.
     pub(crate) fn on_observation_prescored(
         &mut self,
         at_s: f64,
         obs: Observation,
-        head_preds: Vec<f32>,
+        head_preds: &[f32],
     ) -> ServeResponse {
         self.tick(at_s);
         self.check_catalog(obs.workload, obs.platform, &obs.interferers);
@@ -523,7 +457,7 @@ impl PitotServer {
 
         // 1. Prequential judgement against the *currently served* bound.
         let point_log = head_preds[0];
-        let (bound_log, degraded) = served_bound(self.conformal.as_deref(), &head_preds, pool);
+        let (bound_log, degraded) = served_bound(self.conformal.as_deref(), head_preds, pool);
         let covered = target_log <= bound_log;
         self.monitor.push(covered, bound_log - point_log);
         self.stats.bounded += 1;
@@ -551,7 +485,7 @@ impl PitotServer {
         };
 
         // 3. Slide the calibration window, then bound the fine-tune pool.
-        self.window_push(&head_preds, target_log, pool, obs_idx);
+        self.window_push(head_preds, target_log, pool, obs_idx);
         self.maybe_compact_streamed();
 
         // 4. Refresh the served calibration on cadence.
@@ -589,12 +523,10 @@ impl PitotServer {
         }
     }
 
-    /// Answers one query immediately, bypassing the micro-batch — the
-    /// synchronous path a placement policy uses mid-decision. Identical
-    /// arithmetic to the batched path (a batch of one); counted in
-    /// [`ServeStats::queries`] like any batched answer. Once warm, the read
-    /// reuses the server's query rows and prediction matrix and allocates
-    /// nothing.
+    /// Answers one query immediately — the single-row read a placement
+    /// policy makes mid-decision: a [`PitotServer::query_batch`] of one,
+    /// counted in [`ServeStats::queries`]. Once warm, the read reuses the
+    /// server's query row and prediction matrix and allocates nothing.
     pub fn query_now(&mut self, workload: u32, platform: u32, interferers: &[u32]) -> Prediction {
         let mut answer = None;
         self.read([(workload, platform, interferers)], |p| answer = Some(p));
@@ -605,12 +537,13 @@ impl PitotServer {
     /// answer to `answer` in row order: bitwise each row's
     /// [`PitotServer::query_now`] answer, and counted per row in
     /// [`ServeStats::queries`]. This is the read a placement decision makes
-    /// through [`crate::ServingPredictor`].
+    /// through [`crate::ServingPredictor`]. Once warm, it reuses the
+    /// server's query rows and prediction matrix and allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if a row's platform index does not fit a catalog id.
-    pub(crate) fn query_batch(&mut self, rows: &QueryBatch, answer: impl FnMut(Prediction)) {
+    pub fn query_batch(&mut self, rows: &QueryBatch, answer: impl FnMut(Prediction)) {
         let rows = rows.iter().map(|(workload, platform, interferers)| {
             let platform = u32::try_from(platform).expect("platform index outside the catalog");
             (workload, platform, interferers)
@@ -618,44 +551,32 @@ impl PitotServer {
         self.read(rows, answer);
     }
 
-    /// A synchronous read: refills the reused query rows and answers them.
+    /// The one read pass: refills the reused query rows, makes a single
+    /// [`TrainedPitot::predict_log_runtime_into`] over them into the reused
+    /// matrix, then answers each row under the served calibration, in
+    /// order.
     fn read<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
-        answer: impl FnMut(Prediction),
+        mut answer: impl FnMut(Prediction),
     ) {
-        let mut reads = std::mem::take(&mut self.reads);
         let mut n = 0;
         for (workload, platform, interferers) in rows {
-            if n == reads.len() {
-                reads.push(Query::new(0, 0, 0, Vec::new()));
+            if n == self.reads.len() {
+                self.reads.push(query_row());
             }
-            reads[n].set(workload, platform, interferers);
+            refill(&mut self.reads[n], workload, platform, interferers);
             n += 1;
         }
-        self.answer(&reads[..n], answer);
-        self.reads = reads;
-    }
-
-    /// The one read pass every query path takes: a single
-    /// [`TrainedPitot::predict_log_runtime_into`] over `queries` into the
-    /// reused matrix, then each answer from its row under the served
-    /// calibration, in order.
-    fn answer(&mut self, queries: &[Query], mut answer: impl FnMut(Prediction)) {
+        let reads = &self.reads[..n];
         self.trained
-            .predict_log_runtime_into(&self.towers, queries, &mut self.preds);
-        self.stats.queries += queries.len();
+            .predict_log_runtime_into(&self.towers, reads, &mut self.preds);
+        self.stats.queries += n;
         let served = self.conformal.as_deref();
-        for (q, row) in queries.iter().zip(self.preds.iter_rows()) {
-            let pool = self.cfg.pool_key(q.obs.interferers.len());
-            answer(prediction(served, q.id, row, pool));
+        for (o, row) in reads.iter().zip(self.preds.iter_rows()) {
+            let pool = self.cfg.pool_key(o.interferers.len());
+            answer(prediction(served, row, pool));
         }
-    }
-
-    /// Forces the pending micro-batch out (also triggered by
-    /// [`Event::Flush`] and by the batch filling).
-    pub fn flush(&mut self) -> Vec<Prediction> {
-        self.flush_batch()
     }
 
     /// Session counters.
@@ -813,7 +734,7 @@ impl PitotServer {
         }
     }
 
-    /// Advances the simulated clock to `at_s` and counts the event.
+    /// Advances the simulated clock to `at_s`.
     fn tick(&mut self, at_s: f64) {
         assert!(
             at_s >= self.now_s,
@@ -821,26 +742,6 @@ impl PitotServer {
             self.now_s
         );
         self.now_s = at_s;
-        self.stats.events += 1;
-    }
-
-    /// Every head's log-runtime prediction for one observation (a batch of
-    /// one).
-    fn head_preds(&self, obs: &Observation) -> Vec<f32> {
-        let preds = self
-            .trained
-            .predict_log_runtime_cached(&self.towers, &[obs]);
-        preds.iter().map(|h| h[0]).collect()
-    }
-
-    /// Answers the pending micro-batch in one row-parallel pass.
-    fn flush_batch(&mut self) -> Vec<Prediction> {
-        let mut batch = std::mem::take(&mut self.batch);
-        let mut out = Vec::with_capacity(batch.len());
-        self.answer(&batch, |p| out.push(p));
-        batch.clear();
-        self.batch = batch;
-        out
     }
 
     /// The miscoverage watchdog's quarantine-rollback rescore: re-screen
@@ -900,7 +801,7 @@ impl PitotServer {
             purged,
             kept: self.raw.len(),
         });
-        if self.incidents.len() > self.cfg.quarantine_retain.max(1) {
+        if self.incidents.len() > ServeConfig::QUARANTINE_RETAIN {
             self.incidents.remove(0);
         }
         refit
@@ -913,7 +814,7 @@ impl PitotServer {
     }
 
     /// The bounded quarantine audit ring, oldest first (capped at
-    /// [`ServeConfig::quarantine_retain`]; the counters in
+    /// [`ServeConfig::QUARANTINE_RETAIN`]; the counters in
     /// [`PitotServer::guard_stats`] are never truncated).
     pub fn quarantine_records(&self) -> impl Iterator<Item = &QuarantineRecord> + '_ {
         self.guard.records()
@@ -1005,7 +906,7 @@ impl PitotServer {
         self.since_tune = 0;
         let need_rebuild = match &self.ctx {
             None => true,
-            Some(_) => self.seen.len() as f32 >= self.ctx_seen as f32 * self.cfg.rebuild_growth,
+            Some(_) => self.seen.len() as f32 >= self.ctx_seen as f32 * ServeConfig::REBUILD_GROWTH,
         };
         if need_rebuild {
             let split = self.online_split();
@@ -1093,11 +994,12 @@ impl PitotServer {
                 &self.dataset.observations[i]
             })
             .collect();
-        let preds = self.trained.predict_log_runtime_cached(&self.towers, &obs);
+        self.trained
+            .predict_log_runtime_into(&self.towers, &obs, &mut self.preds);
         let mut window = WindowedScores::new(self.cfg.window, self.window.n_heads());
-        for (j, (e, (_, pool))) in self.raw.iter().zip(self.window.entries()).enumerate() {
-            let head_preds: Vec<f32> = preds.iter().map(|h| h[j]).collect();
-            window.push(&head_preds, e.target_log, pool);
+        let entries = self.raw.iter().zip(self.window.entries());
+        for ((e, (_, pool)), row) in entries.zip(self.preds.iter_rows()) {
+            window.push(row, e.target_log, pool);
         }
         // The rebuilt window must supersede the old one in any fleet
         // coordinator's merged view: advance its clock past every snapshot
@@ -1224,11 +1126,16 @@ mod tests {
         let clock = server.window_clock();
         server.rescore_window();
 
+        // The oracle scores each member as a batch of one.
         let mut oracle = WindowedScores::new(128, server.window.n_heads());
+        let mut row = Matrix::default();
         for e in &server.raw {
             let obs = &server.dataset.observations[e.obs_idx.expect("recorded")];
             let pool = server.cfg.pool_key(obs.interferers.len());
-            oracle.push(&server.head_preds(obs), obs.log_runtime(), pool);
+            server
+                .trained
+                .predict_log_runtime_into(&server.towers, &[obs], &mut row);
+            oracle.push(row.row(0), obs.log_runtime(), pool);
         }
         // Entries in order, then every head's sorted scores, as bits.
         let bits = |w: &WindowedScores| {

@@ -184,7 +184,6 @@ fn stale_fallback_widens_and_tags_degraded_admissions() {
     plan.gossip_during_outage = false;
     let mut cfg = fleet_cfg(3, 16);
     cfg.serve.staleness_threshold = cfg.serve.drift_min; // 64, the floor
-    cfg.serve.stale_epsilon_factor = 0.5;
     let mut fleet = FleetServer::with_faults(trained, &dataset, cfg, plan);
     fleet.seed_calibration(&split.val);
     let idx = stream(&dataset, &split, 420, 7);

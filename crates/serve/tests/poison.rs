@@ -108,7 +108,7 @@ fn guarded_server_is_bitwise_pinned_to_the_clean_subset_oracle() {
     assert_eq!(guarded.stats().bounded, accepted.len());
     assert_eq!(
         guarded.quarantine_records().count(),
-        stats.quarantined.min(cfg.quarantine_retain)
+        stats.quarantined.min(ServeConfig::QUARANTINE_RETAIN)
     );
 
     // Oracle: the same config replayed over the accepted subset only.

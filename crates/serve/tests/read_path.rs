@@ -1,10 +1,16 @@
-//! The serving read path: a batched read answers every row exactly as the
-//! single-row read does, and once warm, no read allocates a matrix.
+//! The serving scoring path: a batched read answers every row exactly as
+//! the single-row read does, and once warm, no read and no observation
+//! allocates a matrix.
 //!
-//! Every serving read is one `predict_log_runtime_into` pass into buffers
-//! its reader keeps: `PitotServer::query_now` (a batch of one), the batched
-//! read behind `ServingPredictor`, `FleetServer::deadline_query` (each
-//! replica's `query_now`) and `ConcurrentFleet`'s ingress read path.
+//! Every row a server scores is one `predict_log_runtime_into` pass into
+//! buffers its scorer keeps: `PitotServer::query_now` (a batch of one),
+//! `PitotServer::query_batch` (the read behind `ServingPredictor`),
+//! `FleetServer::deadline_query` (each replica's `query_now`),
+//! `ConcurrentFleet`'s ingress read path, and an arriving observation
+//! through `PitotServer::on_event` or `FleetServer::observe` (each
+//! replica's `on_event`), scored into the same matrix as the server's
+//! reads. `ConcurrentFleet`'s lane retire scores each drained batch into
+//! one fresh matrix per destination replica, so it is not covered here.
 
 use pitot::{train, Objective, PitotConfig, TrainedPitot};
 use pitot_orchestrator::{
@@ -12,7 +18,7 @@ use pitot_orchestrator::{
 };
 use pitot_sched::ConformalGreedy;
 use pitot_serve::{
-    ConcurrentConfig, ConcurrentFleet, DeadlineQuery, FleetConfig, FleetServer, PitotServer,
+    ConcurrentConfig, ConcurrentFleet, DeadlineQuery, Event, FleetConfig, FleetServer, PitotServer,
     ServeConfig, ServingPredictor, TraceEvent,
 };
 use pitot_testbed::{split::Split, Dataset, Testbed, TestbedConfig, MAX_INTERFERERS};
@@ -127,13 +133,22 @@ fn matrix_allocs(f: impl FnOnce()) -> u64 {
     pitot_linalg::alloc_count::matrix_allocs()
 }
 
-/// After one warm-up read sizes each reader's buffers, no read path
-/// allocates a matrix: not a placement decision through a serving
-/// predictor, not `query_now`, not a fleet deadline query, and not the
-/// concurrent fleet's ingress answering deadline queries and resolves.
+/// After one warm-up pass sizes each scorer's buffers, no read path and no
+/// observation path allocates a matrix: not a placement decision through a
+/// serving predictor, not `query_now`, not an observation through
+/// `PitotServer::on_event`, not a fleet deadline query, not an observation
+/// through `FleetServer::observe`, and not the concurrent fleet's ingress
+/// answering deadline queries and resolves.
 #[test]
 fn warm_reads_allocate_no_matrix() {
     let (dataset, split, trained) = fixture();
+    // Ten test observations from `first`, stamped with their stream index.
+    let arrivals = |first: usize| {
+        split.test[first..first + 10]
+            .iter()
+            .enumerate()
+            .map(move |(t, &i)| ((first + t) as f64, dataset.observations[i].clone()))
+    };
     let rows: Vec<(u32, u32, Vec<u32>)> = split.test[..10]
         .iter()
         .map(|&i| {
@@ -180,6 +195,19 @@ fn warm_reads_allocate_no_matrix() {
         "query_now"
     );
 
+    let observe = |server: &mut PitotServer, first: usize| {
+        for (at, obs) in arrivals(first) {
+            let observed = server.on_event(at, Event::Observe(obs)).observed;
+            assert!(observed.is_some(), "every arrival is judged");
+        }
+    };
+    observe(&mut server.borrow_mut(), 0);
+    assert_eq!(
+        matrix_allocs(|| observe(&mut server.borrow_mut(), 10)),
+        0,
+        "PitotServer::on_event"
+    );
+
     let mut cfg = FleetConfig::at(0.1, 3);
     cfg.serve.window = 64;
     let mut fleet = FleetServer::new(trained.clone(), dataset, cfg.clone());
@@ -196,6 +224,19 @@ fn warm_reads_allocate_no_matrix() {
         matrix_allocs(|| decide_all(&mut fleet, 10)),
         0,
         "deadline_query"
+    );
+
+    let observe_all = |fleet: &mut FleetServer, first: usize| {
+        for (at, obs) in arrivals(first) {
+            let (_, feedback) = fleet.observe(at, obs);
+            assert!(feedback.is_some(), "every arrival is judged");
+        }
+    };
+    observe_all(&mut fleet, 0);
+    assert_eq!(
+        matrix_allocs(|| observe_all(&mut fleet, 10)),
+        0,
+        "FleetServer::observe"
     );
 
     let ccfg = ConcurrentConfig {

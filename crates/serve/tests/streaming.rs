@@ -1,6 +1,6 @@
 //! Behavioural tests for the streaming serving loop: stationary coverage,
-//! micro-batching, determinism, drift-triggered fine-tuning, and the
-//! closed loop with the placement simulator.
+//! determinism, drift-triggered fine-tuning, and the closed loop with the
+//! placement simulator.
 
 use pitot::{train, Objective, PitotConfig, TrainedPitot};
 use pitot_orchestrator::{BaselinePolicy, JobStream, RuntimePredictor};
@@ -72,58 +72,6 @@ fn stationary_stream_holds_coverage_within_binomial_slack() {
         cov <= 1.0 - eps / 4.0,
         "session coverage {cov} suspiciously high"
     );
-}
-
-#[test]
-fn microbatch_matches_synchronous_queries_bitwise() {
-    let (_tb, dataset, split, trained) = fixture();
-    let mut cfg = ServeConfig::at(0.1);
-    cfg.microbatch = 4;
-    let mut server = PitotServer::new(trained, dataset.clone(), cfg);
-    server.seed_calibration(&split.val);
-
-    // Direct synchronous answers, before queueing anything.
-    let queries: Vec<(u32, u32, Vec<u32>)> = (0..10)
-        .map(|q| {
-            let o = &dataset.observations[split.test[q * 13]];
-            (o.workload, o.platform, o.interferers.clone())
-        })
-        .collect();
-    let direct: Vec<_> = queries
-        .iter()
-        .map(|(w, p, k)| server.query_now(*w, *p, k))
-        .collect();
-
-    // The same queries through the event loop: batches of 4 release on the
-    // filling event; a final flush drains the remainder.
-    let mut batched = Vec::new();
-    for (q, (w, p, k)) in queries.iter().enumerate() {
-        let out = server.on_event(
-            q as f64,
-            Event::Query {
-                id: q as u64,
-                workload: *w,
-                platform: *p,
-                interferers: k.clone(),
-            },
-        );
-        if q % 4 == 3 {
-            assert_eq!(out.predictions.len(), 4, "batch must release when full");
-        } else {
-            assert!(out.predictions.is_empty(), "partial batch must buffer");
-        }
-        batched.extend(out.predictions);
-    }
-    batched.extend(server.on_event(10.0, Event::Flush).predictions);
-
-    assert_eq!(batched.len(), queries.len());
-    for (q, p) in batched.iter().enumerate() {
-        assert_eq!(p.id, q as u64);
-        assert_eq!(p.point_s, direct[q].point_s, "query {q} point diverged");
-        assert_eq!(p.bound_s, direct[q].bound_s, "query {q} bound diverged");
-    }
-    // Both paths count: 10 synchronous query_now calls + 10 batched.
-    assert_eq!(server.stats().queries, 2 * queries.len());
 }
 
 #[test]

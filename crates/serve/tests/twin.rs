@@ -501,11 +501,11 @@ fn stale_fallback_matches_the_twin() {
     }
 
     // Every fallback a replica serves on the window it was fit on is
-    // bitwise the fit of that window at ε × stale_epsilon_factor.
+    // bitwise the fit of that window at ε × STALE_EPSILON_FACTOR.
     let (dataset, split, trained) = fixture();
     let mut sim = FleetServer::with_faults(trained.clone(), dataset, cfg.clone(), plan);
     sim.seed_calibration(&split.val);
-    let widened = cfg.serve.epsilon * cfg.serve.stale_epsilon_factor;
+    let widened = cfg.serve.epsilon * ServeConfig::STALE_EPSILON_FACTOR;
     let xis = trained.model.config().objective.xis();
     let no_selection = vec![Vec::new(); trained.model.n_heads()];
     let mut pinned = 0;
