@@ -17,20 +17,22 @@
 //!   So `n` lanes run `n − 1` threads beside the caller, and one lane (the
 //!   inline mode) runs none — the ingress owns every replica.
 //! - **Lane coalescing.** Whoever drains a lane takes *everything* pending
-//!   in one swap and retires it in one step, the same for every lane: one
-//!   row-parallel [`pitot::TrainedPitot::predict_log_runtime_into`] pass
-//!   per destination replica in the batch, FIFO application of each
-//!   observation's row to its shard, then the outbox, and the lane's gauge
-//!   last. The deeper the backlog, the bigger the batch.
+//!   in one swap and retires it in one step, the same for every lane: each
+//!   destination replica's server gets its share of the batch, scores it
+//!   with one row-parallel prediction pass into its own reused matrix and
+//!   applies it in FIFO order (the code [`crate::PitotServer::on_event`]
+//!   runs for a batch of one); then the outbox, and the lane's gauge last.
+//!   The deeper the backlog, the bigger the batch.
 //! - **A lock-free read path.** Deadline queries never touch shard state:
-//!   the model and per-replica tower caches are immutable in fleet mode
-//!   (fine-tuning is rejected by [`crate::FleetConfig::validate`]; a
-//!   compressed replica answers from its compressed cache), and each
-//!   replica's served calibration is the `Arc` its last install shared
-//!   with the shard. The ingress answers every query and makes every
-//!   install, so that `Arc` lives on the ingress alone; lane workers hold
-//!   only the read state, the shards and their own lane, so ownership
-//!   keeps them from ever reaching it.
+//!   the model and tower caches are immutable in fleet mode (fine-tuning is
+//!   rejected by [`crate::FleetConfig::validate`]), so the read path holds
+//!   the same `Arc`s the control core built and every replica server
+//!   shares (a compressed replica answers from its level's cache), and
+//!   each replica's served calibration is the `Arc` its last install
+//!   shared with the shard. The ingress answers every query and makes
+//!   every install, so that `Arc` lives on the ingress alone; lane workers
+//!   hold only the shards and their own lane, so ownership keeps them from
+//!   ever reaching it.
 //! - **Barriered control.** Every control decision (merge, gossip, retry,
 //!   rejoin, install) runs on the ingress thread in the fleet control core
 //!   the simulated fleet also runs. The core reaches a replica only once
@@ -235,18 +237,6 @@ pub struct LaneProgress {
     pub max_batch: u64,
 }
 
-/// The immutable model state every prediction reads: in fleet mode the
-/// model never changes (fine-tuning is rejected), so the tower caches are
-/// built once — one per replica, bitwise identical to each replica
-/// server's own. Per-replica compression
-/// ([`FleetConfig::replica_compression`]) makes the caches genuinely
-/// distinct; a dense fleet holds `replicas` copies of the same cache,
-/// matching the simulated twin's per-replica memory layout.
-struct ReadState {
-    trained: TrainedPitot,
-    towers: Vec<TowerCache>,
-}
-
 /// What a lane has retired since the last barrier collected it, and its
 /// counters — one mutex, taken once per retired batch.
 #[derive(Default)]
@@ -278,14 +268,16 @@ struct Lane {
 }
 
 /// The lane data plane the control core drives: replica shards behind
-/// MPSC lanes, the workers of lanes 1.., and the read path's towers and
-/// per-replica served calibrations.
+/// MPSC lanes, the workers of lanes 1.., and the read path's model, tower
+/// caches and per-replica served calibrations.
 struct LanePlane {
     lanes: Vec<Lane>,
     /// Worker threads of lanes 1.. (the ingress drains lane 0).
     handles: Vec<JoinHandle<()>>,
     shards: Arc<Vec<Mutex<PitotServer>>>,
-    read: Arc<ReadState>,
+    /// The control core's model and per-replica tower caches.
+    trained: Arc<TrainedPitot>,
+    towers: Vec<Arc<TowerCache>>,
     /// Per replica: the calibration it serves — the `Arc` its last install
     /// shared with the shard. Only the ingress reaches it.
     served: Vec<Option<Arc<Served>>>,
@@ -333,52 +325,34 @@ impl Drop for CloseOnUnwind<'_> {
 }
 
 /// Retires one drained batch of `lane` — the one drain step of every lane,
-/// whether the ingress or a worker runs it. Scores the batch with one
-/// row-parallel pass per destination replica, applies each observation's
-/// row to its shard in FIFO order, posts feedback and counters to the
-/// outbox, and moves the gauge last: once a barrier releases, the outbox
-/// already holds the batch.
-fn retire(
-    read: &ReadState,
-    shards: &[Mutex<PitotServer>],
-    lane: &LaneShared,
-    batch: &mut Vec<ShardCmd>,
-) {
+/// whether the ingress or a worker runs it. Hands each destination
+/// replica's server its share of the batch, in FIFO order, to score in one
+/// pass and apply; posts feedback and counters to the outbox; and moves the
+/// gauge last: once a barrier releases, the outbox already holds the batch.
+/// Replicas are independent servers, outcomes are indexed by trace
+/// position, and audit credits are sums, so the order replicas are applied
+/// in within one batch changes nothing.
+fn retire(shards: &[Mutex<PitotServer>], lane: &LaneShared, batch: &mut Vec<ShardCmd>) {
     let _close = CloseOnUnwind(&lane.processed);
     let n = batch.len() as u64;
-    // Score against each destination replica's own tower cache (replicas
-    // may serve compressed towers): row `k` of `preds[r]` scores replica
-    // `r`'s `k`-th observation in the batch, and a replica with no rows
-    // costs nothing. Batched prediction is bitwise-identical to a batch of
-    // one (pinned workspace property), so the grouping cannot perturb a
-    // bit — and shard application below stays in FIFO order.
-    let mut rows: Vec<&Observation> = Vec::new();
-    let preds: Vec<Matrix> = read
-        .towers
-        .iter()
-        .enumerate()
-        .map(|(r, towers)| {
-            rows.clear();
-            rows.extend(batch.iter().filter(|c| c.replica == r).map(|c| &c.obs));
-            let mut m = Matrix::default();
-            read.trained.predict_log_runtime_into(towers, &rows, &mut m);
-            m
-        })
-        .collect();
-    let mut next = vec![0; preds.len()];
     let mut out = Vec::with_capacity(batch.len());
-    for cmd in batch.drain(..) {
-        let row = preds[cmd.replica].row(next[cmd.replica]);
-        next[cmd.replica] += 1;
-        let resp = shards[cmd.replica]
+    while let Some(r) = batch.first().map(|c| c.replica) {
+        let start = out.len();
+        out.extend(batch.iter().filter(|c| c.replica == r).map(|c| ObsOutcome {
+            trace_idx: c.trace_idx,
+            audit: c.audit,
+            feedback: None,
+        }));
+        let mut slots = out[start..].iter_mut();
+        let share = batch
+            .extract_if(.., |c| c.replica == r)
+            .map(|c| (c.at_s, c.obs));
+        shards[r]
             .lock()
             .expect("shard mutex poisoned")
-            .on_observation_prescored(cmd.at_s, cmd.obs, row);
-        out.push(ObsOutcome {
-            trace_idx: cmd.trace_idx,
-            audit: cmd.audit,
-            feedback: resp.observed,
-        });
+            .observe_batch(share, |resp| {
+                slots.next().expect("one response per arrival").feedback = resp.observed;
+            });
     }
     let mut outbox = lane.outbox();
     outbox.feedback.append(&mut out);
@@ -392,10 +366,10 @@ fn retire(
 
 /// The worker loop of lanes 1..: park until commands (or shutdown), drain
 /// everything pending, retire it, repeat.
-fn lane_worker(read: Arc<ReadState>, shards: Arc<Vec<Mutex<PitotServer>>>, lane: Arc<LaneShared>) {
+fn lane_worker(shards: Arc<Vec<Mutex<PitotServer>>>, lane: Arc<LaneShared>) {
     let mut batch: Vec<ShardCmd> = Vec::new();
     while lane.queue.drain_into(&mut batch) {
-        retire(&read, &shards, &lane, &mut batch);
+        retire(&shards, &lane, &mut batch);
     }
 }
 
@@ -424,7 +398,7 @@ impl LanePlane {
         if k == 0 {
             let mut batch = Vec::new();
             if lane.shared.queue.try_drain_into(&mut batch) > 0 {
-                retire(&self.read, &self.shards, &lane.shared, &mut batch);
+                retire(&self.shards, &lane.shared, &mut batch);
             }
         }
         assert!(
@@ -458,15 +432,15 @@ impl LanePlane {
     }
 
     /// The lock-free read path: score the query in `pool` against the
-    /// answering replica's immutable tower cache (compressed replicas
-    /// answer with their compressed towers, exactly as the twin's
-    /// `query_now` does) and bound it with that replica's served
-    /// calibration — no shard lock, no queue, no waiting on a lane. Like
-    /// `query_now`, it is one pass into a reused row and matrix.
+    /// answering replica's tower cache (compressed replicas answer with
+    /// their level's cache, exactly as the twin's `query_now` does) and
+    /// bound it with that replica's served calibration — no shard lock, no
+    /// queue, no waiting on a lane. Like `query_now`, it is one pass into a
+    /// reused row and matrix.
     fn predict(&mut self, replica: usize, q: &DeadlineQuery, pool: usize) -> Prediction {
         server::refill(&mut self.query, q.workload, q.platform, &q.interferers);
-        self.read.trained.predict_log_runtime_into(
-            &self.read.towers[replica],
+        self.trained.predict_log_runtime_into(
+            &self.towers[replica],
             std::slice::from_ref(&self.query),
             &mut self.preds,
         );
@@ -507,9 +481,10 @@ impl Drop for LanePlane {
 
 impl ConcurrentFleet {
     /// Builds the concurrent fleet and spawns the workers of lanes 1..
-    /// (none in inline mode). Replicas are built as [`FleetServer::new`] builds
-    /// them: per-replica refresh is overridden to "never" — the
-    /// coordinator owns every install.
+    /// (none in inline mode). Replicas are built as [`FleetServer::new`]
+    /// builds them, over one shared model, dataset and tower cache per
+    /// compression level: per-replica refresh is overridden to "never" —
+    /// the coordinator owns every install.
     ///
     /// # Panics
     ///
@@ -522,20 +497,12 @@ impl ConcurrentFleet {
             .unwrap_or_else(pitot_linalg::par::threads)
             .min(replicas)
             .max(1);
-        let core = FleetControl::new(cfg.fleet, &trained);
+        let core = FleetControl::new(cfg.fleet, trained, dataset);
         let shards: Arc<Vec<Mutex<PitotServer>>> = Arc::new(
             (0..replicas)
-                .map(|r| Mutex::new(core.replica_server(r, trained.clone(), dataset.clone())))
+                .map(|r| Mutex::new(core.replica_server(r)))
                 .collect(),
         );
-        let read = Arc::new(ReadState {
-            towers: (0..replicas)
-                .map(|r| {
-                    trained.compressed_tower_cache(dataset, &core.config().replica_compression(r))
-                })
-                .collect(),
-            trained,
-        });
         let lanes: Vec<Lane> = (0..n_lanes)
             .map(|_| Lane {
                 shared: Arc::default(),
@@ -545,26 +512,27 @@ impl ConcurrentFleet {
         let handles = lanes[1..]
             .iter()
             .map(|lane| {
-                let read = Arc::clone(&read);
                 let shards = Arc::clone(&shards);
                 let shared = Arc::clone(&lane.shared);
                 std::thread::Builder::new()
                     .name("pitot-serve-lane".to_string())
-                    .spawn(move || lane_worker(read, shards, shared))
+                    .spawn(move || lane_worker(shards, shared))
                     .expect("spawning lane worker")
             })
             .collect();
+        let plane = LanePlane {
+            lanes,
+            handles,
+            shards,
+            trained: Arc::clone(core.trained()),
+            towers: core.towers().to_vec(),
+            served: vec![None; replicas],
+            query: server::query_row(),
+            preds: Matrix::default(),
+        };
         Self {
             core,
-            plane: LanePlane {
-                lanes,
-                handles,
-                shards,
-                read,
-                served: vec![None; replicas],
-                query: server::query_row(),
-                preds: Matrix::default(),
-            },
+            plane,
             events_seen: 0,
             ingress_queries: 0,
         }
@@ -584,8 +552,8 @@ impl ConcurrentFleet {
         plan: FaultPlan,
     ) -> Self {
         plan.validate(cfg.fleet.replicas);
-        let mut fleet = Self::new(trained.clone(), dataset, cfg);
-        fleet.core.install_faults(plan, trained, dataset);
+        let mut fleet = Self::new(trained, dataset, cfg);
+        fleet.core.install_faults(plan);
         fleet
     }
 
@@ -720,10 +688,8 @@ impl ConcurrentFleet {
 
     /// The currently installed fleet-level calibration — comparable to
     /// [`FleetServer::fleet_conformal`].
-    pub fn fleet_conformal(&self) -> Option<Arc<PooledConformal>> {
-        self.core
-            .fleet_conformal()
-            .map(|c| Arc::new(c.conformal.clone()))
+    pub fn fleet_conformal(&self) -> Option<&PooledConformal> {
+        self.core.fleet_conformal()
     }
 
     /// Per-lane progress counters, lane 0 (the ingress's) first. Final at

@@ -98,13 +98,6 @@ pub struct ServeConfig {
     /// because firing resets the coverage monitor, the minimum spacing
     /// between consecutive firings). Default 128.
     pub watchdog_min: usize,
-    /// Tower compression served by this server (int8 and/or magnitude
-    /// pruning; see [`pitot::CompressionSpec`]). The server calibrates on
-    /// the *compressed* model's residuals, so coverage holds at every
-    /// level — intervals widen to absorb the compression error.
-    /// Incompatible with fine-tuning: a warm-start retrain would re-grow
-    /// pruned weights and move int8-rounded weights off their grids.
-    pub compression: pitot::CompressionSpec,
 }
 
 impl ServeConfig {
@@ -154,7 +147,6 @@ impl ServeConfig {
             guard_min_n: 64,
             watchdog_z: 0.0,
             watchdog_min: 128,
-            compression: pitot::CompressionSpec::none(),
         };
         cfg.validate();
         cfg
@@ -180,7 +172,7 @@ impl ServeConfig {
     /// Panics on an out-of-range ε, a zero window or cadence, the
     /// [`HeadSelection::TightestOnValidation`] policy (see
     /// [`ServeConfig::selection`]), or an inconsistent drift, staleness,
-    /// guard, watchdog or compression setting.
+    /// guard or watchdog setting.
     pub fn validate(&self) {
         assert!(
             self.epsilon > 0.0 && self.epsilon < 1.0,
@@ -275,18 +267,6 @@ impl ServeConfig {
              = 0.0)",
             self.watchdog_z
         );
-        self.compression.validate();
-        assert!(
-            self.compression.is_none() || self.fine_tune_steps == 0,
-            "ServeConfig.fine_tune_steps = {} is invalid while compression \
-             = {:?}: a warm-start fine-tune re-grows pruned weights and \
-             moves int8-rounded weights off their grids, invalidating the compressed \
-             model the calibration was fit on; keep fine_tune_steps = 0 on \
-             compressed servers, or serve dense \
-             (compression = CompressionSpec::none()) to fine-tune",
-            self.fine_tune_steps,
-            self.compression.level,
-        );
     }
 
     /// The calibration pool of an observation with `arity` interferers.
@@ -321,14 +301,15 @@ pub struct FleetConfig {
     pub merge_every: usize,
     /// SLO-aware admission policy for deadline queries.
     pub admission: crate::admission::AdmissionConfig,
-    /// Per-replica tower compression: empty (the default) serves every
-    /// replica dense; otherwise one [`pitot::CompressionSpec`] per replica
-    /// (`len() == replicas`). Mixed fleets are fine — each replica
-    /// calibrates and predicts through its own (possibly compressed) tower
-    /// cache; the merged fleet calibration pools their scores, which stay
-    /// exchangeable within each replica's shard. The per-replica serve
-    /// config's `compression` field is ignored in fleet mode — this vector
-    /// is the single source of truth.
+    /// Per-replica tower compression, the serving stack's one compression
+    /// setting: empty (the default) serves every replica dense; otherwise
+    /// one [`pitot::CompressionSpec`] per replica (`len() == replicas`).
+    /// Each replica calibrates and predicts through its level's tower
+    /// cache, so intervals widen to absorb the compression error and
+    /// coverage holds at every level. The fleet builds one cache per
+    /// distinct spec, shared by its replicas. Mixed fleets are fine: the
+    /// merged fleet calibration pools their scores, which stay exchangeable
+    /// within each replica's shard.
     pub compression: Vec<pitot::CompressionSpec>,
 }
 
@@ -591,18 +572,6 @@ mod tests {
 
         // --- compressed-tower knobs ---
         let m = message(|| {
-            let c = ServeConfig {
-                fine_tune_steps: 10,
-                compression: pitot::CompressionSpec::int8(),
-                ..ServeConfig::default()
-            };
-            c.validate();
-        });
-        assert!(m.contains("ServeConfig.fine_tune_steps = 10"), "field: {m}");
-        assert!(m.contains("Int8"), "offending value: {m}");
-        assert!(m.contains("CompressionSpec::none()"), "alternative: {m}");
-
-        let m = message(|| {
             let mut c = FleetConfig::at(0.1, 3);
             c.compression = vec![pitot::CompressionSpec::int8(); 2];
             c.validate();
@@ -614,15 +583,9 @@ mod tests {
         assert!(m.contains("empty"), "alternative: {m}");
     }
 
-    /// Compressed serving composes with everything except fine-tuning; a
-    /// compressed fleet validates per replica.
+    /// A compressed fleet validates per replica.
     #[test]
     fn compression_knob_edges_validate() {
-        let c = ServeConfig {
-            compression: pitot::CompressionSpec::pruned_int8(0.5),
-            ..ServeConfig::default()
-        };
-        c.validate();
         let mut f = FleetConfig::at(0.1, 2);
         f.compression = vec![
             pitot::CompressionSpec::none(),

@@ -6,7 +6,11 @@
 //! the summary screens with their reject and degraded-window audits,
 //! failover routing, admission and resolve bookkeeping, the fleet fit, and
 //! the stats fold. It runs on the caller's thread, so every seeded RNG draw
-//! and every calibration install happens in one fixed order.
+//! and every calibration install happens in one fixed order. It also owns
+//! the fleet's one copy of its immutable model state: the dataset, the
+//! trained model, and one tower cache per distinct compression level. Every
+//! replica server borrows them, when it is built and when it rejoins, and
+//! so does the concurrent runtime's read path.
 //!
 //! An executor owns only its data plane, and the core reaches replicas
 //! through the three operations of [`Replicas`]: borrow replica `r`
@@ -26,7 +30,7 @@ use crate::config::{FleetConfig, ServeConfig};
 use crate::fault::{DegradedCause, DegradedWindow, FaultPlan, RejectCause, RejectedSummary};
 use crate::fleet::{AdmissionOutcome, DeadlineQuery, FleetServer, FleetStats};
 use crate::server::{fit_served, ObservedFeedback, PitotServer, Prediction, Served};
-use pitot::TrainedPitot;
+use pitot::{TowerCache, TrainedPitot};
 use pitot_conformal::{MergeableWindow, PooledConformal, TamperMode};
 use pitot_testbed::{Dataset, Observation};
 use rand::{seq::SliceRandom, Rng, SeedableRng};
@@ -83,12 +87,6 @@ struct DelayedSummary {
     due_round: usize,
     replica: u64,
     summary: MergeableWindow,
-}
-
-/// Everything needed to rebuild a crashed replica from scratch.
-struct FleetTemplate {
-    trained: TrainedPitot,
-    dataset: Dataset,
 }
 
 /// Live state of an installed [`FaultPlan`]: which replicas are down, what
@@ -180,6 +178,11 @@ fn fold_replica(s: &mut FleetStats, server: &PitotServer) {
 /// The fleet's control state machine (see the module docs).
 pub(crate) struct FleetControl {
     cfg: FleetConfig,
+    trained: Arc<TrainedPitot>,
+    dataset: Arc<Dataset>,
+    /// Per replica: the tower cache of its compression level, one `Arc`
+    /// per distinct level.
+    towers: Vec<Arc<TowerCache>>,
     /// The coordinator's converged view of every replica window.
     merged: MergeableWindow,
     fleet_conformal: Option<Arc<Served>>,
@@ -188,9 +191,6 @@ pub(crate) struct FleetControl {
     since_merge: usize,
     /// Fleet-wide observations consumed (the fault schedule's clock).
     obs_seen: usize,
-    /// Present iff a fault plan is installed (crash recovery needs to
-    /// rebuild replicas from scratch).
-    template: Option<Box<FleetTemplate>>,
     faults: Option<FaultRuntime>,
     /// The control path's own counters, plus the serving counters of
     /// replaced (crashed) replica instances so fleet totals survive a
@@ -213,17 +213,30 @@ impl std::fmt::Debug for FleetControl {
 }
 
 impl FleetControl {
-    /// The control state of a fault-free fleet serving `trained`.
-    pub(crate) fn new(cfg: FleetConfig, trained: &TrainedPitot) -> Self {
+    /// The control state of a fault-free fleet serving `trained` over
+    /// `dataset`. Builds the tower cache of each distinct compression level
+    /// in [`FleetConfig::compression`] once.
+    pub(crate) fn new(cfg: FleetConfig, trained: TrainedPitot, dataset: &Dataset) -> Self {
+        let mut towers: Vec<Arc<TowerCache>> = Vec::with_capacity(cfg.replicas);
+        for r in 0..cfg.replicas {
+            let spec = cfg.replica_compression(r);
+            let cache = match (0..r).find(|&q| cfg.replica_compression(q) == spec) {
+                Some(q) => Arc::clone(&towers[q]),
+                None => Arc::new(trained.compressed_tower_cache(dataset, &spec)),
+            };
+            towers.push(cache);
+        }
         let admission = AdmissionQueue::new(cfg.admission.clone());
         Self {
             merged: MergeableWindow::empty(trained.model.n_heads()),
             fleet_conformal: None,
             admission,
             xis: trained.model.config().objective.xis(),
+            trained: Arc::new(trained),
+            dataset: Arc::new(dataset.clone()),
+            towers,
             since_merge: 0,
             obs_seen: 0,
-            template: None,
             faults: None,
             counts: FleetStats::default(),
             rejected: Vec::new(),
@@ -231,18 +244,8 @@ impl FleetControl {
         }
     }
 
-    /// Installs a (validated) fault plan, keeping a template of the trained
-    /// model + dataset so crashed replicas can be rebuilt and rejoined warm.
-    pub(crate) fn install_faults(
-        &mut self,
-        plan: FaultPlan,
-        trained: TrainedPitot,
-        dataset: &Dataset,
-    ) {
-        self.template = Some(Box::new(FleetTemplate {
-            trained,
-            dataset: dataset.clone(),
-        }));
+    /// Installs a (validated) fault plan.
+    pub(crate) fn install_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(FaultRuntime::new(
             plan,
             self.cfg.replicas,
@@ -250,30 +253,36 @@ impl FleetControl {
         ));
     }
 
-    /// A fresh server for replica `r`. Its local refresh cadence is
-    /// overridden to "never": the core owns every calibration refresh, so
-    /// a replica serves exactly what the core last installed — its watchdog
-    /// rollback does not refit either.
-    pub(crate) fn replica_server(
-        &self,
-        r: usize,
-        trained: TrainedPitot,
-        dataset: Dataset,
-    ) -> PitotServer {
+    /// A fresh server for replica `r` over the fleet's shared model,
+    /// dataset and `r`'s tower cache, so a rebuilt replica keeps its
+    /// compression level (its restored window scores came from that
+    /// level). Its local refresh cadence is overridden to "never": the core
+    /// owns every calibration refresh, so a replica serves exactly what the
+    /// core last installed — its watchdog rollback does not refit either.
+    pub(crate) fn replica_server(&self, r: usize) -> PitotServer {
         let mut serve_cfg = self.cfg.serve.clone();
         serve_cfg.refresh_every = usize::MAX;
-        // Per-replica compression: each replica serves (and calibrates)
-        // through its own compressed tower cache; `cfg.compression` is the
-        // single source of truth (the serve-level field is overridden). A
-        // rebuilt replica keeps its level: its restored window scores came
-        // from the compressed model.
-        serve_cfg.compression = self.cfg.replica_compression(r);
-        PitotServer::new(trained, dataset, serve_cfg)
+        PitotServer::shared(
+            Arc::clone(&self.trained),
+            Arc::clone(&self.dataset),
+            Arc::clone(&self.towers[r]),
+            serve_cfg,
+        )
     }
 
     /// The fleet configuration.
     pub(crate) fn config(&self) -> &FleetConfig {
         &self.cfg
+    }
+
+    /// The fleet's trained model.
+    pub(crate) fn trained(&self) -> &Arc<TrainedPitot> {
+        &self.trained
+    }
+
+    /// Per replica: the tower cache it scores with.
+    pub(crate) fn towers(&self) -> &[Arc<TowerCache>] {
+        &self.towers
     }
 
     /// The replica a `(workload, platform)` pair is sharded to: a pure
@@ -448,16 +457,13 @@ impl FleetControl {
         self.faults = Some(faults);
     }
 
-    /// Rebuilds a crashed replica from the template and rejoins it warm:
-    /// replay the coordinator's held window summary (score-identical to
-    /// the pre-crash window), then install the current fleet calibration.
-    /// The crashed instance's counters survive into the fleet totals.
+    /// Rebuilds a crashed replica over the shared model state and rejoins
+    /// it warm: replay the coordinator's held window summary
+    /// (score-identical to the pre-crash window), then install the current
+    /// fleet calibration. The crashed instance's counters survive into the
+    /// fleet totals.
     fn rejoin_replica(&mut self, reps: &mut impl Replicas, r: usize) {
-        let t = self
-            .template
-            .as_ref()
-            .expect("fault plans are installed with a template");
-        let mut server = self.replica_server(r, t.trained.clone(), t.dataset.clone());
+        let mut server = self.replica_server(r);
         if let Some((clock, entries)) = self.merged.replica_entries(r as u64) {
             server.restore_window(entries, clock);
         }
@@ -963,8 +969,8 @@ impl FleetControl {
 
     /// The currently installed fleet-level calibration (absent until the
     /// first merge finds a non-empty window).
-    pub(crate) fn fleet_conformal(&self) -> Option<&Arc<Served>> {
-        self.fleet_conformal.as_ref()
+    pub(crate) fn fleet_conformal(&self) -> Option<&PooledConformal> {
+        self.fleet_conformal.as_deref().map(|s| &s.conformal)
     }
 
     /// The degraded-window audit log (empty without a fault plan).

@@ -1,4 +1,4 @@
-//! Rolling coverage/width monitoring and the drift trigger.
+//! Rolling coverage monitoring and the drift trigger.
 
 use std::collections::VecDeque;
 
@@ -6,9 +6,8 @@ use std::collections::VecDeque;
 ///
 /// Each arriving observation is first judged against the *currently served*
 /// bound (prequential: predict, then reveal), and the outcome — covered or
-/// not, plus the bound's log-space width — enters a fixed-size ring. The
-/// monitor answers two questions built on the `pitot_conformal`
-/// diagnostics' coverage notion:
+/// not — enters a fixed-size ring. The monitor answers two questions built
+/// on the `pitot_conformal` diagnostics' coverage notion:
 ///
 /// - [`CoverageMonitor::coverage`]: the rolling empirical coverage;
 /// - [`CoverageMonitor::undercovering`]: whether that coverage has fallen
@@ -27,8 +26,6 @@ pub struct CoverageMonitor {
     cap: usize,
     hits: VecDeque<bool>,
     covered: usize,
-    widths: VecDeque<f32>,
-    width_sum: f64,
 }
 
 impl CoverageMonitor {
@@ -49,29 +46,19 @@ impl CoverageMonitor {
             cap,
             hits: VecDeque::with_capacity(cap + 1),
             covered: 0,
-            widths: VecDeque::with_capacity(cap + 1),
-            width_sum: 0.0,
         }
     }
 
     /// Records one prequential outcome: whether the served bound covered
-    /// the realized runtime, and the bound's log-space width (bound minus
-    /// point prediction).
-    pub fn push(&mut self, covered: bool, width_log: f32) {
-        if self.hits.len() == self.cap {
-            if self.hits.pop_front() == Some(true) {
-                self.covered -= 1;
-            }
-            if let Some(w) = self.widths.pop_front() {
-                self.width_sum -= f64::from(w);
-            }
+    /// the realized runtime.
+    pub fn push(&mut self, covered: bool) {
+        if self.hits.len() == self.cap && self.hits.pop_front() == Some(true) {
+            self.covered -= 1;
         }
         self.hits.push_back(covered);
         if covered {
             self.covered += 1;
         }
-        self.widths.push_back(width_log);
-        self.width_sum += f64::from(width_log);
     }
 
     /// Observations currently monitored.
@@ -90,15 +77,6 @@ impl CoverageMonitor {
             f32::NAN
         } else {
             self.covered as f32 / self.hits.len() as f32
-        }
-    }
-
-    /// Rolling mean log-space bound width (`NaN` while empty).
-    pub fn mean_width_log(&self) -> f32 {
-        if self.widths.is_empty() {
-            f32::NAN
-        } else {
-            (self.width_sum / self.widths.len() as f64) as f32
         }
     }
 
@@ -128,8 +106,6 @@ impl CoverageMonitor {
     pub fn reset(&mut self) {
         self.hits.clear();
         self.covered = 0;
-        self.widths.clear();
-        self.width_sum = 0.0;
     }
 }
 
@@ -142,22 +118,21 @@ mod tests {
         let mut m = CoverageMonitor::new(0.1, 200, 3.0, 50);
         // Exactly the target rate: 9 covered out of every 10.
         for i in 0..400 {
-            m.push(i % 10 != 0, 0.5);
+            m.push(i % 10 != 0);
         }
         assert!(!m.undercovering(), "coverage {} fired", m.coverage());
         assert!((m.coverage() - 0.9).abs() < 0.02);
-        assert!((m.mean_width_log() - 0.5).abs() < 1e-5);
     }
 
     #[test]
     fn sustained_undercoverage_fires() {
         let mut m = CoverageMonitor::new(0.1, 200, 3.0, 50);
         for i in 0..200 {
-            m.push(i % 10 != 0, 0.5);
+            m.push(i % 10 != 0);
         }
         // Shift: only 60% covered from now on.
         for i in 0..200 {
-            m.push(i % 5 < 3, 0.5);
+            m.push(i % 5 < 3);
         }
         assert!(m.undercovering(), "coverage {} did not fire", m.coverage());
     }
@@ -166,10 +141,10 @@ mod tests {
     fn does_not_fire_before_min_n() {
         let mut m = CoverageMonitor::new(0.1, 200, 3.0, 50);
         for _ in 0..49 {
-            m.push(false, 0.1);
+            m.push(false);
         }
         assert!(!m.undercovering());
-        m.push(false, 0.1);
+        m.push(false);
         assert!(m.undercovering());
     }
 
@@ -177,12 +152,12 @@ mod tests {
     fn undercovering_by_separates_consumers() {
         let mut m = CoverageMonitor::new(0.1, 200, 3.0, 50);
         for i in 0..200 {
-            m.push(i % 10 != 0, 0.5);
+            m.push(i % 10 != 0);
         }
         // Mild dip to 80% coverage: a tight consumer fires, a looser one
         // does not, and the minimum count gates both.
         for i in 0..200 {
-            m.push(i % 5 < 4, 0.5);
+            m.push(i % 5 < 4);
         }
         assert!(m.undercovering_by(1.0, 50));
         assert!(!m.undercovering_by(20.0, 50));
@@ -195,7 +170,6 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.len(), 0);
         assert!(m.coverage().is_nan());
-        assert!(m.mean_width_log().is_nan());
         // Even at min_n = 0 with zero slack, an empty window must not read
         // as undercoverage (the n < max(min_n, 1) floor guards the NaN
         // comparison from ever deciding anything).
@@ -208,15 +182,14 @@ mod tests {
         let mut m = CoverageMonitor::new(0.1, 64, 3.0, 8);
         for i in 0..8 {
             assert!(!m.undercovering(), "fired at n = {i}, before min_n");
-            m.push(false, 0.25);
+            m.push(false);
         }
         assert_eq!(m.coverage(), 0.0);
-        assert!((m.mean_width_log() - 0.25).abs() < 1e-6);
         assert!(m.undercovering(), "an all-miss window at min_n must fire");
         // Still pegged (and still firing) once the ring wraps: eviction of
         // all-miss entries must not drift the counters.
         for _ in 0..128 {
-            m.push(false, 0.25);
+            m.push(false);
         }
         assert_eq!(m.len(), 64);
         assert_eq!(m.coverage(), 0.0);
@@ -229,14 +202,13 @@ mod tests {
     fn ring_evicts_and_reset_clears() {
         let mut m = CoverageMonitor::new(0.2, 4, 2.0, 1);
         for _ in 0..4 {
-            m.push(false, 1.0);
+            m.push(false);
         }
         for _ in 0..4 {
-            m.push(true, 2.0);
+            m.push(true);
         }
         assert_eq!(m.len(), 4);
         assert_eq!(m.coverage(), 1.0);
-        assert!((m.mean_width_log() - 2.0).abs() < 1e-6);
         m.reset();
         assert!(m.is_empty());
         assert!(m.coverage().is_nan());

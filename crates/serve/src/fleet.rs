@@ -227,11 +227,11 @@ impl std::fmt::Debug for FleetServer {
 }
 
 impl FleetServer {
-    /// Builds a fleet of `cfg.replicas` servers around clones of one
-    /// trained model and dataset. Each replica's local refresh cadence is
-    /// overridden to "never": the coordinator owns every calibration
-    /// refresh, so replicas serve exactly the fleet-level bounds between
-    /// merges.
+    /// Builds a fleet of `cfg.replicas` servers sharing one trained model,
+    /// one copy of the dataset, and one tower cache per distinct compression
+    /// level. Each replica's local refresh cadence is overridden to "never":
+    /// the coordinator owns every calibration refresh, so replicas serve
+    /// exactly the fleet-level bounds between merges.
     ///
     /// # Panics
     ///
@@ -239,9 +239,9 @@ impl FleetServer {
     /// [`FleetConfig::validate`]).
     pub fn new(trained: TrainedPitot, dataset: &Dataset, cfg: FleetConfig) -> Self {
         cfg.validate();
-        let core = FleetControl::new(cfg, &trained);
+        let core = FleetControl::new(cfg, trained, dataset);
         let replicas = (0..core.config().replicas)
-            .map(|r| core.replica_server(r, trained.clone(), dataset.clone()))
+            .map(|r| core.replica_server(r))
             .collect();
         Self { replicas, core }
     }
@@ -252,8 +252,8 @@ impl FleetServer {
 
     /// [`FleetServer::new`] with a deterministic fault schedule installed
     /// (see the module docs for the degradation ladder the fleet walks
-    /// under it). Keeps a template of the trained model + dataset so
-    /// crashed replicas can be rebuilt and rejoined warm.
+    /// under it). A crashed replica is rebuilt over the fleet's shared
+    /// model state and rejoins warm.
     ///
     /// # Panics
     ///
@@ -267,8 +267,8 @@ impl FleetServer {
         plan: FaultPlan,
     ) -> Self {
         plan.validate(cfg.replicas);
-        let mut fleet = Self::new(trained.clone(), dataset, cfg);
-        fleet.core.install_faults(plan, trained, dataset);
+        let mut fleet = Self::new(trained, dataset, cfg);
+        fleet.core.install_faults(plan);
         fleet
     }
 
@@ -388,7 +388,7 @@ impl FleetServer {
     /// The currently installed fleet-level calibration (absent until the
     /// first merge finds a non-empty window).
     pub fn fleet_conformal(&self) -> Option<&PooledConformal> {
-        self.core.fleet_conformal().map(|c| &c.conformal)
+        self.core.fleet_conformal()
     }
 
     /// One replica's server (e.g. for its local stats or window).
@@ -547,6 +547,33 @@ mod tests {
             "attainment {} too low for 50x budgets",
             stats.admission.attainment()
         );
+    }
+
+    #[test]
+    fn replicas_share_one_model_across_a_rejoin() {
+        // Every replica borrows the fleet's one model and dataset: the
+        // compressed replica, and its instance rebuilt at the rejoin, too.
+        let (dataset, split, trained) = fixture();
+        let mut cfg = fleet_cfg(3, 16);
+        cfg.compression = vec![pitot::CompressionSpec::none(); 3];
+        cfg.compression[1] = pitot::CompressionSpec::pruned_int8(0.5);
+        let plan = FaultPlan::none(5).crash(1, 10, 40);
+        let mut fleet = FleetServer::with_faults(trained, &dataset, cfg, plan);
+        fleet.seed_calibration(&split.val);
+        let (model, data) = (fleet.replica(0).trained(), fleet.replica(0).dataset());
+        let (model, data) = (model as *const TrainedPitot, data as *const Dataset);
+        let shared = |fleet: &FleetServer| {
+            (0..fleet.n_replicas()).all(|r| {
+                let replica = fleet.replica(r);
+                std::ptr::eq(replica.trained(), model) && std::ptr::eq(replica.dataset(), data)
+            })
+        };
+        assert!(shared(&fleet), "replicas hold their own copies");
+        for (t, &i) in split.test.iter().take(60).enumerate() {
+            fleet.observe(t as f64, dataset.observations[i].clone());
+        }
+        assert_eq!(fleet.stats().recoveries, 1, "replica 1 rejoined");
+        assert!(shared(&fleet), "the rejoin rebuilt replica 1 with copies");
     }
 
     #[test]

@@ -78,28 +78,30 @@
 //!   sharded replica state behind per-lane MPSC event queues
 //!   ([`pitot_linalg::par::EventQueue`]), lane 0 drained by the ingress
 //!   thread itself and every other lane by one worker thread, lane
-//!   coalescing into one row-parallel predict pass per replica, and a
-//!   lock-free read path: admission and prediction answer from immutable
-//!   towers and each replica's last installed calibration, so they never
-//!   block on window writes or a lane's backlog. The simulated-clock
-//!   [`FleetServer`] stays on as the deterministic twin: the same
-//!   [`TraceEvent`] sequence through both runtimes yields bitwise-identical
-//!   outcomes and audit counters ([`run_trace_simulated`]) under every
-//!   [`FaultPlan`] and every [`ServeConfig`], property-tested across
-//!   `PITOT_THREADS`. The twin holds by construction: both runtimes drive
+//!   coalescing that hands each replica's server its share of a drained
+//!   batch to score in one row-parallel pass, and a lock-free read path:
+//!   admission and prediction answer from the fleet's shared immutable
+//!   model and towers and each replica's last installed calibration, so
+//!   they never block on window writes or a lane's backlog. The
+//!   simulated-clock [`FleetServer`] stays on as the deterministic twin:
+//!   the same [`TraceEvent`] sequence through both runtimes yields
+//!   bitwise-identical outcomes and audit counters
+//!   ([`run_trace_simulated`]) under every [`FaultPlan`] and every
+//!   [`ServeConfig`], property-tested across `PITOT_THREADS`. The twin holds by construction: both runtimes drive
 //!   one fleet control core, which makes every control decision on the
 //!   ingress thread, and every change to a replica's served calibration is
 //!   an install that core makes at a barrier. See `docs/SERVING.md`.
-//! - **Compressed inference towers.** Any replica can serve from a
-//!   compressed model ([`ServeConfig::compression`],
-//!   [`FleetConfig::compression`]): magnitude-pruned weights, weights
-//!   rounded to int8 grids ([`pitot::CompressionSpec`]), or both.
-//!   Compression only swaps the frozen tower cache a replica scores with
-//!   — the conformal machinery recalibrates on the compressed model's own
-//!   residuals, so coverage is restored at every compression level and
-//!   the interval *width* absorbs the compression error (`ext-compress`
-//!   measures the trade). Compressed replicas rejoin
-//!   crashes compressed and replay bitwise in the concurrent runtime.
+//! - **Compressed inference towers.** Any fleet replica can serve from a
+//!   compressed model ([`FleetConfig::compression`]): magnitude-pruned
+//!   weights, weights rounded to int8 grids ([`pitot::CompressionSpec`]),
+//!   or both. Compression only swaps the frozen tower cache a replica
+//!   scores with — the conformal machinery recalibrates on the compressed
+//!   model's own residuals, so coverage is restored at every compression
+//!   level and the interval *width* absorbs the compression error
+//!   (`ext-compress` measures the trade). A fleet holds one model and
+//!   dataset and one tower cache per distinct level, shared by every
+//!   replica; compressed replicas rejoin crashes compressed over their
+//!   level's cache and replay bitwise in the concurrent runtime.
 //!
 //! # Examples
 //!

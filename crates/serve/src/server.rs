@@ -212,19 +212,22 @@ struct WindowEntry {
 /// The streaming prediction service (see the crate docs for the full
 /// architecture).
 ///
-/// Owns its model, a growing copy of the dataset (arrivals are appended so
-/// fine-tunes can train on them), the cached tower outputs, the sliding
-/// calibration window, and the currently served calibration. Everything is
+/// Holds its model, the dataset (arrivals are appended so fine-tunes can
+/// train on them), the cached tower outputs, the sliding calibration
+/// window, and the currently served calibration. The model, dataset and
+/// tower cache sit behind `Arc`s, so the replicas of a fleet share one copy
+/// of each; only a fine-tune's append and compaction copy the dataset, and
+/// a fine-tune installs a fresh model and cache. Everything is
 /// deterministic: the same event sequence yields bitwise-identical
 /// predictions and fine-tune trajectories.
 pub struct PitotServer {
     cfg: ServeConfig,
-    dataset: Dataset,
+    dataset: Arc<Dataset>,
     /// Observation count of the dataset the server was built with; streamed
     /// arrivals are appended after this index (and compacted back to it).
     base_len: usize,
-    trained: TrainedPitot,
-    towers: TowerCache,
+    trained: Arc<TrainedPitot>,
+    towers: Arc<TowerCache>,
     xis: Vec<f32>,
     window: WindowedScores,
     raw: VecDeque<WindowEntry>,
@@ -242,9 +245,11 @@ pub struct PitotServer {
     since_tune: usize,
     /// The reads' query rows, reused across calls.
     reads: Vec<Observation>,
+    /// The observation batch being scored, reused across batches.
+    arrivals: Vec<Observation>,
     /// Row-major `rows × heads` log-runtime predictions of the latest
-    /// scoring pass (a read, an arrival, a seed or a rescore), reused
-    /// across passes.
+    /// scoring pass (a read, an observation batch, a seed or a rescore),
+    /// reused across passes.
     preds: Matrix,
     now_s: f64,
     stats: ServeStats,
@@ -280,13 +285,20 @@ impl PitotServer {
     ///
     /// Panics if the configuration is inconsistent.
     pub fn new(trained: TrainedPitot, dataset: Dataset, cfg: ServeConfig) -> Self {
+        let towers = Arc::new(trained.tower_cache(&dataset));
+        Self::shared(Arc::new(trained), Arc::new(dataset), towers, cfg)
+    }
+
+    /// A server over shared model state, as the fleet core builds every
+    /// replica. A server over compressed `towers` must not fine-tune, which
+    /// fleet validation guarantees.
+    pub(crate) fn shared(
+        trained: Arc<TrainedPitot>,
+        dataset: Arc<Dataset>,
+        towers: Arc<TowerCache>,
+        cfg: ServeConfig,
+    ) -> Self {
         cfg.validate();
-        // Serve through the configured compression level: the compressed
-        // tower cache substitutes for the dense one in every prediction
-        // path, and the calibration window scores the *compressed* model's
-        // residuals — coverage holds at every level (intervals widen to
-        // absorb the compression error).
-        let towers = trained.compressed_tower_cache(&dataset, &cfg.compression);
         let xis = trained.model.config().objective.xis();
         let n_heads = trained.model.n_heads();
         let window = WindowedScores::new(cfg.window, n_heads);
@@ -318,6 +330,7 @@ impl PitotServer {
             since_refresh: 0,
             since_tune,
             reads: Vec::new(),
+            arrivals: Vec::new(),
             preds: Matrix::default(),
             now_s: f64::NEG_INFINITY,
             stats: ServeStats::default(),
@@ -393,31 +406,43 @@ impl PitotServer {
     /// [`PitotServer::guard_stats`]).
     pub fn on_event(&mut self, at_s: f64, event: Event) -> ServeResponse {
         let Event::Observe(obs) = event;
-        // Scoring indexes the catalog, so screen it first.
-        self.check_catalog(obs.workload, obs.platform, &obs.interferers);
-        let mut preds = std::mem::take(&mut self.preds);
-        self.trained
-            .predict_log_runtime_into(&self.towers, std::slice::from_ref(&obs), &mut preds);
-        let resp = self.on_observation_prescored(at_s, obs, preds.row(0));
-        self.preds = preds;
-        resp
+        let mut resp = None;
+        self.observe_batch([(at_s, obs)], |r| resp = Some(r));
+        resp.expect("a batch of one has one response")
     }
 
-    /// Applies one observation whose head predictions the caller already
-    /// computed — the one observation entry point. [`on_event`](Self::on_event)
-    /// scores a batch of one into the server's reused matrix and delegates
-    /// here; the concurrent runtime scores a whole drained lane batch in one
-    /// row-parallel pass per replica first. Batched prediction is
-    /// bitwise-identical to a batch of one (a pinned property), so both
-    /// callers see identical state transitions.
-    pub(crate) fn on_observation_prescored(
+    /// Consumes a batch of timestamped observations: one
+    /// [`TrainedPitot::predict_log_runtime_into`] pass scores them into the
+    /// reused matrix, then each is applied in order and its response passed
+    /// to `respond`. [`on_event`](Self::on_event) is a batch of one; the
+    /// concurrent runtime hands each replica its share of a lane batch.
+    /// Batched prediction is bitwise a batch of one (a pinned property), so
+    /// both see identical state transitions.
+    pub(crate) fn observe_batch(
         &mut self,
-        at_s: f64,
-        obs: Observation,
-        head_preds: &[f32],
-    ) -> ServeResponse {
-        self.tick(at_s);
-        self.check_catalog(obs.workload, obs.platform, &obs.interferers);
+        batch: impl IntoIterator<Item = (f64, Observation)>,
+        mut respond: impl FnMut(ServeResponse),
+    ) {
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        for (at_s, obs) in batch {
+            // Nothing below reads the clock, so it advances here; scoring
+            // indexes the catalog, so screen it first.
+            self.tick(at_s);
+            self.check_catalog(obs.workload, obs.platform, &obs.interferers);
+            arrivals.push(obs);
+        }
+        let mut preds = std::mem::take(&mut self.preds);
+        self.trained
+            .predict_log_runtime_into(&self.towers, &arrivals, &mut preds);
+        for (obs, row) in arrivals.drain(..).zip(preds.iter_rows()) {
+            respond(self.on_observation(obs, row));
+        }
+        self.arrivals = arrivals;
+        self.preds = preds;
+    }
+
+    /// Applies one scored observation.
+    fn on_observation(&mut self, obs: Observation, head_preds: &[f32]) -> ServeResponse {
         assert!(
             self.cfg.ingest_guard || (obs.runtime_s > 0.0 && obs.runtime_s.is_finite()),
             "observed runtime {} is not a positive finite duration",
@@ -456,10 +481,9 @@ impl PitotServer {
         }
 
         // 1. Prequential judgement against the *currently served* bound.
-        let point_log = head_preds[0];
         let (bound_log, degraded) = served_bound(self.conformal.as_deref(), head_preds, pool);
         let covered = target_log <= bound_log;
-        self.monitor.push(covered, bound_log - point_log);
+        self.monitor.push(covered);
         self.stats.bounded += 1;
         if covered {
             self.stats.covered += 1;
@@ -476,8 +500,9 @@ impl PitotServer {
             if obs.interferers.is_empty() {
                 self.seen_isolation += 1;
             }
-            self.dataset.observations.push(obs);
-            let i = self.dataset.observations.len() - 1;
+            let observations = &mut Arc::make_mut(&mut self.dataset).observations;
+            observations.push(obs);
+            let i = observations.len() - 1;
             self.seen.push(i);
             Some(i)
         } else {
@@ -707,7 +732,7 @@ impl PitotServer {
         self.window.len()
     }
 
-    /// The server's (growing) dataset copy.
+    /// The server's (growing) dataset.
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
     }
@@ -872,7 +897,7 @@ impl PitotServer {
         let dropped = self.seen.len() - bound;
         // Streamed arrivals are appended in order, so `seen` is exactly
         // `base_len..base_len + n`: compaction is one contiguous drain.
-        self.dataset
+        Arc::make_mut(&mut self.dataset)
             .observations
             .drain(self.base_len..self.base_len + dropped);
         self.seen = (self.base_len..self.base_len + bound).collect();
@@ -944,13 +969,10 @@ impl PitotServer {
         }
         let ctx = self.ctx.as_mut().expect("context just ensured");
         ctx.resume(&self.dataset, self.cfg.fine_tune_steps);
-        self.trained = ctx.finish();
-        // Fine-tuning is rejected on compressed servers by validation, so
-        // this spec is always `none` here — the call keeps the tower-cache
-        // construction on the single compression-aware path.
-        self.towers = self
-            .trained
-            .compressed_tower_cache(&self.dataset, &self.cfg.compression);
+        self.trained = Arc::new(ctx.finish());
+        // A fine-tuning server is dense: fleet replicas, the only
+        // compressed servers, never fine-tune.
+        self.towers = Arc::new(self.trained.tower_cache(&self.dataset));
         self.stats.fine_tunes += 1;
         self.rescore_window();
         self.refresh();
@@ -1121,8 +1143,8 @@ mod tests {
         assert_eq!(server.stats().fine_tunes, 0);
 
         let (_, _, other) = fixture(7);
-        server.towers = other.compressed_tower_cache(&server.dataset, &server.cfg.compression);
-        server.trained = other;
+        server.towers = Arc::new(other.tower_cache(&server.dataset));
+        server.trained = Arc::new(other);
         let clock = server.window_clock();
         server.rescore_window();
 

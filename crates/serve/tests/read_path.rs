@@ -7,10 +7,9 @@
 //! `PitotServer::query_batch` (the read behind `ServingPredictor`),
 //! `FleetServer::deadline_query` (each replica's `query_now`),
 //! `ConcurrentFleet`'s ingress read path, and an arriving observation
-//! through `PitotServer::on_event` or `FleetServer::observe` (each
-//! replica's `on_event`), scored into the same matrix as the server's
-//! reads. `ConcurrentFleet`'s lane retire scores each drained batch into
-//! one fresh matrix per destination replica, so it is not covered here.
+//! through `PitotServer::on_event`, `FleetServer::observe` (each replica's
+//! `on_event`) or `ConcurrentFleet::run_trace` (each replica's share of a
+//! lane batch), scored into the same matrix as the server's reads.
 
 use pitot::{train, Objective, PitotConfig, TrainedPitot};
 use pitot_orchestrator::{
@@ -19,7 +18,7 @@ use pitot_orchestrator::{
 use pitot_sched::ConformalGreedy;
 use pitot_serve::{
     ConcurrentConfig, ConcurrentFleet, DeadlineQuery, Event, FleetConfig, FleetServer, PitotServer,
-    ServeConfig, ServingPredictor, TraceEvent,
+    ServeConfig, ServingPredictor, TraceEvent, TraceOutcome,
 };
 use pitot_testbed::{split::Split, Dataset, Testbed, TestbedConfig, MAX_INTERFERERS};
 use proptest::prelude::*;
@@ -137,8 +136,10 @@ fn matrix_allocs(f: impl FnOnce()) -> u64 {
 /// observation path allocates a matrix: not a placement decision through a
 /// serving predictor, not `query_now`, not an observation through
 /// `PitotServer::on_event`, not a fleet deadline query, not an observation
-/// through `FleetServer::observe`, and not the concurrent fleet's ingress
-/// answering deadline queries and resolves.
+/// through `FleetServer::observe`, not the concurrent fleet's ingress
+/// answering deadline queries and resolves, and not its lanes retiring
+/// observations. The concurrent fleet runs inline (one lane), so the
+/// ingress retires every lane batch on this thread, where the counter is.
 #[test]
 fn warm_reads_allocate_no_matrix() {
     let (dataset, split, trained) = fixture();
@@ -241,7 +242,7 @@ fn warm_reads_allocate_no_matrix() {
 
     let ccfg = ConcurrentConfig {
         fleet: cfg,
-        workers: None,
+        workers: Some(1),
     };
     let mut conc = ConcurrentFleet::new(trained.clone(), dataset, ccfg);
     conc.seed_calibration(&split.val);
@@ -265,5 +266,29 @@ fn warm_reads_allocate_no_matrix() {
         }),
         0,
         "ConcurrentFleet::run_trace"
+    );
+
+    let observations = |first: usize| -> Vec<TraceEvent> {
+        arrivals(first)
+            .map(|(_, obs)| TraceEvent::Observe(obs))
+            .collect()
+    };
+    conc.run_trace(&observations(0));
+    let warm_observations = observations(10);
+    let mut outcomes = Vec::new();
+    assert_eq!(
+        matrix_allocs(|| outcomes = conc.run_trace(&warm_observations)),
+        0,
+        "ConcurrentFleet lane retire"
+    );
+    assert!(
+        outcomes.iter().all(|o| matches!(
+            o,
+            TraceOutcome::Observed {
+                feedback: Some(_),
+                ..
+            }
+        )),
+        "every arrival is judged"
     );
 }

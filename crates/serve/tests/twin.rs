@@ -107,7 +107,8 @@ fn build_trace(rng: &mut TestRng, n: usize) -> Vec<TraceEvent> {
 
 /// The core assertion: the same trace through the simulated twin and a
 /// `workers`-lane concurrent fleet yields identical outcome vectors, fleet
-/// stats, degraded-window audits, and rejected-summary audits. Returns the
+/// stats, degraded-window audits, rejected-summary audits, and last
+/// installed fleet calibrations. Returns the
 /// simulated fleet and its outcomes, so callers can check the faults they
 /// scheduled actually fired.
 fn assert_twin_equivalent(
@@ -154,6 +155,13 @@ fn assert_twin_equivalent(
         conc.rejected_audit(),
         sim.rejected_audit(),
         "rejected audit diverged under {workers} worker(s)"
+    );
+    // `Debug` prints every float in its shortest round-trip form, so equal
+    // forms mean bitwise-equal fleet calibrations.
+    assert_eq!(
+        format!("{:?}", conc.fleet_conformal()),
+        format!("{:?}", sim.fleet_conformal()),
+        "fleet calibration diverged under {workers} worker(s)"
     );
     // The lanes must have actually processed every routed observation:
     // each is judged or quarantined at ingest (watchdog purges re-audit
