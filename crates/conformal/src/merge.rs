@@ -46,13 +46,18 @@
 //! A summary crossing a trust boundary (replica → coordinator, gossip peer
 //! → gossip peer) is *telemetry*, and telemetry can lie: a Byzantine or
 //! corrupted replica can ship NaN scores, unsorted runs, or a cardinality
-//! that disagrees with its segments. Every run therefore carries an
-//! FNV-1a-64 checksum over its full structural content in 32-bit words,
-//! fixed at snapshot time, and [`MergeableWindow::verify`] re-derives
-//! structure and digest, naming the offending replica and fault class on
-//! the first violation. A receiver that verifies before
+//! that disagrees with its segments. Every run therefore carries a checksum
+//! over its full structural content in 32-bit words, fixed at snapshot
+//! time: FNV-1a-64 steps, with the layout words on one serial chain and the
+//! score words spread over eight independent lanes, so the digest runs at
+//! multiply throughput rather than multiply latency. The sender only seals;
+//! the checks belong to the receiver. [`MergeableWindow::verify`] checks
+//! structure, scans every score run for non-finite scores and descents,
+//! and re-derives the digest, naming the offending replica and fault class
+//! on the first violation. A receiver that verifies before
 //! [`MergeableWindow::absorb`] confines a bogus summary to its sender — the
-//! CRDT never sees it.
+//! CRDT never sees it. The checksum does not cover the replica id a run is
+//! keyed by, so a receiver also checks who a summary speaks for.
 
 use crate::scores::{CalibrationView, ScoredCalibration, WindowedScores};
 use pitot_linalg::quantile_higher_rank;
@@ -71,7 +76,7 @@ struct ReplicaRun {
     global: Vec<Vec<f32>>,
     /// Pool key → per-head ascending scores (only pools with live entries).
     pools: BTreeMap<usize, Vec<Vec<f32>>>,
-    /// FNV-1a-64 over clock, cardinality, pool layout, and every score
+    /// The lane digest of clock, cardinality, pool layout, and every score
     /// bit, fixed at snapshot time (see [`ReplicaRun::digest`]).
     checksum: u64,
 }
@@ -137,71 +142,130 @@ pub enum TamperMode {
     Checksum,
 }
 
+/// FNV-1a-64's offset basis, the start state of every digest chain.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a-64's prime. It is odd, so multiplying by it is a bijection of
+/// the 64-bit state.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The independent chains [`ReplicaRun::digest`] spreads score words over,
+/// so their multiplies overlap instead of waiting on one another.
+const LANES: usize = 8;
+
+/// One FNV-1a step: xor a 32-bit word into the state, then multiply by the
+/// prime.
+fn fnv_word(h: u64, w: u32) -> u64 {
+    (h ^ u64::from(w)).wrapping_mul(FNV_PRIME)
+}
+
+/// Two FNV-1a steps over a `u64`, low word first.
+fn fnv_wide(h: u64, v: u64) -> u64 {
+    fnv_word(fnv_word(h, v as u32), (v >> 32) as u32)
+}
+
+/// The fault a received score run shows on its own: a non-finite score
+/// first, else a descent under `total_cmp`.
+///
+/// One branch-free pass checks the order. `total_cmp` puts every
+/// non-finite value outside the finite ones (negative NaNs and −∞ first,
+/// +∞ and positive NaNs last), so an ascending run is finite exactly when
+/// its two ends are. Only a run that descends needs a finiteness pass, to
+/// name its fault.
+fn run_fault(run: &[f32]) -> Option<SummaryFault> {
+    let mut ascending = true;
+    let mut prev = i32::MIN;
+    for &s in run {
+        // The integer key `f32::total_cmp` compares.
+        let bits = s.to_bits() as i32;
+        let key = bits ^ ((bits >> 31) as u32 >> 1) as i32;
+        ascending &= prev <= key;
+        prev = key;
+    }
+    let finite = if ascending {
+        [run.first(), run.last()]
+            .into_iter()
+            .all(|end| end.is_none_or(|s| s.is_finite()))
+    } else {
+        run.iter().all(|s| s.is_finite())
+    };
+    match (finite, ascending) {
+        (false, _) => Some(SummaryFault::NonFiniteScore),
+        (true, false) => Some(SummaryFault::UnsortedRun),
+        (true, true) => None,
+    }
+}
+
 impl ReplicaRun {
     /// Fixes the checksum to the run's current content.
     fn reseal(&mut self) {
-        self.checksum = self.digest().0;
+        self.checksum = self.digest();
     }
 
-    /// FNV-1a-64 over the run's full structural content in 32-bit words:
-    /// clock, stated cardinality, per-head global runs (length-prefixed),
-    /// and per-pool runs (key- and length-prefixed). Each score's bits are
-    /// one word; each `u64` field is two, low word first.
+    /// The score runs in digest order: every global head, then each pool's
+    /// heads in key order.
+    fn score_runs(&self) -> impl Iterator<Item = &[f32]> {
+        self.global
+            .iter()
+            .chain(self.pools.values().flatten())
+            .map(Vec::as_slice)
+    }
+
+    /// An eight-lane FNV-1a-64 digest of the run's full structural content
+    /// in 32-bit words. Each `u64` field is two words, low word first.
     ///
-    /// Every step (xor a word, multiply by the odd FNV prime) is a
-    /// bijection of the 64-bit state, so changing any single word changes
-    /// the digest; the fold is order-sensitive, so reorders, truncations,
-    /// and cardinality edits change it too.
+    /// The layout words go through one serial chain, in order: clock,
+    /// stated cardinality, each global head's length, then per pool its
+    /// key and each head's length. Each score's bits are one word, and
+    /// score `j` of a run goes to lane `j mod 8`. The lanes carry over from
+    /// run to run, so the multiplies of eight scores run side by side.
+    /// Last, the lanes fold into the layout chain in lane order, by the
+    /// same xor-then-multiply step.
     ///
-    /// Alongside the digest comes the fault of the first score run, in
-    /// digest order, holding a non-finite score or a descent under
-    /// `total_cmp` (non-finite takes precedence). Those scans share the
-    /// digest's pass, so verifying a run reads it once.
-    fn digest(&self) -> (u64, Option<SummaryFault>) {
-        fn word(h: u64, w: u32) -> u64 {
-            (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
-        }
-        fn wide(h: u64, v: u64) -> u64 {
-            word(word(h, v as u32), (v >> 32) as u32)
-        }
-        let mut fault = None;
-        let mut scores = |h: u64, run: &[f32]| {
-            let mut h = wide(h, run.len() as u64);
-            let (mut finite, mut sorted) = (true, true);
-            let mut prev = i32::MIN;
-            for &s in run {
-                let bits = s.to_bits();
-                h = word(h, bits);
-                finite &= s.is_finite();
-                // The integer key `f32::total_cmp` compares.
-                let key = bits as i32 ^ ((bits as i32 >> 31) as u32 >> 1) as i32;
-                sorted &= prev <= key;
-                prev = key;
-            }
-            if fault.is_none() {
-                fault = match (finite, sorted) {
-                    (false, _) => Some(SummaryFault::NonFiniteScore),
-                    (true, false) => Some(SummaryFault::UnsortedRun),
-                    (true, true) => None,
-                };
-            }
-            h
-        };
-        let mut h = wide(wide(0xcbf2_9ce4_8422_2325, self.clock), self.n as u64);
+    /// Every step is a bijection of the state it updates, and the fold is a
+    /// bijection of each lane and of the layout chain, so changing any
+    /// single word changes the digest. Each chain is order-sensitive, so
+    /// reorders, truncations and cardinality edits change it too.
+    fn digest(&self) -> u64 {
+        let mut layout = fnv_wide(fnv_wide(FNV_OFFSET, self.clock), self.n as u64);
         for head in &self.global {
-            h = scores(h, head);
+            layout = fnv_wide(layout, head.len() as u64);
         }
         for (&pool, per_head) in &self.pools {
-            h = wide(h, pool as u64);
+            layout = fnv_wide(layout, pool as u64);
             for head in per_head {
-                h = scores(h, head);
+                layout = fnv_wide(layout, head.len() as u64);
             }
         }
-        (h, fault)
+        // The lanes live in eight locals, not an array: an array invites
+        // the compiler to pack their multiplies into vector registers,
+        // where SSE2 can only emulate a 64-bit multiply.
+        let [mut l0, mut l1, mut l2, mut l3, mut l4, mut l5, mut l6, mut l7] = [FNV_OFFSET; LANES];
+        for run in self.score_runs() {
+            let (chunks, rest) = run.as_chunks::<LANES>();
+            for &[s0, s1, s2, s3, s4, s5, s6, s7] in chunks {
+                l0 = fnv_word(l0, s0.to_bits());
+                l1 = fnv_word(l1, s1.to_bits());
+                l2 = fnv_word(l2, s2.to_bits());
+                l3 = fnv_word(l3, s3.to_bits());
+                l4 = fnv_word(l4, s4.to_bits());
+                l5 = fnv_word(l5, s5.to_bits());
+                l6 = fnv_word(l6, s6.to_bits());
+                l7 = fnv_word(l7, s7.to_bits());
+            }
+            let mut lanes = [l0, l1, l2, l3, l4, l5, l6, l7];
+            for (lane, s) in lanes.iter_mut().zip(rest) {
+                *lane = fnv_word(*lane, s.to_bits());
+            }
+            [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+        }
+        [l0, l1, l2, l3, l4, l5, l6, l7]
+            .into_iter()
+            .fold(layout, |h, lane| (h ^ lane).wrapping_mul(FNV_PRIME))
     }
 
-    /// Structural + digest verification against the expected head count;
-    /// returns the first fault found, most specific first.
+    /// Verification of a received run against the expected head count;
+    /// returns the first fault found, most specific first. Structure comes
+    /// first, then the score scans run by run in digest order (a run's
+    /// non-finite score before its descent), then the checksum.
     fn validate(&self, n_heads: usize) -> Result<(), SummaryFault> {
         if self.global.len() != n_heads || self.global.iter().any(|h| h.len() != self.n) {
             return Err(SummaryFault::CardinalityMismatch);
@@ -219,11 +283,13 @@ impl ReplicaRun {
         if pooled != self.n {
             return Err(SummaryFault::CardinalityMismatch);
         }
-        match self.digest() {
-            (_, Some(fault)) => Err(fault),
-            (digest, None) if digest != self.checksum => Err(SummaryFault::ChecksumMismatch),
-            _ => Ok(()),
+        if let Some(fault) = self.score_runs().find_map(run_fault) {
+            return Err(fault);
         }
+        if self.digest() != self.checksum {
+            return Err(SummaryFault::ChecksumMismatch);
+        }
+        Ok(())
     }
 }
 
@@ -264,8 +330,10 @@ impl MergeableWindow {
     ///
     /// The snapshot is a copy of the window's already-sorted score slices —
     /// `O(window)` with no comparisons — plus its eviction clock and the
-    /// run's checksum. An empty window yields a valid (empty) run that a
-    /// later snapshot from the same replica supersedes.
+    /// run's checksum. Sealing only hashes: the finiteness and order scans
+    /// run where the summary is received, in [`MergeableWindow::verify`].
+    /// An empty window yields a valid (empty) run that a later snapshot
+    /// from the same replica supersedes.
     pub fn snapshot(replica: u64, window: &WindowedScores) -> Self {
         let mut run = ReplicaRun {
             clock: window.clock(),
@@ -281,9 +349,11 @@ impl MergeableWindow {
         }
     }
 
-    /// Verifies every held run's structure and checksum, returning the
-    /// first violation with the offending replica named (iteration is in
-    /// replica-id order, so the result is deterministic).
+    /// Verifies every held run's structure, scores and checksum, returning
+    /// the first violation with the offending replica named (iteration is
+    /// in replica-id order, so the result is deterministic). Within a run
+    /// the faults come in a fixed order: cardinality, then a non-finite
+    /// score, then a descent, then the checksum.
     ///
     /// An honest [`MergeableWindow::snapshot`] always verifies; the error
     /// path exists for summaries that crossed a trust boundary. Receivers
@@ -589,7 +659,7 @@ fn merge_sorted(a: &[f32], b: &[f32]) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::pooled::{HeadSelection, PooledConformal, PredictionSet};
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     /// One synthetic replica stream: `(per-head preds, target, pool)`
@@ -904,14 +974,133 @@ mod tests {
         assert!(err.to_string().contains("replica 3"));
     }
 
+    /// Scores from a small grid of every class the scan tells apart: both
+    /// zeros, finite values, both infinities, and NaNs of either sign.
+    const SPECIALS: [f32; 9] = [
+        -1.5,
+        -0.0,
+        0.0,
+        0.25,
+        2.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..Default::default() })]
+        /// The one-pass run scan names the fault the two plain scans name:
+        /// any non-finite score first, else any descent under `total_cmp`.
+        /// Sorted runs that start or end in a non-finite value are the case
+        /// the end check must catch.
+        #[test]
+        fn run_scan_equals_the_plain_scans(seed in 0u64..1_000_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let len = rng.gen_range(0usize..=12);
+            let mut run: Vec<f32> = (0..len)
+                .map(|_| SPECIALS[rng.gen_range(0..SPECIALS.len())])
+                .collect();
+            if rng.gen_bool(0.5) {
+                run.sort_by(f32::total_cmp);
+            }
+            let want = if run.iter().any(|s| !s.is_finite()) {
+                Some(SummaryFault::NonFiniteScore)
+            } else if run.windows(2).any(|w| w[0].total_cmp(&w[1]).is_gt()) {
+                Some(SummaryFault::UnsortedRun)
+            } else {
+                None
+            };
+            proptest::prop_assert_eq!(run_fault(&run), want, "{:?}", run);
+        }
+    }
+
+    /// The scalar oracle of [`ReplicaRun::digest`]: it spells out the word
+    /// lists and feeds every word one at a time, score `j` of each run to
+    /// lane `j mod 8`, with no chunking.
+    fn reference_digest(run: &ReplicaRun) -> u64 {
+        let step = |h: u64, w: u32| (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3);
+        let wide = |words: &mut Vec<u32>, v: u64| words.extend([v as u32, (v >> 32) as u32]);
+        let mut layout = Vec::new();
+        let mut lanes = [0xcbf2_9ce4_8422_2325u64; 8];
+        let mut scores = |layout: &mut Vec<u32>, run: &[f32]| {
+            for (j, s) in run.iter().enumerate() {
+                lanes[j % 8] = step(lanes[j % 8], s.to_bits());
+            }
+            wide(layout, run.len() as u64);
+        };
+        wide(&mut layout, run.clock);
+        wide(&mut layout, run.n as u64);
+        for head in &run.global {
+            scores(&mut layout, head);
+        }
+        for (&pool, per_head) in &run.pools {
+            wide(&mut layout, pool as u64);
+            for head in per_head {
+                scores(&mut layout, head);
+            }
+        }
+        let h = layout
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &w| step(h, w));
+        lanes
+            .iter()
+            .fold(h, |h, &lane| (h ^ lane).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    /// `len` arbitrary score words, NaN and infinite bit patterns included:
+    /// the digest hashes bits and never reads them as numbers.
+    fn random_scores(rng: &mut ChaCha8Rng, len: usize) -> Vec<f32> {
+        (0..len).map(|_| f32::from_bits(rng.next_u32())).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..Default::default() })]
+        /// The lane digest equals its scalar oracle on random runs. Head
+        /// lengths of 0..=40 put runs on the full-chunk path, the remainder
+        /// path, both, and neither; 1–4 pools vary the layout chain.
+        #[test]
+        fn lane_digest_equals_the_scalar_reference(seed in 0u64..1_000_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n_heads = rng.gen_range(1usize..=4);
+            let heads = |rng: &mut ChaCha8Rng| -> Vec<Vec<f32>> {
+                (0..n_heads)
+                    .map(|_| {
+                        let len = rng.gen_range(0usize..=40);
+                        random_scores(rng, len)
+                    })
+                    .collect()
+            };
+            let global = heads(&mut rng);
+            let pools = (0..rng.gen_range(1usize..=4))
+                .map(|k| (3 * k + rng.gen_range(0usize..3), heads(&mut rng)))
+                .collect();
+            let run = ReplicaRun {
+                clock: rng.next_u64(),
+                n: rng.gen_range(0usize..200),
+                global,
+                pools,
+                checksum: 0,
+            };
+            proptest::prop_assert_eq!(run.digest(), reference_digest(&run));
+        }
+    }
+
     #[test]
     fn word_digest_catches_every_single_bit_flip() {
-        // Two heads, three pools: every field class the digest covers.
+        // Two heads, three pools: every field class the digest covers. The
+        // 37-score global runs fill four lane chunks and end in a remainder
+        // of five; the 12- and 13-score pool runs fill one chunk each and
+        // end in remainders too.
         let n_heads = 2;
-        let w = window_of(&stream(31, 12, n_heads), 16, n_heads);
+        let w = window_of(&stream(31, 37, n_heads), 64, n_heads);
         let honest = MergeableWindow::snapshot(5, &w);
         let run = honest.runs[&5].clone();
         assert_eq!(run.pools.len(), 3);
+        assert_eq!(run.n, 37);
+        assert!(run
+            .score_runs()
+            .all(|r| r.len() > LANES && r.len() % LANES != 0));
         // Edits a copy of the run under its stored checksum: the summary
         // must be refused with its replica named, and the digest alone
         // must see the edit too (structure checks may name it first).
@@ -920,7 +1109,7 @@ mod tests {
             edit(Arc::make_mut(t.runs.get_mut(&5).expect("run held")));
             assert_eq!(t.verify().map_err(|e| e.replica), Err(5), "{what}");
             assert_ne!(
-                t.runs[&5].digest().0,
+                t.runs[&5].digest(),
                 run.checksum,
                 "{what}: digest blind to the edit"
             );

@@ -684,14 +684,20 @@ impl FleetControl {
     }
 
     /// Screens an incoming summary from replica `r` and absorbs it into
-    /// the coordinator's merged view only if it passes: structural
-    /// verification (checksums, cardinality, sortedness, finiteness) on
-    /// every path, plus clock-plausibility screens — a skew screen always,
-    /// and a freshness screen on direct sends (`delayed = false`; delayed
-    /// deliveries are legitimately stale, the CRDT clock makes them
-    /// harmless). Returns whether the merged view changed; refusals are
-    /// counted and audited, never silent.
+    /// the coordinator's merged view only if it passes. On every path the
+    /// summary must hold exactly one run, keyed by `r` (the checksum does
+    /// not cover the replica id, so without this screen one replica could
+    /// replace another's held run), and must pass structural verification
+    /// (cardinality, finiteness, sortedness, checksum). Then come the clock
+    /// screens: a skew screen always, and a freshness screen on direct
+    /// sends (`delayed = false`; delayed deliveries are legitimately stale,
+    /// the CRDT clock makes them harmless). Returns whether the merged view
+    /// changed; refusals are counted and audited, never silent.
     fn try_absorb(&mut self, r: u64, summary: &MergeableWindow, delayed: bool) -> bool {
+        if !summary.replicas().map(|(id, _)| id).eq([r]) {
+            self.reject(r as usize, RejectCause::ForeignRun);
+            return false;
+        }
         if let Err(e) = summary.verify() {
             self.reject(e.replica as usize, RejectCause::from_fault(e.fault));
             return false;
@@ -992,5 +998,75 @@ impl FleetControl {
             reps.quiesced(r, |server| fold_replica(&mut s, server));
         }
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::AdmissionConfig;
+    use pitot::{train, PitotConfig};
+    use pitot_conformal::WindowedScores;
+    use pitot_testbed::{split::Split, Testbed, TestbedConfig};
+
+    /// A two-replica control core over a barely trained model: the summary
+    /// screens never read the model.
+    fn control() -> FleetControl {
+        let dataset = Testbed::generate(&TestbedConfig::small()).collect_dataset();
+        let split = Split::stratified(&dataset, 0.6, 0);
+        let mut cfg = PitotConfig::tiny();
+        cfg.steps = 2;
+        let trained = train(&dataset, &split, &cfg);
+        let fleet = FleetConfig {
+            serve: ServeConfig::at(0.1),
+            replicas: 2,
+            merge_every: 32,
+            admission: AdmissionConfig::default(),
+            compression: Vec::new(),
+        };
+        FleetControl::new(fleet, trained, &dataset)
+    }
+
+    /// Replica `replica`'s honest summary after `pushes` entries through a
+    /// small window, so its run's clock is `pushes`.
+    fn summary(replica: u64, pushes: usize, n_heads: usize) -> MergeableWindow {
+        let mut w = WindowedScores::new(8, n_heads);
+        for i in 0..pushes {
+            w.push_scores(vec![(i % 5) as f32; n_heads], i % 2);
+        }
+        MergeableWindow::snapshot(replica, &w)
+    }
+
+    #[test]
+    fn a_summary_holding_another_replicas_run_is_refused() {
+        let mut core = control();
+        let n_heads = core.merged.n_heads();
+        assert!(core.try_absorb(1, &summary(1, 10, n_heads), false));
+        // Replica 0 sends a checksum-valid run keyed 1, far ahead of
+        // replica 1's clock yet under the skew screen: alone, beside its
+        // own run, or with no run at all.
+        let forged = summary(1, 1000, n_heads);
+        assert_eq!(forged.verify(), Ok(()));
+        assert!(core.skew_threshold() > 1000);
+        let beside_own = summary(0, 5, n_heads).merge(&forged);
+        let refused = RejectedSummary {
+            replica: 0,
+            at_obs: 0,
+            cause: RejectCause::ForeignRun,
+        };
+        for delayed in [false, true] {
+            for bad in [&forged, &beside_own, &MergeableWindow::empty(n_heads)] {
+                assert!(!core.try_absorb(0, bad, delayed));
+                assert_eq!(core.rejected_audit().last(), Some(&refused));
+            }
+        }
+        assert_eq!(core.counts.rejected_summaries, 6);
+        // Replica 1's held run is untouched, so its next honest summary is
+        // not mistaken for a replay; replica 0's own run still absorbs.
+        assert_eq!(core.merged.replica_clock(1), Some(10));
+        assert_eq!(core.merged.replica_clock(0), None);
+        assert!(core.try_absorb(1, &summary(1, 20, n_heads), false));
+        assert!(core.try_absorb(0, &summary(0, 5, n_heads), false));
+        assert_eq!(core.counts.rejected_summaries, 6);
     }
 }

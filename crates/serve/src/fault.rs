@@ -496,8 +496,8 @@ impl DegradedWindow {
 /// Why the coordinator (or a gossip partner) refused to absorb a window
 /// summary. The first four map one-to-one onto
 /// [`pitot_conformal::SummaryFault`] — structural lies the checksum and
-/// sanity checks catch; the last two are clock-plausibility screens the
-/// receiver runs on top.
+/// sanity checks catch; the last three are screens the coordinator runs on
+/// top: who the summary speaks for, and whether its clock is plausible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum RejectCause {
     /// The summary's recomputed checksum did not match its claimed one.
@@ -515,6 +515,9 @@ pub enum RejectCause {
     /// The summary's clock was implausibly far ahead of anything the fleet
     /// has observed.
     SkewedClock,
+    /// The summary did not hold exactly one run keyed by its sender, so
+    /// absorbing it could replace another replica's held run.
+    ForeignRun,
 }
 
 impl RejectCause {

@@ -73,7 +73,8 @@
 //!   (coordinator round, delayed delivery, retry, gossip join):
 //!   per-segment checksums and structural sanity via
 //!   [`pitot_conformal::MergeableWindow::verify`], plus receiver-side
-//!   clock-plausibility screens for replays and skews. Each refusal is
+//!   screens: a coordinator-bound summary must hold only its sender's run,
+//!   and clocks must be plausible (no replays, no skews). Each refusal is
 //!   counted and recorded as a [`RejectedSummary`] naming the offending
 //!   replica, so a Byzantine replica degrades only itself: the installed
 //!   fleet calibration stays bitwise-pinned to what a clean-replica-only

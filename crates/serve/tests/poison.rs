@@ -329,6 +329,7 @@ fn audit_records_round_trip_through_serde() {
         RejectCause::CardinalityLie,
         RejectCause::Replayed,
         RejectCause::SkewedClock,
+        RejectCause::ForeignRun,
     ] {
         let rejected = RejectedSummary {
             replica: 3,
