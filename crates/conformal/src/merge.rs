@@ -938,6 +938,62 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..Default::default() })]
+        /// Joining two views that verify yields a view that verifies: the
+        /// property that lets a gossip round verify each view once, at its
+        /// join. The views share replicas at different clocks; one operand
+        /// is sometimes tampered, making the premise false, and then the
+        /// join fails exactly when it keeps the tampered run.
+        #[test]
+        fn joins_of_verified_views_verify(
+            seed in 0u64..1_000_000,
+            cap in 1usize..24,
+            tamper in 0usize..3,
+            mode in 0usize..4,
+            salt in 0u64..1000,
+        ) {
+            let n_heads = 1 + (seed as usize % 3);
+            // View `v` holds replicas `v..v + 3`, each a prefix of that
+            // replica's one stream, so views agree on any run of equal clock.
+            let view = |v: u64| {
+                let mut out = MergeableWindow::empty(n_heads);
+                for id in v..v + 3 {
+                    let len = (seed as usize >> (3 * id as usize + v as usize)) % (2 * cap + 1);
+                    let w = window_of(&stream(seed ^ (id << 20), len, n_heads), cap, n_heads);
+                    out.absorb(&MergeableWindow::snapshot(id, &w));
+                }
+                out
+            };
+            let mut views = [view(0), view(1)];
+            let target = (tamper > 0).then(|| {
+                let v = tamper - 1;
+                let id = v as u64 + salt % 3;
+                let mode = [
+                    TamperMode::Checksum,
+                    TamperMode::Cardinality,
+                    TamperMode::NonFinite,
+                    TamperMode::Unsorted,
+                ][mode];
+                assert!(views[v].corrupt_run(id, mode, salt));
+                (id, Arc::clone(&views[v].runs[&id]))
+            });
+            let [x, y] = &views;
+            let premise = x.verify().is_ok() && y.verify().is_ok();
+            proptest::prop_assert_eq!(premise, target.is_none());
+            for (p, q) in [(x, y), (y, x)] {
+                let joined = p.merge(q);
+                match &target {
+                    None => proptest::prop_assert_eq!(joined.verify(), Ok(())),
+                    Some((id, run)) => {
+                        let kept = Arc::ptr_eq(&joined.runs[id], run);
+                        proptest::prop_assert_eq!(joined.verify().is_err(), kept);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn tamper_modes_land_in_their_fault_class_on_rich_runs() {
         // A window with plenty of distinct scores exercises every mode's

@@ -20,10 +20,12 @@
 //!   posture: ingest guard + MAD screen + miscoverage watchdog, with the
 //!   always-on summary-integrity screen rejecting the Byzantine replica's
 //!   tampered segments;
-//! - **unguarded (outlier bursts)** — the pre-guard fail-stop server fed
-//!   the finite-valued subset of the schedule (outlier bursts only; the
-//!   fail-stop contract would crash outright on NaN — the subset is the
-//!   *favourable* case for it, and it still collapses).
+//! - **unguarded (outlier bursts)** — a fleet without the ingest guard
+//!   (no MAD screen, no watchdog) fed the finite-valued subset of the
+//!   schedule: outlier bursts only. Its runtime screen would quarantine
+//!   the NaN and negative runtimes it leaves out, as every server's does;
+//!   the subset keeps this arm to what the MAD screen alone would catch,
+//!   is the *favourable* case for it, and it still collapses.
 //!
 //! Expected shape: the guarded arm quarantines the poison on arrival
 //! (its calibration window never ingests it) and holds clean-event
@@ -74,7 +76,7 @@ const OUTLIER_LOG_SCALE: f32 = -12.0;
 /// the (clean) seeded calibration before it can enter.
 const OUTLIER_BURST_MAX: usize = 8;
 /// Probability a runtime is corrupted to NaN/Inf/negative (guarded arm
-/// only: the fail-stop contract would crash on these).
+/// only; the unguarded arm runs [`outlier_only_plan`]).
 const CORRUPT_PROB: f32 = 0.05;
 
 /// The full data-fault schedule, scaled to an `n`-event stream: runtime
@@ -90,8 +92,8 @@ pub fn full_plan(n: usize) -> FaultPlan {
         .byzantine_replica(1, n / 2)
 }
 
-/// The finite-valued subset of [`full_plan`] the unguarded fail-stop
-/// server can survive: outlier bursts only.
+/// The finite-valued subset of [`full_plan`] the unguarded arm runs:
+/// outlier bursts only, the poison only a MAD screen catches.
 pub fn outlier_only_plan() -> FaultPlan {
     FaultPlan::none(FAULT_SEED).outlier_bursts(OUTLIER_PROB, OUTLIER_LOG_SCALE, OUTLIER_BURST_MAX)
 }

@@ -63,19 +63,18 @@ pub struct ServeConfig {
     /// staleness tracking — the installed calibration is trusted forever.
     /// A standalone [`crate::PitotServer`] ignores it.
     pub staleness_threshold: usize,
-    /// Master switch of the trustworthy-telemetry ingest guard. When on,
-    /// non-finite/non-positive runtimes are **quarantined** into the
-    /// audited side buffer (see [`crate::GuardStats`]) instead of
-    /// panicking, and the MAD outlier screen (below) runs on every
-    /// arrival. When off (the default), ingest trusts its telemetry and a
-    /// corrupt runtime panics at the event boundary — the fail-stop
-    /// posture of PR 7.
+    /// Switch of the trustworthy-telemetry ingest guard's MAD outlier
+    /// screen (below), which then runs on every arrival. Runtimes are
+    /// screened on every server either way: a non-finite or non-positive
+    /// runtime is **quarantined** into the audited side buffer (see
+    /// [`crate::GuardStats`]), never panicked on. Off by default: ingest
+    /// then trusts the scale of its telemetry.
     pub ingest_guard: bool,
     /// Robust outlier screen: an arriving observation whose head-0
     /// nonconformity score `s` satisfies
     /// `|s − median| > guard_mad_k · 1.4826 · MAD` over the current
     /// window is quarantined. `0.0` disables the screen (the finite/bounds
-    /// checks still run while [`ServeConfig::ingest_guard`] is on).
+    /// checks still run).
     /// Default 8.0 — far enough out that honest drift passes and only
     /// scale-class corruption trips it.
     pub guard_mad_k: f32,

@@ -869,19 +869,22 @@ impl FleetControl {
         }
         let mut order = live.clone();
         order.shuffle(&mut faults.rng);
+        // Views that passed `verify` at their join this round. A join keeps
+        // runs from two verified views, and verification is per run, so a
+        // joined view verifies too.
+        let mut verified = vec![false; self.cfg.replicas];
         for pair in order.chunks(2) {
             if let [a, b] = *pair {
                 // Verify both sides before the state-based join: a corrupt
                 // view (a Byzantine replica's own) is refused by every
                 // partner, so the corruption never propagates.
-                let mut refused = false;
                 for side in [a, b] {
-                    if let Err(e) = faults.gossip[side].verify() {
-                        self.reject(e.replica as usize, RejectCause::from_fault(e.fault));
-                        refused = true;
+                    match faults.gossip[side].verify() {
+                        Ok(()) => verified[side] = true,
+                        Err(e) => self.reject(e.replica as usize, RejectCause::from_fault(e.fault)),
                     }
                 }
-                if refused {
+                if !(verified[a] && verified[b]) {
                     continue;
                 }
                 let joined = faults.gossip[a].merge(&faults.gossip[b]);
@@ -893,11 +896,12 @@ impl FleetControl {
         self.faults = Some(faults);
         for &r in &live {
             let f = self.faults.as_ref().expect("just restored");
-            if f.gossip[r].is_empty() || f.gossip[r].verify().is_err() {
+            if f.gossip[r].is_empty() || (!verified[r] && f.gossip[r].verify().is_err()) {
                 // A corrupt own view (already audited at the pairwise
-                // join) must not be fitted: the Byzantine replica serves
-                // its stale install until staleness triggers the widened
-                // local fallback — it degrades only itself.
+                // join, unless it went unpaired) must not be fitted: the
+                // Byzantine replica serves its stale install until
+                // staleness triggers the widened local fallback — it
+                // degrades only itself.
                 continue;
             }
             let conformal = self.fit_union(&f.gossip[r]);

@@ -65,9 +65,9 @@
 //! replica), replayed, or clock-skewed. The fleet treats every replica
 //! summary and every observation as **untrusted until screened**:
 //!
-//! - Observations pass each replica's ingest guard
-//!   ([`crate::ServeConfig::ingest_guard`]), which quarantines — never
-//!   silently drops — corrupt runtimes and MAD-outlier scores into an
+//! - Observations pass each replica's ingest screen, which quarantines —
+//!   never silently drops — corrupt runtimes and, under the ingest guard
+//!   ([`crate::ServeConfig::ingest_guard`]), MAD-outlier scores into an
 //!   audited side buffer ([`crate::GuardStats`]).
 //! - Summaries are verified **before** being absorbed, on every path
 //!   (coordinator round, delayed delivery, retry, gossip join):

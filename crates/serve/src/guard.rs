@@ -11,17 +11,22 @@
 //! The guard screens every arriving observation **before** it is judged,
 //! windowed, or monitored:
 //!
-//! 1. **Finite/bounds validation** — a runtime that is not a positive
-//!    finite duration is quarantined ([`QuarantineCause::NonFiniteRuntime`]
-//!    / [`QuarantineCause::NonPositiveRuntime`]) instead of panicking (the
-//!    unguarded server keeps the fail-stop panic).
-//! 2. **Robust MAD screen** — the arrival's head-0 nonconformity score is
+//! 1. **Finite/bounds validation**, on every server — a runtime that is
+//!    not a positive finite duration is quarantined
+//!    ([`QuarantineCause::NonFiniteRuntime`] /
+//!    [`QuarantineCause::NonPositiveRuntime`]) instead of panicking, so a
+//!    corrupt runtime never takes a server (or a concurrent fleet's lane)
+//!    down, whatever [`crate::ServeConfig::ingest_guard`] says.
+//! 2. **Robust MAD screen**, while [`crate::ServeConfig::ingest_guard`] is
+//!    on — the arrival's head-0 nonconformity score is
 //!    compared against the window's median via the median absolute
 //!    deviation: `|s − median| > k · 1.4826 · MAD` quarantines
 //!    ([`QuarantineCause::MadOutlier`]). The median/MAD pair tolerates up
 //!    to half the window being contaminated, which is exactly the property
 //!    a poisoning screen needs — a mean/variance screen would be dragged
-//!    toward the poison it is screening for.
+//!    toward the poison it is screening for. The MAD comes from an
+//!    `O(log n)` rank select over the window's sorted scores
+//!    (`robust_scale`), so the screen costs no copy and no sort.
 //!
 //! Nothing is ever dropped silently: every quarantined observation lands
 //! in a bounded audit ring ([`QuarantineRecord`]) *and* a cumulative
@@ -159,7 +164,7 @@ impl IngestGuard {
     }
 
     /// The runtime-level quarantine cause for a reported duration, if any
-    /// (the check the unguarded server expresses as a panic).
+    /// (checked on every server, guarded or not).
     pub(crate) fn runtime_cause(runtime_s: f32) -> Option<QuarantineCause> {
         if !runtime_s.is_finite() {
             Some(QuarantineCause::NonFiniteRuntime)
@@ -229,12 +234,53 @@ fn median_sorted(sorted: &[f32]) -> f32 {
 /// consistency constant). Returns σ = 0 when more than half the scores
 /// are identical — callers treat that as "no scale estimate" and pass the
 /// screen rather than quarantining everything off-median.
+///
+/// The MAD is a rank select in `O(log n)`, with no copy and no sort. The
+/// deviations of an ascending slice from its median form two ascending
+/// runs that meet at the median: `a(i) = |s[split − 1 − i] − med|` over
+/// the scores below it and `b(j) = |s[split + j] − med|` over the rest. A
+/// binary search finds how many of the `n/2 + 1` smallest deviations come
+/// from `a`; the MAD is the largest of them (odd `n`) or the midpoint of
+/// the two largest (even `n`), as `median_sorted` of the sorted
+/// deviations reads it. Every deviation is the same `(s − med).abs()` a
+/// sort would compare, and for finite scores it is finite and
+/// non-negative, so the result is bitwise the sort's (a property test pins
+/// it to that oracle).
 pub(crate) fn robust_scale(sorted: &[f32]) -> (f32, f32) {
     debug_assert!(!sorted.is_empty(), "robust scale of an empty slice");
+    let n = sorted.len();
     let med = median_sorted(sorted);
-    let mut dev: Vec<f32> = sorted.iter().map(|s| (s - med).abs()).collect();
-    dev.sort_unstable_by(f32::total_cmp);
-    (med, 1.4826 * median_sorted(&dev))
+    let (below, above) = sorted.split_at(sorted.partition_point(|&s| s < med));
+    let a = |i: usize| (below[below.len() - 1 - i] - med).abs();
+    let b = |j: usize| (above[j] - med).abs();
+    // The `m` smallest deviations are `a(..i)` and `b(..m − i)` for the
+    // least `i` whose next `a` is no smaller than the last `b` taken.
+    let m = n / 2 + 1;
+    let (mut lo, mut hi) = (m.saturating_sub(above.len()), m.min(below.len()));
+    while lo < hi {
+        let i = lo + (hi - lo) / 2;
+        if a(i) < b(m - i - 1) {
+            lo = i + 1;
+        } else {
+            hi = i;
+        }
+    }
+    let (i, j) = (lo, m - lo);
+    // The `back`-th largest deviation each run contributes, if any.
+    let a_top = |back: usize| (i >= back).then(|| a(i - back));
+    let b_top = |back: usize| (j >= back).then(|| b(j - back));
+    let largest = |xs: &[Option<f32>]| xs.iter().flatten().copied().reduce(f32::max);
+    let kth = largest(&[a_top(1), b_top(1)]).expect("m >= 1 deviations taken");
+    let mad = if n % 2 == 1 {
+        kth
+    } else {
+        // The runner-up: the smaller of the two runs' largest, or either
+        // run's second largest.
+        let smaller_top = a_top(1).zip(b_top(1)).map(|(x, y)| x.min(y));
+        let prev = largest(&[a_top(2), b_top(2), smaller_top]).expect("m >= 2 deviations taken");
+        0.5 * (prev + kth)
+    };
+    (med, 1.4826 * mad)
 }
 
 /// Whether score `s` fails the robust screen `|s − median| > k·σ̂` against
@@ -248,6 +294,107 @@ pub(crate) fn is_mad_outlier(sorted: &[f32], s: f32, k: f32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The copy-and-sort MAD that the rank select replaced: the oracle
+    /// [`robust_scale`] is pinned to.
+    fn robust_scale_by_sort(sorted: &[f32]) -> (f32, f32) {
+        let med = median_sorted(sorted);
+        let mut dev: Vec<f32> = sorted.iter().map(|s| (s - med).abs()).collect();
+        dev.sort_unstable_by(f32::total_cmp);
+        (med, 1.4826 * median_sorted(&dev))
+    }
+
+    /// A sorted window of `n` scores in one of the shapes the screen
+    /// meets, by `shape`: a coarse grid with heavy ties, continuous
+    /// values, a mix of ±0.0 with a few small values, one constant value,
+    /// more than half one value (σ = 0), a window that lies on one side of
+    /// its median (the lower or upper half plus one tied at an end), and
+    /// scores a few ulps apart (the median's midpoint rounds onto a
+    /// neighbour).
+    fn window(rng: &mut ChaCha8Rng, n: usize, shape: usize) -> Vec<f32> {
+        let mut s: Vec<f32> = match shape {
+            0 => (0..n)
+                .map(|_| rng.gen_range(-3i32..=3) as f32 * 0.5)
+                .collect(),
+            1 => (0..n).map(|_| rng.gen_range(-4.0f32..4.0)).collect(),
+            2 => (0..n)
+                .map(|_| [-0.0, 0.0, 0.0, -0.0, 0.125, -0.125][rng.gen_range(0..6)])
+                .collect(),
+            3 => vec![rng.gen_range(-2.0f32..2.0); n],
+            4 => {
+                let v = rng.gen_range(-2.0f32..2.0);
+                let ties = n / 2 + 1 + rng.gen_range(0..=(n - 1) / 2);
+                (0..n)
+                    .map(|i| {
+                        if i < ties {
+                            v
+                        } else {
+                            rng.gen_range(-4.0f32..4.0)
+                        }
+                    })
+                    .collect()
+            }
+            5 => {
+                let end = rng.gen_range(-1.0f32..1.0);
+                let up = rng.gen_bool(0.5);
+                (0..n)
+                    .map(|i| match (i <= n / 2, up) {
+                        (true, _) => end,
+                        (false, true) => end + rng.gen_range(0.0f32..3.0),
+                        (false, false) => end - rng.gen_range(0.0f32..3.0),
+                    })
+                    .collect()
+            }
+            _ => {
+                let base = rng.gen_range(0.5f32..2.0).to_bits();
+                (0..n)
+                    .map(|_| f32::from_bits(base + rng.gen_range(0u32..4)))
+                    .collect()
+            }
+        };
+        s.sort_unstable_by(f32::total_cmp);
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 2048, ..Default::default() })]
+        /// The rank select is bitwise the sort oracle — median and σ — and
+        /// so is the screen on probes at, inside and past the band's edge,
+        /// on sorted windows of every shape `window` draws.
+        #[test]
+        fn rank_select_is_bitwise_the_sort_oracle(
+            seed in 0u64..u64::MAX,
+            n in 1usize..601,
+            shape in 0usize..7,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let s = window(&mut rng, n, shape);
+            let (med, sigma) = robust_scale(&s);
+            let (want_med, want_sigma) = robust_scale_by_sort(&s);
+            proptest::prop_assert_eq!(med.to_bits(), want_med.to_bits(), "median of {:?}", s);
+            proptest::prop_assert_eq!(sigma.to_bits(), want_sigma.to_bits(), "sigma of {:?}", s);
+            if shape == 3 || shape == 4 {
+                proptest::prop_assert_eq!(sigma, 0.0, "more than half tied: {:?}", s);
+            }
+            for k in [8.0f32, 3.0, 0.5] {
+                let edge = k * want_sigma;
+                let probes = [
+                    want_med + edge,
+                    want_med - edge,
+                    want_med + 1.0001 * edge,
+                    want_med - 0.9999 * edge,
+                    s[rng.gen_range(0..n)],
+                    rng.gen_range(-40.0f32..40.0),
+                ];
+                for p in probes {
+                    let want = want_sigma > 0.0 && (p - want_med).abs() > k * want_sigma;
+                    proptest::prop_assert_eq!(is_mad_outlier(&s, p, k), want, "probe {} at k = {}", p, k);
+                }
+            }
+        }
+    }
 
     #[test]
     fn robust_scale_matches_hand_computation() {

@@ -63,11 +63,11 @@
 //!   [`FaultPlan`] can corrupt the *data* instead of the links: NaN/Inf
 //!   and negative runtimes, scale-outlier bursts, replayed and
 //!   clock-skewed summaries, and a Byzantine replica emitting bogus score
-//!   segments. Defenses are layered: an ingest guard
-//!   ([`ServeConfig::ingest_guard`]) validates and MAD-screens every
-//!   observation, quarantining suspects into an audited side buffer
-//!   ([`GuardStats`], [`QuarantineRecord`]) instead of silently dropping
-//!   them; the coordinator verifies per-segment checksums and sanity
+//!   segments. Defenses are layered: every server quarantines corrupt
+//!   runtimes and an ingest guard ([`ServeConfig::ingest_guard`])
+//!   MAD-screens every observation, both into an audited side buffer
+//!   ([`GuardStats`], [`QuarantineRecord`]) instead of panicking or
+//!   silently dropping; the coordinator verifies per-segment checksums and sanity
 //!   invariants before absorbing any summary, so a Byzantine replica
 //!   degrades only itself; and a miscoverage watchdog
 //!   ([`ServeConfig::watchdog_z`]) catches poisoning the guards missed,

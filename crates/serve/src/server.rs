@@ -72,10 +72,10 @@ pub struct ServeResponse {
     /// (quarantined observations are never judged, windowed, or
     /// monitored, so they produce no prequential feedback).
     pub observed: Option<ObservedFeedback>,
-    /// Present iff the event was an observation the ingest guard
-    /// quarantined (see [`crate::GuardStats`]; always `None` while
-    /// [`ServeConfig::ingest_guard`] is off — the unguarded server
-    /// panics on corrupt runtimes instead).
+    /// Present iff the event was an observation ingest quarantined (see
+    /// [`crate::GuardStats`]): a runtime that is not a positive finite
+    /// duration, on any server, or a MAD-screen outlier while
+    /// [`ServeConfig::ingest_guard`] is on.
     pub quarantined: Option<QuarantineRecord>,
 }
 
@@ -397,13 +397,11 @@ impl PitotServer {
     ///
     /// # Panics
     ///
-    /// Panics if the clock runs backwards, an observation references an
-    /// out-of-catalog workload, platform, or interferer, or — while
-    /// [`ServeConfig::ingest_guard`] is off — an observed runtime is not
-    /// positive and finite (its log-space score would silently poison the
-    /// calibration window as NaN). With the guard on, corrupt runtimes are
-    /// quarantined into the audited side buffer instead (see
-    /// [`PitotServer::guard_stats`]).
+    /// Panics if the clock runs backwards, or an observation references an
+    /// out-of-catalog workload, platform, or interferer. An observed
+    /// runtime that is not positive and finite does not panic: it is
+    /// quarantined into the audited side buffer (see
+    /// [`PitotServer::guard_stats`]), guarded or not.
     pub fn on_event(&mut self, at_s: f64, event: Event) -> ServeResponse {
         let Event::Observe(obs) = event;
         let mut resp = None;
@@ -443,41 +441,36 @@ impl PitotServer {
 
     /// Applies one scored observation.
     fn on_observation(&mut self, obs: Observation, head_preds: &[f32]) -> ServeResponse {
-        assert!(
-            self.cfg.ingest_guard || (obs.runtime_s > 0.0 && obs.runtime_s.is_finite()),
-            "observed runtime {} is not a positive finite duration",
-            obs.runtime_s
-        );
         self.stats.observations += 1;
         let pool = self.cfg.pool_key(obs.interferers.len());
         let target_log = obs.log_runtime();
 
-        // 0. Ingest guard: a corrupt runtime, or a score far outside the
-        // window's robust MAD band, is quarantined *before* being judged —
-        // corrupt telemetry must poison neither the calibration window nor
-        // the coverage statistics the watchdog trusts.
-        if self.cfg.ingest_guard {
-            let score = target_log - head_preds[0];
-            let screened = IngestGuard::runtime_cause(obs.runtime_s)
-                .map(|cause| (cause, None))
-                .or_else(|| {
-                    (self.cfg.guard_mad_k > 0.0
-                        && self.window.len() >= self.cfg.guard_min_n
-                        && guard::is_mad_outlier(
-                            self.window.scored().sorted_scores(0),
-                            score,
-                            self.cfg.guard_mad_k,
-                        ))
-                    .then_some((QuarantineCause::MadOutlier, Some(score)))
-                });
-            if let Some((cause, score)) = screened {
-                let at = self.stats.observations as u64;
-                let record = self.guard.quarantine(at, obs.runtime_s, score, cause);
-                return ServeResponse {
-                    quarantined: Some(record),
-                    ..ServeResponse::default()
-                };
-            }
+        // 0. Ingest screen: a corrupt runtime (on every server) or, while
+        // the ingest guard is on, a score far outside the window's robust
+        // MAD band is quarantined *before* being judged — corrupt telemetry
+        // must poison neither the calibration window nor the coverage
+        // statistics the watchdog trusts.
+        let score = target_log - head_preds[0];
+        let screened = IngestGuard::runtime_cause(obs.runtime_s)
+            .map(|cause| (cause, None))
+            .or_else(|| {
+                (self.cfg.ingest_guard
+                    && self.cfg.guard_mad_k > 0.0
+                    && self.window.len() >= self.cfg.guard_min_n
+                    && guard::is_mad_outlier(
+                        self.window.scored().sorted_scores(0),
+                        score,
+                        self.cfg.guard_mad_k,
+                    ))
+                .then_some((QuarantineCause::MadOutlier, Some(score)))
+            });
+        if let Some((cause, score)) = screened {
+            let at = self.stats.observations as u64;
+            let record = self.guard.quarantine(at, obs.runtime_s, score, cause);
+            return ServeResponse {
+                quarantined: Some(record),
+                ..ServeResponse::default()
+            };
         }
 
         // 1. Prequential judgement against the *currently served* bound.
@@ -832,8 +825,9 @@ impl PitotServer {
         refit
     }
 
-    /// Cumulative quarantine counters (the zero-silent-drops ledger; all
-    /// zeros while [`ServeConfig::ingest_guard`] is off).
+    /// Cumulative quarantine counters (the zero-silent-drops ledger). While
+    /// [`ServeConfig::ingest_guard`] is off, only the runtime causes
+    /// (`nonfinite_runtimes`, `nonpositive_runtimes`) can count.
     pub fn guard_stats(&self) -> GuardStats {
         self.guard.stats()
     }

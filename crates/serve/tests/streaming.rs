@@ -4,7 +4,9 @@
 
 use pitot::{train, Objective, PitotConfig, TrainedPitot};
 use pitot_orchestrator::{BaselinePolicy, JobStream, RuntimePredictor};
-use pitot_serve::{run_closed_loop, Event, PitotServer, ServeConfig, ServingPredictor};
+use pitot_serve::{
+    run_closed_loop, Event, PitotServer, QuarantineCause, ServeConfig, ServingPredictor,
+};
 use pitot_testbed::{split::Split, Dataset, Testbed, TestbedConfig};
 use rand::{seq::SliceRandom, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -315,11 +317,79 @@ fn serving_predictor_reads_the_calibration_a_seed_or_install_set() {
 }
 
 #[test]
-#[should_panic(expected = "positive finite duration")]
-fn rejects_non_finite_observed_runtime() {
+fn unguarded_server_quarantines_corrupt_runtimes() {
+    // Runtimes are screened on every server: an unguarded one quarantines
+    // a zero, negative, NaN or infinite runtime as a typed, counted record,
+    // and its window, monitor and judged count stay as they were.
     let (_tb, dataset, split, trained) = fixture();
-    let mut server = PitotServer::new(trained, dataset.clone(), ServeConfig::at(0.1));
-    let mut obs = dataset.observations[split.test[0]].clone();
-    obs.runtime_s = 0.0; // a telemetry glitch must not poison the window
-    server.on_event(0.0, Event::Observe(obs));
+    let cfg = ServeConfig::at(0.1);
+    assert!(!cfg.ingest_guard);
+    let mut server = PitotServer::new(trained.clone(), dataset.clone(), cfg.clone());
+    server.seed_calibration(&split.val);
+    let mut twin = PitotServer::new(trained, dataset.clone(), cfg);
+    twin.seed_calibration(&split.val);
+    let valid = &split.test[..4];
+    for (t, &i) in valid.iter().enumerate() {
+        let obs = dataset.observations[i].clone();
+        server.on_event(t as f64, Event::Observe(obs.clone()));
+        twin.on_event(t as f64, Event::Observe(obs));
+    }
+    let state = |s: &PitotServer| {
+        (
+            s.window_summary(0),
+            s.window_clock(),
+            s.rolling_coverage().to_bits(),
+            s.stats().bounded,
+            s.stats().covered,
+        )
+    };
+    let before = state(&server);
+
+    let next = dataset.observations[split.test[4]].clone();
+    let corrupt = [
+        (0.0, QuarantineCause::NonPositiveRuntime),
+        (-1.0, QuarantineCause::NonPositiveRuntime),
+        (f32::NAN, QuarantineCause::NonFiniteRuntime),
+        (f32::INFINITY, QuarantineCause::NonFiniteRuntime),
+    ];
+    for (k, &(runtime_s, cause)) in corrupt.iter().enumerate() {
+        let mut obs = next.clone();
+        obs.runtime_s = runtime_s;
+        let resp = server.on_event(4.0, Event::Observe(obs));
+        assert!(resp.observed.is_none(), "a corrupt runtime was judged");
+        let record = resp.quarantined.expect("a corrupt runtime is quarantined");
+        assert_eq!(record.cause, cause);
+        assert_eq!(record.runtime_bits, runtime_s.to_bits());
+        assert_eq!(record.score, None, "a runtime cause carries no score");
+        assert_eq!(record.at, (valid.len() + k + 1) as u64);
+    }
+    let g = server.guard_stats();
+    assert!(g.is_consistent(), "{g:?}");
+    assert_eq!(
+        (
+            g.quarantined,
+            g.nonpositive_runtimes,
+            g.nonfinite_runtimes,
+            g.mad_outliers,
+            g.watchdog_purged,
+            g.watchdog_fires
+        ),
+        (4, 2, 2, 0, 0, 0)
+    );
+    assert_eq!(server.quarantine_records().count(), 4);
+    assert_eq!(server.stats().observations, valid.len() + corrupt.len());
+    assert!(
+        state(&server) == before,
+        "a quarantined runtime touched the window, monitor or judged counts"
+    );
+
+    // The next valid observation is judged exactly as on a server that
+    // never saw the corrupt ones.
+    let resp = server.on_event(5.0, Event::Observe(next.clone()));
+    let want = twin.on_event(5.0, Event::Observe(next));
+    assert!(resp.quarantined.is_none());
+    assert!(resp.observed.is_some());
+    assert_eq!(resp.observed, want.observed);
+    assert_eq!(server.window_summary(0), twin.window_summary(0));
+    assert_eq!(server.stats().bounded, twin.stats().bounded);
 }

@@ -54,9 +54,9 @@ fn clean_cfg(replicas: usize) -> FleetConfig {
     }
 }
 
-/// Ingest-guarded config with the miscoverage watchdog armed (the guard is
-/// required before injecting corrupt runtimes — unguarded servers assert on
-/// non-finite observations).
+/// Ingest-guarded config with the miscoverage watchdog armed: the MAD
+/// screen and the watchdog need the guard (corrupt runtimes are quarantined
+/// on every server).
 fn guarded_cfg(replicas: usize) -> FleetConfig {
     let mut serve = ServeConfig::guarded(0.1);
     serve.window = 128;
@@ -310,6 +310,53 @@ fn crash_with_every_worker_count_matches_the_twin() {
     let plan = FaultPlan::none(77).crash(2, 30, 110);
     for workers in [1usize, 2, 3] {
         assert_twin_equivalent(clean_cfg(3), Some(plan.clone()), &events, workers);
+    }
+}
+
+#[test]
+fn unguarded_fleet_quarantines_corrupt_runtimes_like_the_twin() {
+    // Runtimes are screened on every server, so an unguarded fleet fed NaN
+    // and negative runtimes quarantines them instead of losing a lane, and
+    // the threaded runtime equals its twin outcome for outcome. A crash
+    // loses a shard's observations, so the ledger
+    // `observations = bounded + quarantined + lost` has all three terms.
+    let mut rng = TestRng::deterministic("twin::unguarded_corrupt_runtimes");
+    let mut events = build_trace(&mut rng, 260);
+    let mut corrupted = 0;
+    for (k, event) in events.iter_mut().enumerate() {
+        if let TraceEvent::Observe(obs) = event {
+            match k % 9 {
+                0 => obs.runtime_s = f32::NAN,
+                4 => obs.runtime_s = -obs.runtime_s,
+                _ => continue,
+            }
+            corrupted += 1;
+        }
+    }
+    let observations = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Observe(_)))
+        .count();
+    let cfg = clean_cfg(3);
+    assert!(!cfg.serve.ingest_guard);
+    let plan = FaultPlan::none(41).crash(1, 40, 120);
+    for workers in [1usize, 2, 3] {
+        let (sim, _) = assert_twin_equivalent(cfg.clone(), Some(plan.clone()), &events, workers);
+        let s = sim.stats();
+        let g = s.guard;
+        assert!(g.is_consistent(), "{g:?}");
+        assert!(
+            g.nonfinite_runtimes > 0 && g.nonpositive_runtimes > 0,
+            "{g:?}"
+        );
+        assert_eq!(g.mad_outliers + g.watchdog_purged, 0, "unguarded: {g:?}");
+        assert!(g.quarantined <= corrupted, "{g:?}");
+        assert!(s.lost_observations > 0, "the crash lost nothing");
+        assert_eq!(
+            observations,
+            s.bounded + g.quarantined + s.lost_observations,
+            "the ledger leaks"
+        );
     }
 }
 
