@@ -12,6 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pitot::{CompressedTower, CompressionSpec, Objective, PitotConfig, TrainedPitot};
 use pitot_bench::Fixture;
+use pitot_linalg::Matrix;
 use std::hint::black_box;
 
 fn trained(f: &Fixture) -> TrainedPitot {
@@ -43,10 +44,12 @@ fn predict_compressed(c: &mut Criterion) {
         .throughput(Throughput::Elements(idx.len() as u64));
     for (name, spec) in levels {
         let cache = CompressedTower::new(&t, &spec).tower_cache(&f.dataset);
+        let mut rows = Matrix::zeros(0, 0);
         group.bench_function(name, |bch| {
             bch.iter(|| {
                 let refs: Vec<_> = idx.iter().map(|&i| &f.dataset.observations[i]).collect();
-                black_box(t.predict_log_runtime_cached(&cache, &refs))
+                t.predict_log_runtime_into(&cache, &refs, &mut rows);
+                black_box(rows[(0, 0)])
             })
         });
     }

@@ -10,8 +10,7 @@ use pitot_analysis::{silhouette_score, Pca};
 use pitot_baselines::{ImcConfig, InductiveMc, KnnCollaborative, KnnConfig};
 use pitot_bench::Fixture;
 use pitot_conformal::{
-    head_spread, HeadSelection, MondrianConformal, PooledConformal, PredictionSet, ScaledConformal,
-    TwoSidedCqr,
+    head_spread, HeadSelection, PooledConformal, PredictionSet, ScaledConformal, TwoSidedCqr,
 };
 use pitot_orchestrator::{BaselinePolicy, ClusterSim, JobStream, OraclePredictor, PitotPredictor};
 use std::hint::black_box;
@@ -91,7 +90,6 @@ fn conformal_variant_fits(c: &mut Criterion) {
         .iter()
         .map(|&i| f.dataset.observations[i].interferers.len())
         .collect();
-    let groups: Vec<u64> = pools.iter().map(|&p| p as u64).collect();
     let xis = [0.5f32, 0.8, 0.9, 0.95];
 
     c.bench_function("ext_fit_pooled_cqr", |b| {
@@ -117,16 +115,6 @@ fn conformal_variant_fits(c: &mut Criterion) {
                 black_box(&preds[0]),
                 &disp,
                 &targets,
-                0.1,
-            ))
-        })
-    });
-    c.bench_function("ext_fit_mondrian", |b| {
-        b.iter(|| {
-            black_box(MondrianConformal::fit(
-                black_box(&preds[0]),
-                &targets,
-                &groups,
                 0.1,
             ))
         })

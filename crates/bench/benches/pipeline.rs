@@ -50,7 +50,7 @@ fn calibrate_sweep(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("calibrate_5eps", |b| {
         b.iter(|| {
-            let calib = t.calibration(&f.dataset);
+            let calib = t.calibration(&f.dataset, &t.tower_cache(&f.dataset));
             for &eps in &EPSILONS {
                 black_box(calib.fit(eps, HeadSelection::TightestOnValidation));
             }

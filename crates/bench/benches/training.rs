@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pitot::{Objective, PitotConfig, PitotModel};
 use pitot_bench::Fixture;
+use pitot_linalg::Matrix;
 use std::hint::black_box;
 
 /// Cost of one full optimizer step at the paper architecture
@@ -50,9 +51,15 @@ fn inference_latency(c: &mut Criterion) {
     };
     let trained = pitot::train(&f.dataset, &f.split, &cfg);
     let (w, p_full) = trained.model.infer_towers(&f.dataset);
-    let idx = [f.split.test[0]];
+    let obs = &f.dataset.observations[f.split.test[0]];
+    let mut out = Matrix::zeros(0, 0);
     c.bench_function("inference_single_observation", |b| {
-        b.iter(|| black_box(trained.model.predict(&w, &p_full, &f.dataset, &idx)))
+        b.iter(|| {
+            trained
+                .model
+                .predict_batch_into(&w, &p_full, 1, |_| obs, &mut out);
+            black_box(out[(0, 0)])
+        })
     });
     // Tower refresh cost (recomputing all entity embeddings, the paper's
     // per-step dense pass).

@@ -11,7 +11,10 @@
 //! - [`PooledConformal`]: CQR with *calibration pools* keyed by the number of
 //!   simultaneously-running workloads, plus the paper's *optimal quantile
 //!   selection* (App B.2) which picks, per pool, the trained quantile head
-//!   whose calibrated bound is tightest on a validation set.
+//!   whose calibrated bound is tightest on a validation set. The pools are a
+//!   Mondrian (group-conditional) partition: every offline experiment and
+//!   every server calibrates through this one construction, and
+//!   [`conditional_coverage`] checks it per pool.
 //!
 //! Beyond the paper's pipeline, the crate implements the neighbouring
 //! conformal constructions the paper cites or motivates, for the
@@ -21,10 +24,6 @@
 //!   whose lower edge doubles as a phase-shift/anomaly detector;
 //! - [`ScaledConformal`]: dispersion-normalized scores (the "CQR-r" family
 //!   of Sousa et al., 2022);
-//! - [`CvPlus`]: cross-validation+ bounds that avoid sacrificing data to a
-//!   dedicated calibration split (Barber et al., 2021);
-//! - [`MondrianConformal`]: group-conditional calibration for arbitrary
-//!   keys, generalizing the interference-count pools;
 //! - [`rearrange_heads`]: monotone rearrangement fixing crossed quantile
 //!   heads (never increases pinball loss);
 //! - [`CoverageCurve`] and friends: diagnostics for marginal, per-group, and
@@ -62,10 +61,8 @@
 #![deny(missing_docs)]
 
 mod diagnostics;
-mod jackknife;
 mod merge;
 mod metrics;
-mod mondrian;
 mod pooled;
 mod rearrange;
 mod scaled;
@@ -76,15 +73,11 @@ mod two_sided;
 pub use diagnostics::{
     calibration_error, conditional_coverage, worst_group_coverage, CoverageCurve,
 };
-pub use jackknife::{round_robin_folds, CvPlus};
 pub use merge::{MergeableWindow, ReplayEntry, SummaryError, SummaryFault, TamperMode};
 pub use metrics::{coverage, overprovision_margin};
-pub use mondrian::MondrianConformal;
 pub use pooled::{HeadSelection, PoolCalibration, PooledConformal, PredictionSet};
 pub use rearrange::{crossing_rate, rearrange_heads};
 pub use scaled::{head_spread, ScaledConformal, MIN_SCALE};
-pub use scores::{
-    upper_scores, CalibrationView, ScoredCalibration, SweepCalibration, WindowedScores,
-};
+pub use scores::{CalibrationView, ScoredCalibration, SweepCalibration, WindowedScores};
 pub use split_conformal::{calibrate_gamma, SplitConformal};
 pub use two_sided::{interval_coverage, mean_interval_factor, Interval, TwoSidedCqr};

@@ -7,8 +7,8 @@
 //! with `variants × ε-levels` — exactly the cost conformalized matrix
 //! completion identifies as the practical bottleneck. This module computes
 //! the scores **once** (chunk-parallel over the `pitot_linalg::par` pool),
-//! partitions and sorts them once, and lets every downstream fit — split,
-//! scaled, Mondrian, pooled CQR — consume the precomputed slices: fitting
+//! partitions them by pool and sorts them once, and lets every downstream
+//! fit — split and pooled CQR — consume the precomputed slices: fitting
 //! at one more ε becomes a rank lookup instead of a fresh predict + sort.
 
 use crate::pooled::PredictionSet;
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 /// # Panics
 ///
 /// Panics if any head's length differs from `targets`.
-pub fn upper_scores(preds: &[Vec<f32>], targets: &[f32]) -> Vec<Vec<f32>> {
+pub(crate) fn upper_scores(preds: &[Vec<f32>], targets: &[f32]) -> Vec<Vec<f32>> {
     preds
         .iter()
         .enumerate()

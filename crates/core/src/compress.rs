@@ -6,7 +6,8 @@
 //! *after* training — pruning small-magnitude weights and/or rounding each
 //! weight to its int8 grid — and produces a [`TowerCache`] that drops into
 //! the exact same prediction path as the dense towers
-//! ([`TrainedPitot::predict_log_runtime_cached`]).
+//! ([`TrainedPitot::predict_log_runtime_into`]) and calibrates through the
+//! same [`TrainedPitot::calibration`].
 //!
 //! Both transforms edit a clone of the frozen f32 parameter plane in place,
 //! so the compressed towers run through the ordinary f32 kernels.

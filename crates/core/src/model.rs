@@ -19,7 +19,6 @@ use pitot_testbed::{Dataset, Observation};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::cell::RefCell;
 
 /// Everything the initial parameter plane is a pure function of. Two
@@ -372,42 +371,16 @@ impl PitotModel {
         )
     }
 
-    /// Predicts the residual `ŷ` for each head and each listed observation.
+    /// The prediction kernel, the one place a prediction is computed: every
+    /// head's residual `ŷ = ⟨wᵢ, pⱼ⟩ + Σₜ ⟨wᵢ, vₛ⁽ᵗ⁾⟩ · act(Σₖ ⟨wₖ, v_g⁽ᵗ⁾⟩)`
+    /// (paper Secs 3.3–3.4) for one observation, emitted as `(head, ŷ)`.
     ///
-    /// `w` and `p_full` are tower outputs (from [`PitotModel::forward_towers`]
-    /// or [`PitotModel::infer_towers`]).
-    pub fn predict(
-        &self,
-        w: &Matrix,
-        p_full: &Matrix,
-        dataset: &Dataset,
-        idx: &[usize],
-    ) -> Vec<Vec<f32>> {
-        self.predict_each(w, p_full, idx.iter().map(|&oi| &dataset.observations[oi]))
-    }
-
-    /// [`PitotModel::predict`] into reusable per-head buffers (cleared and
-    /// refilled; inner vectors keep their capacity across steps).
-    pub fn predict_into(
-        &self,
-        w: &Matrix,
-        p_full: &Matrix,
-        dataset: &Dataset,
-        idx: &[usize],
-        out: &mut Vec<Vec<f32>>,
-    ) {
-        self.predict_each_into(
-            w,
-            p_full,
-            idx.iter().map(|&oi| &dataset.observations[oi]),
-            out,
-        );
-    }
-
-    /// The per-observation prediction kernel: evaluates every head for one
-    /// observation, emitting `(head, value)` pairs.
+    /// `sink` receives `(head, type, m_t, s_t)` — the interferer sum
+    /// `m_t = Σₖ ⟨wₖ, v_g⁽ᵗ⁾⟩` and `s_t = ⟨wᵢ, vₛ⁽ᵗ⁾⟩` — for every term of
+    /// the interference sum, at the point where both are known. Training
+    /// records them for its gradient pass; every read passes a no-op.
     ///
-    /// Bounds are asserted here so every public entry point shares the same
+    /// Bounds are asserted here so every entry point shares the same
     /// catalog checks.
     #[inline]
     fn predict_obs(
@@ -416,6 +389,7 @@ impl PitotModel {
         p_full: &Matrix,
         o: &Observation,
         mut emit: impl FnMut(usize, f32),
+        mut sink: impl FnMut(usize, usize, f32, f32),
     ) {
         let n_heads = self.n_heads();
         let r = self.config.embed_dim;
@@ -451,113 +425,66 @@ impl PitotModel {
                         let w_k = &w.row(k as usize)[h * r..(h + 1) * r];
                         m_t += dot(w_k, vg_t);
                     }
-                    pred += dot(w_i, vs_t) * act.apply(m_t);
+                    let s_t = dot(w_i, vs_t);
+                    sink(h, t, m_t, s_t);
+                    pred += s_t * act.apply(m_t);
                 }
             }
             emit(h, pred);
         }
     }
 
-    /// Predicts the residual `ŷ` for each head over arbitrary observations.
-    ///
-    /// Only the index fields of each observation are read (`workload`,
-    /// `platform`, `interferers`), so callers may pass synthetic "query"
-    /// observations that were never measured — this is how the orchestration
-    /// layer asks "what if workload `i` ran on platform `j` next to `K`?".
-    pub fn predict_each<'a, I>(&self, w: &Matrix, p_full: &Matrix, obs: I) -> Vec<Vec<f32>>
-    where
-        I: IntoIterator<Item = &'a Observation>,
-    {
-        let mut out = Vec::new();
-        self.predict_each_into(w, p_full, obs, &mut out);
-        out
-    }
-
-    /// [`PitotModel::predict_each`] into reusable per-head buffers.
-    pub fn predict_each_into<'a, I>(
-        &self,
-        w: &Matrix,
-        p_full: &Matrix,
-        obs: I,
-        out: &mut Vec<Vec<f32>>,
-    ) where
-        I: IntoIterator<Item = &'a Observation>,
-    {
-        let n_heads = self.n_heads();
-        out.resize_with(n_heads, Vec::new);
-        for head in out.iter_mut() {
-            head.clear();
-        }
-        for o in obs {
-            self.predict_obs(w, p_full, o, |h, pred| out[h].push(pred));
-        }
-    }
-
     /// Batched residual prediction, row-parallel over observations: fills
-    /// `out` as an `obs.len() × n_heads` matrix (one row per observation).
+    /// `out` as an `n × n_heads` matrix whose row `b` holds every head's
+    /// prediction for the observation `row(b)`.
+    ///
+    /// `w` and `p_full` are tower outputs (from [`PitotModel::forward_towers`]
+    /// or [`PitotModel::infer_towers`]). Only the index fields of each
+    /// observation are read (`workload`, `platform`, `interferers`), so
+    /// callers may pass synthetic "query" observations that were never
+    /// measured — this is how the orchestration layer asks "what if
+    /// workload `i` ran on platform `j` next to `K`?". The accessor lets a
+    /// caller index its own storage (a dataset by index list, a slice of
+    /// queries) without collecting references first.
     ///
     /// Observations are independent, so rows are split over the
     /// [`pitot_linalg::par`] pool and results are bitwise identical across
-    /// `PITOT_THREADS`. This is the entry point for the post-training
-    /// predict/evaluate/calibrate pipeline; reuse `out` across calls to keep
-    /// the path allocation-free. `obs` may hold observations or anything
-    /// that borrows one (`&Observation`, or a caller's own query record).
-    pub fn predict_batch_into<O: Borrow<Observation> + Sync>(
+    /// `PITOT_THREADS`. Reuse `out` across calls to keep the path
+    /// allocation-free.
+    pub fn predict_batch_into<'o>(
         &self,
         w: &Matrix,
         p_full: &Matrix,
-        obs: &[O],
+        n: usize,
+        row: impl Fn(usize) -> &'o Observation + Sync,
         out: &mut Matrix,
     ) {
         let n_heads = self.n_heads();
-        out.resize(obs.len(), n_heads);
-        if obs.is_empty() {
+        out.resize(n, n_heads);
+        if n == 0 {
             return;
         }
         // ~64 rows per chunk: each row is a few hundred FLOPs minimum, so
         // this keeps dispatch overhead well under the chunk cost.
         pitot_linalg::par::parallel_for_rows(out.as_mut_slice(), n_heads, 64, |start, chunk| {
-            for (b, row) in chunk.chunks_exact_mut(n_heads).enumerate() {
-                let o = obs[start + b].borrow();
-                self.predict_obs(w, p_full, o, |h, pred| row[h] = pred);
+            for (b, out_row) in chunk.chunks_exact_mut(n_heads).enumerate() {
+                self.predict_obs(
+                    w,
+                    p_full,
+                    row(start + b),
+                    |h, pred| out_row[h] = pred,
+                    |_, _, _, _| {},
+                );
             }
         });
     }
 
-    /// [`PitotModel::predict_batch_into`] addressing observations by
-    /// dataset index. Checkpoint evaluation calls this once per checkpoint;
-    /// indexing directly into the dataset avoids materializing a fresh
-    /// `Vec<&Observation>` per call, keeping the eval path allocation-free
-    /// once its output buffer is sized.
-    pub fn predict_batch_indices_into(
-        &self,
-        w: &Matrix,
-        p_full: &Matrix,
-        dataset: &Dataset,
-        idx: &[usize],
-        out: &mut Matrix,
-    ) {
-        let n_heads = self.n_heads();
-        out.resize(idx.len(), n_heads);
-        if idx.is_empty() {
-            return;
-        }
-        pitot_linalg::par::parallel_for_rows(out.as_mut_slice(), n_heads, 64, |start, chunk| {
-            for (b, row) in chunk.chunks_exact_mut(n_heads).enumerate() {
-                let obs = &dataset.observations[idx[start + b]];
-                self.predict_obs(w, p_full, obs, |h, pred| row[h] = pred);
-            }
-        });
-    }
-
-    /// [`PitotModel::predict_into`] that additionally records the
-    /// interference inner products — `m_t = Σ_k ⟨w_k, v_g⟩` and
-    /// `s_t = ⟨w_i, v_s⟩` per (observation, head, type) — into `mcache`, so
-    /// the matching [`PitotModel::accumulate_grads_cached`] call skips
-    /// recomputing every interferer dot product. Both passes evaluate the
-    /// identical arithmetic, so gradients are bitwise equal to the uncached
-    /// path (asserted by the `cached_interference_path_is_bitwise_identical`
-    /// test).
+    /// Training's forward pass over a mode batch: per-head predictions into
+    /// reusable buffers (cleared and refilled), plus the interference inner
+    /// products `(m_t, s_t)` per (observation, head, type) recorded into
+    /// `mcache` through the kernel's sink, so the matching
+    /// [`PitotModel::accumulate_grads`] call skips recomputing every
+    /// interferer dot product.
     pub(crate) fn predict_into_cached(
         &self,
         w: &Matrix,
@@ -568,59 +495,38 @@ impl PitotModel {
         mcache: &mut Vec<f32>,
     ) {
         let n_heads = self.n_heads();
-        let r = self.config.embed_dim;
         let s = self.config.interference_types;
-        let aware = self.config.interference == InterferenceMode::Aware;
-        let act = self.config.interference_activation;
-
+        let per_obs = n_heads * s * 2;
         out.resize_with(n_heads, Vec::new);
         for head in out.iter_mut() {
             head.clear();
         }
         mcache.clear();
-        mcache.resize(idx.len() * n_heads * s * 2, 0.0);
+        mcache.resize(idx.len() * per_obs, 0.0);
         for (b, &oi) in idx.iter().enumerate() {
-            let o = &dataset.observations[oi];
-            let i = o.workload as usize;
-            let j = o.platform as usize;
-            assert!(
-                i < w.rows() && j < p_full.rows(),
-                "entity index outside the trained catalog"
+            let slots = &mut mcache[b * per_obs..(b + 1) * per_obs];
+            self.predict_obs(
+                w,
+                p_full,
+                &dataset.observations[oi],
+                |h, pred| out[h].push(pred),
+                |h, t, m_t, s_t| {
+                    let slot = (h * s + t) * 2;
+                    slots[slot] = m_t;
+                    slots[slot + 1] = s_t;
+                },
             );
-            assert!(
-                o.interferers.iter().all(|&k| (k as usize) < w.rows()),
-                "interferer index outside the trained catalog"
-            );
-            let p_row = p_full.row(j);
-            let p_j = &p_row[..r];
-            for (h, head_out) in out.iter_mut().enumerate() {
-                let w_i = &w.row(i)[h * r..(h + 1) * r];
-                let mut pred = dot(w_i, p_j);
-                if aware && !o.interferers.is_empty() {
-                    for t in 0..s {
-                        let vs_t = &p_row[r + t * r..r + (t + 1) * r];
-                        let vg_t = &p_row[r + s * r + t * r..r + s * r + (t + 1) * r];
-                        let mut m_t = 0.0;
-                        for &k in &o.interferers {
-                            let w_k = &w.row(k as usize)[h * r..(h + 1) * r];
-                            m_t += dot(w_k, vg_t);
-                        }
-                        let s_t = dot(w_i, vs_t);
-                        let slot = ((b * n_heads + h) * s + t) * 2;
-                        mcache[slot] = m_t;
-                        mcache[slot + 1] = s_t;
-                        pred += s_t * act.apply(m_t);
-                    }
-                }
-                head_out.push(pred);
-            }
         }
     }
 
-    /// [`PitotModel::accumulate_grads`] consuming the inner products
-    /// recorded by [`PitotModel::predict_into_cached`] for the same batch.
+    /// Accumulates output-side gradients for a batch into `d_w` / `d_p`
+    /// (shaped like the tower outputs), consuming the inner products
+    /// [`PitotModel::predict_into_cached`] recorded for the same batch.
+    ///
+    /// `d_pred[h][b]` is `∂L/∂ŷ` for head `h` and the `b`-th observation of
+    /// `idx`. Finish the step with [`PitotModel::backward_towers`].
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn accumulate_grads_cached(
+    pub(crate) fn accumulate_grads(
         &self,
         towers: &TowerOutputs,
         dataset: &Dataset,
@@ -641,80 +547,6 @@ impl PitotModel {
             idx.len() * n_heads * s * 2,
             "stale interference cache"
         );
-
-        let mut wk_sum = vec![0.0f32; r];
-        for (b, &oi) in idx.iter().enumerate() {
-            let o = &dataset.observations[oi];
-            let i = o.workload as usize;
-            let j = o.platform as usize;
-            for h in 0..n_heads {
-                let g = d_pred[h][b];
-                if g == 0.0 {
-                    continue;
-                }
-                let head = h * r..(h + 1) * r;
-                let w_i = &towers.w.row(i)[head.clone()];
-                let p_row = towers.p_full.row(j);
-                let p_j = &p_row[..r];
-
-                axpy(&mut d_p.row_mut(j)[..r], g, w_i);
-                axpy(&mut d_w.row_mut(i)[head.clone()], g, p_j);
-
-                if aware && !o.interferers.is_empty() {
-                    for t in 0..s {
-                        let vs_rng = r + t * r..r + (t + 1) * r;
-                        let vg_rng = r + s * r + t * r..r + s * r + (t + 1) * r;
-                        let vs_t = &p_row[vs_rng.clone()];
-                        let vg_t = &p_row[vg_rng.clone()];
-                        let slot = ((b * n_heads + h) * s + t) * 2;
-                        let m_t = mcache[slot];
-                        let s_t = mcache[slot + 1];
-                        let a_t = act.apply(m_t);
-
-                        axpy(&mut d_w.row_mut(i)[head.clone()], g * a_t, vs_t);
-                        axpy(&mut d_p.row_mut(j)[vs_rng], g * a_t, w_i);
-                        let dm = g * s_t * act.derivative(m_t);
-                        if dm != 0.0 {
-                            wk_sum.fill(0.0);
-                            for &k in &o.interferers {
-                                pitot_linalg::axpy_fanout(
-                                    &mut wk_sum,
-                                    &towers.w.row(k as usize)[head.clone()],
-                                    dm,
-                                    vg_t,
-                                    &mut d_w.row_mut(k as usize)[head.clone()],
-                                );
-                            }
-                            axpy(&mut d_p.row_mut(j)[vg_rng], dm, &wk_sum);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Accumulates output-side gradients for a batch into `d_w` / `d_p`
-    /// (shaped like the tower outputs).
-    ///
-    /// `d_pred[h][b]` is `∂L/∂ŷ` for head `h` and the `b`-th observation of
-    /// `idx`. Call once per interference mode, then finish the step with
-    /// [`PitotModel::backward_towers`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn accumulate_grads(
-        &self,
-        towers: &TowerOutputs,
-        dataset: &Dataset,
-        idx: &[usize],
-        d_pred: &[Vec<f32>],
-        d_w: &mut Matrix,
-        d_p: &mut Matrix,
-    ) {
-        let n_heads = self.n_heads();
-        assert_eq!(d_pred.len(), n_heads, "one gradient vector per head");
-        let r = self.config.embed_dim;
-        let s = self.config.interference_types;
-        let aware = self.config.interference == InterferenceMode::Aware;
-        let act = self.config.interference_activation;
 
         // One interferer-sum buffer for the whole batch; refilled per use.
         let mut wk_sum = vec![0.0f32; r];
@@ -744,13 +576,10 @@ impl PitotModel {
                         let vg_rng = r + s * r + t * r..r + s * r + (t + 1) * r;
                         let vs_t = &p_row[vs_rng.clone()];
                         let vg_t = &p_row[vg_rng.clone()];
-                        let mut m_t = 0.0;
-                        for &k in &o.interferers {
-                            let w_k = &towers.w.row(k as usize)[head.clone()];
-                            m_t += dot(w_k, vg_t);
-                        }
+                        let slot = ((b * n_heads + h) * s + t) * 2;
+                        let m_t = mcache[slot];
+                        let s_t = mcache[slot + 1];
                         let a_t = act.apply(m_t);
-                        let s_t = dot(w_i, vs_t);
 
                         // d w_i += g · a_t · v_s ; d v_s += g · a_t · w_i.
                         axpy(&mut d_w.row_mut(i)[head.clone()], g * a_t, vs_t);
@@ -894,10 +723,16 @@ mod tests {
     use super::*;
     use crate::{LossSpace, Objective, PitotConfig, ScalingBaseline};
     use pitot_testbed::{split::Split, Testbed, TestbedConfig};
+    use rand::Rng;
 
     fn setup() -> (Dataset, PitotConfig) {
-        let ds = Testbed::generate(&TestbedConfig::small()).collect_dataset();
-        (ds, PitotConfig::tiny())
+        (fixture().clone(), PitotConfig::tiny())
+    }
+
+    /// The small testbed's dataset, generated once per test binary.
+    fn fixture() -> &'static Dataset {
+        static DS: std::sync::OnceLock<Dataset> = std::sync::OnceLock::new();
+        DS.get_or_init(|| Testbed::generate(&TestbedConfig::small()).collect_dataset())
     }
 
     /// Fresh (cache-bypassing) initialization: the oracle for the replay
@@ -961,6 +796,113 @@ mod tests {
         );
     }
 
+    /// Row-major predictions for dataset indices through the batched read.
+    fn rows(
+        model: &PitotModel,
+        w: &Matrix,
+        p_full: &Matrix,
+        ds: &Dataset,
+        idx: &[usize],
+    ) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        model.predict_batch_into(w, p_full, idx.len(), |b| &ds.observations[idx[b]], &mut out);
+        out
+    }
+
+    /// Every head of one observation from scratch by the paper's formula
+    /// (Secs 3.3–3.4), `ŷ = ⟨wᵢ, pⱼ⟩ + Σₜ ⟨wᵢ, vₛ⁽ᵗ⁾⟩ · act(Σₖ ⟨wₖ, v_g⁽ᵗ⁾⟩)`,
+    /// with `pitot_linalg::dot` in the kernel's order of summation.
+    fn paper_formula(cfg: &PitotConfig, w: &Matrix, p_full: &Matrix, o: &Observation) -> Vec<f32> {
+        let r = cfg.embed_dim;
+        let s = cfg.interference_types;
+        let p = p_full.row(o.platform as usize);
+        (0..cfg.objective.head_count())
+            .map(|h| {
+                let w_of = |k: u32| &w.row(k as usize)[h * r..(h + 1) * r];
+                let w_i = w_of(o.workload);
+                let mut y = dot(w_i, &p[..r]);
+                if cfg.interference == InterferenceMode::Aware {
+                    for t in 0..s {
+                        let v_s = &p[(1 + t) * r..(2 + t) * r];
+                        let v_g = &p[(1 + s + t) * r..(2 + s + t) * r];
+                        let m = o
+                            .interferers
+                            .iter()
+                            .fold(0.0, |m, &k| m + dot(w_of(k), v_g));
+                        y += dot(w_i, v_s) * cfg.interference_activation.apply(m);
+                    }
+                }
+                y
+            })
+            .collect()
+    }
+
+    /// The gradient pass recomputing every interference inner product from
+    /// the towers: the from-scratch oracle for the cached
+    /// [`PitotModel::accumulate_grads`].
+    #[allow(clippy::too_many_arguments)]
+    fn accumulate_grads_uncached(
+        model: &PitotModel,
+        towers: &TowerOutputs,
+        dataset: &Dataset,
+        idx: &[usize],
+        d_pred: &[Vec<f32>],
+        d_w: &mut Matrix,
+        d_p: &mut Matrix,
+    ) {
+        let cfg = model.config();
+        let r = cfg.embed_dim;
+        let s = cfg.interference_types;
+        let act = cfg.interference_activation;
+        let mut wk_sum = vec![0.0f32; r];
+        for (b, &oi) in idx.iter().enumerate() {
+            let o = &dataset.observations[oi];
+            let (i, j) = (o.workload as usize, o.platform as usize);
+            for (h, d_head) in d_pred.iter().enumerate() {
+                let g = d_head[b];
+                if g == 0.0 {
+                    continue;
+                }
+                let head = h * r..(h + 1) * r;
+                let w_i = &towers.w.row(i)[head.clone()];
+                let p_row = towers.p_full.row(j);
+                axpy(&mut d_p.row_mut(j)[..r], g, w_i);
+                axpy(&mut d_w.row_mut(i)[head.clone()], g, &p_row[..r]);
+                if cfg.interference != InterferenceMode::Aware || o.interferers.is_empty() {
+                    continue;
+                }
+                for t in 0..s {
+                    let vs_rng = r + t * r..r + (t + 1) * r;
+                    let vg_rng = r + s * r + t * r..r + s * r + (t + 1) * r;
+                    let vs_t = &p_row[vs_rng.clone()];
+                    let vg_t = &p_row[vg_rng.clone()];
+                    let mut m_t = 0.0;
+                    for &k in &o.interferers {
+                        m_t += dot(&towers.w.row(k as usize)[head.clone()], vg_t);
+                    }
+                    let a_t = act.apply(m_t);
+                    let s_t = dot(w_i, vs_t);
+                    axpy(&mut d_w.row_mut(i)[head.clone()], g * a_t, vs_t);
+                    axpy(&mut d_p.row_mut(j)[vs_rng], g * a_t, w_i);
+                    let dm = g * s_t * act.derivative(m_t);
+                    if dm != 0.0 {
+                        wk_sum.fill(0.0);
+                        for &k in &o.interferers {
+                            pitot_linalg::axpy_fanout(
+                                &mut wk_sum,
+                                &towers.w.row(k as usize)[head.clone()],
+                                dm,
+                                vg_t,
+                                &mut d_w.row_mut(k as usize)[head.clone()],
+                            );
+                        }
+                        axpy(&mut d_p.row_mut(j)[vg_rng], dm, &wk_sum);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn interference_changes_prediction_only_when_aware() {
         let (ds, cfg) = setup();
@@ -968,27 +910,87 @@ mod tests {
         let towers = model.forward_towers(&ds);
         // Find an interference observation.
         let idx = ds.mode_indices(2)[0];
-        let with = model.predict(&towers.w, &towers.p_full, &ds, &[idx])[0][0];
+        let with = rows(&model, &towers.w, &towers.p_full, &ds, &[idx])[(0, 0)];
         // Same observation with interferers stripped.
         let mut ds2 = ds.clone();
         ds2.observations[idx].interferers.clear();
-        let without = model.predict(&towers.w, &towers.p_full, &ds2, &[idx])[0][0];
+        let without = rows(&model, &towers.w, &towers.p_full, &ds2, &[idx])[(0, 0)];
         assert_ne!(with, without, "interference term should contribute");
 
         let mut blind_cfg = cfg.clone();
         blind_cfg.interference = InterferenceMode::Ignore;
         let blind = PitotModel::new(&blind_cfg, &ds);
         let t2 = blind.forward_towers(&ds);
-        let a = blind.predict(&t2.w, &t2.p_full, &ds, &[idx])[0][0];
-        let b = blind.predict(&t2.w, &t2.p_full, &ds2, &[idx])[0][0];
+        let a = rows(&blind, &t2.w, &t2.p_full, &ds, &[idx])[(0, 0)];
+        let b = rows(&blind, &t2.w, &t2.p_full, &ds2, &[idx])[(0, 0)];
         assert_eq!(a, b, "ignore-mode must not see interferers");
+    }
+
+    proptest::proptest! {
+        /// The kernel is the paper's formula, bitwise: random tower outputs,
+        /// `Aware` and `Ignore`, arity 0–3, 1, 2 or 8 heads, and the default
+        /// and GELU interference activations.
+        #[test]
+        fn kernel_matches_the_paper_formula_bitwise(
+            seed in 0u64..u64::MAX,
+            aware in 0usize..2,
+            heads in 0usize..3,
+            gelu in 0usize..2,
+            r in 1usize..12,
+            s in 1usize..4,
+        ) {
+            let ds = fixture();
+            let n_heads = [1, 2, 8][heads];
+            let cfg = PitotConfig {
+                embed_dim: r,
+                interference_types: s,
+                interference: [InterferenceMode::Ignore, InterferenceMode::Aware][aware],
+                interference_activation: [Activation::LeakyRelu(0.1), Activation::Gelu][gelu],
+                objective: Objective::Quantiles(
+                    (1..=n_heads).map(|h| h as f32 / (n_heads + 1) as f32).collect(),
+                ),
+                ..PitotConfig::tiny()
+            };
+            let model = PitotModel::new(&cfg, ds);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut fill = |rows: usize, cols: usize| {
+                let mut m = Matrix::zeros(rows, cols);
+                for v in m.as_mut_slice() {
+                    *v = rng.gen_range(-1.0f32..1.0);
+                }
+                m
+            };
+            let w = fill(ds.n_workloads, r * n_heads);
+            let p_full = fill(ds.n_platforms, r * (1 + 2 * s));
+            let obs: Vec<Observation> = (0..40)
+                .map(|b| Observation {
+                    workload: rng.gen_range(0..ds.n_workloads as u32),
+                    platform: rng.gen_range(0..ds.n_platforms as u32),
+                    interferers: (0..b % 4)
+                        .map(|_| rng.gen_range(0..ds.n_workloads as u32))
+                        .collect(),
+                    runtime_s: 1.0,
+                })
+                .collect();
+            let mut out = Matrix::zeros(0, 0);
+            model.predict_batch_into(&w, &p_full, obs.len(), |b| &obs[b], &mut out);
+            for (b, o) in obs.iter().enumerate() {
+                let want: Vec<u32> = paper_formula(&cfg, &w, &p_full, o)
+                    .iter()
+                    .map(|y| y.to_bits())
+                    .collect();
+                let got: Vec<u32> = out.row(b).iter().map(|y| y.to_bits()).collect();
+                proptest::prop_assert_eq!(got, want, "row {} ({:?})", b, o.interferers);
+            }
+        }
     }
 
     #[test]
     fn cached_interference_path_is_bitwise_identical() {
-        // predict_into_cached + accumulate_grads_cached must produce exactly
-        // the predictions and gradients of the uncached pair: the cache only
-        // moves the inner products, never changes the arithmetic.
+        // Training's pair — predict_into_cached, then accumulate_grads over
+        // the recorded inner products — must produce exactly the batched
+        // read's predictions and the uncached oracle's gradients: the cache
+        // only moves the inner products, never changes the arithmetic.
         let (ds, mut cfg) = setup();
         cfg.objective = Objective::Quantiles(vec![0.5, 0.9]);
         let model = PitotModel::new(&cfg, &ds);
@@ -996,8 +998,7 @@ mod tests {
         let mut idx = ds.mode_indices(0)[..8].to_vec();
         idx.extend_from_slice(&ds.mode_indices(3)[..8]);
 
-        let mut plain = Vec::new();
-        model.predict_into(&towers.w, &towers.p_full, &ds, &idx, &mut plain);
+        let read = rows(&model, &towers.w, &towers.p_full, &ds, &idx);
         let mut cached = Vec::new();
         let mut mcache = Vec::new();
         model.predict_into_cached(
@@ -1008,36 +1009,37 @@ mod tests {
             &mut cached,
             &mut mcache,
         );
-        assert_eq!(plain, cached, "cached predictions diverged");
+        for (b, row) in read.iter_rows().enumerate() {
+            for (h, &y) in row.iter().enumerate() {
+                assert_eq!(y.to_bits(), cached[h][b].to_bits(), "obs {b} head {h}");
+            }
+        }
 
-        let d_pred: Vec<Vec<f32>> = plain
+        let d_pred: Vec<Vec<f32>> = cached
             .iter()
             .map(|head| head.iter().map(|p| p * 0.1 + 0.01).collect())
             .collect();
         let (mut dw_a, mut dp_a) = model.zero_output_grads(&ds);
-        model.accumulate_grads(&towers, &ds, &idx, &d_pred, &mut dw_a, &mut dp_a);
+        accumulate_grads_uncached(&model, &towers, &ds, &idx, &d_pred, &mut dw_a, &mut dp_a);
         let (mut dw_b, mut dp_b) = model.zero_output_grads(&ds);
-        model.accumulate_grads_cached(&towers, &ds, &idx, &d_pred, &mut dw_b, &mut dp_b, &mcache);
+        model.accumulate_grads(&towers, &ds, &idx, &d_pred, &mut dw_b, &mut dp_b, &mcache);
         assert_eq!(dw_a, dw_b, "cached d_w diverged");
         assert_eq!(dp_a, dp_b, "cached d_p diverged");
     }
 
     #[test]
     fn batch_prediction_matches_serial_bitwise() {
+        // Each row of a batch is that observation's row scored alone.
         let (ds, mut cfg) = setup();
         cfg.objective = Objective::Quantiles(vec![0.5, 0.9]);
         let model = PitotModel::new(&cfg, &ds);
         let towers = model.forward_towers(&ds);
         let idx: Vec<usize> = (0..200.min(ds.observations.len())).collect();
-        let serial = model.predict(&towers.w, &towers.p_full, &ds, &idx);
-        let obs: Vec<&Observation> = idx.iter().map(|&i| &ds.observations[i]).collect();
-        let mut batch = Matrix::zeros(0, 0);
-        model.predict_batch_into(&towers.w, &towers.p_full, &obs, &mut batch);
+        let batch = rows(&model, &towers.w, &towers.p_full, &ds, &idx);
         assert_eq!(batch.shape(), (idx.len(), 2));
-        for (b, _) in idx.iter().enumerate() {
-            for h in 0..2 {
-                assert_eq!(batch[(b, h)], serial[h][b], "obs {b} head {h}");
-            }
+        for (b, &oi) in idx.iter().enumerate() {
+            let alone = rows(&model, &towers.w, &towers.p_full, &ds, &[oi]);
+            assert_eq!(batch.row(b), alone.row(0), "obs {b}");
         }
     }
 
@@ -1062,24 +1064,33 @@ mod tests {
 
         let loss_of = |m: &PitotModel| -> f32 {
             let (w, p) = m.infer_towers(&ds);
-            let preds = m.predict(&w, &p, &ds, &idx);
+            let preds = rows(m, &w, &p, &ds, &idx);
             let mut total = 0.0;
-            for head in &preds {
-                let (l, _) = pitot_nn::squared_loss(head, &targets);
+            for h in 0..preds.cols() {
+                let head: Vec<f32> = preds.iter_rows().map(|row| row[h]).collect();
+                let (l, _) = pitot_nn::squared_loss(&head, &targets);
                 total += l;
             }
             total
         };
 
-        // Analytic gradients.
+        // Analytic gradients, through training's cached pair.
         let towers = model.forward_towers(&ds);
-        let preds = model.predict(&towers.w, &towers.p_full, &ds, &idx);
+        let (mut preds, mut mcache) = (Vec::new(), Vec::new());
+        model.predict_into_cached(
+            &towers.w,
+            &towers.p_full,
+            &ds,
+            &idx,
+            &mut preds,
+            &mut mcache,
+        );
         let (mut d_w, mut d_p) = model.zero_output_grads(&ds);
         let d_pred: Vec<Vec<f32>> = preds
             .iter()
             .map(|head| pitot_nn::squared_loss(head, &targets).1)
             .collect();
-        model.accumulate_grads(&towers, &ds, &idx, &d_pred, &mut d_w, &mut d_p);
+        model.accumulate_grads(&towers, &ds, &idx, &d_pred, &mut d_w, &mut d_p, &mcache);
         let grads = model.backward_towers(&towers, &d_w, &d_p);
 
         // Directional derivative along a random direction over the plane.

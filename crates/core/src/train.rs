@@ -419,7 +419,7 @@ fn training_step<R: Rng + ?Sized>(
             mode_weights[k],
             &mut bufs.d_pred,
         );
-        model.accumulate_grads_cached(
+        model.accumulate_grads(
             &bufs.towers,
             dataset,
             &bufs.batch,
@@ -516,7 +516,13 @@ fn evaluate_loss_cached(
     // Reuses the training tower buffers; the next step overwrites them with
     // a fresh dense pass anyway.
     model.forward_towers_with(dataset, towers);
-    model.predict_batch_indices_into(&towers.w, &towers.p_full, dataset, idx, preds);
+    model.predict_batch_into(
+        &towers.w,
+        &towers.p_full,
+        idx.len(),
+        |b| &dataset.observations[idx[b]],
+        preds,
+    );
     // (mode, observation-index) pairs, reused across evaluations.
     obs_buf.clear();
     obs_buf.extend(
@@ -610,15 +616,14 @@ impl TrainedPitot {
         serde_json::from_str(json)
     }
 
-    /// Per-head log-runtime predictions for the given observations.
+    /// Per-head log-runtime predictions for the given observations: the
+    /// transpose of one [`TrainedPitot::predict_log_runtime_into`] pass
+    /// over the dense towers, for callers that want one vector per head.
     ///
     /// For the default log-residual loss this is `log C̄ + ŷ`; the other loss
-    /// spaces are mapped back to log runtime accordingly. Observations are
-    /// processed row-parallel over the `pitot_linalg::par` pool.
+    /// spaces are mapped back to log runtime accordingly.
     pub fn predict_log_runtime(&self, dataset: &Dataset, idx: &[usize]) -> Vec<Vec<f32>> {
-        let towers = self.tower_cache(dataset);
-        let obs: Vec<&Observation> = idx.iter().map(|&oi| &dataset.observations[oi]).collect();
-        self.predict_log_runtime_cached(&towers, &obs)
+        self.log_heads(&self.tower_cache(dataset), dataset, idx)
     }
 
     /// Pre-computes both tower outputs for repeated query prediction.
@@ -626,64 +631,83 @@ impl TrainedPitot {
     /// Tower evaluation is the expensive part of inference (two MLP passes
     /// over every entity); query-heavy callers such as the orchestrator
     /// compute the towers once per model and reuse them for every placement
-    /// decision via [`TrainedPitot::predict_log_runtime_cached`].
+    /// decision via [`TrainedPitot::predict_log_runtime_into`].
     pub fn tower_cache(&self, dataset: &Dataset) -> TowerCache {
         let (w, p_full) = self.model.infer_towers(dataset);
         TowerCache { w, p_full }
-    }
-
-    /// Per-head log-runtime predictions for arbitrary (possibly synthetic)
-    /// observations, using a pre-computed [`TowerCache`]: the transpose of
-    /// [`TrainedPitot::predict_log_runtime_into`], for callers that want one
-    /// vector per head.
-    ///
-    /// Only the index fields of each observation are read, so callers may
-    /// construct "what if" queries that were never measured. The batch is
-    /// row-parallelized over the `pitot_linalg::par` pool; results are
-    /// bitwise identical across `PITOT_THREADS`.
-    pub fn predict_log_runtime_cached(
-        &self,
-        towers: &TowerCache,
-        obs: &[&Observation],
-    ) -> Vec<Vec<f32>> {
-        let mut rows = Matrix::zeros(0, 0);
-        self.predict_log_runtime_into(towers, obs, &mut rows);
-        (0..self.model.n_heads())
-            .map(|h| rows.iter_rows().map(|row| row[h]).collect())
-            .collect()
     }
 
     /// Log-runtime predictions for arbitrary (possibly synthetic)
     /// observations, written into `out` as a row-major `obs.len() × heads`
     /// matrix: row `b` holds every head's prediction for `obs[b]`.
     ///
-    /// One row-parallel pass predicts the residuals, maps each row to log
-    /// runtime, and, under [`PitotConfig::rearrange_quantiles`], sorts the
-    /// row (the per-observation form of
-    /// [`pitot_conformal::rearrange_heads`]). Reuse `out` across calls and
-    /// the pass allocates nothing once `out` has held a batch this large.
-    /// Results are bitwise identical across `PITOT_THREADS`.
+    /// Only the index fields of each observation are read, so callers may
+    /// construct "what if" queries that were never measured; `towers` may
+    /// be the dense cache or a compressed one. One row-parallel pass
+    /// predicts the residuals, maps each row to log runtime, and, under
+    /// [`PitotConfig::rearrange_quantiles`], sorts the row (the
+    /// per-observation form of [`pitot_conformal::rearrange_heads`]). Reuse
+    /// `out` across calls and the pass allocates nothing once `out` has
+    /// held a batch this large. Results are bitwise identical across
+    /// `PITOT_THREADS`.
     pub fn predict_log_runtime_into<O: Borrow<Observation> + Sync>(
         &self,
         towers: &TowerCache,
         obs: &[O],
         out: &mut Matrix,
     ) {
+        self.log_rows_into(towers, obs.len(), |b| obs[b].borrow(), out);
+    }
+
+    /// [`TrainedPitot::predict_log_runtime_into`] over dataset indices.
+    pub(crate) fn log_rows(&self, towers: &TowerCache, dataset: &Dataset, idx: &[usize]) -> Matrix {
+        let mut rows = Matrix::zeros(0, 0);
+        self.log_rows_into(
+            towers,
+            idx.len(),
+            |b| &dataset.observations[idx[b]],
+            &mut rows,
+        );
+        rows
+    }
+
+    /// [`TrainedPitot::log_rows`] transposed to one vector per head.
+    pub(crate) fn log_heads(
+        &self,
+        towers: &TowerCache,
+        dataset: &Dataset,
+        idx: &[usize],
+    ) -> Vec<Vec<f32>> {
+        let rows = self.log_rows(towers, dataset, idx);
+        (0..rows.cols())
+            .map(|h| rows.iter_rows().map(|row| row[h]).collect())
+            .collect()
+    }
+
+    /// The one log-runtime read: [`PitotModel::predict_batch_into`], then
+    /// each row mapped to log runtime (and sorted under rearrangement).
+    fn log_rows_into<'o>(
+        &self,
+        towers: &TowerCache,
+        n: usize,
+        row: impl Fn(usize) -> &'o Observation + Sync,
+        out: &mut Matrix,
+    ) {
         let cfg = self.model.config();
         let n_heads = self.model.n_heads();
         self.model
-            .predict_batch_into(&towers.w, &towers.p_full, obs, out);
-        if obs.is_empty() {
+            .predict_batch_into(&towers.w, &towers.p_full, n, &row, out);
+        if n == 0 {
             return;
         }
         // Map residuals to log runtime in the same parallel shape: each row
         // depends only on its own observation's baseline.
         let scaling = &self.scaling;
         pitot_linalg::par::parallel_for_rows(out.as_mut_slice(), n_heads, 64, |start, chunk| {
-            for (b, row) in chunk.chunks_exact_mut(n_heads).enumerate() {
-                let o = obs[start + b].borrow();
+            for (b, y_row) in chunk.chunks_exact_mut(n_heads).enumerate() {
+                let o = row(start + b);
                 let base = scaling.log_baseline(o.workload as usize, o.platform as usize);
-                for y in row.iter_mut() {
+                for y in y_row.iter_mut() {
                     *y = match cfg.loss_space {
                         LossSpace::LogResidual => base + *y,
                         LossSpace::Log => *y,
@@ -697,7 +721,7 @@ impl TrainedPitot {
                 if cfg.rearrange_quantiles {
                     // `total_cmp` is a total order, so the sorted row is
                     // unique: bitwise what the stable per-head sort gives.
-                    row.sort_unstable_by(f32::total_cmp);
+                    y_row.sort_unstable_by(f32::total_cmp);
                 }
             }
         });
@@ -706,9 +730,9 @@ impl TrainedPitot {
     /// Point predictions in seconds (head 0; the only head under
     /// [`Objective::Squared`]).
     pub fn predict_runtime(&self, dataset: &Dataset, idx: &[usize]) -> Vec<f32> {
-        self.predict_log_runtime(dataset, idx)[0]
-            .iter()
-            .map(|l| l.exp())
+        self.log_rows(&self.tower_cache(dataset), dataset, idx)
+            .iter_rows()
+            .map(|row| row[0].exp())
             .collect()
     }
 
@@ -1030,10 +1054,8 @@ mod tests {
             rearrange_quantiles: true,
             ..cfg
         });
-        let obs: Vec<&Observation> = split.test[..65]
-            .iter()
-            .map(|&i| &ds.observations[i])
-            .collect();
+        let idx = &split.test[..65];
+        let obs: Vec<&Observation> = idx.iter().map(|&i| &ds.observations[i]).collect();
         // Row-major bits of per-head predictions.
         let rows_of = |heads: &[Vec<f32>]| -> Vec<Vec<u32>> {
             (0..heads[0].len())
@@ -1044,7 +1066,7 @@ mod tests {
         for n in [0, 1, 65] {
             // The unsorted heads rearranged by the conformal crate: the
             // reference for the per-row sort.
-            let mut rearranged = raw.predict_log_runtime_cached(&towers, &obs[..n]);
+            let mut rearranged = raw.predict_log_runtime(&ds, &idx[..n]);
             assert!(n < 65 || pitot_conformal::crossing_rate(&rearranged) > 0.0);
             pitot_conformal::rearrange_heads(&mut rearranged);
             for (t, reference) in [(&raw, None), (&sorted, Some(rearranged))] {
@@ -1054,15 +1076,17 @@ mod tests {
                     .iter_rows()
                     .map(|r| r.iter().map(|y| y.to_bits()).collect())
                     .collect();
-                let heads = t.predict_log_runtime_cached(&towers, &obs[..n]);
+                let heads = t.predict_log_runtime(&ds, &idx[..n]);
                 assert_eq!(rows, rows_of(&heads), "n = {n}");
                 if let Some(r) = reference {
                     assert_eq!(rows, rows_of(&r), "n = {n}");
                 }
                 // Each row is its observation's row when scored alone.
+                let mut alone = Matrix::zeros(0, 0);
                 for (b, row) in rows.iter().enumerate() {
-                    let alone = t.predict_log_runtime_cached(&towers, &obs[b..=b]);
-                    assert_eq!(row, &rows_of(&alone)[0], "row {b} of {n}");
+                    t.predict_log_runtime_into(&towers, &obs[b..=b], &mut alone);
+                    let bits: Vec<u32> = alone.row(0).iter().map(|y| y.to_bits()).collect();
+                    assert_eq!(row, &bits, "row {b} of {n}");
                 }
             }
         }
@@ -1076,8 +1100,8 @@ mod tests {
         // parameter/gradient/moment planes via record_buffer — stays at zero
         // across further steps. This covers the FULL optimizer step
         // (forward, backward, and the fused AdaMax plane update) AND a
-        // checkpoint evaluation: the eval path indexes the dataset directly
-        // (`predict_batch_indices_into`) and reuses the step buffers'
+        // checkpoint evaluation: the eval path indexes the dataset through
+        // `predict_batch_into`'s row accessor and reuses the step buffers'
         // prediction matrix and mode/index list, so once sized it allocates
         // nothing either.
         let (ds, split) = setup();

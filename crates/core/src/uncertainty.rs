@@ -5,7 +5,7 @@
 //! *selection* set (quantile-head choice), both partitioned into pools by
 //! interference count.
 
-use crate::train::TrainedPitot;
+use crate::train::{TowerCache, TrainedPitot};
 use pitot_conformal::{
     coverage, overprovision_margin, HeadSelection, PooledConformal, PredictionSet, SweepCalibration,
 };
@@ -43,13 +43,18 @@ impl RuntimeCalibration {
 
 impl TrainedPitot {
     /// Prepares the model's conformal calibration data: predicts the
-    /// validation holdout once (calibration + selection halves) and
-    /// pre-sorts the nonconformity scores per pool.
+    /// validation holdout once through `towers` (calibration + selection
+    /// halves) and pre-sorts the nonconformity scores per pool.
+    ///
+    /// `towers` is whichever cache serves the bounds: the dense
+    /// [`TrainedPitot::tower_cache`], or a compressed one, whose own
+    /// residuals then calibrate it. Split conformal needs only the scores
+    /// of the model that serves.
     ///
     /// # Panics
     ///
     /// Panics if the validation split is empty.
-    pub fn calibration(&self, dataset: &Dataset) -> RuntimeCalibration {
+    pub fn calibration(&self, dataset: &Dataset, towers: &TowerCache) -> RuntimeCalibration {
         assert!(
             !self.split.val.is_empty(),
             "validation split required for calibration"
@@ -58,9 +63,8 @@ impl TrainedPitot {
         // list is ordered by interference mode, so interleave rather than
         // bisect — both halves must contain every calibration pool.
         let (cal_idx, sel_idx) = split_holdout(&self.split.val);
-
-        let cal_preds = self.predict_log_runtime(dataset, &cal_idx);
-        let sel_preds = self.predict_log_runtime(dataset, &sel_idx);
+        let cal_preds = self.log_heads(towers, dataset, &cal_idx);
+        let sel_preds = self.log_heads(towers, dataset, &sel_idx);
         let (cal_t, cal_pool) = targets_and_pools(dataset, &cal_idx);
         let (sel_targets, sel_pools) = targets_and_pools(dataset, &sel_idx);
 
@@ -84,9 +88,10 @@ impl TrainedPitot {
     ///
     /// `selection` picks between the paper's method
     /// ([`HeadSelection::TightestOnValidation`]), naive CQR, and plain split
-    /// conformal for single-head models. Callers fitting several miscoverage
-    /// levels should prepare [`TrainedPitot::calibration`] once and call
-    /// [`RuntimeCalibration::fit`] per level.
+    /// conformal for single-head models. The calibration reads the dense
+    /// towers. Callers fitting several miscoverage levels should prepare
+    /// [`TrainedPitot::calibration`] once and call [`RuntimeCalibration::fit`]
+    /// per level.
     ///
     /// # Panics
     ///
@@ -97,7 +102,8 @@ impl TrainedPitot {
         epsilon: f32,
         selection: HeadSelection,
     ) -> RuntimeBounds {
-        self.calibration(dataset).fit(epsilon, selection)
+        self.calibration(dataset, &self.tower_cache(dataset))
+            .fit(epsilon, selection)
     }
 }
 
@@ -113,13 +119,12 @@ impl RuntimeBounds {
 
     /// Log-space bounds for the given observations.
     pub fn bounds_log(&self, trained: &TrainedPitot, dataset: &Dataset, idx: &[usize]) -> Vec<f32> {
-        let preds = trained.predict_log_runtime(dataset, idx);
+        let rows = trained.log_rows(&trained.tower_cache(dataset), dataset, idx);
         idx.iter()
-            .enumerate()
-            .map(|(b, &oi)| {
+            .zip(rows.iter_rows())
+            .map(|(&oi, heads)| {
                 let pool = dataset.observations[oi].interferers.len();
-                let head_preds: Vec<f32> = preds.iter().map(|h| h[b]).collect();
-                self.conformal.bound_log(&head_preds, pool)
+                self.conformal.bound_log(heads, pool)
             })
             .collect()
     }
@@ -152,8 +157,8 @@ impl RuntimeBounds {
     /// Log-space bound computed directly from per-head log predictions for
     /// calibration pool `pool` (the number of interfering workloads).
     ///
-    /// This is the query-path entry point: callers that predict heads via
-    /// [`TrainedPitot::predict_log_runtime_cached`] can bound synthetic
+    /// This is the query-path entry point: callers that read a row of heads
+    /// from [`TrainedPitot::predict_log_runtime_into`] can bound synthetic
     /// placements without materializing dataset observations.
     pub fn bound_log_from_heads(&self, head_preds: &[f32], pool: usize) -> f32 {
         self.conformal.bound_log(head_preds, pool)
@@ -162,7 +167,7 @@ impl RuntimeBounds {
 
 /// Interleaves a holdout list into (calibration, selection) halves so both
 /// contain every interference mode; a lone observation lands in both.
-pub(crate) fn split_holdout(val: &[usize]) -> (Vec<usize>, Vec<usize>) {
+fn split_holdout(val: &[usize]) -> (Vec<usize>, Vec<usize>) {
     let cal: Vec<usize> = val.iter().copied().step_by(2).collect();
     let sel: Vec<usize> = val.iter().copied().skip(1).step_by(2).collect();
     if sel.is_empty() {

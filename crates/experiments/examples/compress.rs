@@ -16,62 +16,26 @@
 //! `PITOT_THREADS`; CI runs this example twice at different thread counts
 //! and diffs the two lines.
 
-use pitot::{train, CompressedTower, CompressionSpec, Objective, PitotConfig, TrainedPitot};
-use pitot_conformal::{HeadSelection, PooledConformal, PredictionSet, SweepCalibration};
+use pitot::{
+    train, CompressedTower, CompressionSpec, Objective, PitotConfig, RuntimeBounds, TrainedPitot,
+};
+use pitot_conformal::HeadSelection;
+use pitot_linalg::Matrix;
 use pitot_testbed::{split::Split, Dataset, Observation, Testbed, TestbedConfig};
 
 const EPSILON: f32 = 0.1;
 
+/// Log-runtime rows for `idx`, scored through `cache`.
 fn preds(
     trained: &TrainedPitot,
     dataset: &Dataset,
     cache: &pitot::TowerCache,
     idx: &[usize],
-) -> Vec<Vec<f32>> {
+) -> Matrix {
     let refs: Vec<&Observation> = idx.iter().map(|&i| &dataset.observations[i]).collect();
-    trained.predict_log_runtime_cached(cache, &refs)
-}
-
-fn calibrate(
-    trained: &TrainedPitot,
-    dataset: &Dataset,
-    cache: &pitot::TowerCache,
-) -> PooledConformal {
-    // Interleave the validation holdout into calibration / selection
-    // halves, exactly as `pitot::train` does for the dense model.
-    let cal_idx: Vec<usize> = trained.split.val.iter().copied().step_by(2).collect();
-    let sel_idx: Vec<usize> = trained
-        .split
-        .val
-        .iter()
-        .copied()
-        .skip(1)
-        .step_by(2)
-        .collect();
-    let tp = |idx: &[usize]| -> (Vec<f32>, Vec<usize>) {
-        idx.iter()
-            .map(|&i| {
-                let o = &dataset.observations[i];
-                (o.log_runtime(), o.interferers.len())
-            })
-            .unzip()
-    };
-    let cal_preds = preds(trained, dataset, cache, &cal_idx);
-    let sel_preds = preds(trained, dataset, cache, &sel_idx);
-    let (cal_t, cal_pool) = tp(&cal_idx);
-    let (sel_t, sel_pool) = tp(&sel_idx);
-    SweepCalibration::new(
-        &PredictionSet {
-            predictions: &cal_preds,
-            targets_log: &cal_t,
-            pools: &cal_pool,
-        },
-        sel_preds,
-        sel_t,
-        sel_pool,
-        trained.model.config().objective.xis(),
-    )
-    .fit(EPSILON, HeadSelection::TightestOnValidation)
+    let mut rows = Matrix::zeros(0, 0);
+    trained.predict_log_runtime_into(cache, &refs, &mut rows);
+    rows
 }
 
 fn main() {
@@ -105,21 +69,22 @@ fn main() {
         CompressionSpec::pruned(0.5),
         CompressionSpec::pruned_int8(0.5),
     ];
-    let mut dense_conformal: Option<PooledConformal> = None;
+    let mut dense_bounds: Option<RuntimeBounds> = None;
     let mut coverages = Vec::new();
     let mut widths = Vec::new();
-    let mut last_preds: Vec<Vec<f32>> = Vec::new();
+    let mut last_preds = Matrix::zeros(0, 0);
     println!("\nlevel        coverage   width    weight bytes");
     for spec in &levels {
         let tower = CompressedTower::new(&trained, spec);
         let cache = tower.tower_cache(&dataset);
         let p = preds(&trained, &dataset, &cache, &test);
-        let conformal = calibrate(&trained, &dataset, &cache);
+        let bounds = trained
+            .calibration(&dataset, &cache)
+            .fit(EPSILON, HeadSelection::TightestOnValidation);
         let (mut covered, mut width_sum) = (0usize, 0.0f64);
-        for (b, &i) in test.iter().enumerate() {
+        for (&i, head) in test.iter().zip(p.iter_rows()) {
             let o = &dataset.observations[i];
-            let head: Vec<f32> = p.iter().map(|h| h[b]).collect();
-            let bound = conformal.bound_log(&head, o.interferers.len());
+            let bound = bounds.bound_log_from_heads(head, o.interferers.len());
             covered += usize::from(bound >= o.log_runtime());
             width_sum += f64::from(bound - head[0]);
             fnv(&bound.to_bits().to_le_bytes(), &mut digest);
@@ -137,19 +102,18 @@ fn main() {
         coverages.push(coverage);
         widths.push(width);
         if spec.is_none() {
-            dense_conformal = Some(conformal);
+            dense_bounds = Some(bounds);
         }
         last_preds = p;
     }
 
     // 3. The broken deployment: pruned+int8 predictions served under the
     //    dense model's stale calibration.
-    let stale_conformal = dense_conformal.expect("dense level ran first");
+    let stale_bounds = dense_bounds.expect("dense level ran first");
     let mut stale_covered = 0usize;
-    for (b, &i) in test.iter().enumerate() {
+    for (&i, head) in test.iter().zip(last_preds.iter_rows()) {
         let o = &dataset.observations[i];
-        let head: Vec<f32> = last_preds.iter().map(|h| h[b]).collect();
-        let bound = stale_conformal.bound_log(&head, o.interferers.len());
+        let bound = stale_bounds.bound_log_from_heads(head, o.interferers.len());
         stale_covered += usize::from(bound >= o.log_runtime());
         fnv(&bound.to_bits().to_le_bytes(), &mut digest);
     }

@@ -37,8 +37,11 @@
 
 use crate::harness::Harness;
 use crate::report::{Figure, Point, Series};
-use pitot::{CompressedTower, CompressionSpec, Objective, PitotConfig, TrainedPitot};
-use pitot_conformal::{HeadSelection, PooledConformal, PredictionSet, SweepCalibration};
+use pitot::{
+    CompressedTower, CompressionSpec, Objective, PitotConfig, RuntimeBounds, TrainedPitot,
+};
+use pitot_conformal::HeadSelection;
+use pitot_linalg::Matrix;
 use pitot_testbed::Dataset;
 
 /// Miscoverage level of every arm.
@@ -58,65 +61,19 @@ pub fn levels() -> [CompressionSpec; 4] {
     ]
 }
 
-/// Head predictions for `idx` scored through a (possibly compressed)
+/// Log-runtime rows for `idx` scored through a (possibly compressed)
 /// tower cache.
 fn preds_cached(
     trained: &TrainedPitot,
     dataset: &Dataset,
     cache: &pitot::TowerCache,
     idx: &[usize],
-) -> Vec<Vec<f32>> {
+) -> Matrix {
     let refs: Vec<&pitot_testbed::Observation> =
         idx.iter().map(|&i| &dataset.observations[i]).collect();
-    trained.predict_log_runtime_cached(cache, &refs)
-}
-
-/// Interleaves the validation holdout into (calibration, selection)
-/// halves, mirroring the core crate's split so dense and compressed
-/// calibrations see identical index sets.
-fn split_holdout(val: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let cal: Vec<usize> = val.iter().copied().step_by(2).collect();
-    let sel: Vec<usize> = val.iter().copied().skip(1).step_by(2).collect();
-    if sel.is_empty() {
-        (cal.clone(), cal)
-    } else {
-        (cal, sel)
-    }
-}
-
-fn targets_and_pools(dataset: &Dataset, idx: &[usize]) -> (Vec<f32>, Vec<usize>) {
-    idx.iter()
-        .map(|&i| {
-            let o = &dataset.observations[i];
-            (o.log_runtime(), o.interferers.len())
-        })
-        .unzip()
-}
-
-/// Conformal calibration fit on the residuals of the given tower cache —
-/// the "recalibrate on the compressed model" step.
-fn calibrate_on_cache(
-    trained: &TrainedPitot,
-    dataset: &Dataset,
-    cache: &pitot::TowerCache,
-) -> PooledConformal {
-    let (cal_idx, sel_idx) = split_holdout(&trained.split.val);
-    let cal_preds = preds_cached(trained, dataset, cache, &cal_idx);
-    let sel_preds = preds_cached(trained, dataset, cache, &sel_idx);
-    let (cal_t, cal_pool) = targets_and_pools(dataset, &cal_idx);
-    let (sel_t, sel_pool) = targets_and_pools(dataset, &sel_idx);
-    SweepCalibration::new(
-        &PredictionSet {
-            predictions: &cal_preds,
-            targets_log: &cal_t,
-            pools: &cal_pool,
-        },
-        sel_preds,
-        sel_t,
-        sel_pool,
-        trained.model.config().objective.xis(),
-    )
-    .fit(EPSILON, HeadSelection::TightestOnValidation)
+    let mut rows = Matrix::zeros(0, 0);
+    trained.predict_log_runtime_into(cache, &refs, &mut rows);
+    rows
 }
 
 /// One (predictions, calibration) pairing judged over the test set.
@@ -128,18 +85,12 @@ struct ArmOutcome {
     digest: u64,
 }
 
-fn judge(
-    dataset: &Dataset,
-    test: &[usize],
-    preds: &[Vec<f32>],
-    conformal: &PooledConformal,
-) -> ArmOutcome {
+fn judge(dataset: &Dataset, test: &[usize], preds: &Matrix, bounds: &RuntimeBounds) -> ArmOutcome {
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     let (mut covered, mut width_sum) = (0usize, 0.0f64);
-    for (b, &i) in test.iter().enumerate() {
+    for (&i, head_preds) in test.iter().zip(preds.iter_rows()) {
         let o = &dataset.observations[i];
-        let head_preds: Vec<f32> = preds.iter().map(|h| h[b]).collect();
-        let bound = conformal.bound_log(&head_preds, o.interferers.len());
+        let bound = bounds.bound_log_from_heads(head_preds, o.interferers.len());
         covered += usize::from(bound >= o.log_runtime());
         width_sum += f64::from(bound - head_preds[0]);
         for &byte in &bound.to_bits().to_le_bytes() {
@@ -156,12 +107,12 @@ fn judge(
 
 /// Mean absolute deviation of compressed median predictions from the
 /// dense ones — the realized compression error the widths must absorb.
-fn compression_error(dense: &[Vec<f32>], compressed: &[Vec<f32>]) -> f32 {
-    let n = dense[0].len().max(1);
-    dense[0]
-        .iter()
-        .zip(&compressed[0])
-        .map(|(d, c)| (d - c).abs())
+fn compression_error(dense: &Matrix, compressed: &Matrix) -> f32 {
+    let n = dense.rows().max(1);
+    dense
+        .iter_rows()
+        .zip(compressed.iter_rows())
+        .map(|(d, c)| (d[0] - c[0]).abs())
         .sum::<f32>()
         / n as f32
 }
@@ -202,14 +153,17 @@ pub fn ext_compress(h: &Harness) -> Figure {
         let trained = pitot::train(&h.dataset, &split, &cfg.clone().with_seed(rep as u64));
         let test: Vec<usize> = split.test.iter().copied().take(TEST_CAP).collect();
 
-        let mut dense_preds: Option<Vec<Vec<f32>>> = None;
-        let mut dense_conformal: Option<PooledConformal> = None;
+        let mut dense_preds: Option<Matrix> = None;
+        let mut dense_bounds: Option<RuntimeBounds> = None;
         for (l, spec) in specs.iter().enumerate() {
             let tower = CompressedTower::new(&trained, spec);
             let cache = tower.tower_cache(&h.dataset);
             let preds = preds_cached(&trained, &h.dataset, &cache, &test);
-            let conformal = calibrate_on_cache(&trained, &h.dataset, &cache);
-            let out = judge(&h.dataset, &test, &preds, &conformal);
+            // Recalibrate on this level's own residuals.
+            let bounds = trained
+                .calibration(&h.dataset, &cache)
+                .fit(EPSILON, HeadSelection::TightestOnValidation);
+            let out = judge(&h.dataset, &test, &preds, &bounds);
             let error = dense_preds
                 .as_ref()
                 .map_or(0.0, |d| compression_error(d, &preds));
@@ -231,13 +185,13 @@ pub fn ext_compress(h: &Harness) -> Figure {
             // the dense model's calibration.
             if l == 0 {
                 dense_preds = Some(preds);
-                dense_conformal = Some(conformal);
+                dense_bounds = Some(bounds);
             } else if l == n_levels - 1 {
                 let stale = judge(
                     &h.dataset,
                     &test,
                     &preds,
-                    dense_conformal.as_ref().expect("dense arm ran first"),
+                    dense_bounds.as_ref().expect("dense arm ran first"),
                 );
                 fig.notes.push(format!(
                     "stale ({}) rep={rep}: digest={:016x} coverage={:.4} width={:.4}",

@@ -4,8 +4,8 @@
 
 use pitot::{train, Objective, PitotConfig};
 use pitot_conformal::{
-    conditional_coverage, coverage, head_spread, round_robin_folds, CoverageCurve, CvPlus,
-    MondrianConformal, ScaledConformal, SplitConformal, TwoSidedCqr,
+    conditional_coverage, coverage, head_spread, CoverageCurve, HeadSelection, ScaledConformal,
+    SplitConformal, TwoSidedCqr,
 };
 use pitot_testbed::{split::Split, Dataset, Testbed, TestbedConfig};
 use std::sync::OnceLock;
@@ -64,89 +64,32 @@ fn scaled_conformal_covers_on_pitot_predictions() {
     assert!(cov >= 1.0 - eps - 0.03, "CQR-r coverage {cov}");
 }
 
-/// Mondrian calibration keyed by interference arity holds coverage in every
-/// group — the generalized form of the paper's calibration pools.
+/// The pooled construction every experiment and server calibrates with
+/// (`RuntimeBounds`, pools keyed by interference arity) holds coverage in
+/// every arity pool, under both the paper's head selection and the naive
+/// CQR head that serving uses.
 #[test]
-fn mondrian_by_arity_covers_per_group() {
+fn pooled_bounds_cover_per_arity_pool() {
     let e = env();
     let eps = 0.1;
-    let groups_of = |idx: &[usize]| -> Vec<u64> {
-        idx.iter()
-            .map(|&i| e.dataset.observations[i].interferers.len() as u64)
-            .collect()
-    };
-    let cal_preds = e.trained.predict_log_runtime(&e.dataset, &e.split.val);
-    let cal_t = log_targets(&e.dataset, &e.split.val);
-    let mc = MondrianConformal::fit(&cal_preds[0], &cal_t, &groups_of(&e.split.val), eps);
-
     let test = test_subset(e, 6000);
-    let test_preds = e.trained.predict_log_runtime(&e.dataset, &test);
     let test_t = log_targets(&e.dataset, &test);
-    let test_g = groups_of(&test);
-    let bounds = mc.upper_bounds_log(&test_preds[0], &test_g);
-    for (group, cov) in conditional_coverage(&bounds, &test_t, &test_g) {
-        assert!(cov >= 1.0 - eps - 0.05, "arity {group} coverage {cov}");
+    let test_g: Vec<u64> = test
+        .iter()
+        .map(|&i| e.dataset.observations[i].interferers.len() as u64)
+        .collect();
+    for selection in [HeadSelection::TightestOnValidation, HeadSelection::NaiveXi] {
+        let bounds = e
+            .trained
+            .fit_bounds(&e.dataset, eps, selection)
+            .bounds_log(&e.trained, &e.dataset, &test);
+        for (pool, cov) in conditional_coverage(&bounds, &test_t, &test_g) {
+            assert!(
+                cov >= 1.0 - eps - 0.05,
+                "{selection:?}: arity {pool} coverage {cov}"
+            );
+        }
     }
-    // Noisier groups should need larger offsets.
-    assert!(
-        mc.gamma_for(3) > mc.gamma_for(0),
-        "4-way interference should calibrate wider than isolation"
-    );
-}
-
-/// CV+ over fold-trained Pitot models covers without a dedicated
-/// calibration split.
-#[test]
-fn cv_plus_over_fold_trained_pitot_models() {
-    let e = env();
-    let eps = 0.15;
-    let k = 3;
-    // Fold assignment over the training pool; each fold model trains on the
-    // other folds and provides out-of-fold scores.
-    let pool: Vec<usize> = e.split.train.clone();
-    let folds = round_robin_folds(pool.len(), k);
-    let mut fold_models = Vec::new();
-    for f in 0..k {
-        let train_idx: Vec<usize> = pool
-            .iter()
-            .zip(&folds)
-            .filter(|(_, &ff)| ff != f)
-            .map(|(&i, _)| i)
-            .collect();
-        let sub = Split {
-            train: train_idx,
-            val: e.split.val.clone(),
-            test: vec![],
-            train_fraction: e.split.train_fraction,
-            seed: f as u64,
-        };
-        let mut cfg = PitotConfig::tiny();
-        cfg.steps = 300;
-        fold_models.push(train(&e.dataset, &sub, &cfg));
-    }
-
-    // Out-of-fold scores on a subsample (keep the test fast).
-    let sample: Vec<usize> = (0..pool.len()).step_by(8).collect();
-    let oof: Vec<f32> = sample
-        .iter()
-        .map(|&s| fold_models[folds[s]].predict_log_runtime(&e.dataset, &[pool[s]])[0][0])
-        .collect();
-    let targets: Vec<f32> = sample
-        .iter()
-        .map(|&s| e.dataset.observations[pool[s]].log_runtime())
-        .collect();
-    let fold_of: Vec<usize> = sample.iter().map(|&s| folds[s]).collect();
-    let cv = CvPlus::fit(&oof, &targets, &fold_of, k, eps);
-
-    let test = test_subset(e, 800);
-    let per_fold: Vec<Vec<f32>> = fold_models
-        .iter()
-        .map(|m| m.predict_log_runtime(&e.dataset, &test)[0].clone())
-        .collect();
-    let bounds = cv.bounds_log(&per_fold);
-    let cov = coverage(&bounds, &log_targets(&e.dataset, &test));
-    // CV+'s worst case is 1−2ε; typical is ≈1−ε.
-    assert!(cov >= 1.0 - 2.0 * eps, "CV+ coverage {cov}");
 }
 
 /// The coverage curve diagnostic validates the whole split-conformal grid on

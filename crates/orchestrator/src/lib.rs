@@ -17,8 +17,10 @@
 //!   platform `j` next to the set `K`?" — either cheating
 //!   ([`OraclePredictor`]), via the scaling baseline alone
 //!   ([`ScalingPredictor`]), or via a trained Pitot model with optional
-//!   conformal bounds ([`PitotPredictor`]) — one row at a time, or a whole
-//!   [`QueryBatch`] of rows in one read;
+//!   conformal bounds ([`PitotPredictor`], which computes the towers once
+//!   and reads each query as one row of every head's log runtime from
+//!   `pitot::TrainedPitot::predict_log_runtime_into`) — one row at a time,
+//!   or a whole [`QueryBatch`] of rows in one read;
 //! - a [`PlacementPolicy`] (the pluggable trait) turns predictions into
 //!   placement decisions; [`BaselinePolicy`] ships the built-in family
 //!   (random / least-loaded / greedy-fastest / deadline-aware), and the

@@ -280,38 +280,50 @@ impl<'a> PitotPredictor<'a> {
         }
     }
 
-    fn query(&self, workload: u32, platform: usize, interferers: &[u32]) -> Vec<f32> {
+    /// Reads every head's log-runtime prediction for one query as a row
+    /// slice, handing it to `read`.
+    fn query<T>(
+        &self,
+        workload: u32,
+        platform: usize,
+        interferers: &[u32],
+        read: impl FnOnce(&[f32]) -> T,
+    ) -> T {
         let obs = Observation {
             workload,
             platform: platform as u32,
             interferers: interferers.to_vec(),
             runtime_s: 1.0, // unused by prediction
         };
+        // A one-row `pitot_linalg::Matrix`, left to inference so this crate
+        // needs no `pitot-linalg` dependency of its own.
+        let mut row = Default::default();
         self.trained
-            .predict_log_runtime_cached(&self.towers, &[&obs])
-            .into_iter()
-            .map(|head| head[0])
-            .collect()
+            .predict_log_runtime_into(&self.towers, &[&obs], &mut row);
+        read(row.row(0))
     }
 }
 
 impl RuntimePredictor for PitotPredictor<'_> {
     fn predict_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
-        self.query(workload, platform, interferers)[0].exp() as f64
+        self.query(workload, platform, interferers, |heads| {
+            heads[0].exp() as f64
+        })
     }
 
     fn bound_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
-        let heads = self.query(workload, platform, interferers);
-        match &self.bounds {
-            Some(b) => {
-                // Pools were calibrated per interference count; deeper
-                // co-location than the training envelope reuses the deepest
-                // pool.
-                let pool = interferers.len().min(MAX_INTERFERERS);
-                b.bound_log_from_heads(&heads, pool).exp() as f64
+        self.query(workload, platform, interferers, |heads| {
+            match &self.bounds {
+                Some(b) => {
+                    // Pools were calibrated per interference count; deeper
+                    // co-location than the training envelope reuses the deepest
+                    // pool.
+                    let pool = interferers.len().min(MAX_INTERFERERS);
+                    b.bound_log_from_heads(heads, pool).exp() as f64
+                }
+                None => heads[0].exp() as f64,
             }
-            None => heads[0].exp() as f64,
-        }
+        })
     }
 
     fn name(&self) -> &str {

@@ -850,9 +850,11 @@ impl FleetControl {
     /// One pairwise gossip round among live replicas: each refreshes its
     /// own run in its gossip view, a seeded shuffle pairs them up, each
     /// pair exchanges states (state-based CRDT join), and every live
-    /// replica refits + installs a calibration from its own gossip view at
-    /// the nominal ε. Repeated rounds converge every view to the
-    /// coordinator's union fit (property-tested in `pitot-conformal`).
+    /// replica installs a calibration fit on its own gossip view at the
+    /// nominal ε. Both partners of a join hold the same view, so the pair
+    /// is fitted once and shares the one `Arc`. Repeated rounds converge
+    /// every view to the coordinator's union fit (property-tested in
+    /// `pitot-conformal`).
     fn gossip_round(&mut self, reps: &mut impl Replicas) {
         let mut faults = self.faults.take().expect("gossip runs under faults");
         let live: Vec<usize> = (0..self.cfg.replicas)
@@ -873,6 +875,8 @@ impl FleetControl {
         // runs from two verified views, and verification is per run, so a
         // joined view verifies too.
         let mut verified = vec![false; self.cfg.replicas];
+        // Each replica's join partner this round: the two hold one view.
+        let mut partner: Vec<Option<usize>> = vec![None; self.cfg.replicas];
         for pair in order.chunks(2) {
             if let [a, b] = *pair {
                 // Verify both sides before the state-based join: a corrupt
@@ -890,10 +894,13 @@ impl FleetControl {
                 let joined = faults.gossip[a].merge(&faults.gossip[b]);
                 faults.gossip[a] = joined.clone();
                 faults.gossip[b] = joined;
+                partner[a] = Some(b);
+                partner[b] = Some(a);
             }
         }
         self.counts.gossip_rounds += 1;
         self.faults = Some(faults);
+        let mut installed: Vec<Option<Arc<Served>>> = vec![None; self.cfg.replicas];
         for &r in &live {
             let f = self.faults.as_ref().expect("just restored");
             if f.gossip[r].is_empty() || (!verified[r] && f.gossip[r].verify().is_err()) {
@@ -904,11 +911,15 @@ impl FleetControl {
                 // degrades only itself.
                 continue;
             }
-            let conformal = self.fit_union(&f.gossip[r]);
+            let served = match partner[r].and_then(|p| installed[p].clone()) {
+                Some(shared) => shared,
+                None => Served::fresh(self.fit_union(&f.gossip[r])),
+            };
             // An install resets the replica's staleness clock: gossip is
             // the degradation ladder's middle rung, above stale-local
             // fallback.
-            reps.install(r, Served::fresh(conformal));
+            reps.install(r, Arc::clone(&served));
+            installed[r] = Some(served);
         }
     }
 
@@ -1016,6 +1027,12 @@ mod tests {
     /// A two-replica control core over a barely trained model: the summary
     /// screens never read the model.
     fn control() -> FleetControl {
+        control_with(2).0
+    }
+
+    /// A `replicas`-replica control core over a barely trained model, and
+    /// the validation half of its split.
+    fn control_with(replicas: usize) -> (FleetControl, Vec<usize>) {
         let dataset = Testbed::generate(&TestbedConfig::small()).collect_dataset();
         let split = Split::stratified(&dataset, 0.6, 0);
         let mut cfg = PitotConfig::tiny();
@@ -1023,12 +1040,12 @@ mod tests {
         let trained = train(&dataset, &split, &cfg);
         let fleet = FleetConfig {
             serve: ServeConfig::at(0.1),
-            replicas: 2,
+            replicas,
             merge_every: 32,
             admission: AdmissionConfig::default(),
             compression: Vec::new(),
         };
-        FleetControl::new(fleet, trained, &dataset)
+        (FleetControl::new(fleet, trained, &dataset), split.val)
     }
 
     /// Replica `replica`'s honest summary after `pushes` entries through a
@@ -1072,5 +1089,31 @@ mod tests {
         assert!(core.try_absorb(1, &summary(1, 20, n_heads), false));
         assert!(core.try_absorb(0, &summary(0, 5, n_heads), false));
         assert_eq!(core.counts.rejected_summaries, 6);
+    }
+
+    #[test]
+    fn each_gossip_join_is_fitted_once_and_shared() {
+        // Four live replicas under a coordinator outage pair up into two
+        // joins. Both partners of a join hold the same view, so they hold
+        // one installed `Arc`; the other join's view is fitted on its own.
+        let (mut core, val) = control_with(4);
+        let mut reps: Vec<PitotServer> = (0..4).map(|r| core.replica_server(r)).collect();
+        for (rep, set) in reps.iter_mut().zip(core.seed_sets(&val)) {
+            rep.seed_calibration(&set);
+        }
+        core.install_faults(FaultPlan::none(5).coordinator_outage(0, usize::MAX));
+        core.gossip_round(&mut reps);
+        let views = &core.faults.as_ref().expect("faults installed").gossip;
+        let served: Vec<&Arc<Served>> = reps
+            .iter()
+            .map(|r| r.served().expect("every live replica installs"))
+            .collect();
+        for a in 0..4 {
+            let sharing: Vec<usize> = (0..4)
+                .filter(|&b| b != a && Arc::ptr_eq(served[a], served[b]))
+                .collect();
+            assert_eq!(sharing.len(), 1, "replica {a} shares with {sharing:?}");
+            assert_eq!(views[a], views[sharing[0]], "shared across views");
+        }
     }
 }
