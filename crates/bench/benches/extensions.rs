@@ -10,7 +10,8 @@ use pitot_analysis::{silhouette_score, Pca};
 use pitot_baselines::{ImcConfig, InductiveMc, KnnCollaborative, KnnConfig};
 use pitot_bench::Fixture;
 use pitot_conformal::{
-    head_spread, HeadSelection, PooledConformal, PredictionSet, ScaledConformal, TwoSidedCqr,
+    head_spread, HeadSelection, PooledConformal, PredictionSet, ScaledConformal, ScoredCalibration,
+    TwoSidedCqr,
 };
 use pitot_orchestrator::{BaselinePolicy, ClusterSim, JobStream, OraclePredictor, PitotPredictor};
 use std::hint::black_box;
@@ -99,8 +100,8 @@ fn conformal_variant_fits(c: &mut Criterion) {
                 targets_log: &targets,
                 pools: &pools,
             };
-            black_box(PooledConformal::fit(
-                &set,
+            black_box(PooledConformal::fit_scored(
+                &ScoredCalibration::new(&set),
                 &set,
                 &xis,
                 HeadSelection::TightestOnValidation,

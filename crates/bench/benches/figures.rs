@@ -11,6 +11,7 @@ use pitot_analysis::{
 use pitot_baselines::{LogPredictor, MatrixFactorization, MfConfig};
 use pitot_bench::Fixture;
 use pitot_conformal::HeadSelection;
+use pitot_experiments::uncertainty::{calibration, eval_set};
 use pitot_experiments::PitotPredictor;
 use std::hint::black_box;
 
@@ -161,16 +162,9 @@ fn fig11_bounds_grid_cell(c: &mut Criterion) {
     let test: Vec<usize> = f.split.test.iter().copied().take(2000).collect();
     c.bench_function("fig11_bounds_grid_cell", |b| {
         b.iter(|| {
-            let conformal = pitot_experiments::uncertainty::fit_bounds_generic(
-                &model,
-                &f.dataset,
-                &f.split,
-                0.1,
-                HeadSelection::TightestOnValidation,
-            );
-            black_box(pitot_experiments::uncertainty::margin_on(
-                &model, &conformal, &f.dataset, &test,
-            ))
+            let conformal = calibration(&model, &f.dataset, &f.split)
+                .fit(0.1, HeadSelection::TightestOnValidation);
+            black_box(eval_set(&model, &f.dataset, &test).margin(&conformal))
         })
     });
 }

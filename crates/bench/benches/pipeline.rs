@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pitot::{Objective, PitotConfig};
 use pitot_bench::Fixture;
 use pitot_conformal::HeadSelection;
-use pitot_experiments::uncertainty::{EvalSet, PredictorCalibration};
+use pitot_experiments::uncertainty::{calibration, eval_set};
 use pitot_experiments::PitotPredictor;
 use std::hint::black_box;
 
@@ -71,8 +71,8 @@ fn full_replicate(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("predict_calibrate_eval", |b| {
         b.iter(|| {
-            let calib = PredictorCalibration::prepare(&model, &f.dataset, &split);
-            let eval = EvalSet::prepare(&model, &f.dataset, &idx);
+            let calib = calibration(&model, &f.dataset, &split);
+            let eval = eval_set(&model, &f.dataset, &idx);
             let mut acc = 0.0f32;
             for &eps in &EPSILONS {
                 let conformal = calib.fit(eps, HeadSelection::TightestOnValidation);

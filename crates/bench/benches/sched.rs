@@ -9,8 +9,8 @@
 //!
 //! - `sched/place_conformal_12x3`: one `ConformalGreedy` decision over a
 //!   12-platform view with 3 residents each (84 rows), against the trained
-//!   model's conformal bounds through `PitotPredictor`, which answers a
-//!   batch row by row (the trait's default loop);
+//!   model's conformal bounds through `PitotPredictor`, which answers the
+//!   whole batch in one prediction pass over rows it reuses;
 //! - `sched/place_point_12x3`: the same scan reading the point estimate
 //!   (isolates the bound head's overhead);
 //! - `sched/place_serving_6x2`: one `ConformalGreedy` decision over a

@@ -13,7 +13,6 @@
 
 use crate::metrics::overprovision_margin;
 use crate::scores::CalibrationView;
-use crate::split_conformal::calibrate_gamma;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -38,7 +37,7 @@ impl<'a> PredictionSet<'a> {
     /// # Panics
     ///
     /// Panics if heads are empty or lengths disagree.
-    fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(!self.predictions.is_empty(), "at least one head required");
         for (h, p) in self.predictions.iter().enumerate() {
             assert_eq!(p.len(), self.targets_log.len(), "head {h} length mismatch");
@@ -82,7 +81,7 @@ pub struct PoolCalibration {
 }
 
 /// A fully calibrated pooled upper-bound predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PooledConformal {
     miscoverage: f32,
     pools: BTreeMap<usize, PoolCalibration>,
@@ -93,104 +92,24 @@ impl PooledConformal {
     /// Minimum calibration-pool size before falling back to the global pool.
     pub const MIN_POOL: usize = 25;
 
-    /// Fits pooled CQR.
-    ///
-    /// `calibration` supplies conformity scores; `validation` is used only by
-    /// [`HeadSelection::TightestOnValidation`] (pass the calibration set again
-    /// for the other policies — it is ignored). `xis` gives each head's
-    /// training quantile and is used by [`HeadSelection::NaiveXi`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if inputs are inconsistent, `miscoverage ∉ (0,1)`, or `xis`
-    /// does not match the head count.
-    pub fn fit(
-        calibration: &PredictionSet<'_>,
-        validation: &PredictionSet<'_>,
-        xis: &[f32],
-        selection: HeadSelection,
-        miscoverage: f32,
-    ) -> Self {
-        calibration.validate();
-        assert!(miscoverage > 0.0 && miscoverage < 1.0);
-        assert_eq!(
-            xis.len(),
-            calibration.predictions.len(),
-            "one training quantile per head"
-        );
-        if selection == HeadSelection::TightestOnValidation {
-            validation.validate();
-        }
-
-        // Global fallback calibration over all pools.
-        let all_idx: Vec<usize> = (0..calibration.targets_log.len()).collect();
-        let gamma_global = |head: usize| {
-            let scores: Vec<f32> = all_idx
-                .iter()
-                .map(|&i| calibration.targets_log[i] - calibration.predictions[head][i])
-                .collect();
-            calibrate_gamma(&scores, miscoverage)
-        };
-        let n_heads = calibration.predictions.len();
-        let fallback = Self::calibrate_pool(
-            n_heads,
-            &gamma_global,
-            validation,
-            &validation_indices_for(selection, validation, None),
-            xis,
-            selection,
-            miscoverage,
-        );
-
-        let mut pool_keys: Vec<usize> = calibration.pools.to_vec();
-        pool_keys.sort_unstable();
-        pool_keys.dedup();
-
-        let mut pools = BTreeMap::new();
-        for key in pool_keys {
-            let cal_idx = calibration.indices_in_pool(key);
-            if cal_idx.len() < Self::MIN_POOL {
-                continue; // fallback covers this pool
-            }
-            let val_idx = validation_indices_for(selection, validation, Some(key));
-            let gamma_pool = |head: usize| {
-                let scores: Vec<f32> = cal_idx
-                    .iter()
-                    .map(|&i| calibration.targets_log[i] - calibration.predictions[head][i])
-                    .collect();
-                calibrate_gamma(&scores, miscoverage)
-            };
-            pools.insert(
-                key,
-                Self::calibrate_pool(
-                    n_heads,
-                    &gamma_pool,
-                    validation,
-                    &val_idx,
-                    xis,
-                    selection,
-                    miscoverage,
-                ),
-            );
-        }
-
-        Self {
-            miscoverage,
-            pools,
-            fallback,
-        }
-    }
-
-    /// [`PooledConformal::fit`] consuming pre-scored calibration — a
+    /// Fits pooled CQR from pre-scored calibration: a
     /// [`crate::ScoredCalibration`], or a merged [`crate::MergeableWindow`]
-    /// read straight from its replica runs. The calibration side reduces to
-    /// rank lookups, so an ε-sweep (or a variant comparison) pays for
-    /// prediction and sorting once. The head-selection semantics are
-    /// identical to [`PooledConformal::fit`].
+    /// read straight from its replica runs. Every offline fit and every
+    /// served calibration goes through here.
+    ///
+    /// The calibration side reduces to rank lookups, so an ε-sweep (or a
+    /// variant comparison) pays for prediction and sorting once. Each pool
+    /// of at least [`PooledConformal::MIN_POOL`] observations gets its own
+    /// head and offset; smaller pools answer with the global fallback.
+    /// `validation` is read only by [`HeadSelection::TightestOnValidation`]
+    /// (pass any set for the other policies). `xis` gives each head's
+    /// training quantile and is read by [`HeadSelection::NaiveXi`].
     ///
     /// # Panics
     ///
-    /// Panics as [`PooledConformal::fit`].
+    /// Panics if `miscoverage ∉ (0,1)`, if `xis` does not match the head
+    /// count, or, under [`HeadSelection::TightestOnValidation`], if
+    /// `validation` is inconsistent.
     pub fn fit_scored<C: CalibrationView>(
         calibration: &C,
         validation: &PredictionSet<'_>,
@@ -299,6 +218,18 @@ impl PooledConformal {
         }
     }
 
+    /// This fit with every pool answered by its global fallback: bitwise
+    /// what a fit over the same sets with every pool key erased to one
+    /// gives, since that fit's one pool is the whole set. The marginal
+    /// (unpooled) arm of a pooling comparison.
+    pub fn global(&self) -> Self {
+        Self {
+            miscoverage: self.miscoverage,
+            pools: BTreeMap::new(),
+            fallback: self.fallback,
+        }
+    }
+
     /// Target miscoverage rate ε.
     pub fn miscoverage(&self) -> f32 {
         self.miscoverage
@@ -354,10 +285,80 @@ fn validation_indices_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::split_conformal::calibrate_gamma;
     use crate::{coverage, ScoredCalibration};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// The production fit: score, partition and sort once, then
+    /// [`PooledConformal::fit_scored`].
+    fn scored_fit(
+        calibration: &PredictionSet<'_>,
+        validation: &PredictionSet<'_>,
+        xis: &[f32],
+        selection: HeadSelection,
+        miscoverage: f32,
+    ) -> PooledConformal {
+        let scored = ScoredCalibration::new(calibration);
+        PooledConformal::fit_scored(&scored, validation, xis, selection, miscoverage)
+    }
+
+    /// The raw-score oracle [`PooledConformal::fit_scored`] is pinned to:
+    /// every offset is [`calibrate_gamma`] over freshly gathered scores,
+    /// with no sorted view and no rank lookup.
+    fn fit(
+        calibration: &PredictionSet<'_>,
+        validation: &PredictionSet<'_>,
+        xis: &[f32],
+        selection: HeadSelection,
+        miscoverage: f32,
+    ) -> PooledConformal {
+        calibration.validate();
+        let n_heads = calibration.predictions.len();
+        let gamma_over = |idx: &[usize], head: usize| {
+            let scores: Vec<f32> = idx
+                .iter()
+                .map(|&i| calibration.targets_log[i] - calibration.predictions[head][i])
+                .collect();
+            calibrate_gamma(&scores, miscoverage)
+        };
+        let all_idx: Vec<usize> = (0..calibration.targets_log.len()).collect();
+        let fallback = PooledConformal::calibrate_pool(
+            n_heads,
+            &|head| gamma_over(&all_idx, head),
+            validation,
+            &validation_indices_for(selection, validation, None),
+            xis,
+            selection,
+            miscoverage,
+        );
+        let mut pool_keys: Vec<usize> = calibration.pools.to_vec();
+        pool_keys.sort_unstable();
+        pool_keys.dedup();
+        let mut pools = BTreeMap::new();
+        for key in pool_keys {
+            let cal_idx = calibration.indices_in_pool(key);
+            if cal_idx.len() < PooledConformal::MIN_POOL {
+                continue;
+            }
+            let calibrated = PooledConformal::calibrate_pool(
+                n_heads,
+                &|head| gamma_over(&cal_idx, head),
+                validation,
+                &validation_indices_for(selection, validation, Some(key)),
+                xis,
+                selection,
+                miscoverage,
+            );
+            pools.insert(key, calibrated);
+        }
+        PooledConformal {
+            miscoverage,
+            pools,
+            fallback,
+        }
+    }
 
     /// Builds a synthetic two-pool quantile-regression scenario: pool 0 has
     /// low noise, pool 1 high noise; heads predict mean + z_ξ·σ̂ with a
@@ -413,7 +414,7 @@ mod tests {
             targets_log: &tt,
             pools: &tpool,
         };
-        let pc = PooledConformal::fit(&cal, &val, &xis(), HeadSelection::TightestOnValidation, 0.1);
+        let pc = scored_fit(&cal, &val, &xis(), HeadSelection::TightestOnValidation, 0.1);
         let bounds = pc.bounds_log(&test);
         for pool in [0usize, 1] {
             let idx: Vec<usize> = (0..tt.len()).filter(|&i| tpool[i] == pool).collect();
@@ -439,46 +440,70 @@ mod tests {
             targets_log: &vt,
             pools: &vpool,
         };
-        let pooled =
-            PooledConformal::fit(&cal, &val, &xis(), HeadSelection::TightestOnValidation, 0.1);
-        // Force global-only calibration by renaming all pools to one key.
-        let one_pool: Vec<usize> = vec![0; ct.len()];
-        let cal_g = PredictionSet {
-            predictions: &cp,
-            targets_log: &ct,
-            pools: &one_pool,
-        };
-        let val_g = PredictionSet {
-            predictions: &vp,
-            targets_log: &vt,
-            pools: &one_pool,
-        };
-        let global = PooledConformal::fit(
-            &cal_g,
-            &val_g,
-            &xis(),
-            HeadSelection::TightestOnValidation,
-            0.1,
-        );
+        let pooled = scored_fit(&cal, &val, &xis(), HeadSelection::TightestOnValidation, 0.1);
+        let global = pooled.global();
 
         // Quiet pool (0): pooled margin should beat global margin.
         let idx: Vec<usize> = (0..tt.len()).filter(|&i| tpool[i] == 0).collect();
-        let margin = |pc: &PooledConformal, pool_key: &[usize]| {
+        let margin = |pc: &PooledConformal| {
             let (b, t): (Vec<f32>, Vec<f32>) = idx
                 .iter()
                 .map(|&i| {
                     let preds: Vec<f32> = tp.iter().map(|h| h[i]).collect();
-                    (pc.bound_log(&preds, pool_key[i]), tt[i])
+                    (pc.bound_log(&preds, tpool[i]), tt[i])
                 })
                 .unzip();
             overprovision_margin(&b, &t)
         };
-        let m_pooled = margin(&pooled, &tpool);
-        let m_global = margin(&global, &one_pool);
+        let m_pooled = margin(&pooled);
+        let m_global = margin(&global);
         assert!(
             m_pooled < m_global,
             "pooled {m_pooled} should be tighter than global {m_global}"
         );
+    }
+
+    #[test]
+    fn global_is_the_fit_over_one_pool() {
+        // Erasing every pool key to one makes the whole set that pool, so
+        // its calibration is the keyed fit's fallback, bitwise.
+        let (cp, ct, cpool) = scenario(11, 1500);
+        let (vp, vt, vpool) = scenario(12, 1500);
+        let one_pool = vec![0usize; ct.len()];
+        let set = |preds, targets, pools| PredictionSet {
+            predictions: preds,
+            targets_log: targets,
+            pools,
+        };
+        for selection in [
+            HeadSelection::SingleHead,
+            HeadSelection::NaiveXi,
+            HeadSelection::TightestOnValidation,
+        ] {
+            let keyed = scored_fit(
+                &set(&cp, &ct, &cpool),
+                &set(&vp, &vt, &vpool),
+                &xis(),
+                selection,
+                0.1,
+            )
+            .global();
+            let erased = scored_fit(
+                &set(&cp, &ct, &one_pool),
+                &set(&vp, &vt, &one_pool),
+                &xis(),
+                selection,
+                0.1,
+            );
+            for key in 0..3 {
+                assert_eq!(
+                    keyed.calibration_for(key),
+                    erased.calibration_for(0),
+                    "{selection:?} pool {key}"
+                );
+            }
+            assert!(keyed.pool_calibrations().is_empty());
+        }
     }
 
     #[test]
@@ -502,9 +527,8 @@ mod tests {
             pools: &tpool,
         };
         let eps = 0.05;
-        let tight =
-            PooledConformal::fit(&cal, &val, &xis(), HeadSelection::TightestOnValidation, eps);
-        let naive = PooledConformal::fit(&cal, &val, &xis(), HeadSelection::NaiveXi, eps);
+        let tight = scored_fit(&cal, &val, &xis(), HeadSelection::TightestOnValidation, eps);
+        let naive = scored_fit(&cal, &val, &xis(), HeadSelection::NaiveXi, eps);
         let mt = overprovision_margin(&tight.bounds_log(&test), &tt);
         let mn = overprovision_margin(&naive.bounds_log(&test), &tt);
         assert!(mt <= mn * 1.05, "tightest {mt} vs naive {mn}");
@@ -513,9 +537,15 @@ mod tests {
     #[test]
     fn fit_scored_is_bitwise_identical_to_fit() {
         // The precomputed-score path must select the same heads and emit the
-        // same offsets as the from-scratch fit, at every ε and selection.
-        let (cp, ct, cpool) = scenario(21, 2000);
-        let (vp, vt, vpool) = scenario(22, 2000);
+        // same offsets as the raw-score oracle, at every ε and selection.
+        // Pool 99 holds fewer than MIN_POOL observations, so the fallback
+        // answers for it and must agree too.
+        let (cp, ct, mut cpool) = scenario(21, 2000);
+        let (vp, vt, mut vpool) = scenario(22, 2000);
+        for i in 0..PooledConformal::MIN_POOL - 1 {
+            cpool[i * 7] = 99;
+            vpool[i * 5] = 99;
+        }
         let cal = PredictionSet {
             predictions: &cp,
             targets_log: &ct,
@@ -533,16 +563,10 @@ mod tests {
             HeadSelection::TightestOnValidation,
         ] {
             for eps in [0.02f32, 0.1, 0.3] {
-                let direct = PooledConformal::fit(&cal, &val, &xis(), selection, eps);
+                let oracle = fit(&cal, &val, &xis(), selection, eps);
                 let via_scores = PooledConformal::fit_scored(&scored, &val, &xis(), selection, eps);
-                assert_eq!(
-                    direct.fallback, via_scores.fallback,
-                    "{selection:?} eps {eps}: fallback"
-                );
-                assert_eq!(
-                    direct.pools, via_scores.pools,
-                    "{selection:?} eps {eps}: pools"
-                );
+                assert!(!via_scores.pools.contains_key(&99), "pool 99 is small");
+                assert_eq!(oracle, via_scores, "{selection:?} eps {eps}");
             }
         }
     }
@@ -557,7 +581,7 @@ mod tests {
             targets_log: &targets,
             pools: &pools,
         };
-        let pc = PooledConformal::fit(&set, &set, &[0.5], HeadSelection::SingleHead, 0.1);
+        let pc = scored_fit(&set, &set, &[0.5], HeadSelection::SingleHead, 0.1);
         let cal = pc.calibration_for(0);
         assert_eq!(cal.head, 0);
         assert!(cal.gamma > 0.08, "gamma {}", cal.gamma);
@@ -575,7 +599,7 @@ mod tests {
             targets_log: &ct,
             pools: &cpool,
         };
-        let pc = PooledConformal::fit(&cal, &cal, &xis(), HeadSelection::NaiveXi, 0.1);
+        let pc = scored_fit(&cal, &cal, &xis(), HeadSelection::NaiveXi, 0.1);
         assert!(!pc.pool_calibrations().contains_key(&99));
         // calibration_for still answers via the fallback.
         let _ = pc.calibration_for(99);
@@ -591,7 +615,7 @@ mod tests {
             let cal = PredictionSet { predictions: &cp, targets_log: &ct, pools: &cpool };
             let val = PredictionSet { predictions: &vp, targets_log: &vt, pools: &vpool };
             let test = PredictionSet { predictions: &tp, targets_log: &tt, pools: &tpool };
-            let pc = PooledConformal::fit(&cal, &val, &xis(), HeadSelection::TightestOnValidation, eps);
+            let pc = scored_fit(&cal, &val, &xis(), HeadSelection::TightestOnValidation, eps);
             let cov = coverage(&pc.bounds_log(&test), &tt);
             // Per-pool calibration halves the effective n; account for both
             // calibration- and test-side variance plus selection slack.

@@ -61,12 +61,14 @@ impl ScoredCalibration {
     ///
     /// # Panics
     ///
-    /// Panics if the set is empty or internally inconsistent.
+    /// Panics if the set is empty or internally inconsistent: no heads, or
+    /// a head or the pool keys not matching the targets in length.
     pub fn new(calibration: &PredictionSet<'_>) -> Self {
         assert!(
             !calibration.targets_log.is_empty(),
             "cannot calibrate on an empty set"
         );
+        calibration.validate();
         let scores = upper_scores(calibration.predictions, calibration.targets_log);
         let n_heads = scores.len();
 
@@ -382,10 +384,10 @@ fn remove_sorted(v: &mut Vec<f32>, s: f32) {
 /// A fully prepared ε-sweep calibration: the pre-scored calibration half
 /// plus an owned copy of the selection half's predictions.
 ///
-/// This is the one shared contract behind `TrainedPitot::calibration` (core)
-/// and the experiment harness's generic-predictor path: both predict their
-/// holdout halves once, hand the data here, and fit pooled CQR at any
-/// number of miscoverage levels without touching a model again.
+/// Every offline calibration is one of these: `pitot::calibrate` builds it
+/// from any predictor's predictions of the two holdout halves, once, and
+/// [`SweepCalibration::fit`] then fits pooled CQR at any number of
+/// miscoverage levels without touching a model again.
 #[derive(Debug, Clone)]
 pub struct SweepCalibration {
     scored: ScoredCalibration,
@@ -604,6 +606,35 @@ mod tests {
     fn empty_window_refuses_to_calibrate() {
         let win = WindowedScores::new(8, 1);
         let _ = win.scored();
+    }
+
+    fn mismatched(n_preds: usize, n_pools: usize) -> ScoredCalibration {
+        let preds = vec![vec![0.0f32; n_preds]];
+        let targets = vec![0.5f32; 40];
+        let pools = vec![0usize; n_pools];
+        ScoredCalibration::new(&PredictionSet {
+            predictions: &preds,
+            targets_log: &targets,
+            pools: &pools,
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "pool key length mismatch")]
+    fn pools_shorter_than_targets_are_rejected() {
+        mismatched(40, 39);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool key length mismatch")]
+    fn pools_longer_than_targets_are_rejected() {
+        mismatched(40, 41);
+    }
+
+    #[test]
+    #[should_panic(expected = "head 0 length mismatch")]
+    fn a_head_not_matching_the_targets_is_rejected() {
+        mismatched(39, 40);
     }
 
     #[test]

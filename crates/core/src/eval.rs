@@ -19,31 +19,20 @@ pub fn mape(predicted_s: &[f32], actual_s: &[f32]) -> f32 {
     (total / predicted_s.len() as f64) as f32
 }
 
-/// MAPE of a trained model over specific observation indices.
-pub(crate) fn mape_for(trained: &TrainedPitot, dataset: &Dataset, idx: &[usize]) -> f32 {
-    let pred = trained.predict_runtime(dataset, idx);
-    let actual: Vec<f32> = idx
-        .iter()
-        .map(|&i| dataset.observations[i].runtime_s)
-        .collect();
-    mape(&pred, &actual)
-}
-
-/// MAPE split by interference count: element `k` is the MAPE over
-/// observations with exactly `k` interferers (`None` if the mode is absent).
+/// MAPE split by interference count: element `k` is the MAPE over the
+/// observations of `idx` with exactly `k` interferers (`None` if the mode
+/// is absent). One prediction pass covers every mode.
 pub fn mape_by_mode(trained: &TrainedPitot, dataset: &Dataset, idx: &[usize]) -> Vec<Option<f32>> {
+    let predicted = trained.predict_runtime(dataset, idx);
     (0..=MAX_INTERFERERS)
         .map(|k| {
-            let mode_idx: Vec<usize> = idx
+            let (p, a): (Vec<f32>, Vec<f32>) = idx
                 .iter()
-                .copied()
-                .filter(|&i| dataset.observations[i].interferers.len() == k)
-                .collect();
-            if mode_idx.is_empty() {
-                None
-            } else {
-                Some(mape_for(trained, dataset, &mode_idx))
-            }
+                .zip(&predicted)
+                .filter(|(&i, _)| dataset.observations[i].interferers.len() == k)
+                .map(|(&i, &p)| (p, dataset.observations[i].runtime_s))
+                .unzip();
+            (!p.is_empty()).then(|| mape(&p, &a))
         })
         .collect()
 }

@@ -20,8 +20,10 @@
 //!    [`TrainedPitot`] with the best-validation checkpoint.
 //! 4. [`TrainedPitot::fit_bounds`] — conformalized quantile regression with
 //!    calibration pools and optimal quantile selection (paper Sec 3.5),
-//!    yielding a [`RuntimeBounds`] that answers "what budget suffices with
-//!    probability 1 − ε?".
+//!    yielding a [`pitot_conformal::PooledConformal`] that answers "what
+//!    budget suffices with probability 1 − ε?". [`calibrate`] runs the same
+//!    calibration for any predictor, and an [`EvalSet`] scores the fitted
+//!    bounds on observations predicted once.
 //!
 //! # Examples
 //!
@@ -33,7 +35,7 @@
 //! let dataset = testbed.collect_dataset();
 //! let split = Split::stratified(&dataset, 0.5, 0);
 //! let trained = train(&dataset, &split, &PitotConfig::fast());
-//! let mape = trained.mape(&dataset, &split.test, None);
+//! let mape = trained.mape(&dataset, &split.test);
 //! println!("test MAPE: {:.1}%", 100.0 * mape);
 //! ```
 
@@ -53,6 +55,9 @@ pub use compress::{CompressedTower, CompressionLevel, CompressionSpec};
 pub use config::{InterferenceMode, LossSpace, Objective, OptimizerKind, PitotConfig};
 pub use eval::{mape, mape_by_mode};
 pub use model::{PitotModel, PlatformEmbeddings, TowerOutputs};
+/// The row-major matrix [`TrainedPitot::predict_log_runtime_into`] writes,
+/// so a caller can keep one as a reused read buffer.
+pub use pitot_linalg::Matrix;
 pub use scaling::ScalingBaseline;
 pub use train::{train, train_from, TowerCache, TrainContext, TrainProgress, TrainedPitot};
-pub use uncertainty::{RuntimeBounds, RuntimeCalibration};
+pub use uncertainty::{calibrate, EvalSet};

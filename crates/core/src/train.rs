@@ -736,22 +736,18 @@ impl TrainedPitot {
             .collect()
     }
 
-    /// Mean absolute percentage error on the given observations, optionally
-    /// restricted to a specific interference count. Returns `NaN` when the
-    /// (filtered) index set is empty so sweep code can skip absent modes.
-    pub fn mape(&self, dataset: &Dataset, idx: &[usize], mode: Option<usize>) -> f32 {
-        let filtered: Vec<usize> = match mode {
-            Some(k) => idx
-                .iter()
-                .copied()
-                .filter(|&i| dataset.observations[i].interferers.len() == k)
-                .collect(),
-            None => idx.to_vec(),
-        };
-        if filtered.is_empty() {
+    /// Mean absolute percentage error on the given observations (per
+    /// interference count: [`crate::mape_by_mode`]). Returns `NaN` when
+    /// `idx` is empty.
+    pub fn mape(&self, dataset: &Dataset, idx: &[usize]) -> f32 {
+        if idx.is_empty() {
             return f32::NAN;
         }
-        crate::eval::mape_for(self, dataset, &filtered)
+        let actual: Vec<f32> = idx
+            .iter()
+            .map(|&i| dataset.observations[i].runtime_s)
+            .collect();
+        crate::eval::mape(&self.predict_runtime(dataset, idx), &actual)
     }
 
     /// The step/loss trace recorded during training.
@@ -790,11 +786,23 @@ mod tests {
     fn trained_model_beats_scaling_baseline_on_mape() {
         let (ds, split) = setup();
         let trained = train(&ds, &split, &PitotConfig::tiny());
-        let mape = trained.mape(&ds, &split.test, Some(0));
+        let by_mode = crate::mape_by_mode(&trained, &ds, &split.test);
+        let mape = by_mode[0].expect("isolation test data");
         // The scaling baseline alone leaves the pair-affinity structure
         // unexplained; the tiny model should land comfortably under 60%.
         assert!(mape < 0.6, "isolation MAPE {mape}");
         assert!(mape > 0.0);
+        // One prediction pass split by arity is each mode's own MAPE.
+        for (k, got) in by_mode.into_iter().enumerate() {
+            let mode: Vec<usize> = split
+                .test
+                .iter()
+                .copied()
+                .filter(|&i| ds.observations[i].interferers.len() == k)
+                .collect();
+            let want = trained.mape(&ds, &mode);
+            assert_eq!(got.map(f32::to_bits), Some(want.to_bits()), "mode {k}");
+        }
     }
 
     #[test]
@@ -856,8 +864,8 @@ mod tests {
         let trained = train(&ds, &split, &cfg);
         let tuned = trained.fine_tune(&ds, &split, 150);
         let idx = split.test[..2000.min(split.test.len())].to_vec();
-        let before = trained.mape(&ds, &idx, Some(0));
-        let after = tuned.mape(&ds, &idx, Some(0));
+        let before = crate::mape_by_mode(&trained, &ds, &idx)[0].expect("isolation data");
+        let after = crate::mape_by_mode(&tuned, &ds, &idx)[0].expect("isolation data");
         assert!(
             after <= before * 1.1,
             "fine-tuning regressed: {before} → {after}"
@@ -882,8 +890,8 @@ mod tests {
             .filter(|&i| ds.observations[i].interferers.is_empty())
             .take(2000)
             .collect();
-        let m_stale = stale.mape(&ds, &idx, None);
-        let m_tuned = tuned.mape(&ds, &idx, None);
+        let m_stale = stale.mape(&ds, &idx);
+        let m_tuned = tuned.mape(&ds, &idx);
         assert!(
             m_tuned <= m_stale * 1.05,
             "online update should help: stale {m_stale}, tuned {m_tuned}"
@@ -998,7 +1006,7 @@ mod tests {
         let trained = train(&ds, &split, &cfg);
         assert!(trained.final_val_loss().is_finite());
         let idx: Vec<usize> = split.test.iter().copied().take(200).collect();
-        let mape = trained.mape(&ds, &idx, None);
+        let mape = trained.mape(&ds, &idx);
         assert!(mape.is_finite() && mape < 2.0, "LN-tower MAPE {mape}");
         // The serialized checkpoint round-trips the layer-norm parameters.
         let restored = TrainedPitot::from_json(&trained.to_json()).unwrap();

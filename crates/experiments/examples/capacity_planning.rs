@@ -10,7 +10,7 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use pitot::{train, Objective, PitotConfig};
+use pitot::{train, EvalSet, Objective, PitotConfig};
 use pitot_conformal::HeadSelection;
 use pitot_testbed::{split::Split, Testbed, TestbedConfig};
 
@@ -54,9 +54,20 @@ fn main() {
         "ε", "budgeted (s)", "overhead", "misses", "coverage"
     );
 
+    // Calibrate and predict the batch once; each ε is then a rank lookup.
+    let calibration = trained.calibration(&dataset, &trained.tower_cache(&dataset));
+    let queued = EvalSet::new(
+        &dataset,
+        &batch,
+        trained.predict_log_runtime(&dataset, &batch),
+    );
     for eps in [0.2, 0.1, 0.05, 0.02] {
-        let bounds = trained.fit_bounds(&dataset, eps, HeadSelection::TightestOnValidation);
-        let budgets = bounds.bounds_s(&trained, &dataset, &batch);
+        let bounds = calibration.fit(eps, HeadSelection::TightestOnValidation);
+        let budgets: Vec<f32> = queued
+            .bounds_log(&bounds)
+            .into_iter()
+            .map(f32::exp)
+            .collect();
         let budget_total: f32 = budgets.iter().sum();
         let misses = batch
             .iter()

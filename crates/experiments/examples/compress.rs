@@ -16,10 +16,8 @@
 //! `PITOT_THREADS`; CI runs this example twice at different thread counts
 //! and diffs the two lines.
 
-use pitot::{
-    train, CompressedTower, CompressionSpec, Objective, PitotConfig, RuntimeBounds, TrainedPitot,
-};
-use pitot_conformal::HeadSelection;
+use pitot::{train, CompressedTower, CompressionSpec, Objective, PitotConfig, TrainedPitot};
+use pitot_conformal::{HeadSelection, PooledConformal};
 use pitot_linalg::Matrix;
 use pitot_testbed::{split::Split, Dataset, Observation, Testbed, TestbedConfig};
 
@@ -69,7 +67,7 @@ fn main() {
         CompressionSpec::pruned(0.5),
         CompressionSpec::pruned_int8(0.5),
     ];
-    let mut dense_bounds: Option<RuntimeBounds> = None;
+    let mut dense_bounds: Option<PooledConformal> = None;
     let mut coverages = Vec::new();
     let mut widths = Vec::new();
     let mut last_preds = Matrix::zeros(0, 0);
@@ -84,7 +82,7 @@ fn main() {
         let (mut covered, mut width_sum) = (0usize, 0.0f64);
         for (&i, head) in test.iter().zip(p.iter_rows()) {
             let o = &dataset.observations[i];
-            let bound = bounds.bound_log_from_heads(head, o.interferers.len());
+            let bound = bounds.bound_log(head, o.interferers.len());
             covered += usize::from(bound >= o.log_runtime());
             width_sum += f64::from(bound - head[0]);
             fnv(&bound.to_bits().to_le_bytes(), &mut digest);
@@ -113,7 +111,7 @@ fn main() {
     let mut stale_covered = 0usize;
     for (&i, head) in test.iter().zip(last_preds.iter_rows()) {
         let o = &dataset.observations[i];
-        let bound = stale_bounds.bound_log_from_heads(head, o.interferers.len());
+        let bound = stale_bounds.bound_log(head, o.interferers.len());
         stale_covered += usize::from(bound >= o.log_runtime());
         fnv(&bound.to_bits().to_le_bytes(), &mut digest);
     }

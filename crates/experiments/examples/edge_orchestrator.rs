@@ -11,36 +11,14 @@
 //! cargo run --release --example edge_orchestrator
 //! ```
 
-use pitot::{train, Objective, PitotConfig, TrainedPitot};
+use pitot::{train, Matrix, Objective, PitotConfig};
 use pitot_conformal::HeadSelection;
-use pitot_testbed::{split::Split, Dataset, Observation, Testbed, TestbedConfig};
+use pitot_testbed::{split::Split, Observation, Testbed, TestbedConfig};
 
 /// A candidate placement: the workload joins `running` on `platform`.
 struct Placement {
     platform: usize,
     running: Vec<u32>,
-}
-
-/// Builds a hypothetical observation describing a placement so the model can
-/// score it (the observation's runtime is a placeholder; only indices are
-/// read at prediction time).
-fn hypothetical(dataset: &mut Dataset, workload: u32, placement: &Placement) -> usize {
-    dataset.observations.push(Observation {
-        workload,
-        platform: placement.platform as u32,
-        interferers: placement.running.clone(),
-        runtime_s: 1.0,
-    });
-    dataset.observations.len() - 1
-}
-
-fn budget_for(
-    trained: &TrainedPitot,
-    bounds: &pitot::RuntimeBounds,
-    dataset: &Dataset,
-    idx: usize,
-) -> f32 {
-    bounds.bounds_s(trained, dataset, &[idx])[0]
 }
 
 fn main() {
@@ -90,12 +68,23 @@ fn main() {
         "candidate platform", "point est", "95% budget"
     );
 
-    let mut ds = dataset.clone();
+    let towers = trained.tower_cache(&dataset);
+    let mut heads = Matrix::default();
     let mut best: Option<(usize, f32)> = None;
     for (c, placement) in candidates.iter().enumerate() {
-        let idx = hypothetical(&mut ds, workload, placement);
-        let point = trained.predict_runtime(&ds, &[idx])[0];
-        let budget = budget_for(&trained, &bounds, &ds, idx);
+        // A hypothetical observation describing the placement: the model
+        // reads only its indices, so the runtime is a placeholder.
+        let query = Observation {
+            workload,
+            platform: placement.platform as u32,
+            interferers: placement.running.clone(),
+            runtime_s: 1.0,
+        };
+        trained.predict_log_runtime_into(&towers, &[&query], &mut heads);
+        let point = heads.row(0)[0].exp();
+        let budget = bounds
+            .bound_log(heads.row(0), placement.running.len())
+            .exp();
         let ok = budget <= deadline_s;
         println!(
             "{:<52} {:>9.3}s {:>11.3}s  {}",

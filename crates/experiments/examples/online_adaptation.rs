@@ -65,7 +65,7 @@ fn main() {
     ] {
         println!(
             "  {label:<24} {:>6.1}%   (+{steps} steps)",
-            100.0 * model.mape(&dataset, test, None)
+            100.0 * model.mape(&dataset, test)
         );
     }
     println!(

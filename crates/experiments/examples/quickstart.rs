@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pitot::{train, Objective, PitotConfig};
+use pitot::{train, EvalSet, Objective, PitotConfig};
 use pitot_conformal::HeadSelection;
 use pitot_testbed::{split::Split, Testbed, TestbedConfig};
 
@@ -34,7 +34,7 @@ fn main() {
     println!("trained: {} parameters", trained.model.param_count());
 
     // 4. Point accuracy on held-out observations.
-    let mape = trained.mape(&dataset, &split.test, None);
+    let mape = trained.mape(&dataset, &split.test);
     println!("test MAPE: {:.1}%", 100.0 * mape);
 
     // 5. Calibrated upper bounds: a runtime budget sufficient with
@@ -42,8 +42,13 @@ fn main() {
     let epsilon = 0.1;
     let bounds = trained.fit_bounds(&dataset, epsilon, HeadSelection::TightestOnValidation);
     let sample: Vec<usize> = split.test.iter().copied().take(5).collect();
-    let budgets = bounds.bounds_s(&trained, &dataset, &sample);
-    let points = trained.predict_runtime(&dataset, &sample);
+    let heads = trained.predict_log_runtime(&dataset, &sample);
+    let points: Vec<f32> = heads[0].iter().map(|p| p.exp()).collect();
+    let budgets: Vec<f32> = EvalSet::new(&dataset, &sample, heads)
+        .bounds_log(&bounds)
+        .into_iter()
+        .map(f32::exp)
+        .collect();
     println!("\nobservation                                  predicted   budget(ε=0.1)   actual");
     for ((&oi, pred), budget) in sample.iter().zip(&points).zip(&budgets) {
         let o = &dataset.observations[oi];
@@ -65,7 +70,12 @@ fn main() {
         );
     }
 
-    let coverage = bounds.coverage(&trained, &dataset, &split.test);
+    let test = EvalSet::new(
+        &dataset,
+        &split.test,
+        trained.predict_log_runtime(&dataset, &split.test),
+    );
+    let coverage = test.coverage(&bounds);
     println!(
         "\nempirical bound coverage: {:.1}% (target ≥ {:.0}%)",
         100.0 * coverage,

@@ -27,8 +27,8 @@ pub fn pitot_error_curve(
                 let trained = pitot::train(&h.dataset, &split, &cfg.clone().with_seed(rep as u64));
                 let no_idx = h.test_without_interference(&split);
                 let with_idx = h.test_with_interference(&split);
-                no_reps.push(trained.mape(&h.dataset, &no_idx, None));
-                with_reps.push(trained.mape(&h.dataset, &with_idx, None));
+                no_reps.push(trained.mape(&h.dataset, &no_idx));
+                with_reps.push(trained.mape(&h.dataset, &with_idx));
             }
             no_points.push(Point::from_replicates(fraction, no_reps));
             with_points.push(Point::from_replicates(fraction, with_reps));

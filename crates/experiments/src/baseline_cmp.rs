@@ -4,7 +4,7 @@
 use crate::harness::Harness;
 use crate::methods::Method;
 use crate::report::{Figure, Point, Series};
-use crate::uncertainty::{epsilons, fit_bounds_generic, margin_on};
+use crate::uncertainty::{calibration, epsilons, eval_set};
 use pitot::{Objective, PitotConfig};
 use pitot_conformal::HeadSelection;
 
@@ -158,9 +158,9 @@ pub fn summary(h: &Harness) -> Figure {
         for rep in 0..h.replicates {
             let split = h.split(split_frac, rep);
             let model = method.train(&h.dataset, &split, rep as u64);
-            let conformal = fit_bounds_generic(model.as_ref(), &h.dataset, &split, eps, selection);
+            let conformal = calibration(model.as_ref(), &h.dataset, &split).fit(eps, selection);
             let no_idx = h.test_without_interference(&split);
-            reps.push(margin_on(model.as_ref(), &conformal, &h.dataset, &no_idx));
+            reps.push(eval_set(model.as_ref(), &h.dataset, &no_idx).margin(&conformal));
         }
         margins.push((method.label().to_string(), pitot_linalg::mean(&reps)));
         fig.series.push(Series {

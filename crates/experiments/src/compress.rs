@@ -37,10 +37,8 @@
 
 use crate::harness::Harness;
 use crate::report::{Figure, Point, Series};
-use pitot::{
-    CompressedTower, CompressionSpec, Objective, PitotConfig, RuntimeBounds, TrainedPitot,
-};
-use pitot_conformal::HeadSelection;
+use pitot::{CompressedTower, CompressionSpec, Objective, PitotConfig, TrainedPitot};
+use pitot_conformal::{HeadSelection, PooledConformal};
 use pitot_linalg::Matrix;
 use pitot_testbed::Dataset;
 
@@ -85,12 +83,17 @@ struct ArmOutcome {
     digest: u64,
 }
 
-fn judge(dataset: &Dataset, test: &[usize], preds: &Matrix, bounds: &RuntimeBounds) -> ArmOutcome {
+fn judge(
+    dataset: &Dataset,
+    test: &[usize],
+    preds: &Matrix,
+    bounds: &PooledConformal,
+) -> ArmOutcome {
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     let (mut covered, mut width_sum) = (0usize, 0.0f64);
     for (&i, head_preds) in test.iter().zip(preds.iter_rows()) {
         let o = &dataset.observations[i];
-        let bound = bounds.bound_log_from_heads(head_preds, o.interferers.len());
+        let bound = bounds.bound_log(head_preds, o.interferers.len());
         covered += usize::from(bound >= o.log_runtime());
         width_sum += f64::from(bound - head_preds[0]);
         for &byte in &bound.to_bits().to_le_bytes() {
@@ -154,7 +157,7 @@ pub fn ext_compress(h: &Harness) -> Figure {
         let test: Vec<usize> = split.test.iter().copied().take(TEST_CAP).collect();
 
         let mut dense_preds: Option<Matrix> = None;
-        let mut dense_bounds: Option<RuntimeBounds> = None;
+        let mut dense_bounds: Option<PooledConformal> = None;
         for (l, spec) in specs.iter().enumerate() {
             let tower = CompressedTower::new(&trained, spec);
             let cache = tower.tower_cache(&h.dataset);

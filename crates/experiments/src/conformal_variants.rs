@@ -19,12 +19,12 @@
 use crate::harness::Harness;
 use crate::methods::PitotPredictor;
 use crate::report::{Figure, Point, Series};
-use crate::uncertainty::{epsilons, EvalSet, PredictorCalibration};
-use pitot::{Objective, PitotConfig};
+use crate::uncertainty::{epsilons, eval_set};
+use pitot::{EvalSet, Objective, PitotConfig};
 use pitot_baselines::LogPredictor;
 use pitot_conformal::{
     coverage, head_spread, interval_coverage, mean_interval_factor, overprovision_margin,
-    HeadSelection, ScaledConformal, SplitConformal, TwoSidedCqr,
+    HeadSelection, ScaledConformal, SplitConformal, SweepCalibration, TwoSidedCqr,
 };
 use pitot_testbed::Dataset;
 
@@ -44,9 +44,9 @@ struct VariantEval {
 /// the test sets are predicted once, and each fit below is a quantile
 /// lookup over the appropriate score slice.
 struct VariantData {
-    calib: PredictorCalibration,
-    /// Sorted median-head scores `t − p` (split conformal sweep).
-    median_scores_sorted: Vec<f32>,
+    calib: SweepCalibration,
+    /// The calibration half, which the scaled and two-sided variants read.
+    cal: EvalSet,
     /// Spread-normalized median-head scores (scaled conformal sweep).
     scaled_scores: Vec<f32>,
     eval_no: EvalSet,
@@ -62,34 +62,31 @@ impl VariantData {
         no_idx: &[usize],
         with_idx: &[usize],
     ) -> Self {
-        // Calibration half of the holdout (same interleave as the paper path).
-        let cal_idx: Vec<usize> = split.val.iter().copied().step_by(2).collect();
-        let cal_preds = model.predict_log(dataset, &cal_idx);
-        let cal_t: Vec<f32> = cal_idx
+        // `calibrate` asks for the calibration half first; keep that one
+        // prediction for the variants that read it.
+        let mut cal = None;
+        let calib = pitot::calibrate(dataset, split, model.quantile_levels(), |idx| {
+            let preds = model.predict_log(dataset, idx);
+            cal.get_or_insert_with(|| EvalSet::new(dataset, idx, preds.clone()));
+            preds
+        });
+        let cal = cal.expect("the calibration half was predicted");
+        let (median, hi) = (&cal.preds()[MEDIAN_HEAD], &cal.preds()[HI_HEAD]);
+        let scaled_scores: Vec<f32> = median
             .iter()
-            .map(|&i| dataset.observations[i].log_runtime())
+            .zip(cal.targets())
+            .zip(head_spread(median, hi))
+            .map(|((p, t), d)| (t - p) / d.max(pitot_conformal::MIN_SCALE))
             .collect();
-        let mut median_scores_sorted: Vec<f32> = cal_preds[MEDIAN_HEAD]
-            .iter()
-            .zip(&cal_t)
-            .map(|(p, t)| t - p)
-            .collect();
-        let disp_cal = head_spread(&cal_preds[MEDIAN_HEAD], &cal_preds[HI_HEAD]);
-        let scaled_scores: Vec<f32> = median_scores_sorted
-            .iter()
-            .zip(&disp_cal)
-            .map(|(s, d)| s / d.max(pitot_conformal::MIN_SCALE))
-            .collect();
-        median_scores_sorted.sort_by(f32::total_cmp);
 
         let all_idx: Vec<usize> = no_idx.iter().chain(with_idx).copied().collect();
         Self {
-            calib: PredictorCalibration::prepare(model, dataset, split),
-            median_scores_sorted,
+            calib,
+            cal,
             scaled_scores,
-            eval_no: EvalSet::prepare(model, dataset, no_idx),
-            eval_with: EvalSet::prepare(model, dataset, with_idx),
-            eval_all: EvalSet::prepare(model, dataset, &all_idx),
+            eval_no: eval_set(model, dataset, no_idx),
+            eval_with: eval_set(model, dataset, with_idx),
+            eval_all: eval_set(model, dataset, &all_idx),
         }
     }
 
@@ -140,7 +137,10 @@ impl VariantData {
 
         // 3. Plain split conformal on the median head.
         {
-            let sc = SplitConformal::from_sorted_scores(&self.median_scores_sorted, eps);
+            let sc = SplitConformal::from_sorted_scores(
+                self.calib.scored().sorted_scores(MEDIAN_HEAD),
+                eps,
+            );
             let bound_for =
                 |preds: &[Vec<f32>], b: usize| sc.upper_bound_log(preds[MEDIAN_HEAD][b]);
             let (m_no, _) = eval_bounds(&bound_for, &self.eval_no);
@@ -203,35 +203,25 @@ pub fn ext_conformal_variants(h: &Harness) -> Figure {
 
         // Quantile-head crossing diagnostic (reported in notes): how often
         // the independently trained ξ-heads actually cross, which is what
-        // `PitotConfig::rearrange_quantiles` fixes.
+        // `PitotConfig::rearrange_quantiles` fixes. Then the two-sided
+        // interval at ε = 0.1, over the same test predictions.
         if rep == 0 {
-            let all_idx: Vec<usize> = no_idx.iter().chain(&with_idx).copied().collect();
-            let preds = model.predict_log(&h.dataset, &all_idx);
+            let test = &data.eval_all;
             interval_notes.push(format!(
                 "quantile-head crossing rate on test data: {:.1}% of observations",
-                100.0 * pitot_conformal::crossing_rate(&preds)
+                100.0 * pitot_conformal::crossing_rate(test.preds())
             ));
-        }
-
-        // Two-sided interval at ε = 0.1 (reported in notes).
-        if rep == 0 {
-            let cal_idx: Vec<usize> = split.val.iter().copied().step_by(2).collect();
-            let cal_preds = model.predict_log(&h.dataset, &cal_idx);
-            let cal_t: Vec<f32> = cal_idx
-                .iter()
-                .map(|&i| h.dataset.observations[i].log_runtime())
-                .collect();
-            let cqr2 = TwoSidedCqr::fit(&cal_preds[MEDIAN_HEAD], &cal_preds[HI_HEAD], &cal_t, 0.1);
-            let all_idx: Vec<usize> = no_idx.iter().chain(&with_idx).copied().collect();
-            let test_preds = model.predict_log(&h.dataset, &all_idx);
-            let test_t: Vec<f32> = all_idx
-                .iter()
-                .map(|&i| h.dataset.observations[i].log_runtime())
-                .collect();
-            let ivs = cqr2.intervals_log(&test_preds[MEDIAN_HEAD], &test_preds[HI_HEAD]);
+            let cal = &data.cal;
+            let cqr2 = TwoSidedCqr::fit(
+                &cal.preds()[MEDIAN_HEAD],
+                &cal.preds()[HI_HEAD],
+                cal.targets(),
+                0.1,
+            );
+            let ivs = cqr2.intervals_log(&test.preds()[MEDIAN_HEAD], &test.preds()[HI_HEAD]);
             interval_notes.push(format!(
                 "two-sided CQR at ε=0.1: coverage {:.3}, mean interval factor {:.2}x",
-                interval_coverage(&ivs, &test_t),
+                interval_coverage(&ivs, test.targets()),
                 mean_interval_factor(&ivs),
             ));
         }

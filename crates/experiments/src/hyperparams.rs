@@ -89,10 +89,10 @@ pub fn fig10_row(h: &Harness, sweep: Sweep) -> Figure {
                     t.extend(h.test_with_interference(&split));
                     t
                 };
-                for k in 0..4 {
-                    let m = trained.mape(&h.dataset, &test, Some(k));
-                    if m.is_finite() {
-                        reps_by_mode[k].push(m);
+                let by_mode = pitot::mape_by_mode(&trained, &h.dataset, &test);
+                for (reps, m) in reps_by_mode.iter_mut().zip(by_mode) {
+                    if let Some(m) = m.filter(|m| m.is_finite()) {
+                        reps.push(m);
                     }
                 }
             }

@@ -72,13 +72,13 @@ pub fn ext_online(h: &Harness) -> Figure {
 
             let cfg_rep = cfg.clone().with_seed(rep as u64);
             let stale = pitot::train(&h.dataset, &arrival.pretrain, &cfg_rep);
-            stale_pts[a].push(stale.mape(&h.dataset, &test, None));
+            stale_pts[a].push(stale.mape(&h.dataset, &test));
 
             let tuned = stale.fine_tune(&h.dataset, &arrival.adapt, fine_tune_steps);
-            tuned_pts[a].push(tuned.mape(&h.dataset, &test, None));
+            tuned_pts[a].push(tuned.mape(&h.dataset, &test));
 
             let retrained = pitot::train(&h.dataset, &arrival.adapt, &cfg_rep);
-            retrain_pts[a].push(retrained.mape(&h.dataset, &test, None));
+            retrain_pts[a].push(retrained.mape(&h.dataset, &test));
         }
     }
 

@@ -42,8 +42,8 @@ pub fn ext_optimizer(h: &Harness) -> Figure {
             let trained = pitot::train(&h.dataset, &split, &cfg);
             let no_idx = h.test_without_interference(&split);
             let with_idx = h.test_with_interference(&split);
-            mape_no.push(trained.mape(&h.dataset, &no_idx, None));
-            mape_with.push(trained.mape(&h.dataset, &with_idx, None));
+            mape_no.push(trained.mape(&h.dataset, &no_idx));
+            mape_with.push(trained.mape(&h.dataset, &with_idx));
             best_val.push(trained.final_val_loss());
         }
         for (panel, values) in [

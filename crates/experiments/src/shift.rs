@@ -15,11 +15,10 @@
 use crate::harness::Harness;
 use crate::methods::PitotPredictor;
 use crate::report::{Figure, Point, Series};
-use crate::uncertainty::fit_bounds_generic;
+use crate::uncertainty::{calibration, eval_set};
 use pitot::{Objective, PitotConfig};
-use pitot_baselines::LogPredictor;
-use pitot_conformal::{coverage, HeadSelection, PooledConformal, PredictionSet};
-use pitot_testbed::{arity_shift_split, split::Split, Dataset, MAX_INTERFERERS};
+use pitot_conformal::HeadSelection;
+use pitot_testbed::{arity_shift_split, MAX_INTERFERERS};
 
 /// Test-set arity mixes, from calibration-like to heavily shifted.
 /// (label, weight per interferer count 0..=3)
@@ -29,76 +28,6 @@ const SHIFTS: [(&str, [f32; MAX_INTERFERERS + 1]); 4] = [
     ("interference-heavy", [0.2, 0.8, 1.5, 1.5]),
     ("worst-case 4-way", [0.0, 0.0, 0.0, 1.0]),
 ];
-
-/// Fits a *global* (single-pool) calibration by erasing the pool key.
-fn fit_global(
-    model: &dyn LogPredictor,
-    dataset: &Dataset,
-    split: &Split,
-    epsilon: f32,
-) -> PooledConformal {
-    let cal_idx: Vec<usize> = split.val.iter().copied().step_by(2).collect();
-    let mut sel_idx: Vec<usize> = split.val.iter().copied().skip(1).step_by(2).collect();
-    if sel_idx.is_empty() {
-        sel_idx = cal_idx.clone();
-    }
-    let cal_preds = model.predict_log(dataset, &cal_idx);
-    let sel_preds = model.predict_log(dataset, &sel_idx);
-    let cal_t: Vec<f32> = cal_idx
-        .iter()
-        .map(|&i| dataset.observations[i].log_runtime())
-        .collect();
-    let sel_t: Vec<f32> = sel_idx
-        .iter()
-        .map(|&i| dataset.observations[i].log_runtime())
-        .collect();
-    let zeros_cal = vec![0usize; cal_idx.len()];
-    let zeros_sel = vec![0usize; sel_idx.len()];
-    PooledConformal::fit(
-        &PredictionSet {
-            predictions: &cal_preds,
-            targets_log: &cal_t,
-            pools: &zeros_cal,
-        },
-        &PredictionSet {
-            predictions: &sel_preds,
-            targets_log: &sel_t,
-            pools: &zeros_sel,
-        },
-        &model.quantile_levels(),
-        HeadSelection::TightestOnValidation,
-        epsilon,
-    )
-}
-
-/// Coverage of a calibration on `idx`, with pools keyed by arity
-/// (`keyed = true`) or all-zero (`keyed = false`, matching [`fit_global`]).
-fn coverage_with_pools(
-    model: &dyn LogPredictor,
-    conformal: &PooledConformal,
-    dataset: &Dataset,
-    idx: &[usize],
-    keyed: bool,
-) -> f32 {
-    let preds = model.predict_log(dataset, idx);
-    let targets: Vec<f32> = idx
-        .iter()
-        .map(|&i| dataset.observations[i].log_runtime())
-        .collect();
-    let pools: Vec<usize> = if keyed {
-        idx.iter()
-            .map(|&i| dataset.observations[i].interferers.len())
-            .collect()
-    } else {
-        vec![0usize; idx.len()]
-    };
-    let bounds = conformal.bounds_log(&PredictionSet {
-        predictions: &preds,
-        targets_log: &targets,
-        pools: &pools,
-    });
-    coverage(&bounds, &targets)
-}
 
 /// Extension figure: coverage of pooled vs global calibration across arity
 /// shifts at ε = 0.1.
@@ -119,14 +48,11 @@ pub fn ext_shift(h: &Harness) -> Figure {
         let split = h.split(0.5, rep);
         let trained = pitot::train(&h.dataset, &split, &cfg.clone().with_seed(rep as u64));
         let model = PitotPredictor(trained);
-        let pooled = fit_bounds_generic(
-            &model,
-            &h.dataset,
-            &split,
-            eps,
-            HeadSelection::TightestOnValidation,
-        );
-        let global = fit_global(&model, &h.dataset, &split, eps);
+        let pooled =
+            calibration(&model, &h.dataset, &split).fit(eps, HeadSelection::TightestOnValidation);
+        // The single-pool arm: the same fit with every pool answered by
+        // its global fallback, bitwise a fit with the pool key erased.
+        let global = pooled.global();
 
         for (s, (_, weights)) in SHIFTS.iter().enumerate() {
             let shifted = arity_shift_split(&h.dataset, 0.5, weights, rep as u64);
@@ -136,12 +62,9 @@ pub fn ext_shift(h: &Harness) -> Figure {
             } else {
                 shifted.test
             };
-            pooled_cov[s].push(coverage_with_pools(
-                &model, &pooled, &h.dataset, &test, true,
-            ));
-            global_cov[s].push(coverage_with_pools(
-                &model, &global, &h.dataset, &test, false,
-            ));
+            let eval = eval_set(&model, &h.dataset, &test);
+            pooled_cov[s].push(eval.coverage(&pooled));
+            global_cov[s].push(eval.coverage(&global));
         }
     }
 

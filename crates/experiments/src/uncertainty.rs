@@ -3,12 +3,9 @@
 use crate::harness::Harness;
 use crate::methods::{Method, PitotPredictor};
 use crate::report::{Figure, Point, Series};
-use pitot::{Objective, PitotConfig};
+use pitot::{EvalSet, Objective, PitotConfig};
 use pitot_baselines::LogPredictor;
-use pitot_conformal::{
-    calibrate_gamma, overprovision_margin, HeadSelection, PooledConformal, PredictionSet,
-    SweepCalibration,
-};
+use pitot_conformal::{calibrate_gamma, overprovision_margin, HeadSelection, SweepCalibration};
 use pitot_testbed::{split::Split, Dataset};
 
 /// Miscoverage sweep used by the tightness figures.
@@ -19,152 +16,17 @@ pub fn epsilons(h: &Harness) -> Vec<f32> {
     }
 }
 
-/// One predictor's calibration data, prepared once per replicate: the
-/// holdout halves are predicted a single time and the nonconformity scores
-/// pre-sorted per pool, so fitting at every miscoverage level of a sweep is
-/// a rank lookup plus head selection (mirrors
-/// `TrainedPitot::calibration`).
-pub struct PredictorCalibration {
-    sweep: SweepCalibration,
+/// `model`'s conformal calibration on `split`'s holdout, each half
+/// predicted once: [`pitot::calibrate`] fed by any [`LogPredictor`].
+pub fn calibration(model: &dyn LogPredictor, dataset: &Dataset, split: &Split) -> SweepCalibration {
+    pitot::calibrate(dataset, split, model.quantile_levels(), |idx| {
+        model.predict_log(dataset, idx)
+    })
 }
 
-impl PredictorCalibration {
-    /// Predicts the calibration/selection halves of `split.val` once and
-    /// pre-sorts the scores.
-    ///
-    /// The val list is ordered by interference mode: interleave so both
-    /// halves contain every calibration pool.
-    pub fn prepare(model: &dyn LogPredictor, dataset: &Dataset, split: &Split) -> Self {
-        let cal_idx: Vec<usize> = split.val.iter().copied().step_by(2).collect();
-        let mut sel_idx: Vec<usize> = split.val.iter().copied().skip(1).step_by(2).collect();
-        if sel_idx.is_empty() {
-            sel_idx = cal_idx.clone();
-        }
-        let cal_preds = model.predict_log(dataset, &cal_idx);
-        let sel_preds = model.predict_log(dataset, &sel_idx);
-        let (cal_t, cal_p) = targets_pools(dataset, &cal_idx);
-        let (sel_targets, sel_pools) = targets_pools(dataset, &sel_idx);
-        Self {
-            sweep: SweepCalibration::new(
-                &PredictionSet {
-                    predictions: &cal_preds,
-                    targets_log: &cal_t,
-                    pools: &cal_p,
-                },
-                sel_preds,
-                sel_targets,
-                sel_pools,
-                model.quantile_levels(),
-            ),
-        }
-    }
-
-    /// Fits pooled CQR at one miscoverage level from the precomputed scores.
-    pub fn fit(&self, epsilon: f32, selection: HeadSelection) -> PooledConformal {
-        self.sweep.fit(epsilon, selection)
-    }
-}
-
-/// A test set predicted once, for repeated margin/coverage evaluation
-/// against different calibrations.
-pub struct EvalSet {
-    preds: Vec<Vec<f32>>,
-    targets: Vec<f32>,
-    pools: Vec<usize>,
-}
-
-impl EvalSet {
-    /// Predicts `idx` once.
-    pub fn prepare(model: &dyn LogPredictor, dataset: &Dataset, idx: &[usize]) -> Self {
-        let preds = model.predict_log(dataset, idx);
-        let (targets, pools) = targets_pools(dataset, idx);
-        Self {
-            preds,
-            targets,
-            pools,
-        }
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
-    }
-
-    /// Per-head predictions (head-major).
-    pub fn preds(&self) -> &[Vec<f32>] {
-        &self.preds
-    }
-
-    /// Log-space targets.
-    pub fn targets(&self) -> &[f32] {
-        &self.targets
-    }
-
-    /// Overprovisioning margin of `conformal` on this set.
-    pub fn margin(&self, conformal: &PooledConformal) -> f32 {
-        overprovision_margin(&self.bounds(conformal), &self.targets)
-    }
-
-    /// Empirical coverage of `conformal` on this set.
-    pub fn coverage(&self, conformal: &PooledConformal) -> f32 {
-        pitot_conformal::coverage(&self.bounds(conformal), &self.targets)
-    }
-
-    fn bounds(&self, conformal: &PooledConformal) -> Vec<f32> {
-        conformal.bounds_log(&PredictionSet {
-            predictions: &self.preds,
-            targets_log: &self.targets,
-            pools: &self.pools,
-        })
-    }
-}
-
-/// Fits pooled conformal bounds for any predictor, splitting the validation
-/// half into calibration and selection halves (mirrors
-/// `TrainedPitot::fit_bounds`). Sweeps over miscoverage levels should use
-/// [`PredictorCalibration`] directly to predict once.
-pub fn fit_bounds_generic(
-    model: &dyn LogPredictor,
-    dataset: &Dataset,
-    split: &Split,
-    epsilon: f32,
-    selection: HeadSelection,
-) -> PooledConformal {
-    PredictorCalibration::prepare(model, dataset, split).fit(epsilon, selection)
-}
-
-/// Overprovisioning margin of calibrated bounds over `idx`.
-pub fn margin_on(
-    model: &dyn LogPredictor,
-    conformal: &PooledConformal,
-    dataset: &Dataset,
-    idx: &[usize],
-) -> f32 {
-    EvalSet::prepare(model, dataset, idx).margin(conformal)
-}
-
-/// Empirical coverage of calibrated bounds over `idx`.
-pub fn coverage_on(
-    model: &dyn LogPredictor,
-    conformal: &PooledConformal,
-    dataset: &Dataset,
-    idx: &[usize],
-) -> f32 {
-    EvalSet::prepare(model, dataset, idx).coverage(conformal)
-}
-
-fn targets_pools(dataset: &Dataset, idx: &[usize]) -> (Vec<f32>, Vec<usize>) {
-    idx.iter()
-        .map(|&i| {
-            let o = &dataset.observations[i];
-            (o.log_runtime(), o.interferers.len())
-        })
-        .unzip()
+/// `idx` predicted once by `model`, for scoring any number of fits.
+pub fn eval_set(model: &dyn LogPredictor, dataset: &Dataset, idx: &[usize]) -> EvalSet {
+    EvalSet::new(dataset, idx, model.predict_log(dataset, idx))
 }
 
 /// The three uncertainty strategies of Fig 5.
@@ -203,10 +65,9 @@ pub fn fig5(h: &Harness) -> Figure {
             let trained = pitot::train(&h.dataset, &split, &cfg.clone().with_seed(rep as u64));
             let model = PitotPredictor(trained);
             // Predict calibration and test sets once; every ε reuses them.
-            let calib = PredictorCalibration::prepare(&model, &h.dataset, &split);
-            let eval_no =
-                EvalSet::prepare(&model, &h.dataset, &h.test_without_interference(&split));
-            let eval_with = EvalSet::prepare(&model, &h.dataset, &h.test_with_interference(&split));
+            let calib = calibration(&model, &h.dataset, &split);
+            let eval_no = eval_set(&model, &h.dataset, &h.test_without_interference(&split));
+            let eval_with = eval_set(&model, &h.dataset, &h.test_with_interference(&split));
             for (e, &eps) in eps_list.iter().enumerate() {
                 let conformal = calib.fit(eps, selection);
                 pts_no[e].push(eval_no.margin(&conformal));
@@ -267,13 +128,13 @@ fn tightness_vs_baselines(h: &Harness, fig: &mut Figure, fraction: f32) {
         for rep in 0..h.replicates {
             let split = h.split(fraction, rep);
             let model = method.train(&h.dataset, &split, rep as u64);
-            let calib = PredictorCalibration::prepare(model.as_ref(), &h.dataset, &split);
-            let eval_no = EvalSet::prepare(
+            let calib = calibration(model.as_ref(), &h.dataset, &split);
+            let eval_no = eval_set(
                 model.as_ref(),
                 &h.dataset,
                 &h.test_without_interference(&split),
             );
-            let eval_with = EvalSet::prepare(
+            let eval_with = eval_set(
                 model.as_ref(),
                 &h.dataset,
                 &h.test_with_interference(&split),
@@ -409,19 +270,11 @@ pub fn wcet_extension(h: &Harness) -> Figure {
         let no_idx = h.test_without_interference(&split);
         let trained = pitot::train(&h.dataset, &split, &cfg.clone().with_seed(rep as u64));
         let model = PitotPredictor(trained);
-        let conformal = fit_bounds_generic(
-            &model,
-            &h.dataset,
-            &split,
-            eps,
-            HeadSelection::TightestOnValidation,
-        );
-        rows[0]
-            .1
-            .push(margin_on(&model, &conformal, &h.dataset, &no_idx));
-        rows[0]
-            .2
-            .push(coverage_on(&model, &conformal, &h.dataset, &no_idx));
+        let conformal =
+            calibration(&model, &h.dataset, &split).fit(eps, HeadSelection::TightestOnValidation);
+        let eval_no = eval_set(&model, &h.dataset, &no_idx);
+        rows[0].1.push(eval_no.margin(&conformal));
+        rows[0].2.push(eval_no.coverage(&conformal));
         for (slot, factor) in [(1usize, 1.2f32), (2, 2.0)] {
             let wcet = pitot_baselines::WcetBaseline::from_split(&h.dataset, &split, factor);
             let bounds = wcet.predict_log(&h.dataset, &no_idx)[0].clone();
@@ -465,17 +318,46 @@ mod tests {
         let mut cfg = h.mf_config();
         cfg.train.steps = 300;
         let model = Method::MatrixFactorization(cfg).train(&h.dataset, &split, 0);
-        let conformal = fit_bounds_generic(
+        let conformal =
+            calibration(model.as_ref(), &h.dataset, &split).fit(0.1, HeadSelection::SingleHead);
+        let eval = eval_set(
             model.as_ref(),
             &h.dataset,
-            &split,
-            0.1,
-            HeadSelection::SingleHead,
+            &h.test_without_interference(&split),
         );
-        let idx = h.test_without_interference(&split);
-        let cov = coverage_on(model.as_ref(), &conformal, &h.dataset, &idx);
+        let cov = eval.coverage(&conformal);
         assert!(cov >= 0.85, "coverage {cov}");
-        let m = margin_on(model.as_ref(), &conformal, &h.dataset, &idx);
+        let m = eval.margin(&conformal);
         assert!(m > 0.0 && m.is_finite());
+    }
+
+    #[test]
+    fn the_pitot_adapter_fits_what_the_model_fits() {
+        // Through the generic path, the LogPredictor adapter calibrates
+        // bitwise what the model's own fit_bounds does.
+        let mut h = Harness::new(Scale::Fast);
+        h.eval_cap = 3000;
+        let split = h.split(0.5, 0);
+        let cfg = PitotConfig {
+            objective: Objective::paper_quantiles(),
+            steps: 80,
+            eval_every: 40,
+            ..h.pitot_config()
+        };
+        let model = PitotPredictor(pitot::train(&h.dataset, &split, &cfg));
+        let calib = calibration(&model, &h.dataset, &split);
+        for selection in [
+            HeadSelection::SingleHead,
+            HeadSelection::NaiveXi,
+            HeadSelection::TightestOnValidation,
+        ] {
+            for eps in [0.02f32, 0.1, 0.3] {
+                assert_eq!(
+                    calib.fit(eps, selection),
+                    model.0.fit_bounds(&h.dataset, eps, selection),
+                    "{selection:?} eps {eps}"
+                );
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! calibration strategy in `pitot-conformal` must deliver its coverage
 //! guarantee when wrapped around actual trained models on testbed data.
 
-use pitot::{train, Objective, PitotConfig};
+use pitot::{train, EvalSet, Objective, PitotConfig};
 use pitot_conformal::{
     conditional_coverage, coverage, head_spread, CoverageCurve, HeadSelection, ScaledConformal,
     SplitConformal, TwoSidedCqr,
@@ -65,7 +65,7 @@ fn scaled_conformal_covers_on_pitot_predictions() {
 }
 
 /// The pooled construction every experiment and server calibrates with
-/// (`RuntimeBounds`, pools keyed by interference arity) holds coverage in
+/// (`PooledConformal`, pools keyed by interference arity) holds coverage in
 /// every arity pool, under both the paper's head selection and the naive
 /// CQR head that serving uses.
 #[test]
@@ -78,11 +78,13 @@ fn pooled_bounds_cover_per_arity_pool() {
         .iter()
         .map(|&i| e.dataset.observations[i].interferers.len() as u64)
         .collect();
+    let eval = EvalSet::new(
+        &e.dataset,
+        &test,
+        e.trained.predict_log_runtime(&e.dataset, &test),
+    );
     for selection in [HeadSelection::TightestOnValidation, HeadSelection::NaiveXi] {
-        let bounds = e
-            .trained
-            .fit_bounds(&e.dataset, eps, selection)
-            .bounds_log(&e.trained, &e.dataset, &test);
+        let bounds = eval.bounds_log(&e.trained.fit_bounds(&e.dataset, eps, selection));
         for (pool, cov) in conditional_coverage(&bounds, &test_t, &test_g) {
             assert!(
                 cov >= 1.0 - eps - 0.05,

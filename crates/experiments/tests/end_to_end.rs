@@ -1,6 +1,6 @@
 //! End-to-end statistical properties of the full reproduction pipeline.
 
-use pitot::{train, Objective, PitotConfig};
+use pitot::{train, EvalSet, Objective, PitotConfig};
 use pitot_conformal::HeadSelection;
 use pitot_testbed::{split::Split, Testbed, TestbedConfig};
 
@@ -15,9 +15,10 @@ fn bounds_are_valid_across_epsilons() {
     let trained = train(&ds, &split, &cfg);
 
     let test: Vec<usize> = split.test.iter().copied().take(6000).collect();
+    let eval = EvalSet::new(&ds, &test, trained.predict_log_runtime(&ds, &test));
+    let calibration = trained.calibration(&ds, &trained.tower_cache(&ds));
     for eps in [0.2f32, 0.1, 0.05] {
-        let bounds = trained.fit_bounds(&ds, eps, HeadSelection::TightestOnValidation);
-        let cov = bounds.coverage(&trained, &ds, &test);
+        let cov = eval.coverage(&calibration.fit(eps, HeadSelection::TightestOnValidation));
         // 3.5σ finite-sample slack on both calibration and test sides.
         let slack = 3.5 * (2.0 * eps * (1.0 - eps) / 2000.0).sqrt() + 0.01;
         assert!(cov >= 1.0 - eps - slack, "coverage {cov} at eps {eps}");
@@ -39,8 +40,9 @@ fn quantile_selection_is_no_worse_than_naive() {
     let eps = 0.1;
     let tight = trained.fit_bounds(&ds, eps, HeadSelection::TightestOnValidation);
     let naive = trained.fit_bounds(&ds, eps, HeadSelection::NaiveXi);
-    let m_tight = tight.margin(&trained, &ds, &test);
-    let m_naive = naive.margin(&trained, &ds, &test);
+    let eval = EvalSet::new(&ds, &test, trained.predict_log_runtime(&ds, &test));
+    let m_tight = eval.margin(&tight);
+    let m_naive = eval.margin(&naive);
     assert!(
         m_tight <= m_naive * 1.1,
         "selection margin {m_tight} much worse than naive {m_naive}"
@@ -65,7 +67,7 @@ fn more_data_helps() {
             .filter(|&i| ds.observations[i].interferers.is_empty())
             .take(2500)
             .collect();
-        trained.mape(&ds, &iso, None)
+        trained.mape(&ds, &iso)
     };
     let low = eval(0.1);
     let high = eval(0.8);

@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: simulator → features → model → conformal.
 
-use pitot::{train, InterferenceMode, Objective, PitotConfig};
+use pitot::{train, EvalSet, InterferenceMode, Objective, PitotConfig};
 use pitot_baselines::{LogPredictor, MatrixFactorization, MfConfig};
 use pitot_conformal::HeadSelection;
 use pitot_experiments::{Harness, Method, PitotPredictor, Scale};
@@ -29,11 +29,16 @@ fn end_to_end_accuracy_and_coverage() {
         .filter(|&i| ds.observations[i].interferers.is_empty())
         .take(3000)
         .collect();
-    let mape = trained.mape(&ds, &iso, None);
+    let mape = trained.mape(&ds, &iso);
     assert!(mape < 0.5, "isolation MAPE {mape}");
 
     let bounds = trained.fit_bounds(&ds, 0.1, HeadSelection::TightestOnValidation);
-    let cov = bounds.coverage(&trained, &ds, &split.test);
+    let test = EvalSet::new(
+        &ds,
+        &split.test,
+        trained.predict_log_runtime(&ds, &split.test),
+    );
+    let cov = test.coverage(&bounds);
     assert!(cov >= 0.85, "coverage {cov} at eps=0.1");
 }
 
@@ -59,8 +64,8 @@ fn interference_awareness_matters() {
         .filter(|&i| !ds.observations[i].interferers.is_empty())
         .take(4000)
         .collect();
-    let m_aware = aware.mape(&ds, &with_intf, None);
-    let m_ignore = ignore.mape(&ds, &with_intf, None);
+    let m_aware = aware.mape(&ds, &with_intf);
+    let m_ignore = ignore.mape(&ds, &with_intf);
     assert!(
         m_aware < m_ignore,
         "aware {m_aware} should beat ignore {m_ignore} under interference"
@@ -87,7 +92,7 @@ fn data_efficiency_vs_matrix_factorization() {
         .filter(|&i| ds.observations[i].interferers.is_empty())
         .take(3000)
         .collect();
-    let m_pitot = pitot_model.mape(&ds, &iso, None);
+    let m_pitot = pitot_model.mape(&ds, &iso);
     let m_mf = mf.mape(&ds, &iso);
     assert!(
         m_pitot < m_mf,

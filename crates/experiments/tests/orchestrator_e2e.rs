@@ -1,7 +1,7 @@
 //! End-to-end orchestration: train Pitot, calibrate bounds, and place a job
 //! stream on the simulated cluster — the full loop the paper motivates.
 
-use pitot::{train, Objective, PitotConfig};
+use pitot::{train, EvalSet, Objective, PitotConfig};
 use pitot_conformal::HeadSelection;
 use pitot_orchestrator::{
     BaselinePolicy, ClusterSim, JobStream, OraclePredictor, PitotPredictor, PlacementPolicy,
@@ -127,7 +127,7 @@ fn conformal_budgets_bound_violations() {
 }
 
 /// Bound queries through the orchestrator facade agree with the dataset
-/// path of `RuntimeBounds` for matching observations.
+/// path (an `EvalSet` under the same fit) for matching observations.
 #[test]
 fn predictor_facade_is_consistent_with_core_bounds() {
     let e = env();
@@ -136,9 +136,16 @@ fn predictor_facade_is_consistent_with_core_bounds() {
         .fit_bounds(&e.dataset, 0.1, HeadSelection::TightestOnValidation);
     let pred = PitotPredictor::with_bounds(&e.trained, &e.dataset, bounds.clone());
     let split = Split::stratified(&e.dataset, 0.6, 0);
-    for &oi in split.test.iter().take(25) {
+    let test: Vec<usize> = split.test.iter().copied().take(25).collect();
+    let core = EvalSet::new(
+        &e.dataset,
+        &test,
+        e.trained.predict_log_runtime(&e.dataset, &test),
+    )
+    .bounds_log(&bounds);
+    for (&oi, via_core) in test.iter().zip(core) {
         let o = &e.dataset.observations[oi];
-        let via_core = bounds.bounds_s(&e.trained, &e.dataset, &[oi])[0] as f64;
+        let via_core = via_core.exp() as f64;
         let via_pred = pred.bound_s(o.workload, o.platform as usize, &o.interferers);
         assert!(
             (via_core - via_pred).abs() / via_core < 1e-4,

@@ -2,7 +2,7 @@
 //! stay well-defined when the environment degrades — high crash rates,
 //! zero noise, tiny timeouts, minimal data.
 
-use pitot::{train, Objective, PitotConfig};
+use pitot::{train, EvalSet, Objective, PitotConfig};
 use pitot_conformal::HeadSelection;
 use pitot_testbed::{split::Split, DatasetStats, Testbed, TestbedConfig};
 
@@ -24,7 +24,7 @@ fn heavy_crash_rate_still_yields_a_trainable_dataset() {
     pitot_cfg.steps = 150;
     let trained = train(&ds, &split, &pitot_cfg);
     let idx: Vec<usize> = split.test.iter().copied().take(500).collect();
-    let mape = trained.mape(&ds, &idx, None);
+    let mape = trained.mape(&ds, &idx);
     assert!(mape.is_finite() && mape > 0.0);
 }
 
@@ -51,7 +51,7 @@ fn zero_noise_floor_improves_error() {
             .filter(|&i| ds.observations[i].interferers.is_empty())
             .take(2000)
             .collect();
-        trained.mape(&ds, &iso, None)
+        trained.mape(&ds, &iso)
     };
     let noisy = mape_for(&noisy_cfg);
     let clean = mape_for(&clean_cfg);
@@ -92,7 +92,7 @@ fn conformal_with_minimal_calibration_data() {
     let trained = train(&ds, &split, &cfg);
     let bounds = trained.fit_bounds(&ds, 0.1, HeadSelection::TightestOnValidation);
     let test: Vec<usize> = split.test.iter().copied().take(3000).collect();
-    let cov = bounds.coverage(&trained, &ds, &test);
+    let cov = EvalSet::new(&ds, &test, trained.predict_log_runtime(&ds, &test)).coverage(&bounds);
     // With a tiny calibration set the conservative rank over-covers; it must
     // never *under*-cover badly.
     assert!(

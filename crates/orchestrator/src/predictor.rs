@@ -13,7 +13,8 @@
 //! - [`PitotPredictor`] wraps a trained Pitot model and, when fitted with
 //!   conformal bounds, exposes calibrated runtime budgets.
 
-use pitot::{RuntimeBounds, ScalingBaseline, TowerCache, TrainedPitot};
+use pitot::{Matrix, ScalingBaseline, TowerCache, TrainedPitot};
+use pitot_conformal::PooledConformal;
 use pitot_testbed::{Dataset, Observation, Testbed, MAX_INTERFERERS};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -246,23 +247,30 @@ impl RuntimePredictor for ScalingPredictor {
 /// Tower outputs are computed once at construction and reused for every
 /// query, so per-placement cost is a handful of dot products (the paper's
 /// ≈400 kFLOP inference cost is dominated by the towers, which are shared
-/// across queries here).
+/// across queries here). A batched read, such as the rows of one placement
+/// decision, is one [`TrainedPitot::predict_log_runtime_into`] pass over
+/// query rows and a prediction matrix the predictor reuses; a single-row
+/// read is a batch of one, so both answer bitwise alike.
 pub struct PitotPredictor<'a> {
     trained: &'a TrainedPitot,
     towers: TowerCache,
-    bounds: Option<RuntimeBounds>,
+    bounds: Option<PooledConformal>,
+    reads: RefCell<Reads>,
     name: String,
+}
+
+/// The reused buffers of one read pass: query rows (their interferer
+/// buffers kept across refills) and the row-major prediction matrix.
+#[derive(Default)]
+struct Reads {
+    rows: Vec<Observation>,
+    preds: Matrix,
 }
 
 impl<'a> PitotPredictor<'a> {
     /// Point-prediction-only predictor (bounds fall back to the median head).
     pub fn new(trained: &'a TrainedPitot, dataset: &Dataset) -> Self {
-        Self {
-            trained,
-            towers: trained.tower_cache(dataset),
-            bounds: None,
-            name: "pitot".to_string(),
-        }
+        Self::with(trained, dataset, None, "pitot")
     }
 
     /// Predictor whose [`RuntimePredictor::bound_s`] answers with calibrated
@@ -270,60 +278,100 @@ impl<'a> PitotPredictor<'a> {
     pub fn with_bounds(
         trained: &'a TrainedPitot,
         dataset: &Dataset,
-        bounds: RuntimeBounds,
+        bounds: PooledConformal,
+    ) -> Self {
+        Self::with(trained, dataset, Some(bounds), "pitot+conformal")
+    }
+
+    fn with(
+        trained: &'a TrainedPitot,
+        dataset: &Dataset,
+        bounds: Option<PooledConformal>,
+        name: &str,
     ) -> Self {
         Self {
             trained,
             towers: trained.tower_cache(dataset),
-            bounds: Some(bounds),
-            name: "pitot+conformal".to_string(),
+            bounds,
+            reads: RefCell::default(),
+            name: name.to_string(),
         }
     }
 
-    /// Reads every head's log-runtime prediction for one query as a row
-    /// slice, handing it to `read`.
-    fn query<T>(
+    /// The one read pass: refills the reused query rows, predicts every
+    /// head of every row at once, then hands each row's heads and pool key
+    /// to `answer`, in row order.
+    fn read<'q>(
         &self,
-        workload: u32,
-        platform: usize,
-        interferers: &[u32],
-        read: impl FnOnce(&[f32]) -> T,
-    ) -> T {
-        let obs = Observation {
-            workload,
-            platform: platform as u32,
-            interferers: interferers.to_vec(),
-            runtime_s: 1.0, // unused by prediction
-        };
-        // A one-row `pitot_linalg::Matrix`, left to inference so this crate
-        // needs no `pitot-linalg` dependency of its own.
-        let mut row = Default::default();
+        queries: impl IntoIterator<Item = (u32, usize, &'q [u32])>,
+        mut answer: impl FnMut(&[f32], usize),
+    ) {
+        let reads = &mut *self.reads.borrow_mut();
+        let mut n = 0;
+        for (workload, platform, interferers) in queries {
+            if n == reads.rows.len() {
+                reads.rows.push(Observation {
+                    workload: 0,
+                    platform: 0,
+                    interferers: Vec::new(),
+                    runtime_s: 1.0, // unused by prediction
+                });
+            }
+            let row = &mut reads.rows[n];
+            row.workload = workload;
+            row.platform = u32::try_from(platform).expect("platform index outside the catalog");
+            row.interferers.clear();
+            row.interferers.extend_from_slice(interferers);
+            n += 1;
+        }
+        let rows = &reads.rows[..n];
         self.trained
-            .predict_log_runtime_into(&self.towers, &[&obs], &mut row);
-        read(row.row(0))
+            .predict_log_runtime_into(&self.towers, rows, &mut reads.preds);
+        for (o, heads) in rows.iter().zip(reads.preds.iter_rows()) {
+            // Pools were calibrated per interference count; deeper
+            // co-location than the training envelope reuses the deepest
+            // pool.
+            answer(heads, o.interferers.len().min(MAX_INTERFERERS));
+        }
+    }
+
+    /// The runtime budget of one row: the conformal bound, or the median
+    /// head without bounds.
+    fn budget_s(&self, heads: &[f32], pool: usize) -> f64 {
+        match &self.bounds {
+            Some(b) => b.bound_log(heads, pool).exp() as f64,
+            None => heads[0].exp() as f64,
+        }
     }
 }
 
 impl RuntimePredictor for PitotPredictor<'_> {
     fn predict_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
-        self.query(workload, platform, interferers, |heads| {
-            heads[0].exp() as f64
-        })
+        let mut out = f64::NAN;
+        self.read([(workload, platform, interferers)], |heads, _| {
+            out = heads[0].exp() as f64;
+        });
+        out
     }
 
     fn bound_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
-        self.query(workload, platform, interferers, |heads| {
-            match &self.bounds {
-                Some(b) => {
-                    // Pools were calibrated per interference count; deeper
-                    // co-location than the training envelope reuses the deepest
-                    // pool.
-                    let pool = interferers.len().min(MAX_INTERFERERS);
-                    b.bound_log_from_heads(heads, pool).exp() as f64
-                }
-                None => heads[0].exp() as f64,
-            }
-        })
+        let mut out = f64::NAN;
+        self.read([(workload, platform, interferers)], |heads, pool| {
+            out = self.budget_s(heads, pool);
+        });
+        out
+    }
+
+    fn predict_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
+        out.clear();
+        self.read(batch.iter(), |heads, _| out.push(heads[0].exp() as f64));
+    }
+
+    fn bound_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
+        out.clear();
+        self.read(batch.iter(), |heads, pool| {
+            out.push(self.budget_s(heads, pool));
+        });
     }
 
     fn name(&self) -> &str {
@@ -478,6 +526,48 @@ mod tests {
             (got - expected).abs() / expected < 1e-4,
             "{got} vs {expected}"
         );
+    }
+
+    #[test]
+    fn pitot_batched_reads_match_row_by_row_reads_bitwise() {
+        let tb = testbed();
+        let ds = tb.collect_dataset();
+        let split = Split::stratified(&ds, 0.6, 0);
+        let mut cfg = PitotConfig::tiny();
+        cfg.objective = pitot::Objective::Quantiles(vec![0.5, 0.9, 0.95]);
+        cfg.steps = 60;
+        let trained = train(&ds, &split, &cfg);
+        let bounds = trained.fit_bounds(&ds, 0.1, HeadSelection::TightestOnValidation);
+        let nw = ds.n_workloads as u32;
+        let mut batch = QueryBatch::default();
+        for w in 0..40u32 {
+            // Up to five interferers: past the deepest calibrated pool too.
+            let depth = w % 6;
+            batch.push(
+                w % nw,
+                (w as usize * 7) % ds.n_platforms,
+                (0..depth).map(|k| (w + 3 * k + 1) % nw),
+            );
+        }
+        for pred in [
+            PitotPredictor::new(&trained, &ds),
+            PitotPredictor::with_bounds(&trained, &ds, bounds),
+        ] {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut got = vec![f64::NAN; 3];
+            pred.predict_batch_s(&batch, &mut got);
+            let want: Vec<f64> = batch
+                .iter()
+                .map(|(w, p, k)| pred.predict_s(w, p, k))
+                .collect();
+            assert_eq!(bits(&got), bits(&want), "{} points", pred.name());
+            pred.bound_batch_s(&batch, &mut got);
+            let want: Vec<f64> = batch
+                .iter()
+                .map(|(w, p, k)| pred.bound_s(w, p, k))
+                .collect();
+            assert_eq!(bits(&got), bits(&want), "{} bounds", pred.name());
+        }
     }
 
     #[test]

@@ -61,6 +61,23 @@ impl Split {
         }
     }
 
+    /// The validation holdout halved into `(calibration, selection)` for
+    /// conformal calibration (paper Sec 3.5, App B.2): calibration scores
+    /// come from the first half, head selection reads the second.
+    ///
+    /// `val` is ordered by interference mode, so the halves interleave it
+    /// rather than bisect it: both then hold every mode with at least two
+    /// holdout observations. A lone observation lands in both halves.
+    pub fn holdout_halves(&self) -> (Vec<usize>, Vec<usize>) {
+        let cal: Vec<usize> = self.val.iter().copied().step_by(2).collect();
+        let sel: Vec<usize> = self.val.iter().copied().skip(1).step_by(2).collect();
+        if sel.is_empty() {
+            (cal.clone(), cal)
+        } else {
+            (cal, sel)
+        }
+    }
+
     /// Observation indices in `self.train` with exactly `k` interferers.
     pub fn train_mode(&self, dataset: &Dataset, k: usize) -> Vec<usize> {
         self.train
@@ -138,6 +155,36 @@ mod tests {
                 .count();
             assert!(test_k > 0, "mode {k} missing from test");
         }
+    }
+
+    #[test]
+    fn holdout_halves_cover_val_and_every_mode() {
+        let ds = dataset();
+        let split = Split::stratified(&ds, 0.3, 3);
+        let (cal, sel) = split.holdout_halves();
+        let mut union: Vec<usize> = cal.iter().chain(&sel).copied().collect();
+        union.sort_unstable();
+        let mut val = split.val.clone();
+        val.sort_unstable();
+        assert_eq!(union, val, "the halves partition val");
+        let arities = |idx: &[usize]| -> HashSet<usize> {
+            idx.iter()
+                .map(|&i| ds.observations[i].interferers.len())
+                .collect()
+        };
+        let present = arities(&split.val);
+        assert_eq!(present.len(), MAX_INTERFERERS + 1);
+        assert_eq!(arities(&cal), present, "calibration half misses a mode");
+        assert_eq!(arities(&sel), present, "selection half misses a mode");
+    }
+
+    #[test]
+    fn a_lone_holdout_observation_lands_in_both_halves() {
+        let mut split = Split::stratified(&dataset(), 0.5, 0);
+        split.val.truncate(1);
+        let (cal, sel) = split.holdout_halves();
+        assert_eq!(cal, split.val);
+        assert_eq!(sel, split.val);
     }
 
     #[test]
