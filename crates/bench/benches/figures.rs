@@ -158,10 +158,12 @@ fn fig11_bounds_grid_cell(c: &mut Criterion) {
         ..micro_config()
     };
     let trained = pitot::train(&f.dataset, &f.split, &cfg);
-    let model = PitotPredictor(trained);
     let test: Vec<usize> = f.split.test.iter().copied().take(2000).collect();
     c.bench_function("fig11_bounds_grid_cell", |b| {
         b.iter(|| {
+            // A fresh adapter per cell, as the figure builds one per model:
+            // its one cached tower pass is timed too (with a model clone).
+            let model = PitotPredictor::new(trained.clone());
             let conformal = calibration(&model, &f.dataset, &f.split)
                 .fit(0.1, HeadSelection::TightestOnValidation);
             black_box(eval_set(&model, &f.dataset, &test).margin(&conformal))

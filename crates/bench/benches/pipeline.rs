@@ -60,17 +60,19 @@ fn calibrate_sweep(c: &mut Criterion) {
 }
 
 /// The full post-training phase of one experiment replicate: calibrate at
-/// every epsilon and measure margin + coverage on the test set.
+/// every epsilon and measure margin + coverage on the test set. Each
+/// iteration wraps the model in a fresh adapter, as a replicate does, so
+/// the one tower pass its adapter caches is timed too (with a model clone).
 fn full_replicate(c: &mut Criterion) {
     let f = Fixture::small();
     let t = trained(&f);
     let idx: Vec<usize> = f.split.test.iter().copied().take(4000).collect();
     let split = f.split.clone();
-    let model = PitotPredictor(t);
     let mut group = c.benchmark_group("posttrain");
     group.sample_size(10);
     group.bench_function("predict_calibrate_eval", |b| {
         b.iter(|| {
+            let model = PitotPredictor::new(t.clone());
             let calib = calibration(&model, &f.dataset, &split);
             let eval = eval_set(&model, &f.dataset, &idx);
             let mut acc = 0.0f32;

@@ -55,8 +55,9 @@ pub use compress::{CompressedTower, CompressionLevel, CompressionSpec};
 pub use config::{InterferenceMode, LossSpace, Objective, OptimizerKind, PitotConfig};
 pub use eval::{mape, mape_by_mode};
 pub use model::{PitotModel, PlatformEmbeddings, TowerOutputs};
-/// The row-major matrix [`TrainedPitot::predict_log_runtime_into`] writes,
-/// so a caller can keep one as a reused read buffer.
+/// The row-major matrix [`TrainedPitot::predict_log_runtime_into`] and
+/// [`TrainedPitot::predict_log_point_bound_into`] write, so a caller can
+/// keep one as a reused read buffer.
 pub use pitot_linalg::Matrix;
 pub use scaling::ScalingBaseline;
 pub use train::{train, train_from, TowerCache, TrainContext, TrainProgress, TrainedPitot};

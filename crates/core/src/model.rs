@@ -371,11 +371,15 @@ impl PitotModel {
         )
     }
 
-    /// The prediction kernel, the one place a prediction is computed: every
-    /// head's residual `ŷ = ⟨wᵢ, pⱼ⟩ + Σₜ ⟨wᵢ, vₛ⁽ᵗ⁾⟩ · act(Σₖ ⟨wₖ, v_g⁽ᵗ⁾⟩)`
-    /// (paper Secs 3.3–3.4) for one observation, emitted as `(head, ŷ)`.
+    /// The prediction kernel, the one place a prediction is computed: the
+    /// residual `ŷ = ⟨wᵢ, pⱼ⟩ + Σₜ ⟨wᵢ, vₛ⁽ᵗ⁾⟩ · act(Σₖ ⟨wₖ, v_g⁽ᵗ⁾⟩)`
+    /// (paper Secs 3.3–3.4) of each head in `heads` for one observation,
+    /// emitted as `(k, ŷ)` where `k` is the head's position in `heads`.
+    /// Training, window scoring, seeding and rescoring pass every head; a
+    /// read passes head 0 and its bound head. Heads share no arithmetic, so
+    /// a head's value is bitwise the same whichever others are scored.
     ///
-    /// `sink` receives `(head, type, m_t, s_t)` — the interferer sum
+    /// `sink` receives `(k, type, m_t, s_t)` — the interferer sum
     /// `m_t = Σₖ ⟨wₖ, v_g⁽ᵗ⁾⟩` and `s_t = ⟨wᵢ, vₛ⁽ᵗ⁾⟩` — for every term of
     /// the interference sum, at the point where both are known. Training
     /// records them for its gradient pass; every read passes a no-op.
@@ -388,10 +392,10 @@ impl PitotModel {
         w: &Matrix,
         p_full: &Matrix,
         o: &Observation,
+        heads: impl IntoIterator<Item = usize>,
         mut emit: impl FnMut(usize, f32),
         mut sink: impl FnMut(usize, usize, f32, f32),
     ) {
-        let n_heads = self.n_heads();
         let r = self.config.embed_dim;
         let s = self.config.interference_types;
         let aware = self.config.interference == InterferenceMode::Aware;
@@ -413,7 +417,7 @@ impl PitotModel {
         );
         let p_row = p_full.row(j);
         let p_j = &p_row[..r];
-        for h in 0..n_heads {
+        for (slot, h) in heads.into_iter().enumerate() {
             let w_i = &w.row(i)[h * r..(h + 1) * r];
             let mut pred = dot(w_i, p_j);
             if aware && !o.interferers.is_empty() {
@@ -426,17 +430,19 @@ impl PitotModel {
                         m_t += dot(w_k, vg_t);
                     }
                     let s_t = dot(w_i, vs_t);
-                    sink(h, t, m_t, s_t);
+                    sink(slot, t, m_t, s_t);
                     pred += s_t * act.apply(m_t);
                 }
             }
-            emit(h, pred);
+            emit(slot, pred);
         }
     }
 
-    /// Batched residual prediction, row-parallel over observations: fills
-    /// `out` as an `n × n_heads` matrix whose row `b` holds every head's
-    /// prediction for the observation `row(b)`.
+    /// Batched residual prediction of every head, row-parallel over
+    /// observations: fills `out` as an `n × n_heads` matrix whose row `b`
+    /// holds every head's prediction for the observation `row(b)`. The
+    /// read of a served answer, which needs two heads, is
+    /// [`crate::TrainedPitot::predict_log_point_bound_into`].
     ///
     /// `w` and `p_full` are tower outputs (from [`PitotModel::forward_towers`]
     /// or [`PitotModel::infer_towers`]). Only the index fields of each
@@ -460,23 +466,23 @@ impl PitotModel {
         out: &mut Matrix,
     ) {
         let n_heads = self.n_heads();
-        out.resize(n, n_heads);
-        if n == 0 {
-            return;
-        }
-        // ~64 rows per chunk: each row is a few hundred FLOPs minimum, so
-        // this keeps dispatch overhead well under the chunk cost.
-        pitot_linalg::par::parallel_for_rows(out.as_mut_slice(), n_heads, 64, |start, chunk| {
-            for (b, out_row) in chunk.chunks_exact_mut(n_heads).enumerate() {
-                self.predict_obs(
-                    w,
-                    p_full,
-                    row(start + b),
-                    |h, pred| out_row[h] = pred,
-                    |_, _, _, _| {},
-                );
-            }
+        rows_into(n, n_heads, out, |b, y| {
+            self.predict_row(w, p_full, row(b), 0..n_heads, y);
         });
+    }
+
+    /// The residuals of the heads `heads` for one observation, written to
+    /// `out` in the order `heads` names them: the row kernel of every
+    /// batched read.
+    pub(crate) fn predict_row(
+        &self,
+        w: &Matrix,
+        p_full: &Matrix,
+        o: &Observation,
+        heads: impl IntoIterator<Item = usize>,
+        out: &mut [f32],
+    ) {
+        self.predict_obs(w, p_full, o, heads, |k, y| out[k] = y, |_, _, _, _| {});
     }
 
     /// Training's forward pass over a mode batch: per-head predictions into
@@ -509,6 +515,7 @@ impl PitotModel {
                 w,
                 p_full,
                 &dataset.observations[oi],
+                0..n_heads,
                 |h, pred| out[h].push(pred),
                 |h, t, m_t, s_t| {
                     let slot = (h * s + t) * 2;
@@ -712,6 +719,34 @@ impl PitotModel {
 }
 
 use pitot_linalg::dot;
+
+/// Head predictions per parallel chunk of a batched read: 64 rows of the
+/// paper's 8 heads, or 256 rows of a two-head read. Each head is a few
+/// dozen FLOPs at least, so this keeps dispatch overhead well under the
+/// chunk cost.
+const HEADS_PER_CHUNK: usize = 512;
+
+/// Fills `out` as an `n × width` matrix whose row `b` is written by
+/// `score(b, row)`, one row of `width` head predictions each. Rows are
+/// independent, so they are split over the [`pitot_linalg::par`] pool and
+/// results are bitwise identical across `PITOT_THREADS`.
+pub(crate) fn rows_into(
+    n: usize,
+    width: usize,
+    out: &mut Matrix,
+    score: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    out.resize(n, width);
+    if n == 0 {
+        return;
+    }
+    let min_rows = (HEADS_PER_CHUNK / width).max(1);
+    pitot_linalg::par::parallel_for_rows(out.as_mut_slice(), width, min_rows, |start, chunk| {
+        for (b, out_row) in chunk.chunks_exact_mut(width).enumerate() {
+            score(start + b, out_row);
+        }
+    });
+}
 
 #[inline]
 fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {

@@ -14,7 +14,7 @@
 //! stepping, amortizing the setup cost that otherwise dominates short runs.
 
 use crate::config::{InterferenceMode, LossSpace, Objective, PitotConfig};
-use crate::model::{PitotModel, TowerOutputs};
+use crate::model::{rows_into, PitotModel, TowerOutputs};
 use crate::scaling::ScalingBaseline;
 use pitot_linalg::{Matrix, Scratch};
 use pitot_nn::{pinball_loss_into, squared_loss_into, GradPlane, Optimizer};
@@ -684,8 +684,9 @@ impl TrainedPitot {
             .collect()
     }
 
-    /// The one log-runtime read: [`PitotModel::predict_batch_into`], then
-    /// each row mapped to log runtime (and sorted under rearrangement).
+    /// The every-head log-runtime read: one row-parallel pass that scores
+    /// each row's heads, maps them to log runtime and, under
+    /// rearrangement, sorts them.
     fn log_rows_into<'o>(
         &self,
         towers: &TowerCache,
@@ -693,38 +694,93 @@ impl TrainedPitot {
         row: impl Fn(usize) -> &'o Observation + Sync,
         out: &mut Matrix,
     ) {
-        let cfg = self.model.config();
         let n_heads = self.model.n_heads();
-        self.model
-            .predict_batch_into(&towers.w, &towers.p_full, n, &row, out);
-        if n == 0 {
-            return;
-        }
-        // Map residuals to log runtime in the same parallel shape: each row
-        // depends only on its own observation's baseline.
-        let scaling = &self.scaling;
-        pitot_linalg::par::parallel_for_rows(out.as_mut_slice(), n_heads, 64, |start, chunk| {
-            for (b, y_row) in chunk.chunks_exact_mut(n_heads).enumerate() {
-                let o = row(start + b);
-                let base = scaling.log_baseline(o.workload as usize, o.platform as usize);
-                for y in y_row.iter_mut() {
-                    *y = match cfg.loss_space {
-                        LossSpace::LogResidual => base + *y,
-                        LossSpace::Log => *y,
-                        LossSpace::NaiveProportional => {
-                            // ŷ is a linear-space ratio; clamp to stay in
-                            // the log domain.
-                            base + y.max(1e-6).ln()
-                        }
-                    };
-                }
-                if cfg.rearrange_quantiles {
-                    // `total_cmp` is a total order, so the sorted row is
-                    // unique: bitwise what the stable per-head sort gives.
-                    y_row.sort_unstable_by(f32::total_cmp);
-                }
+        let sort = self.model.config().rearrange_quantiles;
+        rows_into(n, n_heads, out, |b, y| {
+            let o = row(b);
+            self.model
+                .predict_row(&towers.w, &towers.p_full, o, 0..n_heads, y);
+            self.to_log_runtime(o, y);
+            if sort {
+                // `total_cmp` is a total order, so the sorted row is
+                // unique: bitwise what the stable per-head sort gives.
+                y.sort_unstable_by(f32::total_cmp);
             }
         });
+    }
+
+    /// The read of a served answer: one row per observation of `obs`,
+    /// written into `out` as the `obs.len() × 2` log-runtime pair
+    /// `[head 0, head bound_head(o)]` — the point estimate and the head a
+    /// calibrated bound adds its offset to (the head
+    /// [`PooledConformal::calibration_for`](pitot_conformal::PooledConformal::calibration_for)
+    /// names for the row's pool). Each value is bitwise that head's column
+    /// of the [`TrainedPitot::predict_log_runtime_into`] row, but only the
+    /// two heads are scored (a bound head of 0 once): at 8 heads, r = 32
+    /// and s = 2, an arity-3 row takes 18 length-r dot products instead of
+    /// 72.
+    ///
+    /// Under [`PitotConfig::rearrange_quantiles`] the per-row sort mixes
+    /// heads, so every head is scored and sorted first and the two columns
+    /// are kept. Reuse `out` across calls and the read allocates nothing
+    /// once `out` has held a batch this large. Results are bitwise
+    /// identical across `PITOT_THREADS`.
+    pub fn predict_log_point_bound_into<O: Borrow<Observation> + Sync>(
+        &self,
+        towers: &TowerCache,
+        obs: &[O],
+        bound_head: impl Fn(&Observation) -> usize + Sync,
+        out: &mut Matrix,
+    ) {
+        let n = obs.len();
+        let row = |b: usize| obs[b].borrow();
+        let n_heads = self.model.n_heads();
+        // A one-head row is its own sort.
+        if self.model.config().rearrange_quantiles && n_heads > 1 {
+            self.log_rows_into(towers, n, row, out);
+            // Keep the two columns, compacting in place: row `b`'s pair
+            // lands at or before its own row's start, so no row is
+            // overwritten before it is read.
+            let data = out.as_mut_slice();
+            for b in 0..n {
+                let sorted = b * n_heads;
+                let pair = [data[sorted], data[sorted + bound_head(row(b))]];
+                data[2 * b..2 * b + 2].copy_from_slice(&pair);
+            }
+            out.resize(n, 2);
+            return;
+        }
+        let (w, p_full) = (&towers.w, &towers.p_full);
+        rows_into(n, 2, out, |b, pair| {
+            let o = row(b);
+            match bound_head(o) {
+                0 => {
+                    self.model.predict_row(w, p_full, o, [0], &mut pair[..1]);
+                    pair[1] = pair[0];
+                }
+                h => self.model.predict_row(w, p_full, o, [0, h], pair),
+            }
+            self.to_log_runtime(o, pair);
+        });
+    }
+
+    /// Maps one row of residuals predicted for `o` to log runtime in
+    /// place.
+    fn to_log_runtime(&self, o: &Observation, y_row: &mut [f32]) {
+        let base = self
+            .scaling
+            .log_baseline(o.workload as usize, o.platform as usize);
+        for y in y_row {
+            *y = match self.model.config().loss_space {
+                LossSpace::LogResidual => base + *y,
+                LossSpace::Log => *y,
+                LossSpace::NaiveProportional => {
+                    // ŷ is a linear-space ratio; clamp to stay in the log
+                    // domain.
+                    base + y.max(1e-6).ln()
+                }
+            };
+        }
     }
 
     /// Point predictions in seconds (head 0; the only head under
@@ -1096,6 +1152,84 @@ mod tests {
                     let bits: Vec<u32> = alone.row(0).iter().map(|y| y.to_bits()).collect();
                     assert_eq!(row, &bits, "row {b} of {n}");
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The point-and-bound read is bitwise the `[head 0, bound head]`
+        /// columns of the every-head read: random tower outputs, `Aware`
+        /// and `Ignore`, arity 0–3, 1, 2 or 8 heads, every loss space, and
+        /// rearrangement on or off. Bound heads vary per row and include 0.
+        #[test]
+        fn point_bound_read_is_two_columns_of_the_every_head_read(
+            seed in 0u64..u64::MAX,
+            aware in 0usize..2,
+            heads in 0usize..3,
+            space in 0usize..3,
+            rearrange in 0usize..2,
+            r in 1usize..12,
+            s in 1usize..4,
+        ) {
+            static FIXTURE: std::sync::OnceLock<(Dataset, Split, ScalingBaseline)> =
+                std::sync::OnceLock::new();
+            let (ds, split, scaling) = FIXTURE.get_or_init(|| {
+                let (ds, split) = setup();
+                let scaling = ScalingBaseline::fit(&ds, &split.train);
+                (ds, split, scaling)
+            });
+            let n_heads = [1, 2, 8][heads];
+            let cfg = PitotConfig {
+                embed_dim: r,
+                interference_types: s,
+                interference: [InterferenceMode::Ignore, InterferenceMode::Aware][aware],
+                loss_space: [LossSpace::LogResidual, LossSpace::Log, LossSpace::NaiveProportional]
+                    [space],
+                rearrange_quantiles: rearrange == 1,
+                objective: Objective::Quantiles(
+                    (1..=n_heads).map(|h| h as f32 / (n_heads + 1) as f32).collect(),
+                ),
+                ..PitotConfig::tiny()
+            };
+            let trained = TrainedPitot {
+                model: PitotModel::new(&cfg, ds),
+                scaling: scaling.clone(),
+                history: Vec::new(),
+                split: split.clone(),
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut fill = |rows: usize, cols: usize| {
+                let mut m = Matrix::zeros(rows, cols);
+                for v in m.as_mut_slice() {
+                    *v = rng.gen_range(-1.0f32..1.0);
+                }
+                m
+            };
+            let towers = TowerCache {
+                w: fill(ds.n_workloads, r * n_heads),
+                p_full: fill(ds.n_platforms, r * (1 + 2 * s)),
+            };
+            let obs: Vec<Observation> = (0..40)
+                .map(|b| Observation {
+                    workload: rng.gen_range(0..ds.n_workloads as u32),
+                    platform: rng.gen_range(0..ds.n_platforms as u32),
+                    interferers: (0..b % 4)
+                        .map(|_| rng.gen_range(0..ds.n_workloads as u32))
+                        .collect(),
+                    runtime_s: 1.0,
+                })
+                .collect();
+            let bound_head = |o: &Observation| (o.workload + o.platform) as usize % n_heads;
+            let mut full = Matrix::zeros(0, 0);
+            trained.predict_log_runtime_into(&towers, &obs, &mut full);
+            let mut pairs = Matrix::zeros(0, 0);
+            trained.predict_log_point_bound_into(&towers, &obs, bound_head, &mut pairs);
+            proptest::prop_assert_eq!(pairs.shape(), (obs.len(), 2));
+            for (b, o) in obs.iter().enumerate() {
+                let row = full.row(b);
+                let want = [row[0].to_bits(), row[bound_head(o)].to_bits()];
+                let got = [pairs.row(b)[0].to_bits(), pairs.row(b)[1].to_bits()];
+                proptest::prop_assert_eq!(got, want, "row {} ({:?})", b, o.interferers);
             }
         }
     }

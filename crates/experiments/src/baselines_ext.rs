@@ -22,7 +22,7 @@
 //! interference-aware methods exactly as footnote 6 predicts.
 
 use crate::harness::Harness;
-use crate::methods::{Method, PitotPredictor};
+use crate::methods::Method;
 use crate::report::{Figure, Point, Series};
 use pitot_baselines::{
     ImcConfig, InductiveMc, KnnCollaborative, KnnConfig, LogPredictor, TensorCompletion,
@@ -135,7 +135,6 @@ pub fn ext_baselines(h: &Harness) -> Figure {
             });
         }
     }
-    let _ = PitotPredictor; // re-exported adapter used by Method::Pitot
     let grab = |label: &str, panel: &str| {
         fig.series
             .iter()

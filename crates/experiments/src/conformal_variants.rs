@@ -186,7 +186,7 @@ pub fn ext_conformal_variants(h: &Harness) -> Figure {
     for rep in 0..h.replicates {
         let split = h.split(0.5, rep);
         let trained = pitot::train(&h.dataset, &split, &cfg.clone().with_seed(rep as u64));
-        let model = PitotPredictor(trained);
+        let model = PitotPredictor::new(trained);
         let no_idx = h.test_without_interference(&split);
         let with_idx = h.test_with_interference(&split);
 

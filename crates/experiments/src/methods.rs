@@ -1,23 +1,75 @@
 //! A uniform interface over Pitot and the baselines for comparisons.
 
-use pitot::{PitotConfig, TrainedPitot};
+use pitot::{Matrix, PitotConfig, TowerCache, TrainedPitot};
 use pitot_baselines::{
     AttentionConfig, AttentionNet, LogPredictor, MatrixFactorization, MfConfig, NeuralNetwork,
     NnConfig,
 };
-use pitot_testbed::{split::Split, Dataset};
+use pitot_testbed::{split::Split, Dataset, Observation};
+use std::cell::RefCell;
 
 /// Adapter making a [`TrainedPitot`] usable through the [`LogPredictor`]
 /// trait the baselines share.
-pub struct PitotPredictor(pub TrainedPitot);
+///
+/// Both towers run once per adapter, not once per call: the first call
+/// builds a [`TowerCache`], and later calls reuse it while the dataset's
+/// feature matrices equal the ones it was built from (the towers read
+/// nothing else of the dataset).
+pub struct PitotPredictor {
+    trained: TrainedPitot,
+    towers: RefCell<Option<CachedTowers>>,
+}
+
+/// A tower cache with the feature matrices it was built from.
+struct CachedTowers {
+    workload_features: Matrix,
+    platform_features: Matrix,
+    cache: TowerCache,
+}
+
+impl PitotPredictor {
+    /// Wraps a trained model.
+    pub fn new(trained: TrainedPitot) -> Self {
+        Self {
+            trained,
+            towers: RefCell::new(None),
+        }
+    }
+
+    /// The wrapped model.
+    pub fn trained(&self) -> &TrainedPitot {
+        &self.trained
+    }
+}
 
 impl LogPredictor for PitotPredictor {
+    /// [`TrainedPitot::predict_log_runtime`] through the adapter's tower
+    /// cache: bitwise the same predictions.
     fn predict_log(&self, dataset: &Dataset, idx: &[usize]) -> Vec<Vec<f32>> {
-        self.0.predict_log_runtime(dataset, idx)
+        let mut towers = self.towers.borrow_mut();
+        let built_for = |t: &CachedTowers| {
+            t.workload_features == dataset.workload_features
+                && t.platform_features == dataset.platform_features
+        };
+        if !towers.as_ref().is_some_and(built_for) {
+            *towers = Some(CachedTowers {
+                workload_features: dataset.workload_features.clone(),
+                platform_features: dataset.platform_features.clone(),
+                cache: self.trained.tower_cache(dataset),
+            });
+        }
+        let cache = &towers.as_ref().expect("built above").cache;
+        let obs: Vec<&Observation> = idx.iter().map(|&i| &dataset.observations[i]).collect();
+        let mut rows = Matrix::default();
+        self.trained
+            .predict_log_runtime_into(cache, &obs, &mut rows);
+        (0..rows.cols())
+            .map(|h| rows.iter_rows().map(|row| row[h]).collect())
+            .collect()
     }
 
     fn quantile_levels(&self) -> Vec<f32> {
-        self.0.model.config().objective.xis()
+        self.trained.model.config().objective.xis()
     }
 
     fn method_name(&self) -> &'static str {
@@ -55,7 +107,7 @@ impl Method {
         match self {
             Method::Pitot(cfg) => {
                 let cfg = cfg.clone().with_seed(seed);
-                Box::new(PitotPredictor(pitot::train(dataset, split, &cfg)))
+                Box::new(PitotPredictor::new(pitot::train(dataset, split, &cfg)))
             }
             Method::MatrixFactorization(cfg) => {
                 let mut cfg = cfg.clone();

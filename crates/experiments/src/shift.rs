@@ -47,7 +47,7 @@ pub fn ext_shift(h: &Harness) -> Figure {
     for rep in 0..h.replicates {
         let split = h.split(0.5, rep);
         let trained = pitot::train(&h.dataset, &split, &cfg.clone().with_seed(rep as u64));
-        let model = PitotPredictor(trained);
+        let model = PitotPredictor::new(trained);
         let pooled =
             calibration(&model, &h.dataset, &split).fit(eps, HeadSelection::TightestOnValidation);
         // The single-pool arm: the same fit with every pool answered by

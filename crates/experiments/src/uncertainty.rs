@@ -63,7 +63,7 @@ pub fn fig5(h: &Harness) -> Figure {
         for rep in 0..h.replicates {
             let split = h.split(0.5, rep);
             let trained = pitot::train(&h.dataset, &split, &cfg.clone().with_seed(rep as u64));
-            let model = PitotPredictor(trained);
+            let model = PitotPredictor::new(trained);
             // Predict calibration and test sets once; every ε reuses them.
             let calib = calibration(&model, &h.dataset, &split);
             let eval_no = eval_set(&model, &h.dataset, &h.test_without_interference(&split));
@@ -197,7 +197,7 @@ pub fn fig8(h: &Harness) -> Figure {
     for rep in 0..h.replicates {
         let split = h.split(0.5, rep);
         let trained = pitot::train(&h.dataset, &split, &cfg.clone().with_seed(rep as u64));
-        let model = PitotPredictor(trained);
+        let model = PitotPredictor::new(trained);
         // Calibrate each head on the no-interference pool and measure margin
         // on the no-interference test set.
         let no_val: Vec<usize> = split
@@ -269,7 +269,7 @@ pub fn wcet_extension(h: &Harness) -> Figure {
         let split = h.split(0.5, rep);
         let no_idx = h.test_without_interference(&split);
         let trained = pitot::train(&h.dataset, &split, &cfg.clone().with_seed(rep as u64));
-        let model = PitotPredictor(trained);
+        let model = PitotPredictor::new(trained);
         let conformal =
             calibration(&model, &h.dataset, &split).fit(eps, HeadSelection::TightestOnValidation);
         let eval_no = eval_set(&model, &h.dataset, &no_idx);
@@ -344,7 +344,7 @@ mod tests {
             eval_every: 40,
             ..h.pitot_config()
         };
-        let model = PitotPredictor(pitot::train(&h.dataset, &split, &cfg));
+        let model = PitotPredictor::new(pitot::train(&h.dataset, &split, &cfg));
         let calib = calibration(&model, &h.dataset, &split);
         for selection in [
             HeadSelection::SingleHead,
@@ -354,7 +354,7 @@ mod tests {
             for eps in [0.02f32, 0.1, 0.3] {
                 assert_eq!(
                     calib.fit(eps, selection),
-                    model.0.fit_bounds(&h.dataset, eps, selection),
+                    model.trained().fit_bounds(&h.dataset, eps, selection),
                     "{selection:?} eps {eps}"
                 );
             }

@@ -125,7 +125,7 @@ fn predictor_adapter_is_transparent() {
     let trained = train(&ds, &split, &cfg);
     let idx: Vec<usize> = split.test.iter().copied().take(50).collect();
     let direct = trained.predict_log_runtime(&ds, &idx);
-    let adapted = PitotPredictor(trained).predict_log(&ds, &idx);
+    let adapted = PitotPredictor::new(trained).predict_log(&ds, &idx);
     assert_eq!(direct, adapted);
 }
 

@@ -248,9 +248,11 @@ impl RuntimePredictor for ScalingPredictor {
 /// query, so per-placement cost is a handful of dot products (the paper's
 /// ≈400 kFLOP inference cost is dominated by the towers, which are shared
 /// across queries here). A batched read, such as the rows of one placement
-/// decision, is one [`TrainedPitot::predict_log_runtime_into`] pass over
-/// query rows and a prediction matrix the predictor reuses; a single-row
-/// read is a batch of one, so both answer bitwise alike.
+/// decision, is one [`TrainedPitot::predict_log_point_bound_into`] pass
+/// over query rows and a prediction matrix the predictor reuses, scoring
+/// the median head and, for a bound, the one head the row's pool is
+/// calibrated on; a single-row read is a batch of one, so both answer
+/// bitwise alike.
 pub struct PitotPredictor<'a> {
     trained: &'a TrainedPitot,
     towers: TowerCache,
@@ -298,13 +300,18 @@ impl<'a> PitotPredictor<'a> {
         }
     }
 
-    /// The one read pass: refills the reused query rows, predicts every
-    /// head of every row at once, then hands each row's heads and pool key
-    /// to `answer`, in row order.
+    /// The one read pass: refills the reused query rows, scores each row in
+    /// one [`TrainedPitot::predict_log_point_bound_into`] pass, then hands
+    /// each row's answer in seconds to `answer`, in row order. A `bounded`
+    /// read answers with the runtime budget: the calibrated bound, read
+    /// from the head its pool is calibrated on, or the median head without
+    /// bounds. Any other read answers with the median head, and scores no
+    /// other head.
     fn read<'q>(
         &self,
         queries: impl IntoIterator<Item = (u32, usize, &'q [u32])>,
-        mut answer: impl FnMut(&[f32], usize),
+        bounded: bool,
+        mut answer: impl FnMut(f64),
     ) {
         let reads = &mut *self.reads.borrow_mut();
         let mut n = 0;
@@ -325,22 +332,22 @@ impl<'a> PitotPredictor<'a> {
             n += 1;
         }
         let rows = &reads.rows[..n];
-        self.trained
-            .predict_log_runtime_into(&self.towers, rows, &mut reads.preds);
-        for (o, heads) in rows.iter().zip(reads.preds.iter_rows()) {
-            // Pools were calibrated per interference count; deeper
-            // co-location than the training envelope reuses the deepest
-            // pool.
-            answer(heads, o.interferers.len().min(MAX_INTERFERERS));
-        }
-    }
-
-    /// The runtime budget of one row: the conformal bound, or the median
-    /// head without bounds.
-    fn budget_s(&self, heads: &[f32], pool: usize) -> f64 {
-        match &self.bounds {
-            Some(b) => b.bound_log(heads, pool).exp() as f64,
-            None => heads[0].exp() as f64,
+        let bounds = self.bounds.as_ref().filter(|_| bounded);
+        // Pools were calibrated per interference count; deeper co-location
+        // than the training envelope reuses the deepest pool.
+        let pool_of = |o: &Observation| o.interferers.len().min(MAX_INTERFERERS);
+        self.trained.predict_log_point_bound_into(
+            &self.towers,
+            rows,
+            |o| bounds.map_or(0, |b| b.calibration_for(pool_of(o)).head),
+            &mut reads.preds,
+        );
+        for (o, pair) in rows.iter().zip(reads.preds.iter_rows()) {
+            let log_s = match bounds {
+                Some(b) => pair[1] + b.calibration_for(pool_of(o)).gamma,
+                None => pair[0],
+            };
+            answer(log_s.exp() as f64);
         }
     }
 }
@@ -348,30 +355,24 @@ impl<'a> PitotPredictor<'a> {
 impl RuntimePredictor for PitotPredictor<'_> {
     fn predict_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
         let mut out = f64::NAN;
-        self.read([(workload, platform, interferers)], |heads, _| {
-            out = heads[0].exp() as f64;
-        });
+        self.read([(workload, platform, interferers)], false, |s| out = s);
         out
     }
 
     fn bound_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
         let mut out = f64::NAN;
-        self.read([(workload, platform, interferers)], |heads, pool| {
-            out = self.budget_s(heads, pool);
-        });
+        self.read([(workload, platform, interferers)], true, |s| out = s);
         out
     }
 
     fn predict_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
         out.clear();
-        self.read(batch.iter(), |heads, _| out.push(heads[0].exp() as f64));
+        self.read(batch.iter(), false, |s| out.push(s));
     }
 
     fn bound_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
         out.clear();
-        self.read(batch.iter(), |heads, pool| {
-            out.push(self.budget_s(heads, pool));
-        });
+        self.read(batch.iter(), true, |s| out.push(s));
     }
 
     fn name(&self) -> &str {
@@ -567,6 +568,84 @@ mod tests {
                 .map(|(w, p, k)| pred.bound_s(w, p, k))
                 .collect();
             assert_eq!(bits(&got), bits(&want), "{} bounds", pred.name());
+        }
+    }
+
+    #[test]
+    fn pitot_reads_are_the_full_row_answers_bitwise() {
+        // Every read scores the median head and, for a bound, the one head
+        // its pool is calibrated on: each answer must be bitwise what the
+        // every-head row gives, with and without bounds, under a fit whose
+        // pools pick different heads.
+        let tb = testbed();
+        let ds = tb.collect_dataset();
+        let split = Split::stratified(&ds, 0.6, 0);
+        let mut cfg = PitotConfig::tiny();
+        cfg.objective = pitot::Objective::Quantiles(vec![0.5, 0.8, 0.9, 0.95]);
+        cfg.steps = 200;
+        let trained = train(&ds, &split, &cfg);
+        let bounds = [0.1f32, 0.05, 0.2, 0.02, 0.3]
+            .into_iter()
+            .map(|eps| trained.fit_bounds(&ds, eps, HeadSelection::TightestOnValidation))
+            .find(|b| {
+                let mut heads = b.pool_calibrations().values().map(|c| c.head);
+                let first = heads.next();
+                heads.any(|h| Some(h) != first)
+            })
+            .expect("some ε picks different heads in different pools");
+        let towers = trained.tower_cache(&ds);
+        let nw = ds.n_workloads as u32;
+        let mut batch = QueryBatch::default();
+        for w in 0..40u32 {
+            batch.push(
+                w % nw,
+                (w as usize * 5) % ds.n_platforms,
+                (0..w % 6).map(|k| (w + 2 * k + 1) % nw),
+            );
+        }
+        // The every-head row of each query.
+        let mut row = Matrix::default();
+        let full: Vec<Vec<f32>> = batch
+            .iter()
+            .map(|(w, p, k)| {
+                let o = Observation {
+                    workload: w,
+                    platform: p as u32,
+                    interferers: k.to_vec(),
+                    runtime_s: 1.0,
+                };
+                trained.predict_log_runtime_into(&towers, &[o], &mut row);
+                row.row(0).to_vec()
+            })
+            .collect();
+        let pools = batch.iter().map(|(_, _, k)| k.len().min(MAX_INTERFERERS));
+        let points: Vec<u64> = full
+            .iter()
+            .map(|h| f64::from(h[0].exp()).to_bits())
+            .collect();
+        let calibrated: Vec<u64> = full
+            .iter()
+            .zip(pools)
+            .map(|(h, pool)| f64::from(bounds.bound_log(h, pool).exp()).to_bits())
+            .collect();
+        for (pred, budgets) in [
+            (PitotPredictor::new(&trained, &ds), &points),
+            (
+                PitotPredictor::with_bounds(&trained, &ds, bounds.clone()),
+                &calibrated,
+            ),
+        ] {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut got = Vec::new();
+            pred.predict_batch_s(&batch, &mut got);
+            assert_eq!(&bits(&got), &points, "{} points", pred.name());
+            pred.bound_batch_s(&batch, &mut got);
+            assert_eq!(&bits(&got), budgets, "{} budgets", pred.name());
+            let single: Vec<f64> = batch
+                .iter()
+                .map(|(w, p, k)| pred.bound_s(w, p, k))
+                .collect();
+            assert_eq!(&bits(&single), budgets, "{} single budgets", pred.name());
         }
     }
 

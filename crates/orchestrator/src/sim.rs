@@ -70,7 +70,7 @@ impl RunningJob {
 }
 
 /// Per-platform load snapshot exposed to placement policies.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlatformLoad {
     /// Workload indices currently running on the platform.
     pub running: Vec<u32>,
@@ -325,6 +325,13 @@ impl<'a> ClusterSim<'a> {
         let mut down = vec![false; n_platforms];
 
         let mut arrivals = stream.jobs().iter().peekable();
+        // Reused across events: each event's progress rates, and the view
+        // every placement decision reads, refilled in place.
+        let mut rates = Rates::default();
+        let mut view = ClusterView {
+            now_s: now,
+            platforms: vec![PlatformLoad::default(); n_platforms],
+        };
 
         #[derive(Clone, Copy, PartialEq)]
         enum Kind {
@@ -334,8 +341,11 @@ impl<'a> ClusterSim<'a> {
         }
 
         loop {
+            // `running` changes only below, so one fill serves both the
+            // completion search and the advance step.
+            rates.fill(self.testbed, &running);
             let next_arrival = arrivals.peek().map(|j| j.arrival_s);
-            let next_completion = self.earliest_completion(&running, now);
+            let next_completion = rates.earliest_completion(&running, now);
             let next_fault = transitions.get(next_tr).map(|t| t.0);
 
             // Earliest event wins; on ties faults apply first (an arrival at
@@ -364,8 +374,7 @@ impl<'a> ClusterSim<'a> {
                         continue;
                     }
                     busy_platform_time += dt;
-                    let rates = self.rates(pidx, jobs);
-                    for (job, rate) in jobs.iter_mut().zip(rates) {
+                    for (job, rate) in jobs.iter_mut().zip(&rates.per_platform[pidx]) {
                         job.remaining_work = (job.remaining_work - dt * rate).max(0.0);
                     }
                 }
@@ -393,7 +402,15 @@ impl<'a> ClusterSim<'a> {
                     // may fit elsewhere; a restore opens fresh slots).
                     while let Some(job) = pending.front() {
                         let job = job.clone();
-                        if self.try_place(job, &mut running, policy, predictor, now, &down) {
+                        if self.try_place(
+                            job,
+                            &mut running,
+                            &mut view,
+                            policy,
+                            predictor,
+                            now,
+                            &down,
+                        ) {
                             pending.pop_front();
                         } else {
                             break;
@@ -402,7 +419,15 @@ impl<'a> ClusterSim<'a> {
                 }
                 Kind::Arrival => {
                     let job = arrivals.next().expect("peeked arrival").clone();
-                    if !self.try_place(job.clone(), &mut running, policy, predictor, now, &down) {
+                    if !self.try_place(
+                        job.clone(),
+                        &mut running,
+                        &mut view,
+                        policy,
+                        predictor,
+                        now,
+                        &down,
+                    ) {
                         pending.push_back(job);
                     }
                 }
@@ -433,7 +458,15 @@ impl<'a> ClusterSim<'a> {
                     // Drain the FIFO queue while the head job places.
                     while let Some(job) = pending.front() {
                         let job = job.clone();
-                        if self.try_place(job, &mut running, policy, predictor, now, &down) {
+                        if self.try_place(
+                            job,
+                            &mut running,
+                            &mut view,
+                            policy,
+                            predictor,
+                            now,
+                            &down,
+                        ) {
                             pending.pop_front();
                         } else {
                             break;
@@ -470,18 +503,21 @@ impl<'a> ClusterSim<'a> {
         report
     }
 
-    /// Attempts to place `job`; returns whether it started running.
+    /// Attempts to place `job`, refilling `view` for the decision; returns
+    /// whether it started running.
+    #[allow(clippy::too_many_arguments)]
     fn try_place(
         &self,
         job: Job,
         running: &mut [Vec<RunningJob>],
+        view: &mut ClusterView,
         policy: &mut dyn PlacementPolicy,
         predictor: &dyn RuntimePredictor,
         now: f64,
         down: &[bool],
     ) -> bool {
-        let view = self.view(running, now, down);
-        match policy.place(&job, &view, predictor) {
+        self.refill_view(view, running, now, down);
+        match policy.place(&job, view, predictor) {
             Some(pidx)
                 if running[pidx].len() < self.capacity && self.is_allowed(pidx) && !down[pidx] =>
             {
@@ -515,26 +551,71 @@ impl<'a> ClusterSim<'a> {
             * self.work_scale
     }
 
-    /// Progress rate of each job on `pidx` given its current co-residents.
-    fn rates(&self, pidx: usize, jobs: &[RunningJob]) -> Vec<f64> {
-        let ws = self.testbed.workloads();
-        let truth = self.testbed.truth();
-        jobs.iter()
-            .enumerate()
-            .map(|(slot, rj)| {
-                let others: Vec<&Workload> = jobs
-                    .iter()
-                    .enumerate()
-                    .filter(|(s, _)| *s != slot)
-                    .map(|(_, o)| &ws[o.job.workload as usize])
-                    .collect();
+    /// Overwrites `view` with the cluster at `now`, one entry per platform,
+    /// keeping every buffer's capacity.
+    fn refill_view(
+        &self,
+        view: &mut ClusterView,
+        running: &[Vec<RunningJob>],
+        now: f64,
+        down: &[bool],
+    ) {
+        view.now_s = now;
+        for (pidx, (load, jobs)) in view.platforms.iter_mut().zip(running).enumerate() {
+            load.running.clear();
+            load.running.extend(jobs.iter().map(|j| j.job.workload));
+            load.remaining_frac.clear();
+            load.remaining_frac
+                .extend(jobs.iter().map(RunningJob::remaining_frac));
+            load.due_s.clear();
+            load.due_s.extend(jobs.iter().map(|j| j.job.due_s()));
+            load.free_slots = if self.is_allowed(pidx) && !down[pidx] {
+                self.capacity.saturating_sub(jobs.len())
+            } else {
+                0
+            };
+        }
+    }
+}
+
+/// Per-platform progress rates of the running jobs, refilled once per
+/// event into reused buffers.
+#[derive(Debug, Default)]
+struct Rates<'a> {
+    /// `per_platform[p][slot]`: the progress rate of `running[p][slot]`.
+    /// Current only for busy platforms.
+    per_platform: Vec<Vec<f64>>,
+    /// The co-residents of the job being rated.
+    others: Vec<&'a Workload>,
+}
+
+impl<'a> Rates<'a> {
+    /// Rates every running job given its current co-residents.
+    fn fill(&mut self, testbed: &'a Testbed, running: &[Vec<RunningJob>]) {
+        let ws = testbed.workloads();
+        let truth = testbed.truth();
+        self.per_platform.resize_with(running.len(), Vec::new);
+        for (pidx, (rates, jobs)) in self.per_platform.iter_mut().zip(running).enumerate() {
+            if jobs.is_empty() {
+                continue;
+            }
+            rates.clear();
+            for (slot, rj) in jobs.iter().enumerate() {
+                self.others.clear();
+                self.others.extend(
+                    jobs.iter()
+                        .enumerate()
+                        .filter(|(s, _)| *s != slot)
+                        .map(|(_, o)| &ws[o.job.workload as usize]),
+                );
                 let w = &ws[rj.job.workload as usize];
-                (-truth.interference_log_slowdown(w, &others, pidx) as f64).exp()
-            })
-            .collect()
+                rates.push((-truth.interference_log_slowdown(w, &self.others, pidx) as f64).exp());
+            }
+        }
     }
 
-    /// Earliest completion event as `(time, platform, slot)`.
+    /// Earliest completion event as `(time, platform, slot)`, under the
+    /// rates of the last [`Rates::fill`] over the same `running`.
     fn earliest_completion(
         &self,
         running: &[Vec<RunningJob>],
@@ -545,8 +626,7 @@ impl<'a> ClusterSim<'a> {
             if jobs.is_empty() {
                 continue;
             }
-            let rates = self.rates(pidx, jobs);
-            for (slot, (job, rate)) in jobs.iter().zip(rates).enumerate() {
+            for (slot, (job, rate)) in jobs.iter().zip(&self.per_platform[pidx]).enumerate() {
                 let t = now + job.remaining_work / rate.max(1e-12);
                 if best.is_none_or(|(bt, _, _)| t < bt) {
                     best = Some((t, pidx, slot));
@@ -554,26 +634,6 @@ impl<'a> ClusterSim<'a> {
             }
         }
         best
-    }
-
-    fn view(&self, running: &[Vec<RunningJob>], now: f64, down: &[bool]) -> ClusterView {
-        ClusterView {
-            now_s: now,
-            platforms: running
-                .iter()
-                .enumerate()
-                .map(|(pidx, jobs)| PlatformLoad {
-                    running: jobs.iter().map(|j| j.job.workload).collect(),
-                    remaining_frac: jobs.iter().map(RunningJob::remaining_frac).collect(),
-                    due_s: jobs.iter().map(|j| j.job.due_s()).collect(),
-                    free_slots: if self.is_allowed(pidx) && !down[pidx] {
-                        self.capacity.saturating_sub(jobs.len())
-                    } else {
-                        0
-                    },
-                })
-                .collect(),
-        }
     }
 }
 

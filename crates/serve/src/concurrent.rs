@@ -435,16 +435,20 @@ impl LanePlane {
     /// answering replica's tower cache (compressed replicas answer with
     /// their level's cache, exactly as the twin's `query_now` does) and
     /// bound it with that replica's served calibration — no shard lock, no
-    /// queue, no waiting on a lane. Like `query_now`, it is one pass into a
-    /// reused row and matrix.
+    /// queue, no waiting on a lane. Like `query_now`, it is one pass over
+    /// the point head and the pool's bound head into a reused row and
+    /// matrix.
     fn predict(&mut self, replica: usize, q: &DeadlineQuery, pool: usize) -> Prediction {
         server::refill(&mut self.query, q.workload, q.platform, &q.interferers);
-        self.trained.predict_log_runtime_into(
+        let served = self.served[replica].as_deref();
+        let head = server::bound_head(served, pool, self.trained.model.n_heads());
+        self.trained.predict_log_point_bound_into(
             &self.towers[replica],
             std::slice::from_ref(&self.query),
+            |_| head,
             &mut self.preds,
         );
-        server::prediction(self.served[replica].as_deref(), self.preds.row(0), pool)
+        server::prediction(served, self.preds.row(0), pool)
     }
 }
 

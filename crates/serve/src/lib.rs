@@ -12,11 +12,15 @@
 //!   ([`PitotServer::query_now`] for one row, [`PitotServer::query_batch`]
 //!   for many), fully deterministically: the same event and read sequence
 //!   always produces bitwise-identical predictions.
-//! - **One scoring pass.** Every row a server scores — a read, an arriving
-//!   observation, a seed or a fine-tune rescore — goes through one
-//!   row-parallel [`pitot::TrainedPitot::predict_log_runtime_into`] pass
-//!   over the cached tower outputs into a row-major matrix the server
-//!   reuses, so warm reads and warm observations allocate no matrix.
+//! - **One scoring pass.** Every row a server scores goes through one
+//!   row-parallel pass over the cached tower outputs into a row-major
+//!   matrix the server reuses, so warm reads and warm observations
+//!   allocate no matrix. A read scores two heads per row
+//!   ([`pitot::TrainedPitot::predict_log_point_bound_into`]): the point
+//!   head, and the head the row's pool is calibrated on. An arriving
+//!   observation, a seed or a fine-tune rescore scores every head
+//!   ([`pitot::TrainedPitot::predict_log_runtime_into`]), because the
+//!   window keeps a score per head.
 //! - **A sliding calibration window.** Every observation's nonconformity
 //!   scores enter a [`pitot_conformal::WindowedScores`] ring (the moving
 //!   calibration set of Gui et al.'s *conformalized matrix completion*);

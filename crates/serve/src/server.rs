@@ -152,24 +152,34 @@ pub(crate) fn fit_served<C: CalibrationView>(
     PooledConformal::fit_scored(view, &no_selection_set, xis, selection, epsilon)
 }
 
-/// Log-space `(bound, degraded)` for one observation's head predictions
-/// under the served calibration. Before the first calibration exists the
-/// bound falls back to the highest head — conservative but uncalibrated.
-fn served_bound(served: Option<&Served>, head_preds: &[f32], pool: usize) -> (f32, bool) {
+/// The head the served bound of `pool` is read from, out of `n_heads`: the
+/// head the served calibration picked for the pool, or, before the first
+/// calibration exists, the highest head — conservative but uncalibrated.
+pub(crate) fn bound_head(served: Option<&Served>, pool: usize, n_heads: usize) -> usize {
+    served.map_or(n_heads - 1, |s| s.conformal.calibration_for(pool).head)
+}
+
+/// Log-space `(bound, degraded)` under the served calibration, from the
+/// prediction of `pool`'s [`bound_head`].
+fn served_bound(served: Option<&Served>, head_pred: f32, pool: usize) -> (f32, bool) {
     match served {
-        Some(s) => (s.conformal.bound_log(head_preds, pool), s.degraded),
-        None => (*head_preds.last().expect("at least one head"), false),
+        Some(s) => (
+            head_pred + s.conformal.calibration_for(pool).gamma,
+            s.degraded,
+        ),
+        None => (head_pred, false),
     }
 }
 
-/// The [`Prediction`] for one query's head predictions under the served
-/// calibration: the one constructor of every answer, on a standalone server
-/// and on the concurrent runtime's read path alike.
-pub(crate) fn prediction(served: Option<&Served>, head_preds: &[f32], pool: usize) -> Prediction {
-    let (bound, degraded) = served_bound(served, head_preds, pool);
+/// The [`Prediction`] for one query's `[head 0, bound head]` log-runtime
+/// pair (see [`TrainedPitot::predict_log_point_bound_into`]) under the
+/// served calibration: the one constructor of every answer, on a standalone
+/// server and on the concurrent runtime's read path alike.
+pub(crate) fn prediction(served: Option<&Served>, pair: &[f32], pool: usize) -> Prediction {
+    let (bound, degraded) = served_bound(served, pair[1], pool);
     Prediction {
         id: 0,
-        point_s: head_preds[0].exp(),
+        point_s: pair[0].exp(),
         bound_s: bound.exp(),
         pool,
         degraded,
@@ -474,7 +484,9 @@ impl PitotServer {
         }
 
         // 1. Prequential judgement against the *currently served* bound.
-        let (bound_log, degraded) = served_bound(self.conformal.as_deref(), head_preds, pool);
+        let served = self.conformal.as_deref();
+        let head = bound_head(served, pool, head_preds.len());
+        let (bound_log, degraded) = served_bound(served, head_preds[head], pool);
         let covered = target_log <= bound_log;
         self.monitor.push(covered);
         self.stats.bounded += 1;
@@ -570,8 +582,9 @@ impl PitotServer {
     }
 
     /// The one read pass: refills the reused query rows, makes a single
-    /// [`TrainedPitot::predict_log_runtime_into`] over them into the reused
-    /// matrix, then answers each row under the served calibration, in
+    /// [`TrainedPitot::predict_log_point_bound_into`] over them into the
+    /// reused matrix, scoring each row's point head and the head its pool's
+    /// bound reads, then answers each row under the served calibration, in
     /// order.
     fn read<'a>(
         &mut self,
@@ -587,13 +600,18 @@ impl PitotServer {
             n += 1;
         }
         let reads = &self.reads[..n];
-        self.trained
-            .predict_log_runtime_into(&self.towers, reads, &mut self.preds);
-        self.stats.queries += n;
         let served = self.conformal.as_deref();
-        for (o, row) in reads.iter().zip(self.preds.iter_rows()) {
-            let pool = self.cfg.pool_key(o.interferers.len());
-            answer(prediction(served, row, pool));
+        let (cfg, n_heads) = (&self.cfg, self.trained.model.n_heads());
+        let pool_of = |o: &Observation| cfg.pool_key(o.interferers.len());
+        self.trained.predict_log_point_bound_into(
+            &self.towers,
+            reads,
+            |o| bound_head(served, pool_of(o), n_heads),
+            &mut self.preds,
+        );
+        self.stats.queries += n;
+        for (o, pair) in reads.iter().zip(self.preds.iter_rows()) {
+            answer(prediction(served, pair, pool_of(o)));
         }
     }
 

@@ -11,18 +11,20 @@
 //! `on_event`) or `ConcurrentFleet::run_trace` (each replica's share of a
 //! lane batch), scored into the same matrix as the server's reads.
 
-use pitot::{train, Objective, PitotConfig, TrainedPitot};
+use pitot::{train, Matrix, Objective, PitotConfig, TowerCache, TrainedPitot};
+use pitot_conformal::{HeadSelection, PooledConformal};
 use pitot_orchestrator::{
     ClusterView, Job, PlacementPolicy, PlatformLoad, QueryBatch, RuntimePredictor,
 };
 use pitot_sched::ConformalGreedy;
 use pitot_serve::{
     ConcurrentConfig, ConcurrentFleet, DeadlineQuery, Event, FleetConfig, FleetServer, PitotServer,
-    ServeConfig, ServingPredictor, TraceEvent, TraceOutcome,
+    Prediction, ServeConfig, ServingPredictor, TraceEvent, TraceOutcome,
 };
-use pitot_testbed::{split::Split, Dataset, Testbed, TestbedConfig, MAX_INTERFERERS};
+use pitot_testbed::{split::Split, Dataset, Observation, Testbed, TestbedConfig, MAX_INTERFERERS};
 use proptest::prelude::*;
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::OnceLock;
 
@@ -104,6 +106,133 @@ proptest! {
         let want: Vec<f64> = batch.iter().map(|(w, p, k)| predictor.predict_s(w, p, k)).collect();
         prop_assert_eq!(bits(&got), bits(&want));
     }
+}
+
+/// The answer the every-head row of `(workload, platform, interferers)`
+/// gives under `conformal`: the served bound reads the pool's calibrated
+/// head, or the highest head before any calibration exists. The oracle the
+/// two-head reads are pinned to.
+fn full_row_answer(
+    conformal: Option<&PooledConformal>,
+    (workload, platform, interferers): (u32, usize, &[u32]),
+) -> Prediction {
+    let (dataset, _, trained) = fixture();
+    static TOWERS: OnceLock<TowerCache> = OnceLock::new();
+    let towers = TOWERS.get_or_init(|| trained.tower_cache(dataset));
+    let query = Observation {
+        workload,
+        platform: platform as u32,
+        interferers: interferers.to_vec(),
+        runtime_s: 1.0,
+    };
+    let mut row = Matrix::default();
+    trained.predict_log_runtime_into(towers, &[query], &mut row);
+    let heads = row.row(0);
+    // `ServeConfig::at` pools by arity.
+    let pool = interferers.len().min(MAX_INTERFERERS);
+    let bound = match conformal {
+        Some(c) => c.bound_log(heads, pool),
+        None => heads[heads.len() - 1],
+    };
+    Prediction {
+        id: 0,
+        point_s: heads[0].exp(),
+        bound_s: bound.exp(),
+        pool,
+        degraded: false,
+    }
+}
+
+/// A prediction's fields, floats as bits.
+fn answer_bits(p: &Prediction) -> (u64, u32, u32, usize, bool) {
+    (
+        p.id,
+        p.point_s.to_bits(),
+        p.bound_s.to_bits(),
+        p.pool,
+        p.degraded,
+    )
+}
+
+/// `query_now`, `query_batch` and a `ConcurrentFleet` deadline read score
+/// two heads per row; each answer is bitwise the every-head row's, before
+/// any calibration exists, under `NaiveXi`, and after installing a
+/// `TightestOnValidation` fit whose pools pick different heads.
+#[test]
+fn two_head_reads_answer_as_the_every_head_row() {
+    let (dataset, split, trained) = fixture();
+    let batch = build_rows(0x5EED, 40);
+    let tightest = [0.1f32, 0.05, 0.2, 0.02, 0.3]
+        .into_iter()
+        .map(|eps| trained.fit_bounds(dataset, eps, HeadSelection::TightestOnValidation))
+        .find(|c| {
+            let heads: BTreeSet<usize> = c.pool_calibrations().values().map(|p| p.head).collect();
+            heads.len() > 1
+        })
+        .expect("some ε picks different heads in different pools");
+
+    let mut server = PitotServer::new(trained.clone(), dataset.clone(), ServeConfig::at(0.1));
+    let check = |server: &mut PitotServer, stage: &str| {
+        let want: Vec<_> = batch
+            .iter()
+            .map(|row| answer_bits(&full_row_answer(server.conformal(), row)))
+            .collect();
+        let mut got = Vec::new();
+        server.query_batch(&batch, |p| got.push(answer_bits(&p)));
+        assert_eq!(got, want, "query_batch, {stage}");
+        let single: Vec<_> = batch
+            .iter()
+            .map(|(w, p, k)| answer_bits(&server.query_now(w, p as u32, k)))
+            .collect();
+        assert_eq!(single, want, "query_now, {stage}");
+    };
+    check(&mut server, "before any calibration");
+    server.seed_calibration(&split.val);
+    assert_eq!(ServeConfig::at(0.1).selection, HeadSelection::NaiveXi);
+    check(&mut server, "NaiveXi");
+    server.install_calibration(tightest);
+    check(&mut server, "TightestOnValidation");
+
+    let ccfg = ConcurrentConfig {
+        fleet: FleetConfig::at(0.1, 3),
+        workers: Some(1),
+    };
+    let mut conc = ConcurrentFleet::new(trained.clone(), dataset, ccfg);
+    // Ids run on across calls: the admission queue rejects a reused one.
+    let queries = |first: u64| -> Vec<TraceEvent> {
+        batch
+            .iter()
+            .zip(first..)
+            .map(|((workload, platform, interferers), id)| {
+                TraceEvent::Deadline(DeadlineQuery {
+                    id,
+                    workload,
+                    platform: platform as u32,
+                    interferers: interferers.to_vec(),
+                    deadline_s: 1.0,
+                })
+            })
+            .collect()
+    };
+    let fleet_check = |conc: &mut ConcurrentFleet, first: u64, stage: &str| {
+        let want: Vec<_> = batch
+            .iter()
+            .map(|row| answer_bits(&full_row_answer(conc.fleet_conformal(), row)))
+            .collect();
+        let got: Vec<_> = conc
+            .run_trace(&queries(first))
+            .iter()
+            .map(|o| match o {
+                TraceOutcome::Decided(d) => answer_bits(&d.prediction),
+                other => panic!("a deadline query was not decided: {other:?}"),
+            })
+            .collect();
+        assert_eq!(got, want, "ConcurrentFleet, {stage}");
+    };
+    fleet_check(&mut conc, 0, "before any calibration");
+    conc.seed_calibration(&split.val);
+    assert!(conc.fleet_conformal().is_some(), "seeding fits the fleet");
+    fleet_check(&mut conc, batch.len() as u64, "NaiveXi");
 }
 
 /// Deadline queries over the first test observations, ids from `first`.
