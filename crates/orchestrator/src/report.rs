@@ -51,7 +51,9 @@ pub struct SimReport {
     pub p99_response_s: f64,
     /// Mean completion slack in seconds (positive = early).
     pub mean_slack_s: f64,
-    /// Busy-platform-time over total platform-time.
+    /// Busy-platform-time over total platform-time: makespan × the
+    /// platforms the run could place on (its site, for a
+    /// [`crate::ClusterSim::restrict_to`] run).
     pub utilization: f64,
     /// Time of the last completion.
     pub makespan_s: f64,
@@ -66,7 +68,8 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Aggregates per-job outcomes into a report.
+    /// Aggregates per-job outcomes into a report; `n_platforms` counts the
+    /// platforms that could hold a job.
     pub fn from_outcomes(
         outcomes: Vec<JobOutcome>,
         makespan_s: f64,

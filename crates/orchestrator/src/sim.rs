@@ -21,6 +21,9 @@ use crate::report::{JobOutcome, SimReport};
 use pitot_testbed::{Observation, Testbed, Workload, MAX_INTERFERERS};
 use std::collections::VecDeque;
 
+#[cfg(test)]
+mod reference;
+
 /// Default per-platform co-location capacity. Matches the data-collection
 /// envelope (4-way sets: one primary + [`pitot_testbed::MAX_INTERFERERS`]
 /// interferers), so predictors are never asked to extrapolate beyond the
@@ -87,7 +90,8 @@ pub struct PlatformLoad {
 pub struct ClusterView {
     /// Current simulation time.
     pub now_s: f64,
-    /// One entry per platform.
+    /// One entry per catalog platform. [`ClusterSim`] rewrites only its
+    /// site's entries; the others stay empty, with zero free slots.
     pub platforms: Vec<PlatformLoad>,
 }
 
@@ -104,13 +108,19 @@ impl ClusterView {
 }
 
 /// The simulator: owns per-platform run queues and replays a [`JobStream`].
+///
+/// A run simulates its site, not the catalog: events advance, rate and
+/// complete jobs on the site's platforms only, and each decision refills
+/// only their [`ClusterView`] entries. The view still holds one entry per
+/// catalog platform; an entry outside the site is never written and keeps
+/// zero free slots, so no policy can place there.
 #[derive(Debug)]
 pub struct ClusterSim<'a> {
     testbed: &'a Testbed,
     capacity: usize,
-    /// When set, only these platforms accept jobs (an edge *site* within the
-    /// full catalog; disallowed platforms surface zero free slots).
-    allowed: Option<Vec<bool>>,
+    /// The platforms that accept jobs, ascending: an edge *site* within the
+    /// full catalog ([`ClusterSim::restrict_to`]), or every platform.
+    site: Vec<usize>,
     /// Multiplier on every sampled isolation runtime (1.0 = the testbed's
     /// ground truth). Lets experiments inject covariate drift — e.g. the
     /// serving experiments' `e^0.3` runtime shift — into the closed loop
@@ -136,7 +146,7 @@ impl<'a> ClusterSim<'a> {
         Self {
             testbed,
             capacity,
-            allowed: None,
+            site: (0..testbed.platforms().len()).collect(),
             work_scale: 1.0,
             faults: Vec::new(),
         }
@@ -172,12 +182,12 @@ impl<'a> ClusterSim<'a> {
             "site must contain at least one platform"
         );
         let n = self.testbed.platforms().len();
-        let mut allowed = vec![false; n];
         for &p in platforms {
             assert!(p < n, "platform index {p} out of range");
-            allowed[p] = true;
         }
-        self.allowed = Some(allowed);
+        self.site = platforms.to_vec();
+        self.site.sort_unstable();
+        self.site.dedup();
         self
     }
 
@@ -231,10 +241,6 @@ impl<'a> ClusterSim<'a> {
         }
         self.faults = faults;
         self
-    }
-
-    fn is_allowed(&self, pidx: usize) -> bool {
-        self.allowed.as_ref().is_none_or(|a| a[pidx])
     }
 
     /// Partitions `n_platforms` into `sites` disjoint round-robin platform
@@ -325,9 +331,10 @@ impl<'a> ClusterSim<'a> {
         let mut down = vec![false; n_platforms];
 
         let mut arrivals = stream.jobs().iter().peekable();
-        // Reused across events: each event's progress rates, and the view
-        // every placement decision reads, refilled in place.
-        let mut rates = Rates::default();
+        // Reused across events: every platform's progress rates, kept
+        // current as its running set changes, and the view every placement
+        // decision reads, refilled in place.
+        let mut rates = Rates::new(self.testbed);
         let mut view = ClusterView {
             now_s: now,
             platforms: vec![PlatformLoad::default(); n_platforms],
@@ -341,11 +348,8 @@ impl<'a> ClusterSim<'a> {
         }
 
         loop {
-            // `running` changes only below, so one fill serves both the
-            // completion search and the advance step.
-            rates.fill(self.testbed, &running);
             let next_arrival = arrivals.peek().map(|j| j.arrival_s);
-            let next_completion = rates.earliest_completion(&running, now);
+            let next_completion = rates.earliest_completion(&self.site, &running, now);
             let next_fault = transitions.get(next_tr).map(|t| t.0);
 
             // Earliest event wins; on ties faults apply first (an arrival at
@@ -354,7 +358,7 @@ impl<'a> ClusterSim<'a> {
             for (t, kind) in [
                 (next_fault, Kind::Fault),
                 (next_arrival, Kind::Arrival),
-                (next_completion.map(|(c, _, _)| c), Kind::Completion),
+                (next_completion, Kind::Completion),
             ] {
                 if let Some(t) = t {
                     if event.is_none_or(|(bt, _)| t < bt) {
@@ -366,10 +370,11 @@ impl<'a> ClusterSim<'a> {
                 break;
             };
 
-            // Advance all running jobs to the event time.
+            // Advance the site's running jobs to the event time.
             let dt = event_time - now;
             if dt > 0.0 {
-                for (pidx, jobs) in running.iter_mut().enumerate() {
+                for &pidx in &self.site {
+                    let jobs = &mut running[pidx];
                     if jobs.is_empty() {
                         continue;
                     }
@@ -378,10 +383,8 @@ impl<'a> ClusterSim<'a> {
                         job.remaining_work = (job.remaining_work - dt * rate).max(0.0);
                     }
                 }
-                now = event_time;
-            } else {
-                now = event_time;
             }
+            now = event_time;
 
             match kind {
                 Kind::Fault => {
@@ -393,47 +396,33 @@ impl<'a> ClusterSim<'a> {
                         // re-queue at the head (oldest preempted job first)
                         // so recovery placement prefers them.
                         let killed = std::mem::take(&mut running[pidx]);
+                        rates.rerate(pidx, &running[pidx]);
                         preemptions += killed.len();
                         for rj in killed.into_iter().rev() {
                             pending.push_front(rj.job);
                         }
                     }
-                    // Either way capacity changed somewhere (preempted jobs
-                    // may fit elsewhere; a restore opens fresh slots).
-                    while let Some(job) = pending.front() {
-                        let job = job.clone();
-                        if self.try_place(
-                            job,
-                            &mut running,
-                            &mut view,
-                            policy,
-                            predictor,
-                            now,
-                            &down,
-                        ) {
-                            pending.pop_front();
-                        } else {
-                            break;
-                        }
-                    }
                 }
                 Kind::Arrival => {
-                    let job = arrivals.next().expect("peeked arrival").clone();
+                    let job = arrivals.next().expect("peeked arrival");
                     if !self.try_place(
                         job.clone(),
                         &mut running,
+                        &mut rates,
                         &mut view,
                         policy,
                         predictor,
                         now,
                         &down,
                     ) {
-                        pending.push_back(job);
+                        pending.push_back(job.clone());
                     }
                 }
                 Kind::Completion => {
                     // Complete every job that has (numerically) finished.
-                    for (pidx, jobs) in running.iter_mut().enumerate() {
+                    for &pidx in &self.site {
+                        let jobs = &mut running[pidx];
+                        let before = jobs.len();
                         let mut slot = 0;
                         while slot < jobs.len() {
                             if jobs[slot].remaining_work <= 1e-12 {
@@ -454,23 +443,30 @@ impl<'a> ClusterSim<'a> {
                                 slot += 1;
                             }
                         }
-                    }
-                    // Drain the FIFO queue while the head job places.
-                    while let Some(job) = pending.front() {
-                        let job = job.clone();
-                        if self.try_place(
-                            job,
-                            &mut running,
-                            &mut view,
-                            policy,
-                            predictor,
-                            now,
-                            &down,
-                        ) {
-                            pending.pop_front();
-                        } else {
-                            break;
+                        if jobs.len() < before {
+                            rates.rerate(pidx, jobs);
                         }
+                    }
+                }
+            }
+            if kind != Kind::Arrival {
+                // Capacity changed (a completion or a restore opened slots,
+                // preempted jobs may fit elsewhere): drain the FIFO queue
+                // while the head job places.
+                while let Some(job) = pending.front() {
+                    if self.try_place(
+                        job.clone(),
+                        &mut running,
+                        &mut rates,
+                        &mut view,
+                        policy,
+                        predictor,
+                        now,
+                        &down,
+                    ) {
+                        pending.pop_front();
+                    } else {
+                        break;
                     }
                 }
             }
@@ -480,13 +476,11 @@ impl<'a> ClusterSim<'a> {
             // queue legitimately waits for a platform to come back.
             if pending.front().is_some()
                 && arrivals.peek().is_none()
-                && running.iter().all(|r| r.is_empty())
+                && self.site.iter().all(|&p| running[p].is_empty())
                 && next_tr >= transitions.len()
             {
                 assert!(
-                    down.iter()
-                        .enumerate()
-                        .any(|(p, &d)| !d && self.is_allowed(p)),
+                    self.site.iter().any(|&p| !down[p]),
                     "fault plan leaves every allowed platform dark with jobs still queued; \
                      add a SiteFault restore_s before the last arrival drains"
                 );
@@ -498,18 +492,21 @@ impl<'a> ClusterSim<'a> {
             }
         }
 
-        let mut report = SimReport::from_outcomes(outcomes, now, busy_platform_time, n_platforms);
+        let mut report =
+            SimReport::from_outcomes(outcomes, now, busy_platform_time, self.site.len());
         report.preemptions = preemptions;
         report
     }
 
     /// Attempts to place `job`, refilling `view` for the decision; returns
-    /// whether it started running.
+    /// whether it started running. A pick counts only where the view
+    /// offered a free slot.
     #[allow(clippy::too_many_arguments)]
     fn try_place(
         &self,
         job: Job,
         running: &mut [Vec<RunningJob>],
+        rates: &mut Rates<'a>,
         view: &mut ClusterView,
         policy: &mut dyn PlacementPolicy,
         predictor: &dyn RuntimePredictor,
@@ -518,18 +515,18 @@ impl<'a> ClusterSim<'a> {
     ) -> bool {
         self.refill_view(view, running, now, down);
         match policy.place(&job, view, predictor) {
-            Some(pidx)
-                if running[pidx].len() < self.capacity && self.is_allowed(pidx) && !down[pidx] =>
-            {
+            Some(pidx) if view.platforms[pidx].free_slots > 0 => {
                 let work = self.sample_work(&job, pidx);
-                let interferers_at_start = running[pidx].iter().map(|r| r.job.workload).collect();
-                running[pidx].push(RunningJob {
+                let jobs = &mut running[pidx];
+                let interferers_at_start = jobs.iter().map(|r| r.job.workload).collect();
+                jobs.push(RunningJob {
                     job,
                     remaining_work: work,
                     total_work: work,
                     started_s: now,
                     interferers_at_start,
                 });
+                rates.rerate(pidx, jobs);
                 true
             }
             _ => false,
@@ -551,8 +548,9 @@ impl<'a> ClusterSim<'a> {
             * self.work_scale
     }
 
-    /// Overwrites `view` with the cluster at `now`, one entry per platform,
-    /// keeping every buffer's capacity.
+    /// Overwrites the site's entries of `view` with the cluster at `now`,
+    /// keeping every buffer's capacity. Entries outside the site are never
+    /// written, so they keep zero free slots.
     fn refill_view(
         &self,
         view: &mut ClusterView,
@@ -561,7 +559,8 @@ impl<'a> ClusterSim<'a> {
         down: &[bool],
     ) {
         view.now_s = now;
-        for (pidx, (load, jobs)) in view.platforms.iter_mut().zip(running).enumerate() {
+        for &pidx in &self.site {
+            let (load, jobs) = (&mut view.platforms[pidx], &running[pidx]);
             load.running.clear();
             load.running.extend(jobs.iter().map(|j| j.job.workload));
             load.remaining_frac.clear();
@@ -569,67 +568,72 @@ impl<'a> ClusterSim<'a> {
                 .extend(jobs.iter().map(RunningJob::remaining_frac));
             load.due_s.clear();
             load.due_s.extend(jobs.iter().map(|j| j.job.due_s()));
-            load.free_slots = if self.is_allowed(pidx) && !down[pidx] {
-                self.capacity.saturating_sub(jobs.len())
-            } else {
+            load.free_slots = if down[pidx] {
                 0
+            } else {
+                self.capacity.saturating_sub(jobs.len())
             };
         }
     }
 }
 
-/// Per-platform progress rates of the running jobs, refilled once per
-/// event into reused buffers.
-#[derive(Debug, Default)]
+/// Every platform's progress rates, kept current for its running jobs. A
+/// job's rate depends on nothing but its platform's running set, so a
+/// platform's rates are recomputed (all of them, in slot order) exactly
+/// when that set changes: on a placement, a completion or a fault kill.
+#[derive(Debug)]
 struct Rates<'a> {
+    testbed: &'a Testbed,
     /// `per_platform[p][slot]`: the progress rate of `running[p][slot]`.
-    /// Current only for busy platforms.
     per_platform: Vec<Vec<f64>>,
     /// The co-residents of the job being rated.
     others: Vec<&'a Workload>,
 }
 
 impl<'a> Rates<'a> {
-    /// Rates every running job given its current co-residents.
-    fn fill(&mut self, testbed: &'a Testbed, running: &[Vec<RunningJob>]) {
-        let ws = testbed.workloads();
-        let truth = testbed.truth();
-        self.per_platform.resize_with(running.len(), Vec::new);
-        for (pidx, (rates, jobs)) in self.per_platform.iter_mut().zip(running).enumerate() {
-            if jobs.is_empty() {
-                continue;
-            }
-            rates.clear();
-            for (slot, rj) in jobs.iter().enumerate() {
-                self.others.clear();
-                self.others.extend(
-                    jobs.iter()
-                        .enumerate()
-                        .filter(|(s, _)| *s != slot)
-                        .map(|(_, o)| &ws[o.job.workload as usize]),
-                );
-                let w = &ws[rj.job.workload as usize];
-                rates.push((-truth.interference_log_slowdown(w, &self.others, pidx) as f64).exp());
-            }
+    /// No job running anywhere.
+    fn new(testbed: &'a Testbed) -> Self {
+        Self {
+            testbed,
+            per_platform: vec![Vec::new(); testbed.platforms().len()],
+            others: Vec::new(),
         }
     }
 
-    /// Earliest completion event as `(time, platform, slot)`, under the
-    /// rates of the last [`Rates::fill`] over the same `running`.
+    /// Rates every job of `jobs`, the running set of `pidx`, given its
+    /// current co-residents.
+    fn rerate(&mut self, pidx: usize, jobs: &[RunningJob]) {
+        let ws = self.testbed.workloads();
+        let truth = self.testbed.truth();
+        let rates = &mut self.per_platform[pidx];
+        rates.clear();
+        for (slot, rj) in jobs.iter().enumerate() {
+            self.others.clear();
+            self.others.extend(
+                jobs.iter()
+                    .enumerate()
+                    .filter(|(s, _)| *s != slot)
+                    .map(|(_, o)| &ws[o.job.workload as usize]),
+            );
+            let w = &ws[rj.job.workload as usize];
+            rates.push((-truth.interference_log_slowdown(w, &self.others, pidx) as f64).exp());
+        }
+    }
+
+    /// Earliest completion time of a job running on `site`, under the
+    /// current rates.
     fn earliest_completion(
         &self,
+        site: &[usize],
         running: &[Vec<RunningJob>],
         now: f64,
-    ) -> Option<(f64, usize, usize)> {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for (pidx, jobs) in running.iter().enumerate() {
-            if jobs.is_empty() {
-                continue;
-            }
-            for (slot, (job, rate)) in jobs.iter().zip(&self.per_platform[pidx]).enumerate() {
+    ) -> Option<f64> {
+        let mut best: Option<f64> = None;
+        for &pidx in site {
+            for (job, rate) in running[pidx].iter().zip(&self.per_platform[pidx]) {
                 let t = now + job.remaining_work / rate.max(1e-12);
-                if best.is_none_or(|(bt, _, _)| t < bt) {
-                    best = Some((t, pidx, slot));
+                if best.is_none_or(|bt| t < bt) {
+                    best = Some(t);
                 }
             }
         }
@@ -972,5 +976,27 @@ mod tests {
         let report = ClusterSim::new(&tb).run(&jobs, &mut BaselinePolicy::least_loaded(), &oracle);
         assert!(report.utilization >= 0.0 && report.utilization <= 1.0);
         assert!(report.utilization > 0.0);
+    }
+
+    #[test]
+    fn utilization_divides_by_the_site_not_the_catalog() {
+        // One job on a one-platform site: the platform is busy from the
+        // job's arrival to its completion, out of a makespan that ends there.
+        let tb = setup();
+        assert!(tb.platforms().len() > 1);
+        let jobs = JobStream::generate(&tb, 1, 1.0, 31);
+        let oracle = OraclePredictor::new(&tb);
+        let report = ClusterSim::new(&tb).restrict_to(&[3]).run(
+            &jobs,
+            &mut BaselinePolicy::least_loaded(),
+            &oracle,
+        );
+        let done = &report.outcomes[0];
+        assert_eq!(done.platform, 3);
+        assert!(done.job.arrival_s > 0.0);
+        assert_eq!(
+            report.utilization,
+            (done.completed_s - done.job.arrival_s) / done.completed_s
+        );
     }
 }

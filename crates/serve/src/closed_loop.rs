@@ -1,6 +1,6 @@
 //! Closing the loop with the placement simulator.
 
-use crate::server::{Event, PitotServer, Prediction};
+use crate::server::{catalog_id, catalog_rows, Event, PitotServer};
 use pitot_orchestrator::{
     ClusterSim, JobStream, PlacementPolicy, QueryBatch, RuntimePredictor, SimReport,
 };
@@ -15,12 +15,14 @@ use std::rc::Rc;
 ///
 /// Every read is answered by the server as it stands, with nothing cached
 /// in between, so a seed, an install or a refresh shows in the very next
-/// answer. A single-row read is one [`PitotServer::query_now`]. A batched
-/// read, such as the rows of one `pitot-sched` placement decision, is one
-/// [`PitotServer::query_batch`]: one prediction pass over the whole batch
-/// into buffers the server reuses, bitwise equal row by row to
-/// `query_now`. Either way [`crate::ServeStats::queries`] counts one query
-/// per row.
+/// answer. A bound read of one row is one [`PitotServer::query_now`]. A
+/// batched bound read, such as the rows of one `pitot-sched` placement
+/// decision, is one [`PitotServer::query_batch`]: one prediction pass over
+/// the whole batch into buffers the server reuses, bitwise equal row by row
+/// to `query_now`. A point read, of one row or a batch, is the same pass
+/// scoring head 0 alone, bitwise the [`crate::Prediction::point_s`] of
+/// those reads. Every read counts one query per row in
+/// [`crate::ServeStats::queries`].
 pub struct ServingPredictor {
     server: Rc<RefCell<PitotServer>>,
     name: String,
@@ -34,29 +36,33 @@ impl ServingPredictor {
             name: "pitot-serve".to_string(),
         }
     }
-
-    fn answer(&self, workload: u32, platform: usize, interferers: &[u32]) -> Prediction {
-        let platform = u32::try_from(platform).expect("platform index outside the catalog");
-        self.server
-            .borrow_mut()
-            .query_now(workload, platform, interferers)
-    }
 }
 
 impl RuntimePredictor for ServingPredictor {
     fn predict_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
-        f64::from(self.answer(workload, platform, interferers).point_s)
+        let mut point_s = f32::NAN;
+        self.server.borrow_mut().query_points(
+            [(workload, catalog_id(platform), interferers)],
+            |p| {
+                point_s = p;
+            },
+        );
+        f64::from(point_s)
     }
 
     fn bound_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
-        f64::from(self.answer(workload, platform, interferers).bound_s)
+        let answer =
+            self.server
+                .borrow_mut()
+                .query_now(workload, catalog_id(platform), interferers);
+        f64::from(answer.bound_s)
     }
 
     fn predict_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
         out.clear();
         self.server
             .borrow_mut()
-            .query_batch(batch, |p| out.push(f64::from(p.point_s)));
+            .query_points(catalog_rows(batch), |p| out.push(f64::from(p)));
     }
 
     fn bound_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {

@@ -207,6 +207,23 @@ pub(crate) fn refill(row: &mut Observation, workload: u32, platform: u32, interf
     row.interferers.extend_from_slice(interferers);
 }
 
+/// A placement platform index as a catalog id.
+///
+/// # Panics
+///
+/// Panics if the index does not fit one.
+pub(crate) fn catalog_id(platform: usize) -> u32 {
+    u32::try_from(platform).expect("platform index outside the catalog")
+}
+
+/// The rows of `batch` with each platform index as a catalog id
+/// ([`catalog_id`], which panics as the rows are drawn).
+pub(crate) fn catalog_rows(batch: &QueryBatch) -> impl Iterator<Item = (u32, u32, &[u32])> {
+    batch
+        .iter()
+        .map(|(workload, platform, interferers)| (workload, catalog_id(platform), interferers))
+}
+
 /// What the window's score ring cannot give back about one entry.
 #[derive(Debug, Clone)]
 struct WindowEntry {
@@ -559,7 +576,8 @@ impl PitotServer {
     /// server's query row and prediction matrix and allocates nothing.
     pub fn query_now(&mut self, workload: u32, platform: u32, interferers: &[u32]) -> Prediction {
         let mut answer = None;
-        self.read([(workload, platform, interferers)], |p| answer = Some(p));
+        self.read([(workload, platform, interferers)], false);
+        self.answer_reads(|p| answer = Some(p));
         answer.expect("a batch of one has one answer")
     }
 
@@ -574,22 +592,34 @@ impl PitotServer {
     ///
     /// Panics if a row's platform index does not fit a catalog id.
     pub fn query_batch(&mut self, rows: &QueryBatch, answer: impl FnMut(Prediction)) {
-        let rows = rows.iter().map(|(workload, platform, interferers)| {
-            let platform = u32::try_from(platform).expect("platform index outside the catalog");
-            (workload, platform, interferers)
-        });
-        self.read(rows, answer);
+        self.read(catalog_rows(rows), false);
+        self.answer_reads(answer);
     }
 
-    /// The one read pass: refills the reused query rows, makes a single
+    /// The point estimate, in seconds, of every row of `rows`, passed to
+    /// `point_s` in row order: the [`PitotServer::query_batch`] pass scoring
+    /// head 0 alone, so each answer is bitwise that row's
+    /// [`Prediction::point_s`]. Counted per row in [`ServeStats::queries`].
+    pub(crate) fn query_points<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
+        mut point_s: impl FnMut(f32),
+    ) {
+        self.read(rows, true);
+        for pair in self.preds.iter_rows() {
+            point_s(pair[0].exp());
+        }
+    }
+
+    /// The one read pass: refills the reused query rows and makes a single
     /// [`TrainedPitot::predict_log_point_bound_into`] over them into the
-    /// reused matrix, scoring each row's point head and the head its pool's
-    /// bound reads, then answers each row under the served calibration, in
-    /// order.
+    /// reused matrix, scoring each row's point head and, unless
+    /// `point_only`, the head its pool's bound reads (a bound head of 0
+    /// scores nothing more). Counts the rows in [`ServeStats::queries`].
     fn read<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
-        mut answer: impl FnMut(Prediction),
+        point_only: bool,
     ) {
         let mut n = 0;
         for (workload, platform, interferers) in rows {
@@ -599,19 +629,33 @@ impl PitotServer {
             refill(&mut self.reads[n], workload, platform, interferers);
             n += 1;
         }
-        let reads = &self.reads[..n];
         let served = self.conformal.as_deref();
         let (cfg, n_heads) = (&self.cfg, self.trained.model.n_heads());
-        let pool_of = |o: &Observation| cfg.pool_key(o.interferers.len());
         self.trained.predict_log_point_bound_into(
             &self.towers,
-            reads,
-            |o| bound_head(served, pool_of(o), n_heads),
+            &self.reads[..n],
+            |o| {
+                if point_only {
+                    0
+                } else {
+                    bound_head(served, cfg.pool_key(o.interferers.len()), n_heads)
+                }
+            },
             &mut self.preds,
         );
         self.stats.queries += n;
-        for (o, pair) in reads.iter().zip(self.preds.iter_rows()) {
-            answer(prediction(served, pair, pool_of(o)));
+    }
+
+    /// Answers each row of the last [`read`](Self::read) under the served
+    /// calibration, in order (the prediction matrix holds that read's rows).
+    fn answer_reads(&self, mut answer: impl FnMut(Prediction)) {
+        let served = self.conformal.as_deref();
+        for (o, pair) in self.reads.iter().zip(self.preds.iter_rows()) {
+            answer(prediction(
+                served,
+                pair,
+                self.cfg.pool_key(o.interferers.len()),
+            ));
         }
     }
 

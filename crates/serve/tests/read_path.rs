@@ -154,6 +154,72 @@ fn answer_bits(p: &Prediction) -> (u64, u32, u32, usize, bool) {
     )
 }
 
+/// A `TightestOnValidation` calibration of the fixture whose pools read
+/// their bounds from different heads.
+fn tightest_with_mixed_heads() -> PooledConformal {
+    let (dataset, _, trained) = fixture();
+    [0.1f32, 0.05, 0.2, 0.02, 0.3]
+        .into_iter()
+        .map(|eps| trained.fit_bounds(dataset, eps, HeadSelection::TightestOnValidation))
+        .find(|c| {
+            let heads: BTreeSet<usize> = c.pool_calibrations().values().map(|p| p.head).collect();
+            heads.len() > 1
+        })
+        .expect("some ε picks different heads in different pools")
+}
+
+/// A point read through `ServingPredictor`, batched or of one row, scores
+/// head 0 alone, yet answers bitwise the `point_s` of `query_batch` over
+/// the same rows, and counts one query per row: before any calibration,
+/// under `NaiveXi`, and under a `TightestOnValidation` fit whose pools read
+/// different bound heads.
+#[test]
+fn point_reads_answer_as_the_query_batch_points() {
+    let (dataset, split, trained) = fixture();
+    let server = Rc::new(RefCell::new(PitotServer::new(
+        trained.clone(),
+        dataset.clone(),
+        ServeConfig::at(0.1),
+    )));
+    let predictor = ServingPredictor::new(Rc::clone(&server));
+    let queries = || server.borrow().stats().queries;
+    let check = |stage: &str| {
+        for n in [0, 1, 40] {
+            let batch = build_rows(0x9017 + n as u64, n);
+            let mut want = Vec::new();
+            server
+                .borrow_mut()
+                .query_batch(&batch, |p| want.push(f64::from(p.point_s).to_bits()));
+
+            let mut got = vec![f64::NAN; 3];
+            let before = queries();
+            predictor.predict_batch_s(&batch, &mut got);
+            assert_eq!(queries() - before, n, "batched point read counts, {stage}");
+            let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "batched point read, {n} rows, {stage}");
+
+            let before = queries();
+            let single: Vec<u64> = batch
+                .iter()
+                .map(|(w, p, k)| predictor.predict_s(w, p, k).to_bits())
+                .collect();
+            assert_eq!(
+                queries() - before,
+                n,
+                "single-row point read counts, {stage}"
+            );
+            assert_eq!(single, want, "single-row point read, {n} rows, {stage}");
+        }
+    };
+    check("before any calibration");
+    server.borrow_mut().seed_calibration(&split.val);
+    check("NaiveXi");
+    server
+        .borrow_mut()
+        .install_calibration(tightest_with_mixed_heads());
+    check("TightestOnValidation");
+}
+
 /// `query_now`, `query_batch` and a `ConcurrentFleet` deadline read score
 /// two heads per row; each answer is bitwise the every-head row's, before
 /// any calibration exists, under `NaiveXi`, and after installing a
@@ -162,14 +228,7 @@ fn answer_bits(p: &Prediction) -> (u64, u32, u32, usize, bool) {
 fn two_head_reads_answer_as_the_every_head_row() {
     let (dataset, split, trained) = fixture();
     let batch = build_rows(0x5EED, 40);
-    let tightest = [0.1f32, 0.05, 0.2, 0.02, 0.3]
-        .into_iter()
-        .map(|eps| trained.fit_bounds(dataset, eps, HeadSelection::TightestOnValidation))
-        .find(|c| {
-            let heads: BTreeSet<usize> = c.pool_calibrations().values().map(|p| p.head).collect();
-            heads.len() > 1
-        })
-        .expect("some ε picks different heads in different pools");
+    let tightest = tightest_with_mixed_heads();
 
     let mut server = PitotServer::new(trained.clone(), dataset.clone(), ServeConfig::at(0.1));
     let check = |server: &mut PitotServer, stage: &str| {
