@@ -103,7 +103,7 @@ fn admission_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut q = AdmissionQueue::new(AdmissionConfig::default());
             for (i, &(bound, deadline, realized)) in cases.iter().enumerate() {
-                q.decide(i as u64, bound, deadline);
+                q.decide(i as u64, bound, deadline, false);
                 q.resolve(i as u64, realized);
             }
             black_box(q.stats().decisions())

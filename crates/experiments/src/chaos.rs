@@ -26,6 +26,7 @@
 //! (re-verified per run here, and diffed across thread counts in CI via
 //! the `chaos` example).
 
+use crate::digest::Digest;
 use crate::harness::Harness;
 use crate::report::{Figure, Point, Series};
 use crate::serving::{weighted_stream, DRIFT_LOG, SEGMENTS, SHIFT_MIX, WARM_MIX};
@@ -97,27 +98,13 @@ fn fleet_config(eps: f32, stale_fallback: bool) -> FleetConfig {
     }
 }
 
-/// FNV-1a over every admission decision, failover flag, served bound, and
-/// coverage flag — the replayability witness.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn push(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// One arm's outcomes over the chaos stream.
 struct ArmOutcome {
     /// Per-event coverage; `None` where the observation was lost to a
     /// down replica.
     flags: Vec<Option<bool>>,
+    /// FNV-1a over every admission decision, failover flag, served bound,
+    /// and coverage flag — the replayability witness.
     digest: u64,
     stats: pitot_serve::FleetStats,
     audit_coverages: Vec<f32>,
@@ -152,7 +139,7 @@ fn run_arm(
     }
     ArmOutcome {
         flags,
-        digest: digest.0,
+        digest: digest.value(),
         stats: fleet.stats(),
         audit_coverages: fleet
             .degraded_audit()

@@ -35,6 +35,7 @@
 //! digest over every served bound is bitwise-stable across
 //! `PITOT_THREADS` (diffed in CI via the `compress` example).
 
+use crate::digest::Digest;
 use crate::harness::Harness;
 use crate::report::{Figure, Point, Series};
 use pitot::{CompressedTower, CompressionSpec, Objective, PitotConfig, TrainedPitot};
@@ -89,22 +90,19 @@ fn judge(
     preds: &Matrix,
     bounds: &PooledConformal,
 ) -> ArmOutcome {
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = Digest::new();
     let (mut covered, mut width_sum) = (0usize, 0.0f64);
     for (&i, head_preds) in test.iter().zip(preds.iter_rows()) {
         let o = &dataset.observations[i];
         let bound = bounds.bound_log(head_preds, o.interferers.len());
         covered += usize::from(bound >= o.log_runtime());
         width_sum += f64::from(bound - head_preds[0]);
-        for &byte in &bound.to_bits().to_le_bytes() {
-            digest ^= u64::from(byte);
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        digest.push(&bound.to_bits().to_le_bytes());
     }
     ArmOutcome {
         coverage: covered as f32 / test.len().max(1) as f32,
         width: (width_sum / test.len().max(1) as f64) as f32,
-        digest,
+        digest: digest.value(),
     }
 }
 

@@ -20,6 +20,7 @@ pub mod chaos;
 pub mod compress;
 pub mod conformal_variants;
 pub mod dataset_report;
+mod digest;
 pub mod embeddings;
 pub mod fleet;
 pub mod harness;

@@ -38,6 +38,7 @@
 //! (re-verified in-process here, and diffed across thread counts in CI
 //! via the `poison` example).
 
+use crate::digest::Digest;
 use crate::harness::Harness;
 use crate::report::{Figure, Point, Series};
 use pitot::{Objective, PitotConfig};
@@ -117,27 +118,13 @@ fn fleet_config(eps: f32, guarded: bool) -> FleetConfig {
     }
 }
 
-/// FNV-1a over every admission decision, served bound, and coverage
-/// flag — the replayability witness.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn push(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// One arm's outcomes over the poisoned stream.
 struct ArmOutcome {
     /// Per-event coverage on **clean** events only; `None` where the
     /// event was poisoned at injection or quarantined at ingest.
     clean_flags: Vec<Option<bool>>,
+    /// FNV-1a over every admission decision, served bound, and coverage
+    /// flag — the replayability witness.
     digest: u64,
     stats: pitot_serve::FleetStats,
 }
@@ -181,7 +168,7 @@ fn run_arm(
     }
     ArmOutcome {
         clean_flags,
-        digest: digest.0,
+        digest: digest.value(),
         stats: fleet.stats(),
     }
 }

@@ -153,6 +153,11 @@ impl BaselinePolicy {
 
     /// Deadline-aware placement: feasibility for the new job *and* for every
     /// job it would slow down, then smallest bound among the feasible.
+    ///
+    /// It reads row by row, not in one batch: the oracle's bound draws from
+    /// a seeded stream in call order, and the co-resident check stops at
+    /// the first disturbed resident, so a batched read would ask for other
+    /// rows in another order and change the `ext-orchestration` placements.
     fn place_deadline_aware(
         job: &Job,
         view: &ClusterView,
@@ -217,11 +222,16 @@ impl PlacementPolicy for BaselinePolicy {
             PolicyKind::LeastLoaded => candidates
                 .into_iter()
                 .min_by_key(|&p| view.platforms[p].running.len()),
-            PolicyKind::GreedyFastest => candidates.into_iter().min_by(|&a, &b| {
-                let ra = predictor.predict_s(job.workload, a, &view.platforms[a].running);
-                let rb = predictor.predict_s(job.workload, b, &view.platforms[b].running);
-                ra.total_cmp(&rb)
-            }),
+            // One read per candidate; `min_by` keeps the first of equal
+            // minima, so ties break to the lowest platform index.
+            PolicyKind::GreedyFastest => candidates
+                .into_iter()
+                .map(|p| {
+                    let running = &view.platforms[p].running;
+                    (p, predictor.predict_s(job.workload, p, running))
+                })
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .map(|(p, _)| p),
             PolicyKind::DeadlineAware => Self::place_deadline_aware(job, view, predictor),
         }
     }
@@ -304,6 +314,44 @@ mod tests {
         view.platforms[0].due_s = vec![100.0, 100.0];
         let mut policy = BaselinePolicy::greedy_fastest();
         assert_eq!(policy.place(&job(10.0), &view, &pred), Some(1));
+    }
+
+    /// Answers as its table and records the platform of every read.
+    struct Recording {
+        table: TablePredictor,
+        reads: std::cell::RefCell<Vec<usize>>,
+    }
+
+    impl RuntimePredictor for Recording {
+        fn predict_s(&self, w: u32, p: usize, interferers: &[u32]) -> f64 {
+            self.reads.borrow_mut().push(p);
+            self.table.predict_s(w, p, interferers)
+        }
+        fn bound_s(&self, w: u32, p: usize, interferers: &[u32]) -> f64 {
+            self.reads.borrow_mut().push(p);
+            self.table.bound_s(w, p, interferers)
+        }
+        fn name(&self) -> &str {
+            "recording"
+        }
+    }
+
+    #[test]
+    fn greedy_reads_each_candidate_once_per_decision() {
+        let pred = Recording {
+            table: TablePredictor {
+                runtime: vec![5.0, 1.0, 3.0, 1.0, 0.5],
+                margin: 0.0,
+            },
+            reads: Default::default(),
+        };
+        let mut view = empty_view(5);
+        // The fastest platform is full, so it is no candidate.
+        view.platforms[4].free_slots = 0;
+        let mut policy = BaselinePolicy::greedy_fastest();
+        // Platforms 1 and 3 tie; the first minimum wins.
+        assert_eq!(policy.place(&job(10.0), &view, &pred), Some(1));
+        assert_eq!(*pred.reads.borrow(), [0, 1, 2, 3]);
     }
 
     #[test]

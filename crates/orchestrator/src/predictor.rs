@@ -200,41 +200,22 @@ impl RuntimePredictor for OraclePredictor<'_> {
 /// Interference-blind predictor from the log-linear scaling baseline alone
 /// (paper Eq 2): what an orchestrator would use if it only kept per-workload
 /// and per-platform geometric means.
+/// It has no uncertainty model, so its bound is its point estimate.
 #[derive(Debug, Clone)]
 pub struct ScalingPredictor {
     scaling: ScalingBaseline,
-    /// Multiplicative safety factor applied by [`RuntimePredictor::bound_s`].
-    safety: f64,
 }
 
 impl ScalingPredictor {
-    /// Wraps a fitted scaling baseline with no safety margin.
+    /// Wraps a fitted scaling baseline.
     pub fn new(scaling: ScalingBaseline) -> Self {
-        Self {
-            scaling,
-            safety: 1.0,
-        }
-    }
-
-    /// Adds the classic ad-hoc overprovisioning factor (e.g. `2.0` doubles
-    /// every budget) — the practice calibrated bounds replace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `safety < 1`.
-    pub fn with_safety_factor(scaling: ScalingBaseline, safety: f64) -> Self {
-        assert!(safety >= 1.0, "safety factor must be ≥ 1");
-        Self { scaling, safety }
+        Self { scaling }
     }
 }
 
 impl RuntimePredictor for ScalingPredictor {
     fn predict_s(&self, workload: u32, platform: usize, _interferers: &[u32]) -> f64 {
         self.scaling.log_baseline(workload as usize, platform).exp() as f64
-    }
-
-    fn bound_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
-        self.safety * self.predict_s(workload, platform, interferers)
     }
 
     fn name(&self) -> &str {
@@ -493,19 +474,6 @@ mod tests {
         let scaling = ScalingBaseline::fit(&ds, &split.train);
         let pred = ScalingPredictor::new(scaling);
         assert_eq!(pred.predict_s(0, 0, &[]), pred.predict_s(0, 0, &[1, 2, 3]));
-    }
-
-    #[test]
-    fn safety_factor_scales_bounds() {
-        let tb = testbed();
-        let ds = tb.collect_dataset();
-        let split = Split::stratified(&ds, 0.5, 0);
-        let scaling = ScalingBaseline::fit(&ds, &split.train);
-        let plain = ScalingPredictor::new(scaling.clone());
-        let padded = ScalingPredictor::with_safety_factor(scaling, 2.0);
-        let b0 = plain.bound_s(3, 1, &[]);
-        let b2 = padded.bound_s(3, 1, &[]);
-        assert!((b2 / b0 - 2.0).abs() < 1e-9);
     }
 
     #[test]

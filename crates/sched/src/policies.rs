@@ -12,49 +12,16 @@ use pitot_orchestrator::{ClusterView, Job, PlacementPolicy, QueryBatch, RuntimeP
 /// With a calibrated predictor at miscoverage ε this minimizes a
 /// quantity the realized runtime exceeds with probability ≲ ε — the
 /// decision signal the paper's conformal intervals exist to provide.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ConformalGreedy {
-    delta_weight: f64,
     rows: QueryBatch,
     reads: Vec<f64>,
 }
 
 impl ConformalGreedy {
-    /// Risk scorer with the induced-interference term at full weight.
+    /// A risk scorer with empty row and read buffers.
     pub fn new() -> Self {
-        Self {
-            delta_weight: 1.0,
-            rows: QueryBatch::default(),
-            reads: Vec::new(),
-        }
-    }
-
-    /// Adjusts how much the induced interference delta on residents counts
-    /// relative to the job's own bound (`0.0` = ignore residents, score
-    /// the job's upper edge alone; `1.0` = seconds of resident slowdown
-    /// trade one-for-one against seconds of own runtime).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative or non-finite.
-    pub fn with_delta_weight(mut self, weight: f64) -> Self {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "delta weight must be finite and non-negative, got {weight}"
-        );
-        self.delta_weight = weight;
-        self
-    }
-
-    /// The configured induced-interference weight.
-    pub fn delta_weight(&self) -> f64 {
-        self.delta_weight
-    }
-}
-
-impl Default for ConformalGreedy {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -70,7 +37,6 @@ impl PlacementPolicy for ConformalGreedy {
             view,
             predictor,
             Signal::UpperEdge,
-            self.delta_weight,
             &mut self.rows,
             &mut self.reads,
         )
@@ -85,42 +51,16 @@ impl PlacementPolicy for ConformalGreedy {
 /// structure, but scored on [`RuntimePredictor::predict_s`] instead of the
 /// conformal upper edge. The gap between the two in `ext-sched` is the
 /// value of acting on the interval edge rather than the point estimate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PointGreedy {
-    delta_weight: f64,
     rows: QueryBatch,
     reads: Vec<f64>,
 }
 
 impl PointGreedy {
-    /// Point-prediction scorer with the induced-interference term at full
-    /// weight.
+    /// A point-prediction scorer with empty row and read buffers.
     pub fn new() -> Self {
-        Self {
-            delta_weight: 1.0,
-            rows: QueryBatch::default(),
-            reads: Vec::new(),
-        }
-    }
-
-    /// See [`ConformalGreedy::with_delta_weight`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative or non-finite.
-    pub fn with_delta_weight(mut self, weight: f64) -> Self {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "delta weight must be finite and non-negative, got {weight}"
-        );
-        self.delta_weight = weight;
-        self
-    }
-}
-
-impl Default for PointGreedy {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -136,7 +76,6 @@ impl PlacementPolicy for PointGreedy {
             view,
             predictor,
             Signal::Point,
-            self.delta_weight,
             &mut self.rows,
             &mut self.reads,
         )

@@ -39,16 +39,16 @@ pub enum Signal {
 /// function of the view — no RNG, no iteration-order sensitivity.
 ///
 /// A candidate's risk under `signal` is the job's own predicted runtime
-/// next to the platform's residents, plus `delta_weight` times the
-/// interference delta the placement induces on them: for each resident,
-/// its runtime with the new job minus without it, scaled by its
-/// remaining-work fraction and clamped at zero (a placement is never
-/// credited for *speeding up* a resident, which only a miscalibrated
-/// predictor would claim).
+/// next to the platform's residents, plus the interference delta the
+/// placement induces on them: for each resident, its runtime with the new
+/// job minus without it, scaled by its remaining-work fraction and clamped
+/// at zero (a placement is never credited for *speeding up* a resident,
+/// which only a miscalibrated predictor would claim). Seconds of resident
+/// slowdown trade one-for-one against seconds of the job's own runtime.
 ///
 /// Every row the decision needs goes into `rows` first, in scan order:
-/// per candidate, the job's own row, then (unless `delta_weight` is zero)
-/// each resident's row without and with the newcomer. One batched read
+/// per candidate, the job's own row, then each resident's row without and
+/// with the newcomer. One batched read
 /// fills `reads`, and the risks are folded from it. Both buffers are the
 /// caller's, so a policy that keeps them allocates nothing per decision
 /// once they have grown. No read is made when every platform is full.
@@ -61,11 +61,9 @@ pub fn risk_argmin(
     view: &ClusterView,
     predictor: &dyn RuntimePredictor,
     signal: Signal,
-    delta_weight: f64,
     rows: &mut QueryBatch,
     reads: &mut Vec<f64>,
 ) -> Option<usize> {
-    let induces = delta_weight != 0.0;
     let candidates = || {
         view.platforms
             .iter()
@@ -75,9 +73,6 @@ pub fn risk_argmin(
     rows.clear();
     for (p, load) in candidates() {
         rows.push(job.workload, p, load.running.iter().copied());
-        if !induces {
-            continue;
-        }
         // The resident's interferer set after the placement is everyone on
         // the platform except itself, plus the new job; before, just
         // everyone except itself. The difference isolates the new job's
@@ -114,17 +109,13 @@ pub fn risk_argmin(
     let mut best: Option<(f64, usize)> = None;
     for (p, load) in candidates() {
         let own = read();
-        let risk = if !induces || load.running.is_empty() {
-            own
-        } else {
-            let mut induced = 0.0f64;
-            for frac in &load.remaining_frac[..load.running.len()] {
-                let before = read();
-                let after = read();
-                induced += ((after - before) * frac).max(0.0);
-            }
-            own + delta_weight * induced
-        };
+        let mut induced = 0.0f64;
+        for frac in &load.remaining_frac[..load.running.len()] {
+            let before = read();
+            let after = read();
+            induced += ((after - before) * frac).max(0.0);
+        }
+        let risk = own + induced;
         if best.is_none_or(|(b, _)| risk.total_cmp(&b).is_lt()) {
             best = Some((risk, p));
         }

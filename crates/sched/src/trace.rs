@@ -55,11 +55,6 @@ impl<P: PlacementPolicy> Traced<P> {
         }
         h
     }
-
-    /// Consumes the wrapper, returning the inner policy.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
 }
 
 impl<P: PlacementPolicy> PlacementPolicy for Traced<P> {

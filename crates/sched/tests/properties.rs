@@ -54,7 +54,6 @@ fn oracle_place(
     view: &ClusterView,
     predictor: &dyn RuntimePredictor,
     signal: Signal,
-    weight: f64,
 ) -> Option<usize> {
     let read = |w: u32, p: usize, set: &[u32]| match signal {
         Signal::UpperEdge => predictor.bound_s(w, p, set),
@@ -74,7 +73,7 @@ fn oracle_place(
             let mut with: Vec<u32> = without.clone();
             with.push(job.workload);
             let delta = read(load.running[slot], p, &with) - read(load.running[slot], p, &without);
-            score += weight * (delta * load.remaining_frac[slot]).max(0.0);
+            score += (delta * load.remaining_frac[slot]).max(0.0);
         }
         if best.is_none_or(|(b, _)| score < b) {
             best = Some((score, p));
@@ -132,15 +131,11 @@ proptest! {
     fn conformal_greedy_matches_brute_force_oracle(
         view_seed in 0u64..1_000_000,
         workload in 0u32..12,
-        weight_pct in 0u32..301,
     ) {
         let view = build_view(view_seed);
-        let weight = f64::from(weight_pct) / 100.0;
         let job = job_of(workload);
-        let got = ConformalGreedy::new()
-            .with_delta_weight(weight)
-            .place(&job, &view, &HashPredictor);
-        let want = oracle_place(&job, &view, &HashPredictor, Signal::UpperEdge, weight);
+        let got = ConformalGreedy::new().place(&job, &view, &HashPredictor);
+        let want = oracle_place(&job, &view, &HashPredictor, Signal::UpperEdge);
         prop_assert_eq!(got, want);
     }
 
@@ -148,15 +143,11 @@ proptest! {
     fn point_greedy_matches_brute_force_oracle(
         view_seed in 0u64..1_000_000,
         workload in 0u32..12,
-        weight_pct in 0u32..301,
     ) {
         let view = build_view(view_seed);
-        let weight = f64::from(weight_pct) / 100.0;
         let job = job_of(workload);
-        let got = PointGreedy::new()
-            .with_delta_weight(weight)
-            .place(&job, &view, &HashPredictor);
-        let want = oracle_place(&job, &view, &HashPredictor, Signal::Point, weight);
+        let got = PointGreedy::new().place(&job, &view, &HashPredictor);
+        let want = oracle_place(&job, &view, &HashPredictor, Signal::Point);
         prop_assert_eq!(got, want);
     }
 
@@ -169,7 +160,6 @@ proptest! {
             &view,
             &HashPredictor,
             Signal::UpperEdge,
-            1.0,
             &mut QueryBatch::default(),
             &mut Vec::new(),
         );
@@ -229,19 +219,16 @@ impl RuntimePredictor for Recording {
 
 /// The rows `oracle_place` reads, in the order the batched scan pushes
 /// them. Per candidate the oracle reads the job's own row, then each
-/// resident's delta as `with − without` (left operand first), at every
-/// weight. The scan pushes each resident's row without the newcomer before
-/// the row with it, and pushes resident rows only at a nonzero weight.
-fn scan_order(oracle_rows: &[Row], view: &ClusterView, weight: f64) -> Vec<Row> {
+/// resident's delta as `with − without` (left operand first). The scan
+/// pushes each resident's row without the newcomer before the row with it.
+fn scan_order(oracle_rows: &[Row], view: &ClusterView) -> Vec<Row> {
     let mut rows = oracle_rows.iter().cloned();
     let mut want = Vec::new();
     for load in view.platforms.iter().filter(|l| l.free_slots > 0) {
         want.extend(rows.next());
         for _ in &load.running {
             let (with, without) = (rows.next(), rows.next());
-            if weight != 0.0 {
-                want.extend(without.into_iter().chain(with));
-            }
+            want.extend(without.into_iter().chain(with));
         }
     }
     assert!(rows.next().is_none(), "unconsumed oracle rows");
@@ -262,26 +249,20 @@ proptest! {
         let view = build_view(view_seed);
         let job = job_of(workload);
         let any_free = view.platforms.iter().any(|p| p.free_slots > 0);
-        for weight in [0.0, 0.5, 1.0, 2.5] {
-            for signal in [Signal::UpperEdge, Signal::Point] {
-                let oracle = Recording::default();
-                let want = oracle_place(&job, &view, &oracle, signal, weight);
-                let reads = Recording::default();
-                let got = match signal {
-                    Signal::UpperEdge => ConformalGreedy::new()
-                        .with_delta_weight(weight)
-                        .place(&job, &view, &reads),
-                    Signal::Point => PointGreedy::new()
-                        .with_delta_weight(weight)
-                        .place(&job, &view, &reads),
-                };
-                prop_assert_eq!(got, want);
-                prop_assert!(reads.singles.borrow().is_empty());
-                let batches = reads.batches.into_inner();
-                prop_assert_eq!(batches.len(), usize::from(any_free));
-                let rows = batches.into_iter().next().unwrap_or_default();
-                prop_assert_eq!(rows, scan_order(&oracle.singles.borrow(), &view, weight));
-            }
+        for signal in [Signal::UpperEdge, Signal::Point] {
+            let oracle = Recording::default();
+            let want = oracle_place(&job, &view, &oracle, signal);
+            let reads = Recording::default();
+            let got = match signal {
+                Signal::UpperEdge => ConformalGreedy::new().place(&job, &view, &reads),
+                Signal::Point => PointGreedy::new().place(&job, &view, &reads),
+            };
+            prop_assert_eq!(got, want);
+            prop_assert!(reads.singles.borrow().is_empty());
+            let batches = reads.batches.into_inner();
+            prop_assert_eq!(batches.len(), usize::from(any_free));
+            let rows = batches.into_iter().next().unwrap_or_default();
+            prop_assert_eq!(rows, scan_order(&oracle.singles.borrow(), &view));
         }
     }
 }

@@ -6,10 +6,10 @@
 //! *conformal upper edge* of the predicted runtime. If even the calibrated
 //! worst case fits the budget, the query is admitted — and the coverage
 //! guarantee transfers directly: among admitted jobs, at most ≈ε should
-//! overrun their deadlines (plus whatever queueing the admission bound did
-//! not model). If the bound does not fit, the job is shed *before* it burns
-//! cluster time it cannot pay back, which is exactly the C-Koordinator-style
-//! interference-aware QoS argument for large co-located clusters.
+//! overrun their deadlines. If the bound does not fit, the job is shed
+//! *before* it burns cluster time it cannot pay back, which is exactly the
+//! C-Koordinator-style interference-aware QoS argument for large co-located
+//! clusters.
 //!
 //! The queue also enforces a backlog cap: admitted-but-unresolved work is
 //! bounded, so a burst cannot pile unbounded latency behind an honest
@@ -17,30 +17,13 @@
 //! records are capped by the backlog, and shed audit records — which may
 //! never see a realized runtime, since shed jobs are never executed — are
 //! retained FIFO up to [`AdmissionConfig::max_shed_pending`].
-//!
-//! With [`AdmissionConfig::queue_concurrency`] set, the feasibility check
-//! is *queueing-aware*: a job behind a backlog does not start immediately,
-//! so its deadline must cover the expected backlog drain time **plus** its
-//! own bounded runtime. The drain estimate is `backlog × (EWMA of realized
-//! admitted runtimes) / concurrency` — deterministic, updated only on
-//! [`AdmissionQueue::resolve`]. Sheds this check causes carry their own
-//! [`ShedReason::QueueWaitInfeasible`] tag and a separate audit, so
-//! operators can attribute lost work to queueing pressure vs the runtime
-//! bound itself.
 
 use std::collections::BTreeMap;
 
-/// EWMA smoothing factor for the realized-runtime estimate feeding the
-/// queue-wait model (weight on the newest resolved runtime).
-const RUNTIME_EWMA_ALPHA: f64 = 0.2;
-
-/// Admission-control knobs.
+/// The admission queue's two caps: on admitted-but-unresolved work, and
+/// on the shed records it keeps for the audit.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
-    /// Safety margin in seconds added to the conformal bound before the
-    /// deadline comparison (models dispatch/queueing overhead the runtime
-    /// bound itself does not include).
-    pub slack_s: f64,
     /// Maximum admitted-but-unresolved queries; beyond it, queries are shed
     /// with [`ShedReason::QueueFull`] regardless of feasibility.
     pub max_backlog: usize,
@@ -51,15 +34,6 @@ pub struct AdmissionConfig {
     /// Oldest shed records are dropped FIFO past this cap (their audit is
     /// forfeited; counted in [`AdmissionStats::shed_unaudited`]).
     pub max_shed_pending: usize,
-    /// Effective service concurrency the backlog drains at, for the
-    /// queueing-aware feasibility check: a backlog of `b` jobs is expected
-    /// to take `b × mean-runtime / queue_concurrency` seconds to drain,
-    /// and a query is shed with [`ShedReason::QueueWaitInfeasible`] when
-    /// `bound + slack + expected-wait` overruns its deadline even though
-    /// the bound alone fits. `0` disables queue-wait modeling (the
-    /// default): feasibility then compares `bound + slack` against the
-    /// deadline exactly as before.
-    pub queue_concurrency: usize,
 }
 
 impl AdmissionConfig {
@@ -67,15 +41,8 @@ impl AdmissionConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a negative or non-finite slack, or a zero backlog cap.
+    /// Panics on a zero backlog cap or a zero shed-audit cap.
     pub fn validate(&self) {
-        assert!(
-            self.slack_s.is_finite() && self.slack_s >= 0.0,
-            "AdmissionConfig.slack_s = {} is invalid: the admission safety \
-             margin must be a non-negative finite duration in seconds \
-             (0.0 disables the margin)",
-            self.slack_s
-        );
         assert!(
             self.max_backlog > 0,
             "AdmissionConfig.max_backlog = 0 is invalid: the backlog cap \
@@ -89,18 +56,14 @@ impl AdmissionConfig {
              audit retention cap must be at least 1 record (use a large \
              value like the default 4096 to audit more sheds)"
         );
-        // queue_concurrency: any value is valid; 0 disables the queue-wait
-        // model.
     }
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         Self {
-            slack_s: 0.0,
             max_backlog: 1024,
             max_shed_pending: 4096,
-            queue_concurrency: 0,
         }
     }
 }
@@ -108,14 +71,9 @@ impl Default for AdmissionConfig {
 /// Why a query was shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The conformal upper bound (plus slack) exceeds the deadline: even
-    /// the calibrated worst case cannot meet the SLO, regardless of
-    /// queueing.
+    /// The conformal upper bound exceeds the deadline: even the
+    /// calibrated worst case cannot meet the SLO.
     DeadlineInfeasible,
-    /// The bound alone fits the deadline, but not after the expected
-    /// backlog drain time (see [`AdmissionConfig::queue_concurrency`]):
-    /// the job is runnable, just not *startable* soon enough.
-    QueueWaitInfeasible,
     /// The admitted backlog is at capacity.
     QueueFull,
 }
@@ -143,9 +101,6 @@ pub struct AdmissionStats {
     pub admitted: usize,
     /// Queries shed because the bound exceeded the deadline.
     pub shed_infeasible: usize,
-    /// Queries shed because the bound fit but the expected queue wait
-    /// pushed the completion past the deadline.
-    pub shed_queue_wait: usize,
     /// Queries shed because the backlog was full.
     pub shed_queue_full: usize,
     /// Admitted queries whose realized runtime met the deadline.
@@ -160,19 +115,12 @@ pub struct AdmissionStats {
     /// Infeasibility-shed queries that would indeed have missed (sheds the
     /// bound got right).
     pub shed_would_have_missed: usize,
-    /// Queue-wait-shed queries whose realized *runtime* alone fit the
-    /// deadline — work lost to queueing pressure, not to the bound
-    /// (attribution: tune capacity/backlog, not ε).
-    pub shed_wait_would_have_met: usize,
-    /// Queue-wait-shed queries whose realized runtime alone would have
-    /// missed anyway (the wait estimate only confirmed a lost cause).
-    pub shed_wait_would_have_missed: usize,
     /// Shed queries whose audit record was evicted before a realized
     /// runtime arrived (see [`AdmissionConfig::max_shed_pending`]).
     pub shed_unaudited: usize,
     /// Queries admitted on a *degraded* bound — one served under stale or
-    /// local-fallback calibration (see
-    /// [`AdmissionQueue::decide_tagged`]). Subset of
+    /// local-fallback calibration (see [`AdmissionQueue::decide`]). Subset
+    /// of
     /// [`AdmissionStats::admitted`].
     pub degraded_admitted: usize,
     /// Queries shed (for any reason) while the bound was degraded. Subset
@@ -195,7 +143,7 @@ impl AdmissionStats {
 
     /// Total queries shed, for any reason.
     pub fn shed(&self) -> usize {
-        self.shed_infeasible + self.shed_queue_wait + self.shed_queue_full
+        self.shed_infeasible + self.shed_queue_full
     }
 
     /// Fraction of decisions that shed the query (`NaN` before any
@@ -251,11 +199,6 @@ pub struct AdmissionQueue {
     shed_order: std::collections::VecDeque<(u64, u64)>,
     next_seq: u64,
     backlog: usize,
-    /// EWMA of realized runtimes of *admitted* resolutions — the service
-    /// time estimate feeding [`AdmissionQueue::expected_queue_wait_s`].
-    /// `None` until the first admitted resolution (no wait is charged
-    /// before the queue has seen any service time).
-    runtime_ewma_s: Option<f64>,
 }
 
 impl AdmissionQueue {
@@ -273,54 +216,24 @@ impl AdmissionQueue {
             shed_order: std::collections::VecDeque::new(),
             next_seq: 0,
             backlog: 0,
-            runtime_ewma_s: None,
-        }
-    }
-
-    /// Expected time for the current backlog to drain, in seconds: backlog
-    /// × EWMA of realized admitted runtimes / configured concurrency. Zero
-    /// while queue-wait modeling is disabled
-    /// ([`AdmissionConfig::queue_concurrency`] = 0), the backlog is empty,
-    /// or no admitted query has resolved yet.
-    pub fn expected_queue_wait_s(&self) -> f64 {
-        if self.cfg.queue_concurrency == 0 || self.backlog == 0 {
-            return 0.0;
-        }
-        match self.runtime_ewma_s {
-            Some(ewma) => self.backlog as f64 * ewma / self.cfg.queue_concurrency as f64,
-            None => 0.0,
         }
     }
 
     /// Decides one query: admit iff the backlog has room and
-    /// `bound_s + slack_s + expected_queue_wait_s ≤ deadline_s` (the wait
-    /// term is zero unless [`AdmissionConfig::queue_concurrency`] enables
-    /// the queueing model). A shed is tagged by which term broke
-    /// feasibility: the bound alone ([`ShedReason::DeadlineInfeasible`])
-    /// or only the added wait ([`ShedReason::QueueWaitInfeasible`]). The
-    /// decision is recorded under `id` for later
-    /// [`AdmissionQueue::resolve`].
+    /// `bound_s ≤ deadline_s`. The decision is recorded under `id` for
+    /// later [`AdmissionQueue::resolve`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `id` is already pending, or `bound_s`/`deadline_s` is not
-    /// finite.
-    pub fn decide(&mut self, id: u64, bound_s: f64, deadline_s: f64) -> AdmissionDecision {
-        self.decide_tagged(id, bound_s, deadline_s, false)
-    }
-
-    /// [`AdmissionQueue::decide`] with a degradation tag: pass
-    /// `degraded = true` when the bound came from a stale or
+    /// Pass `degraded = true` when the bound came from a stale or
     /// local-fallback calibration (see `Prediction::degraded` in the serve
-    /// loop). The decision arithmetic is identical; the tag routes the
-    /// decision — and its later resolution — into the
-    /// `degraded_*` counters so degraded-mode SLO loss is attributable.
+    /// loop). The tag does not change the decision; it routes the decision
+    /// — and its later resolution — into the `degraded_*` counters so
+    /// degraded-mode SLO loss is attributable.
     ///
     /// # Panics
     ///
     /// Panics if `id` is already pending, or `bound_s`/`deadline_s` is not
     /// finite.
-    pub fn decide_tagged(
+    pub fn decide(
         &mut self,
         id: u64,
         bound_s: f64,
@@ -336,16 +249,12 @@ impl AdmissionQueue {
             !self.pending.contains_key(&id),
             "query id {id} is already pending"
         );
-        let budget = bound_s + self.cfg.slack_s;
         let decision = if self.backlog >= self.cfg.max_backlog {
             self.stats.shed_queue_full += 1;
             AdmissionDecision::Shed(ShedReason::QueueFull)
-        } else if budget > deadline_s {
+        } else if bound_s > deadline_s {
             self.stats.shed_infeasible += 1;
             AdmissionDecision::Shed(ShedReason::DeadlineInfeasible)
-        } else if budget + self.expected_queue_wait_s() > deadline_s {
-            self.stats.shed_queue_wait += 1;
-            AdmissionDecision::Shed(ShedReason::QueueWaitInfeasible)
         } else {
             self.stats.admitted += 1;
             self.backlog += 1;
@@ -390,13 +299,11 @@ impl AdmissionQueue {
     }
 
     /// Scores a pending decision against the realized runtime: admitted
-    /// queries count toward SLO attainment (and update the service-time
-    /// EWMA behind the queue-wait model), infeasibility-shed queries
-    /// toward the runtime-bound audit, queue-wait-shed queries toward
-    /// their own audit (a queue-full shed says nothing about either
-    /// estimate and is not audited). Returns whether the query had been
-    /// admitted, or `None` if `id` was never decided (or already
-    /// resolved).
+    /// queries count toward SLO attainment, infeasibility-shed queries
+    /// toward the runtime-bound audit (a queue-full shed says nothing
+    /// about the bound and is not audited). Returns whether the query had
+    /// been admitted, or `None` if `id` was never decided (or already
+    /// resolved, or its shed record was evicted).
     pub fn resolve(&mut self, id: u64, realized_s: f64) -> Option<bool> {
         let p = self.pending.remove(&id)?;
         let met = realized_s <= p.deadline_s;
@@ -414,28 +321,12 @@ impl AdmissionQueue {
                         self.stats.degraded_slo_missed += 1;
                     }
                 }
-                if realized_s.is_finite() && realized_s >= 0.0 {
-                    self.runtime_ewma_s = Some(match self.runtime_ewma_s {
-                        Some(ewma) => ewma + RUNTIME_EWMA_ALPHA * (realized_s - ewma),
-                        None => realized_s,
-                    });
-                }
             }
             AdmissionDecision::Shed(ShedReason::DeadlineInfeasible) => {
                 if met {
                     self.stats.shed_would_have_met += 1;
                 } else {
                     self.stats.shed_would_have_missed += 1;
-                }
-            }
-            AdmissionDecision::Shed(ShedReason::QueueWaitInfeasible) => {
-                // `realized_s` is the counterfactual *runtime* (no queue
-                // wait included): "met" here means the job was lost to
-                // queueing pressure alone, not to its own runtime.
-                if met {
-                    self.stats.shed_wait_would_have_met += 1;
-                } else {
-                    self.stats.shed_wait_would_have_missed += 1;
                 }
             }
             AdmissionDecision::Shed(ShedReason::QueueFull) => {}
@@ -462,11 +353,12 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::btree_map::Entry;
 
     #[test]
     fn feasible_bounds_admit_and_resolve() {
         let mut q = AdmissionQueue::new(AdmissionConfig::default());
-        assert_eq!(q.decide(1, 2.0, 5.0), AdmissionDecision::Admit);
+        assert_eq!(q.decide(1, 2.0, 5.0, false), AdmissionDecision::Admit);
         assert_eq!(q.backlog(), 1);
         assert_eq!(q.resolve(1, 3.0), Some(true));
         assert_eq!(q.backlog(), 0);
@@ -478,14 +370,14 @@ mod tests {
     fn infeasible_bounds_shed_and_audit() {
         let mut q = AdmissionQueue::new(AdmissionConfig::default());
         assert_eq!(
-            q.decide(1, 6.0, 5.0),
+            q.decide(1, 6.0, 5.0, false),
             AdmissionDecision::Shed(ShedReason::DeadlineInfeasible)
         );
         // The bound was conservative: the job would have made it.
         assert_eq!(q.resolve(1, 4.0), Some(false));
         assert_eq!(q.stats().shed_would_have_met, 1);
         // A correct shed.
-        q.decide(2, 9.0, 5.0);
+        q.decide(2, 9.0, 5.0, false);
         q.resolve(2, 8.0);
         assert_eq!(q.stats().shed_would_have_missed, 1);
         assert_eq!(q.stats().shed_rate(), 1.0);
@@ -497,9 +389,9 @@ mod tests {
             max_backlog: 1,
             ..AdmissionConfig::default()
         });
-        q.decide(1, 1.0, 5.0); // fills the backlog
+        q.decide(1, 1.0, 5.0, false); // fills the backlog
         assert_eq!(
-            q.decide(2, 1.0, 5.0),
+            q.decide(2, 1.0, 5.0, false),
             AdmissionDecision::Shed(ShedReason::QueueFull)
         );
         // A capacity shed of a feasible query must not read as bound
@@ -518,13 +410,13 @@ mod tests {
         });
         // Shed id 7, resolve it (stale entry for seq 1 stays in the FIFO),
         // then legally reuse id 7 for a fresh shed.
-        q.decide(7, 9.0, 5.0);
+        q.decide(7, 9.0, 5.0, false);
         assert_eq!(q.resolve(7, 1.0), Some(false));
-        q.decide(7, 9.0, 5.0);
+        q.decide(7, 9.0, 5.0, false);
         // One more shed pushes the stale (7, old-seq) entry past the cap:
         // it must be skipped (seq mismatch), not matched against the fresh
         // id-7 record — only 2 audit records are actually live.
-        q.decide(8, 9.0, 5.0);
+        q.decide(8, 9.0, 5.0, false);
         assert_eq!(q.stats().shed_unaudited, 0);
         assert_eq!(q.resolve(7, 1.0), Some(false), "fresh record survived");
         assert_eq!(q.stats().shed_would_have_met, 2);
@@ -536,35 +428,22 @@ mod tests {
             max_backlog: 2,
             ..AdmissionConfig::default()
         });
-        q.decide(1, 1.0, 5.0);
-        q.decide(2, 1.0, 5.0);
+        q.decide(1, 1.0, 5.0, false);
+        q.decide(2, 1.0, 5.0, false);
         assert_eq!(
-            q.decide(3, 1.0, 5.0),
+            q.decide(3, 1.0, 5.0, false),
             AdmissionDecision::Shed(ShedReason::QueueFull)
         );
         // Resolving frees a slot.
         q.resolve(1, 1.0);
-        assert_eq!(q.decide(4, 1.0, 5.0), AdmissionDecision::Admit);
-    }
-
-    #[test]
-    fn slack_tightens_the_feasibility_check() {
-        let mut q = AdmissionQueue::new(AdmissionConfig {
-            slack_s: 1.0,
-            ..AdmissionConfig::default()
-        });
-        assert_eq!(
-            q.decide(1, 4.5, 5.0),
-            AdmissionDecision::Shed(ShedReason::DeadlineInfeasible)
-        );
-        assert_eq!(q.decide(2, 4.0, 5.0), AdmissionDecision::Admit);
+        assert_eq!(q.decide(4, 1.0, 5.0, false), AdmissionDecision::Admit);
     }
 
     #[test]
     fn unknown_resolutions_are_ignored() {
         let mut q = AdmissionQueue::new(AdmissionConfig::default());
         assert_eq!(q.resolve(42, 1.0), None);
-        q.decide(1, 1.0, 2.0);
+        q.decide(1, 1.0, 2.0, false);
         assert_eq!(q.resolve(1, 1.0), Some(true));
         assert_eq!(q.resolve(1, 1.0), None, "double resolve is a no-op");
     }
@@ -578,7 +457,7 @@ mod tests {
         // 10 infeasible queries, never resolved: only the 4 newest audit
         // records survive; the rest are counted unaudited.
         for id in 0..10u64 {
-            q.decide(id, 9.0, 5.0);
+            q.decide(id, 9.0, 5.0, false);
         }
         assert_eq!(q.pending(), 4);
         assert_eq!(q.stats().shed_unaudited, 6);
@@ -587,9 +466,9 @@ mod tests {
         assert_eq!(q.resolve(9, 1.0), Some(false));
         assert_eq!(q.stats().shed_would_have_met, 1);
         // Admitted queries are never evicted by the shed cap.
-        q.decide(100, 1.0, 5.0);
+        q.decide(100, 1.0, 5.0, false);
         for id in 200..220u64 {
-            q.decide(id, 9.0, 5.0);
+            q.decide(id, 9.0, 5.0, false);
         }
         assert_eq!(q.resolve(100, 1.0), Some(true));
     }
@@ -601,7 +480,7 @@ mod tests {
             ..AdmissionConfig::default()
         });
         for id in 10..15u64 {
-            q.decide(id, 9.0, 5.0);
+            q.decide(id, 9.0, 5.0, false);
         }
         // Cap 3, five sheds: exactly the two oldest (10, 11) were evicted,
         // in that order, and the three newest survive with their audits.
@@ -616,73 +495,15 @@ mod tests {
         // it (no unaudited count) and keeps evicting oldest-first among
         // the *live* records.
         for id in 20..23u64 {
-            q.decide(id, 9.0, 5.0);
+            q.decide(id, 9.0, 5.0, false);
         }
         assert_eq!(q.resolve(20, 1.0), Some(false)); // stale (20, seq) stays queued
-        q.decide(23, 9.0, 5.0); // overflow pops the stale entry, evicts nothing
+        q.decide(23, 9.0, 5.0, false); // overflow pops the stale entry, evicts nothing
         assert_eq!(q.stats().shed_unaudited, 2);
-        q.decide(24, 9.0, 5.0); // now 21 is the oldest live record
+        q.decide(24, 9.0, 5.0, false); // now 21 is the oldest live record
         assert_eq!(q.stats().shed_unaudited, 3);
         assert_eq!(q.resolve(21, 1.0), None, "21 evicted before 22");
         assert_eq!(q.resolve(22, 1.0), Some(false), "22 must outlive 21");
-    }
-
-    #[test]
-    fn queue_wait_model_sheds_and_audits_separately() {
-        let mut q = AdmissionQueue::new(AdmissionConfig {
-            queue_concurrency: 1,
-            ..AdmissionConfig::default()
-        });
-        // No service time observed yet: the wait model charges nothing.
-        assert_eq!(q.expected_queue_wait_s(), 0.0);
-        assert_eq!(q.decide(1, 2.0, 5.0), AdmissionDecision::Admit);
-        assert_eq!(q.resolve(1, 4.0), Some(true));
-        // EWMA seeded at 4.0s; two admitted jobs build a backlog worth 8s
-        // of expected drain.
-        assert_eq!(q.decide(2, 2.0, 100.0), AdmissionDecision::Admit);
-        assert_eq!(q.decide(3, 2.0, 100.0), AdmissionDecision::Admit);
-        assert!((q.expected_queue_wait_s() - 8.0).abs() < 1e-9);
-        // Bound 2.0 fits deadline 5.0 on its own, but not behind 8s of
-        // backlog: shed, attributed to queue wait — not to the bound.
-        assert_eq!(
-            q.decide(4, 2.0, 5.0),
-            AdmissionDecision::Shed(ShedReason::QueueWaitInfeasible)
-        );
-        assert_eq!(q.stats().shed_queue_wait, 1);
-        assert_eq!(q.stats().shed_infeasible, 0);
-        // Its runtime alone would have met: lost to queueing pressure.
-        assert_eq!(q.resolve(4, 2.0), Some(false));
-        assert_eq!(q.stats().shed_wait_would_have_met, 1);
-        assert_eq!(q.stats().shed_would_have_met, 0);
-        // A bound that misses the deadline outright still reads as a
-        // runtime-infeasible shed, even with a backlog.
-        assert_eq!(
-            q.decide(5, 9.0, 5.0),
-            AdmissionDecision::Shed(ShedReason::DeadlineInfeasible)
-        );
-        // Draining the backlog restores admission at the same deadline.
-        q.resolve(2, 4.0);
-        q.resolve(3, 4.0);
-        assert_eq!(q.expected_queue_wait_s(), 0.0);
-        assert_eq!(q.decide(6, 2.0, 5.0), AdmissionDecision::Admit);
-        assert_eq!(q.stats().shed(), 2);
-    }
-
-    #[test]
-    fn queue_wait_is_zero_when_disabled() {
-        // Default config (queue_concurrency = 0): resolution history never
-        // produces a wait charge, so decisions match the pre-queueing
-        // behavior exactly.
-        let mut q = AdmissionQueue::new(AdmissionConfig::default());
-        for id in 0..20u64 {
-            assert_eq!(q.decide(id, 4.9, 5.0), AdmissionDecision::Admit);
-        }
-        for id in 0..10u64 {
-            q.resolve(id, 4.9);
-        }
-        assert_eq!(q.expected_queue_wait_s(), 0.0);
-        assert_eq!(q.decide(100, 4.9, 5.0), AdmissionDecision::Admit);
-        assert_eq!(q.stats().shed_queue_wait, 0);
     }
 
     #[test]
@@ -695,12 +516,6 @@ mod tests {
                 .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
                 .expect("panic carries a message")
         };
-        let m = message(AdmissionConfig {
-            slack_s: -1.0,
-            ..AdmissionConfig::default()
-        });
-        assert!(m.contains("AdmissionConfig.slack_s"), "{m}");
-        assert!(m.contains("-1"), "{m}");
         let m = message(AdmissionConfig {
             max_backlog: 0,
             ..AdmissionConfig::default()
@@ -718,18 +533,18 @@ mod tests {
     fn degraded_decisions_audit_separately() {
         let mut q = AdmissionQueue::new(AdmissionConfig::default());
         // A clean admit and a clean shed touch no degraded counter.
-        assert_eq!(q.decide(1, 2.0, 5.0), AdmissionDecision::Admit);
-        q.decide(2, 9.0, 5.0);
+        assert_eq!(q.decide(1, 2.0, 5.0, false), AdmissionDecision::Admit);
+        q.decide(2, 9.0, 5.0, false);
         q.resolve(1, 3.0);
         q.resolve(2, 1.0);
         assert_eq!(q.stats().degraded_admitted, 0);
         assert_eq!(q.stats().degraded_shed, 0);
         // Degraded admit that meets, degraded admit that misses, degraded
         // shed: each lands in its own counter AND the base counters.
-        assert_eq!(q.decide_tagged(3, 2.0, 5.0, true), AdmissionDecision::Admit);
-        assert_eq!(q.decide_tagged(4, 2.0, 5.0, true), AdmissionDecision::Admit);
+        assert_eq!(q.decide(3, 2.0, 5.0, true), AdmissionDecision::Admit);
+        assert_eq!(q.decide(4, 2.0, 5.0, true), AdmissionDecision::Admit);
         assert_eq!(
-            q.decide_tagged(5, 9.0, 5.0, true),
+            q.decide(5, 9.0, 5.0, true),
             AdmissionDecision::Shed(ShedReason::DeadlineInfeasible)
         );
         q.resolve(3, 3.0);
@@ -748,7 +563,111 @@ mod tests {
     #[should_panic(expected = "already pending")]
     fn duplicate_ids_are_rejected() {
         let mut q = AdmissionQueue::new(AdmissionConfig::default());
-        q.decide(1, 1.0, 2.0);
-        q.decide(1, 1.0, 2.0);
+        q.decide(1, 1.0, 2.0, false);
+        q.decide(1, 1.0, 2.0, false);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Whole decide/resolve sequences against a naive reference: a map
+        /// of the pending decisions by id and a backlog counter. Ids come
+        /// from a pool of six, so they are reused, resolved in any order,
+        /// resolved twice and resolved before they were ever decided. Bounds,
+        /// deadlines and realized runtimes share a coarse grid, so every
+        /// comparison also lands on equality.
+        #[test]
+        fn whole_sequences_match_a_naive_reference(
+            max_backlog in 1usize..5,
+            max_shed_pending in 1usize..5,
+            ops in proptest::collection::vec(0u64..u64::MAX, 0..160),
+        ) {
+            let mut q = AdmissionQueue::new(AdmissionConfig {
+                max_backlog,
+                max_shed_pending,
+            });
+            // Each pending decision, with the number of sheds decided
+            // before it if it is a shed.
+            let mut pending: BTreeMap<u64, (AdmissionDecision, Option<usize>)> = BTreeMap::new();
+            let (mut backlog, mut decided, mut sheds) = (0, 0, 0);
+            let (mut resolved_admits, mut evicted, mut evicted_infeasible) = (0, 0, 0);
+            let grid = |bits: u64| 0.5 * (bits % 8) as f64;
+            for op in ops {
+                let id = op % 6;
+                let (bound_s, deadline_s) = (grid(op >> 4), grid(op >> 7));
+                if (op >> 3) & 1 == 1 {
+                    // Unknown, repeated and evicted ids resolve to `None`.
+                    let want = pending.remove(&id).map(|(d, _)| d.admitted());
+                    proptest::prop_assert_eq!(q.resolve(id, grid(op >> 10)), want);
+                    if want == Some(true) {
+                        backlog -= 1;
+                        resolved_admits += 1;
+                    }
+                } else if let Entry::Vacant(slot) = pending.entry(id) {
+                    let want = if backlog >= max_backlog {
+                        AdmissionDecision::Shed(ShedReason::QueueFull)
+                    } else if bound_s > deadline_s {
+                        AdmissionDecision::Shed(ShedReason::DeadlineInfeasible)
+                    } else {
+                        AdmissionDecision::Admit
+                    };
+                    let got = q.decide(id, bound_s, deadline_s, (op >> 13) & 1 == 1);
+                    proptest::prop_assert_eq!(got, want);
+                    proptest::prop_assert_eq!(
+                        got.admitted(),
+                        backlog < max_backlog && bound_s <= deadline_s
+                    );
+                    decided += 1;
+                    if want.admitted() {
+                        backlog += 1;
+                        slot.insert((want, None));
+                    } else {
+                        slot.insert((want, Some(sheds)));
+                        // A shed record still pending when `max_shed_pending`
+                        // more sheds have been decided is evicted unaudited.
+                        let stale = sheds.checked_sub(max_shed_pending).and_then(|old| {
+                            pending.iter().find(|(_, r)| r.1 == Some(old)).map(|(&id, _)| id)
+                        });
+                        if let Some(stale) = stale {
+                            let (d, _) = pending.remove(&stale).expect("found above");
+                            evicted += 1;
+                            if d == AdmissionDecision::Shed(ShedReason::DeadlineInfeasible) {
+                                evicted_infeasible += 1;
+                            }
+                        }
+                        sheds += 1;
+                    }
+                }
+
+                let s = *q.stats();
+                proptest::prop_assert_eq!(q.backlog(), backlog);
+                proptest::prop_assert_eq!(q.pending(), pending.len());
+                proptest::prop_assert_eq!(
+                    decided,
+                    s.admitted + s.shed_infeasible + s.shed_queue_full
+                );
+                proptest::prop_assert_eq!(s.decisions(), decided);
+                proptest::prop_assert_eq!(s.slo_met + s.slo_missed, resolved_admits);
+                let pending_infeasible = pending
+                    .values()
+                    .filter(|(d, _)| *d == AdmissionDecision::Shed(ShedReason::DeadlineInfeasible))
+                    .count();
+                proptest::prop_assert_eq!(
+                    s.shed_would_have_met
+                        + s.shed_would_have_missed
+                        + evicted_infeasible
+                        + pending_infeasible,
+                    s.shed_infeasible
+                );
+                proptest::prop_assert_eq!(s.shed_unaudited, evicted);
+                proptest::prop_assert!(s.degraded_admitted <= s.admitted);
+                proptest::prop_assert!(s.degraded_shed <= s.shed());
+                proptest::prop_assert!(s.degraded_slo_met <= s.slo_met);
+                proptest::prop_assert!(s.degraded_slo_missed <= s.slo_missed);
+            }
+        }
     }
 }

@@ -499,7 +499,7 @@ impl FleetControl {
             }
         }
         let prediction = predict(replica);
-        let decision = self.admission.decide_tagged(
+        let decision = self.admission.decide(
             q.id,
             f64::from(prediction.bound_s),
             q.deadline_s,
@@ -766,11 +766,11 @@ impl FleetControl {
                     if u < f.plan.drop_prob {
                         // Dropped in flight: schedule a bounded retry.
                         self.counts.dropped_summaries += 1;
-                        if f.plan.max_retries > 0 && f.retry[r].is_none() {
-                            let jitter = f.rng.gen_range(0..f.plan.retry_backoff);
+                        if f.retry[r].is_none() {
+                            let jitter = f.rng.gen_range(0..FaultPlan::RETRY_BACKOFF);
                             f.retry[r] = Some(RetryState {
                                 attempts: 0,
-                                next_at: self.obs_seen + f.plan.retry_delay(0, jitter),
+                                next_at: self.obs_seen + FaultPlan::retry_delay(0, jitter),
                             });
                         }
                         continue;
@@ -927,7 +927,7 @@ impl FleetControl {
     /// backoff). A successful retry absorbs the replica's summary and
     /// refreshes the fleet calibration immediately — a partial merge
     /// between scheduled rounds; a failed one backs off exponentially
-    /// until [`FaultPlan::max_retries`] is exhausted.
+    /// until [`FaultPlan::MAX_RETRIES`] is exhausted.
     fn process_due_retries(&mut self, reps: &mut impl Replicas) {
         if self.faults.is_none() || self.coordinator_down() {
             return;
@@ -953,20 +953,18 @@ impl FleetControl {
         }
         let u: f32 = faults.rng.gen_range(0.0f32..1.0);
         if u < faults.plan.drop_prob {
-            // Retry failed too: back off exponentially (seeded jitter,
-            // overflow-saturating — see [`FaultPlan::retry_delay`]) or
-            // give up until the next scheduled round.
+            // Retry failed too: back off exponentially (seeded jitter, see
+            // [`FaultPlan::retry_delay`]) or give up until the next
+            // scheduled round.
             self.counts.dropped_summaries += 1;
             let state = faults.retry[r].as_mut().expect("due retry has state");
             state.attempts += 1;
-            if state.attempts >= faults.plan.max_retries {
+            if state.attempts >= FaultPlan::MAX_RETRIES {
                 faults.retry[r] = None;
                 self.counts.merge_giveups += 1;
             } else {
-                let jitter = faults.rng.gen_range(0..faults.plan.retry_backoff);
-                state.next_at = self
-                    .obs_seen
-                    .saturating_add(faults.plan.retry_delay(state.attempts, jitter));
+                let jitter = faults.rng.gen_range(0..FaultPlan::RETRY_BACKOFF);
+                state.next_at = self.obs_seen + FaultPlan::retry_delay(state.attempts, jitter);
             }
             self.faults = Some(faults);
             return;

@@ -117,15 +117,6 @@ pub struct FaultPlan {
     /// delay is drawn uniformly from `1..=delay_rounds_max`). Must be ≥ 1
     /// when [`FaultPlan::delay_prob`] > 0.
     pub delay_rounds_max: usize,
-    /// Base retry backoff in fleet-wide observations after a dropped
-    /// summary: attempt `k` waits `retry_backoff << k` observations (plus
-    /// seeded jitter in `0..retry_backoff`). Must be ≥ 1 when
-    /// [`FaultPlan::drop_prob`] > 0.
-    pub retry_backoff: usize,
-    /// Retry attempts per dropped summary before the coordinator gives up
-    /// until the next scheduled merge round (bounded retry, not a
-    /// retry storm).
-    pub max_retries: u32,
     /// Whether replicas run pairwise gossip merge rounds while the
     /// coordinator is unreachable (the graceful-degradation ladder's
     /// middle rung; disable to measure staleness fallback alone).
@@ -161,6 +152,16 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// Base retry backoff in fleet-wide observations after a dropped
+    /// summary: attempt `k` waits `RETRY_BACKOFF << k` observations, plus
+    /// seeded jitter in `0..RETRY_BACKOFF`.
+    pub const RETRY_BACKOFF: usize = 4;
+
+    /// Retry attempts per dropped summary before the coordinator gives up
+    /// until the next scheduled merge round (bounded retry, not a retry
+    /// storm).
+    pub const MAX_RETRIES: u32 = 3;
+
     /// The failure-free plan: no crashes, no outages, lossless merges.
     pub fn none(seed: u64) -> Self {
         Self {
@@ -170,8 +171,6 @@ impl FaultPlan {
             drop_prob: 0.0,
             delay_prob: 0.0,
             delay_rounds_max: 1,
-            retry_backoff: 4,
-            max_retries: 3,
             gossip_during_outage: true,
             corrupt_prob: 0.0,
             outlier_prob: 0.0,
@@ -276,31 +275,15 @@ impl FaultPlan {
             && self.byzantine.is_none()
     }
 
-    /// Observation delay before retry attempt `attempt` (0-based) of a
-    /// dropped summary: `(retry_backoff << attempt) + jitter`, saturating
-    /// at `usize::MAX` instead of overflowing when the exponential
-    /// escapes the machine word (large `max_retries` settings are valid
-    /// configuration, not a panic).
+    /// Observation delay before retry attempt `attempt` (0-based, below
+    /// [`FaultPlan::MAX_RETRIES`]) of a dropped summary:
+    /// `(RETRY_BACKOFF << attempt) + jitter`.
     ///
-    /// `jitter` is the caller's seeded draw from `0..retry_backoff`
-    /// (debug-asserted); keeping the draw at the call site keeps all RNG
-    /// consumption in the fleet's single-threaded control path.
-    pub fn retry_delay(&self, attempt: u32, jitter: usize) -> usize {
-        debug_assert!(
-            jitter < self.retry_backoff.max(1),
-            "retry jitter {jitter} outside 0..{}",
-            self.retry_backoff
-        );
-        // `checked_shl` only guards the shift *amount*; a value whose top
-        // bits shift out still wraps. Saturate on either.
-        let base = if attempt <= self.retry_backoff.leading_zeros() {
-            self.retry_backoff
-                .checked_shl(attempt)
-                .unwrap_or(usize::MAX)
-        } else {
-            usize::MAX
-        };
-        base.saturating_add(jitter)
+    /// `jitter` is the caller's seeded draw from `0..RETRY_BACKOFF`;
+    /// keeping the draw at the call site keeps all RNG consumption in the
+    /// fleet's single-threaded control path.
+    pub(crate) fn retry_delay(attempt: u32, jitter: usize) -> usize {
+        (Self::RETRY_BACKOFF << attempt) + jitter
     }
 
     /// Whether `obs` (a fleet-wide observation count) falls inside a
@@ -317,8 +300,9 @@ impl FaultPlan {
     /// Panics naming the offending field when a crash targets a
     /// nonexistent replica or rejoins before it went down, two crash
     /// windows of one replica overlap, an outage is empty or inverted, a
-    /// probability leaves `[0, 1)`, or the retry/delay knobs are zero
-    /// while their probabilities are nonzero.
+    /// probability leaves `[0, 1)`, or a delay or burst knob is zero (or
+    /// a burst scale is not finite and nonzero) while its probability is
+    /// nonzero.
     pub fn validate(&self, replicas: usize) {
         for (k, c) in self.crashes.iter().enumerate() {
             assert!(
@@ -377,14 +361,6 @@ impl FaultPlan {
              {} > 0: a delayed summary must be due within ≥ 1 merge round \
              (default: 1; or set delay_prob = 0.0 to disable delays)",
             self.delay_prob
-        );
-        assert!(
-            self.drop_prob == 0.0 || self.retry_backoff >= 1,
-            "FaultPlan.retry_backoff = 0 is invalid while drop_prob = {} > \
-             0: retry attempt k waits retry_backoff << k observations, so \
-             the base must be ≥ 1 (default: 4; or set drop_prob = 0.0 to \
-             disable drops)",
-            self.drop_prob
         );
         assert!(
             (0.0..1.0).contains(&self.corrupt_prob),
@@ -643,15 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_backoff_with_drops_enabled() {
-        let mut p = FaultPlan::none(0).drop_summaries(0.5);
-        p.retry_backoff = 0;
-        let m = message(move || p.validate(1));
-        assert!(m.contains("FaultPlan.retry_backoff = 0"), "{m}");
-        assert!(m.contains("drop_prob = 0.0"), "alternative: {m}");
-    }
-
-    #[test]
     fn data_fault_plan_validates_and_is_not_trivial() {
         let p = FaultPlan::none(3)
             .corrupt_observations(0.05)
@@ -718,38 +685,6 @@ mod tests {
         let m = message(|| FaultPlan::none(0).byzantine_replica(4, 10).validate(4));
         assert!(m.contains("FaultPlan.byzantine.replica = 4"), "{m}");
         assert!(m.contains("0..4"), "valid alternatives: {m}");
-    }
-
-    proptest::proptest! {
-        /// Retry-delay invariants: never panics (however large the
-        /// attempt), jitter-bounded above the exponential base, and
-        /// monotone in the attempt number even across the saturation
-        /// boundary.
-        #[test]
-        fn retry_delay_is_bounded_and_monotone(
-            backoff in 1usize..1000,
-            attempt in 0u32..200,
-            jitter_k in 0usize..1000,
-        ) {
-            let mut p = FaultPlan::none(0);
-            p.retry_backoff = backoff;
-            let jitter = jitter_k % backoff;
-            let d = p.retry_delay(attempt, jitter);
-            let base = p.retry_delay(attempt, 0);
-            // Jitter adds at most backoff-1 (saturating).
-            proptest::prop_assert!(d >= base);
-            proptest::prop_assert!(d <= base.saturating_add(backoff - 1));
-            // The un-jittered base is the saturating exponential.
-            if attempt < 40 {
-                let exact = backoff.checked_shl(attempt);
-                proptest::prop_assert_eq!(base, exact.unwrap_or(usize::MAX));
-            }
-            // Monotone: the next attempt's floor clears this attempt's
-            // ceiling (2·base ≥ base + backoff since base ≥ backoff).
-            proptest::prop_assert!(p.retry_delay(attempt + 1, 0) >= d);
-            // Saturation, not overflow, at absurd attempt counts.
-            proptest::prop_assert_eq!(p.retry_delay(u32::MAX, 0), usize::MAX);
-        }
     }
 
     #[test]

@@ -158,9 +158,8 @@ pub struct FleetStats {
     pub delayed_summaries: usize,
     /// Dropped summaries later delivered by a successful retry.
     pub retried_summaries: usize,
-    /// Dropped summaries abandoned after
-    /// [`FaultPlan::max_retries`] failed retries (the next scheduled merge
-    /// round picks the replica up again).
+    /// Dropped summaries abandoned after [`FaultPlan::MAX_RETRIES`] failed
+    /// retries (the next scheduled merge round picks the replica up again).
     pub merge_giveups: usize,
     /// Crashed replicas that rejoined warm (window replayed from the
     /// coordinator's held summary).
@@ -310,24 +309,7 @@ impl FleetServer {
     /// [`FleetConfig::merge_every`]-th observation triggers a coordinator
     /// merge + fleet-wide install (or a gossip round during an outage).
     pub fn observe(&mut self, at_s: f64, obs: Observation) -> (usize, Option<ObservedFeedback>) {
-        let r = self.shard_for(obs.workload, obs.platform);
-        (r, self.observe_at(r, at_s, obs))
-    }
-
-    /// [`FleetServer::observe`] with an explicit replica — for callers that
-    /// partition streams themselves (per-site deployments where the shard
-    /// is the site).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range, or as
-    /// [`PitotServer::on_event`] panics.
-    pub fn observe_at(
-        &mut self,
-        replica: usize,
-        at_s: f64,
-        obs: Observation,
-    ) -> Option<ObservedFeedback> {
+        let replica = self.shard_for(obs.workload, obs.platform);
         let feedback = self
             .core
             .route_observation(&mut self.replicas, replica, obs)
@@ -345,12 +327,12 @@ impl FleetServer {
                 Some(fb)
             });
         self.core.after_observation(&mut self.replicas);
-        feedback
+        (replica, feedback)
     }
 
     /// Answers one deadline query and decides admission by the conformal
-    /// upper edge: admit iff `bound_s + slack ≤ deadline_s` and the backlog
-    /// has room. The decision is recorded; report the realized runtime via
+    /// upper edge: admit iff `bound_s ≤ deadline_s` and the backlog has
+    /// room. The decision is recorded; report the realized runtime via
     /// [`FleetServer::resolve`] to score it.
     ///
     /// # Panics

@@ -49,10 +49,11 @@
 //!   segments) on a cadence and installs one fleet-level calibration —
 //!   bitwise identical to what a centralized server holding the union
 //!   would fit.
-//! - **SLO-aware admission.** Deadline-carrying queries are admitted or
-//!   shed by the conformal bound's upper edge ([`AdmissionQueue`]): the
-//!   first place the served intervals drive a control decision, with
-//!   shed/admit decisions recorded and scored against realized runtimes.
+//! - **SLO-aware admission.** A deadline-carrying query is admitted iff
+//!   the conformal bound's upper edge fits its deadline and the backlog
+//!   has room ([`AdmissionQueue`]): the first place the served intervals
+//!   drive a control decision, with shed/admit decisions recorded and
+//!   scored against realized runtimes.
 //! - **Fault injection and degraded-mode serving.** A seeded, schedule-based
 //!   [`FaultPlan`] ([`FleetServer::with_faults`]) injects replica crashes,
 //!   coordinator outages, and dropped/delayed merge summaries; the fleet
