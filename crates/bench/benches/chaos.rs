@@ -13,7 +13,9 @@
 //!   its 256 window entries back out of the coordinator's held summary
 //!   ([`MergeableWindow::replica_entries`]), replay them into a fresh
 //!   server, and install the fleet calibration (the recovery-time
-//!   headline: how long a rejoining replica takes to serve again);
+//!   headline: how long a rejoining replica takes to serve again). The
+//!   held runs keep the server's heads ([`PitotServer::kept_heads`]), as a
+//!   fleet's replica summaries do;
 //! - `chaos/fault_tick_overhead`: a full faulted `FleetServer` event
 //!   (deadline query + resolve + observation) under a trivial
 //!   `FaultPlan::none` — the bookkeeping tax of having fault injection
@@ -42,15 +44,16 @@ fn trained(f: &Fixture) -> TrainedPitot {
     pitot::train(&f.dataset, &f.split, &cfg)
 }
 
-/// A replica window of `n` synthetic scores over `n_heads` heads and 4
-/// pools.
-fn replica_window(seed: u64, n: usize, n_heads: usize) -> WindowedScores {
+/// A replica window of `n` synthetic scores over 4 pools, keeping the
+/// heads `heads` of an `n_heads`-head model.
+fn replica_window(seed: u64, n: usize, n_heads: usize, heads: &[usize]) -> WindowedScores {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut w = WindowedScores::new(n, n_heads);
+    let mut w = WindowedScores::with_heads(n, n_heads, heads);
     for i in 0..n {
         let preds: Vec<f32> = (0..n_heads).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let target = rng.gen_range(-1.0f32..1.5);
-        w.push(&preds, target, i % 4);
+        let kept: Vec<f32> = heads.iter().map(|&h| preds[h]).collect();
+        w.push(&kept, target, i % 4);
     }
     w
 }
@@ -74,7 +77,9 @@ fn fit_union(merged: &MergeableWindow, xis: &[f32]) -> PooledConformal {
 /// One pairwise gossip round among 4 replicas: refresh own runs, join the
 /// pairs, fit every view on its union.
 fn gossip_round(c: &mut Criterion) {
-    let windows: Vec<WindowedScores> = (0..4).map(|r| replica_window(200 + r, 256, 5)).collect();
+    let windows: Vec<WindowedScores> = (0..4)
+        .map(|r| replica_window(200 + r, 256, 5, &[0, 1, 2, 3, 4]))
+        .collect();
     let xis = vec![0.5f32, 0.8, 0.9, 0.95, 0.99];
 
     let mut group = c.benchmark_group("chaos");
@@ -109,10 +114,13 @@ fn recovery_replay(c: &mut Criterion) {
     serve.refresh_every = usize::MAX;
 
     // The coordinator's merged view holds every replica's run; replica 1
-    // is the one that crashed. Heads match the trained model's objective.
+    // is the one that crashed. Runs keep the heads the server keeps.
     let n_heads = xis.len();
+    let heads = PitotServer::new(t.clone(), f.dataset.clone(), serve.clone())
+        .kept_heads()
+        .to_vec();
     let windows: Vec<WindowedScores> = (0..3)
-        .map(|r| replica_window(300 + r, 256, n_heads))
+        .map(|r| replica_window(300 + r, 256, n_heads, &heads))
         .collect();
     let mut merged = MergeableWindow::empty(n_heads);
     for (r, w) in windows.iter().enumerate() {

@@ -25,9 +25,21 @@
 //! A pooled fit needs one order statistic per `(pool, head)`: the
 //! `⌈(n+1)(1−ε)⌉`-th score of the union. A merged summary answers that
 //! directly — it implements [`CalibrationView`] by rank-selecting across
-//! its replica runs (binary searches, no copy) — so
-//! [`crate::PooledConformal::fit_scored`] takes the merged view itself and
-//! the fleet fit never materialises the union.
+//! its replica runs, walking them from the nearer end of the union with no
+//! copy — so [`crate::PooledConformal::fit_scored`] takes the merged view
+//! itself and the fleet fit never materialises the union.
+//!
+//! # Kept heads
+//!
+//! A run holds the scores of the heads its window keeps
+//! ([`WindowedScores::heads`]), not necessarily every head of the model,
+//! and carries their model head ids. A summary's
+//! [`MergeableWindow::n_heads`] is the model's head count, and every lookup
+//! names a head by its model head id, so a fit reads a kept head's runs
+//! exactly as it would read that column of all-heads runs. A run that does
+//! not keep a head a fit reads panics naming the head: a receiver screens
+//! every run's head list ([`MergeableWindow::replica_heads`]) before a fit
+//! meets it.
 //!
 //! [`MergeableWindow::to_scored`] is the oracle for that shortcut: it
 //! lowers the summary to a [`ScoredCalibration`] via linear merges of the
@@ -56,28 +68,35 @@
 //! and re-derives the digest, naming the offending replica and fault class
 //! on the first violation. A receiver that verifies before
 //! [`MergeableWindow::absorb`] confines a bogus summary to its sender — the
-//! CRDT never sees it. The checksum does not cover the replica id a run is
-//! keyed by, so a receiver also checks who a summary speaks for.
+//! CRDT never sees it. The checksum covers a run's kept head ids but not
+//! the replica id it is keyed by, so a receiver also checks who a summary
+//! speaks for, and that its runs keep the heads the receiver's fits read.
 
-use crate::scores::{CalibrationView, ScoredCalibration, WindowedScores};
+use crate::scores::{kept_column, CalibrationView, ScoredCalibration, WindowedScores};
 use pitot_linalg::quantile_higher_rank;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One replica's live window contents at snapshot time: pre-sorted global
-/// and per-pool score runs plus the eviction clock that orders snapshots.
+/// and per-pool score runs of the window's kept heads plus the eviction
+/// clock that orders snapshots.
 #[derive(Debug, Clone, PartialEq)]
 struct ReplicaRun {
     /// The replica window's [`WindowedScores::clock`] at snapshot time.
     clock: u64,
     /// Live observations in the snapshot.
     n: usize,
-    /// Per head: the replica's live scores, ascending.
+    /// The model head ids the window keeps, ascending: the order of the
+    /// per-head runs below.
+    heads: Vec<usize>,
+    /// Per kept head: the replica's live scores, ascending.
     global: Vec<Vec<f32>>,
-    /// Pool key → per-head ascending scores (only pools with live entries).
+    /// Pool key → per-kept-head ascending scores (only pools with live
+    /// entries).
     pools: BTreeMap<usize, Vec<Vec<f32>>>,
-    /// The lane digest of clock, cardinality, pool layout, and every score
-    /// bit, fixed at snapshot time (see [`ReplicaRun::digest`]).
+    /// The lane digest of clock, cardinality, kept head ids, pool layout,
+    /// and every score bit, fixed at snapshot time (see
+    /// [`ReplicaRun::digest`]).
     checksum: u64,
 }
 
@@ -86,7 +105,8 @@ struct ReplicaRun {
 /// a fault is named by *what* is wrong, not merely that bits changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SummaryFault {
-    /// A run's stated cardinality disagrees with its segments (head counts,
+    /// A run's stated cardinality disagrees with its segments (kept head
+    /// ids that are not ascending ids of the model's heads, head counts,
     /// per-head lengths, pool totals, or an empty pool key).
     CardinalityMismatch,
     /// A run contains a NaN or infinite score.
@@ -213,8 +233,8 @@ impl ReplicaRun {
     /// in 32-bit words. Each `u64` field is two words, low word first.
     ///
     /// The layout words go through one serial chain, in order: clock,
-    /// stated cardinality, each global head's length, then per pool its
-    /// key and each head's length. Each score's bits are one word, and
+    /// stated cardinality, the kept head count and each kept head id, each
+    /// global head's length, then per pool its key and each head's length. Each score's bits are one word, and
     /// score `j` of a run goes to lane `j mod 8`. The lanes carry over from
     /// run to run, so the multiplies of eight scores run side by side.
     /// Last, the lanes fold into the layout chain in lane order, by the
@@ -226,6 +246,10 @@ impl ReplicaRun {
     /// reorders, truncations and cardinality edits change it too.
     fn digest(&self) -> u64 {
         let mut layout = fnv_wide(fnv_wide(FNV_OFFSET, self.clock), self.n as u64);
+        layout = fnv_wide(layout, self.heads.len() as u64);
+        for &head in &self.heads {
+            layout = fnv_wide(layout, head as u64);
+        }
         for head in &self.global {
             layout = fnv_wide(layout, head.len() as u64);
         }
@@ -262,17 +286,23 @@ impl ReplicaRun {
             .fold(layout, |h, lane| (h ^ lane).wrapping_mul(FNV_PRIME))
     }
 
-    /// Verification of a received run against the expected head count;
+    /// Verification of a received run against the model's head count;
     /// returns the first fault found, most specific first. Structure comes
     /// first, then the score scans run by run in digest order (a run's
     /// non-finite score before its descent), then the checksum.
     fn validate(&self, n_heads: usize) -> Result<(), SummaryFault> {
-        if self.global.len() != n_heads || self.global.iter().any(|h| h.len() != self.n) {
+        let kept = self.heads.len();
+        if kept == 0
+            || self.heads.windows(2).any(|p| p[0] >= p[1])
+            || self.heads[kept - 1] >= n_heads
+            || self.global.len() != kept
+            || self.global.iter().any(|h| h.len() != self.n)
+        {
             return Err(SummaryFault::CardinalityMismatch);
         }
         let mut pooled = 0usize;
         for per_head in self.pools.values() {
-            if per_head.len() != n_heads
+            if per_head.len() != kept
                 || per_head[0].is_empty()
                 || per_head.iter().any(|h| h.len() != per_head[0].len())
             {
@@ -293,19 +323,26 @@ impl ReplicaRun {
     }
 }
 
-/// One reconstructed window entry for crash-recovery replay: the per-head
-/// nonconformity scores of a single slot plus its calibration pool (the
-/// element type of [`MergeableWindow::replica_entries`]).
+/// One reconstructed window entry for crash-recovery replay: the
+/// nonconformity scores of a single slot, one per kept head, plus its
+/// calibration pool (the element type of
+/// [`MergeableWindow::replica_entries`]).
 pub type ReplayEntry = (Vec<f32>, usize);
 
 /// A mergeable summary of one or more replica calibration windows
 /// (see the module docs for the protocol).
 ///
-/// Equality is elementwise over the contained sorted runs, so two summaries
-/// compare equal exactly when they would lower to bitwise-identical
-/// [`ScoredCalibration`]s *and* carry the same replica clocks.
+/// Each held run keeps the scores of its window's kept heads and carries
+/// their model head ids; the summary's [`MergeableWindow::n_heads`] is the
+/// model's head count.
+///
+/// Equality is elementwise over the contained runs, head ids and sorted
+/// scores alike, so two summaries compare equal exactly when they would
+/// lower to bitwise-identical [`ScoredCalibration`]s *and* carry the same
+/// replica clocks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeableWindow {
+    /// The model's head count, kept or not.
     n_heads: usize,
     /// Replica id → that replica's latest known run, shared with every
     /// summary that absorbed it.
@@ -328,9 +365,9 @@ impl MergeableWindow {
 
     /// Snapshots one replica window under the given replica id.
     ///
-    /// The snapshot is a copy of the window's already-sorted score slices —
-    /// `O(window)` with no comparisons — plus its eviction clock and the
-    /// run's checksum. Sealing only hashes: the finiteness and order scans
+    /// The snapshot is a copy of the window's already-sorted score slices
+    /// of its kept heads — `O(window · kept heads)` with no comparisons —
+    /// plus their head ids, its eviction clock and the run's checksum. Sealing only hashes: the finiteness and order scans
     /// run where the summary is received, in [`MergeableWindow::verify`].
     /// An empty window yields a valid (empty) run that a later snapshot
     /// from the same replica supersedes.
@@ -338,6 +375,7 @@ impl MergeableWindow {
         let mut run = ReplicaRun {
             clock: window.clock(),
             n: window.len(),
+            heads: window.heads().to_vec(),
             global: window.scored.global_sorted.clone(),
             pools: window.scored.pool_sorted.clone(),
             checksum: 0,
@@ -441,9 +479,16 @@ impl MergeableWindow {
         true
     }
 
-    /// Number of heads per observation.
+    /// Number of heads of the model the runs were scored by (kept or not).
     pub fn n_heads(&self) -> usize {
         self.n_heads
+    }
+
+    /// The model head ids the run held for `replica` keeps, ascending, if
+    /// any run is held: what a receiver compares against the head list its
+    /// fits read before it absorbs the run. The run's checksum covers them.
+    pub fn replica_heads(&self, replica: u64) -> Option<&[usize]> {
+        self.runs.get(&replica).map(|r| r.heads.as_slice())
     }
 
     /// Total live observations across every known replica.
@@ -505,14 +550,17 @@ impl MergeableWindow {
         }
     }
 
-    /// Reconstructs the `(per-head scores, pool)` entries of one replica's
-    /// held run, with the run's clock — the replay message a coordinator
+    /// Reconstructs the `(per-kept-head scores, pool)` entries of one
+    /// replica's held run, with the run's clock — the replay message a
+    /// coordinator
     /// hands a crash-recovering replica so it can rejoin *warm* instead of
     /// serving off an empty window (see `PitotServer::restore_window` in
     /// `pitot-serve`).
     ///
-    /// Entries are regrouped positionally: within each pool, the rank-`j`
-    /// scores of every head form one entry. That pairing is generally not
+    /// Entries keep the run's heads ([`MergeableWindow::replica_heads`]), so
+    /// they rebuild a window keeping the same heads. They are regrouped
+    /// positionally: within each pool, the rank-`j` scores of every kept
+    /// head form one entry. That pairing is generally not
     /// the original per-observation grouping (the summary keeps per-head
     /// sorted runs, not observations), but it preserves the per-pool
     /// per-head score *multisets* exactly — so a window rebuilt by pushing
@@ -546,31 +594,44 @@ impl MergeableWindow {
     /// this lowering bit for bit. The lowering stays as that fit's oracle
     /// and for callers that want the whole sorted union.
     ///
+    /// The lowering keeps the heads the runs keep, so every run must keep
+    /// the same heads (a receiver's head screen guarantees it).
+    ///
     /// # Panics
     ///
     /// Panics if the summary holds no live observations (an empty
-    /// calibration set has no quantiles).
+    /// calibration set has no quantiles), or if its runs keep different
+    /// heads.
     pub fn to_scored(&self) -> ScoredCalibration {
         assert!(
             !self.is_empty(),
             "cannot calibrate on an empty fleet summary"
         );
-        let mut global_sorted = vec![Vec::new(); self.n_heads];
+        let heads = &self.runs.values().next().expect("a live run is held").heads;
+        let mut global_sorted = vec![Vec::new(); heads.len()];
         let mut pool_sorted: BTreeMap<usize, Vec<Vec<f32>>> = BTreeMap::new();
-        for run in self.runs.values() {
+        for (&replica, run) in &self.runs {
+            assert_eq!(
+                &run.heads, heads,
+                "replica {replica}'s run keeps heads {:?}, not {heads:?}: cannot lower runs \
+                 keeping different heads",
+                run.heads
+            );
             for (h, head) in run.global.iter().enumerate() {
                 global_sorted[h] = merge_sorted(&global_sorted[h], head);
             }
             for (&pool, per_head) in &run.pools {
                 let acc = pool_sorted
                     .entry(pool)
-                    .or_insert_with(|| vec![Vec::new(); self.n_heads]);
+                    .or_insert_with(|| vec![Vec::new(); heads.len()]);
                 for (h, head) in per_head.iter().enumerate() {
                     acc[h] = merge_sorted(&acc[h], head);
                 }
             }
         }
         ScoredCalibration {
+            n_heads: self.n_heads,
+            heads: heads.clone(),
             global_sorted,
             pool_sorted,
             n: self.len(),
@@ -599,16 +660,23 @@ impl CalibrationView for MergeableWindow {
         sizes.into_iter()
     }
 
+    /// Gathers the held runs of `(pool, head)` once, then selects across
+    /// them, walking them from the nearer end of the union.
     fn gamma(&self, pool: Option<usize>, head: usize, eps: f32) -> f32 {
         assert!(eps > 0.0 && eps < 1.0, "miscoverage {eps} outside (0,1)");
-        let runs = self.runs.values().filter_map(move |run| {
+        let mut runs = Vec::with_capacity(self.runs.len());
+        for run in self.runs.values() {
+            let column = kept_column(&run.heads, head);
             let per_head = match pool {
                 None => &run.global,
-                Some(key) => run.pools.get(&key)?,
+                Some(key) => match run.pools.get(&key) {
+                    Some(per_head) => per_head,
+                    None => continue,
+                },
             };
-            Some(per_head[head].as_slice())
-        });
-        let n = runs.clone().map(<[f32]>::len).sum();
+            runs.push(per_head[column].as_slice());
+        }
+        let n = runs.iter().map(|run| run.len()).sum();
         select_kth(runs, quantile_higher_rank(n, 1.0 - eps))
     }
 }
@@ -617,22 +685,58 @@ impl CalibrationView for MergeableWindow {
 /// `total_cmp`: the entry at index `k − 1` of their sorted union, without
 /// building it.
 ///
-/// In each run, a binary search finds the first score with at least `k`
-/// union scores at or below it. No run yields a candidate below the
-/// union's `k`-th score, and a run holding that score yields it exactly, so
-/// the smallest candidate is the answer. Scores equal under `total_cmp`
-/// have equal bits, so the answer is bitwise determined. Costs
-/// `O(m² log² n)` comparisons for `m` runs of up to `n` scores.
-fn select_kth<'a>(runs: impl Iterator<Item = &'a [f32]> + Clone, k: usize) -> f32 {
-    let rank_le = |s: f32| -> usize {
-        runs.clone()
-            .map(|run| run.partition_point(|x| x.total_cmp(&s).is_le()))
-            .sum()
+/// Walks the union from its nearer end: when `k ≤ n − k + 1` it takes the
+/// smallest remaining run head `k` times, otherwise the largest remaining
+/// run tail `n − k + 1` times, and the last score taken is the answer.
+/// Scores equal under `total_cmp` have equal bits, so whichever run a tie
+/// is taken from, the answer is bitwise determined. Costs `O(m · min(k, n −
+/// k + 1))` comparisons for `m` runs holding `n` scores: at `ε = 0.1` the
+/// rank sits near the top, about `n / 10` steps down.
+///
+/// # Panics
+///
+/// Panics if `k` is not a rank of the union (`1 ≤ k ≤ n`).
+fn select_kth(mut runs: Vec<&[f32]>, k: usize) -> f32 {
+    runs.retain(|run| !run.is_empty());
+    let n: usize = runs.iter().map(|run| run.len()).sum();
+    assert!(
+        (1..=n).contains(&k),
+        "rank {k} lies outside a union of {n} scores"
+    );
+    let from_top = k > n - k + 1;
+    let mut steps = if from_top { n - k + 1 } else { k };
+    // The score a run offers the walk, and whether `a` is taken before `b`.
+    let end = |run: &[f32]| if from_top { run[run.len() - 1] } else { run[0] };
+    let before = |a: f32, b: f32| {
+        let ord = a.total_cmp(&b);
+        if from_top {
+            ord.is_gt()
+        } else {
+            ord.is_lt()
+        }
     };
-    runs.clone()
-        .filter_map(|run| run.get(run.partition_point(|&x| rank_le(x) < k)).copied())
-        .min_by(f32::total_cmp)
-        .expect("rank lies within the union")
+    loop {
+        let mut at = 0;
+        for (i, run) in runs.iter().enumerate().skip(1) {
+            if before(end(run), end(runs[at])) {
+                at = i;
+            }
+        }
+        let score = end(runs[at]);
+        steps -= 1;
+        if steps == 0 {
+            return score;
+        }
+        let run = runs[at];
+        runs[at] = if from_top {
+            &run[..run.len() - 1]
+        } else {
+            &run[1..]
+        };
+        if runs[at].is_empty() {
+            runs.swap_remove(at);
+        }
+    }
 }
 
 /// Merges two ascending (under `total_cmp`) runs into one, taking from the
@@ -1087,6 +1191,10 @@ mod tests {
         };
         wide(&mut layout, run.clock);
         wide(&mut layout, run.n as u64);
+        wide(&mut layout, run.heads.len() as u64);
+        for &head in &run.heads {
+            wide(&mut layout, head as u64);
+        }
         for head in &run.global {
             scores(&mut layout, head);
         }
@@ -1114,11 +1222,13 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig { cases: 256, ..Default::default() })]
         /// The lane digest equals its scalar oracle on random runs. Head
         /// lengths of 0..=40 put runs on the full-chunk path, the remainder
-        /// path, both, and neither; 1–4 pools vary the layout chain.
+        /// path, both, and neither; 1–4 pools and kept head ids up to 8
+        /// vary the layout chain.
         #[test]
         fn lane_digest_equals_the_scalar_reference(seed in 0u64..1_000_000) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let n_heads = rng.gen_range(1usize..=4);
+            let kept: Vec<usize> = (0..8).filter(|_| rng.gen_bool(0.4)).collect();
+            let n_heads = kept.len().max(1);
             let heads = |rng: &mut ChaCha8Rng| -> Vec<Vec<f32>> {
                 (0..n_heads)
                     .map(|_| {
@@ -1134,6 +1244,7 @@ mod tests {
             let run = ReplicaRun {
                 clock: rng.next_u64(),
                 n: rng.gen_range(0usize..200),
+                heads: kept,
                 global,
                 pools,
                 checksum: 0,
@@ -1180,6 +1291,11 @@ mod tests {
         for bit in 0..64 {
             check(&format!("clock bit {bit}"), &|r| r.clock ^= 1 << bit);
             check(&format!("n bit {bit}"), &|r| r.n ^= 1 << bit);
+            for c in 0..n_heads {
+                check(&format!("head id {c} bit {bit}"), &|r| {
+                    r.heads[c] ^= 1 << bit
+                });
+            }
         }
         for h in 0..n_heads {
             for i in 0..run.n {
@@ -1375,5 +1491,211 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Feeds a stream through a fresh window keeping `heads`: the kept
+    /// columns of [`window_of`] on the same stream.
+    fn kept_window_of(
+        entries: &[(Vec<f32>, f32, usize)],
+        cap: usize,
+        n_heads: usize,
+        heads: &[usize],
+    ) -> WindowedScores {
+        let mut w = WindowedScores::with_heads(cap, n_heads, heads);
+        for (p, t, k) in entries {
+            let kept: Vec<f32> = heads.iter().map(|&h| p[h]).collect();
+            w.push(&kept, *t, *k);
+        }
+        w
+    }
+
+    /// A sorted view's head ids and scores as text: `Debug` prints every
+    /// finite float exactly (`-0.0` apart from `0.0`), so equal text is
+    /// equal bits.
+    fn bits(scored: &ScoredCalibration) -> String {
+        format!("{scored:?}")
+    }
+
+    /// The columns `heads` of an all-heads view.
+    fn columns(all: &ScoredCalibration, heads: &[usize]) -> ScoredCalibration {
+        let pick = |runs: &Vec<Vec<f32>>| heads.iter().map(|&h| runs[h].clone()).collect();
+        ScoredCalibration {
+            n_heads: all.n_heads,
+            heads: heads.to_vec(),
+            global_sorted: pick(&all.global_sorted),
+            pool_sorted: all.pool_sorted.iter().map(|(&k, v)| (k, pick(v))).collect(),
+            n: all.n,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 128, ..Default::default() })]
+        /// Runs of windows keeping some heads merge and round-trip like the
+        /// matching columns of all-heads runs: they verify and name their
+        /// heads; the merge is commutative, associative and idempotent,
+        /// with the empty summary as identity; replayed entries rebuild
+        /// each replica's kept window; the lowering is those columns of the
+        /// all-heads lowering, bit for bit; and every γ and every
+        /// `NaiveXi` and `SingleHead` fit from the runs equals the one on
+        /// the lowering and the all-heads one.
+        #[test]
+        fn kept_head_runs_merge_and_round_trip_like_their_columns(
+            seed in 0u64..1_000_000,
+            n_replicas in 1usize..5,
+            cap in 1usize..40,
+        ) {
+            let n_heads = 8;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let heads: Vec<usize> = std::iter::once(0)
+                .chain((1..n_heads).filter(|_| rng.gen_bool(0.25)))
+                .collect();
+            let xis: Vec<f32> = (0..n_heads).map(|h| 0.5 + 0.07 * h as f32).collect();
+            let streams: Vec<_> = (0..n_replicas)
+                .map(|r| stream(seed ^ ((r as u64) << 32), rng.gen_range(0..2 * cap + 1), n_heads))
+                .collect();
+            let all: Vec<WindowedScores> = streams.iter().map(|s| window_of(s, cap, n_heads)).collect();
+            let kept: Vec<WindowedScores> = streams
+                .iter()
+                .map(|s| kept_window_of(s, cap, n_heads, &heads))
+                .collect();
+            let snap = |w: &WindowedScores, r: usize| MergeableWindow::snapshot(r as u64, w);
+            let (mut merged_all, mut merged) =
+                (MergeableWindow::empty(n_heads), MergeableWindow::empty(n_heads));
+            for r in 0..n_replicas {
+                merged_all.absorb(&snap(&all[r], r));
+                let s = snap(&kept[r], r);
+                proptest::prop_assert_eq!(s.verify(), Ok(()));
+                proptest::prop_assert_eq!(s.replica_heads(r as u64), Some(heads.as_slice()));
+                merged.absorb(&s);
+            }
+
+            let (a, b, c) = (snap(&kept[0], 0), merged.clone(), snap(&kept[n_replicas - 1], 9));
+            proptest::prop_assert_eq!(a.merge(&b), b.merge(&a));
+            proptest::prop_assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)));
+            proptest::prop_assert_eq!(b.merge(&b), b.clone());
+            proptest::prop_assert_eq!(b.merge(&MergeableWindow::empty(n_heads)), b.clone());
+
+            for (r, w) in kept.iter().enumerate() {
+                let (clock, entries) = merged.replica_entries(r as u64).expect("run held");
+                proptest::prop_assert_eq!(clock, w.clock());
+                let mut rebuilt = WindowedScores::with_heads(cap, n_heads, &heads);
+                for (scores, pool) in entries {
+                    rebuilt.push_scores(scores, pool);
+                }
+                if !w.is_empty() {
+                    proptest::prop_assert_eq!(bits(rebuilt.scored()), bits(w.scored()));
+                }
+            }
+
+            if !merged.is_empty() {
+                let lowered = merged.to_scored();
+                proptest::prop_assert_eq!(bits(&lowered), bits(&columns(&merged_all.to_scored(), &heads)));
+                let pools: Vec<Option<usize>> = std::iter::once(None)
+                    .chain(lowered.pool_sizes().map(|(k, _)| Some(k)))
+                    .collect();
+                let no_selection = PredictionSet { predictions: &[], targets_log: &[], pools: &[] };
+                for eps in [0.01f32, 0.1, 0.3, 0.5, 0.9] {
+                    for &h in &heads {
+                        for &pool in &pools {
+                            let want = merged_all.gamma(pool, h, eps).to_bits();
+                            proptest::prop_assert_eq!(merged.gamma(pool, h, eps).to_bits(), want);
+                            proptest::prop_assert_eq!(lowered.gamma(pool, h, eps).to_bits(), want);
+                        }
+                    }
+                    for selection in [HeadSelection::NaiveXi, HeadSelection::SingleHead] {
+                        if !heads.contains(&selection.fixed_head(&xis, eps).expect("fixed")) {
+                            continue;
+                        }
+                        let fit = |view: &dyn Fn(&PredictionSet) -> PooledConformal| {
+                            fit_bits(&view(&no_selection))
+                        };
+                        let want = fit(&|v| PooledConformal::fit_scored(&merged_all, v, &xis, selection, eps));
+                        proptest::prop_assert_eq!(
+                            fit(&|v| PooledConformal::fit_scored(&merged, v, &xis, selection, eps)),
+                            want.clone()
+                        );
+                        proptest::prop_assert_eq!(
+                            fit(&|v| PooledConformal::fit_scored(&lowered, v, &xis, selection, eps)),
+                            want
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..Default::default() })]
+        /// The walk from the nearer end selects the `k`-th score of the
+        /// sorted union, bitwise, at every rank from `k = 1` to `k = n`:
+        /// scores tie within and across runs (`-0.0` beside `0.0` among
+        /// them), and some runs are empty.
+        #[test]
+        fn select_kth_is_the_kth_score_of_the_sorted_union(seed in 0u64..1_000_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let runs: Vec<Vec<f32>> = (0..rng.gen_range(1usize..=6))
+                .map(|_| {
+                    let len = rng.gen_range(0usize..=12);
+                    let mut run: Vec<f32> = (0..len).map(|_| GRID[rng.gen_range(0..GRID.len())]).collect();
+                    run.sort_by(f32::total_cmp);
+                    run
+                })
+                .collect();
+            let mut union = runs.concat();
+            union.sort_by(f32::total_cmp);
+            for k in 1..=union.len() {
+                let got = select_kth(runs.iter().map(Vec::as_slice).collect(), k);
+                proptest::prop_assert_eq!(got.to_bits(), union[k - 1].to_bits(), "k {} of {}", k, union.len());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 4 lies outside a union of 3 scores")]
+    fn select_kth_refuses_a_rank_past_the_union() {
+        let _ = select_kth(vec![&[0.5, 1.0][..], &[], &[0.25]], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "head 5 is not kept (kept heads: [0, 4])")]
+    fn merged_gamma_of_an_unkept_head_panics_naming_it() {
+        let w = kept_window_of(&stream(3, 20, 8), 16, 8, &[0, 4]);
+        let _ = MergeableWindow::snapshot(0, &w).gamma(None, 5, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot lower runs keeping different heads")]
+    fn runs_keeping_different_heads_refuse_to_lower() {
+        let s = stream(4, 20, 8);
+        let a = MergeableWindow::snapshot(0, &kept_window_of(&s, 16, 8, &[0, 4]));
+        let b = MergeableWindow::snapshot(1, &kept_window_of(&s, 16, 8, &[0, 3]));
+        let _ = a.merge(&b).to_scored();
+    }
+
+    #[test]
+    fn verify_rejects_head_ids_edited_without_resealing() {
+        let w = kept_window_of(&stream(9, 30, 8), 16, 8, &[0, 4]);
+        let honest = MergeableWindow::snapshot(2, &w);
+        assert_eq!(honest.verify(), Ok(()));
+        assert_eq!(honest.replica_heads(2), Some(&[0, 4][..]));
+        // A list that still names ascending heads of the model passes the
+        // structure checks and only the checksum sees the edit; any other
+        // list is a structural lie.
+        for (heads, fault) in [
+            (vec![0, 5], SummaryFault::ChecksumMismatch),
+            (vec![1, 4], SummaryFault::ChecksumMismatch),
+            (vec![4, 0], SummaryFault::CardinalityMismatch),
+            (vec![0, 8], SummaryFault::CardinalityMismatch),
+            (vec![0], SummaryFault::CardinalityMismatch),
+        ] {
+            let mut t = honest.clone();
+            Arc::make_mut(t.runs.get_mut(&2).expect("run held")).heads = heads.clone();
+            assert_eq!(
+                t.verify(),
+                Err(SummaryError { replica: 2, fault }),
+                "heads {heads:?}"
+            );
+        }
+        assert_eq!(honest.verify(), Ok(()));
     }
 }

@@ -71,6 +71,34 @@ pub enum HeadSelection {
     TightestOnValidation,
 }
 
+impl HeadSelection {
+    /// The head this policy picks at miscoverage `miscoverage`, out of heads
+    /// trained at the quantiles `xis`, when the pick reads no scores: head 0
+    /// under [`HeadSelection::SingleHead`], and under
+    /// [`HeadSelection::NaiveXi`] the head trained nearest `1 − ε` (the
+    /// first of a tie). `None` under
+    /// [`HeadSelection::TightestOnValidation`], whose pick depends on the
+    /// validation set. [`PooledConformal::fit_scored`] picks through here,
+    /// and so does a server deciding which heads its window keeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`HeadSelection::NaiveXi`] if `xis` is empty.
+    pub fn fixed_head(self, xis: &[f32], miscoverage: f32) -> Option<usize> {
+        match self {
+            Self::SingleHead => Some(0),
+            Self::NaiveXi => {
+                let target = 1.0 - miscoverage;
+                let head = (0..xis.len())
+                    .min_by(|&a, &b| (xis[a] - target).abs().total_cmp(&(xis[b] - target).abs()))
+                    .expect("at least one head");
+                Some(head)
+            }
+            Self::TightestOnValidation => None,
+        }
+    }
+}
+
 /// Calibration result for one pool: the selected head and its offset.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PoolCalibration {
@@ -172,22 +200,12 @@ impl PooledConformal {
         selection: HeadSelection,
         miscoverage: f32,
     ) -> PoolCalibration {
-        match selection {
-            HeadSelection::SingleHead => PoolCalibration {
-                head: 0,
-                gamma: gamma_for(0),
+        match selection.fixed_head(xis, miscoverage) {
+            Some(head) => PoolCalibration {
+                head,
+                gamma: gamma_for(head),
             },
-            HeadSelection::NaiveXi => {
-                let target = 1.0 - miscoverage;
-                let head = (0..n_heads)
-                    .min_by(|&a, &b| (xis[a] - target).abs().total_cmp(&(xis[b] - target).abs()))
-                    .expect("at least one head");
-                PoolCalibration {
-                    head,
-                    gamma: gamma_for(head),
-                }
-            }
-            HeadSelection::TightestOnValidation => {
+            None => {
                 let mut best = PoolCalibration {
                     head: 0,
                     gamma: gamma_for(0),

@@ -56,7 +56,7 @@ pub use config::{InterferenceMode, LossSpace, Objective, OptimizerKind, PitotCon
 pub use eval::{mape, mape_by_mode};
 pub use model::{PitotModel, PlatformEmbeddings, TowerOutputs};
 /// The row-major matrix [`TrainedPitot::predict_log_runtime_into`] and
-/// [`TrainedPitot::predict_log_point_bound_into`] write, so a caller can
+/// [`TrainedPitot::predict_log_heads_into`] write, so a caller can
 /// keep one as a reused read buffer.
 pub use pitot_linalg::Matrix;
 pub use scaling::ScalingBaseline;

@@ -375,7 +375,8 @@ impl PitotModel {
     /// residual `ŷ = ⟨wᵢ, pⱼ⟩ + Σₜ ⟨wᵢ, vₛ⁽ᵗ⁾⟩ · act(Σₖ ⟨wₖ, v_g⁽ᵗ⁾⟩)`
     /// (paper Secs 3.3–3.4) of each head in `heads` for one observation,
     /// emitted as `(k, ŷ)` where `k` is the head's position in `heads`.
-    /// Training, window scoring, seeding and rescoring pass every head; a
+    /// Training passes every head; window scoring, seeding and rescoring
+    /// pass a window's kept heads (and an observation its bound head); a
     /// read passes head 0 and its bound head. Heads share no arithmetic, so
     /// a head's value is bitwise the same whichever others are scored.
     ///
@@ -440,9 +441,9 @@ impl PitotModel {
 
     /// Batched residual prediction of every head, row-parallel over
     /// observations: fills `out` as an `n × n_heads` matrix whose row `b`
-    /// holds every head's prediction for the observation `row(b)`. The
-    /// read of a served answer, which needs two heads, is
-    /// [`crate::TrainedPitot::predict_log_point_bound_into`].
+    /// holds every head's prediction for the observation `row(b)`. A read
+    /// of only the heads a caller names (a served answer needs two) is
+    /// [`crate::TrainedPitot::predict_log_heads_into`].
     ///
     /// `w` and `p_full` are tower outputs (from [`PitotModel::forward_towers`]
     /// or [`PitotModel::infer_towers`]). Only the index fields of each

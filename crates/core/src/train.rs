@@ -694,73 +694,112 @@ impl TrainedPitot {
         row: impl Fn(usize) -> &'o Observation + Sync,
         out: &mut Matrix,
     ) {
-        let n_heads = self.model.n_heads();
-        let sort = self.model.config().rearrange_quantiles;
-        rows_into(n, n_heads, out, |b, y| {
-            let o = row(b);
-            self.model
-                .predict_row(&towers.w, &towers.p_full, o, 0..n_heads, y);
-            self.to_log_runtime(o, y);
-            if sort {
-                // `total_cmp` is a total order, so the sorted row is
-                // unique: bitwise what the stable per-head sort gives.
-                y.sort_unstable_by(f32::total_cmp);
-            }
+        rows_into(n, self.model.n_heads(), out, |b, y| {
+            self.every_head_row(towers, row(b), y)
         });
     }
 
-    /// The read of a served answer: one row per observation of `obs`,
-    /// written into `out` as the `obs.len() × 2` log-runtime pair
-    /// `[head 0, head bound_head(o)]` — the point estimate and the head a
-    /// calibrated bound adds its offset to (the head
+    /// Every head's log-runtime prediction for `o` into `y`, sorted under
+    /// rearrangement.
+    fn every_head_row(&self, towers: &TowerCache, o: &Observation, y: &mut [f32]) {
+        let n_heads = self.model.n_heads();
+        self.model
+            .predict_row(&towers.w, &towers.p_full, o, 0..n_heads, y);
+        self.to_log_runtime(o, y);
+        if self.model.config().rearrange_quantiles {
+            // `total_cmp` is a total order, so the sorted row is
+            // unique: bitwise what the stable per-head sort gives.
+            y.sort_unstable_by(f32::total_cmp);
+        }
+    }
+
+    /// The read of the heads a caller needs: one row per observation of
+    /// `obs`, written into `out` as an `obs.len() × (heads.len() + 1)`
+    /// log-runtime matrix whose row `b` holds the heads `heads` in order,
+    /// then the head `bound_head(obs[b])`. Each value is bitwise that head's
+    /// column of the [`TrainedPitot::predict_log_runtime_into`] row, but
+    /// only the named heads are scored: a bound head already in `heads` is
+    /// copied, not scored twice. At 8 heads, r = 32 and s = 2, an arity-3
+    /// row of a served answer (`heads = [0]`, the point head, plus the head
+    /// its bound adds its offset to, the one
     /// [`PooledConformal::calibration_for`](pitot_conformal::PooledConformal::calibration_for)
-    /// names for the row's pool). Each value is bitwise that head's column
-    /// of the [`TrainedPitot::predict_log_runtime_into`] row, but only the
-    /// two heads are scored (a bound head of 0 once): at 8 heads, r = 32
-    /// and s = 2, an arity-3 row takes 18 length-r dot products instead of
-    /// 72.
+    /// names for the row's pool) takes 18 length-r dot products instead of
+    /// 72. A serving window's observation passes its kept heads as
+    /// `heads`.
     ///
     /// Under [`PitotConfig::rearrange_quantiles`] the per-row sort mixes
-    /// heads, so every head is scored and sorted first and the two columns
+    /// heads, so every head is scored and sorted first and the named columns
     /// are kept. Reuse `out` across calls and the read allocates nothing
     /// once `out` has held a batch this large. Results are bitwise
     /// identical across `PITOT_THREADS`.
-    pub fn predict_log_point_bound_into<O: Borrow<Observation> + Sync>(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `heads` is not strictly ascending below the head count.
+    pub fn predict_log_heads_into<O: Borrow<Observation> + Sync>(
         &self,
         towers: &TowerCache,
         obs: &[O],
+        heads: &[usize],
         bound_head: impl Fn(&Observation) -> usize + Sync,
         out: &mut Matrix,
     ) {
-        let n = obs.len();
-        let row = |b: usize| obs[b].borrow();
         let n_heads = self.model.n_heads();
+        assert!(
+            heads.windows(2).all(|p| p[0] < p[1]) && heads.last().is_none_or(|&h| h < n_heads),
+            "read heads {heads:?} are not ascending head ids of a {n_heads}-head model"
+        );
+        let (n, k) = (obs.len(), heads.len());
+        let row = |b: usize| obs[b].borrow();
         // A one-head row is its own sort.
         if self.model.config().rearrange_quantiles && n_heads > 1 {
-            self.log_rows_into(towers, n, row, out);
-            // Keep the two columns, compacting in place: row `b`'s pair
-            // lands at or before its own row's start, so no row is
-            // overwritten before it is read.
+            // Rows hold every sorted head before their columns are picked.
+            let stride = n_heads.max(k + 1);
+            rows_into(n, stride, out, |b, y| {
+                let o = row(b);
+                self.every_head_row(towers, o, &mut y[..n_heads]);
+                let bound = y[bound_head(o)];
+                // `heads` ascends, so column `c` reads `y[heads[c]]` before
+                // any column at or past `heads[c]` is written.
+                for (c, &h) in heads.iter().enumerate() {
+                    y[c] = y[h];
+                }
+                y[k] = bound;
+            });
+            // Compact the rows to `k + 1` columns in place: row `b` lands
+            // at or before its own start, so no row is overwritten before
+            // it is moved.
             let data = out.as_mut_slice();
-            for b in 0..n {
-                let sorted = b * n_heads;
-                let pair = [data[sorted], data[sorted + bound_head(row(b))]];
-                data[2 * b..2 * b + 2].copy_from_slice(&pair);
+            for b in 1..n {
+                data.copy_within(b * stride..b * stride + k + 1, b * (k + 1));
             }
-            out.resize(n, 2);
+            out.resize(n, k + 1);
             return;
         }
         let (w, p_full) = (&towers.w, &towers.p_full);
-        rows_into(n, 2, out, |b, pair| {
+        rows_into(n, k + 1, out, |b, y| {
             let o = row(b);
-            match bound_head(o) {
-                0 => {
-                    self.model.predict_row(w, p_full, o, [0], &mut pair[..1]);
-                    pair[1] = pair[0];
+            let h = bound_head(o);
+            // A one-head list (a served answer's `[0]`) is scored from
+            // arrays, whose length the kernel's per-head loop is compiled
+            // for: a slice of one costs the read ~15% in a microbenchmark.
+            match (heads, heads.iter().position(|&listed| listed == h)) {
+                (&[only], Some(_)) => {
+                    self.model.predict_row(w, p_full, o, [only], &mut y[..1]);
+                    y[1] = y[0];
                 }
-                h => self.model.predict_row(w, p_full, o, [0, h], pair),
+                (&[only], None) => self.model.predict_row(w, p_full, o, [only, h], y),
+                (_, Some(c)) => {
+                    self.model
+                        .predict_row(w, p_full, o, heads.iter().copied(), &mut y[..k]);
+                    y[k] = y[c];
+                }
+                (_, None) => {
+                    self.model
+                        .predict_row(w, p_full, o, heads.iter().copied().chain([h]), y)
+                }
             }
-            self.to_log_runtime(o, pair);
+            self.to_log_runtime(o, y);
         });
     }
 
@@ -1156,11 +1195,80 @@ mod tests {
         }
     }
 
+    /// A model of `n_heads` heads with random tower outputs over the shared
+    /// fixture, under the given interference mode, loss space and
+    /// rearrangement, and 40 random query rows of arity 0–3.
+    #[allow(clippy::too_many_arguments)]
+    fn random_read(
+        seed: u64,
+        aware: usize,
+        n_heads: usize,
+        space: usize,
+        rearrange: usize,
+        r: usize,
+        s: usize,
+    ) -> (TrainedPitot, TowerCache, Vec<Observation>) {
+        static FIXTURE: std::sync::OnceLock<(Dataset, Split, ScalingBaseline)> =
+            std::sync::OnceLock::new();
+        let (ds, split, scaling) = FIXTURE.get_or_init(|| {
+            let (ds, split) = setup();
+            let scaling = ScalingBaseline::fit(&ds, &split.train);
+            (ds, split, scaling)
+        });
+        let cfg = PitotConfig {
+            embed_dim: r,
+            interference_types: s,
+            interference: [InterferenceMode::Ignore, InterferenceMode::Aware][aware],
+            loss_space: [
+                LossSpace::LogResidual,
+                LossSpace::Log,
+                LossSpace::NaiveProportional,
+            ][space],
+            rearrange_quantiles: rearrange == 1,
+            objective: Objective::Quantiles(
+                (1..=n_heads)
+                    .map(|h| h as f32 / (n_heads + 1) as f32)
+                    .collect(),
+            ),
+            ..PitotConfig::tiny()
+        };
+        let trained = TrainedPitot {
+            model: PitotModel::new(&cfg, ds),
+            scaling: scaling.clone(),
+            history: Vec::new(),
+            split: split.clone(),
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut fill = |rows: usize, cols: usize| {
+            let mut m = Matrix::zeros(rows, cols);
+            for v in m.as_mut_slice() {
+                *v = rng.gen_range(-1.0f32..1.0);
+            }
+            m
+        };
+        let towers = TowerCache {
+            w: fill(ds.n_workloads, r * n_heads),
+            p_full: fill(ds.n_platforms, r * (1 + 2 * s)),
+        };
+        let obs: Vec<Observation> = (0..40)
+            .map(|b| Observation {
+                workload: rng.gen_range(0..ds.n_workloads as u32),
+                platform: rng.gen_range(0..ds.n_platforms as u32),
+                interferers: (0..b % 4)
+                    .map(|_| rng.gen_range(0..ds.n_workloads as u32))
+                    .collect(),
+                runtime_s: 1.0,
+            })
+            .collect();
+        (trained, towers, obs)
+    }
+
     proptest::proptest! {
-        /// The point-and-bound read is bitwise the `[head 0, bound head]`
-        /// columns of the every-head read: random tower outputs, `Aware`
-        /// and `Ignore`, arity 0–3, 1, 2 or 8 heads, every loss space, and
-        /// rearrangement on or off. Bound heads vary per row and include 0.
+        /// The point-and-bound read (`heads = [0]`) is bitwise the `[head
+        /// 0, bound head]` columns of the every-head read: random tower
+        /// outputs, `Aware` and `Ignore`, arity 0–3, 1, 2 or 8 heads, every
+        /// loss space, and rearrangement on or off. Bound heads vary per
+        /// row and include 0.
         #[test]
         fn point_bound_read_is_two_columns_of_the_every_head_read(
             seed in 0u64..u64::MAX,
@@ -1171,65 +1279,55 @@ mod tests {
             r in 1usize..12,
             s in 1usize..4,
         ) {
-            static FIXTURE: std::sync::OnceLock<(Dataset, Split, ScalingBaseline)> =
-                std::sync::OnceLock::new();
-            let (ds, split, scaling) = FIXTURE.get_or_init(|| {
-                let (ds, split) = setup();
-                let scaling = ScalingBaseline::fit(&ds, &split.train);
-                (ds, split, scaling)
-            });
             let n_heads = [1, 2, 8][heads];
-            let cfg = PitotConfig {
-                embed_dim: r,
-                interference_types: s,
-                interference: [InterferenceMode::Ignore, InterferenceMode::Aware][aware],
-                loss_space: [LossSpace::LogResidual, LossSpace::Log, LossSpace::NaiveProportional]
-                    [space],
-                rearrange_quantiles: rearrange == 1,
-                objective: Objective::Quantiles(
-                    (1..=n_heads).map(|h| h as f32 / (n_heads + 1) as f32).collect(),
-                ),
-                ..PitotConfig::tiny()
-            };
-            let trained = TrainedPitot {
-                model: PitotModel::new(&cfg, ds),
-                scaling: scaling.clone(),
-                history: Vec::new(),
-                split: split.clone(),
-            };
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut fill = |rows: usize, cols: usize| {
-                let mut m = Matrix::zeros(rows, cols);
-                for v in m.as_mut_slice() {
-                    *v = rng.gen_range(-1.0f32..1.0);
-                }
-                m
-            };
-            let towers = TowerCache {
-                w: fill(ds.n_workloads, r * n_heads),
-                p_full: fill(ds.n_platforms, r * (1 + 2 * s)),
-            };
-            let obs: Vec<Observation> = (0..40)
-                .map(|b| Observation {
-                    workload: rng.gen_range(0..ds.n_workloads as u32),
-                    platform: rng.gen_range(0..ds.n_platforms as u32),
-                    interferers: (0..b % 4)
-                        .map(|_| rng.gen_range(0..ds.n_workloads as u32))
-                        .collect(),
-                    runtime_s: 1.0,
-                })
-                .collect();
+            let (trained, towers, obs) = random_read(seed, aware, n_heads, space, rearrange, r, s);
             let bound_head = |o: &Observation| (o.workload + o.platform) as usize % n_heads;
             let mut full = Matrix::zeros(0, 0);
             trained.predict_log_runtime_into(&towers, &obs, &mut full);
             let mut pairs = Matrix::zeros(0, 0);
-            trained.predict_log_point_bound_into(&towers, &obs, bound_head, &mut pairs);
+            trained.predict_log_heads_into(&towers, &obs, &[0], bound_head, &mut pairs);
             proptest::prop_assert_eq!(pairs.shape(), (obs.len(), 2));
             for (b, o) in obs.iter().enumerate() {
                 let row = full.row(b);
                 let want = [row[0].to_bits(), row[bound_head(o)].to_bits()];
                 let got = [pairs.row(b)[0].to_bits(), pairs.row(b)[1].to_bits()];
                 proptest::prop_assert_eq!(got, want, "row {} ({:?})", b, o.interferers);
+            }
+        }
+
+        /// A read of any ascending head list plus a per-row head is bitwise
+        /// those columns of the every-head read: lists from empty to every
+        /// head, with the row's head inside the list or outside it, over the
+        /// same random models as the point-and-bound read.
+        #[test]
+        fn head_list_read_is_columns_of_the_every_head_read(
+            seed in 0u64..u64::MAX,
+            aware in 0usize..2,
+            heads in 0usize..3,
+            space in 0usize..3,
+            rearrange in 0usize..2,
+            r in 1usize..12,
+            s in 1usize..4,
+        ) {
+            let n_heads = [1, 2, 8][heads];
+            let (trained, towers, obs) = random_read(seed, aware, n_heads, space, rearrange, r, s);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x4EAD);
+            let list: Vec<usize> = (0..n_heads).filter(|_| rng.gen_bool(0.5)).collect();
+            let bound_head = |o: &Observation| (o.workload * 3 + o.platform) as usize % n_heads;
+            let mut full = Matrix::zeros(0, 0);
+            trained.predict_log_runtime_into(&towers, &obs, &mut full);
+            let mut read = Matrix::zeros(0, 0);
+            trained.predict_log_heads_into(&towers, &obs, &list, bound_head, &mut read);
+            proptest::prop_assert_eq!(read.shape(), (obs.len(), list.len() + 1));
+            for (b, o) in obs.iter().enumerate() {
+                let row = full.row(b);
+                let want: Vec<u32> = list
+                    .iter()
+                    .chain([bound_head(o)].iter())
+                    .map(|&h| row[h].to_bits())
+                    .collect();
+                let got: Vec<u32> = read.row(b).iter().map(|y| y.to_bits()).collect();
+                proptest::prop_assert_eq!(got, want, "row {} heads {:?}", b, list);
             }
         }
     }

@@ -229,7 +229,7 @@ impl RuntimePredictor for ScalingPredictor {
 /// query, so per-placement cost is a handful of dot products (the paper's
 /// ≈400 kFLOP inference cost is dominated by the towers, which are shared
 /// across queries here). A batched read, such as the rows of one placement
-/// decision, is one [`TrainedPitot::predict_log_point_bound_into`] pass
+/// decision, is one [`TrainedPitot::predict_log_heads_into`] pass
 /// over query rows and a prediction matrix the predictor reuses, scoring
 /// the median head and, for a bound, the one head the row's pool is
 /// calibrated on; a single-row read is a batch of one, so both answer
@@ -282,7 +282,7 @@ impl<'a> PitotPredictor<'a> {
     }
 
     /// The one read pass: refills the reused query rows, scores each row in
-    /// one [`TrainedPitot::predict_log_point_bound_into`] pass, then hands
+    /// one [`TrainedPitot::predict_log_heads_into`] pass, then hands
     /// each row's answer in seconds to `answer`, in row order. A `bounded`
     /// read answers with the runtime budget: the calibrated bound, read
     /// from the head its pool is calibrated on, or the median head without
@@ -317,9 +317,10 @@ impl<'a> PitotPredictor<'a> {
         // Pools were calibrated per interference count; deeper co-location
         // than the training envelope reuses the deepest pool.
         let pool_of = |o: &Observation| o.interferers.len().min(MAX_INTERFERERS);
-        self.trained.predict_log_point_bound_into(
+        self.trained.predict_log_heads_into(
             &self.towers,
             rows,
+            &[0],
             |o| bounds.map_or(0, |b| b.calibration_for(pool_of(o)).head),
             &mut reads.preds,
         );

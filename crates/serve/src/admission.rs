@@ -31,8 +31,9 @@ pub struct AdmissionConfig {
     /// audit. A shed query is never executed, so in a real deployment its
     /// realized runtime may simply never arrive — without a bound the
     /// pending map would grow by one entry per unresolved shed forever.
-    /// Oldest shed records are dropped FIFO past this cap (their audit is
-    /// forfeited; counted in [`AdmissionStats::shed_unaudited`]).
+    /// While more than this many shed records are unresolved, the oldest
+    /// unresolved one is dropped (its audit is forfeited; counted in
+    /// [`AdmissionStats::shed_unaudited`]); resolved ones take no room.
     pub max_shed_pending: usize,
 }
 
@@ -183,6 +184,12 @@ struct Pending {
     degraded: bool,
 }
 
+/// Whether the shed record `(id, seq)` is still pending: the decision may
+/// have been resolved already, and the id may even have been reused since.
+fn is_live(pending: &BTreeMap<u64, Pending>, id: u64, seq: u64) -> bool {
+    pending.get(&id).is_some_and(|p| p.seq == seq)
+}
+
 /// The admission queue: decides admit/shed per query and scores decisions
 /// once realized runtimes arrive.
 ///
@@ -194,9 +201,12 @@ pub struct AdmissionQueue {
     stats: AdmissionStats,
     pending: BTreeMap<u64, Pending>,
     /// Shed `(id, seq)` pairs in decision order, for FIFO eviction of
-    /// stale audit records (may reference already-resolved decisions;
-    /// eviction skips entries whose seq no longer matches).
+    /// audit records (may reference already-resolved decisions; eviction
+    /// skips entries whose seq no longer matches, and the queue is
+    /// compacted to its live entries when it reaches twice the cap).
     shed_order: std::collections::VecDeque<(u64, u64)>,
+    /// Shed records still pending: the count the cap bounds.
+    live_sheds: usize,
     next_seq: u64,
     backlog: usize,
 }
@@ -214,6 +224,7 @@ impl AdmissionQueue {
             stats: AdmissionStats::default(),
             pending: BTreeMap::new(),
             shed_order: std::collections::VecDeque::new(),
+            live_sheds: 0,
             next_seq: 0,
             backlog: 0,
         }
@@ -282,17 +293,21 @@ impl AdmissionQueue {
             // Shed queries are never executed, so their realized runtime
             // may never arrive: bound how many audit records we hold.
             self.shed_order.push_back((id, seq));
-            while self.shed_order.len() > self.cfg.max_shed_pending {
-                let (old_id, old_seq) = self.shed_order.pop_front().expect("non-empty queue");
-                // The decision may have been resolved already, and the id
-                // may even have been reused since — only the *same* still
-                // pending shed record counts as evicted.
-                if let Some(p) = self.pending.get(&old_id) {
-                    if p.seq == old_seq {
-                        self.pending.remove(&old_id);
-                        self.stats.shed_unaudited += 1;
-                    }
+            self.live_sheds += 1;
+            while self.live_sheds > self.cfg.max_shed_pending {
+                let (old_id, old_seq) = self.shed_order.pop_front().expect("a live shed is queued");
+                if is_live(&self.pending, old_id, old_seq) {
+                    self.pending.remove(&old_id);
+                    self.live_sheds -= 1;
+                    self.stats.shed_unaudited += 1;
                 }
+            }
+            // Compacting as the queue reaches twice the cap, not past it,
+            // keeps its buffer from doubling beyond that.
+            if self.shed_order.len() >= 2 * self.cfg.max_shed_pending {
+                let pending = &self.pending;
+                self.shed_order
+                    .retain(|&(id, seq)| is_live(pending, id, seq));
             }
         }
         decision
@@ -306,6 +321,9 @@ impl AdmissionQueue {
     /// resolved, or its shed record was evicted).
     pub fn resolve(&mut self, id: u64, realized_s: f64) -> Option<bool> {
         let p = self.pending.remove(&id)?;
+        if !p.decision.admitted() {
+            self.live_sheds -= 1;
+        }
         let met = realized_s <= p.deadline_s;
         match p.decision {
             AdmissionDecision::Admit => {
@@ -420,6 +438,25 @@ mod tests {
         assert_eq!(q.stats().shed_unaudited, 0);
         assert_eq!(q.resolve(7, 1.0), Some(false), "fresh record survived");
         assert_eq!(q.stats().shed_would_have_met, 2);
+    }
+
+    #[test]
+    fn a_resolved_shed_frees_its_audit_slot() {
+        // Cap 2: with B resolved, only A and C are unresolved, so C evicts
+        // nothing and A keeps its audit.
+        let mut q = AdmissionQueue::new(AdmissionConfig {
+            max_shed_pending: 2,
+            ..AdmissionConfig::default()
+        });
+        q.decide(1, 9.0, 5.0, false);
+        q.decide(2, 9.0, 5.0, false);
+        assert_eq!(q.resolve(2, 1.0), Some(false));
+        q.decide(3, 9.0, 5.0, false);
+        assert_eq!(q.stats().shed_unaudited, 0);
+        assert_eq!(q.pending(), 2);
+        assert_eq!(q.resolve(1, 1.0), Some(false), "A was evicted");
+        assert_eq!(q.resolve(3, 1.0), Some(false));
+        assert_eq!(q.stats().shed_would_have_met, 3);
     }
 
     #[test]
@@ -626,19 +663,22 @@ mod tests {
                         slot.insert((want, None));
                     } else {
                         slot.insert((want, Some(sheds)));
-                        // A shed record still pending when `max_shed_pending`
-                        // more sheds have been decided is evicted unaudited.
-                        let stale = sheds.checked_sub(max_shed_pending).and_then(|old| {
-                            pending.iter().find(|(_, r)| r.1 == Some(old)).map(|(&id, _)| id)
-                        });
-                        if let Some(stale) = stale {
-                            let (d, _) = pending.remove(&stale).expect("found above");
+                        sheds += 1;
+                        // While more than `max_shed_pending` shed records
+                        // are pending, the oldest pending one is evicted
+                        // unaudited.
+                        while pending.values().filter(|r| r.1.is_some()).count() > max_shed_pending {
+                            let (&oldest, _) = pending
+                                .iter()
+                                .filter(|(_, r)| r.1.is_some())
+                                .min_by_key(|(_, r)| r.1)
+                                .expect("a pending shed");
+                            let (d, _) = pending.remove(&oldest).expect("found above");
                             evicted += 1;
                             if d == AdmissionDecision::Shed(ShedReason::DeadlineInfeasible) {
                                 evicted_infeasible += 1;
                             }
                         }
-                        sheds += 1;
                     }
                 }
 

@@ -442,9 +442,10 @@ impl LanePlane {
         server::refill(&mut self.query, q.workload, q.platform, &q.interferers);
         let served = self.served[replica].as_deref();
         let head = server::bound_head(served, pool, self.trained.model.n_heads());
-        self.trained.predict_log_point_bound_into(
+        self.trained.predict_log_heads_into(
             &self.towers[replica],
             std::slice::from_ref(&self.query),
+            &[0],
             |_| head,
             &mut self.preds,
         );
@@ -564,6 +565,18 @@ impl ConcurrentFleet {
     /// Number of replicas.
     pub fn n_replicas(&self) -> usize {
         self.plane.shards.len()
+    }
+
+    /// This fresh fleet with replicas that keep every head: the all-heads
+    /// oracle a kept-heads fleet is pinned to.
+    #[cfg(test)]
+    pub(crate) fn keeping_all_heads(mut self) -> Self {
+        self.core.keep_all_heads();
+        for r in 0..self.n_replicas() {
+            let server = self.core.replica_server(r);
+            self.plane.replace(r, server);
+        }
+        self
     }
 
     /// Effective lane count: the resolved [`ConcurrentConfig::workers`].
@@ -748,5 +761,141 @@ mod tests {
         });
         assert!(m.contains("ConcurrentConfig.workers = Some(0)"), "{m}");
         assert!(m.contains("Some(1)"), "alternative: {m}");
+    }
+
+    /// The small testbed, its split, and a four-head model trained briefly.
+    fn fixture() -> &'static (Dataset, pitot_testbed::split::Split, TrainedPitot) {
+        static FIXTURE: std::sync::OnceLock<(Dataset, pitot_testbed::split::Split, TrainedPitot)> =
+            std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let tb = pitot_testbed::Testbed::generate(&pitot_testbed::TestbedConfig::small());
+            let dataset = tb.collect_dataset();
+            let split = pitot_testbed::split::Split::stratified(&dataset, 0.6, 0);
+            let mut model = pitot::PitotConfig::tiny();
+            model.objective = pitot::Objective::Quantiles(vec![0.5, 0.8, 0.9, 0.95]);
+            model.steps = 300;
+            let trained = pitot::train(&dataset, &split, &model);
+            (dataset, split, trained)
+        })
+    }
+
+    /// A seeded trace of `n` events over the test split: observations,
+    /// deadline queries with unique ids, and resolves of pending queries.
+    fn trace(seed: u64, n: usize) -> Vec<TraceEvent> {
+        use rand::{Rng, SeedableRng};
+        let (dataset, split, _) = fixture();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut pending: Vec<(u64, f64)> = Vec::new();
+        (0..n as u64)
+            .map(|id| {
+                let obs = &dataset.observations[split.test[rng.gen_range(0..split.test.len())]];
+                let draw: f32 = rng.gen_range(0.0..1.0);
+                if draw < 0.6 {
+                    TraceEvent::Observe(obs.clone())
+                } else if draw < 0.85 || pending.is_empty() {
+                    pending.push((id, f64::from(obs.runtime_s)));
+                    TraceEvent::Deadline(DeadlineQuery {
+                        id,
+                        workload: obs.workload,
+                        platform: obs.platform,
+                        interferers: obs.interferers.clone(),
+                        deadline_s: f64::from(obs.runtime_s) * rng.gen_range(0.75..3.0),
+                    })
+                } else {
+                    let (id, realized_s) = pending.swap_remove(rng.gen_range(0..pending.len()));
+                    TraceEvent::Resolve { id, realized_s }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fleets_keeping_heads_match_their_all_heads_oracles() {
+        // Staleness tracking keeps a third head. Under an outage without
+        // gossip, stale fallbacks fit at the widened ε; under one with
+        // gossip, views are joined and fitted; crashed replicas rejoin by
+        // replaying the coordinator's kept-head runs; dropped and delayed
+        // summaries are retried. Every outcome, every replica's served
+        // calibration, the fleet fit, the counters and the audits equal
+        // those of the same fleet keeping every head, in both executors.
+        let (dataset, split, trained) = fixture();
+        let mut fleet = cfg(3).fleet;
+        fleet.serve.drift_min = 32;
+        fleet.serve.staleness_threshold = 32;
+        let events = trace(7, 520);
+        let mut stale = FaultPlan::none(41)
+            .coordinator_outage(40, 220)
+            .crash(1, 60, 150)
+            .drop_summaries(0.2)
+            .delay_summaries(0.1, 2);
+        stale.gossip_during_outage = false;
+        let gossip = FaultPlan::none(43)
+            .coordinator_outage(250, 340)
+            .crash(2, 100, 300)
+            .drop_summaries(0.1);
+        for plan in [stale, gossip] {
+            let sim =
+                || FleetServer::with_faults(trained.clone(), dataset, fleet.clone(), plan.clone());
+            let (mut kept, mut oracle) = (sim(), sim().keeping_all_heads());
+            assert_eq!(kept.replica(0).kept_heads(), [0, 2, 3]);
+            assert_eq!(oracle.replica(0).kept_heads(), [0, 1, 2, 3]);
+            kept.seed_calibration(&split.val);
+            oracle.seed_calibration(&split.val);
+            for (i, ev) in events.iter().enumerate() {
+                let ev = std::slice::from_ref(ev);
+                assert_eq!(
+                    format!("{:?}", run_trace_simulated(&mut kept, i as f64, ev)),
+                    format!("{:?}", run_trace_simulated(&mut oracle, i as f64, ev)),
+                    "event {i}"
+                );
+                for r in 0..kept.n_replicas() {
+                    assert_eq!(
+                        format!("{:?}", kept.replica(r).conformal()),
+                        format!("{:?}", oracle.replica(r).conformal()),
+                        "replica {r} after event {i}"
+                    );
+                }
+            }
+            let s = kept.stats();
+            assert_eq!(s, oracle.stats());
+            assert!(s.recoveries > 0 && s.retried_summaries > 0, "{s:?}");
+            assert!(s.fallback_refits + s.gossip_rounds > 0, "{s:?}");
+            assert_eq!(kept.degraded_audit(), oracle.degraded_audit());
+            assert_eq!(kept.rejected_audit(), oracle.rejected_audit());
+            assert_eq!(
+                format!("{:?}", kept.fleet_conformal()),
+                format!("{:?}", oracle.fleet_conformal())
+            );
+
+            for workers in [1, 2] {
+                let ccfg = ConcurrentConfig {
+                    fleet: fleet.clone(),
+                    workers: Some(workers),
+                };
+                let conc = || {
+                    ConcurrentFleet::with_faults(
+                        trained.clone(),
+                        dataset,
+                        ccfg.clone(),
+                        plan.clone(),
+                    )
+                };
+                let (mut kept, mut oracle) = (conc(), conc().keeping_all_heads());
+                kept.seed_calibration(&split.val);
+                oracle.seed_calibration(&split.val);
+                assert_eq!(
+                    format!("{:?}", kept.run_trace(&events)),
+                    format!("{:?}", oracle.run_trace(&events)),
+                    "{workers} lanes"
+                );
+                assert_eq!(kept.stats(), oracle.stats());
+                assert_eq!(kept.degraded_audit(), oracle.degraded_audit());
+                assert_eq!(kept.rejected_audit(), oracle.rejected_audit());
+                assert_eq!(
+                    format!("{:?}", kept.fleet_conformal()),
+                    format!("{:?}", oracle.fleet_conformal())
+                );
+            }
+        }
     }
 }

@@ -35,6 +35,13 @@ pub struct ServeConfig {
     /// calibration split, and a server has only its window: selecting on
     /// the scores it calibrates on breaks their exchangeability with the
     /// next observation, and with it the coverage guarantee.
+    ///
+    /// The policy also decides which heads a calibration window keeps a
+    /// score for: head 0, the head the policy picks at
+    /// [`ServeConfig::epsilon`] and, while staleness tracking is on, the
+    /// head it picks at the stale fallback's widened miscoverage (see
+    /// [`crate::PitotServer::kept_heads`]). Every fit a server or its fleet
+    /// makes reads only those.
     pub selection: HeadSelection,
     /// Rolling prequential-coverage window the drift detector watches.
     pub drift_window: usize,
@@ -266,6 +273,27 @@ impl ServeConfig {
              = 0.0)",
             self.watchdog_z
         );
+    }
+
+    /// The heads a calibration window keeps, ascending, for a model trained
+    /// at the quantiles `xis`: head 0 (the point head, which the MAD screen
+    /// and the watchdog read), the head [`ServeConfig::selection`] picks at
+    /// `epsilon`, and, while `staleness_threshold > 0`, the head it picks at
+    /// `epsilon × STALE_EPSILON_FACTOR` — every head a served fit reads. The
+    /// pick is [`HeadSelection::fixed_head`], the one a fit makes.
+    pub(crate) fn kept_heads(&self, xis: &[f32]) -> Vec<usize> {
+        let pick = |epsilon: f32| {
+            self.selection
+                .fixed_head(xis, epsilon)
+                .expect("a valid serving selection picks a fixed head")
+        };
+        let mut heads = vec![0, pick(self.epsilon)];
+        if self.staleness_threshold > 0 {
+            heads.push(pick(self.epsilon * Self::STALE_EPSILON_FACTOR));
+        }
+        heads.sort_unstable();
+        heads.dedup();
+        heads
     }
 
     /// The calibration pool of an observation with `arity` interferers.

@@ -188,6 +188,10 @@ pub(crate) struct FleetControl {
     fleet_conformal: Option<Arc<Served>>,
     admission: AdmissionQueue,
     xis: Vec<f32>,
+    /// The heads every replica window keeps ([`ServeConfig::kept_heads`]
+    /// of the fleet's serve config): the head list a summary's runs must
+    /// name to be absorbed, and every head a fleet fit reads.
+    kept: Vec<usize>,
     since_merge: usize,
     /// Fleet-wide observations consumed (the fault schedule's clock).
     obs_seen: usize,
@@ -227,11 +231,13 @@ impl FleetControl {
             towers.push(cache);
         }
         let admission = AdmissionQueue::new(cfg.admission.clone());
+        let xis = trained.model.config().objective.xis();
         Self {
             merged: MergeableWindow::empty(trained.model.n_heads()),
             fleet_conformal: None,
             admission,
-            xis: trained.model.config().objective.xis(),
+            kept: cfg.serve.kept_heads(&xis),
+            xis,
             trained: Arc::new(trained),
             dataset: Arc::new(dataset.clone()),
             towers,
@@ -256,9 +262,10 @@ impl FleetControl {
     /// A fresh server for replica `r` over the fleet's shared model,
     /// dataset and `r`'s tower cache, so a rebuilt replica keeps its
     /// compression level (its restored window scores came from that
-    /// level). Its local refresh cadence is overridden to "never": the core
-    /// owns every calibration refresh, so a replica serves exactly what the
-    /// core last installed — its watchdog rollback does not refit either.
+    /// level), with a window keeping the fleet's heads. Its local refresh
+    /// cadence is overridden to "never": the core owns every calibration
+    /// refresh, so a replica serves exactly what the core last installed —
+    /// its watchdog rollback does not refit either.
     pub(crate) fn replica_server(&self, r: usize) -> PitotServer {
         let mut serve_cfg = self.cfg.serve.clone();
         serve_cfg.refresh_every = usize::MAX;
@@ -267,7 +274,16 @@ impl FleetControl {
             Arc::clone(&self.dataset),
             Arc::clone(&self.towers[r]),
             serve_cfg,
+            &self.kept,
         )
+    }
+
+    /// Makes every replica server built from here on keep every head, and
+    /// screens summaries for that head list: the all-heads oracle a
+    /// kept-heads fleet is pinned to.
+    #[cfg(test)]
+    pub(crate) fn keep_all_heads(&mut self) {
+        self.kept = (0..self.trained.model.n_heads()).collect();
     }
 
     /// The fleet configuration.
@@ -683,23 +699,40 @@ impl FleetControl {
         });
     }
 
+    /// Verifies every run of `view` and checks it keeps the fleet's heads,
+    /// naming the first offending replica and the cause: the screen a
+    /// summary or gossip view passes before it is absorbed, joined or
+    /// fitted, so no fit meets a run that lacks a head it reads.
+    fn screen(&self, view: &MergeableWindow) -> Result<(), (usize, RejectCause)> {
+        view.verify()
+            .map_err(|e| (e.replica as usize, RejectCause::from_fault(e.fault)))?;
+        match view
+            .replicas()
+            .find(|&(id, _)| view.replica_heads(id) != Some(self.kept.as_slice()))
+        {
+            Some((id, _)) => Err((id as usize, RejectCause::ForeignHeads)),
+            None => Ok(()),
+        }
+    }
+
     /// Screens an incoming summary from replica `r` and absorbs it into
     /// the coordinator's merged view only if it passes. On every path the
     /// summary must hold exactly one run, keyed by `r` (the checksum does
     /// not cover the replica id, so without this screen one replica could
-    /// replace another's held run), and must pass structural verification
-    /// (cardinality, finiteness, sortedness, checksum). Then come the clock
-    /// screens: a skew screen always, and a freshness screen on direct
-    /// sends (`delayed = false`; delayed deliveries are legitimately stale,
-    /// the CRDT clock makes them harmless). Returns whether the merged view
+    /// replace another's held run), and must pass [`FleetControl::screen`]:
+    /// structural verification (cardinality, finiteness, sortedness,
+    /// checksum), then the fleet's head list. Then come the clock screens:
+    /// a skew screen always, and a freshness screen on direct sends
+    /// (`delayed = false`; delayed deliveries are legitimately stale, the
+    /// CRDT clock makes them harmless). Returns whether the merged view
     /// changed; refusals are counted and audited, never silent.
     fn try_absorb(&mut self, r: u64, summary: &MergeableWindow, delayed: bool) -> bool {
         if !summary.replicas().map(|(id, _)| id).eq([r]) {
             self.reject(r as usize, RejectCause::ForeignRun);
             return false;
         }
-        if let Err(e) = summary.verify() {
-            self.reject(e.replica as usize, RejectCause::from_fault(e.fault));
+        if let Err((replica, cause)) = self.screen(summary) {
+            self.reject(replica, cause);
             return false;
         }
         let held = self.merged.replica_clock(r);
@@ -871,24 +904,24 @@ impl FleetControl {
         }
         let mut order = live.clone();
         order.shuffle(&mut faults.rng);
-        // Views that passed `verify` at their join this round. A join keeps
-        // runs from two verified views, and verification is per run, so a
-        // joined view verifies too.
-        let mut verified = vec![false; self.cfg.replicas];
+        // Views that passed the screen at their join this round. A join
+        // keeps runs from two screened views, and the screen is per run, so
+        // a joined view passes it too.
+        let mut screened = vec![false; self.cfg.replicas];
         // Each replica's join partner this round: the two hold one view.
         let mut partner: Vec<Option<usize>> = vec![None; self.cfg.replicas];
         for pair in order.chunks(2) {
             if let [a, b] = *pair {
-                // Verify both sides before the state-based join: a corrupt
+                // Screen both sides before the state-based join: a corrupt
                 // view (a Byzantine replica's own) is refused by every
                 // partner, so the corruption never propagates.
                 for side in [a, b] {
-                    match faults.gossip[side].verify() {
-                        Ok(()) => verified[side] = true,
-                        Err(e) => self.reject(e.replica as usize, RejectCause::from_fault(e.fault)),
+                    match self.screen(&faults.gossip[side]) {
+                        Ok(()) => screened[side] = true,
+                        Err((replica, cause)) => self.reject(replica, cause),
                     }
                 }
-                if !(verified[a] && verified[b]) {
+                if !(screened[a] && screened[b]) {
                     continue;
                 }
                 let joined = faults.gossip[a].merge(&faults.gossip[b]);
@@ -903,7 +936,7 @@ impl FleetControl {
         let mut installed: Vec<Option<Arc<Served>>> = vec![None; self.cfg.replicas];
         for &r in &live {
             let f = self.faults.as_ref().expect("just restored");
-            if f.gossip[r].is_empty() || (!verified[r] && f.gossip[r].verify().is_err()) {
+            if f.gossip[r].is_empty() || (!screened[r] && self.screen(&f.gossip[r]).is_err()) {
                 // A corrupt own view (already audited at the pairwise
                 // join, unless it went unpaired) must not be fitted: the
                 // Byzantine replica serves its stale install until
@@ -1018,22 +1051,23 @@ impl FleetControl {
 mod tests {
     use super::*;
     use crate::AdmissionConfig;
-    use pitot::{train, PitotConfig};
+    use pitot::{train, Objective, PitotConfig};
     use pitot_conformal::WindowedScores;
     use pitot_testbed::{split::Split, Testbed, TestbedConfig};
 
     /// A two-replica control core over a barely trained model: the summary
-    /// screens never read the model.
+    /// screens read only its head list.
     fn control() -> FleetControl {
         control_with(2).0
     }
 
-    /// A `replicas`-replica control core over a barely trained model, and
-    /// the validation half of its split.
+    /// A `replicas`-replica control core over a barely trained four-head
+    /// model, and the validation half of its split.
     fn control_with(replicas: usize) -> (FleetControl, Vec<usize>) {
         let dataset = Testbed::generate(&TestbedConfig::small()).collect_dataset();
         let split = Split::stratified(&dataset, 0.6, 0);
         let mut cfg = PitotConfig::tiny();
+        cfg.objective = Objective::Quantiles(vec![0.5, 0.8, 0.9, 0.95]);
         cfg.steps = 2;
         let trained = train(&dataset, &split, &cfg);
         let fleet = FleetConfig {
@@ -1047,27 +1081,38 @@ mod tests {
     }
 
     /// Replica `replica`'s honest summary after `pushes` entries through a
-    /// small window, so its run's clock is `pushes`.
-    fn summary(replica: u64, pushes: usize, n_heads: usize) -> MergeableWindow {
-        let mut w = WindowedScores::new(8, n_heads);
+    /// small window keeping `heads` of an `n_heads`-head model, so its
+    /// run's clock is `pushes`.
+    fn summary_over(
+        replica: u64,
+        pushes: usize,
+        n_heads: usize,
+        heads: &[usize],
+    ) -> MergeableWindow {
+        let mut w = WindowedScores::with_heads(8, n_heads, heads);
         for i in 0..pushes {
-            w.push_scores(vec![(i % 5) as f32; n_heads], i % 2);
+            w.push_scores(vec![(i % 5) as f32; heads.len()], i % 2);
         }
         MergeableWindow::snapshot(replica, &w)
+    }
+
+    /// [`summary_over`] the heads `core`'s fleet keeps.
+    fn summary(core: &FleetControl, replica: u64, pushes: usize) -> MergeableWindow {
+        summary_over(replica, pushes, core.merged.n_heads(), &core.kept)
     }
 
     #[test]
     fn a_summary_holding_another_replicas_run_is_refused() {
         let mut core = control();
         let n_heads = core.merged.n_heads();
-        assert!(core.try_absorb(1, &summary(1, 10, n_heads), false));
+        assert!(core.try_absorb(1, &summary(&core, 1, 10), false));
         // Replica 0 sends a checksum-valid run keyed 1, far ahead of
         // replica 1's clock yet under the skew screen: alone, beside its
         // own run, or with no run at all.
-        let forged = summary(1, 1000, n_heads);
+        let forged = summary(&core, 1, 1000);
         assert_eq!(forged.verify(), Ok(()));
         assert!(core.skew_threshold() > 1000);
-        let beside_own = summary(0, 5, n_heads).merge(&forged);
+        let beside_own = summary(&core, 0, 5).merge(&forged);
         let refused = RejectedSummary {
             replica: 0,
             at_obs: 0,
@@ -1084,9 +1129,49 @@ mod tests {
         // not mistaken for a replay; replica 0's own run still absorbs.
         assert_eq!(core.merged.replica_clock(1), Some(10));
         assert_eq!(core.merged.replica_clock(0), None);
-        assert!(core.try_absorb(1, &summary(1, 20, n_heads), false));
-        assert!(core.try_absorb(0, &summary(0, 5, n_heads), false));
+        assert!(core.try_absorb(1, &summary(&core, 1, 20), false));
+        assert!(core.try_absorb(0, &summary(&core, 0, 5), false));
         assert_eq!(core.counts.rejected_summaries, 6);
+    }
+
+    #[test]
+    fn a_run_keeping_other_heads_is_refused() {
+        // The fleet's windows keep head 0 and the head NaiveXi picks at
+        // ε = 0.1. A verified run of a window keeping every head, or one
+        // keeping another head in place of the served one, is refused on
+        // every path, counted and audited, and never reaches the merged
+        // view or a fit.
+        let mut core = control();
+        let n_heads = core.merged.n_heads();
+        assert_eq!(
+            core.kept,
+            vec![0, 2],
+            "the fixture's ξs are 0.5, 0.8, 0.9, 0.95"
+        );
+        let refused = |replica| RejectedSummary {
+            replica,
+            at_obs: 0,
+            cause: RejectCause::ForeignHeads,
+        };
+        let every_head: Vec<usize> = (0..n_heads).collect();
+        for heads in [&every_head[..], &[0, 3], &[0], &[2]] {
+            let forged = summary_over(1, 10, n_heads, heads);
+            assert_eq!(forged.verify(), Ok(()), "{heads:?}");
+            for delayed in [false, true] {
+                assert!(!core.try_absorb(1, &forged, delayed), "{heads:?}");
+                assert_eq!(core.rejected_audit().last(), Some(&refused(1)));
+            }
+        }
+        assert_eq!(core.counts.rejected_summaries, 8);
+        assert_eq!(core.merged.replica_clock(1), None);
+        // A gossip view holding such a run fails the screen too, naming the
+        // replica whose run it is.
+        let view = summary(&core, 0, 5).merge(&summary_over(3, 7, n_heads, &every_head));
+        assert_eq!(view.verify(), Ok(()));
+        assert_eq!(core.screen(&view), Err((3, RejectCause::ForeignHeads)));
+        // The honest run absorbs.
+        assert!(core.try_absorb(1, &summary(&core, 1, 10), false));
+        assert_eq!(core.counts.rejected_summaries, 8);
     }
 
     #[test]

@@ -472,8 +472,9 @@ impl DegradedWindow {
 /// Why the coordinator (or a gossip partner) refused to absorb a window
 /// summary. The first four map one-to-one onto
 /// [`pitot_conformal::SummaryFault`] — structural lies the checksum and
-/// sanity checks catch; the last three are screens the coordinator runs on
-/// top: who the summary speaks for, and whether its clock is plausible.
+/// sanity checks catch; the last four are screens the receiver runs on
+/// top: which heads the summary's runs keep, who it speaks for, and whether
+/// its clock is plausible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum RejectCause {
     /// The summary's recomputed checksum did not match its claimed one.
@@ -494,6 +495,10 @@ pub enum RejectCause {
     /// The summary did not hold exactly one run keyed by its sender, so
     /// absorbing it could replace another replica's held run.
     ForeignRun,
+    /// A run verified but keeps a head list other than the fleet's
+    /// ([`crate::PitotServer::kept_heads`]), so a fleet fit could meet a
+    /// run lacking the head it reads.
+    ForeignHeads,
 }
 
 impl RejectCause {

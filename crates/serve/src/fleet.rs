@@ -250,6 +250,17 @@ impl FleetServer {
     /// [`FleetStats::rejected_summaries`] counter is never truncated).
     pub const REJECT_RETAIN: usize = 1024;
 
+    /// This fresh fleet with replicas that keep every head: the all-heads
+    /// oracle a kept-heads fleet is pinned to.
+    #[cfg(test)]
+    pub(crate) fn keeping_all_heads(mut self) -> Self {
+        self.core.keep_all_heads();
+        self.replicas = (0..self.replicas.len())
+            .map(|r| self.core.replica_server(r))
+            .collect();
+        self
+    }
+
     /// [`FleetServer::new`] with a deterministic fault schedule installed
     /// (see the module docs for the degradation ladder the fleet walks
     /// under it). A crashed replica is rebuilt over the fleet's shared

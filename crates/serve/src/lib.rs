@@ -15,14 +15,16 @@
 //! - **One scoring pass.** Every row a server scores goes through one
 //!   row-parallel pass over the cached tower outputs into a row-major
 //!   matrix the server reuses, so warm reads and warm observations
-//!   allocate no matrix. A read scores two heads per row
-//!   ([`pitot::TrainedPitot::predict_log_point_bound_into`]): the point
-//!   head, and the head the row's pool is calibrated on. An arriving
-//!   observation, a seed or a fine-tune rescore scores every head
-//!   ([`pitot::TrainedPitot::predict_log_runtime_into`]), because the
-//!   window keeps a score per head.
+//!   allocate no matrix, through one read
+//!   ([`pitot::TrainedPitot::predict_log_heads_into`]) of a head list plus
+//!   one head per row. A read scores two heads per row: the point head,
+//!   and the head the row's pool is calibrated on. An arriving observation
+//!   scores the heads its window keeps ([`PitotServer::kept_heads`]: head
+//!   0 and the heads the served selection picks) plus the head its judged
+//!   bound reads; a seed or a fine-tune rescore scores the kept heads.
 //! - **A sliding calibration window.** Every observation's nonconformity
-//!   scores enter a [`pitot_conformal::WindowedScores`] ring (the moving
+//!   scores of the kept heads enter a [`pitot_conformal::WindowedScores`]
+//!   ring (the moving
 //!   calibration set of Gui et al.'s *conformalized matrix completion*);
 //!   refreshing the served [`pitot_conformal::PooledConformal`] is a rank
 //!   lookup over the incrementally maintained sorted slices, cheap enough to

@@ -172,7 +172,7 @@ fn served_bound(served: Option<&Served>, head_pred: f32, pool: usize) -> (f32, b
 }
 
 /// The [`Prediction`] for one query's `[head 0, bound head]` log-runtime
-/// pair (see [`TrainedPitot::predict_log_point_bound_into`]) under the
+/// pair (see [`TrainedPitot::predict_log_heads_into`]) under the
 /// served calibration: the one constructor of every answer, on a standalone
 /// server and on the concurrent runtime's read path alike.
 pub(crate) fn prediction(served: Option<&Served>, pair: &[f32], pool: usize) -> Prediction {
@@ -241,12 +241,14 @@ struct WindowEntry {
 ///
 /// Holds its model, the dataset (arrivals are appended so fine-tunes can
 /// train on them), the cached tower outputs, the sliding calibration
-/// window, and the currently served calibration. The model, dataset and
-/// tower cache sit behind `Arc`s, so the replicas of a fleet share one copy
-/// of each; only a fine-tune's append and compaction copy the dataset, and
-/// a fine-tune installs a fresh model and cache. Everything is
-/// deterministic: the same event sequence yields bitwise-identical
-/// predictions and fine-tune trajectories.
+/// window, and the currently served calibration. The window keeps a score
+/// for the heads a fit reads ([`PitotServer::kept_heads`]), and an
+/// arriving observation scores only those and the head its judged bound
+/// reads. The model, dataset and tower cache sit behind `Arc`s, so the
+/// replicas of a fleet share one copy of each; only a fine-tune's append
+/// and compaction copy the dataset, and a fine-tune installs a fresh model
+/// and cache. Everything is deterministic: the same event sequence yields
+/// bitwise-identical predictions and fine-tune trajectories.
 pub struct PitotServer {
     cfg: ServeConfig,
     dataset: Arc<Dataset>,
@@ -312,23 +314,27 @@ impl PitotServer {
     ///
     /// Panics if the configuration is inconsistent.
     pub fn new(trained: TrainedPitot, dataset: Dataset, cfg: ServeConfig) -> Self {
+        cfg.validate();
+        let heads = cfg.kept_heads(&trained.model.config().objective.xis());
         let towers = Arc::new(trained.tower_cache(&dataset));
-        Self::shared(Arc::new(trained), Arc::new(dataset), towers, cfg)
+        Self::shared(Arc::new(trained), Arc::new(dataset), towers, cfg, &heads)
     }
 
-    /// A server over shared model state, as the fleet core builds every
-    /// replica. A server over compressed `towers` must not fine-tune, which
-    /// fleet validation guarantees.
+    /// A server over shared model state whose window keeps `heads`, as the
+    /// fleet core builds every replica (with the fleet's kept heads). A
+    /// server over compressed `towers` must not fine-tune, which fleet
+    /// validation guarantees.
     pub(crate) fn shared(
         trained: Arc<TrainedPitot>,
         dataset: Arc<Dataset>,
         towers: Arc<TowerCache>,
         cfg: ServeConfig,
+        heads: &[usize],
     ) -> Self {
         cfg.validate();
         let xis = trained.model.config().objective.xis();
         let n_heads = trained.model.n_heads();
-        let window = WindowedScores::new(cfg.window, n_heads);
+        let window = WindowedScores::with_heads(cfg.window, n_heads, heads);
         let monitor = CoverageMonitor::new(
             cfg.epsilon,
             cfg.drift_window,
@@ -384,8 +390,7 @@ impl PitotServer {
             .map(|&i| &self.dataset.observations[i])
             .collect();
         let mut preds = std::mem::take(&mut self.preds);
-        self.trained
-            .predict_log_runtime_into(&self.towers, &obs, &mut preds);
+        self.score_kept(&obs, &mut preds);
         for (&i, row) in tail.iter().zip(preds.iter_rows()) {
             let o = &self.dataset.observations[i];
             let pool = self.cfg.pool_key(o.interferers.len());
@@ -395,17 +400,22 @@ impl PitotServer {
         self.refresh();
     }
 
-    /// Pushes one entry into the sliding window and its record ring. The
-    /// record ring's eviction is driven by [`WindowedScores::push`]'s return
-    /// value, so the two rings cannot drift apart.
-    fn window_push(
-        &mut self,
-        head_preds: &[f32],
-        target_log: f32,
-        pool: usize,
-        obs_idx: Option<usize>,
-    ) {
-        let evicted = self.window.push(head_preds, target_log, pool);
+    /// Scores the kept heads of `obs` in one pass into `preds`: row `b`
+    /// holds the kept heads of `obs[b]`, then a copy of its head 0 (a row
+    /// of the observation pass with no bound head to add).
+    fn score_kept(&self, obs: &[&Observation], preds: &mut Matrix) {
+        self.trained
+            .predict_log_heads_into(&self.towers, obs, self.window.heads(), |_| 0, preds);
+    }
+
+    /// Pushes one entry into the sliding window and its record ring, given
+    /// a row of the observation pass (its leading kept-head columns are the
+    /// entry's predictions). The record ring's eviction is driven by
+    /// [`WindowedScores::push`]'s return value, so the two rings cannot
+    /// drift apart.
+    fn window_push(&mut self, row: &[f32], target_log: f32, pool: usize, obs_idx: Option<usize>) {
+        let kept = self.window.heads().len();
+        let evicted = self.window.push(&row[..kept], target_log, pool);
         self.raw.push_back(WindowEntry {
             target_log,
             obs_idx,
@@ -437,12 +447,13 @@ impl PitotServer {
     }
 
     /// Consumes a batch of timestamped observations: one
-    /// [`TrainedPitot::predict_log_runtime_into`] pass scores them into the
-    /// reused matrix, then each is applied in order and its response passed
-    /// to `respond`. [`on_event`](Self::on_event) is a batch of one; the
-    /// concurrent runtime hands each replica its share of a lane batch.
-    /// Batched prediction is bitwise a batch of one (a pinned property), so
-    /// both see identical state transitions.
+    /// [`TrainedPitot::predict_log_heads_into`] pass scores each arrival's
+    /// kept heads ([`PitotServer::kept_heads`]) and the head its judged
+    /// bound reads into the reused matrix, then each is applied in order
+    /// and its response passed to `respond`. [`on_event`](Self::on_event)
+    /// is a batch of one; the concurrent runtime hands each replica its
+    /// share of a lane batch. Batched prediction is bitwise a batch of one
+    /// (a pinned property), so both see identical state transitions.
     pub(crate) fn observe_batch(
         &mut self,
         batch: impl IntoIterator<Item = (f64, Observation)>,
@@ -457,8 +468,15 @@ impl PitotServer {
             arrivals.push(obs);
         }
         let mut preds = std::mem::take(&mut self.preds);
-        self.trained
-            .predict_log_runtime_into(&self.towers, &arrivals, &mut preds);
+        let served = self.conformal.as_deref();
+        let (cfg, n_heads) = (&self.cfg, self.trained.model.n_heads());
+        self.trained.predict_log_heads_into(
+            &self.towers,
+            &arrivals,
+            self.window.heads(),
+            |o| bound_head(served, cfg.pool_key(o.interferers.len()), n_heads),
+            &mut preds,
+        );
         for (obs, row) in arrivals.drain(..).zip(preds.iter_rows()) {
             respond(self.on_observation(obs, row));
         }
@@ -466,8 +484,9 @@ impl PitotServer {
         self.preds = preds;
     }
 
-    /// Applies one scored observation.
-    fn on_observation(&mut self, obs: Observation, head_preds: &[f32]) -> ServeResponse {
+    /// Applies one scored observation, given its row of the observation
+    /// pass: a prediction per kept head, then the bound head's.
+    fn on_observation(&mut self, obs: Observation, row: &[f32]) -> ServeResponse {
         self.stats.observations += 1;
         let pool = self.cfg.pool_key(obs.interferers.len());
         let target_log = obs.log_runtime();
@@ -476,8 +495,8 @@ impl PitotServer {
         // the ingest guard is on, a score far outside the window's robust
         // MAD band is quarantined *before* being judged — corrupt telemetry
         // must poison neither the calibration window nor the coverage
-        // statistics the watchdog trusts.
-        let score = target_log - head_preds[0];
+        // statistics the watchdog trusts. Head 0 is the first kept head.
+        let score = target_log - row[0];
         let screened = IngestGuard::runtime_cause(obs.runtime_s)
             .map(|cause| (cause, None))
             .or_else(|| {
@@ -501,9 +520,14 @@ impl PitotServer {
         }
 
         // 1. Prequential judgement against the *currently served* bound.
+        // The pass scored the bound head of the calibration served when the
+        // batch was scored. An earlier arrival of the batch may have refit
+        // it since, and a refit reads a kept head.
         let served = self.conformal.as_deref();
-        let head = bound_head(served, pool, head_preds.len());
-        let (bound_log, degraded) = served_bound(served, head_preds[head], pool);
+        let head = bound_head(served, pool, self.window.n_heads());
+        let kept = self.window.heads();
+        let head_pred = row[kept.iter().position(|&h| h == head).unwrap_or(kept.len())];
+        let (bound_log, degraded) = served_bound(served, head_pred, pool);
         let covered = target_log <= bound_log;
         self.monitor.push(covered);
         self.stats.bounded += 1;
@@ -532,7 +556,7 @@ impl PitotServer {
         };
 
         // 3. Slide the calibration window, then bound the fine-tune pool.
-        self.window_push(head_preds, target_log, pool, obs_idx);
+        self.window_push(row, target_log, pool, obs_idx);
         self.maybe_compact_streamed();
 
         // 4. Refresh the served calibration on cadence.
@@ -612,10 +636,10 @@ impl PitotServer {
     }
 
     /// The one read pass: refills the reused query rows and makes a single
-    /// [`TrainedPitot::predict_log_point_bound_into`] over them into the
-    /// reused matrix, scoring each row's point head and, unless
-    /// `point_only`, the head its pool's bound reads (a bound head of 0
-    /// scores nothing more). Counts the rows in [`ServeStats::queries`].
+    /// [`TrainedPitot::predict_log_heads_into`] over them into the reused
+    /// matrix, scoring each row's point head and, unless `point_only`, the
+    /// head its pool's bound reads (a bound head of 0 scores nothing more).
+    /// Counts the rows in [`ServeStats::queries`].
     fn read<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
@@ -631,9 +655,10 @@ impl PitotServer {
         }
         let served = self.conformal.as_deref();
         let (cfg, n_heads) = (&self.cfg, self.trained.model.n_heads());
-        self.trained.predict_log_point_bound_into(
+        self.trained.predict_log_heads_into(
             &self.towers,
             &self.reads[..n],
+            &[0],
             |o| {
                 if point_only {
                     0
@@ -717,6 +742,8 @@ impl PitotServer {
     /// [`pitot_conformal::MergeableWindow::replica_entries`]) — the warm
     /// crash-recovery path: a rejoining replica replays the coordinator's
     /// held snapshot of its pre-crash window instead of starting cold.
+    /// Each entry holds one score per head of [`PitotServer::kept_heads`],
+    /// in order, as a run of a window keeping the same heads replays.
     ///
     /// Restored entries are scores only: every calibration fit on them is
     /// bitwise the fit on the originals, but no observation or runtime
@@ -729,7 +756,8 @@ impl PitotServer {
     /// # Panics
     ///
     /// Panics if the server has already seen window entries, if `entries`
-    /// exceeds the window capacity, or if the config fine-tunes.
+    /// exceeds the window capacity, if an entry does not hold one score per
+    /// kept head, or if the config fine-tunes.
     pub fn restore_window(&mut self, entries: Vec<pitot_conformal::ReplayEntry>, clock: u64) {
         assert!(
             self.window.is_empty() && self.raw.is_empty(),
@@ -764,9 +792,24 @@ impl PitotServer {
 
     /// Snapshots the server's calibration window as a mergeable summary
     /// under the given replica id — the message a replica sends its fleet
-    /// coordinator. Cost is a copy of the sorted slices; no re-sorting.
+    /// coordinator. Its run holds the sorted slices of the kept heads
+    /// ([`PitotServer::kept_heads`]) and names them; cost is a copy of those
+    /// slices, with no re-sorting.
     pub fn window_summary(&self, replica: u64) -> MergeableWindow {
         MergeableWindow::snapshot(replica, &self.window)
+    }
+
+    /// The model head ids the calibration window keeps a score for,
+    /// ascending: head 0, the head [`ServeConfig::selection`] picks at
+    /// [`ServeConfig::epsilon`] and, while
+    /// [`ServeConfig::staleness_threshold`] is nonzero, the head it picks
+    /// at the stale fallback's widened miscoverage. Derived from the config
+    /// and the model's training quantiles, never set. Every fit on the
+    /// window, and every fleet fit on its summaries, reads only these; a
+    /// bound served from another head (an installed fit that picked one,
+    /// or the uncalibrated highest head) is scored per arrival beside them.
+    pub fn kept_heads(&self) -> &[usize] {
+        self.window.heads()
     }
 
     /// The calibration window's logical clock (advances on every push and
@@ -851,7 +894,11 @@ impl PitotServer {
         let purged = self.window.entries().filter(|(s, _)| purge(s)).count();
         if purged > 0 {
             let old_clock = self.window.clock();
-            let mut window = WindowedScores::new(self.cfg.window, self.window.n_heads());
+            let mut window = WindowedScores::with_heads(
+                self.cfg.window,
+                self.window.n_heads(),
+                self.window.heads(),
+            );
             let mut raw = VecDeque::with_capacity(self.raw.len() - purged);
             for ((scores, pool), e) in self.window.entries().zip(std::mem::take(&mut self.raw)) {
                 if purge(scores) {
@@ -1057,9 +1104,9 @@ impl PitotServer {
         }
     }
 
-    /// Re-predicts every window member under the (updated) model so the
-    /// window's scores match the model that will serve them. Each entry
-    /// keeps its pool, read from the score ring.
+    /// Re-predicts every window member's kept heads under the (updated)
+    /// model so the window's scores match the model that will serve them.
+    /// Each entry keeps its pool, read from the score ring.
     fn rescore_window(&mut self) {
         if self.raw.is_empty() {
             return;
@@ -1072,13 +1119,15 @@ impl PitotServer {
                 &self.dataset.observations[i]
             })
             .collect();
-        self.trained
-            .predict_log_runtime_into(&self.towers, &obs, &mut self.preds);
-        let mut window = WindowedScores::new(self.cfg.window, self.window.n_heads());
+        let mut preds = std::mem::take(&mut self.preds);
+        self.score_kept(&obs, &mut preds);
+        let kept = self.window.heads();
+        let mut window = WindowedScores::with_heads(self.cfg.window, self.window.n_heads(), kept);
         let entries = self.raw.iter().zip(self.window.entries());
-        for ((e, (_, pool)), row) in entries.zip(self.preds.iter_rows()) {
-            window.push(row, e.target_log, pool);
+        for ((e, (_, pool)), row) in entries.zip(preds.iter_rows()) {
+            window.push(&row[..kept.len()], e.target_log, pool);
         }
+        self.preds = preds;
         // The rebuilt window must supersede the old one in any fleet
         // coordinator's merged view: advance its clock past every snapshot
         // taken of the pre-rescore state.
@@ -1091,6 +1140,7 @@ impl PitotServer {
 mod tests {
     use super::*;
     use pitot::{train, Objective, PitotConfig};
+    use pitot_conformal::ScoredCalibration;
     use pitot_testbed::{Testbed, TestbedConfig};
 
     /// A small dataset, its split, and a tiny quantile model trained from
@@ -1204,8 +1254,10 @@ mod tests {
         let clock = server.window_clock();
         server.rescore_window();
 
-        // The oracle scores each member as a batch of one.
-        let mut oracle = WindowedScores::new(128, server.window.n_heads());
+        // The oracle scores each member's every head as a batch of one and
+        // keeps the server's heads.
+        let heads = server.kept_heads().to_vec();
+        let mut oracle = WindowedScores::with_heads(128, server.window.n_heads(), &heads);
         let mut row = Matrix::default();
         for e in &server.raw {
             let obs = &server.dataset.observations[e.obs_idx.expect("recorded")];
@@ -1213,19 +1265,224 @@ mod tests {
             server
                 .trained
                 .predict_log_runtime_into(&server.towers, &[obs], &mut row);
-            oracle.push(row.row(0), obs.log_runtime(), pool);
+            let kept: Vec<f32> = heads.iter().map(|&h| row.row(0)[h]).collect();
+            oracle.push(&kept, obs.log_runtime(), pool);
         }
-        // Entries in order, then every head's sorted scores, as bits.
+        // Entries in order, then every kept head's sorted scores, as bits.
         let bits = |w: &WindowedScores| {
             let to_bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
             let entries: Vec<_> = w.entries().map(|(s, pool)| (to_bits(s), pool)).collect();
-            let sorted: Vec<_> = (0..w.n_heads())
-                .map(|h| to_bits(w.scored().sorted_scores(h)))
+            let sorted: Vec<_> = w
+                .heads()
+                .iter()
+                .map(|&h| to_bits(w.scored().sorted_scores(h)))
                 .collect();
             (entries, sorted)
         };
         assert_eq!(bits(&server.window), bits(&oracle));
         assert_eq!(server.window.scored(), oracle.scored(), "per-pool slices");
         assert_eq!(server.window_clock(), clock + 1);
+    }
+
+    /// A server whose window keeps every head: the oracle a kept-heads
+    /// server is pinned to.
+    fn all_heads(trained: &TrainedPitot, dataset: &Dataset, cfg: &ServeConfig) -> PitotServer {
+        let heads: Vec<usize> = (0..trained.model.n_heads()).collect();
+        PitotServer::shared(
+            Arc::new(trained.clone()),
+            Arc::new(dataset.clone()),
+            Arc::new(trained.tower_cache(dataset)),
+            cfg.clone(),
+            &heads,
+        )
+    }
+
+    /// Feeds `stream` to a kept-heads server in batches of the given sizes
+    /// (cycled) and to its all-heads oracle one arrival at a time, so the
+    /// oracle judges each arrival with the head its calibration reads at
+    /// that moment, and checks after every batch that both responded alike
+    /// to each arrival and serve the same calibration, and that their fits
+    /// at ε (and, while staleness tracking keeps its head, at the stale
+    /// fallback's ε) agree. Compares `Debug` forms, which print every float
+    /// exactly.
+    fn assert_kept_heads_match_the_oracle(
+        server: &mut PitotServer,
+        oracle: &mut PitotServer,
+        stream: &[Observation],
+        batches: &[usize],
+    ) {
+        assert_eq!(oracle.kept_heads().len(), server.trained.model.n_heads());
+        let mut fits = vec![server.cfg.epsilon];
+        if server.cfg.staleness_threshold > 0 {
+            fits.push(server.cfg.epsilon * ServeConfig::STALE_EPSILON_FACTOR);
+        }
+        let (mut at, mut sizes) = (0, batches.iter().cycle());
+        while at < stream.len() {
+            let end = (at + sizes.next().expect("cycled")).min(stream.len());
+            let batch = || (at..end).map(|t| (t as f64, stream[t].clone()));
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            server.observe_batch(batch(), |r| got.push(format!("{r:?}")));
+            for arrival in batch() {
+                oracle.observe_batch([arrival], |r| want.push(format!("{r:?}")));
+            }
+            assert_eq!(got, want, "arrivals {at}..{end}");
+            assert_eq!(
+                format!("{:?}", server.conformal()),
+                format!("{:?}", oracle.conformal()),
+                "served calibration after arrival {end}"
+            );
+            if !server.window.is_empty() {
+                for &eps in &fits {
+                    assert_eq!(
+                        format!("{:?}", server.fit_window(eps)),
+                        format!("{:?}", oracle.fit_window(eps)),
+                        "fit at {eps} after arrival {end}"
+                    );
+                }
+            }
+            at = end;
+        }
+    }
+
+    #[test]
+    fn an_unguarded_server_matches_the_all_heads_oracle() {
+        // Arrivals before the first calibration read the uncalibrated
+        // highest head, which the window does not keep; the window then
+        // fills and slides through pool changes.
+        let (dataset, split, trained) = fixture(0);
+        let mut cfg = ServeConfig::at(0.1);
+        cfg.window = 96;
+        cfg.staleness_threshold = cfg.drift_min;
+        let mut server = PitotServer::new(trained.clone(), dataset.clone(), cfg.clone());
+        assert_eq!(
+            server.kept_heads(),
+            [0, 2, 3],
+            "ε 0.1 reads ξ 0.9, ε 0.05 reads ξ 0.95"
+        );
+        let mut oracle = all_heads(&trained, &dataset, &cfg);
+        let stream: Vec<Observation> = split.test[..400]
+            .iter()
+            .map(|&i| dataset.observations[i].clone())
+            .collect();
+        assert_kept_heads_match_the_oracle(&mut server, &mut oracle, &stream, &[1]);
+        assert_eq!(server.stats().refreshes, 400);
+    }
+
+    #[test]
+    fn a_guarded_server_whose_watchdog_fires_matches_the_all_heads_oracle() {
+        let (dataset, split, trained) = fixture(0);
+        let mut cfg = ServeConfig::guarded(0.1);
+        cfg.window = 128;
+        cfg.guard_min_n = 10_000; // no ingest screen: only the rollback purges
+        cfg.guard_mad_k = 3.0;
+        cfg.watchdog_z = 0.5;
+        cfg.watchdog_min = 32;
+        // Each server restores its own donor's window with the newest 40%
+        // of the scores shifted 10 low, so the watchdog fires on the honest
+        // stream they came from.
+        let poisoned = |donor: &mut PitotServer, fresh: &mut PitotServer| {
+            donor.seed_calibration(&split.val);
+            let mut entries: Vec<_> = donor
+                .window
+                .entries()
+                .map(|(scores, pool)| (scores.to_vec(), pool))
+                .collect();
+            let cut = entries.len() - entries.len() * 2 / 5;
+            for (scores, _) in &mut entries[cut..] {
+                scores.iter_mut().for_each(|s| *s -= 10.0);
+            }
+            fresh.restore_window(entries, donor.window_clock());
+        };
+        let mut server = PitotServer::new(trained.clone(), dataset.clone(), cfg.clone());
+        poisoned(
+            &mut PitotServer::new(trained.clone(), dataset.clone(), cfg.clone()),
+            &mut server,
+        );
+        let mut oracle = all_heads(&trained, &dataset, &cfg);
+        poisoned(&mut all_heads(&trained, &dataset, &cfg), &mut oracle);
+        let stream: Vec<Observation> = split.val[..300]
+            .iter()
+            .map(|&i| dataset.observations[i].clone())
+            .collect();
+        assert_kept_heads_match_the_oracle(&mut server, &mut oracle, &stream, &[1]);
+        let incidents = server.watchdog_incidents();
+        assert!(incidents.iter().any(|i| i.purged > 0), "{incidents:?}");
+        assert_eq!(
+            format!("{incidents:?}"),
+            format!("{:?}", oracle.watchdog_incidents())
+        );
+        let records = |s: &PitotServer| format!("{:?}", s.quarantine_records().collect::<Vec<_>>());
+        assert_eq!(records(&server), records(&oracle));
+    }
+
+    #[test]
+    fn an_installed_fit_on_unkept_heads_matches_the_all_heads_oracle() {
+        // A fit selected on a validation set, whose pools read heads the
+        // window does not keep: each arrival scores its pool's head beside
+        // the kept ones until a refresh replaces the fit, mid-batch too.
+        let (dataset, split, trained) = fixture(0);
+        let mut cfg = ServeConfig::at(0.1);
+        cfg.window = 128;
+        cfg.refresh_every = 8;
+        let (cal, val) = split.val.split_at(split.val.len() / 2);
+        let set = |idx: &[usize], preds| {
+            let targets = idx
+                .iter()
+                .map(|&i| dataset.observations[i].log_runtime())
+                .collect();
+            let pools = idx
+                .iter()
+                .map(|&i| cfg.pool_key(dataset.observations[i].interferers.len()))
+                .collect();
+            (preds, targets, pools)
+        };
+        let (cal_preds, cal_targets, cal_pools): (Vec<Vec<f32>>, Vec<f32>, Vec<usize>) =
+            set(cal, trained.predict_log_runtime(&dataset, cal));
+        let (mut val_preds, val_targets, val_pools): (Vec<Vec<f32>>, Vec<f32>, Vec<usize>) =
+            set(val, trained.predict_log_runtime(&dataset, val));
+        // Lower head 1 on pool 0 and head 3 elsewhere, far enough that
+        // those bounds overprovision nothing on validation.
+        for (i, &pool) in val_pools.iter().enumerate() {
+            val_preds[if pool == 0 { 1 } else { 3 }][i] -= 10.0;
+        }
+        let view = |p: &[Vec<f32>], t: &[f32], k: &[usize]| {
+            ScoredCalibration::new(&PredictionSet {
+                predictions: p,
+                targets_log: t,
+                pools: k,
+            })
+        };
+        let fit = PooledConformal::fit_scored(
+            &view(&cal_preds, &cal_targets, &cal_pools),
+            &PredictionSet {
+                predictions: &val_preds,
+                targets_log: &val_targets,
+                pools: &val_pools,
+            },
+            &trained.model.config().objective.xis(),
+            HeadSelection::TightestOnValidation,
+            0.1,
+        );
+        let mut server = PitotServer::new(trained.clone(), dataset.clone(), cfg.clone());
+        let mut oracle = all_heads(&trained, &dataset, &cfg);
+        let heads = server.kept_heads().to_vec();
+        let read: Vec<usize> = std::iter::once(fit.calibration_for(usize::MAX).head)
+            .chain(fit.pool_calibrations().values().map(|p| p.head))
+            .collect();
+        assert!(
+            read.iter().any(|h| !heads.contains(h)),
+            "{read:?} vs kept {heads:?}"
+        );
+        for s in [&mut server, &mut oracle] {
+            s.seed_calibration(&split.val);
+            s.install_calibration(fit.clone());
+        }
+        let stream: Vec<Observation> = split.test[..200]
+            .iter()
+            .map(|&i| dataset.observations[i].clone())
+            .collect();
+        // Batches straddle the refresh cadence, so a batch scored under the
+        // installed fit is judged partly under its refit.
+        assert_kept_heads_match_the_oracle(&mut server, &mut oracle, &stream, &[5, 1, 11, 3]);
     }
 }

@@ -54,7 +54,7 @@ mod workload;
 pub use config::TestbedConfig;
 pub use device::{Device, DeviceClass, Microarch};
 pub use features::{FeatureConfig, Features};
-pub use observe::{Dataset, Observation, MAX_INTERFERERS};
+pub use observe::{Dataset, Observation, Observations, MAX_INTERFERERS};
 pub use runtime::{RuntimeConfig, RuntimeKind};
 pub use shift::{arity_shift_split, device_arrival, DeviceArrival};
 pub use stats::DatasetStats;

@@ -13,6 +13,7 @@ use pitot_linalg::Matrix;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Maximum number of *interfering* workloads per observation (4-way set =
 /// 1 primary + 3 interferers).
@@ -43,11 +44,70 @@ impl Observation {
     }
 }
 
+/// A dataset's observation list, shared between clones of the dataset: a
+/// clone copies a pointer, so a server or a fleet built over a caller's
+/// dataset holds no second copy of its observations. Reads go straight to
+/// the one list; the first write through a clone (an append, a compaction,
+/// an edit) copies the list for that clone alone.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Observations(Arc<Vec<Observation>>);
+
+impl std::ops::Deref for Observations {
+    type Target = Vec<Observation>;
+
+    fn deref(&self) -> &Vec<Observation> {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Observations {
+    fn deref_mut(&mut self) -> &mut Vec<Observation> {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl From<Vec<Observation>> for Observations {
+    fn from(list: Vec<Observation>) -> Self {
+        Self(Arc::new(list))
+    }
+}
+
+impl<'a> IntoIterator for &'a Observations {
+    type Item = &'a Observation;
+    type IntoIter = std::slice::Iter<'a, Observation>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Observations {
+    type Item = &'a mut Observation;
+    type IntoIter = std::slice::IterMut<'a, Observation>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Arc::make_mut(&mut self.0).iter_mut()
+    }
+}
+
+impl Serialize for Observations {
+    fn serialize(&self) -> serde::json::Value {
+        self.0.serialize()
+    }
+}
+
+impl Deserialize for Observations {
+    fn deserialize(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
+        Vec::deserialize(v).map(Self::from)
+    }
+}
+
 /// A collected dataset: observations plus the side-information matrices.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dataset {
-    /// All usable observations (isolation first, then interference).
-    pub observations: Vec<Observation>,
+    /// All usable observations (isolation first, then interference), shared
+    /// between clones of the dataset (see [`Observations`]).
+    pub observations: Observations,
     /// Workload features `x_w` (`Nw × Fw`): log-transformed opcode counts.
     pub workload_features: Matrix,
     /// Platform features `x_p` (`Np × Fp`): one-hot runtime/microarch plus
@@ -175,7 +235,7 @@ impl Testbed {
 
         let feats = Features::build(self, features);
         Dataset {
-            observations,
+            observations: observations.into(),
             workload_features: feats.workload,
             platform_features: feats.platform,
             n_workloads: workloads.len(),
@@ -198,6 +258,27 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_observations_until_one_writes() {
+        let ds = small_dataset();
+        let mut clone = ds.clone();
+        assert!(std::ptr::eq(
+            ds.observations.as_slice(),
+            clone.observations.as_slice()
+        ));
+        clone.observations[0].runtime_s *= 2.0;
+        clone.observations.push(ds.observations[1].clone());
+        assert!(!std::ptr::eq(
+            ds.observations.as_slice(),
+            clone.observations.as_slice()
+        ));
+        assert_eq!(clone.observations.len(), ds.observations.len() + 1);
+        assert_eq!(
+            clone.observations[0].runtime_s,
+            2.0 * ds.observations[0].runtime_s
+        );
+    }
+
+    #[test]
     fn has_all_interference_modes() {
         let ds = small_dataset();
         for k in 0..=MAX_INTERFERERS {
@@ -215,7 +296,7 @@ mod tests {
     #[test]
     fn runtimes_within_window_and_positive() {
         let ds = small_dataset();
-        for o in &ds.observations {
+        for o in ds.observations.iter() {
             assert!(o.runtime_s > 0.0);
             assert!(o.runtime_s <= 30.0);
             assert!(o.log_runtime().is_finite());
@@ -227,7 +308,7 @@ mod tests {
         let ds = small_dataset();
         let mut w_seen = vec![false; ds.n_workloads];
         let mut p_seen = vec![false; ds.n_platforms];
-        for o in &ds.observations {
+        for o in ds.observations.iter() {
             w_seen[o.workload as usize] = true;
             p_seen[o.platform as usize] = true;
         }
@@ -244,7 +325,7 @@ mod tests {
     #[test]
     fn interferers_are_distinct_and_exclude_primary() {
         let ds = small_dataset();
-        for o in &ds.observations {
+        for o in ds.observations.iter() {
             let mut ks = o.interferers.clone();
             ks.sort_unstable();
             ks.dedup();

@@ -186,7 +186,7 @@ mod tests {
     #[should_panic(expected = "empty dataset")]
     fn rejects_empty_dataset() {
         let ds = Dataset {
-            observations: vec![],
+            observations: Vec::new().into(),
             workload_features: pitot_linalg::Matrix::zeros(1, 1),
             platform_features: pitot_linalg::Matrix::zeros(1, 1),
             n_workloads: 1,
