@@ -226,7 +226,7 @@ impl CompressedTower {
     /// lives entirely on the plane, so this is the dense inference path.
     pub fn tower_cache(&self, dataset: &Dataset) -> TowerCache {
         let (w, p_full) = self.model.infer_towers(dataset);
-        TowerCache { w, p_full }
+        TowerCache::new(w, p_full)
     }
 
     /// Bytes the compressed tower weights occupy in a deployment format:
@@ -324,8 +324,8 @@ mod tests {
         let (ds, t) = trained();
         let dense = t.tower_cache(&ds);
         let via_spec = t.compressed_tower_cache(&ds, &CompressionSpec::none());
-        assert_eq!(dense.w, via_spec.w);
-        assert_eq!(dense.p_full, via_spec.p_full);
+        assert_eq!(dense.w(), via_spec.w());
+        assert_eq!(dense.p_full(), via_spec.p_full());
     }
 
     #[test]
@@ -333,10 +333,10 @@ mod tests {
         let (ds, t) = trained();
         let dense = t.tower_cache(&ds);
         let scale = dense
-            .w
+            .w()
             .as_slice()
             .iter()
-            .chain(dense.p_full.as_slice())
+            .chain(dense.p_full().as_slice())
             .fold(0.0f32, |m, &v| m.max(v.abs()))
             .max(1.0);
         for spec in [
@@ -345,14 +345,15 @@ mod tests {
             CompressionSpec::pruned_int8(0.3),
         ] {
             let c = t.compressed_tower_cache(&ds, &spec);
-            assert_eq!(c.w.shape(), dense.w.shape());
-            assert_eq!(c.p_full.shape(), dense.p_full.shape());
-            let max_err =
-                c.w.as_slice()
-                    .iter()
-                    .zip(dense.w.as_slice())
-                    .chain(c.p_full.as_slice().iter().zip(dense.p_full.as_slice()))
-                    .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
+            assert_eq!(c.w().shape(), dense.w().shape());
+            assert_eq!(c.p_full().shape(), dense.p_full().shape());
+            let max_err = c
+                .w()
+                .as_slice()
+                .iter()
+                .zip(dense.w().as_slice())
+                .chain(c.p_full().as_slice().iter().zip(dense.p_full().as_slice()))
+                .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
             // Lossy but bounded: compression error stays small relative to
             // the tower output scale (conformal recalibration absorbs it).
             assert!(
@@ -371,8 +372,8 @@ mod tests {
         for spec in [CompressionSpec::int8(), CompressionSpec::pruned_int8(0.5)] {
             let a = t.compressed_tower_cache(&ds, &spec);
             let b = t.compressed_tower_cache(&ds, &spec);
-            assert_eq!(a.w, b.w, "{}", spec.name());
-            assert_eq!(a.p_full, b.p_full, "{}", spec.name());
+            assert_eq!(a.w(), b.w(), "{}", spec.name());
+            assert_eq!(a.p_full(), b.p_full(), "{}", spec.name());
         }
     }
 

@@ -43,6 +43,7 @@
 // API; keep it that way (CI builds rustdoc with `-D warnings`).
 #![deny(missing_docs)]
 
+mod completed;
 mod compress;
 mod config;
 mod eval;
@@ -51,13 +52,15 @@ mod scaling;
 mod train;
 mod uncertainty;
 
+pub use completed::tables_filled;
 pub use compress::{CompressedTower, CompressionLevel, CompressionSpec};
 pub use config::{InterferenceMode, LossSpace, Objective, OptimizerKind, PitotConfig};
 pub use eval::{mape, mape_by_mode};
 pub use model::{PitotModel, PlatformEmbeddings, TowerOutputs};
-/// The row-major matrix [`TrainedPitot::predict_log_runtime_into`] and
-/// [`TrainedPitot::predict_log_heads_into`] write, so a caller can
-/// keep one as a reused read buffer.
+/// The row-major matrix [`TrainedPitot::predict_log_runtime_into`],
+/// [`TrainedPitot::predict_log_heads_into`] and
+/// [`TrainedPitot::lookup_log_heads_into`] write, so a caller can keep one
+/// as a reused read buffer.
 pub use pitot_linalg::Matrix;
 pub use scaling::ScalingBaseline;
 pub use train::{train, train_from, TowerCache, TrainContext, TrainProgress, TrainedPitot};

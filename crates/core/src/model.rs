@@ -12,6 +12,7 @@
 //! Gradients land in a [`GradPlane`] of identical layout, so the optimizer
 //! step is a single fused pass over contiguous buffers.
 
+use crate::completed::{Computed, Entries, Source};
 use crate::config::{InterferenceMode, PitotConfig};
 use pitot_linalg::{MatRef, Matrix};
 use pitot_nn::{Activation, GradPlane, Mlp, MlpCache, ParamRange, ParamStore, ParamStoreBuilder};
@@ -380,24 +381,27 @@ impl PitotModel {
     /// read passes head 0 and its bound head. Heads share no arithmetic, so
     /// a head's value is bitwise the same whichever others are scored.
     ///
+    /// The inner products come from `products`: computed from the tower
+    /// outputs, or looked up in a tower cache's tables, which hold the same
+    /// `dot` results (see [`crate::completed`]). The sums run in one order
+    /// whichever source is read, so the two give bitwise the same `ŷ`.
+    ///
     /// `sink` receives `(k, type, m_t, s_t)` — the interferer sum
     /// `m_t = Σₖ ⟨wₖ, v_g⁽ᵗ⁾⟩` and `s_t = ⟨wᵢ, vₛ⁽ᵗ⁾⟩` — for every term of
     /// the interference sum, at the point where both are known. Training
     /// records them for its gradient pass; every read passes a no-op.
     ///
-    /// Bounds are asserted here so every entry point shares the same
-    /// catalog checks.
+    /// Bounds are asserted here, before any inner product is read, so every
+    /// entry point and both sources share the same catalog checks.
     #[inline]
     fn predict_obs(
         &self,
-        w: &Matrix,
-        p_full: &Matrix,
+        products: &impl Source,
         o: &Observation,
         heads: impl IntoIterator<Item = usize>,
         mut emit: impl FnMut(usize, f32),
         mut sink: impl FnMut(usize, usize, f32, f32),
     ) {
-        let r = self.config.embed_dim;
         let s = self.config.interference_types;
         let aware = self.config.interference == InterferenceMode::Aware;
         let act = self.config.interference_activation;
@@ -405,38 +409,46 @@ impl PitotModel {
         let i = o.workload as usize;
         let j = o.platform as usize;
         assert!(
-            i < w.rows(),
+            i < products.workloads(),
             "workload index {i} outside the trained catalog"
         );
         assert!(
-            j < p_full.rows(),
+            j < products.platforms(),
             "platform index {j} outside the trained catalog"
         );
         assert!(
-            o.interferers.iter().all(|&k| (k as usize) < w.rows()),
+            o.interferers
+                .iter()
+                .all(|&k| (k as usize) < products.workloads()),
             "interferer index outside the trained catalog"
         );
-        let p_row = p_full.row(j);
-        let p_j = &p_row[..r];
         for (slot, h) in heads.into_iter().enumerate() {
-            let w_i = &w.row(i)[h * r..(h + 1) * r];
-            let mut pred = dot(w_i, p_j);
+            let e = products.entries(j, h);
+            let mut pred = e.base(i);
             if aware && !o.interferers.is_empty() {
                 for t in 0..s {
-                    let vs_t = &p_row[r + t * r..r + (t + 1) * r];
-                    let vg_t = &p_row[r + s * r + t * r..r + s * r + (t + 1) * r];
                     let mut m_t = 0.0;
                     for &k in &o.interferers {
-                        let w_k = &w.row(k as usize)[h * r..(h + 1) * r];
-                        m_t += dot(w_k, vg_t);
+                        m_t += e.magnitude(k as usize, t);
                     }
-                    let s_t = dot(w_i, vs_t);
+                    let s_t = e.susceptibility(i, t);
                     sink(slot, t, m_t, s_t);
                     pred += s_t * act.apply(m_t);
                 }
             }
             emit(slot, pred);
         }
+    }
+
+    /// The inner products of tower outputs `w` and `p_full`, computed as
+    /// the kernel reads them.
+    pub(crate) fn computed<'a>(&self, w: &'a Matrix, p_full: &'a Matrix) -> Computed<'a> {
+        Computed::new(
+            w,
+            p_full,
+            self.config.embed_dim,
+            self.config.interference_types,
+        )
     }
 
     /// Batched residual prediction of every head, row-parallel over
@@ -467,23 +479,23 @@ impl PitotModel {
         out: &mut Matrix,
     ) {
         let n_heads = self.n_heads();
+        let products = self.computed(w, p_full);
         rows_into(n, n_heads, out, |b, y| {
-            self.predict_row(w, p_full, row(b), 0..n_heads, y);
+            self.predict_row(&products, row(b), 0..n_heads, y);
         });
     }
 
     /// The residuals of the heads `heads` for one observation, written to
     /// `out` in the order `heads` names them: the row kernel of every
-    /// batched read.
+    /// batched read, from either source of inner products.
     pub(crate) fn predict_row(
         &self,
-        w: &Matrix,
-        p_full: &Matrix,
+        products: &impl Source,
         o: &Observation,
         heads: impl IntoIterator<Item = usize>,
         out: &mut [f32],
     ) {
-        self.predict_obs(w, p_full, o, heads, |k, y| out[k] = y, |_, _, _, _| {});
+        self.predict_obs(products, o, heads, |k, y| out[k] = y, |_, _, _, _| {});
     }
 
     /// Training's forward pass over a mode batch: per-head predictions into
@@ -510,11 +522,11 @@ impl PitotModel {
         }
         mcache.clear();
         mcache.resize(idx.len() * per_obs, 0.0);
+        let products = self.computed(w, p_full);
         for (b, &oi) in idx.iter().enumerate() {
             let slots = &mut mcache[b * per_obs..(b + 1) * per_obs];
             self.predict_obs(
-                w,
-                p_full,
+                &products,
                 &dataset.observations[oi],
                 0..n_heads,
                 |h, pred| out[h].push(pred),
@@ -719,8 +731,6 @@ impl PitotModel {
     }
 }
 
-use pitot_linalg::dot;
-
 /// Head predictions per parallel chunk of a batched read: 64 rows of the
 /// paper's 8 heads, or 256 rows of a two-head read. Each head is a few
 /// dozen FLOPs at least, so this keeps dispatch overhead well under the
@@ -758,6 +768,7 @@ fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
 mod tests {
     use super::*;
     use crate::{LossSpace, Objective, PitotConfig, ScalingBaseline};
+    use pitot_linalg::dot;
     use pitot_testbed::{split::Split, Testbed, TestbedConfig};
     use rand::Rng;
 

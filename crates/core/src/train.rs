@@ -13,6 +13,7 @@
 //! steps. Warm-start and fine-tune runs build the context once and keep
 //! stepping, amortizing the setup cost that otherwise dominates short runs.
 
+use crate::completed::{Source, Tables};
 use crate::config::{InterferenceMode, LossSpace, Objective, PitotConfig};
 use crate::model::{rows_into, PitotModel, TowerOutputs};
 use crate::scaling::ScalingBaseline;
@@ -33,14 +34,46 @@ pub struct TrainProgress {
     pub val_loss: f32,
 }
 
-/// Pre-computed tower outputs for repeated query prediction
-/// (see [`TrainedPitot::tower_cache`]).
+/// Pre-computed tower outputs for repeated query prediction (see
+/// [`TrainedPitot::tower_cache`]), with the memo of the completed matrix
+/// that lookup reads fill ([`TrainedPitot::lookup_log_heads_into`]): per
+/// (platform, head), a table of the inner products the prediction kernel
+/// reads, filled the first time a lookup read touches it.
+///
+/// The fields are private and a cache never changes after it is built, so
+/// no table outlives the towers it was filled from. A new model (a
+/// fine-tune, a compression level) gets a new cache, whose tables start
+/// empty.
 #[derive(Debug, Clone)]
 pub struct TowerCache {
     /// Workload tower output (`Nw × r·n_heads`).
-    pub w: pitot_linalg::Matrix,
+    w: Matrix,
     /// Platform tower output (`Np × r·(1+2s)`).
-    pub p_full: pitot_linalg::Matrix,
+    p_full: Matrix,
+    tables: Tables,
+}
+
+impl TowerCache {
+    /// A cache over tower outputs, with empty tables.
+    pub(crate) fn new(w: Matrix, p_full: Matrix) -> Self {
+        Self {
+            w,
+            p_full,
+            tables: Tables::default(),
+        }
+    }
+
+    /// The workload tower output (`Nw × r·n_heads`).
+    #[cfg(test)]
+    pub(crate) fn w(&self) -> &Matrix {
+        &self.w
+    }
+
+    /// The platform tower output (`Np × r·(1+2s)`).
+    #[cfg(test)]
+    pub(crate) fn p_full(&self) -> &Matrix {
+        &self.p_full
+    }
 }
 
 /// A trained Pitot model with its scaling baseline and training history.
@@ -634,7 +667,7 @@ impl TrainedPitot {
     /// decision via [`TrainedPitot::predict_log_runtime_into`].
     pub fn tower_cache(&self, dataset: &Dataset) -> TowerCache {
         let (w, p_full) = self.model.infer_towers(dataset);
-        TowerCache { w, p_full }
+        TowerCache::new(w, p_full)
     }
 
     /// Log-runtime predictions for arbitrary (possibly synthetic)
@@ -694,17 +727,17 @@ impl TrainedPitot {
         row: impl Fn(usize) -> &'o Observation + Sync,
         out: &mut Matrix,
     ) {
+        let products = self.model.computed(&towers.w, &towers.p_full);
         rows_into(n, self.model.n_heads(), out, |b, y| {
-            self.every_head_row(towers, row(b), y)
+            self.every_head_row(&products, row(b), y)
         });
     }
 
     /// Every head's log-runtime prediction for `o` into `y`, sorted under
     /// rearrangement.
-    fn every_head_row(&self, towers: &TowerCache, o: &Observation, y: &mut [f32]) {
+    fn every_head_row(&self, products: &impl Source, o: &Observation, y: &mut [f32]) {
         let n_heads = self.model.n_heads();
-        self.model
-            .predict_row(&towers.w, &towers.p_full, o, 0..n_heads, y);
+        self.model.predict_row(products, o, 0..n_heads, y);
         self.to_log_runtime(o, y);
         if self.model.config().rearrange_quantiles {
             // `total_cmp` is a total order, so the sorted row is
@@ -719,13 +752,16 @@ impl TrainedPitot {
     /// then the head `bound_head(obs[b])`. Each value is bitwise that head's
     /// column of the [`TrainedPitot::predict_log_runtime_into`] row, but
     /// only the named heads are scored: a bound head already in `heads` is
-    /// copied, not scored twice. At 8 heads, r = 32 and s = 2, an arity-3
-    /// row of a served answer (`heads = [0]`, the point head, plus the head
-    /// its bound adds its offset to, the one
+    /// copied, not scored twice. A head of a row with `n ≥ 1` interferers
+    /// costs `1 + s(n + 1)` length-r dot products (an isolated row, one),
+    /// so at 8 heads and s = 2 an
+    /// arity-3 row of a served answer (`heads = [0]`, the point head, plus
+    /// the head its bound adds its offset to, the one
     /// [`PooledConformal::calibration_for`](pitot_conformal::PooledConformal::calibration_for)
-    /// names for the row's pool) takes 18 length-r dot products instead of
+    /// names for the row's pool) takes 18 instead of the every-head read's
     /// 72. A serving window's observation passes its kept heads as
-    /// `heads`.
+    /// `heads`. [`TrainedPitot::lookup_log_heads_into`] is the same read
+    /// with every dot product looked up instead.
     ///
     /// Under [`PitotConfig::rearrange_quantiles`] the per-row sort mixes
     /// heads, so every head is scored and sorted first and the named columns
@@ -735,10 +771,58 @@ impl TrainedPitot {
     ///
     /// # Panics
     ///
-    /// Panics if `heads` is not strictly ascending below the head count.
+    /// Panics if `heads` is not strictly ascending below the head count, or
+    /// if a row indexes outside the catalog `towers` was built over.
     pub fn predict_log_heads_into<O: Borrow<Observation> + Sync>(
         &self,
         towers: &TowerCache,
+        obs: &[O],
+        heads: &[usize],
+        bound_head: impl Fn(&Observation) -> usize + Sync,
+        out: &mut Matrix,
+    ) {
+        let products = self.model.computed(&towers.w, &towers.p_full);
+        self.log_heads_into(&products, obs, heads, bound_head, out);
+    }
+
+    /// [`TrainedPitot::predict_log_heads_into`], bitwise, with every inner
+    /// product looked up in the completed matrix `towers` memoizes instead
+    /// of computed: the read of a caller whose rows fall on few platforms,
+    /// such as a placement decision on a site.
+    ///
+    /// The first read of a row on platform `j` scored by head `h` fills
+    /// that (platform, head)'s table: for every workload, the `1 + 2s`
+    /// inner products `⟨wᵢ, pⱼ⟩`, `⟨wᵢ, vₛ⁽ᵗ⁾⟩` and `⟨wᵢ, v_g⁽ᵗ⁾⟩`, each
+    /// from the same `dot` call on the same slices as the computed read
+    /// (1,260 B at 63 workloads and s = 2). From then on a head of a row
+    /// with `n ≥ 1` interferers is `1 + s(n + 1)` lookups and adds, summed
+    /// in the computed read's order. Tables live as long as `towers`, and a
+    /// new model's cache starts with none. Once its tables are filled, a
+    /// read allocates nothing more than the computed read does.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`TrainedPitot::predict_log_heads_into`] does, with the
+    /// same messages, and if `towers` was first read through tables by a
+    /// model with another head count.
+    pub fn lookup_log_heads_into<O: Borrow<Observation> + Sync>(
+        &self,
+        towers: &TowerCache,
+        obs: &[O],
+        heads: &[usize],
+        bound_head: impl Fn(&Observation) -> usize + Sync,
+        out: &mut Matrix,
+    ) {
+        let computed = self.model.computed(&towers.w, &towers.p_full);
+        let products = towers.tables.looked_up(computed, self.model.n_heads());
+        self.log_heads_into(&products, obs, heads, bound_head, out);
+    }
+
+    /// The head-list read of [`TrainedPitot::predict_log_heads_into`] from
+    /// either source of inner products.
+    fn log_heads_into<O: Borrow<Observation> + Sync>(
+        &self,
+        products: &impl Source,
         obs: &[O],
         heads: &[usize],
         bound_head: impl Fn(&Observation) -> usize + Sync,
@@ -757,7 +841,7 @@ impl TrainedPitot {
             let stride = n_heads.max(k + 1);
             rows_into(n, stride, out, |b, y| {
                 let o = row(b);
-                self.every_head_row(towers, o, &mut y[..n_heads]);
+                self.every_head_row(products, o, &mut y[..n_heads]);
                 let bound = y[bound_head(o)];
                 // `heads` ascends, so column `c` reads `y[heads[c]]` before
                 // any column at or past `heads[c]` is written.
@@ -776,7 +860,7 @@ impl TrainedPitot {
             out.resize(n, k + 1);
             return;
         }
-        let (w, p_full) = (&towers.w, &towers.p_full);
+        let model = &self.model;
         rows_into(n, k + 1, out, |b, y| {
             let o = row(b);
             let h = bound_head(o);
@@ -785,19 +869,15 @@ impl TrainedPitot {
             // for: a slice of one costs the read ~15% in a microbenchmark.
             match (heads, heads.iter().position(|&listed| listed == h)) {
                 (&[only], Some(_)) => {
-                    self.model.predict_row(w, p_full, o, [only], &mut y[..1]);
+                    model.predict_row(products, o, [only], &mut y[..1]);
                     y[1] = y[0];
                 }
-                (&[only], None) => self.model.predict_row(w, p_full, o, [only, h], y),
+                (&[only], None) => model.predict_row(products, o, [only, h], y),
                 (_, Some(c)) => {
-                    self.model
-                        .predict_row(w, p_full, o, heads.iter().copied(), &mut y[..k]);
+                    model.predict_row(products, o, heads.iter().copied(), &mut y[..k]);
                     y[k] = y[c];
                 }
-                (_, None) => {
-                    self.model
-                        .predict_row(w, p_full, o, heads.iter().copied().chain([h]), y)
-                }
+                (_, None) => model.predict_row(products, o, heads.iter().copied().chain([h]), y),
             }
             self.to_log_runtime(o, y);
         });
@@ -858,11 +938,18 @@ impl TrainedPitot {
 mod tests {
     use super::*;
     use pitot_testbed::{Testbed, TestbedConfig};
+    use std::collections::BTreeSet;
 
     fn setup() -> (Dataset, Split) {
         let ds = Testbed::generate(&TestbedConfig::small()).collect_dataset();
         let split = Split::stratified(&ds, 0.6, 0);
         (ds, split)
+    }
+
+    /// [`setup`]'s dataset and split, generated once per test binary.
+    fn fixture() -> &'static (Dataset, Split) {
+        static FIXTURE: std::sync::OnceLock<(Dataset, Split)> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(setup)
     }
 
     #[test]
@@ -1246,10 +1333,10 @@ mod tests {
             }
             m
         };
-        let towers = TowerCache {
-            w: fill(ds.n_workloads, r * n_heads),
-            p_full: fill(ds.n_platforms, r * (1 + 2 * s)),
-        };
+        let towers = TowerCache::new(
+            fill(ds.n_workloads, r * n_heads),
+            fill(ds.n_platforms, r * (1 + 2 * s)),
+        );
         let obs: Vec<Observation> = (0..40)
             .map(|b| Observation {
                 workload: rng.gen_range(0..ds.n_workloads as u32),
@@ -1328,6 +1415,103 @@ mod tests {
                     .collect();
                 let got: Vec<u32> = read.row(b).iter().map(|y| y.to_bits()).collect();
                 proptest::prop_assert_eq!(got, want, "row {} heads {:?}", b, list);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The lookup read is bitwise the computed read: random untrained
+        /// models under every interference mode, four interference
+        /// activations, rearrangement on or off, and dense, int8 and
+        /// pruned-int8 towers. Rows carry 0..=`MAX_INTERFERERS`
+        /// interferers from a pool of five workloads, so ids repeat within
+        /// a row. Every head is read as a listed head and as a row's bound
+        /// head. Each (platform, head) table is filled once: a second pass
+        /// fills none.
+        #[test]
+        fn lookup_read_is_the_computed_read_bitwise(
+            seed in 0u64..u64::MAX,
+            mode in 0usize..3,
+            activation in 0usize..4,
+            heads in 0usize..3,
+            rearrange in 0usize..2,
+            towers in 0usize..3,
+            r in 1usize..12,
+            s in 1usize..4,
+        ) {
+            use crate::{CompressionSpec, InterferenceMode::*};
+            use pitot_nn::Activation;
+            let n_heads = [1, 2, 8][heads];
+            let (ds, split) = fixture();
+            let cfg = PitotConfig {
+                seed,
+                embed_dim: r,
+                interference_types: s,
+                interference: [Ignore, Aware, Discard][mode],
+                interference_activation: [
+                    Activation::LeakyRelu(0.1),
+                    Activation::Gelu,
+                    Activation::Tanh,
+                    Activation::Relu,
+                ][activation],
+                rearrange_quantiles: rearrange == 1,
+                objective: Objective::Quantiles(
+                    (1..=n_heads)
+                        .map(|h| h as f32 / (n_heads + 1) as f32)
+                        .collect(),
+                ),
+                ..PitotConfig::tiny()
+            };
+            let trained = TrainedPitot {
+                model: PitotModel::new(&cfg, ds),
+                scaling: ScalingBaseline::fit(ds, &split.train),
+                history: Vec::new(),
+                split: split.clone(),
+            };
+            let spec = [
+                CompressionSpec::none(),
+                CompressionSpec::int8(),
+                CompressionSpec::pruned_int8(0.3),
+            ][towers];
+            let cache = trained.compressed_tower_cache(ds, &spec);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7AB1E);
+            let obs: Vec<Observation> = (0..48)
+                .map(|b| Observation {
+                    workload: rng.gen_range(0..ds.n_workloads as u32),
+                    platform: rng.gen_range(0..ds.n_platforms as u32),
+                    interferers: (0..b % (MAX_INTERFERERS + 1))
+                        .map(|_| rng.gen_range(0..5))
+                        .collect(),
+                    runtime_s: 1.0,
+                })
+                .collect();
+            let every: Vec<usize> = (0..n_heads).collect();
+            let bits = |m: &Matrix| m.as_slice().iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+            let (mut computed, mut looked_up) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            let before = crate::tables_filled();
+            for pass in 0..2 {
+                for shift in 0..n_heads {
+                    let bound_head = |o: &Observation| (o.workload as usize + shift) % n_heads;
+                    for list in [&every[..], &[0][..]] {
+                        trained.predict_log_heads_into(&cache, &obs, list, bound_head, &mut computed);
+                        trained.lookup_log_heads_into(&cache, &obs, list, bound_head, &mut looked_up);
+                        proptest::prop_assert_eq!(looked_up.shape(), computed.shape());
+                        proptest::prop_assert_eq!(
+                            bits(&looked_up),
+                            bits(&computed),
+                            "heads {:?}, shift {}",
+                            list,
+                            shift
+                        );
+                    }
+                }
+                let platforms: BTreeSet<u32> = obs.iter().map(|o| o.platform).collect();
+                proptest::prop_assert_eq!(
+                    crate::tables_filled() - before,
+                    (platforms.len() * n_heads) as u64,
+                    "pass {}",
+                    pass
+                );
             }
         }
     }

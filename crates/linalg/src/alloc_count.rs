@@ -32,10 +32,11 @@ pub(crate) fn record_len(len: usize) {
 }
 
 /// Records a fresh numeric-plane allocation made *outside* this crate (the
-/// flat parameter/gradient/moment planes in `pitot-nn`), so the zero-alloc
+/// flat parameter/gradient/moment planes in `pitot-nn`, and the tables of
+/// inner products `pitot`'s lookup reads fill), so the zero-alloc
 /// assertions cover the full optimizer step — forward, backward, and the
-/// fused update — not just the matrix products. Zero-length buffers are not
-/// counted.
+/// fused update — and a warm read, not just the matrix products.
+/// Zero-length buffers are not counted.
 #[inline]
 pub fn record_buffer(len: usize) {
     record_len(len);

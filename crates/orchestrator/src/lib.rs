@@ -19,8 +19,10 @@
 //!   ([`ScalingPredictor`]), or via a trained Pitot model with optional
 //!   conformal bounds ([`PitotPredictor`], which computes the towers once
 //!   and reads each query's median head, plus the head its pool's bound is
-//!   calibrated on, from `pitot::TrainedPitot::predict_log_heads_into`)
-//!   — one row at a time, or a whole [`QueryBatch`] of rows in one read;
+//!   calibrated on, from `pitot::TrainedPitot::lookup_log_heads_into`,
+//!   whose inner products come from per-(platform, head) tables it fills
+//!   once) — one row at a time, or a whole [`QueryBatch`] of rows in one
+//!   read;
 //! - a [`PlacementPolicy`] (the pluggable trait) turns predictions into
 //!   placement decisions; [`BaselinePolicy`] ships the built-in family
 //!   (random / least-loaded / greedy-fastest / deadline-aware), and the

@@ -226,14 +226,17 @@ impl RuntimePredictor for ScalingPredictor {
 /// Pitot-backed predictor with optional conformal bounds.
 ///
 /// Tower outputs are computed once at construction and reused for every
-/// query, so per-placement cost is a handful of dot products (the paper's
-/// ≈400 kFLOP inference cost is dominated by the towers, which are shared
-/// across queries here). A batched read, such as the rows of one placement
-/// decision, is one [`TrainedPitot::predict_log_heads_into`] pass
-/// over query rows and a prediction matrix the predictor reuses, scoring
-/// the median head and, for a bound, the one head the row's pool is
-/// calibrated on; a single-row read is a batch of one, so both answer
-/// bitwise alike.
+/// query (the paper's ≈400 kFLOP inference cost is dominated by the
+/// towers, which are shared across queries here). Every read looks its
+/// inner products up in the completed-matrix tables of that tower cache
+/// ([`TrainedPitot::lookup_log_heads_into`]), filling a (platform, head)'s
+/// table the first time a row needs it, so once a site's tables are
+/// filled a row costs a few lookups and adds per head. A batched read,
+/// such as the rows of one placement decision, is one pass over query rows
+/// and a prediction matrix the predictor reuses, scoring the median head
+/// and, for a bound, the one head the row's pool is calibrated on; a
+/// single-row read is a batch of one, so both answer bitwise alike, and
+/// bitwise as [`TrainedPitot::predict_log_heads_into`] would.
 pub struct PitotPredictor<'a> {
     trained: &'a TrainedPitot,
     towers: TowerCache,
@@ -282,7 +285,7 @@ impl<'a> PitotPredictor<'a> {
     }
 
     /// The one read pass: refills the reused query rows, scores each row in
-    /// one [`TrainedPitot::predict_log_heads_into`] pass, then hands
+    /// one [`TrainedPitot::lookup_log_heads_into`] pass, then hands
     /// each row's answer in seconds to `answer`, in row order. A `bounded`
     /// read answers with the runtime budget: the calibrated bound, read
     /// from the head its pool is calibrated on, or the median head without
@@ -317,7 +320,7 @@ impl<'a> PitotPredictor<'a> {
         // Pools were calibrated per interference count; deeper co-location
         // than the training envelope reuses the deepest pool.
         let pool_of = |o: &Observation| o.interferers.len().min(MAX_INTERFERERS);
-        self.trained.predict_log_heads_into(
+        self.trained.lookup_log_heads_into(
             &self.towers,
             rows,
             &[0],

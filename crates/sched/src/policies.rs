@@ -6,8 +6,9 @@ use pitot_orchestrator::{ClusterView, Job, PlacementPolicy, QueryBatch, RuntimeP
 /// Conformal risk-minimizing placement: scores every candidate by the
 /// **upper edge** of the job's predicted runtime given the site's current
 /// co-location set, plus the induced interference delta on residents (see
-/// [`risk_argmin`]), and places on the argmin. Each decision is one batched
-/// read, into row and read buffers the policy keeps across decisions.
+/// [`risk_argmin`]), and places on the argmin. Each decision is one walk
+/// over the view and one batched read, into row, read and candidate buffers
+/// the policy keeps across decisions.
 ///
 /// With a calibrated predictor at miscoverage ε this minimizes a
 /// quantity the realized runtime exceeds with probability ≲ ε — the
@@ -16,10 +17,11 @@ use pitot_orchestrator::{ClusterView, Job, PlacementPolicy, QueryBatch, RuntimeP
 pub struct ConformalGreedy {
     rows: QueryBatch,
     reads: Vec<f64>,
+    candidates: Vec<usize>,
 }
 
 impl ConformalGreedy {
-    /// A risk scorer with empty row and read buffers.
+    /// A risk scorer with empty row, read and candidate buffers.
     pub fn new() -> Self {
         Self::default()
     }
@@ -39,6 +41,7 @@ impl PlacementPolicy for ConformalGreedy {
             Signal::UpperEdge,
             &mut self.rows,
             &mut self.reads,
+            &mut self.candidates,
         )
     }
 
@@ -55,10 +58,11 @@ impl PlacementPolicy for ConformalGreedy {
 pub struct PointGreedy {
     rows: QueryBatch,
     reads: Vec<f64>,
+    candidates: Vec<usize>,
 }
 
 impl PointGreedy {
-    /// A point-prediction scorer with empty row and read buffers.
+    /// A point-prediction scorer with empty row, read and candidate buffers.
     pub fn new() -> Self {
         Self::default()
     }
@@ -78,6 +82,7 @@ impl PlacementPolicy for PointGreedy {
             Signal::Point,
             &mut self.rows,
             &mut self.reads,
+            &mut self.candidates,
         )
     }
 

@@ -48,10 +48,12 @@ pub enum Signal {
 ///
 /// Every row the decision needs goes into `rows` first, in scan order:
 /// per candidate, the job's own row, then each resident's row without and
-/// with the newcomer. One batched read
-/// fills `reads`, and the risks are folded from it. Both buffers are the
-/// caller's, so a policy that keeps them allocates nothing per decision
-/// once they have grown. No read is made when every platform is full.
+/// with the newcomer. That pass is the one walk over the view: it records
+/// each candidate's platform index in `candidates`, in ascending order.
+/// One batched read fills `reads`, and the risks are folded from it over
+/// `candidates`. All three buffers are the caller's, so a policy that keeps
+/// them allocates nothing per decision once they have grown. No read is
+/// made when every platform is full.
 ///
 /// # Panics
 ///
@@ -63,15 +65,15 @@ pub fn risk_argmin(
     signal: Signal,
     rows: &mut QueryBatch,
     reads: &mut Vec<f64>,
+    candidates: &mut Vec<usize>,
 ) -> Option<usize> {
-    let candidates = || {
-        view.platforms
-            .iter()
-            .enumerate()
-            .filter(|(_, load)| load.free_slots > 0)
-    };
     rows.clear();
-    for (p, load) in candidates() {
+    candidates.clear();
+    for (p, load) in view.platforms.iter().enumerate() {
+        if load.free_slots == 0 {
+            continue;
+        }
+        candidates.push(p);
         rows.push(job.workload, p, load.running.iter().copied());
         // The resident's interferer set after the placement is everyone on
         // the platform except itself, plus the new job; before, just
@@ -107,7 +109,8 @@ pub fn risk_argmin(
     let mut next = reads.iter().copied();
     let mut read = || next.next().expect("one read per row");
     let mut best: Option<(f64, usize)> = None;
-    for (p, load) in candidates() {
+    for &p in candidates.iter() {
+        let load = &view.platforms[p];
         let own = read();
         let mut induced = 0.0f64;
         for frac in &load.remaining_frac[..load.running.len()] {

@@ -162,6 +162,7 @@ proptest! {
             Signal::UpperEdge,
             &mut QueryBatch::default(),
             &mut Vec::new(),
+            &mut Vec::new(),
         );
         let any_free = view.platforms.iter().any(|p| p.free_slots > 0);
         prop_assert_eq!(got.is_some(), any_free);

@@ -32,7 +32,8 @@ pub struct AdmissionConfig {
     /// realized runtime may simply never arrive — without a bound the
     /// pending map would grow by one entry per unresolved shed forever.
     /// While more than this many shed records are unresolved, the oldest
-    /// unresolved one is dropped (its audit is forfeited; counted in
+    /// unresolved one is dropped, whatever its reason (an infeasibility
+    /// shed's audit is forfeited and counted in
     /// [`AdmissionStats::shed_unaudited`]); resolved ones take no room.
     pub max_shed_pending: usize,
 }
@@ -116,8 +117,13 @@ pub struct AdmissionStats {
     /// Infeasibility-shed queries that would indeed have missed (sheds the
     /// bound got right).
     pub shed_would_have_missed: usize,
-    /// Shed queries whose audit record was evicted before a realized
-    /// runtime arrived (see [`AdmissionConfig::max_shed_pending`]).
+    /// Infeasibility-shed queries whose audit record was evicted before a
+    /// realized runtime arrived (see [`AdmissionConfig::max_shed_pending`]).
+    /// A [`ShedReason::QueueFull`] record holds a slot and is evicted in
+    /// turn too, but it was never going to be audited, so it is not counted
+    /// here. Every infeasibility shed is thus in exactly one place:
+    /// `shed_would_have_met + shed_would_have_missed + shed_unaudited`
+    /// plus the infeasible sheds still pending is `shed_infeasible`.
     pub shed_unaudited: usize,
     /// Queries admitted on a *degraded* bound — one served under stale or
     /// local-fallback calibration (see [`AdmissionQueue::decide`]). Subset
@@ -297,9 +303,11 @@ impl AdmissionQueue {
             while self.live_sheds > self.cfg.max_shed_pending {
                 let (old_id, old_seq) = self.shed_order.pop_front().expect("a live shed is queued");
                 if is_live(&self.pending, old_id, old_seq) {
-                    self.pending.remove(&old_id);
+                    let evicted = self.pending.remove(&old_id).expect("a live record");
                     self.live_sheds -= 1;
-                    self.stats.shed_unaudited += 1;
+                    if evicted.decision == AdmissionDecision::Shed(ShedReason::DeadlineInfeasible) {
+                        self.stats.shed_unaudited += 1;
+                    }
                 }
             }
             // Compacting as the queue reaches twice the cap, not past it,
@@ -457,6 +465,37 @@ mod tests {
         assert_eq!(q.resolve(1, 1.0), Some(false), "A was evicted");
         assert_eq!(q.resolve(3, 1.0), Some(false));
         assert_eq!(q.stats().shed_would_have_met, 3);
+    }
+
+    #[test]
+    fn evicted_queue_full_records_are_not_counted_unaudited() {
+        // Cap 1 on both: id 2 is shed queue-full, then id 3's infeasible
+        // shed evicts it, oldest first; id 4's evicts id 3.
+        let mut q = AdmissionQueue::new(AdmissionConfig {
+            max_backlog: 1,
+            max_shed_pending: 1,
+        });
+        assert_eq!(q.decide(1, 1.0, 5.0, false), AdmissionDecision::Admit);
+        assert_eq!(
+            q.decide(2, 1.0, 5.0, false),
+            AdmissionDecision::Shed(ShedReason::QueueFull)
+        );
+        assert_eq!(q.resolve(1, 1.0), Some(true));
+        assert_eq!(
+            q.decide(3, 9.0, 5.0, false),
+            AdmissionDecision::Shed(ShedReason::DeadlineInfeasible)
+        );
+        assert_eq!(q.resolve(2, 1.0), None, "the queue-full record was evicted");
+        assert_eq!(q.stats().shed_unaudited, 0);
+        q.decide(4, 9.0, 5.0, false);
+        assert_eq!(q.resolve(3, 1.0), None, "the infeasible record was evicted");
+        assert_eq!(q.resolve(4, 1.0), Some(false));
+        let s = *q.stats();
+        assert_eq!(s.shed_unaudited, 1);
+        assert_eq!(
+            s.shed_would_have_met + s.shed_would_have_missed + s.shed_unaudited,
+            s.shed_infeasible
+        );
     }
 
     #[test]
@@ -629,8 +668,7 @@ mod tests {
             // Each pending decision, with the number of sheds decided
             // before it if it is a shed.
             let mut pending: BTreeMap<u64, (AdmissionDecision, Option<usize>)> = BTreeMap::new();
-            let (mut backlog, mut decided, mut sheds) = (0, 0, 0);
-            let (mut resolved_admits, mut evicted, mut evicted_infeasible) = (0, 0, 0);
+            let (mut backlog, mut decided, mut sheds, mut resolved_admits) = (0, 0, 0, 0);
             let grid = |bits: u64| 0.5 * (bits % 8) as f64;
             for op in ops {
                 let id = op % 6;
@@ -665,19 +703,15 @@ mod tests {
                         slot.insert((want, Some(sheds)));
                         sheds += 1;
                         // While more than `max_shed_pending` shed records
-                        // are pending, the oldest pending one is evicted
-                        // unaudited.
+                        // are pending, the oldest pending one is evicted,
+                        // whatever its reason.
                         while pending.values().filter(|r| r.1.is_some()).count() > max_shed_pending {
                             let (&oldest, _) = pending
                                 .iter()
                                 .filter(|(_, r)| r.1.is_some())
                                 .min_by_key(|(_, r)| r.1)
                                 .expect("a pending shed");
-                            let (d, _) = pending.remove(&oldest).expect("found above");
-                            evicted += 1;
-                            if d == AdmissionDecision::Shed(ShedReason::DeadlineInfeasible) {
-                                evicted_infeasible += 1;
-                            }
+                            pending.remove(&oldest);
                         }
                     }
                 }
@@ -691,6 +725,8 @@ mod tests {
                 );
                 proptest::prop_assert_eq!(s.decisions(), decided);
                 proptest::prop_assert_eq!(s.slo_met + s.slo_missed, resolved_admits);
+                // The shed ledger: every infeasibility shed was audited,
+                // evicted unaudited, or is still pending.
                 let pending_infeasible = pending
                     .values()
                     .filter(|(d, _)| *d == AdmissionDecision::Shed(ShedReason::DeadlineInfeasible))
@@ -698,11 +734,10 @@ mod tests {
                 proptest::prop_assert_eq!(
                     s.shed_would_have_met
                         + s.shed_would_have_missed
-                        + evicted_infeasible
+                        + s.shed_unaudited
                         + pending_infeasible,
                     s.shed_infeasible
                 );
-                proptest::prop_assert_eq!(s.shed_unaudited, evicted);
                 proptest::prop_assert!(s.degraded_admitted <= s.admitted);
                 proptest::prop_assert!(s.degraded_shed <= s.shed());
                 proptest::prop_assert!(s.degraded_slo_met <= s.slo_met);

@@ -13,16 +13,20 @@ use std::rc::Rc;
 /// refresh or fine-tune the serving loop performs changes the very next
 /// placement decision.
 ///
-/// Every read is answered by the server as it stands, with nothing cached
-/// in between, so a seed, an install or a refresh shows in the very next
-/// answer. A bound read of one row is one [`PitotServer::query_now`]. A
-/// batched bound read, such as the rows of one `pitot-sched` placement
-/// decision, is one [`PitotServer::query_batch`]: one prediction pass over
-/// the whole batch into buffers the server reuses, bitwise equal row by row
-/// to `query_now`. A point read, of one row or a batch, is the same pass
-/// scoring head 0 alone, bitwise the [`crate::Prediction::point_s`] of
-/// those reads. Every read counts one query per row in
-/// [`crate::ServeStats::queries`].
+/// Every read is answered by the server as it stands, with no answer
+/// cached in between, so a seed, an install or a refresh shows in the very
+/// next answer. A read looks its inner products up in the completed-matrix
+/// tables of the server's tower cache
+/// ([`pitot::TrainedPitot::lookup_log_heads_into`]): a decision's rows fall
+/// on the few platforms of a site, so after the first decisions fill those
+/// platforms' tables, a row is a few lookups and adds per head instead of
+/// as many length-r dot products. A fine-tune installs a new cache, whose
+/// tables start empty. A bound read, of one row or of a batch such as the
+/// rows of one `pitot-sched` placement decision, is one prediction pass
+/// over buffers the server reuses, bitwise equal row by row to
+/// [`PitotServer::query_now`]. A point read is the same pass scoring head
+/// 0 alone, bitwise the [`crate::Prediction::point_s`] of those reads.
+/// Every read counts one query per row in [`crate::ServeStats::queries`].
 pub struct ServingPredictor {
     server: Rc<RefCell<PitotServer>>,
     name: String,
@@ -41,7 +45,7 @@ impl ServingPredictor {
 impl RuntimePredictor for ServingPredictor {
     fn predict_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
         let mut point_s = f32::NAN;
-        self.server.borrow_mut().query_points(
+        self.server.borrow_mut().lookup_points(
             [(workload, catalog_id(platform), interferers)],
             |p| {
                 point_s = p;
@@ -51,25 +55,28 @@ impl RuntimePredictor for ServingPredictor {
     }
 
     fn bound_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
-        let answer =
-            self.server
-                .borrow_mut()
-                .query_now(workload, catalog_id(platform), interferers);
-        f64::from(answer.bound_s)
+        let mut bound_s = f32::NAN;
+        self.server.borrow_mut().lookup_batch(
+            [(workload, catalog_id(platform), interferers)],
+            |p| {
+                bound_s = p.bound_s;
+            },
+        );
+        f64::from(bound_s)
     }
 
     fn predict_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
         out.clear();
         self.server
             .borrow_mut()
-            .query_points(catalog_rows(batch), |p| out.push(f64::from(p)));
+            .lookup_points(catalog_rows(batch), |p| out.push(f64::from(p)));
     }
 
     fn bound_batch_s(&self, batch: &QueryBatch, out: &mut Vec<f64>) {
         out.clear();
         self.server
             .borrow_mut()
-            .query_batch(batch, |p| out.push(f64::from(p.bound_s)));
+            .lookup_batch(catalog_rows(batch), |p| out.push(f64::from(p.bound_s)));
     }
 
     fn name(&self) -> &str {

@@ -8,10 +8,11 @@
 //!
 //! - **Streaming events on a simulated clock.** A [`PitotServer`] consumes
 //!   [`Event`]s — arriving [`pitot_testbed::Observation`]s — at monotone
-//!   simulated timestamps, and answers placement reads synchronously
+//!   simulated timestamps, and answers reads synchronously
 //!   ([`PitotServer::query_now`] for one row, [`PitotServer::query_batch`]
-//!   for many), fully deterministically: the same event and read sequence
-//!   always produces bitwise-identical predictions.
+//!   for many, [`ServingPredictor`] for a placement policy), fully
+//!   deterministically: the same event and read sequence always produces
+//!   bitwise-identical predictions.
 //! - **One scoring pass.** Every row a server scores goes through one
 //!   row-parallel pass over the cached tower outputs into a row-major
 //!   matrix the server reuses, so warm reads and warm observations
@@ -22,6 +23,11 @@
 //!   scores the heads its window keeps ([`PitotServer::kept_heads`]: head
 //!   0 and the heads the served selection picks) plus the head its judged
 //!   bound reads; a seed or a fine-tune rescore scores the kept heads.
+//!   A placement read through [`ServingPredictor`] is the same pass with
+//!   its inner products looked up in the tower cache's completed-matrix
+//!   tables ([`pitot::TrainedPitot::lookup_log_heads_into`]), which its
+//!   site's few platforms fill once; every other pass computes them, so a
+//!   fleet, whose traffic spreads over every platform, builds no table.
 //! - **A sliding calibration window.** Every observation's nonconformity
 //!   scores of the kept heads enter a [`pitot_conformal::WindowedScores`]
 //!   ring (the moving

@@ -224,6 +224,15 @@ pub(crate) fn catalog_rows(batch: &QueryBatch) -> impl Iterator<Item = (u32, u32
         .map(|(workload, platform, interferers)| (workload, catalog_id(platform), interferers))
 }
 
+/// Where a read's inner products come from: computed from the tower
+/// outputs, or looked up in the tower cache's tables (see
+/// [`TrainedPitot::lookup_log_heads_into`]). Both answer bitwise alike.
+#[derive(Debug, Clone, Copy)]
+enum Products {
+    Computed,
+    LookedUp,
+}
+
 /// What the window's score ring cannot give back about one entry.
 #[derive(Debug, Clone)]
 struct WindowEntry {
@@ -594,13 +603,17 @@ impl PitotServer {
         }
     }
 
-    /// Answers one query immediately — the single-row read a placement
-    /// policy makes mid-decision: a [`PitotServer::query_batch`] of one,
+    /// Answers one query immediately — the single-row read a fleet replica
+    /// makes for a deadline query: a [`PitotServer::query_batch`] of one,
     /// counted in [`ServeStats::queries`]. Once warm, the read reuses the
     /// server's query row and prediction matrix and allocates nothing.
     pub fn query_now(&mut self, workload: u32, platform: u32, interferers: &[u32]) -> Prediction {
         let mut answer = None;
-        self.read([(workload, platform, interferers)], false);
+        self.read(
+            [(workload, platform, interferers)],
+            false,
+            Products::Computed,
+        );
         self.answer_reads(|p| answer = Some(p));
         answer.expect("a batch of one has one answer")
     }
@@ -608,28 +621,43 @@ impl PitotServer {
     /// Answers every row of `rows` in one prediction pass, passing each
     /// answer to `answer` in row order: bitwise each row's
     /// [`PitotServer::query_now`] answer, and counted per row in
-    /// [`ServeStats::queries`]. This is the read a placement decision makes
-    /// through [`crate::ServingPredictor`]. Once warm, it reuses the
-    /// server's query rows and prediction matrix and allocates nothing.
+    /// [`ServeStats::queries`]. The pass computes its inner products, as
+    /// `query_now` does; a placement decision through
+    /// [`crate::ServingPredictor`] makes the same read with each one looked
+    /// up in the tower cache's tables. Once warm, it reuses the server's
+    /// query rows and prediction matrix and allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if a row's platform index does not fit a catalog id.
     pub fn query_batch(&mut self, rows: &QueryBatch, answer: impl FnMut(Prediction)) {
-        self.read(catalog_rows(rows), false);
+        self.read(catalog_rows(rows), false, Products::Computed);
+        self.answer_reads(answer);
+    }
+
+    /// [`PitotServer::query_batch`] over `rows` with every inner product
+    /// looked up in the tower cache's tables
+    /// ([`TrainedPitot::lookup_log_heads_into`]): the bound read of
+    /// [`crate::ServingPredictor`], bitwise each row's `query_now` answer.
+    pub(crate) fn lookup_batch<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
+        answer: impl FnMut(Prediction),
+    ) {
+        self.read(rows, false, Products::LookedUp);
         self.answer_reads(answer);
     }
 
     /// The point estimate, in seconds, of every row of `rows`, passed to
-    /// `point_s` in row order: the [`PitotServer::query_batch`] pass scoring
-    /// head 0 alone, so each answer is bitwise that row's
+    /// `point_s` in row order: the [`PitotServer::lookup_batch`] pass
+    /// scoring head 0 alone, so each answer is bitwise that row's
     /// [`Prediction::point_s`]. Counted per row in [`ServeStats::queries`].
-    pub(crate) fn query_points<'a>(
+    pub(crate) fn lookup_points<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
         mut point_s: impl FnMut(f32),
     ) {
-        self.read(rows, true);
+        self.read(rows, true, Products::LookedUp);
         for pair in self.preds.iter_rows() {
             point_s(pair[0].exp());
         }
@@ -637,13 +665,15 @@ impl PitotServer {
 
     /// The one read pass: refills the reused query rows and makes a single
     /// [`TrainedPitot::predict_log_heads_into`] over them into the reused
-    /// matrix, scoring each row's point head and, unless `point_only`, the
-    /// head its pool's bound reads (a bound head of 0 scores nothing more).
-    /// Counts the rows in [`ServeStats::queries`].
+    /// matrix, or its [`TrainedPitot::lookup_log_heads_into`] twin, scoring
+    /// each row's point head and, unless `point_only`, the head its pool's
+    /// bound reads (a bound head of 0 scores nothing more). Counts the rows
+    /// in [`ServeStats::queries`].
     fn read<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
         point_only: bool,
+        products: Products,
     ) {
         let mut n = 0;
         for (workload, platform, interferers) in rows {
@@ -655,19 +685,24 @@ impl PitotServer {
         }
         let served = self.conformal.as_deref();
         let (cfg, n_heads) = (&self.cfg, self.trained.model.n_heads());
-        self.trained.predict_log_heads_into(
-            &self.towers,
-            &self.reads[..n],
-            &[0],
-            |o| {
-                if point_only {
-                    0
-                } else {
-                    bound_head(served, cfg.pool_key(o.interferers.len()), n_heads)
-                }
-            },
-            &mut self.preds,
-        );
+        let bound_head = |o: &Observation| {
+            if point_only {
+                0
+            } else {
+                bound_head(served, cfg.pool_key(o.interferers.len()), n_heads)
+            }
+        };
+        let (rows, preds) = (&self.reads[..n], &mut self.preds);
+        match products {
+            Products::Computed => {
+                self.trained
+                    .predict_log_heads_into(&self.towers, rows, &[0], bound_head, preds)
+            }
+            Products::LookedUp => {
+                self.trained
+                    .lookup_log_heads_into(&self.towers, rows, &[0], bound_head, preds)
+            }
+        }
         self.stats.queries += n;
     }
 

@@ -1,25 +1,28 @@
 //! The serving scoring path: a batched read answers every row exactly as
-//! the single-row read does, and once warm, no read and no observation
-//! allocates a matrix.
+//! the single-row read does, a read that looks its inner products up in a
+//! tower cache's tables answers exactly as one that computes them, and
+//! once warm, no read and no observation allocates a matrix.
 //!
-//! Every row a server scores is one `predict_log_runtime_into` pass into
-//! buffers its scorer keeps: `PitotServer::query_now` (a batch of one),
-//! `PitotServer::query_batch` (the read behind `ServingPredictor`),
-//! `FleetServer::deadline_query` (each replica's `query_now`),
-//! `ConcurrentFleet`'s ingress read path, and an arriving observation
-//! through `PitotServer::on_event`, `FleetServer::observe` (each replica's
-//! `on_event`) or `ConcurrentFleet::run_trace` (each replica's share of a
-//! lane batch), scored into the same matrix as the server's reads.
+//! Every row a server scores is one head-list pass into buffers its scorer
+//! keeps. `PitotServer::query_now` (a batch of one) and
+//! `PitotServer::query_batch`, `FleetServer::deadline_query` (each
+//! replica's `query_now`), `ConcurrentFleet`'s ingress read path, and an
+//! arriving observation through `PitotServer::on_event`,
+//! `FleetServer::observe` (each replica's `on_event`) or
+//! `ConcurrentFleet::run_trace` (each replica's share of a lane batch)
+//! compute their inner products. Every read of `ServingPredictor`, the
+//! placement predictor, looks them up in the server's completed-matrix
+//! tables.
 
-use pitot::{train, Matrix, Objective, PitotConfig, TowerCache, TrainedPitot};
+use pitot::{train, CompressionSpec, Matrix, Objective, PitotConfig, TowerCache, TrainedPitot};
 use pitot_conformal::{HeadSelection, PooledConformal};
 use pitot_orchestrator::{
     ClusterView, Job, PlacementPolicy, PlatformLoad, QueryBatch, RuntimePredictor,
 };
 use pitot_sched::ConformalGreedy;
 use pitot_serve::{
-    ConcurrentConfig, ConcurrentFleet, DeadlineQuery, Event, FleetConfig, FleetServer, PitotServer,
-    Prediction, ServeConfig, ServingPredictor, TraceEvent, TraceOutcome,
+    ConcurrentConfig, ConcurrentFleet, DeadlineQuery, Event, FaultPlan, FleetConfig, FleetServer,
+    PitotServer, Prediction, ServeConfig, ServingPredictor, TraceEvent, TraceOutcome,
 };
 use pitot_testbed::{split::Split, Dataset, Observation, Testbed, TestbedConfig, MAX_INTERFERERS};
 use proptest::prelude::*;
@@ -112,13 +115,20 @@ proptest! {
 /// gives under `conformal`: the served bound reads the pool's calibrated
 /// head, or the highest head before any calibration exists. The oracle the
 /// two-head reads are pinned to.
-fn full_row_answer(
-    conformal: Option<&PooledConformal>,
-    (workload, platform, interferers): (u32, usize, &[u32]),
-) -> Prediction {
+fn full_row_answer(conformal: Option<&PooledConformal>, row: (u32, usize, &[u32])) -> Prediction {
     let (dataset, _, trained) = fixture();
     static TOWERS: OnceLock<TowerCache> = OnceLock::new();
     let towers = TOWERS.get_or_init(|| trained.tower_cache(dataset));
+    every_head_answer(trained, towers, conformal, row)
+}
+
+/// [`full_row_answer`] of `trained` read through `towers`.
+fn every_head_answer(
+    trained: &TrainedPitot,
+    towers: &TowerCache,
+    conformal: Option<&PooledConformal>,
+    (workload, platform, interferers): (u32, usize, &[u32]),
+) -> Prediction {
     let query = Observation {
         workload,
         platform: platform as u32,
@@ -294,6 +304,186 @@ fn two_head_reads_answer_as_the_every_head_row() {
     fleet_check(&mut conc, batch.len() as u64, "NaiveXi");
 }
 
+/// Through a server that fine-tunes mid-stream, every `ServingPredictor`
+/// read (point and bound, single-row and batched) is bitwise the every-head
+/// row of the server's current model, read from a tower cache built fresh
+/// for the check. Reads before each fine-tune fill the old cache's tables
+/// for the same rows, so a table that outlived its towers would answer for
+/// the old model.
+#[test]
+fn serving_reads_follow_each_fine_tune_bit_for_bit() {
+    let (dataset, split, trained) = fixture();
+    let mut cfg = ServeConfig::at(0.1);
+    cfg.window = 100;
+    cfg.drift_window = 80;
+    cfg.drift_min = 40;
+    cfg.fine_tune_steps = 20;
+    cfg.fine_tune_cooldown = 150;
+    // As in the streaming drift tests: with no local refresh the drift
+    // stays visible to the monitor, which fires the fine-tunes.
+    cfg.refresh_every = usize::MAX;
+    let mut server = PitotServer::new(trained.clone(), dataset.clone(), cfg);
+    server.seed_calibration(&split.val);
+    let server = Rc::new(RefCell::new(server));
+    let predictor = ServingPredictor::new(Rc::clone(&server));
+    let batch = build_rows(0xF1E7, 30);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let check = |stage: &str| {
+        let (points, bounds): (Vec<f64>, Vec<f64>) = {
+            let s = server.borrow();
+            let towers = s.trained().tower_cache(s.dataset());
+            batch
+                .iter()
+                .map(|row| {
+                    let p = every_head_answer(s.trained(), &towers, s.conformal(), row);
+                    (f64::from(p.point_s), f64::from(p.bound_s))
+                })
+                .unzip()
+        };
+        let mut got = Vec::new();
+        predictor.predict_batch_s(&batch, &mut got);
+        assert_eq!(bits(&got), bits(&points), "batched points, {stage}");
+        predictor.bound_batch_s(&batch, &mut got);
+        assert_eq!(bits(&got), bits(&bounds), "batched bounds, {stage}");
+        let single: Vec<f64> = batch
+            .iter()
+            .map(|(w, p, k)| predictor.predict_s(w, p, k))
+            .collect();
+        assert_eq!(bits(&single), bits(&points), "single points, {stage}");
+        let single: Vec<f64> = batch
+            .iter()
+            .map(|(w, p, k)| predictor.bound_s(w, p, k))
+            .collect();
+        assert_eq!(bits(&single), bits(&bounds), "single bounds, {stage}");
+    };
+    check("after seeding");
+    let mut checked_after = 0;
+    for (t, &i) in split.test.iter().take(1200).enumerate() {
+        let mut obs = dataset.observations[i].clone();
+        // The world runs slower than the model learned, then slower
+        // still.
+        obs.runtime_s *= if t < 500 { 0.6f32 } else { 1.4 }.exp();
+        let tuned = server
+            .borrow_mut()
+            .on_event(t as f64, Event::Observe(obs))
+            .observed
+            .expect("every arrival is judged")
+            .fine_tuned;
+        if tuned || t % 100 == 0 {
+            let tunes = server.borrow().stats().fine_tunes;
+            check(&format!("event {t}, after {tunes} fine-tunes"));
+            checked_after += usize::from(tuned);
+        }
+    }
+    assert!(checked_after >= 2, "{checked_after} fine-tunes checked");
+}
+
+/// The fleet computes every inner product: traces of a `FleetServer` and
+/// of a one-lane `ConcurrentFleet` (which runs on the calling thread) fill
+/// no completed-matrix table on this thread. Each trace seeds, answers
+/// deadline queries, resolves them and takes observations, through a crash
+/// of a compressed replica and its rejoin. A placement read on the same
+/// thread does fill tables, so the count is live.
+#[test]
+fn fleet_traces_fill_no_table() {
+    let (dataset, split, trained) = fixture();
+    let mut cfg = FleetConfig::at(0.1, 3);
+    cfg.serve.window = 64;
+    cfg.compression = vec![
+        CompressionSpec::none(),
+        CompressionSpec::int8(),
+        CompressionSpec::none(),
+    ];
+    let plan = FaultPlan::none(7).crash(1, 30, 70);
+    let filled = pitot::tables_filled;
+    let before = filled();
+
+    let mut fleet = FleetServer::with_faults(trained.clone(), dataset, cfg.clone(), plan.clone());
+    fleet.seed_calibration(&split.val);
+    for (t, q) in deadline_queries(0, 120).into_iter().enumerate() {
+        let (id, realized_s) = (q.id, q.deadline_s / 2.0);
+        fleet.deadline_query(q);
+        fleet.resolve(id, realized_s);
+        fleet.observe(t as f64, dataset.observations[split.test[t]].clone());
+    }
+    assert!(fleet.stats().recoveries >= 1, "the replica rejoined");
+    assert_eq!(filled(), before, "FleetServer");
+
+    let ccfg = ConcurrentConfig {
+        fleet: cfg,
+        workers: Some(1),
+    };
+    let mut conc = ConcurrentFleet::with_faults(trained.clone(), dataset, ccfg, plan);
+    conc.seed_calibration(&split.val);
+    let trace: Vec<TraceEvent> = deadline_queries(0, 120)
+        .into_iter()
+        .zip(&split.test)
+        .flat_map(|(q, &i)| {
+            let resolve = TraceEvent::Resolve {
+                id: q.id,
+                realized_s: q.deadline_s / 2.0,
+            };
+            let observe = TraceEvent::Observe(dataset.observations[i].clone());
+            [TraceEvent::Deadline(q), resolve, observe]
+        })
+        .collect();
+    conc.run_trace(&trace);
+    assert!(conc.stats().recoveries >= 1, "the replica rejoined");
+    assert_eq!(filled(), before, "ConcurrentFleet");
+
+    ServingPredictor::new(seeded_server()).bound_s(0, 0, &[1]);
+    assert!(filled() > before, "a placement read fills its tables");
+}
+
+/// The message of the panic `f` raises.
+fn panic_message(f: impl FnOnce()) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must panic");
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .expect("the panic carries a message")
+}
+
+/// A table read of an out-of-catalog workload, platform or interferer
+/// panics with the computed read's message, whether it reads a point or a
+/// bound, one row or a batch.
+#[test]
+fn table_reads_of_out_of_catalog_rows_panic_as_computed_reads_do() {
+    let (dataset, ..) = fixture();
+    let (nw, np) = (dataset.n_workloads as u32, dataset.n_platforms as u32);
+    for (workload, platform, interferers) in
+        [(nw, 0, vec![]), (0, np, vec![1]), (0, 0, vec![1, nw])]
+    {
+        let computed = panic_message(|| {
+            seeded_server()
+                .borrow_mut()
+                .query_now(workload, platform, &interferers);
+        });
+        let row = || {
+            let mut batch = QueryBatch::default();
+            batch.push(0, 0, []);
+            batch.push(workload, platform as usize, interferers.iter().copied());
+            batch
+        };
+        for read in ["bound_s", "predict_s", "bound_batch_s", "predict_batch_s"] {
+            let message = panic_message(|| {
+                let predictor = ServingPredictor::new(seeded_server());
+                let (p, mut out) = (platform as usize, Vec::new());
+                match read {
+                    "bound_s" => out.push(predictor.bound_s(workload, p, &interferers)),
+                    "predict_s" => out.push(predictor.predict_s(workload, p, &interferers)),
+                    "bound_batch_s" => predictor.bound_batch_s(&row(), &mut out),
+                    _ => predictor.predict_batch_s(&row(), &mut out),
+                }
+            });
+            assert_eq!(
+                message, computed,
+                "{read} of {workload}/{platform}/{interferers:?}"
+            );
+        }
+    }
+}
+
 /// Deadline queries over the first test observations, ids from `first`.
 fn deadline_queries(first: u64, n: usize) -> Vec<DeadlineQuery> {
     let (dataset, split, _) = fixture();
@@ -367,7 +557,11 @@ fn warm_reads_allocate_no_matrix() {
     };
     let mut policy = ConformalGreedy::new();
     let decide = |policy: &mut ConformalGreedy| policy.place(&job, &view, &predictor);
+    // The warm-up decision fills its site's tables; the next one reads
+    // them.
+    let tables = pitot::tables_filled();
     let warm = decide(&mut policy);
+    assert!(pitot::tables_filled() > tables, "the warm-up fills tables");
     let mut again = None;
     assert_eq!(matrix_allocs(|| again = decide(&mut policy)), 0, "place");
     assert_eq!(again, warm);
