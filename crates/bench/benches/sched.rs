@@ -47,13 +47,14 @@ fn trained(f: &Fixture) -> TrainedPitot {
     pitot::train(&f.dataset, &f.split, &cfg)
 }
 
-/// A loaded view of `platforms` platforms with `residents` residents each
-/// and one free slot.
+/// A loaded view of platforms `0..platforms` with `residents` residents
+/// each and one free slot.
 fn loaded_view(n_workloads: usize, platforms: usize, residents: usize) -> ClusterView {
     ClusterView {
         now_s: 0.0,
         platforms: (0..platforms)
             .map(|p| PlatformLoad {
+                platform: p,
                 running: (0..residents)
                     .map(|r| ((p * residents + r) % n_workloads) as u32)
                     .collect(),

@@ -759,9 +759,10 @@ impl TrainedPitot {
     /// the head its bound adds its offset to, the one
     /// [`PooledConformal::calibration_for`](pitot_conformal::PooledConformal::calibration_for)
     /// names for the row's pool) takes 18 instead of the every-head read's
-    /// 72. A serving window's observation passes its kept heads as
-    /// `heads`. [`TrainedPitot::lookup_log_heads_into`] is the same read
-    /// with every dot product looked up instead.
+    /// 72, and a read of the bound alone (`heads = []`) takes 9. A serving
+    /// window's observation passes its kept heads as `heads`.
+    /// [`TrainedPitot::lookup_log_heads_into`] is the same read with every
+    /// dot product looked up instead.
     ///
     /// Under [`PitotConfig::rearrange_quantiles`] the per-row sort mixes
     /// heads, so every head is scored and sorted first and the named columns
@@ -864,10 +865,12 @@ impl TrainedPitot {
         rows_into(n, k + 1, out, |b, y| {
             let o = row(b);
             let h = bound_head(o);
-            // A one-head list (a served answer's `[0]`) is scored from
-            // arrays, whose length the kernel's per-head loop is compiled
-            // for: a slice of one costs the read ~15% in a microbenchmark.
+            // An empty list (a bound or point read alone) and a one-head
+            // list (a served answer's `[0]`) are scored from arrays, whose
+            // length the kernel's per-head loop is compiled for: a slice of
+            // one costs the read ~15% in a microbenchmark.
             match (heads, heads.iter().position(|&listed| listed == h)) {
+                (&[], _) => model.predict_row(products, o, [h], y),
                 (&[only], Some(_)) => {
                     model.predict_row(products, o, [only], &mut y[..1]);
                     y[1] = y[0];
@@ -1385,7 +1388,8 @@ mod tests {
         /// A read of any ascending head list plus a per-row head is bitwise
         /// those columns of the every-head read: lists from empty to every
         /// head, with the row's head inside the list or outside it, over the
-        /// same random models as the point-and-bound read.
+        /// same random models as the point-and-bound read. Every case also
+        /// reads the empty list.
         #[test]
         fn head_list_read_is_columns_of_the_every_head_read(
             seed in 0u64..u64::MAX,
@@ -1404,17 +1408,20 @@ mod tests {
             let mut full = Matrix::zeros(0, 0);
             trained.predict_log_runtime_into(&towers, &obs, &mut full);
             let mut read = Matrix::zeros(0, 0);
-            trained.predict_log_heads_into(&towers, &obs, &list, bound_head, &mut read);
-            proptest::prop_assert_eq!(read.shape(), (obs.len(), list.len() + 1));
-            for (b, o) in obs.iter().enumerate() {
-                let row = full.row(b);
-                let want: Vec<u32> = list
-                    .iter()
-                    .chain([bound_head(o)].iter())
-                    .map(|&h| row[h].to_bits())
-                    .collect();
-                let got: Vec<u32> = read.row(b).iter().map(|y| y.to_bits()).collect();
-                proptest::prop_assert_eq!(got, want, "row {} heads {:?}", b, list);
+            // The drawn list, and the empty list of a bound read alone.
+            for list in [list, Vec::new()] {
+                trained.predict_log_heads_into(&towers, &obs, &list, bound_head, &mut read);
+                proptest::prop_assert_eq!(read.shape(), (obs.len(), list.len() + 1));
+                for (b, o) in obs.iter().enumerate() {
+                    let row = full.row(b);
+                    let want: Vec<u32> = list
+                        .iter()
+                        .chain([bound_head(o)].iter())
+                        .map(|&h| row[h].to_bits())
+                        .collect();
+                    let got: Vec<u32> = read.row(b).iter().map(|y| y.to_bits()).collect();
+                    proptest::prop_assert_eq!(got, want, "row {} heads {:?}", b, list);
+                }
             }
         }
     }
@@ -1426,8 +1433,8 @@ mod tests {
         /// pruned-int8 towers. Rows carry 0..=`MAX_INTERFERERS`
         /// interferers from a pool of five workloads, so ids repeat within
         /// a row. Every head is read as a listed head and as a row's bound
-        /// head. Each (platform, head) table is filled once: a second pass
-        /// fills none.
+        /// head, alone (the empty list) and next to listed heads. Each
+        /// (platform, head) table is filled once: a second pass fills none.
         #[test]
         fn lookup_read_is_the_computed_read_bitwise(
             seed in 0u64..u64::MAX,
@@ -1492,7 +1499,7 @@ mod tests {
             for pass in 0..2 {
                 for shift in 0..n_heads {
                     let bound_head = |o: &Observation| (o.workload as usize + shift) % n_heads;
-                    for list in [&every[..], &[0][..]] {
+                    for list in [&every[..], &[0][..], &[][..]] {
                         trained.predict_log_heads_into(&cache, &obs, list, bound_head, &mut computed);
                         trained.lookup_log_heads_into(&cache, &obs, list, bound_head, &mut looked_up);
                         proptest::prop_assert_eq!(looked_up.shape(), computed.shape());

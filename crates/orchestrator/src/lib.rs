@@ -18,11 +18,11 @@
 //!   ([`OraclePredictor`]), via the scaling baseline alone
 //!   ([`ScalingPredictor`]), or via a trained Pitot model with optional
 //!   conformal bounds ([`PitotPredictor`], which computes the towers once
-//!   and reads each query's median head, plus the head its pool's bound is
-//!   calibrated on, from `pitot::TrainedPitot::lookup_log_heads_into`,
-//!   whose inner products come from per-(platform, head) tables it fills
-//!   once) — one row at a time, or a whole [`QueryBatch`] of rows in one
-//!   read;
+//!   and reads each query's median head, or for a bound the head its
+//!   pool's bound is calibrated on, from
+//!   `pitot::TrainedPitot::lookup_log_heads_into`, whose inner products
+//!   come from per-(platform, head) tables it fills once) — one row at a
+//!   time, or a whole [`QueryBatch`] of rows in one read;
 //! - a [`PlacementPolicy`] (the pluggable trait) turns predictions into
 //!   placement decisions; [`BaselinePolicy`] ships the built-in family
 //!   (random / least-loaded / greedy-fastest / deadline-aware), and the

@@ -39,11 +39,20 @@ use rand_chacha::ChaCha8Rng;
 /// or allocation addresses. The simulator relies on this to keep whole runs
 /// bitwise-reproducible.
 ///
-/// Contract: return `None` only when no candidate platform has a free slot
-/// (see [`ClusterView::with_capacity`]); returning `None` while the cluster
-/// is idle deadlocks the pending queue and panics the simulator.
+/// A policy walks the view's entries and answers with the
+/// [`PlatformLoad::platform`] of the one it picks, never with an entry's
+/// position: the simulator's view holds only its site's platforms. An
+/// answer naming no entry with a free slot places nothing, and the job
+/// waits in the queue.
+///
+/// Contract: return `None` only when no entry of the view has a free slot;
+/// returning `None` while the cluster is idle deadlocks the pending queue
+/// and panics the simulator.
+///
+/// [`PlatformLoad::platform`]: crate::PlatformLoad::platform
 pub trait PlacementPolicy {
-    /// Chooses a platform for `job`, or `None` if every platform is full.
+    /// Chooses a platform for `job`, by catalog index, or `None` if every
+    /// platform of the view is full.
     fn place(
         &mut self,
         job: &Job,
@@ -103,39 +112,30 @@ impl PolicyKind {
 pub struct BaselinePolicy {
     kind: PolicyKind,
     rng: ChaCha8Rng,
+    /// A co-resident's interferer set under a deadline-aware placement,
+    /// reused across reads.
+    others: Vec<u32>,
 }
 
 impl BaselinePolicy {
     /// Uniformly random placement.
     pub fn random(seed: u64) -> Self {
-        Self {
-            kind: PolicyKind::Random,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-        }
+        Self::of_kind(PolicyKind::Random, seed)
     }
 
     /// Fewest-co-residents placement.
     pub fn least_loaded() -> Self {
-        Self {
-            kind: PolicyKind::LeastLoaded,
-            rng: ChaCha8Rng::seed_from_u64(0),
-        }
+        Self::of_kind(PolicyKind::LeastLoaded, 0)
     }
 
     /// Minimum-predicted-runtime placement.
     pub fn greedy_fastest() -> Self {
-        Self {
-            kind: PolicyKind::GreedyFastest,
-            rng: ChaCha8Rng::seed_from_u64(0),
-        }
+        Self::of_kind(PolicyKind::GreedyFastest, 0)
     }
 
     /// Bound-driven deadline-feasible placement.
     pub fn deadline_aware() -> Self {
-        Self {
-            kind: PolicyKind::DeadlineAware,
-            rng: ChaCha8Rng::seed_from_u64(0),
-        }
+        Self::of_kind(PolicyKind::DeadlineAware, 0)
     }
 
     /// Policy constructor from a kind (random policies get `seed`).
@@ -143,6 +143,7 @@ impl BaselinePolicy {
         Self {
             kind,
             rng: ChaCha8Rng::seed_from_u64(seed),
+            others: Vec::new(),
         }
     }
 
@@ -159,6 +160,7 @@ impl BaselinePolicy {
     /// the first disturbed resident, so a batched read would ask for other
     /// rows in another order and change the `ext-orchestration` placements.
     fn place_deadline_aware(
+        &mut self,
         job: &Job,
         view: &ClusterView,
         predictor: &dyn RuntimePredictor,
@@ -166,8 +168,8 @@ impl BaselinePolicy {
         let mut best_feasible: Option<(f64, usize)> = None;
         let mut best_any: Option<(f64, usize)> = None;
 
-        for p in view.with_capacity() {
-            let load = &view.platforms[p];
+        for load in view.platforms.iter().filter(|l| l.free_slots > 0) {
+            let p = load.platform;
             let bound = predictor.bound_s(job.workload, p, &load.running);
             if best_any.is_none_or(|(b, _)| bound < b) {
                 best_any = Some((bound, p));
@@ -179,18 +181,20 @@ impl BaselinePolicy {
             }
             // …and no co-resident may be pushed past its own deadline. The
             // co-resident's remaining runtime is approximated by its full
-            // bounded runtime under the new set, scaled by remaining work.
-            let mut set_with_new: Vec<u32> = load.running.clone();
-            set_with_new.push(job.workload);
+            // bounded runtime under the new set (every other resident, then
+            // the new job), scaled by remaining work.
+            let others = &mut self.others;
             let disturbs = load.running.iter().enumerate().any(|(slot, &other)| {
-                let others: Vec<u32> = set_with_new
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|&(s, _)| s != slot)
-                    .map(|(_, w)| w)
-                    .collect();
-                let full_bound = predictor.bound_s(other, p, &others);
+                others.clear();
+                others.extend(
+                    load.running
+                        .iter()
+                        .enumerate()
+                        .filter(|&(s, _)| s != slot)
+                        .map(|(_, &w)| w),
+                );
+                others.push(job.workload);
+                let full_bound = predictor.bound_s(other, p, others);
                 let remaining = full_bound * load.remaining_frac[slot];
                 view.now_s + remaining > load.due_s[slot]
             });
@@ -207,33 +211,34 @@ impl BaselinePolicy {
 }
 
 impl PlacementPolicy for BaselinePolicy {
+    /// Walks the view's free entries in order, keeping the first of equal
+    /// minima, so ties break to the lowest platform of a view in ascending
+    /// catalog order. `Random` draws the index of a free entry, one draw
+    /// per decision with a free slot.
     fn place(
         &mut self,
         job: &Job,
         view: &ClusterView,
         predictor: &dyn RuntimePredictor,
     ) -> Option<usize> {
-        let candidates = view.with_capacity();
-        if candidates.is_empty() {
-            return None;
-        }
-        match self.kind {
-            PolicyKind::Random => Some(candidates[self.rng.gen_range(0..candidates.len())]),
-            PolicyKind::LeastLoaded => candidates
-                .into_iter()
-                .min_by_key(|&p| view.platforms[p].running.len()),
-            // One read per candidate; `min_by` keeps the first of equal
-            // minima, so ties break to the lowest platform index.
-            PolicyKind::GreedyFastest => candidates
-                .into_iter()
-                .map(|p| {
-                    let running = &view.platforms[p].running;
-                    (p, predictor.predict_s(job.workload, p, running))
-                })
+        let mut free = view.platforms.iter().filter(|l| l.free_slots > 0);
+        let pick = match self.kind {
+            PolicyKind::Random => {
+                let n_free = free.clone().count();
+                if n_free == 0 {
+                    return None;
+                }
+                free.nth(self.rng.gen_range(0..n_free))
+            }
+            PolicyKind::LeastLoaded => free.min_by_key(|l| l.running.len()),
+            // One read per candidate.
+            PolicyKind::GreedyFastest => free
+                .map(|l| (l, predictor.predict_s(job.workload, l.platform, &l.running)))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
-                .map(|(p, _)| p),
-            PolicyKind::DeadlineAware => Self::place_deadline_aware(job, view, predictor),
-        }
+                .map(|(l, _)| l),
+            PolicyKind::DeadlineAware => return self.place_deadline_aware(job, view, predictor),
+        };
+        pick.map(|l| l.platform)
     }
 
     fn name(&self) -> &str {
@@ -272,7 +277,8 @@ mod tests {
         ClusterView {
             now_s: 0.0,
             platforms: (0..n)
-                .map(|_| PlatformLoad {
+                .map(|platform| PlatformLoad {
+                    platform,
                     running: vec![],
                     remaining_frac: vec![],
                     due_s: vec![],
@@ -417,6 +423,51 @@ mod tests {
         ] {
             assert_eq!(policy.place(&job(1.0), &view, &pred), None);
         }
+    }
+
+    #[test]
+    fn baselines_answer_platform_ids_not_entry_positions() {
+        // A sparse site: entry k is platform 10k + 3, and platform 23 (the
+        // third entry) is fastest and emptiest.
+        let mut runtime = vec![9.0; 64];
+        runtime[23] = 1.0;
+        let pred = TablePredictor {
+            runtime,
+            margin: 0.0,
+        };
+        let mut view = empty_view(6);
+        for (k, load) in view.platforms.iter_mut().enumerate() {
+            load.platform = 10 * k + 3;
+            if load.platform != 23 {
+                load.running = vec![1];
+                load.remaining_frac = vec![0.5];
+                load.due_s = vec![1e9];
+            }
+        }
+        view.platforms[5].free_slots = 0;
+        for kind in [
+            PolicyKind::LeastLoaded,
+            PolicyKind::GreedyFastest,
+            PolicyKind::DeadlineAware,
+        ] {
+            let mut policy = BaselinePolicy::of_kind(kind, 0);
+            assert_eq!(policy.place(&job(10.0), &view, &pred), Some(23), "{kind:?}");
+        }
+        // Random draws the index of a free entry and answers its platform:
+        // the same draws over a view with ids equal to positions pick the
+        // entries at the same places.
+        let mut dense = empty_view(6);
+        dense.platforms[5].free_slots = 0;
+        let picks = |view: &ClusterView| {
+            let mut policy = BaselinePolicy::random(5);
+            (0..40)
+                .map(|_| policy.place(&job(1.0), view, &pred).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let sparse = picks(&view);
+        assert!(sparse.iter().all(|&p| p % 10 == 3 && p < 50));
+        let positions: Vec<usize> = sparse.iter().map(|p| p / 10).collect();
+        assert_eq!(positions, picks(&dense));
     }
 
     #[test]

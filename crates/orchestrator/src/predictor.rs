@@ -233,10 +233,11 @@ impl RuntimePredictor for ScalingPredictor {
 /// table the first time a row needs it, so once a site's tables are
 /// filled a row costs a few lookups and adds per head. A batched read,
 /// such as the rows of one placement decision, is one pass over query rows
-/// and a prediction matrix the predictor reuses, scoring the median head
-/// and, for a bound, the one head the row's pool is calibrated on; a
-/// single-row read is a batch of one, so both answer bitwise alike, and
-/// bitwise as [`TrainedPitot::predict_log_heads_into`] would.
+/// and a prediction matrix the predictor reuses, scoring one head per row:
+/// the median head for a point, and for a bound the head the row's pool is
+/// calibrated on. A single-row read is a batch of one, so both answer
+/// bitwise alike, and bitwise as [`TrainedPitot::predict_log_heads_into`]
+/// would.
 pub struct PitotPredictor<'a> {
     trained: &'a TrainedPitot,
     towers: TowerCache,
@@ -284,13 +285,12 @@ impl<'a> PitotPredictor<'a> {
         }
     }
 
-    /// The one read pass: refills the reused query rows, scores each row in
-    /// one [`TrainedPitot::lookup_log_heads_into`] pass, then hands
-    /// each row's answer in seconds to `answer`, in row order. A `bounded`
-    /// read answers with the runtime budget: the calibrated bound, read
-    /// from the head its pool is calibrated on, or the median head without
-    /// bounds. Any other read answers with the median head, and scores no
-    /// other head.
+    /// The one read pass: refills the reused query rows, scores one head
+    /// of each row in one [`TrainedPitot::lookup_log_heads_into`] pass,
+    /// then hands each row's answer in seconds to `answer`, in row order. A
+    /// `bounded` read answers with the runtime budget: the calibrated
+    /// bound, read from the head its pool is calibrated on, or the median
+    /// head without bounds. Any other read answers with the median head.
     fn read<'q>(
         &self,
         queries: impl IntoIterator<Item = (u32, usize, &'q [u32])>,
@@ -323,14 +323,14 @@ impl<'a> PitotPredictor<'a> {
         self.trained.lookup_log_heads_into(
             &self.towers,
             rows,
-            &[0],
+            &[],
             |o| bounds.map_or(0, |b| b.calibration_for(pool_of(o)).head),
             &mut reads.preds,
         );
-        for (o, pair) in rows.iter().zip(reads.preds.iter_rows()) {
+        for (o, head) in rows.iter().zip(reads.preds.iter_rows()) {
             let log_s = match bounds {
-                Some(b) => pair[1] + b.calibration_for(pool_of(o)).gamma,
-                None => pair[0],
+                Some(b) => head[0] + b.calibration_for(pool_of(o)).gamma,
+                None => head[0],
             };
             answer(log_s.exp() as f64);
         }

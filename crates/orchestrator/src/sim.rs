@@ -72,9 +72,13 @@ impl RunningJob {
     }
 }
 
-/// Per-platform load snapshot exposed to placement policies.
+/// One platform's load at a placement decision, as placement policies see
+/// it.
 #[derive(Debug, Clone, Default)]
 pub struct PlatformLoad {
+    /// The platform's catalog index: what a policy answers to place here,
+    /// and what a predictor reads rows on.
+    pub platform: usize,
     /// Workload indices currently running on the platform.
     pub running: Vec<u32>,
     /// Remaining-work fraction of each running job (parallel to `running`).
@@ -90,36 +94,31 @@ pub struct PlatformLoad {
 pub struct ClusterView {
     /// Current simulation time.
     pub now_s: f64,
-    /// One entry per catalog platform. [`ClusterSim`] rewrites only its
-    /// site's entries; the others stay empty, with zero free slots.
+    /// The platforms a job may be placed on, each naming its catalog index
+    /// in [`PlatformLoad::platform`]. [`ClusterSim`] holds one entry per
+    /// platform of its site, in ascending catalog order, so an entry's
+    /// position is not its platform: a policy walks the entries and answers
+    /// with the `platform` of the one it picks.
     pub platforms: Vec<PlatformLoad>,
-}
-
-impl ClusterView {
-    /// Indices of platforms with at least one free slot.
-    pub fn with_capacity(&self) -> Vec<usize> {
-        self.platforms
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.free_slots > 0)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// The simulator: owns per-platform run queues and replays a [`JobStream`].
 ///
-/// A run simulates its site, not the catalog: events advance, rate and
-/// complete jobs on the site's platforms only, and each decision refills
-/// only their [`ClusterView`] entries. The view still holds one entry per
-/// catalog platform; an entry outside the site is never written and keeps
-/// zero free slots, so no policy can place there.
+/// A run simulates its site, not the catalog: its run queues, progress
+/// rates, fault flags and [`ClusterView`] hold one entry per site platform,
+/// in ascending catalog order, and events advance, rate and complete jobs
+/// on those platforms only. A platform's catalog index is read where the
+/// testbed's ground truth, an [`Observation`] or a job's outcome in
+/// [`SimReport::outcomes`] needs it. A policy answers a catalog index,
+/// which the run maps back to its site slot; an answer off the site places
+/// nothing.
 #[derive(Debug)]
 pub struct ClusterSim<'a> {
     testbed: &'a Testbed,
     capacity: usize,
     /// The platforms that accept jobs, ascending: an edge *site* within the
-    /// full catalog ([`ClusterSim::restrict_to`]), or every platform.
+    /// full catalog ([`ClusterSim::restrict_to`]), or every platform. A
+    /// run's per-platform state is indexed by position in this list.
     site: Vec<usize>,
     /// Multiplier on every sampled isolation runtime (1.0 = the testbed's
     /// ground truth). Lets experiments inject covariate drift — e.g. the
@@ -197,7 +196,10 @@ impl<'a> ClusterSim<'a> {
     /// lost, the re-placed job restarts from scratch, possibly elsewhere),
     /// and the platform offers zero free slots until `restore_s`. Preempted
     /// jobs are counted in [`SimReport::preemptions`]. Fault transitions are
-    /// ordinary simulation events, so runs stay deterministic.
+    /// ordinary simulation events, so runs stay deterministic. A fault on a
+    /// platform outside the site kills nothing and closes no slot, but its
+    /// transitions stay events: the queue is retried at them as at any
+    /// other.
     ///
     /// # Panics
     ///
@@ -311,33 +313,46 @@ impl<'a> ClusterSim<'a> {
         predictor: &dyn RuntimePredictor,
         observer: &mut dyn FnMut(Observation, f64),
     ) -> SimReport {
-        let n_platforms = self.testbed.platforms().len();
-        let mut running: Vec<Vec<RunningJob>> = vec![Vec::new(); n_platforms];
+        // Every per-platform buffer below is indexed by site slot: the
+        // position of the platform in `self.site`.
+        let n_site = self.site.len();
+        let mut running: Vec<Vec<RunningJob>> = vec![Vec::new(); n_site];
         let mut pending: VecDeque<Job> = VecDeque::new();
         let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(stream.len());
         let mut busy_platform_time = 0.0f64;
         let mut now = 0.0f64;
         let mut preemptions = 0usize;
 
-        // Fault windows become ordinary simulation events: (time, platform,
-        // goes_down), time-sorted, consumed once each.
-        let mut transitions: Vec<(f64, usize, bool)> = self
+        // Fault windows become ordinary simulation events: (time, site slot,
+        // goes_down), time-sorted, consumed once each. A fault off the site
+        // has no slot and changes nothing but the event times.
+        let mut transitions: Vec<(f64, Option<usize>, bool)> = self
             .faults
             .iter()
-            .flat_map(|f| [(f.at_s, f.platform, true), (f.restore_s, f.platform, false)])
+            .flat_map(|f| {
+                let slot = self.site.binary_search(&f.platform).ok();
+                [(f.at_s, slot, true), (f.restore_s, slot, false)]
+            })
             .collect();
         transitions.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut next_tr = 0usize;
-        let mut down = vec![false; n_platforms];
+        let mut down = vec![false; n_site];
 
         let mut arrivals = stream.jobs().iter().peekable();
-        // Reused across events: every platform's progress rates, kept
+        // Reused across events: every site platform's progress rates, kept
         // current as its running set changes, and the view every placement
         // decision reads, refilled in place.
-        let mut rates = Rates::new(self.testbed);
+        let mut rates = Rates::new(self.testbed, n_site);
         let mut view = ClusterView {
             now_s: now,
-            platforms: vec![PlatformLoad::default(); n_platforms],
+            platforms: self
+                .site
+                .iter()
+                .map(|&platform| PlatformLoad {
+                    platform,
+                    ..PlatformLoad::default()
+                })
+                .collect(),
         };
 
         #[derive(Clone, Copy, PartialEq)]
@@ -349,7 +364,7 @@ impl<'a> ClusterSim<'a> {
 
         loop {
             let next_arrival = arrivals.peek().map(|j| j.arrival_s);
-            let next_completion = rates.earliest_completion(&self.site, &running, now);
+            let next_completion = rates.earliest_completion(&running, now);
             let next_fault = transitions.get(next_tr).map(|t| t.0);
 
             // Earliest event wins; on ties faults apply first (an arrival at
@@ -373,13 +388,12 @@ impl<'a> ClusterSim<'a> {
             // Advance the site's running jobs to the event time.
             let dt = event_time - now;
             if dt > 0.0 {
-                for &pidx in &self.site {
-                    let jobs = &mut running[pidx];
+                for (jobs, rates) in running.iter_mut().zip(&rates.per_slot) {
                     if jobs.is_empty() {
                         continue;
                     }
                     busy_platform_time += dt;
-                    for (job, rate) in jobs.iter_mut().zip(&rates.per_platform[pidx]) {
+                    for (job, rate) in jobs.iter_mut().zip(rates) {
                         job.remaining_work = (job.remaining_work - dt * rate).max(0.0);
                     }
                 }
@@ -388,18 +402,20 @@ impl<'a> ClusterSim<'a> {
 
             match kind {
                 Kind::Fault => {
-                    let (_, pidx, goes_down) = transitions[next_tr];
+                    let (_, slot, goes_down) = transitions[next_tr];
                     next_tr += 1;
-                    down[pidx] = goes_down;
-                    if goes_down {
-                        // Fail-stop: kill everything on the platform and
-                        // re-queue at the head (oldest preempted job first)
-                        // so recovery placement prefers them.
-                        let killed = std::mem::take(&mut running[pidx]);
-                        rates.rerate(pidx, &running[pidx]);
-                        preemptions += killed.len();
-                        for rj in killed.into_iter().rev() {
-                            pending.push_front(rj.job);
+                    if let Some(slot) = slot {
+                        down[slot] = goes_down;
+                        if goes_down {
+                            // Fail-stop: kill everything on the platform and
+                            // re-queue at the head (oldest preempted job
+                            // first) so recovery placement prefers them.
+                            let killed = std::mem::take(&mut running[slot]);
+                            rates.rerate(slot, self.site[slot], &running[slot]);
+                            preemptions += killed.len();
+                            for rj in killed.into_iter().rev() {
+                                pending.push_front(rj.job);
+                            }
                         }
                     }
                 }
@@ -420,13 +436,13 @@ impl<'a> ClusterSim<'a> {
                 }
                 Kind::Completion => {
                     // Complete every job that has (numerically) finished.
-                    for &pidx in &self.site {
-                        let jobs = &mut running[pidx];
+                    for (slot, jobs) in running.iter_mut().enumerate() {
+                        let pidx = self.site[slot];
                         let before = jobs.len();
-                        let mut slot = 0;
-                        while slot < jobs.len() {
-                            if jobs[slot].remaining_work <= 1e-12 {
-                                let done = jobs.swap_remove(slot);
+                        let mut k = 0;
+                        while k < jobs.len() {
+                            if jobs[k].remaining_work <= 1e-12 {
+                                let done = jobs.swap_remove(k);
                                 let mut interferers = done.interferers_at_start;
                                 interferers.truncate(MAX_INTERFERERS);
                                 observer(
@@ -440,11 +456,11 @@ impl<'a> ClusterSim<'a> {
                                 );
                                 outcomes.push(JobOutcome::new(done.job, pidx, now));
                             } else {
-                                slot += 1;
+                                k += 1;
                             }
                         }
                         if jobs.len() < before {
-                            rates.rerate(pidx, jobs);
+                            rates.rerate(slot, pidx, jobs);
                         }
                     }
                 }
@@ -476,11 +492,11 @@ impl<'a> ClusterSim<'a> {
             // queue legitimately waits for a platform to come back.
             if pending.front().is_some()
                 && arrivals.peek().is_none()
-                && self.site.iter().all(|&p| running[p].is_empty())
+                && running.iter().all(Vec::is_empty)
                 && next_tr >= transitions.len()
             {
                 assert!(
-                    self.site.iter().any(|&p| !down[p]),
+                    down.contains(&false),
                     "fault plan leaves every allowed platform dark with jobs still queued; \
                      add a SiteFault restore_s before the last arrival drains"
                 );
@@ -492,15 +508,15 @@ impl<'a> ClusterSim<'a> {
             }
         }
 
-        let mut report =
-            SimReport::from_outcomes(outcomes, now, busy_platform_time, self.site.len());
+        let mut report = SimReport::from_outcomes(outcomes, now, busy_platform_time, n_site);
         report.preemptions = preemptions;
         report
     }
 
     /// Attempts to place `job`, refilling `view` for the decision; returns
-    /// whether it started running. A pick counts only where the view
-    /// offered a free slot.
+    /// whether it started running. A pick counts only where it names a site
+    /// platform (found by binary search over the ascending site) that the
+    /// view offered a free slot; any other answer places nothing.
     #[allow(clippy::too_many_arguments)]
     fn try_place(
         &self,
@@ -514,23 +530,26 @@ impl<'a> ClusterSim<'a> {
         down: &[bool],
     ) -> bool {
         self.refill_view(view, running, now, down);
-        match policy.place(&job, view, predictor) {
-            Some(pidx) if view.platforms[pidx].free_slots > 0 => {
-                let work = self.sample_work(&job, pidx);
-                let jobs = &mut running[pidx];
-                let interferers_at_start = jobs.iter().map(|r| r.job.workload).collect();
-                jobs.push(RunningJob {
-                    job,
-                    remaining_work: work,
-                    total_work: work,
-                    started_s: now,
-                    interferers_at_start,
-                });
-                rates.rerate(pidx, jobs);
-                true
-            }
-            _ => false,
-        }
+        let placed = policy.place(&job, view, predictor).and_then(|pidx| {
+            let slot = self.site.binary_search(&pidx).ok()?;
+            (view.platforms[slot].free_slots > 0).then_some(slot)
+        });
+        let Some(slot) = placed else {
+            return false;
+        };
+        let pidx = self.site[slot];
+        let work = self.sample_work(&job, pidx);
+        let jobs = &mut running[slot];
+        let interferers_at_start = jobs.iter().map(|r| r.job.workload).collect();
+        jobs.push(RunningJob {
+            job,
+            remaining_work: work,
+            total_work: work,
+            started_s: now,
+            interferers_at_start,
+        });
+        rates.rerate(slot, pidx, jobs);
+        true
     }
 
     /// True isolation runtime on `pidx`, with measurement noise,
@@ -548,9 +567,8 @@ impl<'a> ClusterSim<'a> {
             * self.work_scale
     }
 
-    /// Overwrites the site's entries of `view` with the cluster at `now`,
-    /// keeping every buffer's capacity. Entries outside the site are never
-    /// written, so they keep zero free slots.
+    /// Overwrites every entry of `view`, one per site slot, with the
+    /// cluster at `now`, keeping every buffer's capacity.
     fn refill_view(
         &self,
         view: &mut ClusterView,
@@ -559,8 +577,7 @@ impl<'a> ClusterSim<'a> {
         down: &[bool],
     ) {
         view.now_s = now;
-        for &pidx in &self.site {
-            let (load, jobs) = (&mut view.platforms[pidx], &running[pidx]);
+        for ((load, jobs), &down) in view.platforms.iter_mut().zip(running).zip(down) {
             load.running.clear();
             load.running.extend(jobs.iter().map(|j| j.job.workload));
             load.remaining_frac.clear();
@@ -568,7 +585,7 @@ impl<'a> ClusterSim<'a> {
                 .extend(jobs.iter().map(RunningJob::remaining_frac));
             load.due_s.clear();
             load.due_s.extend(jobs.iter().map(|j| j.job.due_s()));
-            load.free_slots = if down[pidx] {
+            load.free_slots = if down {
                 0
             } else {
                 self.capacity.saturating_sub(jobs.len())
@@ -577,42 +594,43 @@ impl<'a> ClusterSim<'a> {
     }
 }
 
-/// Every platform's progress rates, kept current for its running jobs. A
-/// job's rate depends on nothing but its platform's running set, so a
-/// platform's rates are recomputed (all of them, in slot order) exactly
+/// Every site platform's progress rates, kept current for its running
+/// jobs. A job's rate depends on nothing but its platform's running set, so
+/// a platform's rates are recomputed (all of them, in slot order) exactly
 /// when that set changes: on a placement, a completion or a fault kill.
 #[derive(Debug)]
 struct Rates<'a> {
     testbed: &'a Testbed,
-    /// `per_platform[p][slot]`: the progress rate of `running[p][slot]`.
-    per_platform: Vec<Vec<f64>>,
+    /// `per_slot[s][k]`: the progress rate of `running[s][k]`, the `k`-th
+    /// job on the platform of site slot `s`.
+    per_slot: Vec<Vec<f64>>,
     /// The co-residents of the job being rated.
     others: Vec<&'a Workload>,
 }
 
 impl<'a> Rates<'a> {
-    /// No job running anywhere.
-    fn new(testbed: &'a Testbed) -> Self {
+    /// No job running on any of `n_site` site platforms.
+    fn new(testbed: &'a Testbed, n_site: usize) -> Self {
         Self {
             testbed,
-            per_platform: vec![Vec::new(); testbed.platforms().len()],
+            per_slot: vec![Vec::new(); n_site],
             others: Vec::new(),
         }
     }
 
-    /// Rates every job of `jobs`, the running set of `pidx`, given its
-    /// current co-residents.
-    fn rerate(&mut self, pidx: usize, jobs: &[RunningJob]) {
+    /// Rates every job of `jobs`, the running set of site slot `slot`
+    /// (catalog platform `pidx`), given its current co-residents.
+    fn rerate(&mut self, slot: usize, pidx: usize, jobs: &[RunningJob]) {
         let ws = self.testbed.workloads();
         let truth = self.testbed.truth();
-        let rates = &mut self.per_platform[pidx];
+        let rates = &mut self.per_slot[slot];
         rates.clear();
-        for (slot, rj) in jobs.iter().enumerate() {
+        for (k, rj) in jobs.iter().enumerate() {
             self.others.clear();
             self.others.extend(
                 jobs.iter()
                     .enumerate()
-                    .filter(|(s, _)| *s != slot)
+                    .filter(|(s, _)| *s != k)
                     .map(|(_, o)| &ws[o.job.workload as usize]),
             );
             let w = &ws[rj.job.workload as usize];
@@ -620,17 +638,11 @@ impl<'a> Rates<'a> {
         }
     }
 
-    /// Earliest completion time of a job running on `site`, under the
-    /// current rates.
-    fn earliest_completion(
-        &self,
-        site: &[usize],
-        running: &[Vec<RunningJob>],
-        now: f64,
-    ) -> Option<f64> {
+    /// Earliest completion time of a running job, under the current rates.
+    fn earliest_completion(&self, running: &[Vec<RunningJob>], now: f64) -> Option<f64> {
         let mut best: Option<f64> = None;
-        for &pidx in site {
-            for (job, rate) in running[pidx].iter().zip(&self.per_platform[pidx]) {
+        for (jobs, rates) in running.iter().zip(&self.per_slot) {
+            for (job, rate) in jobs.iter().zip(rates) {
                 let t = now + job.remaining_work / rate.max(1e-12);
                 if best.is_none_or(|bt| t < bt) {
                     best = Some(t);

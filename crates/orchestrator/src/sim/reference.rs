@@ -1,7 +1,8 @@
 //! The simulator's loop as it stood before it simulated only the site: each
 //! event rates every running job afresh and walks every catalog platform,
-//! and each decision refills every view entry. Kept as the oracle the
-//! site-only, cached-rate loop is pinned to, bitwise.
+//! and each decision refills a view of every catalog platform, off-site
+//! ones with zero free slots. Kept as the oracle the site-sized,
+//! cached-rate loop is pinned to, bitwise.
 
 use super::*;
 use crate::policy::{BaselinePolicy, PolicyKind};
@@ -46,7 +47,12 @@ impl ClusterSim<'_> {
         let mut rates = EventRates::default();
         let mut view = ClusterView {
             now_s: now,
-            platforms: vec![PlatformLoad::default(); n_platforms],
+            platforms: (0..n_platforms)
+                .map(|platform| PlatformLoad {
+                    platform,
+                    ..PlatformLoad::default()
+                })
+                .collect(),
         };
 
         #[derive(Clone, Copy, PartialEq)]
@@ -342,12 +348,14 @@ fn replay(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The site-only loop with cached rates replays the catalog loop that
+    /// The site-sized loop with cached rates replays the catalog loop that
     /// rates every job on every event: the same outcomes, the same observer
     /// stream and the same report, bit for bit, over contiguous, strided,
     /// single-platform and unrestricted sites, capacities 1–4, work scales,
-    /// every baseline policy, and fault windows that kill a running job.
-    /// Utilization is the busy platform-time over makespan × site size.
+    /// every baseline policy, fault windows that kill a running job, and
+    /// fault windows on platforms off the site, which kill nothing but are
+    /// still events. Utilization is the busy platform-time over makespan ×
+    /// site size.
     #[test]
     fn site_loop_replays_the_catalog_loop_bitwise(
         n in 1usize..60,
@@ -361,6 +369,7 @@ proptest! {
         kind in 0usize..4,
         policy_seed in 0u64..1_000,
         n_faults in 0usize..3,
+        n_off_site in 0usize..3,
         fault_picks in 0u64..u64::MAX,
         work_scale in 0.3f64..3.0,
     ) {
@@ -401,19 +410,35 @@ proptest! {
         // fault-free run halfway through that job's run, so it kills at
         // least that job (the faulted run is the fault-free one until its
         // first fault). Windows on one platform stay disjoint.
-        let (_, _, fault_free) = replay(&mut sim(), &stream, &policy, true);
+        let (free_report, _, fault_free) = replay(&mut sim(), &stream, &policy, true);
         let mut rng = TestRng::from_state(fault_picks);
         let mut faults: Vec<SiteFault> = Vec::new();
+        let push = |faults: &mut Vec<SiteFault>, fault: SiteFault| {
+            if faults.iter().all(|f| {
+                f.platform != fault.platform
+                    || fault.restore_s <= f.at_s
+                    || fault.at_s >= f.restore_s
+            }) {
+                faults.push(fault);
+            }
+        };
         for _ in 0..n_faults {
             let (obs, done_s) = &fault_free[rng.below(0, fault_free.len())];
             let at_s = done_s - f64::from(obs.runtime_s) / 2.0;
             let restore_s = at_s + 0.01 + 20.0 * rng.unit();
             let platform = obs.platform as usize;
-            if faults
-                .iter()
-                .all(|f| f.platform != platform || restore_s <= f.at_s || at_s >= f.restore_s)
-            {
-                faults.push(SiteFault { platform, at_s, restore_s });
+            push(&mut faults, SiteFault { platform, at_s, restore_s });
+        }
+        let killing = faults.len();
+        // Off-site windows fall anywhere in the fault-free run.
+        if let Some(site) = &site {
+            for _ in 0..n_off_site {
+                let platform = rng.below(0, n_platforms);
+                let at_s = free_report.makespan_s * rng.unit();
+                let restore_s = at_s + 0.01 + 20.0 * rng.unit();
+                if !site.contains(&platform) {
+                    push(&mut faults, SiteFault { platform, at_s, restore_s });
+                }
             }
         }
 
@@ -423,7 +448,7 @@ proptest! {
             replay(&mut sim().with_site_faults(faults.clone()), &stream, &policy, false);
 
         prop_assert_eq!(got.completed, n);
-        prop_assert!(faults.is_empty() || got.preemptions > 0, "no fault killed a job");
+        prop_assert!(killing == 0 || got.preemptions > 0, "no fault killed a job");
         prop_assert_eq!(format!("{got_seen:?}"), format!("{want_seen:?}"));
         let site_len = site.as_ref().map_or(n_platforms, |s| {
             let mut s = s.clone();
@@ -445,4 +470,80 @@ proptest! {
         };
         prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
+}
+
+/// Answers a platform off the site the first time it is asked to place
+/// each job whose id is a multiple of three, and as its inner baseline
+/// otherwise. Records every answer.
+struct OffSiteFirst {
+    inner: BaselinePolicy,
+    off_site: usize,
+    answers: Vec<(usize, Option<usize>)>,
+}
+
+impl PlacementPolicy for OffSiteFirst {
+    fn place(
+        &mut self,
+        job: &Job,
+        view: &ClusterView,
+        predictor: &dyn RuntimePredictor,
+    ) -> Option<usize> {
+        let asked = self.answers.iter().any(|&(id, _)| id == job.id);
+        let answer = if job.id.is_multiple_of(3) && !asked {
+            Some(self.off_site)
+        } else {
+            self.inner.place(job, view, predictor)
+        };
+        self.answers.push((job.id, answer));
+        answer
+    }
+
+    fn name(&self) -> &str {
+        "off-site-first"
+    }
+}
+
+/// A policy that answers a platform off the site places nothing: the job
+/// waits in the queue and is offered again at the next completion or
+/// fault, as in the catalog loop, whose view offered no slot there.
+#[test]
+fn an_off_site_answer_waits_as_in_the_catalog_loop() {
+    let tb = shared_testbed();
+    let run = |sim: &mut ClusterSim<'_>, stream: &JobStream, reference: bool| {
+        let oracle = OraclePredictor::new(tb);
+        let mut policy = OffSiteFirst {
+            inner: BaselinePolicy::least_loaded(),
+            off_site: 10,
+            answers: Vec::new(),
+        };
+        let mut seen = Vec::new();
+        let mut observer = |obs: Observation, now: f64| seen.push((obs, now));
+        let report = if reference {
+            sim.run_reference(stream, &mut policy, &oracle, &mut observer)
+                .0
+        } else {
+            sim.run_with_observer(stream, &mut policy, &oracle, &mut observer)
+        };
+        (
+            format!("{:?}", report.outcomes),
+            format!("{seen:?}"),
+            policy.answers,
+        )
+    };
+
+    // Two jobs on a one-slot site: job 0 waits while job 1, arriving
+    // later, runs, and is placed at job 1's completion.
+    let two = JobStream::generate(tb, 2, 1.0, 4);
+    let mut sim = ClusterSim::with_capacity(tb, 1).restrict_to(&[3]);
+    let (outcomes, _, answers) = run(&mut sim, &two, false);
+    assert_eq!(answers, [(0, Some(10)), (1, Some(3)), (0, Some(3))]);
+    assert_eq!(outcomes, run(&mut sim, &two, true).0);
+
+    // A burst on a sparse site, against the catalog loop.
+    let burst = JobStream::generate(tb, 60, 0.05, 5);
+    let sim = || ClusterSim::with_capacity(tb, 2).restrict_to(&[2, 9, 30]);
+    let got = run(&mut sim(), &burst, false);
+    let want = run(&mut sim(), &burst, true);
+    assert_eq!(got.2.iter().filter(|a| a.1 == Some(10)).count(), 20);
+    assert_eq!(got, want);
 }

@@ -32,11 +32,13 @@ pub enum Signal {
     Point,
 }
 
-/// The risk-minimizing candidate among platforms with a free slot, or
-/// `None` when every platform is full. Ties break to the lowest platform
-/// index (candidates are scanned in ascending order and only a strictly
-/// smaller risk displaces the incumbent), so the decision is a pure
-/// function of the view — no RNG, no iteration-order sensitivity.
+/// The risk-minimizing candidate among the view's platforms with a free
+/// slot, answered by its catalog index ([`PlatformLoad::platform`]), or
+/// `None` when every platform is full. Candidates are scanned in view
+/// order and only a strictly smaller risk displaces the incumbent, so ties
+/// break to the first entry: the lowest platform index of a view in
+/// ascending catalog order, as the simulator builds it. The decision is a
+/// pure function of the view — no RNG, no iteration-order sensitivity.
 ///
 /// A candidate's risk under `signal` is the job's own predicted runtime
 /// next to the platform's residents, plus the interference delta the
@@ -46,18 +48,20 @@ pub enum Signal {
 /// which only a miscalibrated predictor would claim). Seconds of resident
 /// slowdown trade one-for-one against seconds of the job's own runtime.
 ///
-/// Every row the decision needs goes into `rows` first, in scan order:
-/// per candidate, the job's own row, then each resident's row without and
-/// with the newcomer. That pass is the one walk over the view: it records
-/// each candidate's platform index in `candidates`, in ascending order.
-/// One batched read fills `reads`, and the risks are folded from it over
-/// `candidates`. All three buffers are the caller's, so a policy that keeps
-/// them allocates nothing per decision once they have grown. No read is
-/// made when every platform is full.
+/// Every row the decision needs goes into `rows` first, in scan order, on
+/// the candidate's platform: per candidate, the job's own row, then each
+/// resident's row without and with the newcomer. That pass is the one walk
+/// over the view: it records each candidate's position in the view in
+/// `candidates`, in ascending order. One batched read fills `reads`, and
+/// the risks are folded from it over `candidates`. All three buffers are
+/// the caller's, so a policy that keeps them allocates nothing per decision
+/// once they have grown. No read is made when every platform is full.
 ///
 /// # Panics
 ///
 /// Panics if the predictor answers a different number of rows than asked.
+///
+/// [`PlatformLoad::platform`]: pitot_orchestrator::PlatformLoad::platform
 pub fn risk_argmin(
     job: &Job,
     view: &ClusterView,
@@ -69,11 +73,12 @@ pub fn risk_argmin(
 ) -> Option<usize> {
     rows.clear();
     candidates.clear();
-    for (p, load) in view.platforms.iter().enumerate() {
+    for (entry, load) in view.platforms.iter().enumerate() {
         if load.free_slots == 0 {
             continue;
         }
-        candidates.push(p);
+        candidates.push(entry);
+        let p = load.platform;
         rows.push(job.workload, p, load.running.iter().copied());
         // The resident's interferer set after the placement is everyone on
         // the platform except itself, plus the new job; before, just
@@ -109,8 +114,8 @@ pub fn risk_argmin(
     let mut next = reads.iter().copied();
     let mut read = || next.next().expect("one read per row");
     let mut best: Option<(f64, usize)> = None;
-    for &p in candidates.iter() {
-        let load = &view.platforms[p];
+    for &entry in candidates.iter() {
+        let load = &view.platforms[entry];
         let own = read();
         let mut induced = 0.0f64;
         for frac in &load.remaining_frac[..load.running.len()] {
@@ -120,7 +125,7 @@ pub fn risk_argmin(
         }
         let risk = own + induced;
         if best.is_none_or(|(b, _)| risk.total_cmp(&b).is_lt()) {
-            best = Some((risk, p));
+            best = Some((risk, load.platform));
         }
     }
     best.map(|(_, p)| p)

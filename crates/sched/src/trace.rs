@@ -93,7 +93,8 @@ mod tests {
         ClusterView {
             now_s: 0.0,
             platforms: (0..n)
-                .map(|_| PlatformLoad {
+                .map(|platform| PlatformLoad {
+                    platform,
                     running: vec![],
                     remaining_frac: vec![],
                     due_s: vec![],

@@ -46,9 +46,9 @@ impl RuntimePredictor for HashPredictor {
 }
 
 /// Brute-force oracle: an independent, naive transcription of the risk
-/// definition — score every platform with a free slot, return the lowest-
-/// index argmin. Any divergence from `risk_argmin`'s single-pass scan is a
-/// bug in one of them.
+/// definition — score every platform with a free slot, return the platform
+/// id of the first argmin in view order. Any divergence from
+/// `risk_argmin`'s single-pass scan is a bug in one of them.
 fn oracle_place(
     job: &Job,
     view: &ClusterView,
@@ -60,10 +60,11 @@ fn oracle_place(
         Signal::Point => predictor.predict_s(w, p, set),
     };
     let mut best: Option<(f64, usize)> = None;
-    for (p, load) in view.platforms.iter().enumerate() {
+    for load in &view.platforms {
         if load.free_slots == 0 {
             continue;
         }
+        let p = load.platform;
         let mut score = read(job.workload, p, &load.running);
         for slot in 0..load.running.len() {
             let without: Vec<u32> = (0..load.running.len())
@@ -82,9 +83,14 @@ fn oracle_place(
     best.map(|(_, p)| p)
 }
 
+/// Platforms in the testbed catalog the views draw their ids from.
+const CATALOG: usize = 220;
+
 /// Deterministically expands a drawn seed into a random cluster view: up
-/// to 6 platforms, up to 3 residents each, arbitrary remaining fractions,
-/// and some platforms full (`free_slots == 0`).
+/// to 6 platforms whose ids are an ascending random subset of the
+/// catalog (so an entry's position is not its platform), up to 3
+/// residents each, arbitrary remaining fractions, and some platforms full
+/// (`free_slots == 0`).
 fn build_view(seed: u64) -> ClusterView {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
     let mut next = move || {
@@ -92,8 +98,13 @@ fn build_view(seed: u64) -> ClusterView {
         mix(state)
     };
     let n_platforms = 1 + (next() % 6) as usize;
-    let platforms = (0..n_platforms)
-        .map(|_| {
+    let mut ids = std::collections::BTreeSet::new();
+    while ids.len() < n_platforms {
+        ids.insert((next() % CATALOG as u64) as usize);
+    }
+    let platforms = ids
+        .into_iter()
+        .map(|platform| {
             let n_residents = (next() % 4) as usize;
             let running: Vec<u32> = (0..n_residents).map(|_| (next() % 12) as u32).collect();
             let remaining_frac: Vec<f64> = (0..n_residents)
@@ -101,6 +112,7 @@ fn build_view(seed: u64) -> ClusterView {
                 .collect();
             let due_s = vec![1e9; n_residents];
             PlatformLoad {
+                platform,
                 running,
                 remaining_frac,
                 due_s,
@@ -167,7 +179,8 @@ proptest! {
         let any_free = view.platforms.iter().any(|p| p.free_slots > 0);
         prop_assert_eq!(got.is_some(), any_free);
         if let Some(p) = got {
-            prop_assert!(view.platforms[p].free_slots > 0);
+            let picked = view.platforms.iter().find(|l| l.platform == p);
+            prop_assert!(picked.is_some_and(|l| l.free_slots > 0), "answered platform {}", p);
         }
     }
 }
@@ -308,6 +321,37 @@ fn closed_loop_traces_are_reproducible() {
     assert!(da.len() >= 80);
 }
 
+/// On a sparse site, whose platform ids are not their positions in the
+/// view, every decision of a traced `ConformalGreedy` run names a site
+/// platform, and every job completes there.
+#[test]
+fn sparse_site_decisions_land_on_the_site() {
+    let tb = shared_testbed();
+    assert_eq!(tb.platforms().len(), CATALOG);
+    let site = [3, 17, 40, 101, 150, 219];
+    let jobs = JobStream::generate_with_deadlines(tb, 120, 0.02, (1.3, 3.0), 29);
+    let oracle = OraclePredictor::with_epsilon(tb, 0.1);
+    let mut traced = Traced::new(ConformalGreedy::new());
+    let report = ClusterSim::new(tb)
+        .restrict_to(&site)
+        .run(&jobs, &mut traced, &oracle);
+    assert_eq!(report.completed, 120);
+    assert!(traced.decisions().len() >= 120);
+    for &(id, decision) in traced.decisions() {
+        assert!(
+            decision.is_none_or(|p| site.contains(&p)),
+            "job {id} placed off the site on {decision:?}"
+        );
+    }
+    let used: std::collections::BTreeSet<usize> =
+        report.outcomes.iter().map(|o| o.platform).collect();
+    assert!(used.iter().all(|p| site.contains(p)), "{used:?}");
+    assert!(
+        used.len() > 1,
+        "the burst co-locates on one platform: {used:?}"
+    );
+}
+
 /// The conformal scorer must actually use the bound: on a view where the
 /// point estimate and the upper edge disagree about the best platform,
 /// `ConformalGreedy` and `PointGreedy` diverge.
@@ -330,7 +374,8 @@ fn upper_edge_and_point_signals_can_disagree() {
     let view = ClusterView {
         now_s: 0.0,
         platforms: (0..2)
-            .map(|_| PlatformLoad {
+            .map(|platform| PlatformLoad {
+                platform,
                 running: vec![],
                 remaining_frac: vec![],
                 due_s: vec![],

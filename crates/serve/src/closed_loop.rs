@@ -23,9 +23,11 @@ use std::rc::Rc;
 /// as many length-r dot products. A fine-tune installs a new cache, whose
 /// tables start empty. A bound read, of one row or of a batch such as the
 /// rows of one `pitot-sched` placement decision, is one prediction pass
-/// over buffers the server reuses, bitwise equal row by row to
-/// [`PitotServer::query_now`]. A point read is the same pass scoring head
-/// 0 alone, bitwise the [`crate::Prediction::point_s`] of those reads.
+/// over buffers the server reuses that scores only the head each row's
+/// pool bound reads, bitwise equal row by row to the
+/// [`crate::Prediction::bound_s`] of [`PitotServer::query_now`]. A point
+/// read is the same pass scoring head 0 alone, bitwise the
+/// [`crate::Prediction::point_s`] of those reads.
 /// Every read counts one query per row in [`crate::ServeStats::queries`].
 pub struct ServingPredictor {
     server: Rc<RefCell<PitotServer>>,
@@ -56,10 +58,10 @@ impl RuntimePredictor for ServingPredictor {
 
     fn bound_s(&self, workload: u32, platform: usize, interferers: &[u32]) -> f64 {
         let mut bound_s = f32::NAN;
-        self.server.borrow_mut().lookup_batch(
+        self.server.borrow_mut().lookup_bounds(
             [(workload, catalog_id(platform), interferers)],
-            |p| {
-                bound_s = p.bound_s;
+            |b| {
+                bound_s = b;
             },
         );
         f64::from(bound_s)
@@ -76,7 +78,7 @@ impl RuntimePredictor for ServingPredictor {
         out.clear();
         self.server
             .borrow_mut()
-            .lookup_batch(catalog_rows(batch), |p| out.push(f64::from(p.bound_s)));
+            .lookup_bounds(catalog_rows(batch), |b| out.push(f64::from(b)));
     }
 
     fn name(&self) -> &str {

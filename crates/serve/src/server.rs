@@ -224,6 +224,18 @@ pub(crate) fn catalog_rows(batch: &QueryBatch) -> impl Iterator<Item = (u32, u32
         .map(|(workload, platform, interferers)| (workload, catalog_id(platform), interferers))
 }
 
+/// The log-runtime columns a read scores per row.
+#[derive(Debug, Clone, Copy)]
+enum Columns {
+    /// Head 0, then the head the row's pool bound reads (a bound head of 0
+    /// scores nothing more): the pair a [`Prediction`] is built from.
+    PointAndBound,
+    /// Head 0 alone.
+    Point,
+    /// The head the row's pool bound reads, alone.
+    Bound,
+}
+
 /// Where a read's inner products come from: computed from the tower
 /// outputs, or looked up in the tower cache's tables (see
 /// [`TrainedPitot::lookup_log_heads_into`]). Both answer bitwise alike.
@@ -611,7 +623,7 @@ impl PitotServer {
         let mut answer = None;
         self.read(
             [(workload, platform, interferers)],
-            false,
+            Columns::PointAndBound,
             Products::Computed,
         );
         self.answer_reads(|p| answer = Some(p));
@@ -631,48 +643,59 @@ impl PitotServer {
     ///
     /// Panics if a row's platform index does not fit a catalog id.
     pub fn query_batch(&mut self, rows: &QueryBatch, answer: impl FnMut(Prediction)) {
-        self.read(catalog_rows(rows), false, Products::Computed);
+        self.read(
+            catalog_rows(rows),
+            Columns::PointAndBound,
+            Products::Computed,
+        );
         self.answer_reads(answer);
     }
 
-    /// [`PitotServer::query_batch`] over `rows` with every inner product
+    /// The served bound, in seconds, of every row of `rows`, passed to
+    /// `bound_s` in row order: the [`PitotServer::query_batch`] pass scoring
+    /// only the head each row's pool bound reads, with every inner product
     /// looked up in the tower cache's tables
-    /// ([`TrainedPitot::lookup_log_heads_into`]): the bound read of
-    /// [`crate::ServingPredictor`], bitwise each row's `query_now` answer.
-    pub(crate) fn lookup_batch<'a>(
+    /// ([`TrainedPitot::lookup_log_heads_into`]), so each answer is bitwise
+    /// that row's [`Prediction::bound_s`]. The bound read of
+    /// [`crate::ServingPredictor`]; counted per row in
+    /// [`ServeStats::queries`].
+    pub(crate) fn lookup_bounds<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
-        answer: impl FnMut(Prediction),
+        mut bound_s: impl FnMut(f32),
     ) {
-        self.read(rows, false, Products::LookedUp);
-        self.answer_reads(answer);
+        self.read(rows, Columns::Bound, Products::LookedUp);
+        let served = self.conformal.as_deref();
+        for (o, bound) in self.reads.iter().zip(self.preds.iter_rows()) {
+            let pool = self.cfg.pool_key(o.interferers.len());
+            bound_s(served_bound(served, bound[0], pool).0.exp());
+        }
     }
 
     /// The point estimate, in seconds, of every row of `rows`, passed to
-    /// `point_s` in row order: the [`PitotServer::lookup_batch`] pass
-    /// scoring head 0 alone, so each answer is bitwise that row's
+    /// `point_s` in row order: the [`PitotServer::lookup_bounds`] pass
+    /// scoring head 0 instead, so each answer is bitwise that row's
     /// [`Prediction::point_s`]. Counted per row in [`ServeStats::queries`].
     pub(crate) fn lookup_points<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
         mut point_s: impl FnMut(f32),
     ) {
-        self.read(rows, true, Products::LookedUp);
-        for pair in self.preds.iter_rows() {
-            point_s(pair[0].exp());
+        self.read(rows, Columns::Point, Products::LookedUp);
+        for point in self.preds.iter_rows() {
+            point_s(point[0].exp());
         }
     }
 
     /// The one read pass: refills the reused query rows and makes a single
     /// [`TrainedPitot::predict_log_heads_into`] over them into the reused
     /// matrix, or its [`TrainedPitot::lookup_log_heads_into`] twin, scoring
-    /// each row's point head and, unless `point_only`, the head its pool's
-    /// bound reads (a bound head of 0 scores nothing more). Counts the rows
-    /// in [`ServeStats::queries`].
+    /// the `columns` of each row. Counts the rows in
+    /// [`ServeStats::queries`].
     fn read<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (u32, u32, &'a [u32])>,
-        point_only: bool,
+        columns: Columns,
         products: Products,
     ) {
         let mut n = 0;
@@ -685,10 +708,13 @@ impl PitotServer {
         }
         let served = self.conformal.as_deref();
         let (cfg, n_heads) = (&self.cfg, self.trained.model.n_heads());
-        let bound_head = |o: &Observation| {
-            if point_only {
-                0
-            } else {
+        let heads: &[usize] = match columns {
+            Columns::PointAndBound => &[0],
+            Columns::Point | Columns::Bound => &[],
+        };
+        let bound_head = |o: &Observation| match columns {
+            Columns::Point => 0,
+            Columns::PointAndBound | Columns::Bound => {
                 bound_head(served, cfg.pool_key(o.interferers.len()), n_heads)
             }
         };
@@ -696,11 +722,11 @@ impl PitotServer {
         match products {
             Products::Computed => {
                 self.trained
-                    .predict_log_heads_into(&self.towers, rows, &[0], bound_head, preds)
+                    .predict_log_heads_into(&self.towers, rows, heads, bound_head, preds)
             }
             Products::LookedUp => {
                 self.trained
-                    .lookup_log_heads_into(&self.towers, rows, &[0], bound_head, preds)
+                    .lookup_log_heads_into(&self.towers, rows, heads, bound_head, preds)
             }
         }
         self.stats.queries += n;

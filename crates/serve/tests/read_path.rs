@@ -542,6 +542,7 @@ fn warm_reads_allocate_no_matrix() {
         now_s: 0.0,
         platforms: (0..6)
             .map(|p| PlatformLoad {
+                platform: p as usize,
                 running: vec![p, p + 1],
                 remaining_frac: vec![0.7, 0.3],
                 due_s: vec![1e9; 2],
